@@ -104,20 +104,24 @@ class BayesianLayer(Layer):
         )
         return self.quantization.quantize_weights(sampled.weights), sampled.epsilon
 
-    def sample_weights_batch(self, sampler: BatchedWeightSampler) -> np.ndarray:
-        """FW-stage weight sampling for all ``S`` samples: ``(S, *shape)``."""
-        sampled = sampler.sample(
-            self.weight_posterior.mu.value, self.weight_posterior.sigma
-        )
+    def sample_weights_batch(
+        self, sampler: BatchedWeightSampler, sigma: np.ndarray
+    ) -> np.ndarray:
+        """FW-stage weight sampling for all ``S`` samples: ``(S, *shape)``.
+
+        ``sigma`` is the posterior's :attr:`sigma`, computed once by the
+        caller and kept with its cached activations: the parameters cannot
+        change between the FW and BW stages of one step, so BW/GC reuse it
+        instead of re-running the softplus.
+        """
+        sampled = sampler.sample(self.weight_posterior.mu.value, sigma)
         return self.quantization.quantize_weights(sampled.weights)
 
     def resample_weights_batch(
-        self, sampler: BatchedWeightSampler
+        self, sampler: BatchedWeightSampler, sigma: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """BW-stage batch reconstruction; returns ``(S, *shape)`` weights and epsilons."""
-        sampled = sampler.resample(
-            self.weight_posterior.mu.value, self.weight_posterior.sigma
-        )
+        sampled = sampler.resample(self.weight_posterior.mu.value, sigma)
         return self.quantization.quantize_weights(sampled.weights), sampled.epsilon
 
     def accumulate_parameter_gradients(
@@ -149,6 +153,7 @@ class BayesianLayer(Layer):
         kl_weight: float,
         prior: Prior,
         sampled_weights: np.ndarray,
+        sigma: np.ndarray,
         include_entropy_term: bool = True,
     ) -> None:
         """Batched GC stage: all inputs carry a leading ``(S, ...)`` sample axis.
@@ -167,6 +172,7 @@ class BayesianLayer(Layer):
             epsilon=epsilon,
             kl_weight=kl_weight,
             prior_nll_grad=prior_grad,
+            sigma=sigma,
             include_entropy_term=include_entropy_term,
         )
 
@@ -299,8 +305,9 @@ class BayesDense(BayesianLayer):
                 f"{self.name}: expected {self.in_features} features, got {x.shape[1]}"
             )
         batch = self._samples_per_batch(x, n_samples, self.name)
-        weights = self.sample_weights_batch(sampler)
-        self._cache = {"input": x, "n_samples": n_samples}
+        sigma = self.weight_posterior.sigma
+        weights = self.sample_weights_batch(sampler, sigma)
+        self._cache = {"input": x, "n_samples": n_samples, "sigma": sigma}
         out = F.sample_matmul(x.reshape(n_samples, batch, self.in_features), weights)
         if self.bias is not None:
             out = out + self.bias.value
@@ -321,7 +328,8 @@ class BayesDense(BayesianLayer):
             raise RuntimeError(f"{self.name}: backward_samples before forward_samples")
         x: np.ndarray = self._cache["input"]  # type: ignore[assignment]
         batch = x.shape[0] // n_samples
-        weights, epsilon = self.resample_weights_batch(sampler)
+        sigma: np.ndarray = self._cache["sigma"]  # type: ignore[assignment]
+        weights, epsilon = self.resample_weights_batch(sampler, sigma)
         x3 = x.reshape(n_samples, batch, self.in_features)
         grad3 = grad_out.reshape(n_samples, batch, self.out_features)
         grad_weight = F.sample_matmul(x3.transpose(0, 2, 1), grad3)
@@ -344,6 +352,7 @@ class BayesDense(BayesianLayer):
             kl_weight=kl_weight,
             prior=prior,
             sampled_weights=weights,
+            sigma=sigma,
             include_entropy_term=include_entropy_term,
         )
         return grad_input.reshape(x.shape[0], self.in_features)
@@ -429,12 +438,18 @@ class BayesConv2D(BayesianLayer):
     ) -> np.ndarray:
         check_4d(x)
         self._samples_per_batch(x, n_samples, self.name)
-        weights = self.sample_weights_batch(sampler)
+        sigma = self.weight_posterior.sigma
+        weights = self.sample_weights_batch(sampler, sigma)
         bias_value = self.bias.value if self.bias is not None else None
         out, cols = F.conv2d_forward_samples(
             x, weights, bias_value, self.stride, self.padding, n_samples
         )
-        self._cache = {"cols": cols, "x_shape": x.shape, "n_samples": n_samples}
+        self._cache = {
+            "cols": cols,
+            "x_shape": x.shape,
+            "n_samples": n_samples,
+            "sigma": sigma,
+        }
         return self.quantization.quantize_activations(out)
 
     def backward_samples(
@@ -450,7 +465,8 @@ class BayesConv2D(BayesianLayer):
             raise RuntimeError(f"{self.name}: backward_samples before forward_samples")
         cols: list[np.ndarray] = self._cache["cols"]  # type: ignore[assignment]
         x_shape: tuple[int, int, int, int] = self._cache["x_shape"]  # type: ignore[assignment]
-        weights, epsilon = self.resample_weights_batch(sampler)
+        sigma: np.ndarray = self._cache["sigma"]  # type: ignore[assignment]
+        weights, epsilon = self.resample_weights_batch(sampler, sigma)
         grad_input, grad_weight, grad_bias = F.conv2d_backward_samples(
             grad_out, cols, x_shape, weights, self.stride, self.padding, n_samples
         )
@@ -469,6 +485,7 @@ class BayesConv2D(BayesianLayer):
             kl_weight=kl_weight,
             prior=prior,
             sampled_weights=weights,
+            sigma=sigma,
             include_entropy_term=include_entropy_term,
         )
         return grad_input

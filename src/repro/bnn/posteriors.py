@@ -146,6 +146,7 @@ class GaussianPosterior:
         epsilon: np.ndarray,
         kl_weight: float,
         prior_nll_grad: np.ndarray,
+        sigma: np.ndarray,
         include_entropy_term: bool = True,
     ) -> None:
         """Batched GC stage: :meth:`accumulate_gradients` for all ``S`` samples.
@@ -157,6 +158,10 @@ class GaussianPosterior:
         sample -- and the final accumulation walks the sample axis in order,
         so ``mu.grad`` / ``rho.grad`` receive bit-for-bit the same sums as
         ``S`` sequential :meth:`accumulate_gradients` calls.
+
+        ``sigma`` is the step's FW-stage :attr:`sigma`, handed back by the
+        layer instead of recomputed: ``rho`` cannot change between FW and BW
+        of one step, so it is the same function of the same bytes.
         """
         if (
             grad_weight.ndim != len(self.shape) + 1
@@ -171,7 +176,7 @@ class GaussianPosterior:
         total_w_grad = grad_weight + kl_weight * prior_nll_grad
         sigma_grad = epsilon * total_w_grad
         if include_entropy_term:
-            sigma_grad = sigma_grad - kl_weight / self.sigma
+            sigma_grad = sigma_grad - kl_weight / sigma
         rho_grad = sigma_grad * softplus_grad(self.rho.value)
         tape = active_tape()
         if tape is not None:

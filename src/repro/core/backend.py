@@ -534,32 +534,6 @@ def _lfsr_step_block_reference(state_words, n_bits, count, offsets, reverse):
     return bitops.run_lfsr_block_packed(state_words, n_bits, count, offsets, reverse)
 
 
-#: Bits produced per chunk by the chunked LFSR fill (a cache-locality knob).
-_CHUNK_BITS = 1 << 16
-
-
-def _lfsr_step_block_chunked(state_words, n_bits, count, offsets, reverse):
-    # The recurrence has a unique extension given ``n_bits`` of history, so
-    # producing it in bounded chunks (each continuing from the bits the
-    # previous chunk deposited) is bit-identical to one whole-block fill;
-    # only the leapfrog scheduling -- and therefore the working set -- moves.
-    total = n_bits + count
-    seq = np.zeros(
-        (state_words.shape[0], bitops.words_for_bits(total) + 2), dtype=np.uint64
-    )
-    state_bits = bitops.unpack_bits(state_words, n_bits)
-    history = state_bits if reverse else state_bits[:, ::-1]
-    seq[:, : bitops.words_for_bits(n_bits)] = bitops.pack_bits(history)
-    produced = 0
-    while produced < count:
-        size = min(_CHUNK_BITS, count - produced)
-        bitops.fill_lfsr_sequence(seq, n_bits + produced, size, offsets)
-        produced += size
-    window = bitops.unpack_bits(seq, total)[:, count:]
-    new_state_words = bitops.pack_bits(window if reverse else window[:, ::-1])
-    return seq, new_state_words
-
-
 def _lfsr_taps(n_bits: int) -> tuple[int, ...]:
     # Ascending, as the kernel contract (and normalise_taps) requires.
     taps = {
@@ -592,7 +566,10 @@ def _lfsr_step_block_cases() -> list[dict[str, Any]]:
         (256, 512, 1, False),
         (256, 640, 3, True),
         (256, 64, 2, False),  # count < n_bits
-        (256, _CHUNK_BITS + 320, 2, False),  # crosses a chunk boundary
+        # past level 6 (position 256 << 6), where chunks become whole-word
+        # slice XORs, ending on a sub-word tail
+        (256, (256 << 6) + 4096 + 37, 2, False),
+        (256, (256 << 6) + 4096 + 37, 2, True),
         (16, 100, 2, False),
         (16, 96, 2, True),
         (8, 3, 1, False),  # degenerate: tiny block
@@ -661,24 +638,30 @@ def _window_popcounts_cumsum(seq_words, n_bits, count, stride):
     return popcounts
 
 
+def _block_popcounts(word_pc, words_per_block):
+    # One strided add per word of the block: a reduce over the short
+    # (stride // 64)-long axis costs several times the adds it replaces.
+    sums = word_pc[:, ::words_per_block].astype(np.int32)
+    for lane in range(1, words_per_block):
+        sums += word_pc[:, lane::words_per_block]
+    return sums
+
+
 def _window_popcounts_packed(seq_words, n_bits, count, stride):
     # Word-aligned strided emission: popcount the packed words directly --
-    # no per-bit unpack of the sequence at all.
+    # no per-bit unpack of the sequence at all.  The window after shift
+    # ``k * stride`` covers bits ``[k * stride, k * stride + n_bits)``.
     word_pc = np.bitwise_count(seq_words[:, : (n_bits + count) // 64])
-    n_words = n_bits // 64
     words_per_block = stride // 64
-    blocks = count // stride
-    rows = word_pc.shape[0]
-    delta = (
-        word_pc[:, n_words:]
-        .reshape(rows, blocks, words_per_block)
-        .sum(axis=2, dtype=np.int32)
-    )
-    delta -= (
-        word_pc[:, : count // 64]
-        .reshape(rows, blocks, words_per_block)
-        .sum(axis=2, dtype=np.int32)
-    )
+    if n_bits == stride:
+        # Each window is exactly one stride block: the block sums past the
+        # initial pattern are the answer.
+        return _block_popcounts(word_pc, words_per_block)[:, 1:]
+    # Otherwise: running sum of (entering - leaving) block sums on top of
+    # the initial pattern.
+    n_words = n_bits // 64
+    delta = _block_popcounts(word_pc[:, n_words:], words_per_block)
+    delta -= _block_popcounts(word_pc[:, : count // 64], words_per_block)
     popcounts = np.cumsum(delta, axis=1, out=delta)
     popcounts += word_pc[:, :n_words].sum(axis=1, dtype=np.int32)[:, None]
     return popcounts
@@ -1095,16 +1078,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
         BackendImpl(
             "reference",
             _lfsr_step_block_reference,
-            description="whole-block leapfrog fill (bitops.run_lfsr_block_packed)",
-        ),
-    )
-    reg.register_backend(
-        "lfsr_step_block",
-        BackendImpl(
-            "chunked",
-            _lfsr_step_block_chunked,
-            description=f"bounded {_CHUNK_BITS}-bit fill chunks "
-            "(cache-locality variant)",
+            description="word-aligned leapfrog fill (bitops.run_lfsr_block_packed)",
         ),
     )
 
@@ -1140,8 +1114,8 @@ def _register_builtin(reg: KernelRegistry) -> None:
         BackendImpl(
             "packed_bitcount",
             _window_popcounts_packed,
-            description="np.bitwise_count on the packed words (word-aligned "
-            "strides only)",
+            description="np.bitwise_count on the packed words, windows as "
+            "differences of stride-block sums (word-aligned strides only)",
             supports=_window_popcounts_packed_supports,
             available=lambda: hasattr(np, "bitwise_count"),
         ),

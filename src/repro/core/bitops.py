@@ -14,7 +14,13 @@ optimisations that this module implements once for both
   keeps the tap count unchanged while doubling every offset.  Once ``2**k * n``
   bits of history exist, chunks of ``2**k * min_tap`` bits can be produced per
   set of tap XORs, so the number of chunk iterations grows only
-  logarithmically with the block length instead of linearly.
+  logarithmically with the block length instead of linearly;
+* **word alignment** -- chunk boundaries are kept on the 64-bit grid, and from
+  the level where every squared offset ``2**k * p`` is a whole number of words
+  (``k = 6`` at the latest) a chunk is a handful of word-slice XORs written
+  straight into place: no shifts, no temporaries.  Only the first few tiny
+  chunks and a final sub-word tail take the shifted extract/deposit path
+  (see :func:`fill_lfsr_sequence`).
 
 Bit convention: bit ``i`` of the sequence lives at bit ``i % 64`` of word
 ``i // 64`` (little-endian within and across words, matching
@@ -81,31 +87,16 @@ def unpack_int_rows(words: np.ndarray) -> list[int]:
     ]
 
 
-def _extract(
-    seq: np.ndarray, start: int, length: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Read ``length`` bits at bit offset ``start`` into packed words.
-
-    With ``out`` (a ``(N, >= words_for_bits(length))`` uint64 workspace) the
-    result is written into ``out``'s leading words and no temporaries are
-    allocated -- the chunked recurrence calls this in a tight loop.
-    """
+def _extract(seq: np.ndarray, start: int, length: int) -> np.ndarray:
+    """Read ``length`` bits at bit offset ``start`` into fresh packed words."""
     word0, shift = start >> 6, start & 63
     n_words = words_for_bits(length)
     head = seq[:, word0 : word0 + n_words]
-    if out is None:
-        if shift == 0:
-            return head.copy()
-        return (head >> shift) | (
-            seq[:, word0 + 1 : word0 + 1 + n_words] << (_WORD - shift)
-        )
-    view = out[:, :n_words]
     if shift == 0:
-        view[:] = head
-        return view
-    np.right_shift(head, shift, out=view)
-    view |= seq[:, word0 + 1 : word0 + 1 + n_words] << (_WORD - shift)
-    return view
+        return head.copy()
+    values = head >> shift
+    values |= seq[:, word0 + 1 : word0 + 1 + n_words] << (_WORD - shift)
+    return values
 
 
 def _deposit(seq: np.ndarray, start: int, values: np.ndarray, length: int) -> None:
@@ -129,31 +120,51 @@ def fill_lfsr_sequence(
 
     ``seq`` is a ``(N, W)`` uint64 matrix whose first ``n_bits`` bits per row
     are already filled (and everything beyond them is zero).  ``offsets`` are
-    the ascending tap offsets of ``b(t) = XOR_p b(t - p)`` with
-    ``max(offsets) == n_bits``.
+    the ascending tap offsets (at least two) of ``b(t) = XOR_p b(t - p)``
+    with ``max(offsets) == n_bits``.
 
     Chunks are produced with the squared-polynomial tap sets
     ``{2**k * p}`` as soon as ``2**k * n_bits`` bits of history exist, which
     the identity ``P(x)**2 = P(x**2)`` over GF(2) makes valid: each squaring
     level doubles the chunk length at a constant number of word-XOR passes.
+
+    Any chunk length up to ``min(offsets) << level`` is valid, so a chunk that
+    would cross a word boundary is cut back to end *on* it: ``position``
+    reaches the 64-bit grid within the first few (tiny) chunks and then stays
+    on it.  Once every ``p << level`` is a whole number of words (level 6 at
+    the latest) a chunk is nothing but word slices XORed straight into the
+    destination; the shifted extract/deposit path serves only the early
+    levels and a final sub-word tail.
     """
     offsets = tuple(offsets)
     min_offset = offsets[0]
+    offset_bits = 0
+    for offset in offsets:
+        offset_bits |= offset
     position, end = n_bits, n_bits + count
     level = 0
-    # Two reusable workspaces sized for the largest possible chunk keep the
-    # tap XOR loop free of per-chunk temporaries.
-    scratch_words = words_for_bits(count) + 1
-    acc_buf = np.empty((seq.shape[0], scratch_words), dtype=np.uint64)
-    tap_buf = np.empty_like(acc_buf)
     while position < end:
         while (n_bits << (level + 1)) <= position:
             level += 1
         length = min(min_offset << level, end - position)
-        acc = _extract(seq, position - (offsets[0] << level), length, out=acc_buf)
-        for offset in offsets[1:]:
-            acc ^= _extract(seq, position - (offset << level), length, out=tap_buf)
-        _deposit(seq, position, acc, length)
+        aligned_end = (position + length) & ~63
+        if aligned_end > position:
+            length = aligned_end - position
+        if not ((position | length | (offset_bits << level)) & 63):
+            word, n_words = position >> 6, length >> 6
+            dest = seq[:, word : word + n_words]
+            taps = [
+                seq[:, word - back : word - back + n_words]
+                for back in [(offset << level) >> 6 for offset in offsets]
+            ]
+            np.bitwise_xor(taps[0], taps[1], out=dest)
+            for tap in taps[2:]:
+                dest ^= tap
+        else:
+            acc = _extract(seq, position - (min_offset << level), length)
+            for offset in offsets[1:]:
+                acc ^= _extract(seq, position - (offset << level), length)
+            _deposit(seq, position, acc, length)
         position += length
 
 

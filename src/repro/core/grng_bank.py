@@ -202,22 +202,23 @@ class GrngBank:
         # float64 values whatever the popcount dtype.
         return _clt_standardise(popcounts, self._mean, self._std)
 
-    #: Upper bound on register shifts per packed-kernel call.  One giant call
-    #: materialises the whole bit sequence at once and falls out of cache;
-    #: chunked calls continue the same register stream, so the emitted values
-    #: are bit-identical -- this is purely a locality knob.
-    _KERNEL_STEP_LIMIT = 1 << 21
+    #: Upper bound on the packed bit sequence one kernel call materialises
+    #: (``rows * shifts / 8`` bytes); split calls continue the same register
+    #: stream and are bit-identical.  This bounds transient memory, it is not
+    #: a locality knob: a whole span in one call is ~25 % faster at the
+    #: training step's shape (every call re-climbs the leapfrog's squaring
+    #: levels), but multi-MiB transients raise glibc's dynamic mmap/trim
+    #: thresholds for the whole process -- measured as +7 % peak RSS and
+    #: slower small-array work on the in-process serving benchmark.  2 MiB is
+    #: the largest block the engine allocated before the cap was in bytes.
+    _KERNEL_SEQ_BYTES = 1 << 21
 
     def _generate_chunked(self, block_fn, rows: Sequence[int] | None, count: int) -> np.ndarray:
-        """Split a generation call into cache-resident kernel chunks.
-
-        Chunked calls continue the same register stream, so the concatenated
-        values are bit-identical to one call; this is purely a locality knob.
-        """
-        chunk = max(1, self._KERNEL_STEP_LIMIT // self._stride)
+        """Split a generation call so no kernel call exceeds the byte cap."""
+        n_selected = self.n_rows if rows is None else len(rows)
+        chunk = max(1, self._KERNEL_SEQ_BYTES * 8 // (n_selected * self._stride))
         if count <= chunk:
             return block_fn(rows, count)
-        n_selected = self.n_rows if rows is None else len(rows)
         values = np.empty((n_selected, count), dtype=np.float64)
         offset = 0
         while offset < count:
@@ -254,44 +255,21 @@ class GrngBank:
     def _generate_reverse_block(
         self, rows: Sequence[int] | None, count: int
     ) -> np.ndarray:
-        n = self._n
-        steps = count * self._stride
         selection = slice(None) if rows is None else np.asarray(rows)
-        head_bits = self._array.state_bits(rows)
-        current_sums = self._sums[selection].astype(np.int32)
-        recovered = self._array.generate_bits_reverse(steps, rows=rows).astype(
-            np.int32
+        current_sums = self._sums[selection]
+        # The hardware steps the sum register by (recovered tail - dropped
+        # head) per reverse shift, so whatever offset it carries from the
+        # true pattern popcount (zero unless someone wrote the register)
+        # rides along unchanged: emit the current sum, then the exact
+        # popcounts of the earlier patterns plus that drift.
+        drift = current_sums - self._array.popcounts(rows)
+        earlier = self._array.window_popcounts(
+            count * self._stride, rows=rows, stride=self._stride, reverse=True
         )
-        # Stepping back from pattern t to t-1 changes the sum by
-        # (recovered tail of t-1) - (head of t); heads of successive earlier
-        # patterns are the register contents R1, R2, ... of the pre-retrieval
-        # pattern, continuing into the recovered tail stream.
-        heads = np.empty_like(recovered)
-        limit = min(steps, n)
-        heads[:, :limit] = head_bits[:, :limit]
-        if steps > n:
-            heads[:, n:] = recovered[:, : steps - n]
-        np.subtract(recovered, heads, out=recovered)
-        if self._stride == 1:
-            delta = np.cumsum(recovered, axis=1, out=recovered)
-            sums = np.empty_like(delta)
-            sums[:, 0] = current_sums
-            if steps > 1:
-                sums[:, 1:] = current_sums[:, None] + delta[:, :-1]
-            self._sums[selection] = current_sums + delta[:, -1]
-            return self._standardise(sums)
-        # Strided emission needs the cumulative delta only at block
-        # boundaries: reduce per-block, then cumsum over count entries
-        # instead of count * stride steps (bit-identical integer arithmetic).
-        blocks = recovered.reshape(recovered.shape[0], count, self._stride).sum(
-            axis=2, dtype=np.int32
-        )
-        delta = np.cumsum(blocks, axis=1, out=blocks)
-        sums = np.empty_like(delta)
-        sums[:, 0] = current_sums
-        if count > 1:
-            sums[:, 1:] = current_sums[:, None] + delta[:, :-1]
-        self._sums[selection] = current_sums + delta[:, -1]
+        drifted = earlier + drift[:, None]
+        # built before the register update: current_sums may view self._sums
+        sums = np.concatenate([current_sums[:, None], drifted[:, :-1]], axis=1)
+        self._sums[selection] = drifted[:, -1]
         return self._standardise(sums)
 
     # ------------------------------------------------------------------

@@ -204,7 +204,11 @@ class LfsrArray:
         return self._run(count, rows, reverse=True)[:, self._n :].copy()
 
     def window_popcounts(
-        self, count: int, rows: Sequence[int] | None = None, stride: int = 1
+        self,
+        count: int,
+        rows: Sequence[int] | None = None,
+        stride: int = 1,
+        reverse: bool = False,
     ) -> np.ndarray:
         """Pattern popcounts after every ``stride``-th of ``count`` shifts, per row.
 
@@ -217,6 +221,12 @@ class LfsrArray:
         exact integer popcounts either way, so the strided path is
         bit-identical to slicing the dense one.  Registers end exactly where
         :meth:`generate_bits` would leave them.
+
+        ``reverse=True`` shifts backwards instead: the reversed-time sequence
+        ``[R1..Rn, recovered tail bits...]`` holds the pattern ``k`` shifts
+        *earlier* at window offset ``k``, so the same kernel yields the
+        popcounts of the earlier patterns and registers end where
+        :meth:`generate_bits_reverse` would leave them.
         """
         if stride < 1:
             raise ValueError("stride must be at least 1 shift per popcount")
@@ -234,5 +244,5 @@ class LfsrArray:
         # strides), falls back to the narrow-cumsum unpacked path and finally
         # to the dense int64 oracle.  Every eligible backend is bit-identical
         # (exact integer popcounts), so selection changes speed, never values.
-        seq_words = self._run_packed(count, rows, reverse=False)
+        seq_words = self._run_packed(count, rows, reverse)
         return _window_popcounts(seq_words, self._n, count, stride)

@@ -5,14 +5,16 @@ wall-clock time but never bits.  Two layers of evidence:
 
 * ``test_registered_conformance_gate`` runs every registered backend of every
   kernel through the registry's own conformance gate (the fixed case set
-  covering dtypes, strides 1 and 256, chunk boundaries and degenerate
-  shapes).  Optional backends whose toolchain is absent (e.g. numba)
-  self-skip -- the parametrisation still names them, so a CI log shows
-  exactly which backends were exercised where.
+  covering dtypes, strides 1 and 256, the leapfrog's level-6 word-alignment
+  boundary and degenerate shapes).  Optional backends whose toolchain is
+  absent (e.g. numba) self-skip -- the parametrisation still names them, so
+  a CI log shows exactly which backends were exercised where.
 * the hypothesis tests below drive each kernel with *randomised* workloads
   (random shapes, dtypes, strides 1 / 64 / 256, random register states) and
   assert the forced backend's output is bit-identical to the reference
-  oracle's on the same inputs.
+  oracle's on the same inputs.  ``lfsr_step_block`` has no second backend, so
+  its randomised proof is the independent bit-serial oracle in
+  ``test_lfsr_bitserial_oracle.py`` instead.
 
 ``window_popcounts`` backends may legitimately return different *integer
 dtypes* (int16 / int32 / int64 -- popcounts are exact in all of them), so
@@ -28,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.backend as backend
-from repro.core import MAXIMAL_TAPS, mirrored_taps, normalise_taps
+from repro.core import MAXIMAL_TAPS, normalise_taps
 from repro.core.bitops import pack_int_rows
 
 ALL_BACKENDS = [
@@ -70,36 +72,6 @@ def _backends_for(kernel: str) -> list:
         for name in backend.registry.backend_names(kernel)
         if name != "reference"
     ]
-
-
-@pytest.mark.parametrize("name", _backends_for("lfsr_step_block"))
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    width=st.sampled_from([8, 16, 256]),
-    rows=st.integers(min_value=1, max_value=3),
-    count=st.integers(min_value=1, max_value=2048),
-    reverse=st.booleans(),
-)
-@settings(max_examples=20, deadline=None)
-def test_lfsr_step_block_matches_oracle(name, seed, width, rows, count, reverse):
-    _skip_unless_available("lfsr_step_block", name)
-    rng = np.random.default_rng(seed)
-    states = [int(rng.integers(1, 1 << min(width, 63))) for _ in range(rows)]
-    words = pack_int_rows(states, width)
-    taps = normalise_taps(width, MAXIMAL_TAPS[width])
-    offsets = mirrored_taps(width, taps) if reverse else taps
-    got_seq, got_state = _forced(
-        "lfsr_step_block", name, words.copy(), width, count, offsets, reverse
-    )
-    want_seq, want_state = _oracle(
-        "lfsr_step_block", words.copy(), width, count, offsets, reverse
-    )
-    assert got_state.tobytes() == want_state.tobytes()
-    # compare the defined prefix: implementations may size the scratch
-    # buffer differently, but bits 0..n+count-1 are the contract
-    shared = min(got_seq.shape[1], want_seq.shape[1])
-    assert got_seq[:, :shared].tobytes() == want_seq[:, :shared].tobytes()
-    assert not got_seq[:, shared:].any() and not want_seq[:, shared:].any()
 
 
 @pytest.mark.parametrize("name", _backends_for("window_popcounts"))

@@ -235,7 +235,7 @@ class TestStridedKernel:
     def test_chunked_generation_equals_single_call(self):
         small = GrngBank(n_rows=2, n_bits=64, stride=2)
         chunked = GrngBank(n_rows=2, n_bits=64, stride=2)
-        chunked._KERNEL_STEP_LIMIT = 64  # force many chunks
+        chunked._KERNEL_SEQ_BYTES = 16  # 2 rows * 2 shifts: 32 variables per call
         count = 500
         assert np.array_equal(
             small.epsilon_blocks(count), chunked.epsilon_blocks(count)

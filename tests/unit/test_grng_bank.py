@@ -66,6 +66,24 @@ class TestBatchedInterface:
         assert np.array_equal(block, reference)
         assert bank.retrieved_counts.tolist() == [150, 150, 150]
 
+    @pytest.mark.parametrize("stride", [1, 3, 64, 256])
+    def test_reverse_carries_a_drifted_sum_register_like_the_scalar(self, stride):
+        # The sum register steps by (recovered tail - dropped head), so an
+        # offset written into it rides along a retrieval unchanged.
+        bank = GrngBank(2, n_bits=256, stride=stride)
+        scalars = make_scalars(2, n_bits=256, stride=stride)
+        bank.epsilon_blocks(40)
+        for g in scalars:
+            g.epsilon_block(40)
+        bank.row_view(1).sum_register += 9
+        scalars[1].sum_register += 9
+        block = bank.epsilon_blocks_reverse(40)
+        reference = np.stack([g.epsilon_block_reverse(40) for g in scalars])
+        assert block.tobytes() == reference.tobytes()
+        for row, g in enumerate(scalars):
+            assert bank.row_view(row).sum_register == g.sum_register
+            assert bank.row_view(row).lfsr.state == g.lfsr.state
+
     def test_empty_blocks(self):
         bank = GrngBank(2, n_bits=64)
         assert bank.epsilon_blocks(0).shape == (2, 0)
