@@ -215,8 +215,14 @@ class BayesianLayer(Layer):
         kl_weight: float,
         prior: Prior,
         include_entropy_term: bool = True,
-    ) -> np.ndarray:
-        """BW + GC stages for all ``S`` samples; gradients folded ``(S * batch, ...)``."""
+        need_input_grad: bool = True,
+    ) -> np.ndarray | None:
+        """BW + GC stages for all ``S`` samples; gradients folded ``(S * batch, ...)``.
+
+        The network clears ``need_input_grad`` for its first layer, whose
+        input gradient nobody reads: the layer then skips that product and
+        returns ``None``.
+        """
         raise NotImplementedError
 
     @staticmethod
@@ -323,7 +329,8 @@ class BayesDense(BayesianLayer):
         kl_weight: float,
         prior: Prior,
         include_entropy_term: bool = True,
-    ) -> np.ndarray:
+        need_input_grad: bool = True,
+    ) -> np.ndarray | None:
         if self._cache.get("n_samples") != n_samples:
             raise RuntimeError(f"{self.name}: backward_samples before forward_samples")
         x: np.ndarray = self._cache["input"]  # type: ignore[assignment]
@@ -345,7 +352,11 @@ class BayesDense(BayesianLayer):
                 # per-sample sums accumulated in sample order (sequential parity)
                 for s in range(n_samples):
                     self.bias.grad += grad3[s].sum(axis=0)
-        grad_input = F.sample_matmul(grad3, weights.transpose(0, 2, 1))
+        grad_input = None
+        if need_input_grad:
+            grad_input = F.sample_matmul(grad3, weights.transpose(0, 2, 1)).reshape(
+                x.shape[0], self.in_features
+            )
         self.accumulate_sample_parameter_gradients(
             grad_weight=grad_weight,
             epsilon=epsilon,
@@ -355,7 +366,7 @@ class BayesDense(BayesianLayer):
             sigma=sigma,
             include_entropy_term=include_entropy_term,
         )
-        return grad_input.reshape(x.shape[0], self.in_features)
+        return grad_input
 
 
 class BayesConv2D(BayesianLayer):
@@ -434,19 +445,33 @@ class BayesConv2D(BayesianLayer):
         return grad_input
 
     def forward_samples(
-        self, x: np.ndarray, sampler: BatchedWeightSampler, n_samples: int
+        self,
+        x: np.ndarray,
+        sampler: BatchedWeightSampler,
+        n_samples: int,
+        shared_input: bool = False,
     ) -> np.ndarray:
+        """FW stage for all ``S`` samples.
+
+        ``x`` is folded ``(S * batch, C, H, W)``, or -- with ``shared_input``,
+        which the network sets for its first layer -- the one un-folded
+        minibatch every sample sees, lowered once instead of ``S`` times.
+        """
         check_4d(x)
-        self._samples_per_batch(x, n_samples, self.name)
+        if shared_input:
+            folded_shape = (n_samples * x.shape[0],) + x.shape[1:]
+        else:
+            self._samples_per_batch(x, n_samples, self.name)
+            folded_shape = x.shape
         sigma = self.weight_posterior.sigma
         weights = self.sample_weights_batch(sampler, sigma)
         bias_value = self.bias.value if self.bias is not None else None
         out, cols = F.conv2d_forward_samples(
-            x, weights, bias_value, self.stride, self.padding, n_samples
+            x, weights, bias_value, self.stride, self.padding, n_samples, shared_input
         )
         self._cache = {
             "cols": cols,
-            "x_shape": x.shape,
+            "x_shape": folded_shape,
             "n_samples": n_samples,
             "sigma": sigma,
         }
@@ -460,7 +485,8 @@ class BayesConv2D(BayesianLayer):
         kl_weight: float,
         prior: Prior,
         include_entropy_term: bool = True,
-    ) -> np.ndarray:
+        need_input_grad: bool = True,
+    ) -> np.ndarray | None:
         if self._cache.get("n_samples") != n_samples:
             raise RuntimeError(f"{self.name}: backward_samples before forward_samples")
         cols: list[np.ndarray] = self._cache["cols"]  # type: ignore[assignment]
@@ -468,7 +494,8 @@ class BayesConv2D(BayesianLayer):
         sigma: np.ndarray = self._cache["sigma"]  # type: ignore[assignment]
         weights, epsilon = self.resample_weights_batch(sampler, sigma)
         grad_input, grad_weight, grad_bias = F.conv2d_backward_samples(
-            grad_out, cols, x_shape, weights, self.stride, self.padding, n_samples
+            grad_out, cols, x_shape, weights, self.stride, self.padding, n_samples,
+            need_input_grad,
         )
         if self.bias is not None:
             tape = active_tape()

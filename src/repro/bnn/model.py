@@ -25,7 +25,7 @@ import numpy as np
 from ..core.sampler import BatchedWeightSampler, WeightSampler
 from ..nn.layers import Layer, Parameter
 from ..nn.quantization import QuantizationConfig
-from .bayes_layers import BayesianLayer
+from .bayes_layers import BayesConv2D, BayesianLayer
 from .elbo import gaussian_kl_divergence
 from .grad_tape import active_tape
 from .priors import GaussianPrior, Prior
@@ -57,6 +57,9 @@ class BayesianNetwork:
         self.prior = prior or GaussianPrior(sigma=0.5)
         self.name = name
         self._quantization = QuantizationConfig.full_precision()
+        # folded inputs of trainable deterministic layers, stashed by a
+        # batched forward pass for its backward pass
+        self._det_layer_inputs: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # configuration
@@ -157,18 +160,25 @@ class BayesianNetwork:
 
         ``x`` is one minibatch shared by every sample; the result has shape
         ``(S, batch, ...)`` with slice ``[i]`` bit-identical to
-        ``forward_sample(x, bank.sampler(i))``.
+        ``forward_sample(x, bank.sampler(i))``.  A leading
+        :class:`BayesConv2D` receives ``x`` un-folded and lowers it once for
+        all samples; anything else starts from ``S`` folded copies.
         """
         n_samples = sampler.n_samples
         sampler.prefetch_forward(
             [layer.n_bayesian_weights for layer in self.bayesian_layers()]
         )
-        folded = np.empty((n_samples * x.shape[0],) + x.shape[1:], dtype=x.dtype)
-        folded.reshape((n_samples,) + x.shape)[:] = x
-        out = folded
-        self._det_layer_inputs: dict[int, np.ndarray] = {}
+        shared_first = isinstance(self.layers[0], BayesConv2D)
+        if shared_first:
+            out = x
+        else:
+            out = np.empty((n_samples * x.shape[0],) + x.shape[1:], dtype=x.dtype)
+            out.reshape((n_samples,) + x.shape)[:] = x
+        self._det_layer_inputs = {}
         for index, layer in enumerate(self.layers):
-            if isinstance(layer, BayesianLayer):
+            if index == 0 and shared_first:
+                out = layer.forward_samples(out, sampler, n_samples, shared_input=True)
+            elif isinstance(layer, BayesianLayer):
                 out = layer.forward_samples(out, sampler, n_samples)
             else:
                 if layer.parameters():
@@ -187,13 +197,15 @@ class BayesianNetwork:
         sampler: BatchedWeightSampler,
         kl_weight: float,
         include_entropy_term: bool = True,
-    ) -> np.ndarray:
+    ) -> None:
         """Backward + gradient stages for all ``S`` samples at once.
 
         ``grad_out`` is ``(S, batch, ...)`` (one output gradient per sample,
         as returned by the loss for each slice of :meth:`forward_samples`).
         Parameter gradients accumulate over the sample axis in sample order,
         matching ``S`` sequential :meth:`backward_sample` calls bit for bit.
+        Nothing is returned: no caller consumes the gradient with respect to
+        the data, so a Bayesian first layer is not asked to compute it.
         """
         n_samples = sampler.n_samples
         if grad_out.shape[0] != n_samples:
@@ -203,7 +215,7 @@ class BayesianNetwork:
             )
         batch = grad_out.shape[1]
         grad = grad_out.reshape((n_samples * batch,) + grad_out.shape[2:])
-        det_inputs = getattr(self, "_det_layer_inputs", {})
+        det_inputs = self._det_layer_inputs
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
             if isinstance(layer, BayesianLayer):
@@ -214,6 +226,7 @@ class BayesianNetwork:
                     kl_weight=kl_weight,
                     prior=self.prior,
                     include_entropy_term=include_entropy_term,
+                    need_input_grad=index > 0,
                 )
             elif index in det_inputs:
                 grad = self._det_backward_per_sample(
@@ -222,7 +235,6 @@ class BayesianNetwork:
             else:
                 grad = layer.backward(grad)
         self.release_sample_caches()
-        return grad.reshape((n_samples, batch) + grad.shape[1:])
 
     def release_sample_caches(self) -> None:
         """Drop the folded ``(S * batch, ...)`` activations cached by a batched pass.

@@ -843,11 +843,12 @@ def _im2col_reference(x, kernel, stride, padding):
     out_h = _conv_out_size(height, kernel, stride, padding)
     out_w = _conv_out_size(width, kernel, stride, padding)
     if padding:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
+        padded = np.zeros(
+            (batch, channels, height + 2 * padding, width + 2 * padding),
+            dtype=x.dtype,
         )
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
     cols = np.empty((batch, channels, kernel, kernel, out_h, out_w), dtype=x.dtype)
     for row in range(kernel):
         row_end = row + stride * out_h
@@ -863,29 +864,6 @@ def _im2col_reference(x, kernel, stride, padding):
     # for every caller -- standalone, per-request-block and fused-tile conv
     # paths then all feed the GEMM identically-strided matrices, which is a
     # precondition of the row-stability proof in ``repro.core.stability``.
-    return np.ascontiguousarray(cols), out_h, out_w
-
-
-def _im2col_strided_view(x, kernel, stride, padding):
-    # Pure data movement through a zero-copy window view; the final reshape
-    # is the only pass over the data.  Gathers exactly the same elements in
-    # exactly the same order as the loop, hence bit-identical.
-    batch, channels, height, width = x.shape
-    out_h = _conv_out_size(height, kernel, stride, padding)
-    out_w = _conv_out_size(width, kernel, stride, padding)
-    if padding:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
-        )
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch * out_h * out_w, channels * kernel * kernel
-    )
-    # same layout normalisation as the reference (see there): downstream GEMM
-    # bytes must not depend on whether the reshape copied or aliased
     return np.ascontiguousarray(cols), out_h, out_w
 
 
@@ -1201,14 +1179,6 @@ def _register_builtin(reg: KernelRegistry) -> None:
             "reference",
             _im2col_reference,
             description="per-kernel-position strided slice gather",
-        ),
-    )
-    reg.register_backend(
-        "im2col",
-        BackendImpl(
-            "strided_view",
-            _im2col_strided_view,
-            description="np.lib.stride_tricks.sliding_window_view gather",
         ),
     )
 

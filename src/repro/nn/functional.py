@@ -14,6 +14,19 @@ with one 2-D matmul per sample (:func:`sample_matmul`) rather than a stacked
 3-D matmul: each sample's operands are then byte-identical to the sequential
 path's, which is what guarantees the bit-exact batched/sequential equivalence
 the Fig. 9 experiments rely on.
+
+The one activation that does *not* travel folded is the network's input: the
+minibatch is identical for every sample, so a leading convolution takes it
+un-folded (``conv2d_forward_samples(..., shared_input=True)``), lowers it once
+and feeds the same column matrix to every sample's GEMM -- byte-identical
+operands to ``S`` lowerings of ``S`` copies.  Its output is folded like every
+other activation.
+
+**Layouts.**  4-D tensors are indexed NCHW but conv outputs, and the gradients
+flowing back through pooling and :func:`col2im`, are *stored* channels-last
+under a transposed view, so element-wise ops meet same-layout operands and
+the conv backward's ``grad_flat`` is a free view (``docs/architecture.md``,
+"Tensor layouts").
 """
 
 from __future__ import annotations
@@ -53,6 +66,12 @@ __all__ = [
 ]
 
 
+def _channels_last(alloc, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An ``alloc``-ated (``np.zeros`` / ``np.empty``) NCHW view of NHWC storage."""
+    batch, channels, height, width = shape
+    return alloc((batch, height, width, channels), dtype=dtype).transpose(0, 3, 1, 2)
+
+
 def im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> tuple[np.ndarray, int, int]:
@@ -81,15 +100,24 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Fold a column matrix back into an ``(N, C, H, W)`` tensor (adjoint of im2col)."""
+    """Fold a column matrix back into an ``(N, C, H, W)`` tensor (adjoint of im2col).
+
+    The result is an NCHW *view* of channels-last storage: that is the layout
+    the conv forward stores its activations in, so the ReLU gradient that
+    consumes it multiplies same-layout operands and the next conv backward's
+    ``grad_flat`` is a free view.  Each element still receives its window
+    contributions in ``(row, col)`` order.
+    """
     batch, channels, height, width = x_shape
     out_h = conv_output_size(height, kernel, stride, padding)
     out_w = conv_output_size(width, kernel, stride, padding)
     cols = cols.reshape(batch, out_h, out_w, channels, kernel, kernel).transpose(
         0, 3, 4, 5, 1, 2
     )
-    padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
+    padded = _channels_last(
+        np.zeros,
+        (batch, channels, height + 2 * padding, width + 2 * padding),
+        cols.dtype,
     )
     for row in range(kernel):
         row_end = row + stride * out_h
@@ -195,6 +223,7 @@ def conv2d_forward_samples(
     stride: int,
     padding: int,
     n_samples: int,
+    shared_input: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batched-sample 2-D convolution over folded activations.
 
@@ -203,9 +232,12 @@ def conv2d_forward_samples(
     product run per sample over the folded slices -- each sample's column
     matrix then goes through exactly :func:`conv2d_forward`'s arithmetic (and
     stays cache-resident between the lowering and its matmul, which a single
-    whole-batch im2col copy would not).  Returns the folded output
-    ``(S * batch, M, out_h, out_w)`` and the per-sample column matrices for
-    the backward pass.
+    whole-batch im2col copy would not).  With ``shared_input`` set, ``x`` is
+    instead the one ``(batch, C, H, W)`` minibatch every sample sees: it is
+    lowered once and the same column matrix (byte-identical to each sample's
+    own lowering of its folded copy) meets every sample's kernel.  Returns the
+    folded output ``(S * batch, M, out_h, out_w)`` and the per-sample column
+    matrices for the backward pass (``S`` aliases of one array when shared).
     """
     if weights.ndim != 5 or weights.shape[0] != n_samples:
         raise ValueError(
@@ -219,11 +251,11 @@ def conv2d_forward_samples(
         raise ValueError(
             f"input has {x.shape[1]} channels but the kernel expects {in_channels}"
         )
-    if x.shape[0] % n_samples:
+    if not shared_input and x.shape[0] % n_samples:
         raise ValueError(
             f"folded batch of {x.shape[0]} does not divide into {n_samples} samples"
         )
-    batch = x.shape[0] // n_samples
+    batch = x.shape[0] if shared_input else x.shape[0] // n_samples
     flat_weights = weights.reshape(n_samples, out_channels, -1)
     # inside a fused tile, each request owns `splits[i]` of the `batch` items
     # per sample; the column matrix scales every span by out_h * out_w
@@ -231,17 +263,18 @@ def conv2d_forward_samples(
     cols_per_sample: list[np.ndarray] = []
     out: np.ndarray | None = None
     for s in range(n_samples):
+        if s == 0 or not shared_input:
+            x_s = x if shared_input else x[s * batch : (s + 1) * batch]
+            if splits is None:
+                cols_s, out_h, out_w = im2col(x_s, k_h, stride, padding)
+            else:
+                cols_s, out_h, out_w = _fused_im2col_kernel(
+                    x_s, k_h, stride, padding, splits
+                )
+        cols_per_sample.append(cols_s)
         if splits is None:
-            cols_s, out_h, out_w = im2col(
-                x[s * batch : (s + 1) * batch], k_h, stride, padding
-            )
-            cols_per_sample.append(cols_s)
             out_s = cols_s @ flat_weights[s].T
         else:
-            cols_s, out_h, out_w = _fused_im2col_kernel(
-                x[s * batch : (s + 1) * batch], k_h, stride, padding, splits
-            )
-            cols_per_sample.append(cols_s)
             col_splits = tuple(rows * out_h * out_w for rows in splits)
             out_s = np.empty(
                 (cols_s.shape[0], out_channels),
@@ -258,7 +291,7 @@ def conv2d_forward_samples(
             # conv2d_forward returns -- the per-sample fill is then a straight
             # contiguous copy instead of a strided scatter.
             out = np.empty(
-                (x.shape[0], out_h, out_w, out_channels), dtype=out_s.dtype
+                (n_samples * batch, out_h, out_w, out_channels), dtype=out_s.dtype
             )
         out[s * batch : (s + 1) * batch] = out_s.reshape(
             batch, out_h, out_w, out_channels
@@ -275,7 +308,8 @@ def conv2d_backward_samples(
     stride: int,
     padding: int,
     n_samples: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    need_input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Backward pass of :func:`conv2d_forward_samples`.
 
     ``cols`` is the per-sample column-matrix list the forward pass cached.
@@ -283,7 +317,10 @@ def conv2d_backward_samples(
     folded ``(S * batch, C, H, W)``, ``grad_weights`` is per-sample
     ``(S, M, C, K, K)`` and ``grad_bias`` is ``(S, M)`` -- callers accumulate
     the per-sample slices in sample order to match the sequential trainers'
-    float summation order exactly.
+    float summation order exactly.  With ``need_input_grad`` cleared (the
+    network's first layer: nobody consumes d loss / d data) the
+    ``grad_flat @ W`` product and its :func:`col2im` are skipped and
+    ``grad_input`` is ``None``.
     """
     out_channels = weights.shape[1]
     kernel = weights.shape[3]
@@ -294,6 +331,8 @@ def conv2d_backward_samples(
     grad_input: np.ndarray | None = None
     flat_weights = weights.reshape(n_samples, out_channels, -1)
     for s in range(n_samples):
+        # a free view when the gradient arrives channels-last (col2im,
+        # maxpool2d_backward and relu_grad all keep it so); a copy otherwise
         grad_flat = (
             grad_out[s * batch : (s + 1) * batch]
             .transpose(0, 2, 3, 1)
@@ -301,31 +340,52 @@ def conv2d_backward_samples(
         )
         grad_weights[s] = (grad_flat.T @ cols[s]).reshape(weights.shape[1:])
         grad_bias[s] = grad_flat.sum(axis=0)
+        if not need_input_grad:
+            continue
         grad_cols = grad_flat @ flat_weights[s]
         grad_input_s = col2im(grad_cols, sample_x_shape, kernel, stride, padding)
         if grad_input is None:
-            grad_input = np.empty(tuple(x_shape), dtype=grad_input_s.dtype)
+            grad_input = _channels_last(np.empty, x_shape, grad_input_s.dtype)
         grad_input[s * batch : (s + 1) * batch] = grad_input_s
-    assert grad_input is not None
     return grad_input, grad_weights, grad_bias
+
+
+def _pool_window(x: np.ndarray, k: int, pool: int, stride: int, out_h: int, out_w: int):
+    """Strided view of window position ``k`` (row-major in the window)."""
+    row, col = divmod(k, pool)
+    return x[:, :, row : row + stride * out_h : stride, col : col + stride * out_w : stride]
 
 
 def maxpool2d_forward(
     x: np.ndarray, pool: int, stride: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Max pooling.  Returns the output and the argmax mask needed for backward."""
+    """Max pooling.  Returns the output and the argmax mask needed for backward.
+
+    The maximum is a running pairwise ``candidate > best`` over the ``pool**2``
+    strided window views (strict, so ties keep the first position exactly like
+    ``np.argmax``); the result keeps ``x``'s memory layout.  ``np.argmax``
+    treats NaN as the maximum, which the compare does not, so inputs holding a
+    NaN take the gathered-window reduce instead (as does a 1x1 window, whose
+    running maximum would be a view of ``x`` rather than a fresh array).
+    """
     check_4d(x)
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, pool, stride, 0)
     out_w = conv_output_size(width, pool, stride, 0)
-    windows = np.empty((batch, channels, out_h, out_w, pool * pool), dtype=x.dtype)
-    for row in range(pool):
-        for col in range(pool):
-            windows[..., row * pool + col] = x[
-                :, :, row : row + stride * out_h : stride, col : col + stride * out_w : stride
-            ]
-    argmax = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    if pool == 1 or np.isnan(x).any():
+        windows = np.empty((batch, channels, out_h, out_w, pool * pool), dtype=x.dtype)
+        for k in range(pool * pool):
+            windows[..., k] = _pool_window(x, k, pool, stride, out_h, out_w)
+        argmax = windows.argmax(axis=-1)
+        out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+        return out, argmax
+    out = _pool_window(x, 0, pool, stride, out_h, out_w)
+    argmax = np.zeros_like(out, dtype=np.intp)
+    for k in range(1, pool * pool):
+        candidate = _pool_window(x, k, pool, stride, out_h, out_w)
+        better = candidate > out
+        argmax = np.where(better, k, argmax)
+        out = np.where(better, candidate, out)
     return out, argmax
 
 
@@ -336,10 +396,24 @@ def maxpool2d_backward(
     pool: int,
     stride: int,
 ) -> np.ndarray:
-    """Scatter the output gradient back to the argmax positions."""
-    batch, channels, height, width = x_shape
-    grad_input = np.zeros(x_shape, dtype=grad_out.dtype)
+    """Scatter the output gradient back to the argmax positions.
+
+    The result is an NCHW view of channels-last storage (see :func:`col2im`).
+    Non-overlapping windows (``stride >= pool``) give every input position at
+    most one contribution, so the scatter is ``pool**2`` masked writes.  The
+    ``+ 0.0`` keeps them bit-identical to accumulating into zeros: a ``-0.0``
+    gradient (``relu_grad`` emits them routinely) lands as ``+0.0``.
+    """
+    grad_input = _channels_last(np.zeros, x_shape, grad_out.dtype)
     out_h, out_w = grad_out.shape[2], grad_out.shape[3]
+    if stride >= pool:
+        grad_out = grad_out + 0.0
+        for k in range(pool * pool):
+            _pool_window(grad_input, k, pool, stride, out_h, out_w)[...] = np.where(
+                argmax == k, grad_out, 0.0
+            )
+        return grad_input
+    batch, channels, _, _ = x_shape
     rows = argmax // pool
     cols = argmax % pool
     base_r = np.arange(out_h)[None, None, :, None] * stride

@@ -14,7 +14,8 @@ wall-clock time but never bits.  Two layers of evidence:
   assert the forced backend's output is bit-identical to the reference
   oracle's on the same inputs.  ``lfsr_step_block`` has no second backend, so
   its randomised proof is the independent bit-serial oracle in
-  ``test_lfsr_bitserial_oracle.py`` instead.
+  ``test_lfsr_bitserial_oracle.py`` instead; ``im2col`` has none either, so
+  its reference gather is checked against a sliding-window formulation.
 
 ``window_popcounts`` backends may legitimately return different *integer
 dtypes* (int16 / int32 / int64 -- popcounts are exact in all of them), so
@@ -146,7 +147,24 @@ def test_sample_matmul_matches_oracle(name, seed, n_samples, m, k, p, shared_a):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", _backends_for("im2col"))
+def _im2col_sliding_window(x, kernel, stride, padding):
+    """Independent im2col: a zero-copy window view, reshaped once.
+
+    (The retired ``strided_view`` backend: it won on no shape the stack runs,
+    so it serves as the reference gather's randomised oracle instead.)
+    """
+    batch, channels, height, width = x.shape
+    out_h = (height + 2 * padding - kernel) // stride + 1
+    out_w = (width + 2 * padding - kernel) // stride + 1
+    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        batch * out_h * out_w, channels * kernel * kernel
+    )
+    return cols, out_h, out_w
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     batch=st.integers(min_value=0, max_value=3),
@@ -158,14 +176,14 @@ def test_sample_matmul_matches_oracle(name, seed, n_samples, m, k, p, shared_a):
     dtype=st.sampled_from([np.float64, np.float32]),
 )
 @settings(max_examples=20, deadline=None)
-def test_im2col_matches_oracle(
-    name, seed, batch, channels, size, kernel, stride, padding, dtype
+def test_im2col_matches_sliding_window_oracle(
+    seed, batch, channels, size, kernel, stride, padding, dtype
 ):
-    _skip_unless_available("im2col", name)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((batch, channels, size, size)).astype(dtype)
-    got_cols, got_h, got_w = _forced("im2col", name, x, kernel, stride, padding)
-    want_cols, want_h, want_w = _oracle("im2col", x, kernel, stride, padding)
+    got_cols, got_h, got_w = _oracle("im2col", x, kernel, stride, padding)
+    want_cols, want_h, want_w = _im2col_sliding_window(x, kernel, stride, padding)
+    assert got_cols.flags.c_contiguous  # the layout pin the stability proof needs
     assert (got_h, got_w) == (want_h, want_w)
     assert got_cols.dtype == want_cols.dtype and got_cols.shape == want_cols.shape
     assert np.ascontiguousarray(got_cols).tobytes() == (

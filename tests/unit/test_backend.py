@@ -146,7 +146,7 @@ class TestSelection:
         assert "window_popcounts" not in backend.current_selection()
 
     def test_apply_selection_replaces_wholesale(self, restore_selection):
-        backend.apply_selection({"im2col": "strided_view"})
+        backend.apply_selection({"clt_standardise": "reference"})
         backend.apply_selection({"sample_matmul": "dot_loop"})
         assert backend.current_selection() == {"sample_matmul": "dot_loop"}
         with pytest.raises(UnknownBackendError):
@@ -171,9 +171,9 @@ class TestSelection:
             backend.registry.load_env("window_popcounts=bogus_name_xyz")
         assert backend.current_selection() == {}
         with pytest.warns(RuntimeWarning, match="no kernel registers"):
-            backend.registry.load_env("bogus_backend_xyz,im2col=strided_view")
+            backend.registry.load_env("bogus_backend_xyz,clt_standardise=reference")
         # the typo is dropped, the valid token still lands
-        assert backend.current_selection() == {"im2col": "strided_view"}
+        assert backend.current_selection() == {"clt_standardise": "reference"}
 
 
 class TestIntrospection:
@@ -241,9 +241,9 @@ class TestReplicaSpecSelection:
         spec = get_model("B-MLP", reduced=True)
         replica = ReplicaSpec(spec=spec)  # pre-PR-6 pickles carry None
         assert replica.backend_selection is None
-        backend.apply_selection({"im2col": "strided_view"})
+        backend.apply_selection({"clt_standardise": "reference"})
         replica.build()
-        assert backend.current_selection() == {"im2col": "strided_view"}
+        assert backend.current_selection() == {"clt_standardise": "reference"}
 
     def test_selection_is_not_part_of_the_fingerprint(self, restore_selection):
         spec = get_model("B-MLP", reduced=True)
