@@ -8,9 +8,10 @@ wall-clock -- the acceptance criterion (evaluated by
 ``benchmarks/emit_results.py --tag kernels``) is that the auto-selected
 backend is at least as fast as the reference oracle within noise.
 
-Backends that are unavailable in this environment (e.g. the optional numba
-JIT) self-skip; workloads are chosen inside every remaining backend's support
-domain so a forced selection can never silently fall back to the oracle.
+Backends that are unavailable in this environment (e.g. the compiled
+``grng_block``/``native`` kernel without a C compiler) self-skip; workloads
+are chosen inside every remaining backend's support domain so a forced
+selection can never silently fall back to the oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ def _workload(kernel: str):
     if kernel == "clt_standardise":
         popcounts = rng.integers(96, 161, size=CLT_SIZE, dtype=np.int64)
         return (popcounts, 128.0, 8.0), {}
+    if kernel == "grng_block":
+        # the paper's GRNG (256 shifts per value), inside native's domain
+        count = POPCOUNT_COUNT // N_BITS
+        out = np.empty((ROWS, count), dtype=np.float64)
+        return (
+            _state_words(), N_BITS, _OFFSETS, N_BITS, count, False, 128.0, 8.0, out
+        ), {}
     if kernel == "sample_matmul":
         s, m, k = MATMUL_SHAPE
         a = rng.standard_normal((s, m, k))

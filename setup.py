@@ -1,10 +1,21 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging for the ``repro`` library (``src/`` layout).
 
-All project metadata lives in ``pyproject.toml``; this file only enables
-legacy ``pip install -e .`` in offline environments whose setuptools cannot
-build PEP 660 editable wheels.
+Kept as a plain ``setup.py`` so legacy ``pip install -e .`` works in offline
+environments whose setuptools cannot build PEP 660 editable wheels.  The one
+non-Python file, ``repro/core/_grng.c``, ships as package data: the compiled
+GRNG backend is built from it on first use (``repro.core.native``), so an
+installed copy must carry the source.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro-shift-bnn",
+    version="0.21.0",
+    description="Shift-BNN reproduction: reversible-LFSR Bayesian NN training",
+    python_requires=">=3.11",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.core": ["_grng.c"]},
+    install_requires=["numpy>=1.26"],
+)

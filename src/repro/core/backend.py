@@ -1,13 +1,15 @@
 """Pluggable kernel-backend dispatch with a bit-exactness conformance gate.
 
 Every hot kernel of the engine -- packed LFSR stepping, strided window
-popcounts, CLT standardisation, per-sample matmul and the im2col lowering --
-is a named *dispatch point* in this registry.  The NumPy code the repo grew up
-with is registered under the name ``"reference"`` for each point and is the
-always-available oracle; alternative implementations (a different NumPy
-strategy, an optional numba jit, one day a C extension or GPU path) register
-against the same dispatch point and become *eligible* only after passing that
-point's conformance gate: a fixed battery of inputs spanning the kernel's
+popcounts, CLT standardisation, the fused GRNG block that composes those
+three, per-sample matmul and the im2col lowering -- is a named *dispatch
+point* in this registry.  The NumPy code the repo grew up with is registered
+under the name ``"reference"`` for each point and is the always-available
+oracle; alternative implementations (a different NumPy strategy, or the
+in-tree C kernel ``_grng.c`` that :mod:`repro.core.native` builds lazily with
+the system compiler and loads through ``ctypes``) register against the same
+dispatch point and become *eligible* only after passing that point's
+conformance gate: a fixed battery of inputs spanning the kernel's
 domain (dtypes, strides 1 and 256, degenerate shapes) on which the candidate
 must reproduce the oracle **bit for bit**.  The repo's crown-jewel contract --
 served and distributed answers byte-identical to the standalone engine -- is
@@ -29,8 +31,8 @@ Per-kernel selection is explicit and observable:
   an ordered preference list -- and picks the first backend that is available,
   gate-eligible and whose :attr:`BackendImpl.supports` predicate accepts the
   call's actual arguments.  Domain-restricted fast paths (the word-aligned
-  packed popcount) therefore fall back per call, exactly like the hand-written
-  branches they replaced.
+  packed popcount, the compiled GRNG block) therefore fall back per call,
+  exactly like the hand-written branches they replaced.
 
 The active selection is captured in
 :class:`~repro.models.zoo.ReplicaSpec` so serving and distributed workers
@@ -45,17 +47,18 @@ runs every available backend through its conformance gate.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from importlib.util import find_spec
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import bitops
+from . import bitops, native
 
 __all__ = [
     "BackendConformanceError",
@@ -103,8 +106,8 @@ class BackendImpl:
     unsupported calls fall through to the next backend in the chain.
     ``available`` gates on the environment (e.g. an importable toolchain);
     unavailable backends self-skip everywhere, including the conformance
-    suite, so optional numba/cython registrations cost nothing in containers
-    without the toolchain.
+    suite, so the compiled registration costs nothing in containers without
+    a C compiler.
     """
 
     name: str
@@ -525,10 +528,6 @@ class KernelRegistry:
 # ----------------------------------------------------------------------
 # built-in dispatch points
 # ----------------------------------------------------------------------
-def _numba_available() -> bool:
-    return find_spec("numba") is not None
-
-
 # -- lfsr_step_block ---------------------------------------------------
 def _lfsr_step_block_reference(state_words, n_bits, count, offsets, reverse):
     return bitops.run_lfsr_block_packed(state_words, n_bits, count, offsets, reverse)
@@ -539,6 +538,9 @@ def _lfsr_taps(n_bits: int) -> tuple[int, ...]:
     taps = {
         8: (4, 5, 6, 8),
         16: (4, 13, 15, 16),
+        64: (60, 61, 63, 64),
+        128: (99, 101, 126, 128),
+        192: (177, 178, 190, 192),
         256: (246, 251, 254, 256),
     }
     return taps[n_bits]
@@ -730,25 +732,6 @@ def _clt_standardise_inplace(popcounts, mean, std):
     return values
 
 
-_numba_clt_fn = None
-
-
-def _clt_standardise_numba(popcounts, mean, std):
-    global _numba_clt_fn
-    if _numba_clt_fn is None:
-        import numba
-
-        @numba.njit(cache=False)
-        def kern(values, mean, std):  # pragma: no cover - jit-compiled
-            for i in range(values.size):
-                values[i] = (values[i] - mean) / std
-
-        _numba_clt_fn = kern
-    values = np.array(popcounts, dtype=np.float64)
-    _numba_clt_fn(values.reshape(-1), float(mean), float(std))
-    return values
-
-
 def _clt_standardise_cases() -> list[dict[str, Any]]:
     rng = np.random.default_rng(0xFACADE)
     n = 256
@@ -775,6 +758,194 @@ def _check_clt_standardise(case, expected, got) -> None:
         raise AssertionError(f"shape {got.shape} != oracle {expected.shape}")
     if expected.tobytes() != got.tobytes():
         raise AssertionError("standardised values are not byte-identical")
+
+
+# -- grng_block --------------------------------------------------------
+#: Upper bound on the packed bit sequence one *reference* kernel call
+#: materialises (``rows * shifts / 8`` bytes); split calls continue the same
+#: register stream and are bit-identical.  This bounds transient memory, it is
+#: not a locality knob: a whole span in one call is ~25 % faster at the
+#: training step's shape (every call re-climbs the leapfrog's squaring
+#: levels), but multi-MiB transients raise glibc's dynamic mmap/trim
+#: thresholds for the whole process -- measured as +7 % peak RSS and slower
+#: small-array work on the in-process serving benchmark.  The compiled
+#: backend never stores the sequence, so the cap does not apply to it.
+_KERNEL_SEQ_BYTES = 1 << 21
+
+#: Limits compiled into ``_grng.c``: GRNG_MAX_WORDS, and its three tap slots.
+_NATIVE_MAX_WORDS = 16
+_NATIVE_TAPS = 3
+
+
+def _grng_block_reference(
+    state_words, n_bits, offsets, stride, count, reverse, mean, std, out
+):
+    # Exactly the three NumPy dispatch points in sequence, one pass per
+    # byte-capped chunk, each through the registry so its own selection,
+    # gate and counters keep applying.
+    chunk = max(1, _KERNEL_SEQ_BYTES * 8 // (state_words.shape[0] * stride))
+    done = 0
+    while done < count:
+        size = min(chunk, count - done)
+        seq_words, state_words = registry.call(
+            "lfsr_step_block", state_words, n_bits, size * stride, offsets, reverse
+        )
+        popcounts = registry.call(
+            "window_popcounts", seq_words, n_bits, size * stride, stride
+        )
+        out[:, done : done + size] = (
+            popcounts
+            if reverse
+            else registry.call("clt_standardise", popcounts, mean, std)
+        )
+        done += size
+    return out, state_words, popcounts[:, -1]
+
+
+@lru_cache(maxsize=64)
+def _native_geometry(n_bits: int, offsets: tuple[int, ...], reverse: bool):
+    """The C kernel's shift tables for a tap tuple; ``None`` outside its domain.
+
+    Forward, every tap besides the tail must sit within a word of it (shift
+    ``n_bits - p < 64``, on a register of at least two words); reversed, the
+    mirrored taps must reach less than a word back, so the in-word solve
+    ``(1 + q)^-1 = PROD_k (1 + q^(2^k))`` applies -- one list of left shifts
+    ``m << k`` (those still below 64) per squaring level.  The kernel has
+    three tap slots; a two-tap polynomial fills them with one tap three
+    times (``x ^ x ^ x == x``).
+    """
+    inner = [p for p in offsets if p != n_bits]
+    n_words, tail = divmod(n_bits, 64)
+    if tail or n_words > _NATIVE_MAX_WORDS or len(inner) + 1 != len(offsets):
+        return None
+    if len(inner) == 1:
+        inner = inner * _NATIVE_TAPS
+    if len(inner) != _NATIVE_TAPS:
+        return None
+    if not reverse:
+        shifts = [n_bits - p for p in inner]
+        if n_words < 2 or not all(0 < s < 64 for s in shifts):
+            return None
+        tables = [shifts]
+    else:
+        if not all(0 < m < 64 for m in inner):
+            return None
+        levels = []
+        while min(inner) << len(levels) < 64:
+            k = len(levels)
+            levels.append([m << k for m in inner if m << k < 64])
+        tables = [
+            [64 - m for m in inner],
+            [shift for level in levels for shift in level],
+            [len(level) for level in levels],
+        ]
+    arrays = tuple(np.array(table, dtype=np.int32) for table in tables)
+    for array in arrays:
+        array.flags.writeable = False  # shared by every caller of the cache
+    return arrays
+
+
+def _grng_block_native_supports(
+    state_words, n_bits, offsets, stride, count, reverse, mean, std, out
+):
+    return (
+        stride % 64 == 0
+        and count >= 1
+        and _native_geometry(n_bits, tuple(offsets), bool(reverse)) is not None
+        and state_words.dtype == np.uint64
+        and state_words.shape[1:] == (n_bits // 64,)
+        and out.dtype == (np.int32 if reverse else np.float64)
+        and out.shape == (state_words.shape[0], count)
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    )
+
+
+def _grng_block_native(
+    state_words, n_bits, offsets, stride, count, reverse, mean, std, out
+):
+    lib = native.library.load()
+    tables = _native_geometry(n_bits, tuple(offsets), bool(reverse))
+    # every buffer stays referenced by a local until the call returns
+    state = np.ascontiguousarray(state_words)
+    rows, n_words = state.shape
+    new_state = np.empty_like(state)
+    last = np.empty(rows, dtype=np.int64)
+    head = (state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words)
+    if reverse:
+        carries, level_shifts, level_sizes = tables
+        status = lib.grng_reverse(
+            *head, carries.ctypes.data, level_shifts.ctypes.data,
+            level_sizes.ctypes.data, len(level_sizes), stride // 64, count,
+            out.ctypes.data,
+        )
+    else:
+        status = lib.grng_forward(
+            *head, tables[0].ctypes.data, stride // 64, count,
+            float(mean), float(std), out.ctypes.data,
+        )
+    if status:
+        raise KernelBackendError(f"native grng_block rejected its arguments ({status})")
+    return out, new_state, last
+
+
+def _grng_block_cases() -> list[dict[str, Any]]:
+    rng = np.random.default_rng(0x6B46)
+    cases = []
+    # The NumPy reverse path costs ~10 ms a call whatever the size and the
+    # gate runs in every process that first dispatches here, so the reverse
+    # cases are few and short; tests/property/test_lfsr_bitserial_oracle.py
+    # holds the long ones.
+    for n_bits, stride, count, rows, reverse in (
+        (256, 256, 700, 3, False),  # the paper's GRNG; odd row count
+        (256, 256, 150, 3, True),  # literal reverse, un-paired last row
+        (256, 256, 1, 1, False),  # degenerate: one value
+        (256, 64, 40, 2, False),  # stride narrower than the register
+        (256, 512, 40, 2, False),  # stride wider than the register
+        (256, 512, 9, 1, True),
+        # past the reference path's byte cap: split calls continue one
+        # register stream; the C scratch window wraps 70 times per row
+        (256, 256, 9000, 8, False),
+        (128, 128, 300, 3, False),  # std = sqrt(128)/2 is not a power of two
+        (128, 64, 24, 2, True),
+        (192, 192, 100, 2, False),
+        (64, 64, 24, 2, True),  # one-word register (reverse form only)
+    ):
+        taps = _lfsr_taps(n_bits)
+        cases.append(
+            {
+                "state_words": _random_state_words(rng, rows, n_bits),
+                "n_bits": n_bits,
+                "offsets": _mirrored(n_bits, taps) if reverse else taps,
+                "stride": stride,
+                "count": count,
+                "reverse": reverse,
+                "mean": n_bits / 2.0,
+                "std": math.sqrt(n_bits / 4.0),
+                "out": np.zeros(
+                    (rows, count), dtype=np.int32 if reverse else np.float64
+                ),
+            }
+        )
+    return cases
+
+
+def _check_grng_block(case, expected, got) -> None:
+    exp_out, exp_state, exp_last = expected
+    got_out, got_state, got_last = got
+    if got_out.dtype != exp_out.dtype or got_out.shape != exp_out.shape:
+        raise AssertionError(
+            f"out is {got_out.dtype}{got_out.shape}, oracle "
+            f"{exp_out.dtype}{exp_out.shape}"
+        )
+    if exp_out.tobytes() != got_out.tobytes():
+        raise AssertionError("emitted values are not byte-identical")
+    if got_state.dtype != np.uint64 or not np.array_equal(exp_state, got_state):
+        raise AssertionError("end-of-block register state differs from the oracle")
+    if not np.array_equal(
+        np.asarray(exp_last, np.int64), np.asarray(got_last, np.int64)
+    ):
+        raise AssertionError("last popcounts differ from the oracle")
 
 
 # -- sample_matmul -----------------------------------------------------
@@ -1125,14 +1296,35 @@ def _register_builtin(reg: KernelRegistry) -> None:
             "place (no astype pass)",
         ),
     )
+    reg.register_kernel(
+        "grng_block",
+        doc="One fused GRNG pass per register row: `count` values of "
+        "`stride` shifts each -- standardised float64 epsilons (forward) or "
+        "int32 popcounts of the earlier patterns (reverse) -- written into "
+        "`out`; returns (out, new_state_words, last_popcounts).",
+        chain=("native", "reference"),
+        rows_of=lambda state_words, *args, **kwargs: state_words.shape[0],
+        conformance_cases=_grng_block_cases,
+        check=_check_grng_block,
+    )
     reg.register_backend(
-        "clt_standardise",
+        "grng_block",
         BackendImpl(
-            "numba",
-            _clt_standardise_numba,
-            description="numba-jitted scalar loop (self-skips without the "
-            "toolchain)",
-            available=_numba_available,
+            "reference",
+            _grng_block_reference,
+            description="lfsr_step_block > window_popcounts > clt_standardise "
+            "through the registry, in 2 MiB sequence chunks",
+        ),
+    )
+    reg.register_backend(
+        "grng_block",
+        BackendImpl(
+            "native",
+            _grng_block_native,
+            description="compiled streaming kernel (core/_grng.c via ctypes): "
+            "word-aligned widths and strides, polynomials of up to four taps",
+            supports=_grng_block_native_supports,
+            available=lambda: native.library.load() is not None,
         ),
     )
 
@@ -1336,6 +1528,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     failures = 0
+    if args.list or not args.verify:
+        for entry in list_backends():
+            print(f"{entry['kernel']}  (selection: {entry['selection']}, "
+                  f"chain: {' > '.join(entry['chain'])})")
+            for backend in entry["backends"]:
+                status = "available" if backend["available"] else "unavailable"
+                print(
+                    f"  {backend['name']:16s} {status:12s} "
+                    f"conformance={backend['conformance']:10s} "
+                    f"{backend['description']}"
+                )
     if args.verify:
         for entry in list_backends():
             kernel = entry["kernel"]
@@ -1356,17 +1559,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print(f"{kernel:18s} {name:16s} PASS (bit-identical)")
         if not failures:
             print("all available backends are bit-identical to the oracle")
-    else:
-        for entry in list_backends():
-            print(f"{entry['kernel']}  (selection: {entry['selection']}, "
-                  f"chain: {' > '.join(entry['chain'])})")
-            for backend in entry["backends"]:
-                status = "available" if backend["available"] else "unavailable"
-                print(
-                    f"  {backend['name']:16s} {status:12s} "
-                    f"conformance={backend['conformance']:10s} "
-                    f"{backend['description']}"
-                )
     return 1 if failures else 0
 
 

@@ -202,57 +202,21 @@ class GrngBank:
         # float64 values whatever the popcount dtype.
         return _clt_standardise(popcounts, self._mean, self._std)
 
-    #: Upper bound on the packed bit sequence one kernel call materialises
-    #: (``rows * shifts / 8`` bytes); split calls continue the same register
-    #: stream and are bit-identical.  This bounds transient memory, it is not
-    #: a locality knob: a whole span in one call is ~25 % faster at the
-    #: training step's shape (every call re-climbs the leapfrog's squaring
-    #: levels), but multi-MiB transients raise glibc's dynamic mmap/trim
-    #: thresholds for the whole process -- measured as +7 % peak RSS and
-    #: slower small-array work on the in-process serving benchmark.  2 MiB is
-    #: the largest block the engine allocated before the cap was in bytes.
-    _KERNEL_SEQ_BYTES = 1 << 21
-
-    def _generate_chunked(self, block_fn, rows: Sequence[int] | None, count: int) -> np.ndarray:
-        """Split a generation call so no kernel call exceeds the byte cap."""
-        n_selected = self.n_rows if rows is None else len(rows)
-        chunk = max(1, self._KERNEL_SEQ_BYTES * 8 // (n_selected * self._stride))
-        if count <= chunk:
-            return block_fn(rows, count)
-        values = np.empty((n_selected, count), dtype=np.float64)
-        offset = 0
-        while offset < count:
-            size = min(chunk, count - offset)
-            values[:, offset : offset + size] = block_fn(rows, size)
-            offset += size
-        return values
-
     def _generate_forward(
         self, rows: Sequence[int] | None, count: int
     ) -> np.ndarray:
-        return self._generate_chunked(self._generate_forward_block, rows, count)
-
-    def _generate_forward_block(
-        self, rows: Sequence[int] | None, count: int
-    ) -> np.ndarray:
-        steps = count * self._stride
-        # The strided kernel computes only the popcounts the GRNG emits (one
-        # per ``stride`` shifts) instead of a dense per-shift running sum;
-        # integer popcounts are exact, so the emitted values are bit-identical
-        # for any stride.
-        emitted = self._array.window_popcounts(
-            steps, rows=rows, stride=self._stride
-        )
+        # One fused dispatch: shift, popcount only the positions the GRNG
+        # emits (one per ``stride`` shifts) and standardise.  Integer
+        # popcounts are exact, so the emitted values are bit-identical for
+        # any stride and any backend.
         selection = slice(None) if rows is None else np.asarray(rows)
-        self._sums[selection] = emitted[:, -1]
-        return self._standardise(emitted)
+        values = np.empty((len(self._sums[selection]), count), dtype=np.float64)
+        self._sums[selection] = self._array.grng_block(
+            count, self._stride, self._mean, self._std, values, rows=rows
+        )
+        return values
 
     def _generate_reverse(
-        self, rows: Sequence[int] | None, count: int
-    ) -> np.ndarray:
-        return self._generate_chunked(self._generate_reverse_block, rows, count)
-
-    def _generate_reverse_block(
         self, rows: Sequence[int] | None, count: int
     ) -> np.ndarray:
         selection = slice(None) if rows is None else np.asarray(rows)
@@ -263,8 +227,10 @@ class GrngBank:
         # rides along unchanged: emit the current sum, then the exact
         # popcounts of the earlier patterns plus that drift.
         drift = current_sums - self._array.popcounts(rows)
-        earlier = self._array.window_popcounts(
-            count * self._stride, rows=rows, stride=self._stride, reverse=True
+        earlier = np.empty((len(current_sums), count), dtype=np.int32)
+        self._array.grng_block(
+            count, self._stride, self._mean, self._std, earlier, rows=rows,
+            reverse=True,
         )
         drifted = earlier + drift[:, None]
         # built before the register update: current_sums may view self._sums

@@ -34,6 +34,7 @@ __all__ = ["LfsrArray"]
 
 _lfsr_step_block = dispatch("lfsr_step_block")
 _window_popcounts = dispatch("window_popcounts")
+_grng_block = dispatch("grng_block")
 
 
 class LfsrArray:
@@ -246,3 +247,42 @@ class LfsrArray:
         # (exact integer popcounts), so selection changes speed, never values.
         seq_words = self._run_packed(count, rows, reverse)
         return _window_popcounts(seq_words, self._n, count, stride)
+
+    def grng_block(
+        self,
+        count: int,
+        stride: int,
+        mean: float,
+        std: float,
+        out: np.ndarray,
+        rows: Sequence[int] | None = None,
+        reverse: bool = False,
+    ) -> np.ndarray:
+        """One fused GRNG pass: ``count >= 1`` values of ``stride`` shifts each.
+
+        Forward, ``out`` (float64, ``(R, count)``) receives the standardised
+        popcounts ``(popcount - mean) / std`` of the patterns after shifts
+        ``stride, 2*stride, ...``; with ``reverse=True`` it (int32) receives
+        the raw popcounts of the patterns that many shifts *earlier*.  This
+        is :meth:`window_popcounts` plus the CLT conversion behind a single
+        dispatch point, so a compiled backend can stream it without ever
+        materialising the bit sequence.  Registers and shift counters are
+        committed; the last popcount per row (the GRNG's sum register) is
+        returned.
+        """
+        selection = slice(None) if rows is None else np.asarray(rows)
+        _, new_words, last = _grng_block(
+            self._words[selection],
+            self._n,
+            self._reverse_taps if reverse else self._taps,
+            stride,
+            count,
+            reverse,
+            mean,
+            std,
+            out,
+        )
+        self._words[selection] = new_words
+        shifts = count * stride
+        self._shift_counts[selection] += -shifts if reverse else shifts
+        return last

@@ -33,6 +33,18 @@ def central_difference_gradient(
 
 
 @pytest.fixture
+def restore_selection():
+    """Snapshot the kernel registry's forced choices and restore them after."""
+    import repro.core.backend as backend
+
+    saved = backend.current_selection()
+    try:
+        yield
+    finally:
+        backend.apply_selection(saved)
+
+
+@pytest.fixture
 def numeric_gradient():
     """Fixture exposing the central-difference gradient helper."""
     return central_difference_gradient

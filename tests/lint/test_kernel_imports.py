@@ -12,7 +12,10 @@ module under ``src/repro`` and fails the build when engine code:
   may only be touched by ``core/bitops.py`` itself and ``core/backend.py``;
 * imports private (``_``-prefixed) names from :mod:`repro.core.backend` --
   backends are selected through the registry, never by grabbing an
-  implementation function directly.
+  implementation function directly;
+* imports :mod:`repro.core.native` (the compiled-kernel loader) from anywhere
+  but ``core/backend.py`` -- the C kernel is one more backend behind the
+  conformance gate, not a library engine code may call.
 
 A final runtime check asserts that the public wrappers really do route
 through the registry (the per-kernel call counters move when they run), so a
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 import repro.core.backend as backend
-from repro.core import LfsrArray
+from repro.core import GrngBank, LfsrArray
 from repro.nn import functional as F
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -50,10 +53,14 @@ FORBIDDEN_BITOPS_NAMES = {
     "run_lfsr_block_packed",
 }
 
+#: The only module allowed to import the compiled-kernel loader.
+ALLOWED_NATIVE_IMPORTERS = {SRC_ROOT / "core" / "backend.py"}
+
 EXPECTED_KERNELS = {
     "lfsr_step_block",
     "window_popcounts",
     "clt_standardise",
+    "grng_block",
     "sample_matmul",
     "im2col",
 }
@@ -72,10 +79,29 @@ def _module_is(module: str | None, suffix: str) -> bool:
     return module == suffix or module.endswith("." + suffix)
 
 
+def _imports_native(node: ast.AST) -> bool:
+    """``import repro.core.native`` / ``from .native import x`` / ``from . import native``."""
+    if isinstance(node, ast.Import):
+        return any(_module_is(alias.name, "native") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return _module_is(node.module, "native") or (
+            (node.module is None or _module_is(node.module, "core"))
+            and any(alias.name == "native" for alias in node.names)
+        )
+    return False
+
+
 def _violations_in(path: Path, tree: ast.Module) -> list[str]:
     found: list[str] = []
     rel = path.relative_to(SRC_ROOT.parent)
+    native_allowed = path in ALLOWED_NATIVE_IMPORTERS
     for node in ast.walk(tree):
+        if not native_allowed and _imports_native(node):
+            found.append(
+                f"{rel}:{node.lineno}: imports repro.core.native -- the "
+                "compiled kernel is reachable only through the grng_block "
+                "dispatch point"
+            )
         if isinstance(node, ast.ImportFrom):
             if _module_is(node.module, "bitops"):
                 for alias in node.names:
@@ -138,6 +164,7 @@ def test_public_wrappers_route_through_dispatch():
 
     array = LfsrArray.from_seed_indices(16, [0, 1])
     array.window_popcounts(32, stride=1)  # drives lfsr_step_block too
+    GrngBank(2, n_bits=16).epsilon_blocks(8)  # grng_block
 
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3, 6, 6))

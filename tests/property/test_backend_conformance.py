@@ -7,8 +7,9 @@ wall-clock time but never bits.  Two layers of evidence:
   kernel through the registry's own conformance gate (the fixed case set
   covering dtypes, strides 1 and 256, the leapfrog's level-6 word-alignment
   boundary and degenerate shapes).  Optional backends whose toolchain is
-  absent (e.g. numba) self-skip -- the parametrisation still names them, so
-  a CI log shows exactly which backends were exercised where.
+  absent (``grng_block``/``native`` without a C compiler) self-skip -- the
+  parametrisation still names them, so a CI log shows exactly which backends
+  were exercised where.
 * the hypothesis tests below drive each kernel with *randomised* workloads
   (random shapes, dtypes, strides 1 / 64 / 256, random register states) and
   assert the forced backend's output is bit-identical to the reference

@@ -13,8 +13,19 @@ reference can no longer cancel out.
 
 Checked against it, forward and reverse: the ``lfsr_step_block`` dispatch
 point (history, produced bits, end state, zero padding), ``window_popcounts``
-on its output, and ``GrngBank``'s forward -> whole-span replay -> reversed
-retrieval round trip.
+on its output, the fused ``grng_block`` point on its compiled ``native``
+backend (values, popcounts, end states, split calls, every width and row
+count its ``supports`` predicate accepts) and ``GrngBank``'s forward ->
+whole-span replay -> reversed retrieval round trip.
+
+A second from-scratch construction brackets the kernels from the other side:
+the **Galois** (internal-XOR) form of the same polynomial -- shift the whole
+register, and on a carry-out XOR the feedback mask back in (PyRTL
+``galois_lfsr``, QAMpy ``lfsr_int``).  It shares nothing with the Fibonacci
+oracle beyond the tap table, not even the register layout.
+
+Every ``native`` case skips itself, with the reason, when the C kernel cannot
+be built here.
 """
 
 from __future__ import annotations
@@ -35,6 +46,9 @@ from repro.core import GrngBank
 TAP_TABLE = {
     8: (8, 6, 5, 4),
     16: (16, 15, 13, 4),
+    64: (64, 63, 61, 60),
+    128: (128, 126, 101, 99),
+    192: (192, 190, 178, 177),
     256: (256, 254, 251, 246),
 }
 
@@ -242,13 +256,223 @@ def test_random_blocks_match_bit_serial_oracle(n_bits, seed_bits, rows, count, r
 
 
 # ----------------------------------------------------------------------
+# the second oracle: the Galois form (shift, conditional mask XOR)
+# ----------------------------------------------------------------------
+def galois_stream(n_bits: int, offsets, history, count: int) -> np.ndarray:
+    """The ``count`` bits that follow ``history`` under ``b(t) = XOR_p b(t-p)``.
+
+    One integer register: shift left, and when a bit falls out of the top
+    XOR the feedback mask ``x^n + SUM_p x^(n-p)`` back in; the bits that fall
+    out obey the recurrence.  The register is seeded so that its first ``n``
+    carry-outs replay ``history`` (bit ``n-1-k`` of the seed is ``history[k]``
+    corrected by the mask XORs the earlier carry-outs will have caused) --
+    asserted below, so a wrong seeding cannot pass silently.
+    """
+    top = 1 << n_bits
+    mask = top | sum(1 << (n_bits - p) for p in offsets)
+    state = 0
+    for k, bit in enumerate(history):
+        for p in offsets:
+            if p <= k:
+                bit ^= history[k - p]
+        state |= int(bit) << (n_bits - 1 - k)
+    out = np.empty(n_bits + count, dtype=np.uint8)
+    for k in range(n_bits + count):
+        state <<= 1
+        out[k] = state >> n_bits
+        if state & top:
+            state ^= mask
+    assert out[:n_bits].tolist() == [int(b) for b in history]
+    return out[n_bits:]
+
+
+def history_bits(n_bits: int, seed: int, reverse: bool) -> list[int]:
+    """The register in the kernel's time order: R1..Rn reversed, Rn..R1 forward."""
+    cells = [(seed >> j) & 1 for j in range(n_bits)]
+    return cells if reverse else cells[::-1]
+
+
+def stream_popcounts(history, bits, n_bits: int, stride: int) -> np.ndarray:
+    """Window popcounts after every ``stride``-th bit, from the bits alone."""
+    sums = np.concatenate(([0], np.cumsum(np.concatenate((history, bits)), dtype=np.int64)))
+    ends = np.arange(stride, len(bits) + 1, stride) + n_bits
+    return sums[ends] - sums[ends - n_bits]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("n_bits", [8, 16, 64, 128, 192, 256])
+def test_galois_form_agrees_with_bit_serial_oracle_and_step_block(n_bits, reverse):
+    count = max(LONG_COUNTS) if n_bits == 256 else 4096
+    seed = SEEDS_256[1] % (1 << n_bits) | 1
+    offsets = kernel_offsets(n_bits, reverse)
+    galois = galois_stream(n_bits, offsets, history_bits(n_bits, seed, reverse), count)
+    serial, _ = oracle_prefix(n_bits, seed, count, reverse, count)
+    assert np.array_equal(galois, serial)
+    seq_words, _ = backend.registry.call(
+        "lfsr_step_block", to_words([seed], n_bits), n_bits, count, offsets, reverse
+    )
+    assert np.array_equal(word_bits(seq_words)[0, n_bits : n_bits + count], galois)
+
+
+# ----------------------------------------------------------------------
+# the fused grng_block point on its compiled backend
+# ----------------------------------------------------------------------
+def native_calls() -> int:
+    ran = backend.counters_snapshot().get("grng_block", {}).get("native", {})
+    return ran.get("calls", 0)
+
+
+def require_native() -> None:
+    listing = next(e for e in backend.list_backends() if e["kernel"] == "grng_block")
+    if not next(b for b in listing["backends"] if b["name"] == "native")["available"]:
+        pytest.skip("grng_block/native unavailable: no C compiler, or the build failed")
+
+
+@pytest.fixture
+def native_grng():
+    """Force ``grng_block`` onto ``native``; skip when it cannot be built."""
+    require_native()
+    with backend.using("grng_block", "native"):
+        yield
+
+
+def grng_block(seeds, n_bits, stride, count, reverse, mean=None, std=None):
+    """One dispatch: ``(out, end_states, last_popcounts)``."""
+    mean = n_bits / 2.0 if mean is None else mean
+    std = math.sqrt(n_bits / 4.0) if std is None else std
+    out = np.empty((len(seeds), count), dtype=np.int32 if reverse else np.float64)
+    _, new_words, last = backend.registry.call(
+        "grng_block", to_words(seeds, n_bits), n_bits, kernel_offsets(n_bits, reverse),
+        stride, count, reverse, mean, std, out,
+    )
+    return out, from_words(new_words), [int(v) for v in last]
+
+
+def native_domain():
+    """(n_bits, reverse) pairs the native ``supports`` predicate accepts."""
+    pairs = []
+    for n_bits in sorted(TAP_TABLE):
+        for reverse in (False, True):
+            probe = np.empty((1, 1), dtype=np.int32 if reverse else np.float64)
+            if backend._grng_block_native_supports(
+                to_words([1], n_bits), n_bits, kernel_offsets(n_bits, reverse),
+                64, 1, reverse, 0.0, 1.0, probe,
+            ):
+                pairs.append((n_bits, reverse))
+    return pairs
+
+
+def test_native_domain_is_every_word_aligned_width():
+    assert native_domain() == [
+        (64, True), (128, False), (128, True), (192, False), (192, True),
+        (256, False), (256, True),
+    ]
+
+
+@pytest.mark.parametrize(
+    ("n_bits", "reverse", "rows"),
+    [
+        (n_bits, reverse, rows)
+        for n_bits, reverse in native_domain()
+        # odd row counts leave the reverse kernel's last row un-paired; the
+        # 8-row bank (the bit-serial oracle's slowest case) at 256 bits only
+        for rows in ((1, 2, 3, 8) if n_bits == 256 else (1, 2, 3))
+    ],
+)
+def test_native_grng_block_matches_bit_serial_oracle(native_grng, n_bits, reverse, rows):
+    seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[:rows]]
+    longest = max(LONG_COUNTS)
+    mean, std = n_bits / 2.0, math.sqrt(n_bits / 4.0)
+    # narrower than, equal to and wider than the register; the fused point
+    # counts values, so the sub-word tails of LONG_COUNTS become an odd count
+    for stride in (64, n_bits, 2 * n_bits):
+        count = min(LONG_COUNTS) // stride - 1
+        before = native_calls()
+        out, end, last = grng_block(seeds, n_bits, stride, count, reverse)
+        assert native_calls() == before + 1, "the call fell through to NumPy"
+        for parts in (2, 7):
+            states, pieces = seeds, []
+            edges = np.linspace(0, count, parts + 1).astype(int)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                piece, states, piece_last = grng_block(
+                    states, n_bits, stride, int(hi - lo), reverse
+                )
+                pieces.append(piece)
+            assert np.concatenate(pieces, axis=1).tobytes() == out.tobytes()
+            assert (states, piece_last) == (end, last)
+        for row, seed in enumerate(seeds):
+            bits, popcounts = oracle_prefix(n_bits, seed, count * stride, reverse, longest)
+            emitted = popcounts[stride - 1 :: stride]
+            want = emitted.astype(np.int32) if reverse else (emitted - mean) / std
+            assert out[row].tobytes() == want.tobytes(), (stride, row)
+            assert last[row] == emitted[-1]
+            assert end[row] == oracle_state_after(n_bits, seed, bits, reverse)
+
+
+@pytest.mark.parametrize(("n_bits", "reverse"), native_domain())
+def test_native_grng_block_matches_galois_form(native_grng, n_bits, reverse):
+    seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[2:5]]
+    stride, count = n_bits, 4096 // n_bits * 8
+    out, _, _ = grng_block(seeds, n_bits, stride, count, reverse)
+    offsets = kernel_offsets(n_bits, reverse)
+    for row, seed in enumerate(seeds):
+        history = history_bits(n_bits, seed, reverse)
+        bits = galois_stream(n_bits, offsets, history, count * stride)
+        emitted = stream_popcounts(history, bits, n_bits, stride)
+        if reverse:
+            want = emitted.astype(np.int32)
+        else:
+            want = (emitted - n_bits / 2.0) / math.sqrt(n_bits / 4.0)
+        assert out[row].tobytes() == want.tobytes()
+
+
+@given(
+    states=st.lists(st.integers(min_value=1, max_value=(1 << 128) - 1), min_size=1, max_size=3),
+    count=st.integers(min_value=1, max_value=600),
+    stride=st.sampled_from([64, 128, 256]),
+    mean=st.floats(min_value=-300.0, max_value=300.0),
+    std=st.one_of(
+        st.just(math.sqrt(128) / 2),  # the 128-bit GRNG: not a power of two
+        st.floats(min_value=1e-3, max_value=1e3),
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_native_standardise_is_numpy_division(states, count, stride, mean, std):
+    """``((double)pc - mean) / std`` in C == ``(pc - mean) / std`` in NumPy, bytewise."""
+    require_native()
+    with backend.using("grng_block", "native"):
+        values, _, _ = grng_block(states, 128, stride, count, False, mean, std)
+    with backend.using("grng_block", "reference"):
+        # popcounts from the NumPy chain at mean 0 / std 1, then NumPy's own divide
+        raw, _, _ = grng_block(states, 128, stride, count, False, 0.0, 1.0)
+    assert values.tobytes() == ((raw.astype(np.int64) - mean) / std).tobytes()
+
+
+# ----------------------------------------------------------------------
 # GrngBank: forward -> whole-span replay -> reversed retrieval
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("stride", [256, 1])
-def test_grng_bank_round_trip_matches_bit_serial_oracle(stride):
-    n_bits, shifts = 256, 1 << 17
-    start = list(SEEDS_256[:3])
-    count = shifts // stride
+@pytest.mark.parametrize(
+    ("n_bits", "stride", "which"),
+    [
+        (256, 256, "native"),
+        (256, 256, "reference"),
+        (256, 1, "reference"),  # dense emission: outside native's domain
+        (192, 192, "native"),
+        (128, 64, "native"),
+        (64, 64, "native"),  # forward falls through to NumPy, reverse is compiled
+    ],
+)
+def test_grng_bank_round_trip_matches_bit_serial_oracle(n_bits, stride, which):
+    if which == "native":
+        require_native()
+    with backend.using("grng_block", which):
+        check_bank_round_trip(n_bits, stride)
+
+
+def check_bank_round_trip(n_bits, stride):
+    count = (1 << 17) // stride
+    shifts = count * stride
+    start = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[:3]]
     bank = GrngBank(n_rows=len(start), n_bits=n_bits, stride=stride)
     bank.set_states(start)
     mean, std = n_bits / 2.0, math.sqrt(n_bits / 4.0)

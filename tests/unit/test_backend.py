@@ -19,19 +19,10 @@ KERNELS = {
     "lfsr_step_block",
     "window_popcounts",
     "clt_standardise",
+    "grng_block",
     "sample_matmul",
     "im2col",
 }
-
-
-@pytest.fixture
-def restore_selection():
-    """Snapshot the module registry's forced choices and restore them after."""
-    saved = backend.current_selection()
-    try:
-        yield
-    finally:
-        backend.apply_selection(saved)
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +206,17 @@ class TestIntrospection:
             )
             assert reference["available"]
             assert reference["conformance"] == "oracle"
+
+    def test_optional_backend_lists_its_availability(self):
+        # grng_block/native is the registry's one toolchain-dependent backend:
+        # listed everywhere, available only where the C kernel builds
+        entry = next(e for e in backend.list_backends() if e["kernel"] == "grng_block")
+        assert entry["chain"] == ["native", "reference"]
+        listed = next(b for b in entry["backends"] if b["name"] == "native")
+        assert listed["available"] == (backend.native.library.load() is not None)
+        if not listed["available"]:
+            with pytest.raises(KernelBackendError, match="not available"):
+                backend.verify_backend("grng_block", "native")
 
     def test_cli_list_and_verify(self, capsys):
         assert backend.main(["--list"]) == 0

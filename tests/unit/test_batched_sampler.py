@@ -232,19 +232,22 @@ class TestStridedKernel:
         with pytest.raises(ValueError):
             array.window_popcounts(10, stride=3)
 
-    def test_chunked_generation_equals_single_call(self):
+    def test_chunked_generation_equals_single_call(self, monkeypatch):
+        import repro.core.backend as backend
+
         small = GrngBank(n_rows=2, n_bits=64, stride=2)
         chunked = GrngBank(n_rows=2, n_bits=64, stride=2)
-        chunked._KERNEL_SEQ_BYTES = 16  # 2 rows * 2 shifts: 32 variables per call
         count = 500
-        assert np.array_equal(
-            small.epsilon_blocks(count), chunked.epsilon_blocks(count)
-        )
-        assert np.array_equal(
-            small.epsilon_blocks_reverse(count),
-            chunked.epsilon_blocks_reverse(count),
-        )
+        forward, reverse = small.epsilon_blocks(count), small.epsilon_blocks_reverse(count)
+        # the NumPy path's byte cap (stride 2 is outside the compiled
+        # kernel's domain): 2 rows * 2 shifts -> 32 variables per kernel call
+        monkeypatch.setattr(backend, "_KERNEL_SEQ_BYTES", 16)
+        backend.reset_counters()
+        assert np.array_equal(forward, chunked.epsilon_blocks(count))
+        assert np.array_equal(reverse, chunked.epsilon_blocks_reverse(count))
         assert small.lfsr_array.states() == chunked.lfsr_array.states()
+        stepped = backend.counters_snapshot()["lfsr_step_block"]["reference"]
+        assert stepped["calls"] == 2 * -(-count // 32)
 
     def test_replay_blocks_round_trip(self):
         bank = GrngBank(n_rows=3, n_bits=64, stride=4, lockstep=True)
