@@ -57,13 +57,14 @@ input; CI runs them in separate jobs and emits one report each):
   4-step schedule.  On a 1-CPU runner these ratios measure distribution
   *overhead* (a parallel speedup needs cores); the acceptance bound asserts
   the sharded code path stays within a small constant of the baseline;
-* the **delta-shipping** cases (``test_bench_distrib_elastic``): the same
+* the **state-shipping** cases (``test_bench_distrib_elastic``): the same
   12-step dense fit through the coordinator's content-fingerprinted delta
-  transport (``delta``) and the ship-everything baseline (``full``), both
+  transport (``delta``) and with every unit shipped full (``full``), both
   asserting final parameters bit-identical to the single-process run.
-  Acceptance gates on the exact bytes-shipped counters: the delta leg must
-  move at most ``1/DISTRIB_ELASTIC_THRESHOLD`` of the baseline's bytes,
-  and both legs must report zero drifting parameters.
+  Acceptance gates on the exact bytes-shipped counters: each leg must move
+  at most ``1/DISTRIB_ELASTIC_THRESHOLD`` of the per-cell full baseline the
+  plan implies (one full shipment per ``(shard, row-block)`` cell), and
+  both legs must report zero drifting parameters.
 
 All compared modes produce bit-identical results (see
 ``tests/integration/test_batched_equivalence.py`` and
@@ -129,11 +130,13 @@ KERNELS_THRESHOLD = 0.8
 DISTRIB_THRESHOLD = 0.3
 DISTRIB_MODE = "inline2"
 
-#: The acceptance bound of PR 10: over the 12-step dense fit (4 sample
-#: shards x 2 row blocks), delta shipping must move at most 1/5 of the
-#: bytes the full-shipment baseline moves.  Measured ~8.1x on the reference
-#: container; the byte counters are exact functions of the schedule, so
-#: this bound is runner-independent, unlike the wall-clock ratios.
+#: The acceptance bound of PR 10, re-based when dispatch units landed: over
+#: the 12-step dense fit (4 sample shards x 2 row blocks) each leg must move
+#: at most 1/5 of what one full shipment per plan cell moves.  Exactly 8.10x
+#: (delta) and 7.73x (full): the per-cell re-shipment the old full/delta
+#: ratio measured is gone from both legs.  The byte counters are exact
+#: functions of the schedule, so this bound is runner-independent, unlike
+#: the wall-clock ratios.
 DISTRIB_ELASTIC_THRESHOLD = 5.0
 
 #: The acceptance bound of PR 8: the steady-profile gateway soak (the full
@@ -239,6 +242,7 @@ def parse_distrib_elastic_cases(raw: dict) -> dict:
             "n_row_blocks",
             "bytes_shipped",
             "bytes_full_equivalent",
+            "bytes_per_cell_baseline",
             "resyncs",
             "bit_drift_params",
         ):
@@ -441,18 +445,12 @@ def _distrib_elastic_report(cases: dict, report: dict) -> None:
     elastic: dict = {"cases": {}}
     for mode, stats in sorted(cases.items()):
         elastic["cases"][f"distrib_elastic[{mode}]"] = stats
-    delta = cases.get("delta")
-    if delta and delta.get("bytes_shipped"):
-        # prefer the measured full leg; the delta leg's full-equivalent
-        # counter is the same number computed on the other side of the wire
-        full = cases.get("full", {})
-        baseline_bytes = (
-            full.get("bytes_shipped") or delta.get("bytes_full_equivalent")
-        )
-        if baseline_bytes:
-            elastic["bytes_reduction"] = round(
-                baseline_bytes / delta["bytes_shipped"], 3
-            )
+    # each leg against one full shipment per plan cell
+    elastic["bytes_reduction"] = {
+        mode: round(stats["bytes_per_cell_baseline"] / stats["bytes_shipped"], 3)
+        for mode, stats in sorted(cases.items())
+        if stats.get("bytes_per_cell_baseline") and stats.get("bytes_shipped")
+    }
     report["distrib_elastic"] = elastic
 
 
@@ -555,20 +553,21 @@ def build_report(raw: dict) -> dict:
             }
         )
     if distrib_elastic_cases:
-        measured = report["distrib_elastic"].get("bytes_reduction")
-        delta = distrib_elastic_cases.get("delta", {})
-        report["acceptance"].append(
-            {
-                "metric": "delta shipping: state bytes on the wire, full "
-                f"baseline vs delta transport ({delta.get('n_steps', '?')}-"
-                f"step dense fit, {delta.get('n_shards', '?')} shards x "
-                f"{delta.get('n_row_blocks', '?')} row blocks)",
-                "threshold": DISTRIB_ELASTIC_THRESHOLD,
-                "measured": measured,
-                "pass": measured is not None
-                and measured >= DISTRIB_ELASTIC_THRESHOLD,
-            }
-        )
+        for mode, stats in sorted(distrib_elastic_cases.items()):
+            measured = report["distrib_elastic"]["bytes_reduction"].get(mode)
+            report["acceptance"].append(
+                {
+                    "metric": "state shipping: bytes one full shipment per "
+                    f"plan cell moves vs the {mode} leg's bytes on the wire "
+                    f"({stats.get('n_steps', '?')}-step dense fit, "
+                    f"{stats.get('n_shards', '?')} shards x "
+                    f"{stats.get('n_row_blocks', '?')} row blocks)",
+                    "threshold": DISTRIB_ELASTIC_THRESHOLD,
+                    "measured": measured,
+                    "pass": measured is not None
+                    and measured >= DISTRIB_ELASTIC_THRESHOLD,
+                }
+            )
         drift = sum(
             stats.get("bit_drift_params") or 0
             for stats in distrib_elastic_cases.values()

@@ -7,21 +7,23 @@ pool of worker processes, in 2-D: along the Monte-Carlo **sample** axis and
 bit-identical model replica from a :class:`~repro.models.zoo.ReplicaSpec`,
 owns exactly its shard's generator rows (rewound onto the coordinator's
 canonical states every step, so epsilon bits never depend on worker state),
-runs the batched FW/BW/GC engine on its tasks, and ships **per-sample**
-gradient contributions back; the coordinator reduces them in canonical
-``(sample, row-block)`` order, which keeps the parameter trajectory
+runs the batched FW/BW/GC engine on its dispatch unit -- one per worker per
+step, each sample's epsilons drawn once -- and hands **per-sample** gradient
+contributions back through pages it shares with the coordinator
+(:class:`~repro.distrib.worker.ResultArena`); the coordinator reduces them
+in canonical ``(sample, row-block)`` order, which keeps the trajectory
 bit-for-bit identical to the single-process run at any worker count, under
 any join/leave schedule -- the paper's Fig. 9 property, extended across
 processes.
 
-Task state travels as content-fingerprinted **deltas**
+Unit state travels as content-fingerprinted **deltas**
 (:mod:`repro.distrib.delta`): workers cache the tensors they last applied,
 the coordinator mirrors each cache and ships only what changed plus the
 expected post-apply fingerprint, and any mismatch triggers an automatic
 full resync -- a pure transport optimisation, invisible to the bits.
 Workers may join or leave between steps (:meth:`DistributedBackend.
 request_join` / :meth:`~DistributedBackend.request_leave`) and crash
-mid-step: a dead worker's tasks are re-executed from their specs on a
+mid-step: a dead worker's unit is re-executed from its spec on a
 surviving or respawned worker (never dropped), and the full checkpoint
 layer in :mod:`repro.bnn.serialization` captures everything needed to
 resume an interrupted run onto the exact uninterrupted trajectory.
@@ -89,7 +91,7 @@ def distributed_trainer(
     the current parameter values (as content-addressed deltas) with every
     step, the replicas track the coordinator's trajectory exactly.
     ``n_row_blocks`` is part of the canonical trajectory (hold it fixed per
-    fit); ``delta_shipping=False`` ships every task full, for baselines.
+    fit); ``delta_shipping=False`` ships every unit full, for baselines.
     Close the trainer (it is a context manager) to shut the worker pool
     down.
     """

@@ -14,20 +14,26 @@ optimisation step it:
    the *bookkeeping* bank: it never generates, it just holds the canonical
    register states and traffic counters, which is also exactly what the
    checkpoint layer saves);
-3. plans the step's 2-D ``(sample-shard, row-block)`` task grid
-   (:func:`~repro.distrib.plan.plan_step`) and dispatches one
-   self-contained task per cell -- inline (``n_workers=0``) or onto worker
-   processes, each of which rebuilds a bit-identical replica from a
-   :class:`~repro.models.zoo.ReplicaSpec` and owns only its shard's
-   generator rows.  Task state (parameters, minibatch rows) ships as
-   content-fingerprinted **deltas** against what each worker already caches
-   (:mod:`repro.distrib.delta`); a worker that cannot resolve a delta
-   answers with a resync request and receives the task re-shipped full;
-4. collects the task results with deterministic fault tolerance: a dead
-   worker's tasks are re-dispatched (to a surviving or freshly respawned
-   worker, within the respawn bounds) and re-execute from the same task
-   spec, re-encoded for whatever the target worker's cache holds -- the
-   task is re-computed from its seeds/states, never dropped, and
+3. plans the step's 2-D ``(sample-shard, row-block)`` grid
+   (:func:`~repro.distrib.plan.plan_step`) -- the *cells* fix the canonical
+   reduce order and with it every bit -- and groups the cells into one
+   self-contained **dispatch unit per live worker** (a contiguous run of
+   shards crossed with every row block; one unit when inline,
+   ``n_workers=0``).  Grouping is placement, not trajectory.  Each worker
+   process rebuilds a bit-identical replica from a
+   :class:`~repro.models.zoo.ReplicaSpec`, owns only its unit's generator
+   rows and draws each sample's epsilons once per step.  Unit state
+   (parameters, minibatch rows) ships as content-fingerprinted **deltas**
+   against what each worker already caches (:mod:`repro.distrib.delta`); a
+   worker that cannot resolve a delta answers with a resync request and
+   receives the unit re-shipped full.  The per-sample gradient stacks come
+   back through the worker's :class:`~repro.distrib.worker.ResultArena`
+   (shared pages), not through the result pipe;
+4. collects the unit results with deterministic fault tolerance: a dead
+   worker's unit is re-dispatched whole (to a surviving or freshly
+   respawned worker, within the respawn bounds) and re-executes from the
+   same spec, re-encoded for whatever the target worker's cache holds --
+   the unit is re-computed from its seeds/states, never dropped, and
    re-execution is bit-identical because nothing in the spec depends on
    worker state;
 5. reduces gradients, loss terms and probabilities in canonical
@@ -65,7 +71,13 @@ from .delta import (
 from .plan import plan_step
 from .reduce import reduce_step_outputs
 from .respawn import RespawnBudget, RespawnPolicy
-from .worker import PARAM_SLOT_PREFIX, ShardEngine, _worker_main, data_slots
+from .worker import (
+    PARAM_SLOT_PREFIX,
+    ResultArena,
+    ShardEngine,
+    _worker_main,
+    data_slots,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..bnn.trainer import BNNTrainer
@@ -92,6 +104,9 @@ class _TrainWorker:
     rank: int
     process: multiprocessing.process.BaseProcess
     task_queue: object
+    #: Shared pages this worker returns its gradient stacks through;
+    #: ``None`` when the start method cannot inherit an anonymous mapping.
+    arena: ResultArena | None
     ready: bool = False
     assigned: set[int] = field(default_factory=set)
 
@@ -117,12 +132,12 @@ class DistributedBackend:
         How many sample shards to cut each step into.  ``None`` (default)
         tracks the pool: one shard per worker, replanned when the pool's
         membership changes.  An explicit value pins the plan.  More shards
-        than workers is allowed -- tasks queue round-robin; inline execution
-        with ``n_shards > 1`` exercises the full shard/reduce machinery
-        in-process.
+        than workers is allowed -- each worker's unit takes a contiguous run
+        of them; inline execution with ``n_shards > 1`` exercises the full
+        shard/reduce machinery in-process.
     n_row_blocks:
-        Split each minibatch into this many contiguous row blocks, lifting
-        the parallelism cap from ``S`` to ``S x n_row_blocks`` tasks.
+        Split each minibatch into this many contiguous row blocks, each its
+        own FW/BW/GC pass inside a unit (over epsilons drawn once).
         **Part of the canonical trajectory** (row sums are replayed per
         block): hold it fixed across a fit, and across any runs that are
         compared bit for bit.  The default ``1`` reproduces the classic
@@ -186,6 +201,7 @@ class DistributedBackend:
         self._result_queue = None
         self._inline_engine: ShardEngine | None = None
         self._loss = None
+        self._arena_grid: tuple = ()
         self._next_rank = 0
         self._task_counter = 0
         self._step_index = 0
@@ -350,13 +366,11 @@ class DistributedBackend:
                     "cannot shrink the worker pool below one worker"
                 )
             worker = max(self._workers, key=lambda w: w.rank)
-            self._workers.remove(worker)
+            self._retire(worker)
             try:
                 worker.task_queue.put(None)
             except Exception:  # pragma: no cover - queue already broken
                 pass
-            self._retired.append(worker)
-            self._encoders.pop(worker.rank, None)
             self._n_workers -= 1
             self._pending_leaves -= 1
             changed = True
@@ -384,13 +398,27 @@ class DistributedBackend:
         rank = self._next_rank
         self._next_rank += 1
         task_queue = self._ctx.Queue()
+        # only a forked child inherits an anonymous mapping; under any other
+        # start method the stacks ride the result queue
+        arena = None
+        if self._ctx.get_start_method() == "fork":
+            arena = ResultArena(*self._arena_grid)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(rank, self._replica, self._loss, task_queue, self._result_queue),
+            args=(
+                rank,
+                self._replica,
+                self._loss,
+                task_queue,
+                self._result_queue,
+                arena,
+            ),
             daemon=True,
         )
         process.start()
-        return _TrainWorker(rank=rank, process=process, task_queue=task_queue)
+        return _TrainWorker(
+            rank=rank, process=process, task_queue=task_queue, arena=arena
+        )
 
     def _start(self, trainer: "BNNTrainer") -> None:
         self._started = True
@@ -399,6 +427,15 @@ class DistributedBackend:
             self._inline_engine = ShardEngine(self._replica.build(), trainer.loss)
             return
         self._result_queue = self._ctx.Queue()
+        # every arena is laid out for the whole step grid (see ResultArena)
+        self._arena_grid = (
+            [
+                (param.name, param.value.dtype, param.value.shape)
+                for param in trainer.model.parameters()
+            ],
+            self._n_row_blocks,
+            trainer.config.n_samples,
+        )
         for _ in range(self._n_workers):
             self._workers.append(self._spawn_worker())
         deadline = time.monotonic() + self._step_timeout
@@ -449,6 +486,7 @@ class DistributedBackend:
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.kill()
                 worker.process.join(timeout=timeout)
+        self._close_arenas(workers)
         self._workers = []
         self._retired = []
         self._encoders = {}
@@ -482,6 +520,9 @@ class DistributedBackend:
             self._start(trainer)
         if self._inline_engine is None:
             self._apply_membership()
+            self._replenish()
+            # no step is in flight, so nothing views a retired worker's pages
+            self._close_arenas(self._retired)
         ship_from = time.monotonic()
         config = trainer.config
         plan = plan_step(
@@ -497,42 +538,40 @@ class DistributedBackend:
         }
         # the step's content-addressed state slots, hashed once (not once
         # per worker): every parameter tensor plus each row block's data
-        param_slots = {
+        slots = {
             PARAM_SLOT_PREFIX + param.name: param.value
             for param in trainer.model.parameters()
         }
-        block_slots: dict[int, dict[str, np.ndarray]] = {}
         for block_index, (start, stop) in enumerate(plan.row_blocks):
             x_slot, y_slot = data_slots(block_index)
-            block_slots[block_index] = {
-                x_slot: x[start:stop],
-                y_slot: y[start:stop],
-            }
+            slots[x_slot] = x[start:stop]
+            slots[y_slot] = y[start:stop]
         fingerprints = {
-            slot: tensor_fingerprint(array)
-            for slots in (param_slots, *block_slots.values())
-            for slot, array in slots.items()
+            slot: tensor_fingerprint(array) for slot, array in slots.items()
         }
+        # one dispatch unit per live worker (one inline): unit u takes the
+        # contiguous shards [u*n/k, (u+1)*n/k) and every row block.  This is
+        # placement only -- the plan's cells fix the reduce order
+        n_shards = plan.samples.n_shards
+        n_units = 1
+        if self._inline_engine is None:
+            n_units = max(1, min(len(self._workers), n_shards))
         specs = []
-        for shard_index, block_index in plan.tasks:
-            shard = plan.samples.shards[shard_index]
-            slots = dict(param_slots)
-            slots.update(block_slots[block_index])
+        for unit in range(n_units):
+            shards = plan.samples.shards[
+                unit * n_shards // n_units : (unit + 1) * n_shards // n_units
+            ]
             specs.append(
                 {
                     "step_index": self._step_index,
-                    "shard": shard,
-                    "row_block": block_index,
-                    "rows": plan.row_blocks[block_index],
+                    "shards": shards,
+                    "row_blocks": plan.row_blocks,
                     "total_rows": plan.n_rows,
-                    "row_normalised": plan.n_row_blocks > 1,
-                    "snapshots": [snapshots[index] for index in shard],
-                    # KL/prior/entropy terms are row-count independent: they
-                    # enter exactly once per sample, through row block 0
-                    "kl_weight": kl_weight if block_index == 0 else 0.0,
-                    "include_entropy_term": (
-                        config.include_entropy_term if block_index == 0 else False
-                    ),
+                    "snapshots": [
+                        snapshots[index] for shard in shards for index in shard
+                    ],
+                    "kl_weight": kl_weight,
+                    "include_entropy_term": config.include_entropy_term,
                     "quantization_bits": config.quantization_bits,
                     "bank": bank_cfg,
                     "slots": slots,
@@ -541,23 +580,28 @@ class DistributedBackend:
             )
         compute_from = time.monotonic()
         if self._inline_engine is not None:
-            task_results = [self._run_inline(spec) for spec in specs]
+            unit_results = [self._run_inline(spec) for spec in specs]
         else:
-            task_results = self._run_pooled(specs)
+            unit_results = self._run_pooled(specs)
         self._step_index += 1
         reduce_from = time.monotonic()
         total_nll, correct_probs = reduce_step_outputs(
-            trainer.model, plan, task_results
+            trainer.model,
+            plan,
+            [cell for result in unit_results for cell in result["cells"]],
         )
         # fold the per-step traffic deltas and post-step generator states
-        # back into the canonical (bookkeeping) bank; row block 0 speaks for
-        # each sample (all blocks draw identical weight epsilons)
+        # back into the canonical (bookkeeping) bank
         new_snapshots = list(snapshots)
-        for (shard_index, block_index), result in zip(plan.tasks, task_results):
-            if block_index != 0:
-                continue
-            shard = plan.samples.shards[shard_index]
-            for local_index, sample_index in enumerate(shard):
+        for spec, result in zip(specs, unit_results):
+            samples = [index for shard in spec["shards"] for index in shard]
+            if not len(samples) == len(result["snapshots"]) == len(result["usage"]):
+                raise DistributedStepError(
+                    f"unit of samples {samples} returned "
+                    f"{len(result['snapshots'])} generator snapshots and "
+                    f"{len(result['usage'])} usage records"
+                )
+            for local_index, sample_index in enumerate(samples):
                 new_snapshots[sample_index] = result["snapshots"][local_index]
                 trainer.bank.streams[sample_index].usage.merge_delta(
                     result["usage"][local_index]
@@ -581,7 +625,7 @@ class DistributedBackend:
     # delta-aware payload encoding
     # ------------------------------------------------------------------
     def _encode_payload(self, spec: dict, rank: int) -> dict:
-        """Materialise one task spec into a payload for one target worker.
+        """Materialise one unit spec into a payload for one target worker.
 
         Encoding happens at dispatch time, per target: the same spec sent
         to a warm worker ships a slim delta, to a cold (fresh, respawned or
@@ -621,15 +665,48 @@ class DistributedBackend:
             if encoder is not None:
                 encoder.mark_cold()
 
+    @staticmethod
+    def _claim_cells(spec: dict, result: dict, arena: ResultArena | None) -> dict:
+        """Check a unit result against its spec; bind arena-resident stacks.
+
+        The cells must be exactly the spec's ``shards x row_blocks``, in
+        plan order.  Stacks a worker left in its arena (``contributions`` is
+        ``None``) become in-place views, built from the layout and the spec
+        this coordinator computed itself -- never from anything on the wire
+        -- and only onto the arena of the worker that answered.
+        """
+        expected = [
+            (shard, block_index)
+            for shard in spec["shards"]
+            for block_index in range(len(spec["row_blocks"]))
+        ]
+        cells = result["cells"]
+        if [(tuple(cell["shard"]), cell["row_block"]) for cell in cells] != expected:
+            raise DistributedStepError(
+                f"unit result does not cover its cells: expected {expected}"
+            )
+        for cell in cells:
+            if cell["contributions"] is None:
+                if arena is None or not arena.holds(
+                    len(spec["row_blocks"]), cell["shard"]
+                ):
+                    raise DistributedStepError(
+                        f"worker {result.get('rank')} left the stacks of shard "
+                        f"{cell['shard']} in an arena it does not have"
+                    )
+                cell["contributions"] = arena.cell(cell["row_block"], cell["shard"])
+        return result
+
     def _run_inline(self, spec: dict) -> dict:
         """Inline execution: same encode/resolve path, no processes."""
         payload = self._encode_payload(spec, _INLINE_RANK)
         try:
-            return self._inline_engine.run_step(payload)
+            result = self._inline_engine.run_step(payload)
         except DeltaResyncRequired:
             self._note_resync(_INLINE_RANK)
             payload = self._encode_payload(spec, _INLINE_RANK)  # now full
-            return self._inline_engine.run_step(payload)
+            result = self._inline_engine.run_step(payload)
+        return self._claim_cells(spec, result, None)
 
     # ------------------------------------------------------------------
     # pooled dispatch with deterministic crash recovery
@@ -655,9 +732,21 @@ class DistributedBackend:
         return worker
 
     def _retire(self, worker: _TrainWorker) -> None:
+        """Take a worker out of the pool.
+
+        Its arena stays mapped until the next step boundary: results this
+        step already collected from it are still views onto those pages.
+        """
         self._workers.remove(worker)
         self._retired.append(worker)
         self._encoders.pop(worker.rank, None)
+
+    @staticmethod
+    def _close_arenas(workers: list[_TrainWorker]) -> None:
+        for worker in workers:
+            if worker.arena is not None:
+                worker.arena.close()
+                worker.arena = None
 
     def _replenish(self) -> None:
         """Retire workers that died between steps and respawn within budget."""
@@ -668,25 +757,23 @@ class DistributedBackend:
             self._count_pool_event("respawn")
 
     def _run_pooled(self, specs: list[dict]) -> list[dict]:
-        self._replenish()
         pending: dict[int, dict] = {}
         assigned: dict[int, _TrainWorker] = {}
-        results: dict[int, dict] = {}
-        task_order: dict[int, int] = {}
+        results: dict[int, tuple[dict, ResultArena | None]] = {}
         resync_counts: dict[int, int] = {}
-        for spec_index, spec in enumerate(specs):
+        for spec in specs:
             task_id = self._task_counter
             self._task_counter += 1
             pending[task_id] = spec
-            task_order[task_id] = spec_index
             assigned[task_id] = self._dispatch(task_id, spec)
+        task_ids = list(pending)
         deadline = time.monotonic() + self._step_timeout
         try:
             while pending:
                 if time.monotonic() > deadline:
                     raise DistributedStepError(
                         f"step did not complete within {self._step_timeout}s; "
-                        f"{len(pending)} task(s) still outstanding"
+                        f"{len(pending)} unit(s) still outstanding"
                     )
                 try:
                     message = self._result_queue.get(timeout=_LIVENESS_POLL_S)
@@ -697,10 +784,13 @@ class DistributedBackend:
                 if kind == "ready":
                     self._mark_ready(key)
                 elif kind == "done":
-                    if key in pending:
-                        results[key] = payload
+                    # only the worker the unit is assigned to right now may
+                    # answer it: a late message from one it was taken away
+                    # from is as stale as one for a finished unit
+                    if key in pending and assigned[key].rank == payload["rank"]:
                         worker = assigned.pop(key)
                         worker.assigned.discard(key)
+                        results[key] = (payload, worker.arena)
                         del pending[key]
                         self._budget.forget(key)
                 elif kind == "resync":
@@ -708,7 +798,7 @@ class DistributedBackend:
                         resync_counts[key] = resync_counts.get(key, 0) + 1
                         if resync_counts[key] > _MAX_TASK_RESYNCS:
                             raise DistributedStepError(
-                                f"task {key} required more than "
+                                f"unit {key} required more than "
                                 f"{_MAX_TASK_RESYNCS} delta resyncs; the "
                                 "state transport is broken"
                             )
@@ -719,7 +809,7 @@ class DistributedBackend:
                 elif kind == "error":
                     if key in pending:
                         raise DistributedStepError(
-                            f"task failed in worker:\n{payload}"
+                            f"unit failed in worker:\n{payload}"
                         )
         except DistributedStepError:
             # release this step's bookkeeping before propagating so a caller
@@ -731,21 +821,21 @@ class DistributedBackend:
                 worker.assigned.discard(task_id)
             raise
         return [
-            results[task_id]
-            for task_id in sorted(results, key=lambda t: task_order[t])
+            self._claim_cells(spec, *results[task_id])
+            for task_id, spec in zip(task_ids, specs)
         ]
 
     def _recover_dead(
         self, pending: dict[int, dict], assigned: dict[int, _TrainWorker]
     ) -> None:
-        """Re-dispatch the tasks of dead workers (bounded, deterministic).
+        """Re-dispatch the units of dead workers (bounded, deterministic).
 
-        Called when the result queue went quiet: any task whose worker is no
-        longer alive at this point was lost mid-execution.  The task's spec
+        Called when the result queue went quiet: any unit whose worker is no
+        longer alive at this point was lost mid-execution.  The unit's spec
         is re-encoded for its new target -- the spec fully determines the
-        task's bits; only the delta framing is per-worker -- and re-queued
-        onto a surviving worker, or onto a freshly spawned replacement when
-        none survives and the respawn budget allows one.
+        unit's bits; only the delta framing is per-worker -- and re-queued
+        whole onto a surviving worker, or onto a freshly spawned replacement
+        when none survives and the respawn budget allows one.
         """
         orphaned = [
             task_id
@@ -765,7 +855,7 @@ class DistributedBackend:
         for task_id in orphaned:
             if not self._budget.try_retry(task_id):
                 raise DistributedStepError(
-                    f"task {task_id} lost its worker more than "
+                    f"unit {task_id} lost its worker more than "
                     f"{self._budget.policy.max_task_retries} time(s)"
                 )
             assigned[task_id] = self._dispatch(task_id, pending[task_id])

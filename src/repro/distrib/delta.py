@@ -4,7 +4,7 @@ PR 4's coordinator shipped every task a *full* copy of its state -- all
 parameter tensors plus the minibatch -- every step.  This module replaces
 that with a fingerprint-addressed delta protocol:
 
-* every tensor a task needs (a *slot*: ``param/<name>``, ``data/x/<block>``,
+* every tensor a unit needs (a *slot*: ``param/<name>``, ``data/x/<block>``,
   ``data/y/<block>``) is addressed by its content fingerprint
   (:func:`~repro.bnn.serialization.tensor_fingerprint` -- SHA-256 over
   dtype, shape and bytes);
@@ -24,7 +24,7 @@ of silently computing wrong bits:
 
 * a cache miss, a fingerprint mismatch on received bytes, or a post-apply
   state-fingerprint mismatch raises :class:`DeltaResyncRequired`; the
-  worker reports it and the coordinator re-ships the task **full** (and
+  worker reports it and the coordinator re-ships the unit **full** (and
   marks the worker cold, clearing its mirror);
 * a ``full`` message clears the receiving cache before applying, so after
   every resync both sides are in a known-identical state;
@@ -34,7 +34,8 @@ of silently computing wrong bits:
 Wire format (version 1)
 -----------------------
 
-One message per task, a plain dict (it crosses a ``multiprocessing`` queue):
+One message per dispatch unit, a plain dict (it crosses a ``multiprocessing``
+queue):
 
 ========== ====================================================================
 field       meaning
@@ -89,7 +90,7 @@ class DeltaResyncRequired(RuntimeError):
 
     Raised on a fingerprint cache miss, on received bytes that do not hash
     to their declared fingerprint, or on a post-apply state-fingerprint
-    mismatch.  The coordinator answers by re-shipping the task full.
+    mismatch.  The coordinator answers by re-shipping the unit full.
     """
 
 
@@ -108,7 +109,7 @@ class DeltaCache:
     """Worker-side content-addressed tensor cache (bounded, LRU).
 
     ``apply`` resolves one state message into the ``{slot: array}`` dict the
-    task executes against, updating the cache exactly as the coordinator's
+    unit executes against, updating the cache exactly as the coordinator's
     mirror predicts.
     """
 

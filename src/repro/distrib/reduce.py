@@ -57,7 +57,8 @@ def _validate(
         raise DistributedReductionError(
             f"{len(task_results)} task results for {plan.n_tasks} plan tasks"
         )
-    names = {param.name for param in model.parameters()}
+    shapes = {param.name: param.value.shape for param in model.parameters()}
+    names = set(shapes)
     for (shard_index, block_index), result in zip(plan.tasks, task_results):
         shard = plan.samples.shards[shard_index]
         if tuple(result["shard"]) != shard:
@@ -78,10 +79,10 @@ def _validate(
                 f"missing={missing}, unexpected={unexpected}"
             )
         for name, stack in contributions.items():
-            if stack.shape[0] != len(shard):
+            if stack.shape != (len(shard),) + shapes[name]:
                 raise DistributedReductionError(
-                    f"shard {shard} stack for {name!r} carries {stack.shape[0]} "
-                    f"samples, expected {len(shard)}"
+                    f"shard {shard} stack for {name!r} has shape {stack.shape}, "
+                    f"expected {(len(shard),) + shapes[name]}"
                 )
         if len(result["nlls"]) != len(shard):
             raise DistributedReductionError(

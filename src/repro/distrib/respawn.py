@@ -17,13 +17,42 @@ from the request's seed, and a training shard's epsilons derive from the
 canonical generator states shipped with the step -- never from worker-local
 state.  Retrying therefore reproduces the exact bits the first attempt would
 have produced.
+
+Both worker loops also wait for work through :func:`next_task`, which makes
+a worker exit once its pool's process is gone: a SIGKILLed parent runs no
+``atexit`` handler, and a forked worker holds the write end of its own task
+queue, so it would otherwise never see an EOF.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from queue import Empty
 
-__all__ = ["RespawnPolicy", "RespawnBudget"]
+__all__ = ["RespawnPolicy", "RespawnBudget", "next_task"]
+
+#: How often an idle worker checks that its parent still exists.
+_ORPHAN_POLL_S = 1.0
+
+
+def next_task(task_queue, result_queue, parent_pid: int):
+    """Block for a worker's next task; ``None`` (shutdown) once orphaned.
+
+    ``parent_pid`` is ``os.getppid()`` as the worker recorded it when it
+    started (under every start method the process that goes away with the
+    pool).  A queued task wakes the wait at once, so the poll delays
+    nothing; it only bounds how long a worker outlives a parent that died
+    without sending the shutdown sentinel.  An orphan's unread results must
+    not keep it alive either, hence ``cancel_join_thread``.
+    """
+    while True:
+        try:
+            return task_queue.get(timeout=_ORPHAN_POLL_S)
+        except Empty:
+            if os.getppid() != parent_pid:
+                result_queue.cancel_join_thread()
+                return None
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ replacement rebuilds the post-swap version set.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 import traceback
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..distrib.respawn import RespawnBudget, RespawnPolicy
+from ..distrib.respawn import RespawnBudget, RespawnPolicy, next_task
 from ..obs.trace import StageRecorder
 from .executor import MultiVersionExecutor, SamplingConfig
 from .registry import DEFAULT_VERSION
@@ -83,7 +84,9 @@ def _worker_main(
     (``("tile", tile_id, requests[, traced])``), version-control operations
     (``("load", version, replica)`` / ``("invalidate", version)`` /
     ``("unload", version)``), shared-sweep announcements
-    (``("shm", descriptor)``), plus ``None`` as the shutdown sentinel.  The
+    (``("shm", descriptor)``), plus ``None`` as the shutdown sentinel (which
+    :func:`~repro.distrib.respawn.next_task` also returns once the pool's
+    process is gone, so a SIGKILLed server leaves no worker behind).  The
     shared ordering is what makes hot swap race-free per worker: a control
     message enqueued at deploy time is applied before any tile dispatched
     after the deploy, and after every tile dispatched before it.
@@ -102,6 +105,7 @@ def _worker_main(
         for key in [k for k in store if k[0] == version]:
             store.pop(key).release()
 
+    parent_pid = os.getppid()
     try:
         executor = MultiVersionExecutor(
             replicas, max_cached_configs=max_cached_configs
@@ -117,7 +121,7 @@ def _worker_main(
         result_queue.put(("fatal", rank, traceback.format_exc()))
         return
     while True:
-        task = task_queue.get()
+        task = next_task(task_queue, result_queue, parent_pid)
         if task is None:
             break
         kind = task[0]

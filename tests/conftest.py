@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -30,6 +36,53 @@ def central_difference_gradient(
         flat[index] = original
         grad_flat[index] = (upper - lower) / (2.0 * epsilon)
     return grad
+
+
+def process_running(pid: int) -> bool:
+    """Whether ``pid`` still executes (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.fixture
+def orphaned_worker_pids():
+    """Run a pool-owning script, SIGKILL it, return the workers still running.
+
+    The script must print its worker pids on one line once the pool is up
+    and then keep running.  It is killed the way ``subprocess.run(...,
+    timeout=)`` kills on expiry -- no ``atexit``, no ``close()`` -- and the
+    workers get ``grace_s`` to notice.
+    """
+
+    def probe(script: str, grace_s: float = 5.0) -> list[int]:
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert pids and all(process_running(pid) for pid in pids)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=10.0)
+            child.stdout.close()
+        deadline = time.monotonic() + grace_s
+        while time.monotonic() < deadline and any(map(process_running, pids)):
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if process_running(pid)]
+        for pid in survivors:  # never leave them to the next test
+            os.kill(pid, signal.SIGKILL)
+        return survivors
+
+    return probe
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ auto-snapshots.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.distrib import (
     RespawnPolicy,
     distributed_trainer,
 )
+from repro.distrib import respawn
 from repro.models import ReplicaSpec, get_model
 
 
@@ -511,3 +514,44 @@ class TestAutoSnapshots:
             trainer.fit(
                 batches, checkpoint_every_n_steps=0, checkpoint_path="x.npz"
             )
+
+
+class TestPoolLifetime:
+    """Workers never outlive their coordinator; shutdown never waits on the poll."""
+
+    def test_workers_exit_when_the_coordinator_is_killed(self, orphaned_worker_pids):
+        script = """
+import time
+import numpy as np
+from repro.bnn import TrainerConfig
+from repro.distrib import distributed_trainer
+from repro.models import get_model
+
+trainer = distributed_trainer(
+    get_model("B-MLP", reduced=True),
+    TrainerConfig(n_samples=2, grng_stride=32),
+    n_workers=2,
+)
+trainer.train_step(np.zeros((4, 196)), np.zeros(4, dtype=np.int64), kl_weight=0.1)
+print(*[process.pid for process in trainer.backend.processes], flush=True)
+time.sleep(120)
+"""
+        assert orphaned_worker_pids(script) == []
+
+    def test_shutdown_does_not_wait_for_the_orphan_poll(
+        self, dense_setup, monkeypatch
+    ):
+        """With the poll stretched to minutes, close() must still be immediate:
+        the sentinel wakes the wait, the poll only ever bounds an orphan."""
+        monkeypatch.setattr(respawn, "_ORPHAN_POLL_S", 600.0)
+        spec, batches = dense_setup
+        x, y = batches[0]
+        distributed = distributed_trainer(
+            spec, _config(2, 32), n_workers=2, build_seed=99
+        )
+        distributed.train_step(x, y, kl_weight=0.1)
+        processes = distributed.backend.processes
+        started = time.monotonic()
+        distributed.close()
+        assert time.monotonic() - started < 60.0
+        assert not any(process.is_alive() for process in processes)

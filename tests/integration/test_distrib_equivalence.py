@@ -11,9 +11,13 @@ same bits as the run that was never disturbed.
 
 from __future__ import annotations
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
+import repro.core.backend as kernel_backend
 from repro.bnn import (
     BNNTrainer,
     TrainerConfig,
@@ -362,3 +366,184 @@ class TestFaultTolerance:
             x, y = batches[0]
             with pytest.raises(DistributedStepError):
                 distributed.train_step(x, y, kl_weight=0.1)
+
+
+def _shared_anonymous_mappings() -> int:
+    """How many ``mmap.mmap(-1, n)`` mappings this process holds."""
+    with open("/proc/self/maps") as handle:
+        return sum("/dev/zero" in line for line in handle)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestDispatchUnits:
+    """One unit per worker: drawn once, one small message, no aliasing."""
+
+    @pytest.mark.parametrize("policy", ["stored", "reversible", "reversible-hw"])
+    def test_epsilons_drawn_once_per_sample_per_step(self, dense_setup, policy):
+        """A 4 x 2 plan costs the generator what the single-process step costs."""
+        spec, batches = dense_setup
+        config = _config(8, 32)
+        x, y = batches[0]
+
+        def grng_block_work(trainer):
+            trainer.train_step(x, y, kl_weight=0.1)  # lazy gates and caches
+            kernel_backend.reset_counters()
+            for _ in range(2):
+                trainer.train_step(x, y, kl_weight=0.1)
+            ran = kernel_backend.counters_snapshot().get("grng_block", {}).values()
+            return sum(c["calls"] for c in ran), sum(c["rows"] for c in ran)
+
+        single = BNNTrainer(spec.build_bayesian(seed=99), config, policy=policy)
+        with distributed_trainer(
+            spec,
+            config,
+            n_workers=0,
+            n_shards=4,
+            n_row_blocks=2,
+            policy=policy,
+            build_seed=99,
+        ) as sharded:
+            expected = grng_block_work(single)
+            assert expected[0] > 0
+            assert grng_block_work(sharded) == expected
+            assert sharded.bank.usage_state_dicts() == single.bank.usage_state_dicts()
+
+    def test_one_unit_per_worker_per_step(self, dense_setup):
+        spec, batches = dense_setup
+        with distributed_trainer(
+            spec,
+            _config(4, 32),
+            n_workers=2,
+            n_shards=4,
+            n_row_blocks=2,
+            policy="reversible",
+            build_seed=99,
+        ) as distributed:
+            backend = distributed.backend
+            distributed.fit(batches, epochs=1)
+            assert backend._task_counter == 2 * len(batches)
+            assert backend.n_shards == 4  # the plan is not the placement
+
+    def test_survivor_runs_both_units_without_aliasing(self, dense_setup):
+        """No respawn: the surviving worker executes both units back to back.
+
+        Its first unit's stacks are still unreduced in its arena while it
+        writes the second's -- every cell needs its own slot.
+        """
+        spec, batches = dense_setup
+        config = _config(4, 32)
+        plan = dict(n_shards=4, n_row_blocks=2, policy="reversible", build_seed=99)
+        with distributed_trainer(spec, config, n_workers=0, **plan) as reference:
+            reference.fit(batches, epochs=2)
+        with distributed_trainer(
+            spec,
+            config,
+            n_workers=2,
+            respawn=RespawnPolicy(max_respawns=0, max_task_retries=1),
+            **plan,
+        ) as distributed:
+            fired = []
+
+            def fault_hook(step_index, rank):
+                if step_index == 1 and not fired:
+                    fired.append(rank)
+                    return True
+                return False
+
+            distributed.backend.fault_hook = fault_hook
+            distributed.fit(batches, epochs=2)
+            assert fired and distributed.backend.alive_workers == 1
+            _assert_same_run(reference, distributed)
+            assert (
+                distributed.bank.usage_state_dicts()
+                == reference.bank.usage_state_dicts()
+            )
+
+    def test_arena_lifetime_follows_its_worker(self, dense_setup):
+        spec, batches = dense_setup
+        x, y = batches[0]
+        gc.collect()  # earlier tests' queues give their pipes back here
+        mappings, fds = _shared_anonymous_mappings(), _open_fds()
+        distributed = distributed_trainer(
+            spec, _config(4, 32), n_workers=2, policy="reversible", build_seed=99
+        )
+        backend = distributed.backend
+        try:
+            distributed.train_step(x, y, kl_weight=0.1)
+            assert _shared_anonymous_mappings() == mappings + 2
+            victim = backend._workers[0]
+            arena = victim.arena
+            victim.process.kill()
+            victim.process.join(timeout=10.0)
+            # the next step boundary retires the dead worker, closes its
+            # arena and gives the replacement a fresh one
+            distributed.train_step(x, y, kl_weight=0.1)
+            assert arena.closed and victim.arena is None
+            assert backend.respawns_used == 1
+            assert all(not w.arena.closed for w in backend._workers)
+            assert _shared_anonymous_mappings() == mappings + 2
+            arenas = [worker.arena for worker in backend._workers]
+        finally:
+            distributed.close()
+        assert all(arena.closed for arena in arenas)
+        del distributed, backend, victim
+        gc.collect()
+        assert _shared_anonymous_mappings() == mappings
+        assert _open_fds() == fds
+
+    def test_spawned_workers_return_stacks_on_the_queue(self, dense_setup):
+        """No fork, no inherited mapping: same bytes, stacks ride the queue."""
+        spec, batches = dense_setup
+        config = _config(4, 32)
+        plan = dict(n_shards=2, n_row_blocks=2, policy="reversible", build_seed=99)
+        x, y = batches[0]
+        with distributed_trainer(spec, config, n_workers=0, **plan) as reference:
+            expected = reference.train_step(x, y, kl_weight=0.1)
+        with distributed_trainer(
+            spec, config, n_workers=2, start_method="spawn", **plan
+        ) as distributed:
+            assert distributed.train_step(x, y, kl_weight=0.1) == expected
+            assert all(w.arena is None for w in distributed.backend._workers)
+            for ref_param, dist_param in zip(
+                reference.model.parameters(), distributed.model.parameters()
+            ):
+                assert np.array_equal(ref_param.value, dist_param.value)
+
+    def test_mixed_and_conv_models_through_a_2x2_plan(self, dense_setup, conv_setup):
+        """Two single-shard units against the inline one-shard reference.
+
+        Trainable deterministic layers take the per-sample tape path once
+        per row block inside a unit.
+        """
+        from repro.bnn import BayesDense, BayesianNetwork
+        from repro.nn.layers import Dense, ReLU
+
+        class _MixedSpec:
+            def build_bayesian(self, seed=0):
+                return BayesianNetwork(
+                    [
+                        BayesDense(196, 24, rng=np.random.default_rng(13)),
+                        ReLU(),
+                        Dense(24, 10, rng=np.random.default_rng(14)),
+                    ]
+                )
+
+        for spec, batches in ((_MixedSpec(), dense_setup[1]), conv_setup):
+            runs = []
+            for n_workers, n_shards in ((0, 1), (2, 2)):
+                backend = DistributedBackend(
+                    ReplicaSpec.structural(spec, build_seed=99),
+                    n_workers=n_workers,
+                    n_shards=n_shards,
+                    n_row_blocks=2,
+                )
+                with BNNTrainer(
+                    spec.build_bayesian(seed=99), _config(4, 32), backend=backend
+                ) as trainer:
+                    trainer.fit(batches, epochs=1)
+                    runs.append(trainer)
+            _assert_same_run(*runs)
+            assert runs[0].bank.usage_state_dicts() == runs[1].bank.usage_state_dicts()

@@ -4,11 +4,14 @@ Covers the shard planner (1-D and the 2-D step plan), the delta-shipping
 transport (cache/encoder lockstep, wire-format versioning, resync
 triggers), the row-decomposed losses, the respawn budget, the per-sample
 gradient tape (including the trainable-deterministic-layer capture path),
-the canonical order reducer's validation, and the shard-aware
-``StreamBank`` seeding.
+the canonical order reducer's validation, the shard-aware ``StreamBank``
+seeding, the per-worker result arena and the size of a unit's ``done``
+message.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -33,7 +36,9 @@ from repro.distrib import (
     plan_step,
     reduce_step_outputs,
 )
-from repro.models import get_model
+from repro.distrib.coordinator import DistributedBackend, DistributedStepError
+from repro.distrib.worker import ResultArena, ShardEngine
+from repro.models import DenseSpec, ModelSpec, ReplicaSpec, get_model
 
 
 class TestShardPlanner:
@@ -440,6 +445,162 @@ class TestReducerValidation:
         }
         with pytest.raises(DistributedReductionError, match="missing"):
             reduce_step_outputs(model, plan, [result])
+
+
+    def test_stack_trailing_shape_validated(self):
+        """A right-sized sample axis over the wrong parameter shape is refused."""
+        spec = get_model("B-MLP", reduced=True)
+        model = spec.build_bayesian(seed=1)
+        result = {
+            "shard": (0,),
+            "contributions": {
+                param.name: np.zeros((1,) + param.value.shape)
+                for param in model.parameters()
+            },
+            "nlls": [0.0],
+            "probabilities": np.zeros((1, 2, 10)),
+        }
+        reduce_step_outputs(model, plan_shards(1, 1), [result])
+        result["contributions"]["fc1.bias"] = np.zeros((1, 1))  # would broadcast
+        with pytest.raises(DistributedReductionError, match="fc1.bias"):
+            reduce_step_outputs(model, plan_shards(1, 1), [result])
+
+
+PARAMETERS = [("w", np.dtype(np.float64), (3, 2)), ("b", np.dtype(np.float64), (2,))]
+
+
+class TestResultArena:
+    def test_every_cell_has_its_own_slot(self):
+        """Units written back to back never overlap, whatever their order."""
+        arena = ResultArena(PARAMETERS, n_row_blocks=2, n_samples=4)
+        rng = np.random.default_rng(0)
+        written = {}
+        for samples in ((2, 3), (0, 1)):
+            for block in (0, 1):
+                for name, _, shape in PARAMETERS:
+                    stack = rng.normal(size=(2,) + shape)
+                    arena.write(block, samples, name, stack)
+                    written[block, samples, name] = stack
+        for (block, samples, name), stack in written.items():
+            assert np.array_equal(arena.cell(block, samples)[name], stack)
+        arena.close()
+
+    def test_mismatched_stacks_are_refused_not_broadcast(self):
+        arena = ResultArena(PARAMETERS, n_row_blocks=1, n_samples=2)
+        with pytest.raises(ValueError, match="arena slot"):
+            arena.write(0, (0, 1), "b", np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="arena slot"):
+            arena.write(0, (0, 1), "b", np.zeros((2, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="no arena region"):
+            arena.write(0, (0, 1), "nope", np.zeros((2, 2)))
+        arena.close()
+
+    def test_holds_only_the_grid_it_was_laid_out_for(self):
+        arena = ResultArena(PARAMETERS, n_row_blocks=2, n_samples=4)
+        assert arena.holds(2, (1, 2, 3))
+        assert not arena.holds(3, (0, 1))  # more row blocks
+        assert not arena.holds(2, (3, 4))  # past the last sample
+        assert not arena.holds(2, (0, 2))  # not one contiguous run
+        arena.close()
+
+    def test_close_is_idempotent_and_survives_an_outstanding_view(self):
+        arena = ResultArena(PARAMETERS, n_row_blocks=1, n_samples=1)
+        view = arena.cell(0, (0,))["w"]
+        arena.close()
+        arena.close()
+        assert arena.closed
+        assert view.shape == (1, 3, 2)  # still mapped: the view pins the pages
+
+
+class TestUnitResultMessage:
+    def _unit(self, spec, monkeypatch):
+        """One 2-shard x 2-block unit: its payload as it crosses the wire,
+        the inline engine's answer, and the same payload run on an engine
+        that owns an arena."""
+        wire = []
+        run_step = ShardEngine.run_step
+
+        def spy(engine, payload):
+            wire.append(pickle.loads(pickle.dumps(payload)))
+            wire.append(run_step(engine, payload))
+            return wire[-1]
+
+        backend = DistributedBackend(
+            ReplicaSpec.structural(spec, build_seed=5),
+            n_workers=0,
+            n_shards=2,
+            n_row_blocks=2,
+            delta_shipping=False,
+        )
+        config = TrainerConfig(n_samples=4, seed=3, grng_stride=32)
+        rng = np.random.default_rng(0)
+        with monkeypatch.context() as patch, BNNTrainer(
+            spec.build_bayesian(seed=5), config, backend=backend
+        ) as trainer:
+            patch.setattr(ShardEngine, "run_step", spy)
+            trainer.train_step(
+                rng.normal(size=(8, 196)), rng.integers(0, 10, size=8), kl_weight=0.1
+            )
+        payload, inline_result = wire
+        model = spec.build_bayesian(seed=5)
+        arena = ResultArena(
+            [(p.name, p.value.dtype, p.value.shape) for p in model.parameters()],
+            n_row_blocks=2,
+            n_samples=4,
+        )
+        result = ShardEngine(model, trainer.loss, arena).run_step(payload)
+        return payload, inline_result, result, arena
+
+    def test_done_message_carries_no_parameter_sized_array(self, monkeypatch):
+        """A few kilobytes whatever the model: the stacks are in the arena."""
+        small = get_model("B-MLP", reduced=True)
+        wide = ModelSpec(
+            name="B-MLP-wide",
+            input_shape=small.input_shape,
+            num_classes=small.num_classes,
+            dataset=small.dataset,
+            flatten_input=True,
+            layers=tuple(
+                DenseSpec(layer.name, 4 * layer.out_features)
+                if layer.name == "fc1"
+                else layer
+                for layer in small.layers
+            ),
+        )
+        sizes = []
+        for spec in (small, wide):
+            _, _, result, arena = self._unit(spec, monkeypatch)
+            assert all(cell["contributions"] is None for cell in result["cells"])
+            sizes.append(len(pickle.dumps(("done", 0, dict(result, rank=0)))))
+            arena.close()
+        assert max(sizes) < 16 * 1024
+        # 4x the weights move nothing but the width of the traffic counters
+        assert abs(sizes[0] - sizes[1]) < 64
+
+    def test_arena_cells_equal_the_inline_stacks(self, monkeypatch):
+        spec = get_model("B-MLP", reduced=True)
+        payload, inline_result, result, arena = self._unit(spec, monkeypatch)
+        bound = DistributedBackend._claim_cells(payload, result, arena)
+        assert len(bound["cells"]) == 4
+        for got, expected in zip(bound["cells"], inline_result["cells"]):
+            assert (got["shard"], got["row_block"]) == (
+                expected["shard"],
+                expected["row_block"],
+            )
+            for name, stack in expected["contributions"].items():
+                assert np.array_equal(got["contributions"][name], stack), name
+        assert bound["snapshots"] == inline_result["snapshots"]
+        assert bound["usage"] == inline_result["usage"]
+
+    def test_stacks_without_an_arena_or_foreign_cells_are_errors(self, monkeypatch):
+        spec = get_model("B-MLP", reduced=True)
+        payload, _, result, arena = self._unit(spec, monkeypatch)
+        with pytest.raises(DistributedStepError, match="does not have"):
+            DistributedBackend._claim_cells(payload, result, None)
+        other_unit = dict(payload, shards=((2, 3),))
+        with pytest.raises(DistributedStepError, match="does not cover"):
+            DistributedBackend._claim_cells(other_unit, result, arena)
+        arena.close()
 
 
 class TestShardedStreamBank:

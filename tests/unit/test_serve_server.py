@@ -249,6 +249,40 @@ class TestWorkerPoolServer:
             server.close(drain=False)
 
 
+    def test_workers_exit_when_the_server_is_killed(self, orphaned_worker_pids):
+        """A SIGKILLed server process runs no close(): its workers must notice."""
+        script = """
+import time
+import numpy as np
+from repro.models import ReplicaSpec, get_model
+from repro.serve import PredictionServer, SamplingConfig, ServerConfig
+
+spec = get_model("B-MLP", reduced=True)
+replica = ReplicaSpec.capture(spec, spec.build_bayesian(seed=1), build_seed=1)
+server = PredictionServer(replica, ServerConfig(n_workers=2, max_wait_ms=1.0)).start()
+server.predict(np.zeros((2, 196)), SamplingConfig(n_samples=2, seed=3, grng_stride=64))
+print(*[process.pid for process in server._pool.processes], flush=True)
+time.sleep(120)
+"""
+        assert orphaned_worker_pids(script) == []
+
+    def test_shutdown_does_not_wait_for_the_orphan_poll(
+        self, replica, rng, monkeypatch
+    ):
+        from repro.distrib import respawn
+
+        monkeypatch.setattr(respawn, "_ORPHAN_POLL_S", 600.0)
+        server = PredictionServer(
+            replica, ServerConfig(n_workers=2, max_wait_ms=1.0)
+        ).start()
+        server.predict(_inputs(rng), CFG)
+        processes = server._pool.processes
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 60.0
+        assert not any(process.is_alive() for process in processes)
+
+
 class TestWorkerRespawn:
     """Crash recovery: bounded respawns, one requeue per in-flight tile."""
 
