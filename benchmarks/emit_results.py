@@ -402,10 +402,15 @@ def _serving_fused_report(cases: dict, report: dict) -> None:
         if baseline and measured:
             # the fused-tile win proper: one probe-gated folded forward
             # against the per-request forwards over the same pooled tile
+            # both legs' absolute medians ride along: the ratio also falls
+            # when the *fallback* gets faster, and only these tell that
+            # apart from a slower fused path
             fused["speedups"][f"stride{stride}"] = {
                 "fused_vs_unfused": round(
                     baseline["median_ms"] / measured["median_ms"], 3
-                )
+                ),
+                "unfused_median_ms": round(baseline["median_ms"], 3),
+                "fused_median_ms": round(measured["median_ms"], 3),
             }
     report["serving_fused"] = fused
 
@@ -521,11 +526,10 @@ def build_report(raw: dict) -> dict:
             }
         )
     if serving_fused_cases:
-        measured = (
-            report["serving_fused"]["speedups"]
-            .get(f"stride{SERVING_FUSED_STRIDE}", {})
-            .get("fused_vs_unfused")
+        legs = report["serving_fused"]["speedups"].get(
+            f"stride{SERVING_FUSED_STRIDE}", {}
         )
+        measured = legs.get("fused_vs_unfused")
         report["acceptance"].append(
             {
                 "metric": "fused tile (4 pooled same-config requests, stride "
@@ -533,6 +537,8 @@ def build_report(raw: dict) -> dict:
                 "(byte-equality to mc_predict asserted in both legs)",
                 "threshold": SERVING_FUSED_THRESHOLD,
                 "measured": measured,
+                "legs": f"unfused {legs.get('unfused_median_ms')} ms / "
+                f"fused {legs.get('fused_median_ms')} ms",
                 "pass": measured is not None
                 and measured >= SERVING_FUSED_THRESHOLD,
             }
@@ -699,8 +705,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"wrote {output}: {total_cases} cases")
     for acceptance in report["acceptance"]:
+        legs = f" = {acceptance['legs']}" if "legs" in acceptance else ""
         print(
-            f"  acceptance: {acceptance['metric']}: {acceptance['measured']}x "
+            f"  acceptance: {acceptance['metric']}: "
+            f"{acceptance['measured']}x{legs} "
             f"(threshold {acceptance['threshold']}x, "
             f"{'PASS' if acceptance['pass'] else 'FAIL'})"
         )

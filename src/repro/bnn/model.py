@@ -89,6 +89,19 @@ class BayesianNetwork:
             params.extend(layer.parameters())
         return params
 
+    def freeze(self) -> None:
+        """Make every parameter read-only and memoise each posterior's sigma.
+
+        For a replica that only predicts (serving freezes the one it owns):
+        an in-place parameter update then raises ``ValueError`` instead of
+        silently invalidating whatever was derived from the old bytes.
+        Idempotent and one-way; a model that trains is never frozen.
+        """
+        for parameter in self.parameters():
+            parameter.value.flags.writeable = False
+        for layer in self.bayesian_layers():
+            layer.weight_posterior.freeze()
+
     def zero_grad(self) -> None:
         """Clear every parameter gradient."""
         for param in self.parameters():

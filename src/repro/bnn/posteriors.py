@@ -68,12 +68,36 @@ class GaussianPosterior:
         self.mu = Parameter(f"{name}.mu", mu_init(self.shape, rng))
         rho_value = np.full(self.shape, inverse_softplus(initial_sigma), dtype=np.float64)
         self.rho = Parameter(f"{name}.rho", rho_value)
+        self._frozen_sigma: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
     def sigma(self) -> np.ndarray:
-        """Current standard deviation ``softplus(rho)``."""
+        """Current standard deviation ``softplus(rho)``.
+
+        One softplus per access while the posterior trains; the memoised
+        array once it is frozen (:meth:`freeze`).
+        """
+        if self._frozen_sigma is not None:
+            return self._frozen_sigma
         return softplus(self.rho.value)
+
+    def freeze(self) -> None:
+        """Make this posterior immutable (idempotent; there is no thaw).
+
+        ``mu`` and ``rho`` become read-only arrays, so an in-place update
+        (an optimiser step, a state load) raises instead of going unnoticed,
+        and ``sigma`` is computed one last time.  Serving freezes the replica
+        it owns: everything it caches per sampling configuration is a
+        function of these bytes.
+        """
+        if self._frozen_sigma is not None:
+            return
+        self.mu.value.flags.writeable = False
+        self.rho.value.flags.writeable = False
+        sigma = softplus(self.rho.value)
+        sigma.flags.writeable = False
+        self._frozen_sigma = sigma
 
     @property
     def n_weights(self) -> int:

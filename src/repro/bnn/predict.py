@@ -97,13 +97,14 @@ def mc_forward(
 ) -> PredictiveResult:
     """Forward-only Monte-Carlo prediction through a caller-provided sampler.
 
-    This is the batched core of :func:`mc_predict` with the epsilon source
+    This is the batched core of :func:`mc_predict` with the weight source
     injected: any object honouring the forward half of the
     :class:`~repro.core.sampler.BatchedWeightSampler` protocol
-    (``n_samples``, ``prefetch_forward``, ``sample``) works.  The serving tile
-    executor passes a sampler that replays cached epsilon tensors, which is
-    what lets pooled requests skip the generation kernel while staying
-    bit-identical to a per-request :func:`mc_predict`.
+    (``n_samples``, ``prefetch_forward``, ``sample`` returning an object with
+    ``.weights``) works.  The serving tile executor passes a sampler that
+    replays a frozen replica's cached sampled weights, which is what lets
+    pooled requests skip the generation kernel and the weight build while
+    staying bit-identical to a per-request :func:`mc_predict`.
 
     ``out``, when given, must be a float64 buffer shaped
     ``(n_samples, batch, classes)``; the softmax stages are computed in place

@@ -314,14 +314,21 @@ class BatchedWeightSampler:
 
     @staticmethod
     def _build_weights(
-        mu: np.ndarray, sigma: np.ndarray, epsilon: np.ndarray
+        mu: np.ndarray,
+        sigma: np.ndarray,
+        epsilon: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """``mu + epsilon * sigma`` with one less temporary.
 
         IEEE-754 addition is commutative, so adding ``mu`` into the product
-        in place is bit-identical to the scalar sampler's expression.
+        in place is bit-identical to the scalar sampler's expression.  ``out``
+        may be ``epsilon`` itself (an element-wise product reads each element
+        before it writes it), for a caller that no longer needs the epsilons.
         """
-        weights = np.multiply(epsilon, sigma, out=np.empty_like(epsilon))
+        weights = np.multiply(
+            epsilon, sigma, out=np.empty_like(epsilon) if out is None else out
+        )
         weights += mu
         return weights
 

@@ -315,31 +315,6 @@ class ModelSpec:
         """Traces of the conv and dense layers only."""
         return [trace for trace in self.trace() if trace.is_weighted]
 
-    def weight_shapes(self) -> tuple[tuple[int, ...], ...]:
-        """Posterior weight-tensor shapes of the weighted layers, in order.
-
-        Matches ``BayesianNetwork.bayesian_layers()`` of the built model:
-        dense layers sample ``(in_features, out_features)`` tensors, conv
-        layers ``(out_channels, in_channels, k, k)``.  The shared-memory
-        epsilon store uses this to materialise a version's sweep without
-        building the model.
-        """
-        shapes: list[tuple[int, ...]] = []
-        for trace in self.weighted_layers():
-            if trace.kind == "conv":
-                assert trace.kernel_size is not None
-                shapes.append(
-                    (
-                        trace.output_shape[0],
-                        trace.input_shape[0],
-                        trace.kernel_size,
-                        trace.kernel_size,
-                    )
-                )
-            else:
-                shapes.append((trace.input_shape[0], trace.output_shape[0]))
-        return tuple(shapes)
-
     # ------------------------------------------------------------------
     # builders
     # ------------------------------------------------------------------

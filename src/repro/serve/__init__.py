@@ -4,8 +4,8 @@ The paper's SPU pipeline is fundamentally a throughput machine; this package
 is the software analogue for inference traffic.  Individual prediction
 requests are pooled into ``(S, batch)`` tiles
 (:class:`~repro.serve.microbatcher.MicroBatcher`), executed through the
-batched Monte-Carlo engine with the per-config epsilon sweep cached and
-replayed (:class:`~repro.serve.executor.TileExecutor`), optionally sharded
+batched Monte-Carlo engine with the per-config sampled-weight sweep cached
+and replayed (:class:`~repro.serve.executor.TileExecutor`), optionally sharded
 across model-replica worker processes
 (:class:`~repro.serve.worker.WorkerPool`), and answered through futures by
 the :class:`~repro.serve.server.PredictionServer` -- bit-identically to a
@@ -37,7 +37,7 @@ from .client import GatewayClient, GatewayError, GatewayShedError
 from .executor import (
     EpsilonCache,
     MultiVersionExecutor,
-    PrecomputedEpsilonSampler,
+    PrecomputedWeightSampler,
     SamplingConfig,
     TileExecutor,
 )
@@ -60,7 +60,7 @@ from .worker import TileExecutionError, WorkerCrashError, WorkerPool
 __all__ = [
     "SamplingConfig",
     "EpsilonCache",
-    "PrecomputedEpsilonSampler",
+    "PrecomputedWeightSampler",
     "TileExecutor",
     "MultiVersionExecutor",
     "MicroBatcher",

@@ -8,13 +8,16 @@ A served request must produce *exactly* the bytes that a standalone
 migrate to the server without revalidating anything.  Two observations make
 that cheap:
 
-1. The epsilon tensors a prediction consumes are a pure function of the
-   sampling configuration (seed, ``n_samples``, stride, LFSR width) and of
-   the network's static layer schedule -- **not** of the input.  Requests
-   sharing a configuration therefore consume *identical* epsilons, and the
-   expensive generator-bank kernel work can be paid once and cached
-   (:class:`EpsilonCache`), then replayed into the unchanged layer code
-   through a :class:`PrecomputedEpsilonSampler`.
+1. The sampled weights a prediction consumes, ``W_s = mu + sigma * eps_s``,
+   are a pure function of the model version and the sampling configuration
+   (seed, ``n_samples``, stride, LFSR width) -- **not** of the input.  The
+   epsilons depend on the configuration and the layer schedule alone, and a
+   registered version's ``mu`` / ``rho`` never change.  Requests sharing a
+   ``(version, config)`` therefore consume *identical* weights, so the
+   generator-bank sweep, the softplus and the ``S x W`` multiply-add are paid
+   once per configuration (:func:`materialize_weight_sweep`), cached
+   (:class:`EpsilonCache`) and replayed into the unchanged layer code through
+   a :class:`PrecomputedWeightSampler`.  A warm tile runs none of the three.
 2. Each request's forward math must see byte-identical operand matrices to
    its standalone call.  PR 3 guaranteed that by running one
    :func:`~repro.bnn.predict.mc_forward` per pooled request; this executor
@@ -28,6 +31,28 @@ that cheap:
    ``REPRO_FUSED=0``) blocks fusion, the per-request path runs and the
    fallback is *counted*, never silent (``consume_fusion_events`` feeds
    ``ServerStats``).
+
+What is cached, and why that is safe
+------------------------------------
+
+One cache entry is a version's **sampled-weight sweep** for one
+:class:`SamplingConfig`: per Bayesian layer an ``(S, *weight_shape)`` float64
+tensor, ``S x W x 8`` bytes in all (W = Bayesian weights of the model; 1.37 MB
+for the benchmark's reduced B-MLP at S = 8).  The weights are built *in* the
+privately materialised epsilon buffer -- the genuine
+:meth:`BatchedWeightSampler._build_weights`, IEEE multiply then add, the two
+operations a standalone call performs -- so they replace the epsilons instead
+of sitting beside them and the footprint per entry is what the epsilon sweep's
+was.  Entries are stored read-only.
+
+The entry is valid for as long as ``mu`` and ``rho`` hold the bytes it was
+built from.  That is enforced, not assumed: a :class:`TileExecutor` freezes
+the replica it is given (:meth:`BayesianNetwork.freeze` -- every parameter
+array read-only, each posterior's ``sigma`` memoised), so an in-place update
+of a served parameter raises instead of serving stale weights.  Across
+versions the caches are structurally separate (one per loaded version, see
+:class:`MultiVersionExecutor`), and every point that invalidates a version
+drops its sweeps with it.
 
 The executor also reuses one output scratch buffer per result shape (the
 ``out=`` path of :func:`mc_forward`), so steady-state serving performs no
@@ -47,7 +72,7 @@ import numpy as np
 from ..bnn.predict import mc_forward
 from ..core import stability
 from ..core.checkpoint import StreamBank
-from ..core.sampler import BatchedWeightSampler, SampledWeightsBatch
+from ..core.sampler import BatchedWeightSampler
 from ..core.streams import StreamOrderError
 from .registry import UnknownVersionError
 
@@ -58,10 +83,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "SamplingConfig",
     "EpsilonCache",
-    "PrecomputedEpsilonSampler",
+    "PrecomputedWeightSampler",
     "TileExecutor",
     "MultiVersionExecutor",
     "materialize_epsilon_sweep",
+    "materialize_weight_sweep",
     "FUSION_EVENT_KEYS",
 ]
 
@@ -88,10 +114,8 @@ def materialize_epsilon_sweep(
     Epsilons are a pure function of the sampling configuration and the
     per-layer weight *shapes* -- never of the posterior values -- so this
     runs the genuine bank construction, whole-forward prefetch and
-    per-layer ``sample`` walk against zero-valued placeholders.  Both the
-    in-process :class:`TileExecutor` cache and the shared-memory store
-    (:mod:`repro.serve.shm_cache`) call this one function, which is what
-    makes their bytes interchangeable.
+    per-layer ``sample`` walk against zero-valued placeholders.  The
+    returned tensors are private to the caller (fresh contiguous copies).
     """
     shapes = [tuple(int(dim) for dim in shape) for shape in shapes]
     if not shapes:
@@ -116,11 +140,38 @@ def materialize_epsilon_sweep(
     return epsilons
 
 
+def materialize_weight_sweep(
+    model: "BayesianNetwork", config: "SamplingConfig"
+) -> list[np.ndarray]:
+    """Build a frozen replica's sampled weights exactly as ``mc_predict`` would.
+
+    Per Bayesian layer the ``(S, *shape)`` tensor ``mu + sigma * eps`` that
+    :meth:`BatchedWeightSampler.sample` would hand the layer: the epsilons
+    come from :func:`materialize_epsilon_sweep` and the genuine
+    ``_build_weights`` turns them into weights in place, so no second
+    ``S x W`` buffer exists and no epsilon copy outlives the call.  The
+    tensors are returned read-only.  Both the in-process
+    :class:`TileExecutor` cache and the shared-memory store
+    (:mod:`repro.serve.shm_cache`) call this one function, which is what
+    makes their bytes interchangeable.
+    """
+    posteriors = [layer.weight_posterior for layer in model.bayesian_layers()]
+    sweep = materialize_epsilon_sweep(
+        [posterior.shape for posterior in posteriors], config
+    )
+    for posterior, tensor in zip(posteriors, sweep):
+        BatchedWeightSampler._build_weights(
+            posterior.mu.value, posterior.sigma, tensor, out=tensor
+        )
+        tensor.flags.writeable = False
+    return sweep
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Per-request Monte-Carlo sampling knobs (the ``mc_predict`` signature).
 
-    Frozen and hashable: it doubles as the epsilon-cache key, so two requests
+    Frozen and hashable: it doubles as the sweep-cache key, so two requests
     with equal configs are guaranteed to replay the same cached tensors.
     """
 
@@ -134,59 +185,74 @@ class SamplingConfig:
             raise ValueError("n_samples must be at least 1")
 
 
-class PrecomputedEpsilonSampler:
-    """Forward-only ``BatchedWeightSampler`` stand-in replaying cached epsilons.
+@dataclass(frozen=True)
+class ReplayedWeights:
+    """What a forward pass reads of a sampler's answer: the weights.
 
-    Implements exactly the protocol :meth:`BayesianNetwork.forward_samples`
-    exercises (``n_samples``, ``prefetch_forward``, ``sample``); weights are
-    rebuilt with the genuine
-    :meth:`BatchedWeightSampler._build_weights` operation, so every byte
-    matches what the real sampler would have produced from the same epsilons.
+    The epsilons that produced them are not kept (only a backward pass would
+    need them, and serving never runs one).
     """
 
-    def __init__(self, epsilons: Sequence[np.ndarray]) -> None:
-        if not epsilons:
-            raise ValueError("need at least one epsilon tensor")
-        self._epsilons = list(epsilons)
+    weights: np.ndarray
+
+
+class PrecomputedWeightSampler:
+    """Forward-only ``BatchedWeightSampler`` stand-in replaying cached weights.
+
+    Implements exactly the protocol :meth:`BayesianNetwork.forward_samples`
+    exercises (``n_samples``, ``prefetch_forward``, ``sample``).  The tensors
+    come from :func:`materialize_weight_sweep`, so every byte matches what
+    the real sampler would have produced for the same frozen posterior; this
+    class only checks that the network walks them in the schedule they were
+    built for.
+    """
+
+    def __init__(self, weights: Sequence[np.ndarray]) -> None:
+        if not weights:
+            raise ValueError("need at least one weight tensor")
+        self._weights = list(weights)
         self._cursor = 0
 
     @property
     def n_samples(self) -> int:
         """Number of Monte-Carlo samples along the leading axis."""
-        return self._epsilons[0].shape[0]
+        return self._weights[0].shape[0]
 
     def prefetch_forward(self, counts: Sequence[int]) -> None:
         """Validate that the network's schedule matches the cached tensors."""
-        cached = [eps[0].size for eps in self._epsilons[self._cursor :]]
+        cached = [block[0].size for block in self._weights[self._cursor :]]
         requested = [int(count) for count in counts]
         if requested != cached:
             raise StreamOrderError(
-                f"cached epsilon schedule {cached} does not match the "
+                f"cached sweep schedule {cached} does not match the "
                 f"network's forward schedule {requested}"
             )
 
-    def sample(self, mu: np.ndarray, sigma: np.ndarray) -> SampledWeightsBatch:
-        """Serve the next layer's cached epsilons as sampled weights."""
-        if self._cursor >= len(self._epsilons):
+    def sample(self, mu: np.ndarray, sigma: np.ndarray) -> ReplayedWeights:
+        """Serve the next layer's cached sampled weights."""
+        if self._cursor >= len(self._weights):
             raise StreamOrderError(
                 "forward pass requested more blocks than the cached schedule"
             )
-        epsilon = self._epsilons[self._cursor]
+        weights = self._weights[self._cursor]
         expected = (self.n_samples,) + tuple(mu.shape)
-        if epsilon.shape != expected:
+        if weights.shape != expected:
             raise StreamOrderError(
-                f"cached epsilon block has shape {epsilon.shape}, layer "
+                f"cached weight block has shape {weights.shape}, layer "
                 f"expected {expected}"
             )
         self._cursor += 1
-        return SampledWeightsBatch(
-            weights=BatchedWeightSampler._build_weights(mu, sigma, epsilon),
-            epsilon=epsilon,
-        )
+        return ReplayedWeights(weights)
 
 
 class EpsilonCache:
-    """Bounded LRU of per-layer epsilon tensors keyed by sampling config."""
+    """Bounded LRU of sampled-weight sweeps keyed by sampling config.
+
+    The name (and the ``hits`` / ``misses`` counters behind the
+    ``/v1/stats`` and Prometheus keys) dates from when an entry held the
+    epsilon sweep; an entry is now the weights built from it, one
+    ``(S, *shape)`` tensor per Bayesian layer.
+    """
 
     def __init__(self, max_entries: int = 8) -> None:
         if max_entries < 1:
@@ -209,9 +275,9 @@ class EpsilonCache:
         self.hits += 1
         return entry
 
-    def put(self, config: SamplingConfig, epsilons: list[np.ndarray]) -> None:
+    def put(self, config: SamplingConfig, sweep: list[np.ndarray]) -> None:
         """Insert (or refresh) an entry, evicting the least recently used."""
-        self._entries[config] = epsilons
+        self._entries[config] = sweep
         self._entries.move_to_end(config)
         while len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)
@@ -220,8 +286,8 @@ class EpsilonCache:
         """Drop every cached sweep (the hit/miss counters are kept).
 
         Safe at any time: entries are a pure deterministic function of their
-        :class:`SamplingConfig` and the model's layer schedule, so dropping
-        them costs one regeneration kernel sweep and can never change bytes.
+        :class:`SamplingConfig` and the frozen replica they were built from,
+        so dropping them costs one rebuild and can never change bytes.
         """
         self._entries.clear()
 
@@ -231,7 +297,12 @@ class TileExecutor:
 
     One executor is single-threaded by design: the inline server runs it on
     the dispatcher thread and each worker process owns a private instance
-    (model replica, epsilon cache and scratch buffers are not shared).
+    (model replica, sweep cache and scratch buffers are not shared).
+
+    The executor takes ownership of ``model`` and freezes it
+    (:meth:`BayesianNetwork.freeze`): the cached sweeps are a function of
+    its parameters, so those must not change underneath them.  Hand it a
+    replica (``ReplicaSpec.build()``), not a model that is still training.
     """
 
     def __init__(
@@ -239,11 +310,8 @@ class TileExecutor:
         model: "BayesianNetwork",
         max_cached_configs: int = 8,
     ) -> None:
+        model.freeze()
         self._model = model
-        self._shapes = [
-            tuple(layer.weight_posterior.mu.value.shape)
-            for layer in model.bayesian_layers()
-        ]
         self._schedule = [
             layer.n_bayesian_weights for layer in model.bayesian_layers()
         ]
@@ -270,18 +338,18 @@ class TileExecutor:
 
     @property
     def cache(self) -> EpsilonCache:
-        """The executor's epsilon cache (exposed for stats / tests)."""
+        """The executor's sweep cache (exposed for stats / tests)."""
         return self._cache
 
     # ------------------------------------------------------------------
-    def _sampler_for(self, config: SamplingConfig) -> PrecomputedEpsilonSampler:
+    def _sampler_for(self, config: SamplingConfig) -> PrecomputedWeightSampler:
         recorder = self.stage_recorder
         start = time.monotonic() if recorder is not None else 0.0
-        epsilons = self._cache.get(config)
-        cached = epsilons is not None
+        sweep = self._cache.get(config)
+        cached = sweep is not None
         if not cached:
-            epsilons = self._materialize(config)
-            self._cache.put(config, epsilons)
+            sweep = materialize_weight_sweep(self._model, config)
+            self._cache.put(config, sweep)
         if recorder is not None:
             recorder.record(
                 "epsilon_replay",
@@ -290,41 +358,35 @@ class TileExecutor:
                 cached=cached,
                 n_samples=config.n_samples,
             )
-        return PrecomputedEpsilonSampler(epsilons)
+        return PrecomputedWeightSampler(sweep)
 
-    def _materialize(self, config: SamplingConfig) -> list[np.ndarray]:
-        """Generate the epsilons exactly as a per-request ``mc_predict`` would.
-
-        Delegates to :func:`materialize_epsilon_sweep` (shared with the
-        shared-memory store): same bank construction, same whole-forward
-        prefetch, same per-layer ``sample`` walk -- so the cached tensors are
-        byte-for-byte the ones a standalone call consumes.
-        """
-        return materialize_epsilon_sweep(self._shapes, config)
-
-    def install_epsilons(
-        self, config: SamplingConfig, epsilons: Sequence[np.ndarray]
+    def install_sweep(
+        self, config: SamplingConfig, sweep: Sequence[np.ndarray]
     ) -> None:
-        """Adopt an externally materialised sweep (shared-memory attach path).
+        """Adopt an externally built weight sweep (shared-memory attach path).
 
-        Validates the sweep against the model's layer schedule before it can
-        ever be replayed; the tensors may be read-only views into a shared
-        segment -- :class:`PrecomputedEpsilonSampler` never writes them.
+        Validates the sweep against the model's layer schedule and the
+        config's ``n_samples`` before it can ever be replayed; the tensors
+        may be read-only views into a shared segment --
+        :class:`PrecomputedWeightSampler` never writes them.  Whether the
+        *values* belong to this replica is the publisher's contract (the
+        segment is keyed by version and built by
+        :func:`materialize_weight_sweep` from that version's replica).
         """
-        epsilons = list(epsilons)
-        schedule = [int(eps[0].size) for eps in epsilons]
+        sweep = list(sweep)
+        schedule = [int(block[0].size) for block in sweep]
         if schedule != self._schedule:
             raise StreamOrderError(
-                f"installed epsilon schedule {schedule} does not match the "
+                f"installed sweep schedule {schedule} does not match the "
                 f"network's forward schedule {self._schedule}"
             )
-        for eps in epsilons:
-            if eps.shape[0] != config.n_samples:
+        for block in sweep:
+            if block.shape[0] != config.n_samples:
                 raise StreamOrderError(
-                    f"installed sweep has {eps.shape[0]} samples, config "
+                    f"installed sweep has {block.shape[0]} samples, config "
                     f"expects {config.n_samples}"
                 )
-        self._cache.put(config, epsilons)
+        self._cache.put(config, sweep)
 
     _MAX_SCRATCH_SHAPES = 16
 
@@ -514,7 +576,7 @@ class MultiVersionExecutor:
     """Route per-request execution to per-model-version :class:`TileExecutor`s.
 
     The hot-swap execution core: it holds one fully independent executor
-    (model replica, epsilon cache, scratch buffers) per *loaded* version, and
+    (frozen model replica, sweep cache, scratch buffers) per *loaded* version, and
     executes each request of a tile against the executor of the version the
     request was pinned to at admission.  A tile dispatched across a deploy
     may therefore legitimately mix versions -- every request still sees
@@ -522,8 +584,8 @@ class MultiVersionExecutor:
     guarantee the swap tests assert.
 
     Structural cache isolation: because every version owns a private
-    :class:`EpsilonCache`, a swapped-in model can never replay a sweep that
-    was validated against another version's layer schedule.  ``invalidate``
+    :class:`EpsilonCache`, a swapped-in model can never replay weights that
+    were built from another version's parameters.  ``invalidate``
     additionally drops a version's cached sweeps outright (the server calls
     it for every non-active version on a swap, so cold versions do not pin
     cache memory); entries regenerate deterministically on the next request.
@@ -600,27 +662,27 @@ class MultiVersionExecutor:
             self._executors.setdefault(version, executor)
 
     def unload(self, version: str) -> None:
-        """Drop a version's executor (replica, epsilon cache, scratch)."""
+        """Drop a version's executor (replica, weight sweeps, scratch)."""
         with self._lock:
             self._executors.pop(version, None)
 
     def invalidate(self, version: str) -> None:
-        """Clear a loaded version's epsilon cache; unknown versions are a no-op."""
+        """Drop a loaded version's weight sweeps; unknown versions are a no-op."""
         with self._lock:
             executor = self._executors.get(version)
             if executor is not None:
                 executor.cache.clear()
 
-    def install_epsilons(
+    def install_sweep(
         self,
         version: str,
         config: SamplingConfig,
-        epsilons: Sequence[np.ndarray],
+        sweep: Sequence[np.ndarray],
     ) -> None:
-        """Install a shared-memory sweep into ``version``'s epsilon cache."""
+        """Install a shared-memory weight sweep into ``version``'s cache."""
         with self._lock:
             executor = self._require_locked(version)
-            executor.install_epsilons(config, epsilons)
+            executor.install_sweep(config, sweep)
 
     # ------------------------------------------------------------------
     # data plane

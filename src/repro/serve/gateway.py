@@ -100,6 +100,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
+from ..nn.metrics import predictive_entropy
 from ..obs.adapters import bind_serving_collectors
 from ..obs.metrics import MetricsRegistry, obs_enabled
 from .admission import AdmissionConfig, AdmissionController, RateLimitedError
@@ -632,12 +633,15 @@ class _Handler(BaseHTTPRequestHandler):
             handle.add_span(
                 "waiting_room", waiting_from, serialization_from, version=version
             )
+        # one mean per response: predictions / entropy / mean_probabilities
+        # are each a property that would reduce the sample axis again
+        mean = result.mean_probabilities
         payload = {
             "version": version,
             "generation": generation,
-            "predictions": result.predictions.tolist(),
-            "entropy": result.entropy.tolist(),
-            "mean_probabilities": result.mean_probabilities.tolist(),
+            "predictions": mean.argmax(axis=1).tolist(),
+            "entropy": predictive_entropy(mean).tolist(),
+            "mean_probabilities": mean.tolist(),
         }
         streamed = False
         if not gateway.config.include_sample_probabilities:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bnn.model import BayesianNetwork
 from ..bnn.predict import PredictiveResult
 from ..models.zoo import ReplicaSpec
 from ..obs.trace import StageRecorder, TraceHandle, Tracer
@@ -91,16 +92,18 @@ class ServerConfig:
     keeps the fail-fast semantics (a dead worker's tiles fail immediately);
     ``>= 1`` also re-queues a dead worker's in-flight tiles once before
     failing their futures -- retried tiles return byte-identical results
-    because tile epsilons derive from the request's seed, not worker state."""
+    because tile weights derive from the request's seed and pinned version,
+    not worker state."""
     max_cached_configs: int = 8
-    """Epsilon-cache entries kept per executor (one per sampling config)."""
+    """Weight sweeps kept per executor (one per sampling config, each
+    ``n_samples x Bayesian weights x 8`` bytes)."""
     latency_window: int = 4096
     """Recent-request window for the latency percentiles."""
     share_epsilon_sweeps: bool = True
-    """Worker-pool mode only: materialise each ``(version, config)`` epsilon
+    """Worker-pool mode only: build each ``(version, config)`` sampled-weight
     sweep once in the server process and publish it to the workers through
     ``multiprocessing.shared_memory`` -- N workers share one physical copy
-    (sub-linear pool RSS) instead of regenerating N private ones.  Attach
+    (sub-linear pool RSS) instead of building N private ones.  Attach
     failures degrade silently to private materialisation, which is
     bit-identical by construction."""
     trace_ring: int = 512
@@ -154,7 +157,7 @@ class PredictionServer:
     requests finish on their pinned version's replica.  A swap ships the
     incoming version's replica to every execution site (inline executor or
     all pool workers -- respawned replacements rebuild it too) *before* the
-    pointer moves, and invalidates the epsilon caches of every non-active
+    pointer moves, and drops the cached weight sweeps of every non-active
     version afterwards; previously loaded versions stay resident so
     ``rollback`` (and explicitly pinned canary requests) serve instantly.
     """
@@ -197,10 +200,12 @@ class PredictionServer:
         self._version_lock = threading.Lock()
         self._loaded: set[str] = set()
         self._pins: dict[str, int] = {}
-        # shared epsilon sweeps (worker-pool mode): parent-owned segments,
-        # published lazily per (version, config) from the dispatcher thread
+        # shared weight sweeps (worker-pool mode): parent-owned segments,
+        # published lazily per (version, config) from the dispatcher thread,
+        # each built from a frozen parent-side replica of its version
         self._shm_store: SharedEpsilonStore | None = None
         self._published: set[tuple[str, SamplingConfig]] = set()
+        self._publish_replicas: dict[str, BayesianNetwork] = {}
         self._shm_lock = threading.Lock()
         self._idle = threading.Event()
         self._idle.set()
@@ -303,6 +308,7 @@ class PredictionServer:
             self._shm_store.close()
             self._shm_store = None
             self._published.clear()
+            self._publish_replicas.clear()
         # any trace still open at shutdown is closed as aborted, never leaked
         # (finish is idempotent, so racing owners are harmless)
         self.tracer.abort_open()
@@ -325,7 +331,7 @@ class PredictionServer:
 
         ``x`` is one request's input batch (first axis = rows).  Requests
         sharing a :class:`SamplingConfig` are pooled into tiles and replay
-        one cached epsilon sweep.  Under backpressure the call blocks, or
+        one cached sampled-weight sweep.  Under backpressure the call blocks, or
         raises :class:`~repro.serve.microbatcher.QueueFull` when
         ``block=False`` / the timeout expires.
 
@@ -338,8 +344,8 @@ class PredictionServer:
         ``priority`` orders blocked submitters in the micro-batcher's
         waiting room (higher sheds last); ``source`` tags the request with
         its connection identity for the coalescing telemetry.  Neither can
-        influence result bytes: tiles never split a request and epsilons
-        derive from the request's own sampling config.
+        influence result bytes: tiles never split a request and sampled
+        weights derive from the request's own sampling config.
 
         ``trace`` adopts a caller-begun :class:`TraceHandle` (the gateway
         passes its admission-time handle).  Left at its default the server
@@ -515,7 +521,7 @@ class PredictionServer:
         execution site *before* the registry pointer moves (per-worker task
         queues are FIFO, so a request pinned after the swap can only reach a
         worker that has already applied the load), and every *other* loaded
-        version's epsilon cache is invalidated after it.  Returns the new
+        version's cached weight sweeps are dropped after it.  Returns the new
         :class:`~repro.serve.registry.Deployment`.
         """
         if not self._started or self._closed:
@@ -549,8 +555,8 @@ class PredictionServer:
             self._loaded.add(version)
         deployment = registry_op()
         # swap invalidation: cold versions keep their replicas (rollback
-        # and pinned traffic stay instant) but drop their cached epsilon
-        # sweeps -- they regenerate deterministically on the next request
+        # and pinned traffic stay instant) but drop their cached weight
+        # sweeps -- they rebuild deterministically on the next request
         for other in self._loaded - {version}:
             self._drop_shared_sweeps(other)
             if self._pool is not None:
@@ -671,8 +677,9 @@ class PredictionServer:
                 if key in self._published:
                     continue
                 try:
-                    shapes = self._registry.get(version).replica.spec.weight_shapes()
-                    descriptor = self._shm_store.publish(version, config, shapes)
+                    descriptor = self._shm_store.publish(
+                        version, config, self._publish_replica(version)
+                    )
                     self._pool.publish_sweep(descriptor)
                 except Exception:  # pragma: no cover - degraded-mode fallback
                     pass
@@ -680,11 +687,21 @@ class PredictionServer:
                 # turn a persistent failure into per-tile overhead
                 self._published.add(key)
 
+    def _publish_replica(self, version: str) -> BayesianNetwork:
+        """The parent-side frozen replica ``version``'s sweeps are built from."""
+        model = self._publish_replicas.get(version)
+        if model is None:
+            model = self._registry.get(version).replica.build()
+            model.freeze()
+            self._publish_replicas[version] = model
+        return model
+
     def _drop_shared_sweeps(self, version: str) -> None:
         """Unlink ``version``'s shared segments (deploy/rollback/retire)."""
         with self._shm_lock:
             if self._shm_store is not None:
                 self._shm_store.invalidate(version)
+            self._publish_replicas.pop(version, None)
             self._published = {
                 key for key in self._published if key[0] != version
             }

@@ -1,16 +1,24 @@
-"""Shared-memory epsilon sweeps: materialise once, attach everywhere.
+"""Shared-memory weight sweeps: build once, attach everywhere.
 
-Without this module every pool worker privately materialises identical
-``(S, *weight_shape)`` epsilon sweeps per :class:`SamplingConfig` -- the
-generator-bank kernel work is redundant and, worse, the worker-pool RSS
-grows linearly with the worker count.  Here the *server* (parent process)
-materialises each ``(version, config)`` sweep exactly once -- through the
-same :func:`~repro.serve.executor.materialize_epsilon_sweep` the in-process
-cache uses, so the bytes are interchangeable -- into one
+Without this module every pool worker privately builds identical
+``(S, *weight_shape)`` sampled-weight sweeps per :class:`SamplingConfig` --
+the generator-bank kernel work, the softplus and the multiply-add are
+redundant and, worse, the worker-pool RSS grows linearly with the worker
+count.  Here the *server* (parent process) builds each ``(version, config)``
+sweep exactly once -- through the same
+:func:`~repro.serve.executor.materialize_weight_sweep` a private cache miss
+uses, so the bytes are interchangeable -- into one
 :mod:`multiprocessing.shared_memory` segment, and workers attach it
 read-only.  N workers then share one physical copy (sub-linear RSS), and a
-worker's first request for a known config skips the generation sweep
-entirely.
+worker's first request for a known config skips the build entirely.  A
+segment is ``S x W x 8`` bytes plus alignment, as it was when it carried the
+epsilons; the parent's private copy (epsilons turned into weights in place)
+is dropped when ``publish`` returns, so no process keeps two copies of a
+sweep.
+
+The weights depend on the version's parameters, not only on its layer
+schedule, so the segment key's ``version`` is load-bearing: a segment is
+only ever built from, and installed into, replicas of the version it names.
 
 Ownership and crash safety
 --------------------------
@@ -34,11 +42,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .executor import SamplingConfig, materialize_epsilon_sweep
+from .executor import SamplingConfig, materialize_weight_sweep
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..bnn.model import BayesianNetwork
 
 __all__ = [
     "SweepDescriptor",
@@ -116,7 +127,7 @@ class SweepDescriptor:
 
 
 class SharedEpsilonStore:
-    """Parent-side owner of the shared epsilon segments (create + unlink)."""
+    """Parent-side owner of the shared weight-sweep segments (create + unlink)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -132,38 +143,38 @@ class SharedEpsilonStore:
         self,
         version: str,
         config: SamplingConfig,
-        shapes: Sequence[tuple[int, ...]],
+        model: "BayesianNetwork",
     ) -> SweepDescriptor:
-        """Materialise (once) and publish the sweep for ``(version, config)``.
+        """Build (once) and publish the weight sweep for ``(version, config)``.
 
-        Idempotent per key: a second publish returns the existing
-        descriptor.  The epsilons come from
-        :func:`materialize_epsilon_sweep`, i.e. they are byte-for-byte what
-        any executor would generate privately.
+        ``model`` is a frozen replica of ``version``.  Idempotent per key: a
+        second publish returns the existing descriptor.  The weights come
+        from :func:`materialize_weight_sweep`, i.e. they are byte-for-byte
+        what an executor holding that version would build privately.
         """
         key = (version, config)
         with self._lock:
             if self._closed:
-                raise RuntimeError("the shared epsilon store is closed")
+                raise RuntimeError("the shared sweep store is closed")
             existing = self._segments.get(key)
             if existing is not None:
                 return existing[1]
-        shapes = tuple(tuple(int(dim) for dim in shape) for shape in shapes)
-        epsilons = materialize_epsilon_sweep(shapes, config)
+        sweep = materialize_weight_sweep(model, config)
+        shapes = tuple(tuple(block.shape[1:]) for block in sweep)
         nbytes = sweep_nbytes(shapes, config.n_samples)
         shm = shared_memory.SharedMemory(create=True, size=nbytes)
         try:
-            for eps, offset in zip(
-                epsilons, _layer_offsets(shapes, config.n_samples)
+            for block, offset in zip(
+                sweep, _layer_offsets(shapes, config.n_samples)
             ):
                 view = np.ndarray(
-                    eps.shape, dtype=np.float64, buffer=shm.buf, offset=offset
+                    block.shape, dtype=np.float64, buffer=shm.buf, offset=offset
                 )
-                view[...] = eps
+                view[...] = block
                 del view
             with self._lock:
                 if self._closed:
-                    raise RuntimeError("the shared epsilon store is closed")
+                    raise RuntimeError("the shared sweep store is closed")
                 racing = self._segments.get(key)
                 if racing is not None:
                     descriptor = racing[1]
@@ -195,10 +206,11 @@ class SharedEpsilonStore:
     def invalidate(self, version: str) -> int:
         """Unlink every segment of ``version``; returns how many were dropped.
 
-        Mirrors ``EpsilonCache.clear``: safe at any time because sweeps are
-        a pure function of (config, layer schedule).  Workers already
-        attached keep their mapped pages; new attaches fail fast and fall
-        back to private materialisation.
+        Mirrors ``EpsilonCache.clear``: safe at any time because a sweep is
+        a pure function of (config, the version's frozen parameters).
+        Workers already attached keep their mapped pages until the
+        ``invalidate`` control message makes them drop the attachment; new
+        attaches fail fast and fall back to private materialisation.
         """
         with self._lock:
             keys = [key for key in self._segments if key[0] == version]
@@ -228,8 +240,8 @@ class SharedEpsilonStore:
 class ShmAttachment:
     """A worker-side, read-only, refcounted mapping of one published sweep.
 
-    ``epsilons`` are non-writeable numpy views straight into the shared
-    segment -- :class:`~repro.serve.executor.PrecomputedEpsilonSampler`
+    ``weights`` are non-writeable numpy views straight into the shared
+    segment -- :class:`~repro.serve.executor.PrecomputedWeightSampler`
     only ever reads them.  ``acquire``/``release`` count users (the initial
     attachment holds one reference); the mapping closes when the count
     reaches zero.  If numpy views are still referenced elsewhere at that
@@ -265,8 +277,8 @@ class ShmAttachment:
         self._lock = threading.Lock()
 
     @property
-    def epsilons(self) -> list[np.ndarray]:
-        """The per-layer read-only epsilon views (sampler-ready)."""
+    def weights(self) -> list[np.ndarray]:
+        """The per-layer read-only sampled-weight views (sampler-ready)."""
         with self._lock:
             if self._views is None:
                 raise RuntimeError("attachment is closed")

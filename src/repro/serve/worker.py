@@ -4,10 +4,11 @@ The ``(S, batch)`` fold is embarrassingly parallel along both axes, so tiles
 can execute anywhere a bit-identical replica lives.  Each worker process
 rebuilds its replica from a picklable
 :class:`~repro.models.zoo.ReplicaSpec` and owns a private
-:class:`~repro.serve.executor.TileExecutor` -- its own epsilon cache backed
-by its own ``StreamBank`` construction.  Because every tile's epsilons are
-regenerated from the *request's* sampling seed (not from any worker-local
-state), the union of the workers' outputs reproduces the single-process
+:class:`~repro.serve.executor.TileExecutor` -- its own cache of sampled-weight
+sweeps, each built from its own ``StreamBank`` construction and its own frozen
+replica.  Because every tile's weights derive from the *request's* sampling
+seed and the pinned version's parameters (not from any worker-local state),
+the union of the workers' outputs reproduces the single-process
 trajectory bit for bit, for any worker count and any tile-to-worker
 assignment.
 
@@ -22,13 +23,13 @@ With a :class:`~repro.distrib.respawn.RespawnPolicy` the pool also
 *recovers*: a crashed worker is replaced (bounded by the policy's respawn
 budget) and its orphaned tiles are re-queued onto healthy workers (bounded
 per tile) before anything is failed with :class:`WorkerCrashError`.
-Re-execution is safe because a tile's epsilons derive from the request's
-seed, never from worker state -- a retried tile returns byte-identical
-probabilities.  Without a policy (the default) a dead worker's tiles fail
-fast, the pre-respawn behaviour.
+Re-execution is safe because a tile's weights derive from the request's
+seed and pinned version, never from worker state -- a retried tile returns
+byte-identical probabilities.  Without a policy (the default) a dead
+worker's tiles fail fast, the pre-respawn behaviour.
 
 Versioned serving: each worker owns a
-:class:`~repro.serve.executor.MultiVersionExecutor` (one replica + epsilon
+:class:`~repro.serve.executor.MultiVersionExecutor` (one replica + sweep
 cache per loaded model version); hot-swap control messages
 (``load``/``invalidate``/``unload``) ride the same per-worker FIFO task
 queues as tiles, so they order deterministically against dispatched work,
@@ -91,14 +92,15 @@ def _worker_main(
     message enqueued at deploy time is applied before any tile dispatched
     after the deploy, and after every tile dispatched before it.
 
-    A ``shm`` descriptor attaches the parent's shared epsilon segment
-    read-only and installs the views straight into the version's epsilon
-    cache -- the worker then replays the sweep without regenerating it, and
-    all workers share one physical copy.  Attach failures are never fatal:
-    the worker simply keeps materialising privately (bit-identical by
-    construction).  Attachments are dropped whenever their version is
-    invalidated or unloaded, so a deploy/rollback can never leave a worker
-    serving a stale mapping.
+    A ``shm`` descriptor attaches the parent's shared weight-sweep segment
+    read-only and installs the views straight into the named version's
+    sweep cache (after the schedule / ``n_samples`` check) -- the worker then
+    replays the weights without building them, and all workers share one
+    physical copy.  Attach failures are never fatal: the worker simply keeps
+    materialising privately (bit-identical by construction).  Attachments
+    are dropped whenever their version is invalidated or unloaded, together
+    with the cache entries that view them, so a deploy/rollback can never
+    leave a worker serving a stale mapping.
     """
 
     def _drop_attachments(store: dict, version: str) -> None:
@@ -184,8 +186,8 @@ def _worker_main(
             descriptor: SweepDescriptor = task[1]
             try:
                 attachment = attach_sweep(descriptor)
-                executor.install_epsilons(
-                    descriptor.version, descriptor.config, attachment.epsilons
+                executor.install_sweep(
+                    descriptor.version, descriptor.config, attachment.weights
                 )
             except BaseException:
                 # segment already invalidated, schedule mismatch, ...: the
@@ -429,7 +431,7 @@ class WorkerPool:
         self._broadcast(("load", version, replica))
 
     def invalidate_version(self, version: str) -> None:
-        """Clear every worker's epsilon cache for ``version`` (kept loaded)."""
+        """Drop every worker's weight sweeps for ``version`` (kept loaded)."""
         self.drop_sweeps(version)
         self._broadcast(("invalidate", version))
 
@@ -441,7 +443,7 @@ class WorkerPool:
         self._broadcast(("unload", version))
 
     # ------------------------------------------------------------------
-    # shared epsilon sweeps
+    # shared weight sweeps
     # ------------------------------------------------------------------
     def publish_sweep(self, descriptor: SweepDescriptor) -> None:
         """Announce a parent-published shared sweep to every worker.

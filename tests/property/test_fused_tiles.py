@@ -11,16 +11,26 @@ tests pin both sides of it:
 * when fusion cannot run (``REPRO_FUSED=0``, or a force-failed stability
   verdict), the executor falls back to the per-request path, the bytes stay
   identical, and the fallback is COUNTED in the fusion events -- never
-  silent.
+  silent;
+* the cached sampled-weight sweep a tile replays never changes bytes through
+  its whole life (cold miss, warm hit, LRU eviction, re-materialisation),
+  costs a warm tile no weight build at all, and cannot go stale: the served
+  replica is frozen.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bnn import posteriors
 from repro.bnn.predict import mc_predict
 from repro.core import stability
+from repro.core.sampler import BatchedWeightSampler
 from repro.core.stability import RowStabilityProbe
 from repro.models.zoo import get_model
 from repro.serve.executor import SamplingConfig, TileExecutor
@@ -47,22 +57,24 @@ def _lenet_requests():
     return model, xs
 
 
+def _reference(model, x, config):
+    return mc_predict(
+        model,
+        x,
+        n_samples=config.n_samples,
+        seed=config.seed,
+        grng_stride=config.grng_stride,
+        lfsr_bits=config.lfsr_bits,
+    ).sample_probabilities
+
+
 def _assert_tile_matches_mc_predict(model, xs, executor=None):
     executor = executor or TileExecutor(model)
     outcomes = executor.execute([(x, CONFIG) for x in xs])
     for x, (probabilities, error) in zip(xs, outcomes):
         assert error is None
-        reference = mc_predict(
-            model,
-            x,
-            n_samples=CONFIG.n_samples,
-            seed=CONFIG.seed,
-            grng_stride=CONFIG.grng_stride,
-            lfsr_bits=CONFIG.lfsr_bits,
-        )
         assert (
-            probabilities.tobytes()
-            == reference.sample_probabilities.tobytes()
+            probabilities.tobytes() == _reference(model, x, CONFIG).tobytes()
         ), "pooled result diverged from standalone mc_predict"
     return executor.consume_fusion_events()
 
@@ -180,3 +192,115 @@ def test_fused_serving_end_to_end(monkeypatch):
         "fallback_requests"
     ] == len(xs)
     assert snapshot.fusion["fused_tiles"] >= 1
+
+
+# ----------------------------------------------------------------------
+# the cached weight sweep: cold miss -> warm hit -> eviction -> rebuild
+# ----------------------------------------------------------------------
+@settings(max_examples=10, deadline=None)
+@given(
+    name=st.sampled_from(["B-MLP", "B-LeNet"]),
+    build_seed=st.integers(0, 2**16),
+    n_samples=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+    grng_stride=st.sampled_from([64, 256]),
+    rows=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    fused=st.sampled_from(["auto", "0"]),
+)
+def test_weight_sweep_lifecycle_is_byte_identical(
+    name, build_seed, n_samples, seed, grng_stride, rows, fused
+):
+    spec = get_model(name, reduced=True)
+    # the oracle model is built independently of the served (frozen) replica
+    oracle = spec.build_bayesian(seed=build_seed)
+    executor = TileExecutor(spec.build_bayesian(seed=build_seed))
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal((n,) + _request_shape(spec)) for n in rows]
+    configs = [
+        SamplingConfig(n_samples=n_samples, seed=seed + k, grng_stride=grng_stride)
+        for k in range(9)
+    ]
+
+    def serve_and_check(config):
+        outcomes = executor.execute([(x, config) for x in xs])
+        for x, (probabilities, error) in zip(xs, outcomes):
+            assert error is None
+            assert probabilities.tobytes() == _reference(oracle, x, config).tobytes()
+
+    cache = executor.cache
+    with mock.patch.dict("os.environ", {"REPRO_FUSED": fused}):
+        serve_and_check(configs[0])  # cold miss
+        assert cache.misses == 1
+        hits = cache.hits  # an unfused tile looks the sweep up per request
+        serve_and_check(configs[0])  # warm hit
+        assert cache.misses == 1 and cache.hits > hits
+        for config in configs[1:]:  # nine configs through eight entries
+            serve_and_check(config)
+        assert len(cache) == 8 and cache.misses == 9
+        serve_and_check(configs[0])  # evicted above: rebuilt, same bytes
+        assert cache.misses == 10
+        serve_and_check(configs[-1])  # still resident
+        assert cache.misses == 10
+
+
+def _request_shape(spec) -> tuple[int, ...]:
+    if spec.flatten_input:
+        return (int(np.prod(spec.input_shape)),)
+    return tuple(spec.input_shape)
+
+
+def test_warm_tile_builds_no_weights_and_runs_no_softplus(monkeypatch):
+    monkeypatch.setenv("REPRO_FUSED", "auto")
+    calls = {"build_weights": 0, "softplus": 0}
+    real_build = BatchedWeightSampler._build_weights
+    real_softplus = posteriors.softplus
+
+    def counting_build(*args, **kwargs):
+        calls["build_weights"] += 1
+        return real_build(*args, **kwargs)
+
+    def counting_softplus(rho):
+        calls["softplus"] += 1
+        return real_softplus(rho)
+
+    monkeypatch.setattr(
+        BatchedWeightSampler, "_build_weights", staticmethod(counting_build)
+    )
+    monkeypatch.setattr(posteriors, "softplus", counting_softplus)
+
+    model, xs = _mlp_requests()
+    n_layers = len(model.bayesian_layers())
+    executor = TileExecutor(model)
+    assert calls["softplus"] == n_layers  # sigma memoised once, at the freeze
+    tile = [(x, CONFIG) for x in xs]
+    cold = executor.execute(tile)
+    assert calls["build_weights"] >= n_layers  # the miss built the sweep
+    assert calls["softplus"] == n_layers
+    calls["build_weights"] = 0
+    warm = executor.execute(tile)  # fused (or per-request fallback) replay
+    solo = executor.execute_one(xs[0], CONFIG)
+    assert calls == {"build_weights": 0, "softplus": n_layers}
+    for (a, _), (b, _) in zip(cold, warm):
+        assert a.tobytes() == b.tobytes()
+    assert solo.tobytes() == cold[0][0].tobytes()
+
+
+@pytest.mark.parametrize("build", [_mlp_requests, _lenet_requests], ids=["mlp", "lenet"])
+def test_served_replica_is_frozen(build):
+    model, xs = build()
+    executor = TileExecutor(model)
+    before = executor.execute_one(xs[0], CONFIG)
+    for layer in model.bayesian_layers():
+        posterior = layer.weight_posterior
+        with pytest.raises(ValueError, match="read-only"):
+            posterior.mu.value[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            posterior.rho.value += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            posterior.sigma[...] = 1.0
+    for parameter in model.parameters():
+        assert not parameter.value.flags.writeable
+    # the cached sweep is read-only too, and nothing above got through
+    for block in executor.cache.get(CONFIG):
+        assert not block.flags.writeable
+    assert executor.execute_one(xs[0], CONFIG).tobytes() == before.tobytes()

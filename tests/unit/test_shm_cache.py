@@ -1,4 +1,4 @@
-"""Unit tests for the shared-memory epsilon store and the epsilon caches.
+"""Unit tests for the shared-memory weight-sweep store and the sweep caches.
 
 Covers the parent-owns-segments lifecycle (publish idempotence, invalidate
 on deploy/rollback, close), the worker-side attachment discipline
@@ -6,7 +6,7 @@ on deploy/rollback, close), the worker-side attachment discipline
 unlink the parent's live segment), the structural sub-linear-RSS property
 (N attachers share ONE segment), plus regression locks on the in-process
 ``EpsilonCache`` LRU (promote-on-get) and on
-``TileExecutor.install_epsilons`` schedule validation.
+``TileExecutor.install_sweep`` schedule / sample-count validation.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.serve.executor import (
     SamplingConfig,
     TileExecutor,
     materialize_epsilon_sweep,
+    materialize_weight_sweep,
 )
 from repro.serve.shm_cache import (
     SharedEpsilonStore,
@@ -32,8 +33,20 @@ from repro.serve.shm_cache import (
     sweep_nbytes,
 )
 
-SHAPES = ((7, 5), (3, 2, 2, 2), (4, 3))
+# conv and dense weight shapes in one sweep
+MODEL = get_model("B-LeNet", reduced=True).build_bayesian(seed=21)
+SHAPES = [layer.weight_posterior.shape for layer in MODEL.bayesian_layers()]
 CONFIG = SamplingConfig(n_samples=4, seed=11)
+
+
+def _expected_sweep(model=MODEL, config=CONFIG) -> list[np.ndarray]:
+    """The scalar sampler's expression over the standalone epsilon sweep."""
+    posteriors = [layer.weight_posterior for layer in model.bayesian_layers()]
+    epsilons = materialize_epsilon_sweep([p.shape for p in posteriors], config)
+    return [
+        posterior.mu.value + epsilon * posterior.sigma
+        for posterior, epsilon in zip(posteriors, epsilons)
+    ]
 
 
 def _segment_path(descriptor) -> str:
@@ -45,11 +58,11 @@ def _segment_path(descriptor) -> str:
 # ----------------------------------------------------------------------
 def test_publish_round_trips_the_materialised_sweep():
     with SharedEpsilonStore() as store:
-        descriptor = store.publish("v1", CONFIG, SHAPES)
+        descriptor = store.publish("v1", CONFIG, MODEL)
         assert descriptor.nbytes == sweep_nbytes(SHAPES, CONFIG.n_samples)
         attachment = attach_sweep(descriptor)
-        expected = materialize_epsilon_sweep(SHAPES, CONFIG)
-        got = attachment.epsilons
+        expected = _expected_sweep()
+        got = attachment.weights
         assert len(got) == len(expected)
         for view, ref in zip(got, expected):
             assert view.shape == ref.shape
@@ -59,8 +72,8 @@ def test_publish_round_trips_the_materialised_sweep():
 
 def test_views_are_read_only():
     with SharedEpsilonStore() as store:
-        attachment = attach_sweep(store.publish("v1", CONFIG, SHAPES))
-        view = attachment.epsilons[0]
+        attachment = attach_sweep(store.publish("v1", CONFIG, MODEL))
+        view = attachment.weights[0]
         assert not view.flags.writeable
         with pytest.raises(ValueError):
             view[0, 0, 0] = 1.0
@@ -69,9 +82,9 @@ def test_views_are_read_only():
 
 def test_publish_is_idempotent_per_key_and_distinct_per_config():
     with SharedEpsilonStore() as store:
-        first = store.publish("v1", CONFIG, SHAPES)
-        assert store.publish("v1", CONFIG, SHAPES) is first
-        other = store.publish("v1", SamplingConfig(n_samples=4, seed=99), SHAPES)
+        first = store.publish("v1", CONFIG, MODEL)
+        assert store.publish("v1", CONFIG, MODEL) is first
+        other = store.publish("v1", SamplingConfig(n_samples=4, seed=99), MODEL)
         assert other.segment != first.segment
         assert other.generation > first.generation
         assert len(store.descriptors()) == 2
@@ -79,8 +92,8 @@ def test_publish_is_idempotent_per_key_and_distinct_per_config():
 
 def test_invalidate_unlinks_only_that_version():
     with SharedEpsilonStore() as store:
-        v1 = store.publish("v1", CONFIG, SHAPES)
-        v2 = store.publish("v2", CONFIG, SHAPES)
+        v1 = store.publish("v1", CONFIG, MODEL)
+        v2 = store.publish("v2", CONFIG, MODEL)
         assert store.invalidate("v1") == 1
         assert not os.path.exists(_segment_path(v1))
         assert os.path.exists(_segment_path(v2))
@@ -92,13 +105,13 @@ def test_invalidate_unlinks_only_that_version():
 
 def test_close_unlinks_everything_and_refuses_new_publishes():
     store = SharedEpsilonStore()
-    descriptor = store.publish("v1", CONFIG, SHAPES)
+    descriptor = store.publish("v1", CONFIG, MODEL)
     store.close()
     assert not os.path.exists(_segment_path(descriptor))
     assert store.descriptors() == []
     store.close()  # idempotent
     with pytest.raises(RuntimeError):
-        store.publish("v1", CONFIG, SHAPES)
+        store.publish("v1", CONFIG, MODEL)
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +119,7 @@ def test_close_unlinks_everything_and_refuses_new_publishes():
 # ----------------------------------------------------------------------
 def test_attachment_refcounting():
     with SharedEpsilonStore() as store:
-        attachment = attach_sweep(store.publish("v1", CONFIG, SHAPES))
+        attachment = attach_sweep(store.publish("v1", CONFIG, MODEL))
         assert attachment.refcount == 1 and not attachment.closed
         assert attachment.acquire() is attachment
         assert attachment.refcount == 2
@@ -115,7 +128,7 @@ def test_attachment_refcounting():
         assert attachment.release() is True  # last user: unmapped
         assert attachment.closed
         with pytest.raises(RuntimeError):
-            _ = attachment.epsilons
+            _ = attachment.weights
         with pytest.raises(RuntimeError):
             attachment.acquire()
         assert attachment.release() is True  # further releases are no-ops
@@ -123,7 +136,7 @@ def test_attachment_refcounting():
 
 def test_attachment_close_is_idempotent():
     with SharedEpsilonStore() as store:
-        attachment = attach_sweep(store.publish("v1", CONFIG, SHAPES))
+        attachment = attach_sweep(store.publish("v1", CONFIG, MODEL))
         attachment.close()
         attachment.close()
         assert attachment.closed and attachment.refcount == 0
@@ -134,7 +147,7 @@ def test_attachment_close_is_idempotent():
 # ----------------------------------------------------------------------
 def _attach_check_and_die(descriptor, expected_bytes, ok_queue):
     attachment = attach_sweep(descriptor)
-    blobs = [view.tobytes() for view in attachment.epsilons]
+    blobs = [view.tobytes() for view in attachment.weights]
     ok_queue.put(blobs == expected_bytes)
     ok_queue.close()
     ok_queue.join_thread()  # flush: _exit would race the feeder thread
@@ -147,8 +160,8 @@ def test_worker_crash_cannot_unlink_or_leak_the_segment():
     ctx = multiprocessing.get_context("fork")
     before = set(glob.glob("/dev/shm/psm_*"))
     with SharedEpsilonStore() as store:
-        descriptor = store.publish("v1", CONFIG, SHAPES)
-        expected = [eps.tobytes() for eps in materialize_epsilon_sweep(SHAPES, CONFIG)]
+        descriptor = store.publish("v1", CONFIG, MODEL)
+        expected = [block.tobytes() for block in _expected_sweep()]
         ok_queue = ctx.Queue()
         worker = ctx.Process(
             target=_attach_check_and_die, args=(descriptor, expected, ok_queue)
@@ -165,14 +178,14 @@ def test_worker_crash_cannot_unlink_or_leak_the_segment():
 
 def test_n_attachers_share_one_physical_segment():
     # the structural form of the sub-linear-RSS claim: however many workers
-    # attach, exactly ONE segment of epsilon bytes exists on the machine
+    # attach, exactly ONE segment of sweep bytes exists on the machine
     # (each worker maps it instead of materialising a private copy); the
     # serving benchmark records the resulting RSS behaviour
     ctx = multiprocessing.get_context("fork")
     before = set(glob.glob("/dev/shm/psm_*"))
     with SharedEpsilonStore() as store:
-        descriptor = store.publish("v1", CONFIG, SHAPES)
-        expected = [eps.tobytes() for eps in materialize_epsilon_sweep(SHAPES, CONFIG)]
+        descriptor = store.publish("v1", CONFIG, MODEL)
+        expected = [block.tobytes() for block in _expected_sweep()]
         ok_queue = ctx.Queue()
         workers = [
             ctx.Process(
@@ -190,7 +203,7 @@ def test_n_attachers_share_one_physical_segment():
 
 
 # ----------------------------------------------------------------------
-# TileExecutor.install_epsilons (the worker-side adoption hook)
+# TileExecutor.install_sweep (the worker-side adoption hook)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def mlp_executor():
@@ -198,46 +211,40 @@ def mlp_executor():
     return spec, TileExecutor(spec.build_bayesian(seed=21))
 
 
-def test_install_epsilons_serves_identical_bytes(mlp_executor):
+def test_install_sweep_serves_identical_bytes(mlp_executor):
     spec, executor = mlp_executor
     config = SamplingConfig(n_samples=4, seed=5)
     reference = TileExecutor(spec.build_bayesian(seed=21))
     x = np.random.default_rng(0).standard_normal((6, 196))
     want = reference.execute_one(x, config)  # private materialisation
-    executor.install_epsilons(
-        config, materialize_epsilon_sweep(spec.weight_shapes(), config)
+    executor.install_sweep(
+        config, materialize_weight_sweep(spec.build_bayesian(seed=21), config)
     )
     hits = executor.cache.hits
     got = executor.execute_one(x, config)
-    assert executor.cache.hits == hits + 1  # replayed, not regenerated
+    assert executor.cache.hits == hits + 1  # replayed, not rebuilt
     assert got.tobytes() == want.tobytes()
 
 
-def test_install_epsilons_rejects_schedule_mismatch(mlp_executor):
-    _, executor = mlp_executor
+def test_materialised_weights_are_read_only_and_match_the_scalar_expression():
+    sweep = materialize_weight_sweep(MODEL, CONFIG)
+    for block, ref in zip(sweep, _expected_sweep()):
+        assert not block.flags.writeable
+        assert block.tobytes() == ref.tobytes()
+
+
+def test_install_sweep_rejects_schedule_mismatch(mlp_executor):
+    spec, executor = mlp_executor
     config = SamplingConfig(n_samples=4, seed=6)
     with pytest.raises(StreamOrderError):
-        executor.install_epsilons(
-            config, materialize_epsilon_sweep(((3, 3), (3, 2)), config)
-        )
+        executor.install_sweep(config, materialize_weight_sweep(MODEL, config))
     with pytest.raises(StreamOrderError):
         # right schedule, wrong sample count
-        wrong = materialize_epsilon_sweep(
-            ((196, 64), (64, 64), (64, 64), (64, 10)),
-            SamplingConfig(n_samples=2, seed=6),
+        wrong = materialize_weight_sweep(
+            spec.build_bayesian(seed=21), SamplingConfig(n_samples=2, seed=6)
         )
-        executor.install_epsilons(config, wrong)
-
-
-def test_spec_weight_shapes_match_built_posteriors():
-    for name in ("B-MLP", "B-LeNet"):
-        spec = get_model(name, reduced=True)
-        model = spec.build_bayesian(seed=3)
-        built = tuple(
-            tuple(layer.weight_posterior.mu.value.shape)
-            for layer in model.bayesian_layers()
-        )
-        assert spec.weight_shapes() == built
+        executor.install_sweep(config, wrong)
+    assert executor.cache.get(config) is None  # nothing rejected was adopted
 
 
 # ----------------------------------------------------------------------
