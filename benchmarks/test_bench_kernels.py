@@ -9,7 +9,7 @@ wall-clock -- the acceptance criterion (evaluated by
 backend is at least as fast as the reference oracle within noise.
 
 Backends that are unavailable in this environment (e.g. the compiled
-``grng_block``/``native`` kernel without a C compiler) self-skip; workloads
+``native`` kernels without a C compiler) self-skip; workloads
 are chosen inside every remaining backend's support domain so a forced
 selection can never silently fall back to the oracle.
 """
@@ -70,6 +70,18 @@ def _workload(kernel: str):
     if kernel == "im2col":
         x = rng.standard_normal(IM2COL_SHAPE)
         return (x, 3, 1, 0), {}
+    if kernel in ("col2im", "maxpool2d_forward", "maxpool2d_backward"):
+        # channels-last storage, as the training step carries it
+        x = np.ascontiguousarray(
+            np.maximum(rng.standard_normal(IM2COL_SHAPE), 0.0).transpose(0, 2, 3, 1)
+        ).transpose(0, 3, 1, 2)
+        if kernel == "col2im":
+            cols, _, _ = backend.registry.call("im2col", x, 3, 1, 1)
+            return (cols, IM2COL_SHAPE, 3, 1, 1), {}
+        if kernel == "maxpool2d_forward":
+            return (x, 2, 2), {}
+        pooled, argmax = backend.registry.call("maxpool2d_forward", x, 2, 2)
+        return (pooled, argmax, IM2COL_SHAPE, 2, 2), {}
     if kernel == "fused_sample_matmul":
         # a pooled serving tile: 4 requests of 16 rows each, MLP-sized layer
         s, k, n = 8, 196, 128

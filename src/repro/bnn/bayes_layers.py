@@ -466,8 +466,20 @@ class BayesConv2D(BayesianLayer):
         sigma = self.weight_posterior.sigma
         weights = self.sample_weights_batch(sampler, sigma)
         bias_value = self.bias.value if self.bias is not None else None
+        cols_out = None
+        if self._workspace is not None:
+            _, out_h, out_w = self.output_shape(x.shape[1:])
+            cols_shape = (
+                folded_shape[0] // n_samples * out_h * out_w,
+                self.in_channels * self.kernel_size**2,
+            )
+            cols_out = [
+                self._workspace.take(self, f"cols{s}", cols_shape, x.dtype)
+                for s in range(1 if shared_input else n_samples)
+            ]
         out, cols = F.conv2d_forward_samples(
-            x, weights, bias_value, self.stride, self.padding, n_samples, shared_input
+            x, weights, bias_value, self.stride, self.padding, n_samples, shared_input,
+            cols_out=cols_out,
         )
         self._cache = {
             "cols": cols,
@@ -493,9 +505,14 @@ class BayesConv2D(BayesianLayer):
         x_shape: tuple[int, int, int, int] = self._cache["x_shape"]  # type: ignore[assignment]
         sigma: np.ndarray = self._cache["sigma"]  # type: ignore[assignment]
         weights, epsilon = self.resample_weights_batch(sampler, sigma)
+        buffer = None
+        if need_input_grad and self._workspace is not None:
+            buffer = self._workspace.take(
+                self, "grad_input", x_shape, np.result_type(grad_out, weights), nhwc=True
+            )
         grad_input, grad_weight, grad_bias = F.conv2d_backward_samples(
             grad_out, cols, x_shape, weights, self.stride, self.padding, n_samples,
-            need_input_grad,
+            need_input_grad, out=buffer,
         )
         if self.bias is not None:
             tape = active_tape()

@@ -14,6 +14,15 @@ Two execution modes are offered:
   blocks in a single generator-bank kernel call (the per-layer block sizes
   are the network's static schedule) and is bit-identical to the per-sample
   mode: same values, same parameter trajectory, same stream state.
+
+A batched *training* pass (``forward_samples`` on a network in training mode,
+which ``backward_samples`` follows) lends the layers a
+:class:`~repro.nn.tensor_utils.Workspace`: column matrices, pooled outputs,
+argmax maps and the gradient tensors that ``col2im`` and the max-pool scatter
+fill are written into buffers the network keeps from step to step instead of
+multi-megabyte temporaries.  Nothing that outlives a step aliases it (the
+returned logits are checked), forward-only prediction runs in evaluation mode
+and never sees it, and :meth:`BayesianNetwork.release_sample_caches` drops it.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import numpy as np
 from ..core.sampler import BatchedWeightSampler, WeightSampler
 from ..nn.layers import Layer, Parameter
 from ..nn.quantization import QuantizationConfig
+from ..nn.tensor_utils import Workspace
 from .bayes_layers import BayesConv2D, BayesianLayer
 from .elbo import gaussian_kl_divergence
 from .grad_tape import active_tape
@@ -60,6 +70,8 @@ class BayesianNetwork:
         # folded inputs of trainable deterministic layers, stashed by a
         # batched forward pass for its backward pass
         self._det_layer_inputs: dict[int, np.ndarray] = {}
+        # step buffers of the batched training pass, kept between steps
+        self._workspace: Workspace | None = None
 
     # ------------------------------------------------------------------
     # configuration
@@ -175,9 +187,16 @@ class BayesianNetwork:
         ``(S, batch, ...)`` with slice ``[i]`` bit-identical to
         ``forward_sample(x, bank.sampler(i))``.  A leading
         :class:`BayesConv2D` receives ``x`` un-folded and lowers it once for
-        all samples; anything else starts from ``S`` folded copies.
+        all samples; anything else starts from ``S`` folded copies.  In
+        training mode the layers work in the network's step workspace until
+        :meth:`backward_samples` (or :meth:`release_sample_caches`) ends the
+        pass; the returned array never aliases it.
         """
         n_samples = sampler.n_samples
+        workspace = None
+        if self.training:
+            workspace = self._workspace = self._workspace or Workspace()
+        self._lend(workspace)
         sampler.prefetch_forward(
             [layer.n_bayesian_weights for layer in self.bayesian_layers()]
         )
@@ -202,6 +221,8 @@ class BayesianNetwork:
                     # from S sequential backward_sample calls).
                     self._det_layer_inputs[index] = out
                 out = layer.forward(out)
+        if workspace is not None and workspace.owns(out):
+            out = out.copy()  # a network ending in a pooling layer
         return out.reshape((n_samples, x.shape[0]) + out.shape[1:])
 
     def backward_samples(
@@ -247,7 +268,7 @@ class BayesianNetwork:
                 )
             else:
                 grad = layer.backward(grad)
-        self.release_sample_caches()
+        self._end_pass()
 
     def release_sample_caches(self) -> None:
         """Drop the folded ``(S * batch, ...)`` activations cached by a batched pass.
@@ -256,12 +277,24 @@ class BayesianNetwork:
         im2col column matrices, and the stashed inputs of trainable
         deterministic layers) are ``S`` times the sequential path's resident
         size; they are released automatically at the end of
-        :meth:`backward_samples` and after forward-only prediction.
+        :meth:`backward_samples` and after forward-only prediction.  Called
+        directly, this also gives up the step workspace a training pass
+        keeps between steps.
         """
+        self._end_pass()
+        self._workspace = None
+
+    def _lend(self, workspace: Workspace | None) -> None:
+        for layer in self.layers:
+            layer._workspace = workspace
+
+    def _end_pass(self) -> None:
+        """Drop every per-pass reference; the workspace itself stays for the next step."""
         for layer in self.layers:
             if isinstance(layer, BayesianLayer):
                 layer._cache = {}
         self._det_layer_inputs = {}
+        self._lend(None)
 
     @staticmethod
     def _det_backward_per_sample(

@@ -2,11 +2,12 @@
 
 Every hot kernel of the engine -- packed LFSR stepping, strided window
 popcounts, CLT standardisation, the fused GRNG block that composes those
-three, per-sample matmul and the im2col lowering -- is a named *dispatch
-point* in this registry.  The NumPy code the repo grew up with is registered
-under the name ``"reference"`` for each point and is the always-available
-oracle; alternative implementations (a different NumPy strategy, or the
-in-tree C kernel ``_grng.c`` that :mod:`repro.core.native` builds lazily with
+three, per-sample matmul and the conv data movement (im2col, col2im, max-pool
+forward and backward) -- is a named *dispatch point* in this registry.  The
+NumPy code the repo grew up with is registered under the name ``"reference"``
+for each point and is the always-available oracle; alternative
+implementations (a different NumPy strategy, or the in-tree C kernels
+``_grng.c`` / ``_conv.c`` that :mod:`repro.core.native` builds lazily with
 the system compiler and loads through ``ctypes``) register against the same
 dispatch point and become *eligible* only after passing that point's
 conformance gate: a fixed battery of inputs spanning the kernel's
@@ -53,7 +54,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -145,12 +146,18 @@ def _copy_case(case: Mapping[str, Any]) -> dict[str, Any]:
     """Deep-copy the array arguments of a conformance case.
 
     Each backend (and the oracle) runs on its own copies, so kernels that
-    write into an ``out`` argument cannot leak state between runs.
+    write into an ``out`` argument (one array, or a tuple of them) cannot
+    leak state between runs.  ``copy`` keeps a strided view's layout.
     """
-    return {
-        key: value.copy() if isinstance(value, np.ndarray) else value
-        for key, value in case.items()
-    }
+
+    def copied(value: Any) -> Any:
+        if isinstance(value, np.ndarray):
+            return value.copy(order="K")
+        if isinstance(value, tuple):
+            return tuple(copied(item) for item in value)
+        return value
+
+    return {key: copied(value) for key, value in case.items()}
 
 
 class KernelRegistry:
@@ -1004,12 +1011,78 @@ def _check_sample_matmul(case, expected, got) -> None:
         raise AssertionError("per-sample products are not byte-identical")
 
 
-# -- im2col ------------------------------------------------------------
+# -- conv data movement: im2col, col2im, max pooling ---------------------
+# The ``reference`` bodies are the NumPy code ``nn/functional.py`` grew up
+# with; ``out=`` lets the batched training pass hand in a reused buffer.  The
+# ``native`` backends (``_conv.c``) take float64 tensors through element
+# strides, so NCHW-contiguous input and NCHW views of channels-last storage
+# both go through without a copy; everything else falls to the reference.
 def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _im2col_reference(x, kernel, stride, padding):
+def _cols_shape(x_shape, kernel: int, stride: int, padding: int) -> tuple[int, int]:
+    """Shape of the column matrix an ``x_shape`` tensor lowers to."""
+    batch, channels, height, width = x_shape
+    out_h = _conv_out_size(height, kernel, stride, padding)
+    out_w = _conv_out_size(width, kernel, stride, padding)
+    return batch * out_h * out_w, channels * kernel * kernel
+
+
+def _channels_last(alloc, shape, dtype) -> np.ndarray:
+    """An ``alloc``-ated (``np.zeros`` / ``np.empty``) NCHW view of NHWC storage."""
+    batch, channels, height, width = shape
+    return alloc((batch, height, width, channels), dtype=dtype).transpose(0, 3, 1, 2)
+
+
+def _require_out(out: np.ndarray, shape, dtype) -> None:
+    if out.shape != tuple(shape) or out.dtype != dtype:
+        raise ValueError(
+            f"out is {out.dtype}{out.shape}, the result is "
+            f"{np.dtype(dtype)}{tuple(shape)}"
+        )
+
+
+def _strided(array, dtype, shape=None) -> bool:
+    """Whether the C kernels can address ``array`` through element strides."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.flags.aligned
+        and not any(step % array.itemsize for step in array.strides)
+        and (shape is None or array.shape == tuple(shape))
+    )
+
+
+def _writable(out, dtype, shape) -> bool:
+    return _strided(out, dtype, shape) and out.flags.writeable
+
+
+def _window_geometry_ok(x_shape, kernel: int, stride: int, padding: int) -> bool:
+    return (
+        len(x_shape) == 4
+        and kernel >= 1
+        and stride >= 1
+        and padding >= 0
+        and _conv_out_size(x_shape[2], kernel, stride, padding) >= 1
+        and _conv_out_size(x_shape[3], kernel, stride, padding) >= 1
+    )
+
+
+def _geometry(*fields) -> np.ndarray:
+    """The int64 vector a ``_conv.c`` kernel reads its shapes and strides from."""
+    flat: list[int] = []
+    for item in fields:
+        if isinstance(item, np.ndarray):
+            flat.extend(step // item.itemsize for step in item.strides)
+        elif isinstance(item, tuple):
+            flat.extend(item)
+        else:
+            flat.append(item)
+    return np.array(flat, dtype=np.int64)
+
+
+def _im2col_reference(x, kernel, stride, padding, out=None):
     batch, channels, height, width = x.shape
     out_h = _conv_out_size(height, kernel, stride, padding)
     out_w = _conv_out_size(width, kernel, stride, padding)
@@ -1026,9 +1099,14 @@ def _im2col_reference(x, kernel, stride, padding):
         for col in range(kernel):
             col_end = col + stride * out_w
             cols[:, :, row, col, :, :] = x[:, :, row:row_end:stride, col:col_end:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch * out_h * out_w, channels * kernel * kernel
-    )
+    cols = cols.transpose(0, 4, 5, 1, 2, 3)
+    if out is not None:
+        _require_out(out, (batch * out_h * out_w, channels * kernel * kernel), x.dtype)
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        out.reshape(cols.shape)[...] = cols
+        return out, out_h, out_w
+    cols = cols.reshape(batch * out_h * out_w, channels * kernel * kernel)
     # The reshape can legally return a *view* with exotic strides (batch=1 is
     # the common case), and BLAS rounds `strided_A @ B` differently from
     # `contiguous_A @ B`.  Normalising the layout here pins one operand class
@@ -1036,6 +1114,38 @@ def _im2col_reference(x, kernel, stride, padding):
     # paths then all feed the GEMM identically-strided matrices, which is a
     # precondition of the row-stability proof in ``repro.core.stability``.
     return np.ascontiguousarray(cols), out_h, out_w
+
+
+def _im2col_native_supports(x, kernel, stride, padding, out=None):
+    if not (_strided(x, np.float64) and _window_geometry_ok(x.shape, kernel, stride, padding)):
+        return False
+    return out is None or (
+        _writable(out, np.float64, _cols_shape(x.shape, kernel, stride, padding))
+        and out.flags.c_contiguous
+    )
+
+
+def _im2col_native(x, kernel, stride, padding, out=None):
+    out_h = _conv_out_size(x.shape[2], kernel, stride, padding)
+    out_w = _conv_out_size(x.shape[3], kernel, stride, padding)
+    if out is None:
+        out = np.empty(_cols_shape(x.shape, kernel, stride, padding), dtype=np.float64)
+    geometry = _geometry(x.shape, x, kernel, stride, padding)
+    native.library.load().conv_im2col(
+        x.ctypes.data, geometry.ctypes.data, out.ctypes.data
+    )
+    return out, out_h, out_w
+
+
+def _as_channels_last(x: np.ndarray) -> np.ndarray:
+    """The same NCHW tensor backed by channels-last storage."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _strided_inputs(rng, shape) -> list[np.ndarray]:
+    """One tensor in the layouts the conv step meets: NCHW, channels-last."""
+    x = rng.standard_normal(shape)
+    return [x, _as_channels_last(x)]
 
 
 def _im2col_cases() -> list[dict[str, Any]]:
@@ -1051,7 +1161,23 @@ def _im2col_cases() -> list[dict[str, Any]]:
     ):
         x = rng.standard_normal(x_shape).astype(dtype)
         cases.append({"x": x, "kernel": kernel, "stride": stride, "padding": padding})
+    # channels-last storage, padding wider than one ring, a garbage-filled out
+    for x in _strided_inputs(rng, (2, 5, 7, 6)):
+        cases.append({"x": x, "kernel": 4, "stride": 3, "padding": 2})
+        cases.append(
+            {"x": x, "kernel": 3, "stride": 1, "padding": 1,
+             "out": rng.standard_normal((2 * 7 * 6, 5 * 9))}
+        )
     return cases
+
+
+def _check_same_bytes(expected, got, what: str) -> None:
+    if got.dtype != expected.dtype:
+        raise AssertionError(f"dtype {got.dtype} != oracle {expected.dtype}")
+    if got.shape != expected.shape:
+        raise AssertionError(f"shape {got.shape} != oracle {expected.shape}")
+    if np.ascontiguousarray(expected).tobytes() != np.ascontiguousarray(got).tobytes():
+        raise AssertionError(f"{what} are not byte-identical")
 
 
 def _check_im2col(case, expected, got) -> None:
@@ -1059,14 +1185,290 @@ def _check_im2col(case, expected, got) -> None:
     got_cols, got_h, got_w = got
     if (got_h, got_w) != (exp_h, exp_w):
         raise AssertionError(f"output size {(got_h, got_w)} != {(exp_h, exp_w)}")
-    if got_cols.dtype != exp_cols.dtype:
-        raise AssertionError(f"dtype {got_cols.dtype} != oracle {exp_cols.dtype}")
-    if got_cols.shape != exp_cols.shape:
-        raise AssertionError(f"shape {got_cols.shape} != oracle {exp_cols.shape}")
-    if np.ascontiguousarray(exp_cols).tobytes() != np.ascontiguousarray(
-        got_cols
-    ).tobytes():
-        raise AssertionError("column matrices are not byte-identical")
+    _check_same_bytes(exp_cols, got_cols, "column matrices")
+
+
+# col2im: the adjoint of im2col.  Each element receives its window
+# contributions in (row, col) order, accumulated into +0.0.
+def _col2im_reference(cols, x_shape, kernel, stride, padding, out=None):
+    batch, channels, height, width = x_shape
+    out_h = _conv_out_size(height, kernel, stride, padding)
+    out_w = _conv_out_size(width, kernel, stride, padding)
+    cols = cols.reshape(batch, out_h, out_w, channels, kernel, kernel).transpose(
+        0, 3, 4, 5, 1, 2
+    )
+    if out is not None:
+        _require_out(out, x_shape, cols.dtype)
+    direct = out is not None and not padding
+    if direct:
+        padded = out
+        padded[...] = 0.0
+    else:
+        padded = _channels_last(
+            np.zeros,
+            (batch, channels, height + 2 * padding, width + 2 * padding),
+            cols.dtype,
+        )
+    for row in range(kernel):
+        row_end = row + stride * out_h
+        for col in range(kernel):
+            col_end = col + stride * out_w
+            padded[:, :, row:row_end:stride, col:col_end:stride] += cols[:, :, row, col, :, :]
+    if padding:
+        padded = padded[:, :, padding:-padding, padding:-padding]
+    if out is None or direct:
+        return padded
+    out[...] = padded
+    return out
+
+
+def _col2im_native_supports(cols, x_shape, kernel, stride, padding, out=None):
+    x_shape = tuple(x_shape)
+    if not _window_geometry_ok(x_shape, kernel, stride, padding):
+        return False
+    return (
+        _strided(cols, np.float64, _cols_shape(x_shape, kernel, stride, padding))
+        and cols.flags.c_contiguous
+        and (out is None or _writable(out, np.float64, x_shape))
+    )
+
+
+def _col2im_native(cols, x_shape, kernel, stride, padding, out=None):
+    if out is None:
+        out = _channels_last(np.empty, x_shape, np.float64)
+    geometry = _geometry(tuple(x_shape), out, kernel, stride, padding)
+    native.library.load().conv_col2im(
+        cols.ctypes.data, geometry.ctypes.data, out.ctypes.data
+    )
+    return out
+
+
+def _col2im_cases() -> list[dict[str, Any]]:
+    rng = np.random.default_rng(0xC01)
+    cases = []
+    for x_shape, kernel, stride, padding, dtype, with_out in (
+        ((2, 3, 8, 8), 3, 1, 1, np.float64, False),
+        ((2, 3, 8, 8), 3, 1, 1, np.float64, True),
+        ((1, 1, 5, 5), 1, 1, 0, np.float64, False),  # pointwise kernel
+        ((2, 2, 9, 9), 3, 2, 0, np.float64, True),  # accumulates straight into out
+        ((2, 5, 7, 6), 4, 3, 2, np.float64, False),  # positions no window covers
+        ((0, 2, 6, 6), 3, 1, 1, np.float64, False),  # degenerate empty batch
+        ((2, 3, 8, 8), 3, 1, 1, np.float32, False),
+    ):
+        cols = rng.standard_normal(
+            _cols_shape(x_shape, kernel, stride, padding)
+        ).astype(dtype)
+        cols[rng.random(cols.shape) < 0.2] = -0.0  # what relu_grad hands over
+        case = {"cols": cols, "x_shape": x_shape, "kernel": kernel, "stride": stride,
+                "padding": padding}
+        if with_out:
+            case["out"] = _strided_inputs(rng, x_shape)[1]
+        cases.append(case)
+    return cases
+
+
+def _check_folded(case, expected, got) -> None:
+    _check_same_bytes(expected, got, "folded tensors")
+
+
+# max pooling.  Strict `>` keeps the first window position on ties, exactly
+# like np.argmax; np.argmax also treats NaN as the maximum (first NaN wins).
+def _pool_window(x: np.ndarray, k: int, pool: int, stride: int, out_h: int, out_w: int):
+    """Strided view of window position ``k`` (row-major in the window)."""
+    row, col = divmod(k, pool)
+    return x[:, :, row : row + stride * out_h : stride, col : col + stride * out_w : stride]
+
+
+def _maxpool2d_forward_fresh(x, pool, stride):
+    batch, channels, height, width = x.shape
+    out_h = _conv_out_size(height, pool, stride, 0)
+    out_w = _conv_out_size(width, pool, stride, 0)
+    # the running compare does not see NaN as the maximum, so inputs holding
+    # one take the gathered-window reduce instead (as does a 1x1 window, whose
+    # running maximum would be a view of ``x`` rather than a fresh array)
+    if pool == 1 or np.isnan(x).any():
+        windows = np.empty((batch, channels, out_h, out_w, pool * pool), dtype=x.dtype)
+        for k in range(pool * pool):
+            windows[..., k] = _pool_window(x, k, pool, stride, out_h, out_w)
+        argmax = windows.argmax(axis=-1)
+        out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+        return out, argmax
+    out = _pool_window(x, 0, pool, stride, out_h, out_w)
+    argmax = np.zeros_like(out, dtype=np.intp)
+    for k in range(1, pool * pool):
+        candidate = _pool_window(x, k, pool, stride, out_h, out_w)
+        better = candidate > out
+        argmax = np.where(better, k, argmax)
+        out = np.where(better, candidate, out)
+    return out, argmax
+
+
+def _maxpool2d_forward_reference(x, pool, stride, out=None):
+    pooled, argmax = _maxpool2d_forward_fresh(x, pool, stride)
+    if out is None:
+        return pooled, argmax
+    _require_out(out[0], pooled.shape, pooled.dtype)
+    _require_out(out[1], argmax.shape, argmax.dtype)
+    np.copyto(out[0], pooled)
+    np.copyto(out[1], argmax)
+    return out[0], out[1]
+
+
+def _pooled_shape(x_shape, pool: int, stride: int) -> tuple[int, ...]:
+    return tuple(x_shape[:2]) + tuple(
+        _conv_out_size(size, pool, stride, 0) for size in x_shape[2:]
+    )
+
+
+def _maxpool2d_forward_native_supports(x, pool, stride, out=None):
+    if not (_strided(x, np.float64) and _window_geometry_ok(x.shape, pool, stride, 0)):
+        return False
+    if out is None:
+        return True
+    shape = _pooled_shape(x.shape, pool, stride)
+    return (
+        isinstance(out, tuple)
+        and len(out) == 2
+        and _writable(out[0], np.float64, shape)
+        and _writable(out[1], np.int64, shape)
+    )
+
+
+def _maxpool2d_forward_native(x, pool, stride, out=None):
+    if out is None:
+        # the results keep x's memory layout, as the NumPy reduce's do
+        shape = _pooled_shape(x.shape, pool, stride)
+        nhwc = x.strides[1] < x.strides[3]
+        empty = partial(_channels_last, np.empty) if nhwc else np.empty
+        out = (empty(shape, np.float64), empty(shape, np.int64))
+    pooled, argmax = out
+    geometry = _geometry(x.shape, x, pool, stride, pooled, argmax)
+    native.library.load().conv_maxpool_forward(
+        x.ctypes.data, geometry.ctypes.data, pooled.ctypes.data, argmax.ctypes.data
+    )
+    return pooled, argmax
+
+
+def _post_relu(rng, shape) -> np.ndarray:
+    """Tie-heavy data shaped like a ReLU output, signed zeros included."""
+    x = np.maximum(rng.standard_normal(shape), 0.0)
+    x[rng.random(shape) < 0.15] = -0.0
+    return x
+
+
+#: (x_shape, pool, stride) of both max-pool gates.
+_MAXPOOL_GEOMETRIES = (
+    ((3, 4, 8, 8), 2, 2),
+    ((2, 3, 9, 10), 2, 3),  # stride > pool: gaps no window covers
+    ((2, 3, 7, 7), 3, 2),  # overlapping windows
+    ((2, 2, 5, 5), 1, 1),  # degenerate 1x1 window
+    ((0, 2, 6, 6), 2, 2),  # degenerate empty batch
+)
+
+
+def _maxpool2d_forward_cases() -> list[dict[str, Any]]:
+    rng = np.random.default_rng(0x9001)
+    cases = []
+    for x_shape, pool, stride in _MAXPOOL_GEOMETRIES:
+        x = _post_relu(rng, x_shape)
+        shape = _pooled_shape(x_shape, pool, stride)
+        cases.append({"x": x, "pool": pool, "stride": stride})
+        cases.append(
+            {"x": _as_channels_last(x), "pool": pool, "stride": stride,
+             "out": (_channels_last(np.ones, shape, np.float64),
+                     _channels_last(np.ones, shape, np.intp))}
+        )
+    # NaN first, in the middle, last, and filling a window
+    x = _post_relu(rng, (1, 2, 4, 6))
+    x[0, 0, 0, 0] = x[0, 1, 0, 3] = x[0, 0, 3, 5] = np.nan
+    x[0, 1, 2:4, 0:2] = np.nan
+    cases.append({"x": x, "pool": 2, "stride": 2})
+    cases.append({"x": x.astype(np.float32), "pool": 2, "stride": 2})
+    return cases
+
+
+def _check_maxpool2d_forward(case, expected, got) -> None:
+    _check_same_bytes(expected[0], got[0], "pooled maxima")
+    _check_same_bytes(expected[1], got[1], "argmax maps")
+
+
+def _maxpool2d_backward_reference(grad_out, argmax, x_shape, pool, stride, out=None):
+    if out is None:
+        grad_input = _channels_last(np.zeros, x_shape, grad_out.dtype)
+    else:
+        _require_out(out, x_shape, grad_out.dtype)
+        grad_input = out
+        grad_input[...] = 0.0
+    out_h, out_w = grad_out.shape[2], grad_out.shape[3]
+    if stride >= pool:
+        # Non-overlapping windows give every input position at most one
+        # contribution, so the scatter is pool**2 masked writes.  The `+ 0.0`
+        # keeps them bit-identical to accumulating into zeros: a -0.0
+        # gradient (relu_grad emits them routinely) lands as +0.0.
+        grad_out = grad_out + 0.0
+        for k in range(pool * pool):
+            _pool_window(grad_input, k, pool, stride, out_h, out_w)[...] = np.where(
+                argmax == k, grad_out, 0.0
+            )
+        return grad_input
+    batch, channels, _, _ = x_shape
+    rows = argmax // pool
+    cols = argmax % pool
+    base_r = np.arange(out_h)[None, None, :, None] * stride
+    base_c = np.arange(out_w)[None, None, None, :] * stride
+    abs_r = base_r + rows
+    abs_c = base_c + cols
+    batch_idx = np.arange(batch)[:, None, None, None]
+    chan_idx = np.arange(channels)[None, :, None, None]
+    np.add.at(grad_input, (batch_idx, chan_idx, abs_r, abs_c), grad_out)
+    return grad_input
+
+
+def _maxpool2d_backward_native_supports(
+    grad_out, argmax, x_shape, pool, stride, out=None
+):
+    x_shape = tuple(x_shape)
+    if not _window_geometry_ok(x_shape, pool, stride, 0):
+        return False
+    shape = _pooled_shape(x_shape, pool, stride)
+    return (
+        _strided(grad_out, np.float64, shape)
+        and _strided(argmax, np.int64, shape)
+        and (out is None or _writable(out, np.float64, x_shape))
+    )
+
+
+def _maxpool2d_backward_native(grad_out, argmax, x_shape, pool, stride, out=None):
+    if out is None:
+        out = _channels_last(np.empty, x_shape, np.float64)
+    geometry = _geometry(tuple(x_shape), grad_out, pool, stride, argmax, out)
+    native.library.load().conv_maxpool_backward(
+        grad_out.ctypes.data, argmax.ctypes.data, geometry.ctypes.data,
+        out.ctypes.data,
+    )
+    return out
+
+
+def _maxpool2d_backward_cases() -> list[dict[str, Any]]:
+    rng = np.random.default_rng(0x9002)
+    cases = []
+    for x_shape, pool, stride in _MAXPOOL_GEOMETRIES:
+        _, argmax = _maxpool2d_forward_fresh(_post_relu(rng, x_shape), pool, stride)
+        for grad_out in _strided_inputs(rng, argmax.shape):
+            # what relu_grad hands over: exact zeros of both signs
+            grad_out[rng.random(argmax.shape) < 0.3] = -0.0
+            grad_out[rng.random(argmax.shape) < 0.2] = 0.0
+            case = {"grad_out": grad_out, "argmax": argmax, "x_shape": x_shape,
+                    "pool": pool, "stride": stride}
+            if grad_out.flags.c_contiguous:
+                case["out"] = _channels_last(np.ones, x_shape, np.float64)
+            cases.append(case)
+    cases.append(
+        {"grad_out": np.ones((1, 1, 2, 2), np.float32),
+         "argmax": np.zeros((1, 1, 2, 2), np.intp), "x_shape": (1, 1, 4, 4),
+         "pool": 2, "stride": 2}
+    )
+    return cases
 
 
 # -- fused folded kernels (serving-tile fusion behind the stability probe) --
@@ -1210,6 +1612,11 @@ def _fused_im2col_cases() -> list[dict[str, Any]]:
 registry = KernelRegistry()
 
 
+def _native_available() -> bool:
+    # resolved at call time: tests swap ``native.library``
+    return native.library.load() is not None
+
+
 def _register_builtin(reg: KernelRegistry) -> None:
     reg.register_kernel(
         "lfsr_step_block",
@@ -1324,7 +1731,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
             description="compiled streaming kernel (core/_grng.c via ctypes): "
             "word-aligned widths and strides, polynomials of up to four taps",
             supports=_grng_block_native_supports,
-            available=lambda: native.library.load() is not None,
+            available=_native_available,
         ),
     )
 
@@ -1360,8 +1767,8 @@ def _register_builtin(reg: KernelRegistry) -> None:
         "im2col",
         doc="Unfold (N, C, H, W) into the (N*out_h*out_w, C*k*k) column "
         "matrix; returns (cols, out_h, out_w).",
-        chain=("reference",),
-        rows_of=lambda x, kernel, stride, padding: x.shape[0],
+        chain=("native", "reference"),
+        rows_of=lambda x, kernel, stride, padding, out=None: x.shape[0],
         conformance_cases=_im2col_cases,
         check=_check_im2col,
     )
@@ -1371,6 +1778,109 @@ def _register_builtin(reg: KernelRegistry) -> None:
             "reference",
             _im2col_reference,
             description="per-kernel-position strided slice gather",
+        ),
+    )
+    reg.register_backend(
+        "im2col",
+        BackendImpl(
+            "native",
+            _im2col_native,
+            description="compiled single-pass gather (core/_conv.c): float64 "
+            "through element strides, straight into the column matrix",
+            supports=_im2col_native_supports,
+            available=_native_available,
+        ),
+    )
+
+    reg.register_kernel(
+        "col2im",
+        doc="Fold a (N*out_h*out_w, C*k*k) column matrix back into an NCHW "
+        "view of channels-last storage (adjoint of im2col), window "
+        "contributions added in (row, col) order.",
+        chain=("native", "reference"),
+        rows_of=lambda cols, x_shape, kernel, stride, padding, out=None: x_shape[0],
+        conformance_cases=_col2im_cases,
+        check=_check_folded,
+    )
+    reg.register_backend(
+        "col2im",
+        BackendImpl(
+            "reference",
+            _col2im_reference,
+            description="k*k strided `+=` passes over a zeroed padded tensor",
+        ),
+    )
+    reg.register_backend(
+        "col2im",
+        BackendImpl(
+            "native",
+            _col2im_native,
+            description="compiled single-pass gather (core/_conv.c): each "
+            "element sums its windows once, no padded buffer, no zero fill",
+            supports=_col2im_native_supports,
+            available=_native_available,
+        ),
+    )
+
+    reg.register_kernel(
+        "maxpool2d_forward",
+        doc="Max pooling over (N, C, H, W); returns (pooled, argmax) with the "
+        "first window position winning ties and NaN treated as np.argmax "
+        "does.",
+        chain=("native", "reference"),
+        rows_of=lambda x, pool, stride, out=None: x.shape[0],
+        conformance_cases=_maxpool2d_forward_cases,
+        check=_check_maxpool2d_forward,
+    )
+    reg.register_backend(
+        "maxpool2d_forward",
+        BackendImpl(
+            "reference",
+            _maxpool2d_forward_reference,
+            description="running pairwise `>` over the pool**2 strided window "
+            "views (gathered-window argmax when a NaN is present)",
+        ),
+    )
+    reg.register_backend(
+        "maxpool2d_forward",
+        BackendImpl(
+            "native",
+            _maxpool2d_forward_native,
+            description="compiled single pass (core/_conv.c): maximum, argmax "
+            "and the NaN rule inline, no isnan pre-pass",
+            supports=_maxpool2d_forward_native_supports,
+            available=_native_available,
+        ),
+    )
+
+    reg.register_kernel(
+        "maxpool2d_backward",
+        doc="Scatter the pooled gradient back to the argmax positions of an "
+        "NCHW view of channels-last storage, accumulated into +0.0.",
+        chain=("native", "reference"),
+        rows_of=lambda grad_out, argmax, x_shape, pool, stride, out=None: (
+            grad_out.shape[0]
+        ),
+        conformance_cases=_maxpool2d_backward_cases,
+        check=_check_folded,
+    )
+    reg.register_backend(
+        "maxpool2d_backward",
+        BackendImpl(
+            "reference",
+            _maxpool2d_backward_reference,
+            description="pool**2 masked writes (np.add.at when windows overlap)",
+        ),
+    )
+    reg.register_backend(
+        "maxpool2d_backward",
+        BackendImpl(
+            "native",
+            _maxpool2d_backward_native,
+            description="compiled zero fill + `+=` scatter (core/_conv.c), "
+            "overlapping windows included",
+            supports=_maxpool2d_backward_native_supports,
+            available=_native_available,
         ),
     )
 

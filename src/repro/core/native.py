@@ -1,18 +1,19 @@
-"""Lazy build and ``ctypes`` loading of the in-tree C kernel (``_grng.c``).
+"""Lazy build and ``ctypes`` loading of the in-tree C kernels.
 
-Only :mod:`repro.core.backend` imports this module: the compiled kernel is
-one more backend of the ``grng_block`` dispatch point, reachable only through
-the registry and its bit-exactness gate.  Nothing happens at import.  The
-first availability check compiles the source with the system compiler (or
-finds the cached build), loads it and memoises the outcome; every failure --
-no compiler, a failed or timed-out build, an unloadable file -- ends in "not
-available" plus one :class:`RuntimeWarning`, never in an exception, and the
-dispatch layer answers from the NumPy kernels instead.
+Only :mod:`repro.core.backend` imports this module: the compiled kernels
+(``_grng.c``, ``_conv.c``) are ``native`` backends of their dispatch points,
+reachable only through the registry and its bit-exactness gate.  Nothing
+happens at import.  The first availability check compiles every source into
+one shared object with the system compiler (or finds the cached build), loads
+it and memoises the outcome; every failure -- no compiler, a failed or
+timed-out build, an unloadable file -- ends in "not available" plus one
+:class:`RuntimeWarning` per process, never in an exception, and the dispatch
+layer answers from the NumPy kernels instead.
 
 The shared object is cached per user in a 0700 directory under
 ``$XDG_CACHE_HOME`` (or ``~/.cache``; failing that under the system temp
-directory, failing that in a per-process one), keyed by the SHA-256 of source,
-compiler version, flags and machine, so nothing is ever written into the
+directory, failing that in a per-process one), keyed by the SHA-256 of every
+source, compiler version, flags and machine, so nothing is ever written into the
 package or the working directory.  Builds go to a temporary name and are
 ``os.replace``d into place: concurrent first users (forked workers, parallel
 test runs) can never observe a half-written file.  The file name also carries
@@ -36,7 +37,8 @@ from pathlib import Path
 
 __all__ = ["NativeLibrary", "find_compiler", "library"]
 
-SOURCE = Path(__file__).with_name("_grng.c")
+#: Compiled, in this order, into the one library.
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_grng.c", "_conv.c"))
 
 #: Instruction-set flags enabled only when the CPU reports the feature
 #: (``/proc/cpuinfo`` name, compiler option).  The flags are part of the cache
@@ -45,6 +47,11 @@ _CPU_FLAGS = (("popcnt", "-mpopcnt"), ("bmi2", "-mbmi2"))
 
 _SIZE, _PTR, _DOUBLE = ctypes.c_size_t, ctypes.c_void_p, ctypes.c_double
 _SIGNATURES = {
+    # the _conv.c kernels: data pointer(s) around one int64 geometry vector
+    "conv_im2col": [_PTR, _PTR, _PTR],
+    "conv_col2im": [_PTR, _PTR, _PTR],
+    "conv_maxpool_forward": [_PTR, _PTR, _PTR, _PTR],
+    "conv_maxpool_backward": [_PTR, _PTR, _PTR, _PTR],
     # state, new_state, last_pc, rows, n_words, shifts, stride_words, count,
     # mean, std, out
     "grng_forward": [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _SIZE, _SIZE,
@@ -110,7 +117,7 @@ def _user_cache_dir() -> Path | None:
 
 
 class NativeLibrary:
-    """The compiled kernel: built on first use, then a memoised handle."""
+    """The compiled kernels: built on first use, then a memoised handle."""
 
     def __init__(self, cache_dir: Path | None = None) -> None:
         self._cache_dir = cache_dir
@@ -125,7 +132,7 @@ class NativeLibrary:
                 self._lib = self._build_and_load()
             except (OSError, subprocess.SubprocessError) as exc:
                 warnings.warn(
-                    f"native GRNG kernel unavailable ({exc}); "
+                    f"native kernels unavailable ({exc}); "
                     "using the NumPy kernels",
                     RuntimeWarning,
                     stacklevel=2,
@@ -149,10 +156,14 @@ class NativeLibrary:
             [compiler, "--version"], capture_output=True, text=True,
             timeout=30, check=True,
         ).stdout
-        flags = ["-O2", "-shared", "-fPIC", *_cpu_flags()]
+        # no -ffast-math, no fused multiply-add: float results are the bytes
+        # the NumPy reference produces
+        flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC", *_cpu_flags()]
         key = _digest(
-            "\0".join([SOURCE.read_text(), version, *flags, platform.machine()])
-            .encode()
+            "\0".join(
+                [*(source.read_text() for source in SOURCES), version, *flags,
+                 platform.machine()]
+            ).encode()
         )
         directory = self._directory()
         path = self._verified(directory, key) or self._compile(
@@ -163,7 +174,7 @@ class NativeLibrary:
     @staticmethod
     def _verified(directory: Path, key: str) -> Path | None:
         """A cached build whose bytes still hash to the digest in its name."""
-        for path in sorted(directory.glob(f"grng-{key}-*.so")):
+        for path in sorted(directory.glob(f"native-{key}-*.so")):
             if _digest(path.read_bytes()) == path.stem.rpartition("-")[2]:
                 return path
             path.unlink(missing_ok=True)
@@ -175,10 +186,10 @@ class NativeLibrary:
         os.close(handle)
         try:
             subprocess.run(
-                [compiler, *flags, "-o", scratch, str(SOURCE)],
+                [compiler, *flags, "-o", scratch, *map(str, SOURCES)],
                 capture_output=True, timeout=120, check=True,
             )
-            path = directory / f"grng-{key}-{_digest(Path(scratch).read_bytes())}.so"
+            path = directory / f"native-{key}-{_digest(Path(scratch).read_bytes())}.so"
             os.replace(scratch, path)
             return path
         finally:
@@ -195,5 +206,5 @@ class NativeLibrary:
         return lib
 
 
-#: The process-wide handle the ``grng_block``/``native`` backend uses.
+#: The process-wide handle every ``native`` backend uses.
 library = NativeLibrary()

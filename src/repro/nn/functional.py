@@ -27,6 +27,13 @@ flowing back through pooling and :func:`col2im`, are *stored* channels-last
 under a transposed view, so element-wise ops meet same-layout operands and
 the conv backward's ``grad_flat`` is a free view (``docs/architecture.md``,
 "Tensor layouts").
+
+**Buffers.**  The data-movement kernels (:func:`im2col`, :func:`col2im`,
+:func:`maxpool2d_forward`, :func:`maxpool2d_backward`) are dispatch points of
+:mod:`repro.core.backend` and accept ``out=``: a caller that owns a buffer of
+the result's shape and dtype gets the same bytes written into it instead of a
+fresh array.  Nothing here keeps a buffer of its own -- serving threads share
+these functions.
 """
 
 from __future__ import annotations
@@ -35,9 +42,12 @@ import numpy as np
 
 from ..core import stability as _stability
 from ..core.backend import dispatch
-from .tensor_utils import check_4d, conv_output_size
+from .tensor_utils import channels_last, check_4d, conv_output_size
 
 _im2col_kernel = dispatch("im2col")
+_col2im_kernel = dispatch("col2im")
+_maxpool2d_forward_kernel = dispatch("maxpool2d_forward")
+_maxpool2d_backward_kernel = dispatch("maxpool2d_backward")
 _sample_matmul_kernel = dispatch("sample_matmul")
 # Tile-fused variants: active only inside a `stability.folded_splits` context
 # (the serving executor opens one around a fused multi-request forward).
@@ -66,14 +76,12 @@ __all__ = [
 ]
 
 
-def _channels_last(alloc, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An ``alloc``-ated (``np.zeros`` / ``np.empty``) NCHW view of NHWC storage."""
-    batch, channels, height, width = shape
-    return alloc((batch, height, width, channels), dtype=dtype).transpose(0, 3, 1, 2)
-
-
 def im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
+    x: np.ndarray,
+    kernel: int,
+    stride: int,
+    padding: int,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Unfold ``(N, C, H, W)`` into ``(N * out_h * out_w, C * kernel * kernel)``.
 
@@ -82,7 +90,8 @@ def im2col(
     mirroring how the PE arrays in the modelled accelerators consume a stream
     of (input window, weight) pairs.  The gather itself is a registered
     dispatch point (``im2col`` in :mod:`repro.core.backend`); every eligible
-    backend is pure, bit-identical data movement.
+    backend is pure, bit-identical data movement.  ``out``, when given, is a
+    C-contiguous buffer of the column matrix's shape and dtype to fill.
     """
     check_4d(x)
     _, _, height, width = x.shape
@@ -90,7 +99,7 @@ def im2col(
     # the dispatched kernels recompute the same sizes arithmetically.
     conv_output_size(height, kernel, stride, padding)
     conv_output_size(width, kernel, stride, padding)
-    return _im2col_kernel(x, kernel, stride, padding)
+    return _im2col_kernel(x, kernel, stride, padding, out=out)
 
 
 def col2im(
@@ -99,34 +108,22 @@ def col2im(
     kernel: int,
     stride: int,
     padding: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fold a column matrix back into an ``(N, C, H, W)`` tensor (adjoint of im2col).
 
     The result is an NCHW *view* of channels-last storage: that is the layout
     the conv forward stores its activations in, so the ReLU gradient that
     consumes it multiplies same-layout operands and the next conv backward's
-    ``grad_flat`` is a free view.  Each element still receives its window
-    contributions in ``(row, col)`` order.
+    ``grad_flat`` is a free view.  Each element receives its window
+    contributions in ``(row, col)`` order, added into ``+0.0`` (the ``col2im``
+    dispatch point of :mod:`repro.core.backend`).  ``out``, when given, is an
+    ``x_shape`` buffer to fill; whatever it held is overwritten.
     """
-    batch, channels, height, width = x_shape
-    out_h = conv_output_size(height, kernel, stride, padding)
-    out_w = conv_output_size(width, kernel, stride, padding)
-    cols = cols.reshape(batch, out_h, out_w, channels, kernel, kernel).transpose(
-        0, 3, 4, 5, 1, 2
-    )
-    padded = _channels_last(
-        np.zeros,
-        (batch, channels, height + 2 * padding, width + 2 * padding),
-        cols.dtype,
-    )
-    for row in range(kernel):
-        row_end = row + stride * out_h
-        for col in range(kernel):
-            col_end = col + stride * out_w
-            padded[:, :, row:row_end:stride, col:col_end:stride] += cols[:, :, row, col, :, :]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    _, _, height, width = x_shape
+    conv_output_size(height, kernel, stride, padding)
+    conv_output_size(width, kernel, stride, padding)
+    return _col2im_kernel(cols, x_shape, kernel, stride, padding, out=out)
 
 
 def conv2d_forward(
@@ -224,6 +221,7 @@ def conv2d_forward_samples(
     padding: int,
     n_samples: int,
     shared_input: bool = False,
+    cols_out: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batched-sample 2-D convolution over folded activations.
 
@@ -238,6 +236,8 @@ def conv2d_forward_samples(
     own lowering of its folded copy) meets every sample's kernel.  Returns the
     folded output ``(S * batch, M, out_h, out_w)`` and the per-sample column
     matrices for the backward pass (``S`` aliases of one array when shared).
+    ``cols_out`` optionally provides the buffers the lowerings fill (``S`` of
+    them, one when shared; see :func:`im2col`); a fused serving tile ignores it.
     """
     if weights.ndim != 5 or weights.shape[0] != n_samples:
         raise ValueError(
@@ -266,7 +266,9 @@ def conv2d_forward_samples(
         if s == 0 or not shared_input:
             x_s = x if shared_input else x[s * batch : (s + 1) * batch]
             if splits is None:
-                cols_s, out_h, out_w = im2col(x_s, k_h, stride, padding)
+                cols_s, out_h, out_w = im2col(
+                    x_s, k_h, stride, padding, out=cols_out[s] if cols_out else None
+                )
             else:
                 cols_s, out_h, out_w = _fused_im2col_kernel(
                     x_s, k_h, stride, padding, splits
@@ -309,6 +311,7 @@ def conv2d_backward_samples(
     padding: int,
     n_samples: int,
     need_input_grad: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Backward pass of :func:`conv2d_forward_samples`.
 
@@ -320,7 +323,8 @@ def conv2d_backward_samples(
     float summation order exactly.  With ``need_input_grad`` cleared (the
     network's first layer: nobody consumes d loss / d data) the
     ``grad_flat @ W`` product and its :func:`col2im` are skipped and
-    ``grad_input`` is ``None``.
+    ``grad_input`` is ``None``.  ``out`` optionally provides the folded
+    ``x_shape`` buffer ``grad_input`` is written into.
     """
     out_channels = weights.shape[1]
     kernel = weights.shape[3]
@@ -329,6 +333,11 @@ def conv2d_backward_samples(
     grad_weights = np.empty(weights.shape, dtype=np.result_type(grad_out, weights))
     grad_bias = np.empty((n_samples, out_channels), dtype=grad_weights.dtype)
     grad_input: np.ndarray | None = None
+    if need_input_grad:
+        # every sample's col2im folds straight into its slice of the result
+        grad_input = (
+            channels_last(np.empty, x_shape, grad_weights.dtype) if out is None else out
+        )
     flat_weights = weights.reshape(n_samples, out_channels, -1)
     for s in range(n_samples):
         # a free view when the gradient arrives channels-last (col2im,
@@ -342,51 +351,32 @@ def conv2d_backward_samples(
         grad_bias[s] = grad_flat.sum(axis=0)
         if not need_input_grad:
             continue
-        grad_cols = grad_flat @ flat_weights[s]
-        grad_input_s = col2im(grad_cols, sample_x_shape, kernel, stride, padding)
-        if grad_input is None:
-            grad_input = _channels_last(np.empty, x_shape, grad_input_s.dtype)
-        grad_input[s * batch : (s + 1) * batch] = grad_input_s
+        col2im(
+            grad_flat @ flat_weights[s], sample_x_shape, kernel, stride, padding,
+            out=grad_input[s * batch : (s + 1) * batch],
+        )
     return grad_input, grad_weights, grad_bias
 
 
-def _pool_window(x: np.ndarray, k: int, pool: int, stride: int, out_h: int, out_w: int):
-    """Strided view of window position ``k`` (row-major in the window)."""
-    row, col = divmod(k, pool)
-    return x[:, :, row : row + stride * out_h : stride, col : col + stride * out_w : stride]
-
-
 def maxpool2d_forward(
-    x: np.ndarray, pool: int, stride: int
+    x: np.ndarray,
+    pool: int,
+    stride: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling.  Returns the output and the argmax mask needed for backward.
 
-    The maximum is a running pairwise ``candidate > best`` over the ``pool**2``
-    strided window views (strict, so ties keep the first position exactly like
-    ``np.argmax``); the result keeps ``x``'s memory layout.  ``np.argmax``
-    treats NaN as the maximum, which the compare does not, so inputs holding a
-    NaN take the gathered-window reduce instead (as does a 1x1 window, whose
-    running maximum would be a view of ``x`` rather than a fresh array).
+    Ties keep the first window position (row-major) and a NaN counts as the
+    maximum, first NaN first -- ``np.argmax``'s rules; the results keep ``x``'s
+    memory layout (the ``maxpool2d_forward`` dispatch point of
+    :mod:`repro.core.backend`).  ``out``, when given, is the ``(pooled,
+    argmax)`` pair of buffers to fill (``x``'s dtype and ``np.intp``).
     """
     check_4d(x)
-    batch, channels, height, width = x.shape
-    out_h = conv_output_size(height, pool, stride, 0)
-    out_w = conv_output_size(width, pool, stride, 0)
-    if pool == 1 or np.isnan(x).any():
-        windows = np.empty((batch, channels, out_h, out_w, pool * pool), dtype=x.dtype)
-        for k in range(pool * pool):
-            windows[..., k] = _pool_window(x, k, pool, stride, out_h, out_w)
-        argmax = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
-        return out, argmax
-    out = _pool_window(x, 0, pool, stride, out_h, out_w)
-    argmax = np.zeros_like(out, dtype=np.intp)
-    for k in range(1, pool * pool):
-        candidate = _pool_window(x, k, pool, stride, out_h, out_w)
-        better = candidate > out
-        argmax = np.where(better, k, argmax)
-        out = np.where(better, candidate, out)
-    return out, argmax
+    _, _, height, width = x.shape
+    conv_output_size(height, pool, stride, 0)
+    conv_output_size(width, pool, stride, 0)
+    return _maxpool2d_forward_kernel(x, pool, stride, out=out)
 
 
 def maxpool2d_backward(
@@ -395,35 +385,18 @@ def maxpool2d_backward(
     x_shape: tuple[int, int, int, int],
     pool: int,
     stride: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scatter the output gradient back to the argmax positions.
 
-    The result is an NCHW view of channels-last storage (see :func:`col2im`).
-    Non-overlapping windows (``stride >= pool``) give every input position at
-    most one contribution, so the scatter is ``pool**2`` masked writes.  The
-    ``+ 0.0`` keeps them bit-identical to accumulating into zeros: a ``-0.0``
-    gradient (``relu_grad`` emits them routinely) lands as ``+0.0``.
+    The result is an NCHW view of channels-last storage (see :func:`col2im`),
+    accumulated into ``+0.0``: a ``-0.0`` gradient (``relu_grad`` emits them
+    routinely) lands as ``+0.0`` and overlapping windows add up in ``(row,
+    col)`` order of the output (the ``maxpool2d_backward`` dispatch point of
+    :mod:`repro.core.backend`).  ``out``, when given, is an ``x_shape``
+    buffer to fill; whatever it held is overwritten.
     """
-    grad_input = _channels_last(np.zeros, x_shape, grad_out.dtype)
-    out_h, out_w = grad_out.shape[2], grad_out.shape[3]
-    if stride >= pool:
-        grad_out = grad_out + 0.0
-        for k in range(pool * pool):
-            _pool_window(grad_input, k, pool, stride, out_h, out_w)[...] = np.where(
-                argmax == k, grad_out, 0.0
-            )
-        return grad_input
-    batch, channels, _, _ = x_shape
-    rows = argmax // pool
-    cols = argmax % pool
-    base_r = np.arange(out_h)[None, None, :, None] * stride
-    base_c = np.arange(out_w)[None, None, None, :] * stride
-    abs_r = base_r + rows
-    abs_c = base_c + cols
-    batch_idx = np.arange(batch)[:, None, None, None]
-    chan_idx = np.arange(channels)[None, :, None, None]
-    np.add.at(grad_input, (batch_idx, chan_idx, abs_r, abs_c), grad_out)
-    return grad_input
+    return _maxpool2d_backward_kernel(grad_out, argmax, x_shape, pool, stride, out=out)
 
 
 def avgpool2d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
@@ -444,8 +417,13 @@ def avgpool2d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
 def avgpool2d_backward(
     grad_out: np.ndarray, x_shape: tuple[int, int, int, int], pool: int, stride: int
 ) -> np.ndarray:
-    """Spread the output gradient uniformly over each pooling window."""
-    grad_input = np.zeros(x_shape, dtype=grad_out.dtype)
+    """Spread the output gradient uniformly over each pooling window.
+
+    Like :func:`col2im` and :func:`maxpool2d_backward`, the result is an NCHW
+    view of channels-last storage, so a conv backward that follows reads its
+    ``grad_flat`` as a free view.
+    """
+    grad_input = channels_last(np.zeros, x_shape, grad_out.dtype)
     out_h, out_w = grad_out.shape[2], grad_out.shape[3]
     share = grad_out / (pool * pool)
     for row in range(pool):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import functional as F
 from .initializers import HeNormal, Initializer, Zeros
-from .tensor_utils import check_2d, check_4d, conv_output_size
+from .tensor_utils import Workspace, check_2d, check_4d, conv_output_size
 
 __all__ = [
     "Parameter",
@@ -63,6 +63,9 @@ class Layer:
     def __init__(self, name: str | None = None) -> None:
         self.name = name or type(self).__name__
         self.training = True
+        # lent by a batched training pass for its duration (BayesianNetwork);
+        # without one every result is a fresh array
+        self._workspace: Workspace | None = None
 
     # -- protocol ------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -262,7 +265,18 @@ class MaxPool2D(Layer):
         self._cache: tuple[np.ndarray, tuple[int, int, int, int]] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, argmax = F.maxpool2d_forward(x, self.pool_size, self.stride)
+        buffers = None
+        if self._workspace is not None:
+            check_4d(x)
+            shape = x.shape[:2] + tuple(
+                conv_output_size(size, self.pool_size, self.stride, 0)
+                for size in x.shape[2:]
+            )
+            buffers = (
+                self._workspace.take(self, "pooled", shape, x.dtype, nhwc=True),
+                self._workspace.take(self, "argmax", shape, np.intp, nhwc=True),
+            )
+        out, argmax = F.maxpool2d_forward(x, self.pool_size, self.stride, out=buffers)
         self._cache = (argmax, x.shape)
         return out
 
@@ -270,7 +284,14 @@ class MaxPool2D(Layer):
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         argmax, x_shape = self._cache
-        return F.maxpool2d_backward(grad_out, argmax, x_shape, self.pool_size, self.stride)
+        buffer = None
+        if self._workspace is not None:
+            buffer = self._workspace.take(
+                self, "grad_input", x_shape, grad_out.dtype, nhwc=True
+            )
+        return F.maxpool2d_backward(
+            grad_out, argmax, x_shape, self.pool_size, self.stride, out=buffer
+        )
 
 
 class AvgPool2D(Layer):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.bnn import BNNTrainer, TrainerConfig, mc_predict
+from repro.bnn.serialization import state_fingerprint, tensor_fingerprint
 from repro.datasets import BatchLoader, synthetic_cifar10, synthetic_mnist
 from repro.models import get_model
 
@@ -201,3 +202,201 @@ class TestPredictEquivalence:
         model.eval()
         mc_predict(model, test.flatten_images()[:4], n_samples=2, batched=True)
         assert not model.training
+
+
+# ----------------------------------------------------------------------
+# the batched training pass's step workspace
+# ----------------------------------------------------------------------
+def _fingerprint(trainer) -> str:
+    return state_fingerprint(
+        (param.name, tensor_fingerprint(param.value))
+        for param in trainer.model.parameters()
+    )
+
+
+def _lenet_trainer(spec, batched, build_seed=99):
+    config = TrainerConfig(
+        n_samples=3, learning_rate=5e-3, seed=11, grng_stride=32, batched=batched
+    )
+    return BNNTrainer(spec.build_bayesian(seed=build_seed), config, policy="stored")
+
+
+def _held(model) -> dict:
+    """The workspace's buffers by key (empty without a workspace)."""
+    return {} if model._workspace is None else dict(model._workspace._held)
+
+
+class TestStepWorkspace:
+    def test_fit_with_a_smaller_last_minibatch(self, lenet_setup):
+        spec, batches, _ = lenet_setup
+        x, y = batches[0]
+        ragged = [*batches, (x[:8], y[:8])]  # every epoch ends on a short batch
+        sequential, batched = (_lenet_trainer(spec, flag) for flag in (False, True))
+        for trainer in (sequential, batched):
+            trainer.fit(ragged, epochs=2)
+        assert _fingerprint(batched) == _fingerprint(sequential)
+        assert batched.history.losses == sequential.history.losses
+
+    def test_buffers_are_reused_while_the_shapes_match(self, lenet_setup):
+        spec, batches, _ = lenet_setup
+        trainer = _lenet_trainer(spec, batched=True)
+        (x, y), (x2, y2) = batches[:2]
+        trainer.train_step(x, y, kl_weight=0.05)
+        first = _held(trainer.model)
+        # column matrices (1 shared + S), pooled/argmax/scatter target per
+        # pool, one col2im target: layer 0 computes no input gradient
+        assert len(first) == (1 + 3) + 2 * 3 + 1
+        trainer.train_step(x2, y2, kl_weight=0.05)
+        second = _held(trainer.model)
+        assert second.keys() == first.keys()
+        assert all(second[key] is first[key] for key in first)
+        trainer.train_step(x[:8], y[:8], kl_weight=0.05)  # a new batch size
+        third = _held(trainer.model)
+        assert third.keys() == first.keys()
+        assert not any(third[key] is first[key] for key in first)
+        # between steps nothing is on loan
+        assert all(layer._workspace is None for layer in trainer.model.layers)
+
+    def test_mc_predict_between_two_train_steps(self, lenet_setup):
+        spec, batches, test = lenet_setup
+        (x, y), (x2, y2) = batches[:2]
+        trainers = [_lenet_trainer(spec, flag) for flag in (False, True)]
+        predictions = []
+        for trainer in trainers:
+            trainer.train_step(x, y, kl_weight=0.05)
+            predictions.append(
+                mc_predict(trainer.model, test.images, n_samples=3, grng_stride=32)
+            )
+            # forward-only: the pass ran in evaluation mode on fresh arrays and
+            # its release dropped the workspace the training step had kept
+            assert trainer.model._workspace is None
+            assert all(layer._workspace is None for layer in trainer.model.layers)
+            assert trainer.model.training
+            trainer.train_step(x2, y2, kl_weight=0.05)
+        sequential, batched = trainers
+        assert _fingerprint(batched) == _fingerprint(sequential)
+        assert np.array_equal(
+            predictions[0].sample_probabilities, predictions[1].sample_probabilities
+        )
+
+    def test_forward_only_predict_never_creates_a_workspace(self, lenet_setup):
+        spec, _, test = lenet_setup
+        model = spec.build_bayesian(seed=42)
+        first = mc_predict(model, test.images, n_samples=3, grng_stride=32)
+        kept = first.sample_probabilities.copy()
+        mc_predict(model, test.images[:5], n_samples=3, grng_stride=32)
+        assert model._workspace is None
+        assert all(layer._workspace is None for layer in model.layers)
+        assert np.array_equal(first.sample_probabilities, kept)
+
+    def test_two_trainers_of_identical_shape_in_one_process(self, lenet_setup):
+        spec, batches, _ = lenet_setup
+        order_a, order_b = batches, batches[::-1]
+        references = []
+        for order, seed in ((order_a, 1), (order_b, 2)):
+            reference = _lenet_trainer(spec, batched=False, build_seed=seed)
+            for x, y in order:
+                reference.train_step(x, y, kl_weight=0.05)
+            references.append(_fingerprint(reference))
+        first = _lenet_trainer(spec, batched=True, build_seed=1)
+        second = _lenet_trainer(spec, batched=True, build_seed=2)
+        for (xa, ya), (xb, yb) in zip(order_a, order_b):  # interleaved steps
+            first.train_step(xa, ya, kl_weight=0.05)
+            second.train_step(xb, yb, kl_weight=0.05)
+        assert [_fingerprint(first), _fingerprint(second)] == references
+        shared = set(map(id, _held(first.model).values())) & set(
+            map(id, _held(second.model).values())
+        )
+        assert not shared
+
+    def test_two_conv_layers_sharing_every_buffer_shape(self):
+        from repro.bnn import BayesConv2D, BayesDense, BayesianNetwork
+        from repro.nn.layers import Flatten, MaxPool2D, ReLU
+
+        def build():
+            rng = np.random.default_rng(17)
+            # unnamed on purpose: both convs are called "BayesConv2D", both
+            # pools "MaxPool2D", and each pair asks for identical shapes
+            return BayesianNetwork(
+                [
+                    BayesConv2D(4, 4, 3, padding=1, rng=rng),
+                    ReLU(),
+                    MaxPool2D(3, stride=1),
+                    BayesConv2D(4, 4, 3, padding=1, rng=rng),
+                    ReLU(),
+                    MaxPool2D(3, stride=1),
+                    BayesConv2D(4, 4, 3, padding=1, rng=rng),
+                    Flatten(),
+                    BayesDense(4 * 4 * 4, 5, rng=rng),
+                ]
+            )
+
+        rng = np.random.default_rng(5)
+        data = [
+            (rng.standard_normal((6, 4, 8, 8)), rng.integers(0, 5, size=6))
+            for _ in range(3)
+        ]
+        trainers = []
+        for batched in (False, True):
+            config = TrainerConfig(n_samples=3, seed=21, grng_stride=32, batched=batched)
+            trainer = BNNTrainer(build(), config, policy="reversible")
+            for x, y in data:
+                trainer.train_step(x, y, kl_weight=0.01)
+            trainers.append(trainer)
+        sequential, batched = trainers
+        assert _fingerprint(batched) == _fingerprint(sequential)
+        assert batched.history.losses == sequential.history.losses
+        shapes = [held.shape for held in _held(batched.model).values()]
+        assert len(shapes) > len(set(shapes))  # equal shapes, separate buffers
+
+    def test_dense_model_holds_no_buffers(self, mlp_setup):
+        spec, batches, _ = mlp_setup
+        config = TrainerConfig(n_samples=3, seed=11, grng_stride=32)
+        trainer = BNNTrainer(spec.build_bayesian(seed=99), config, policy="reversible")
+        trainer.train_step(*batches[0])
+        assert _held(trainer.model) == {}
+
+    @pytest.mark.parametrize("ends_in_pool", [False, True])
+    def test_nothing_step_n_returned_changes_during_step_n_plus_1(
+        self, lenet_setup, ends_in_pool
+    ):
+        from repro.bnn import BayesConv2D, BayesianNetwork
+        from repro.core import StreamBank
+        from repro.nn.layers import MaxPool2D, ReLU
+
+        spec, batches, _ = lenet_setup
+        if ends_in_pool:  # the returned array comes straight out of a pooling layer
+            model = BayesianNetwork(
+                [BayesConv2D(3, 4, 3, padding=1), ReLU(), MaxPool2D(2)]
+            )
+        else:
+            model = spec.build_bayesian(seed=9)
+        bank = StreamBank(n_samples=3, seed=3, policy="stored")
+        model.train()
+        returned = []
+        for x, _ in batches[:2]:
+            model.zero_grad()
+            sampler = bank.batched_sampler()
+            logits = model.forward_samples(x, sampler)
+            assert not model._workspace.owns(logits)
+            returned.append((logits, logits.tobytes()))
+            model.backward_samples(np.ones_like(logits), sampler, kl_weight=0.0)
+            bank.finish_iteration()
+            for logits, frozen in returned:
+                assert logits.tobytes() == frozen
+        # and what a trainer hands back: the report and the history
+        trainer = _lenet_trainer(spec, batched=True)
+        first = trainer.train_step(*batches[0], kl_weight=0.05)
+        snapshot = (first.nll, first.complexity, list(trainer.history.losses))
+        trainer.train_step(*batches[1], kl_weight=0.05)
+        assert (first.nll, first.complexity) == snapshot[:2]
+        assert trainer.history.losses[:1] == snapshot[2]
+
+    def test_direct_release_gives_the_workspace_up(self, lenet_setup):
+        spec, batches, _ = lenet_setup
+        trainer = _lenet_trainer(spec, batched=True)
+        trainer.train_step(*batches[0], kl_weight=0.05)
+        assert _held(trainer.model)
+        trainer.model.release_sample_caches()
+        assert trainer.model._workspace is None
+        assert all(layer._workspace is None for layer in trainer.model.layers)

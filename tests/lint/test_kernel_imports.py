@@ -1,7 +1,8 @@
 """Lint gate: engine code must reach hot kernels through the dispatch layer.
 
 PR 6 moved every hot kernel (LFSR block stepping, window popcounts, CLT
-standardisation, per-sample matmul, im2col) behind the backend registry in
+standardisation, per-sample matmul, im2col -- since joined by col2im and the
+max-pool forward/backward) behind the backend registry in
 :mod:`repro.core.backend`.  The refactor only stays done if nothing quietly
 re-imports the raw implementations, so this test walks the AST of every
 module under ``src/repro`` and fails the build when engine code:
@@ -14,7 +15,7 @@ module under ``src/repro`` and fails the build when engine code:
   backends are selected through the registry, never by grabbing an
   implementation function directly;
 * imports :mod:`repro.core.native` (the compiled-kernel loader) from anywhere
-  but ``core/backend.py`` -- the C kernel is one more backend behind the
+  but ``core/backend.py`` -- the C kernels are backends behind the
   conformance gate, not a library engine code may call.
 
 A final runtime check asserts that the public wrappers really do route
@@ -44,7 +45,8 @@ ALLOWED_RAW_CALLERS = {
 }
 
 #: Raw kernel entry points in repro.core.bitops.  ``window_popcounts`` /
-#: ``sample_matmul`` / ``im2col`` have no raw bitops spelling -- their only
+#: ``sample_matmul`` and the conv data-movement kernels (``im2col``,
+#: ``col2im``, ``maxpool2d_*``) have no raw bitops spelling -- their only
 #: non-dispatch implementations live inside core/backend.py -- so forbidding
 #: these three names (plus private backend imports) covers every hot kernel.
 FORBIDDEN_BITOPS_NAMES = {
@@ -63,6 +65,9 @@ EXPECTED_KERNELS = {
     "grng_block",
     "sample_matmul",
     "im2col",
+    "col2im",
+    "maxpool2d_forward",
+    "maxpool2d_backward",
 }
 
 
@@ -99,8 +104,8 @@ def _violations_in(path: Path, tree: ast.Module) -> list[str]:
         if not native_allowed and _imports_native(node):
             found.append(
                 f"{rel}:{node.lineno}: imports repro.core.native -- the "
-                "compiled kernel is reachable only through the grng_block "
-                "dispatch point"
+                "compiled kernels are reachable only through their dispatch "
+                "points"
             )
         if isinstance(node, ast.ImportFrom):
             if _module_is(node.module, "bitops"):
@@ -168,7 +173,10 @@ def test_public_wrappers_route_through_dispatch():
 
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3, 6, 6))
-    F.im2col(x, kernel=3, stride=1, padding=0)
+    cols, _, _ = F.im2col(x, kernel=3, stride=1, padding=0)
+    F.col2im(cols, x.shape, kernel=3, stride=1, padding=0)
+    pooled, argmax = F.maxpool2d_forward(x, pool=2, stride=2)
+    F.maxpool2d_backward(pooled, argmax, x.shape, pool=2, stride=2)
     a = rng.standard_normal((2, 4, 5))
     b = rng.standard_normal((2, 5, 3))
     F.sample_matmul(a, b)

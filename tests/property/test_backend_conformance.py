@@ -7,7 +7,7 @@ wall-clock time but never bits.  Two layers of evidence:
   kernel through the registry's own conformance gate (the fixed case set
   covering dtypes, strides 1 and 256, the leapfrog's level-6 word-alignment
   boundary and degenerate shapes).  Optional backends whose toolchain is
-  absent (``grng_block``/``native`` without a C compiler) self-skip -- the
+  absent (the ``native`` ones without a C compiler) self-skip -- the
   parametrisation still names them, so a CI log shows exactly which backends
   were exercised where.
 * the hypothesis tests below drive each kernel with *randomised* workloads
@@ -15,8 +15,10 @@ wall-clock time but never bits.  Two layers of evidence:
   assert the forced backend's output is bit-identical to the reference
   oracle's on the same inputs.  ``lfsr_step_block`` has no second backend, so
   its randomised proof is the independent bit-serial oracle in
-  ``test_lfsr_bitserial_oracle.py`` instead; ``im2col`` has none either, so
-  its reference gather is checked against a sliding-window formulation.
+  ``test_lfsr_bitserial_oracle.py`` instead; ``im2col``'s reference gather is
+  checked against a sliding-window formulation here, and both backends of the
+  four conv data-movement kernels against pasted-in oracles in
+  ``test_conv_fast_paths.py``.
 
 ``window_popcounts`` backends may legitimately return different *integer
 dtypes* (int16 / int32 / int64 -- popcounts are exact in all of them), so

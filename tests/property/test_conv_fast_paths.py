@@ -2,19 +2,25 @@
 
 Each fast path is checked against the formulation it replaced, pasted here as
 the oracle: the ``np.add.at`` max-pool scatter, the NCHW ``col2im``
-accumulation, the gathered-window ``argmax`` max-pool forward, and the
-per-sample (folded) first-layer lowering.  The network-level tests pin what
-the layer-0 specialisations must not change (the trajectory) and what they
-must (the kernel call counts, the return value).
+accumulation, the gathered-window ``argmax`` max-pool forward, the
+slice-gather ``im2col`` and the per-sample (folded) first-layer lowering.
+The same oracles judge both backends of the four data-movement dispatch
+points -- the NumPy ``reference`` and the compiled ``native`` kernels -- over
+random geometries, layouts and ``out=`` buffers.  The network-level tests pin
+what the layer-0 specialisations must not change (the trajectory) and what
+they must (the kernel call counts, the return value).
 """
 
 from __future__ import annotations
 
 import gc
 import weakref
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bnn import BayesConv2D, BNNTrainer, TrainerConfig
 from repro.core import StreamBank, backend, stability
@@ -90,6 +96,24 @@ def _col2im_nchw(cols, x_shape, kernel, stride, padding):
     if padding:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
+
+
+def _im2col_slices(x, kernel, stride, padding):
+    batch, channels, height, width = x.shape
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((batch, channels, kernel, kernel, out_h, out_w), dtype=x.dtype)
+    for row in range(kernel):
+        row_end = row + stride * out_h
+        for col in range(kernel):
+            col_end = col + stride * out_w
+            cols[:, :, row, col, :, :] = x[:, :, row:row_end:stride, col:col_end:stride]
+    return np.ascontiguousarray(
+        cols.transpose(0, 4, 5, 1, 2, 3).reshape(
+            batch * out_h * out_w, channels * kernel * kernel
+        )
+    )
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +219,206 @@ def test_col2im_matches_nchw_accumulation(kernel, stride, padding, dtype):
     # channels-last storage under the NCHW view (padding crops rows/columns,
     # so judge the stride order rather than contiguity)
     assert got.strides[1] == got.itemsize
+
+
+# ----------------------------------------------------------------------
+# both backends of the four dispatch points: random geometries, out= buffers
+# ----------------------------------------------------------------------
+CONV_KERNELS = ("im2col", "col2im", "maxpool2d_forward", "maxpool2d_backward")
+
+
+@contextmanager
+def _forced(name):
+    """The four data-movement dispatch points forced onto backend ``name``."""
+    if name == "native" and not all(
+        impl["available"]
+        for entry in backend.list_backends()
+        if entry["kernel"] in CONV_KERNELS
+        for impl in entry["backends"]
+    ):
+        pytest.skip("no C compiler: the native backends are unavailable")
+    with ExitStack() as stack:
+        for kernel in CONV_KERNELS:
+            stack.enter_context(backend.using(kernel, name))
+        yield
+
+
+def _ran_on(name):
+    """Calls per conv dispatch point answered by backend ``name`` so far."""
+    counters = backend.counters_snapshot()
+    return {k: counters.get(k, {}).get(name, {}).get("calls", 0) for k in CONV_KERNELS}
+
+
+def _sliced(x):
+    """The same tensor as every other batch item of channels-last storage."""
+    wide = np.empty((2 * x.shape[0] + 1,) + x.shape[1:]).transpose(0, 2, 3, 1)
+    wide = np.ascontiguousarray(wide).transpose(0, 3, 1, 2)
+    view = wide[1::2]
+    view[...] = x
+    assert x.shape[0] < 2 or not view.transpose(0, 2, 3, 1).flags.c_contiguous
+    return view
+
+
+LAYOUTS = {"nchw": np.ascontiguousarray, "nhwc": _channels_last, "sliced": _sliced}
+BACKENDS = pytest.mark.parametrize("name", ["reference", "native"])
+
+window_geometry = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "batch": st.integers(0, 5),
+        "channels": st.integers(1, 13),
+        "kernel": st.integers(1, 5),
+        "stride": st.integers(1, 3),
+        "padding": st.integers(0, 2),
+        "extra": st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        "layout": st.sampled_from(sorted(LAYOUTS)),
+    }
+)
+
+
+def _draw(geometry, padded=True):
+    """(rng, x_shape, kernel, stride, padding, layout fn) of one drawn geometry."""
+    kernel, padding = geometry["kernel"], geometry["padding"] if padded else 0
+    size = max(kernel - 2 * padding, 1)
+    x_shape = (
+        geometry["batch"], geometry["channels"],
+        size + geometry["extra"][0], size + geometry["extra"][1],
+    )
+    rng = np.random.default_rng(geometry["seed"])
+    return rng, x_shape, kernel, geometry["stride"], padding, LAYOUTS[geometry["layout"]]
+
+
+def _garbage(rng, shape, dtype=np.float64, layout=_channels_last):
+    return layout(rng.standard_normal(shape)).astype(dtype, order="K")
+
+
+@BACKENDS
+@given(geometry=window_geometry)
+@settings(max_examples=60, deadline=None)
+def test_im2col_random_geometries(name, geometry):
+    rng, x_shape, kernel, stride, padding, layout = _draw(geometry)
+    x = layout(rng.standard_normal(x_shape))
+    want = _im2col_slices(x, kernel, stride, padding)
+    with _forced(name):
+        before = _ran_on(name)
+        cols, out_h, out_w = F.im2col(x, kernel, stride, padding)
+        buffer = rng.standard_normal(want.shape)
+        filled, _, _ = F.im2col(x, kernel, stride, padding, out=buffer)
+        assert _ran_on(name)["im2col"] == before["im2col"] + 2  # no silent fallback
+    assert (out_h, out_w) == tuple(
+        conv_output_size(size, kernel, stride, padding) for size in x_shape[2:]
+    )
+    assert cols.flags.c_contiguous and _same_bytes(cols, want)
+    assert filled is buffer and _same_bytes(buffer, want)
+
+
+@BACKENDS
+@given(geometry=window_geometry)
+@settings(max_examples=60, deadline=None)
+def test_col2im_random_geometries(name, geometry):
+    rng, x_shape, kernel, stride, padding, layout = _draw(geometry)
+    rows = x_shape[0] * np.prod(
+        [conv_output_size(size, kernel, stride, padding) for size in x_shape[2:]]
+    )
+    cols = rng.standard_normal((int(rows), x_shape[1] * kernel * kernel))
+    cols[rng.random(cols.shape) < 0.3] = -0.0  # what relu_grad hands over
+    cols[rng.random(cols.shape) < 0.2] = 0.0
+    want = _col2im_nchw(cols, x_shape, kernel, stride, padding)
+    with _forced(name):
+        before = _ran_on(name)
+        got = F.col2im(cols, x_shape, kernel, stride, padding)
+        buffer = layout(rng.standard_normal(x_shape))
+        filled = F.col2im(cols, x_shape, kernel, stride, padding, out=buffer)
+        assert _ran_on(name)["col2im"] == before["col2im"] + 2
+    assert _same_bytes(got, want)
+    assert got.size == 0 or got.strides[1] == got.itemsize  # channels-last storage
+    assert filled is buffer and _same_bytes(buffer, want)
+    assert not np.signbit(got[got == 0.0]).any()  # -0.0 summed into +0.0
+
+
+@BACKENDS
+@given(geometry=window_geometry)
+@settings(max_examples=60, deadline=None)
+def test_maxpool_random_geometries(name, geometry):
+    rng, x_shape, pool, stride, _, layout = _draw(geometry, padded=False)
+    x = layout(_post_relu(rng, x_shape))
+    want_out, want_argmax = _maxpool2d_forward_windows(x, pool, stride)
+    grad_out = rng.standard_normal(want_out.shape)
+    grad_out[rng.random(grad_out.shape) < 0.3] = -0.0
+    grad_out[rng.random(grad_out.shape) < 0.2] = 0.0
+    grad_out = layout(grad_out)
+    want_grad = _maxpool2d_backward_add_at(grad_out, want_argmax, x_shape, pool, stride)
+    with _forced(name):
+        before = _ran_on(name)
+        out, argmax = F.maxpool2d_forward(x, pool, stride)
+        buffers = (
+            _garbage(rng, want_out.shape),
+            _garbage(rng, want_out.shape, np.intp),
+        )
+        filled = F.maxpool2d_forward(x, pool, stride, out=buffers)
+        grad = F.maxpool2d_backward(grad_out, argmax, x_shape, pool, stride)
+        buffer = _garbage(rng, x_shape, layout=layout)
+        scattered = F.maxpool2d_backward(
+            grad_out, argmax, x_shape, pool, stride, out=buffer
+        )
+        after = _ran_on(name)
+    assert after["maxpool2d_forward"] == before["maxpool2d_forward"] + 2
+    assert after["maxpool2d_backward"] == before["maxpool2d_backward"] + 2
+    assert _same_bytes(out, want_out) and _same_bytes(argmax, want_argmax)
+    assert not np.shares_memory(out, x)
+    assert filled[0] is buffers[0] and filled[1] is buffers[1]
+    assert _same_bytes(buffers[0], want_out) and _same_bytes(buffers[1], want_argmax)
+    assert _same_bytes(grad, want_grad) and _is_channels_last(grad)
+    assert scattered is buffer and _same_bytes(buffer, want_grad)
+    assert not np.signbit(grad[grad == 0.0]).any()
+
+
+@BACKENDS
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("pool,stride", [(2, 2), (3, 3), (3, 2)])
+def test_maxpool_nan_and_ties_follow_argmax(name, layout, pool, stride):
+    rng = np.random.default_rng(8)
+    x = _post_relu(rng, (2, 3, 9, 9))
+    last = pool - 1
+    x[0, 0, 0, 0] = np.nan  # first position of its window
+    x[0, 1, pool // 2, last] = np.nan  # a middle position
+    x[0, 2, last, last] = np.nan  # the last position
+    x[1, 0, 0:pool, 0:pool] = np.nan  # an all-NaN window
+    x[1, 1, 0, 0] = x[1, 1, 0, 1] = np.nan  # two NaN: the first wins
+    x[1, 2, 0:pool, 0:pool] = 7.0  # an exact tie across the whole window
+    x[1, 2, stride : stride + pool, stride : stride + pool] = [
+        [0.0, -0.0, 0.0][:pool]
+    ] * pool  # signed zeros compare equal: the first position wins
+    x = LAYOUTS[layout](x)
+    want_out, want_argmax = _maxpool2d_forward_windows(x, pool, stride)
+    with _forced(name):
+        out, argmax = F.maxpool2d_forward(x, pool, stride)
+    assert _same_bytes(out, want_out) and _same_bytes(argmax, want_argmax)
+    assert np.isnan(out[0, :, 0, 0]).all() and np.isnan(out[1, :2, 0, 0]).all()
+    assert argmax[1, 0, 0, 0] == 0 and argmax[1, 1, 0, 0] == 0
+    assert argmax[1, 2, 0, 0] == 0 and argmax[1, 2, 1, 1] == 0
+
+
+@BACKENDS
+def test_out_buffers_of_the_wrong_shape_or_dtype_are_refused(name):
+    x = np.zeros((2, 3, 6, 6))
+    with _forced(name):
+        with pytest.raises(ValueError, match="out is"):
+            F.im2col(x, 3, 1, 1, out=np.empty((2 * 36, 26)))
+        with pytest.raises(ValueError, match="out is"):
+            F.col2im(np.zeros((72, 27)), x.shape, 3, 1, 1, out=np.empty(x.shape, np.float32))
+        with pytest.raises(ValueError, match="out is"):
+            F.maxpool2d_forward(x, 2, 2, out=(np.empty((2, 3, 3, 3)), np.empty((2, 3, 3, 3))))
+        with pytest.raises(ValueError, match="out is"):
+            F.maxpool2d_backward(
+                np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3), np.intp), x.shape, 2, 2,
+                out=np.empty((2, 3, 6, 5)),
+            )
+        # an argmax outside the window selects nothing, on either backend
+        stray = F.maxpool2d_backward(
+            np.ones((2, 3, 3, 3)), np.full((2, 3, 3, 3), 4), x.shape, 2, 2
+        )
+        assert not stray.any()
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,9 @@ KERNELS = {
     "grng_block",
     "sample_matmul",
     "im2col",
+    "col2im",
+    "maxpool2d_forward",
+    "maxpool2d_backward",
 }
 
 

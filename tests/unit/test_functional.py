@@ -158,6 +158,30 @@ class TestPooling:
         grad_x = F.avgpool2d_backward(grad_out, x.shape, 2, 2)
         assert np.allclose(grad_x, 0.25)
 
+    @pytest.mark.parametrize("pool,stride", [(2, 2), (3, 2), (2, 3)])
+    def test_avgpool_backward_is_channels_last_with_the_nchw_bytes(self, rng, pool, stride):
+        # the NCHW-contiguous accumulation it used to be, as the oracle
+        x_shape = (3, 5, 9, 8)
+        out_h = (x_shape[2] - pool) // stride + 1
+        out_w = (x_shape[3] - pool) // stride + 1
+        grad_out = rng.normal(size=(3, 5, out_h, out_w))
+        want = np.zeros(x_shape)
+        share = grad_out / (pool * pool)
+        for row in range(pool):
+            for col in range(pool):
+                want[
+                    :, :, row : row + stride * out_h : stride,
+                    col : col + stride * out_w : stride,
+                ] += share
+        got = F.avgpool2d_backward(grad_out, x_shape, pool, stride)
+        assert got.shape == x_shape and got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        # an NCHW view of channels-last storage, like col2im and
+        # maxpool2d_backward: the next conv backward's grad_flat is a free view
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous
+        flat = got.transpose(0, 2, 3, 1).reshape(-1, x_shape[1])
+        assert np.shares_memory(flat, got)
+
 
 class TestActivations:
     def test_softmax_rows_sum_to_one(self, rng):

@@ -1,19 +1,22 @@
-"""Build and fallback robustness of the compiled ``grng_block`` backend.
+"""Build and fallback robustness of the compiled ``native`` backends.
 
-``repro.core.native`` builds ``_grng.c`` lazily with the system compiler and
-caches the shared object per user.  Every way that can go wrong -- no
-compiler, a corrupt cache entry, two first users racing, a replica captured
-where the build worked and rebuilt where it does not -- must end in the NumPy
-kernels answering with the same bytes, never in an exception or a crash.
+``repro.core.native`` builds ``_grng.c`` and ``_conv.c`` lazily into one
+shared object with the system compiler and caches it per user.  Every way
+that can go wrong -- no compiler, a corrupt cache entry, two first users
+racing, a replica captured where the build worked and rebuilt where it does
+not -- must end in the NumPy kernels answering with the same bytes, never in
+an exception or a crash.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import time
 import warnings
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import pytest
@@ -21,10 +24,15 @@ import pytest
 import repro.core.backend as backend
 import repro.core.native as native
 from repro.bnn import BNNTrainer, TrainerConfig
-from repro.datasets import BatchLoader, synthetic_mnist
+from repro.datasets import BatchLoader, synthetic_cifar10, synthetic_mnist
 from repro.models import ReplicaSpec, get_model
 
 SRC = Path(backend.__file__).resolve().parents[2]
+
+#: Every dispatch point with a compiled backend.
+NATIVE_KERNELS = (
+    "grng_block", "im2col", "col2im", "maxpool2d_forward", "maxpool2d_backward"
+)
 
 
 @pytest.fixture
@@ -41,11 +49,15 @@ def needs_compiler() -> None:
         pytest.skip("no C compiler on PATH")
 
 
-def train_two_steps() -> tuple[str, dict]:
-    """(parameter fingerprint, dispatch counters) of two default B-MLP steps."""
-    spec = get_model("B-MLP", reduced=True)
-    train, _ = synthetic_mnist(n_train=32, n_test=16, image_size=14, seed=3)
-    batches = BatchLoader(train, batch_size=16, flatten=True).batches()
+def train_two_steps(model_name: str = "B-MLP") -> tuple[str, dict]:
+    """(parameter fingerprint, dispatch counters) of two default steps."""
+    spec = get_model(model_name, reduced=True)
+    if model_name == "B-MLP":
+        train, _ = synthetic_mnist(n_train=32, n_test=16, image_size=14, seed=3)
+        batches = BatchLoader(train, batch_size=16, flatten=True).batches()
+    else:
+        train, _ = synthetic_cifar10(n_train=16, n_test=16, image_size=16, seed=3)
+        batches = BatchLoader(train, batch_size=8).batches()
     model = spec.build_bayesian(seed=5)
     trainer = BNNTrainer(
         model, TrainerConfig(n_samples=3, learning_rate=5e-3, seed=11), policy="reversible"
@@ -56,13 +68,22 @@ def train_two_steps() -> tuple[str, dict]:
     return ReplicaSpec.capture(spec, model).fingerprint(), backend.counters_snapshot()
 
 
-def native_listing() -> dict:
-    listing = next(e for e in backend.list_backends() if e["kernel"] == "grng_block")
+def native_listing(kernel: str = "grng_block") -> dict:
+    listing = next(e for e in backend.list_backends() if e["kernel"] == kernel)
     return next(b for b in listing["backends"] if b["name"] == "native")
 
 
 def unavailable_warnings(caught) -> list[str]:
-    return [str(w.message) for w in caught if "native GRNG kernel unavailable" in str(w.message)]
+    return [str(w.message) for w in caught if "native kernels unavailable" in str(w.message)]
+
+
+@contextmanager
+def using_everywhere(name: str | None):
+    """Every native-backed dispatch point forced onto one backend (None = chain)."""
+    with ExitStack() as stack:
+        for kernel in NATIVE_KERNELS:
+            stack.enter_context(backend.using(kernel, name))
+        yield
 
 
 class TestNoToolchain:
@@ -79,6 +100,22 @@ class TestNoToolchain:
         assert not native_listing()["available"]
         assert got == want and again == want
         assert set(want[1]["grng_block"]) == {"reference"}
+
+    def test_one_warning_covers_all_five_dispatch_points(
+        self, no_toolchain, restore_selection
+    ):
+        # B-LeNet's step runs every native-backed kernel
+        with using_everywhere("reference"):
+            want = train_two_steps("B-LeNet")
+        with warnings.catch_warnings(record=True) as caught, using_everywhere(None):
+            warnings.simplefilter("always")
+            got = train_two_steps("B-LeNet")
+            again = train_two_steps("B-LeNet")
+        assert len(unavailable_warnings(caught)) == 1
+        assert got == want and again == want
+        for kernel in NATIVE_KERNELS:
+            assert not native_listing(kernel)["available"]
+            assert set(want[1][kernel]) == {"reference"}, kernel
 
     def test_replica_captured_on_native_rebuilds_on_the_default_chain(
         self, no_toolchain, restore_selection
@@ -171,7 +208,7 @@ class TestBuildCache:
         monkeypatch.setattr(native, "library", broken)
         with backend.using("grng_block", "reference"):
             want = train_two_steps()
-        with pytest.warns(RuntimeWarning, match="native GRNG kernel unavailable"):
+        with pytest.warns(RuntimeWarning, match="native kernels unavailable"):
             with backend.using("grng_block", None):
                 got = train_two_steps()
         assert got == want
@@ -183,9 +220,35 @@ class TestBuildCache:
         start_at = time.time() + 1.0
         racers = [start_child(tmp_path, start_at) for _ in range(2)]
         for racer in racers:
-            finish_child(racer)
-        left = sorted(p.name for p in tmp_path.iterdir())
-        assert len(left) == 1 and left[0].endswith(".so"), left
+            finish_child(racer)  # each loaded a file whose digest it verified
+        (left,) = tmp_path.iterdir()
+        assert left.suffix == ".so"
+        assert native._digest(left.read_bytes()) == left.stem.rpartition("-")[2]
+
+    @pytest.mark.parametrize("edited", range(len(native.SOURCES)))
+    def test_editing_either_source_changes_the_key(self, monkeypatch, tmp_path, edited):
+        needs_compiler()
+        assert {source.name for source in native.SOURCES} == {"_grng.c", "_conv.c"}
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        assert native.NativeLibrary(cache_dir=cache).load() is not None
+        copies = [Path(shutil.copy(source, tmp_path)) for source in native.SOURCES]
+        with copies[edited].open("a") as handle:
+            handle.write("/* edited */\n")
+        monkeypatch.setattr(native, "SOURCES", tuple(copies))
+        assert native.NativeLibrary(cache_dir=cache).load() is not None
+        keys = {path.name.split("-")[1] for path in cache.iterdir()}
+        assert len(keys) == 2  # one shared object per key, both kept
+
+
+def test_one_library_serves_every_native_backend():
+    if not native_listing()["available"]:
+        pytest.skip("native backends unavailable: no C compiler, or the build failed")
+    lib = native.library.load()
+    for symbol in ("grng_forward", "conv_im2col", "conv_maxpool_backward"):
+        assert hasattr(lib, symbol)  # one shared object holds both sources
+    for kernel in NATIVE_KERNELS:
+        assert backend.verify_backend(kernel, "native")
 
 
 def test_native_and_reference_agree_on_a_train_step(restore_selection):
