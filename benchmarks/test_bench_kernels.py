@@ -93,6 +93,14 @@ def _workload(kernel: str):
     if kernel == "fused_im2col":
         x = rng.standard_normal(IM2COL_SHAPE)
         return (x, 3, 1, 0, (2, 2, 2, 2)), {}
+    if kernel == "posterior_gc":
+        # the reduced B-MLP's first layer at S = 8; accumulates in place
+        shape = (196, 64)
+        stacks = [rng.standard_normal((8, *shape)) for _ in range(3)]
+        sigma = np.logaddexp(0.0, rng.standard_normal(shape))
+        sigmoid_rho = rng.random(shape)
+        grads = np.zeros(shape), np.zeros(shape)
+        return (*stacks[:2], stacks[2], 1e-3, sigma, sigmoid_rho, True, *grads), {}
     raise AssertionError(f"no benchmark workload defined for kernel {kernel!r}")
 
 

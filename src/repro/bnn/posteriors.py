@@ -14,11 +14,14 @@ import math
 
 import numpy as np
 
+from ..core.backend import dispatch
 from ..nn.initializers import Initializer
 from ..nn.layers import Parameter
 from .grad_tape import active_tape
 
 __all__ = ["GaussianPosterior", "softplus", "softplus_grad", "inverse_softplus"]
+
+_posterior_gc = dispatch("posterior_gc")
 
 
 def softplus(rho: np.ndarray) -> np.ndarray:
@@ -185,7 +188,9 @@ class GaussianPosterior:
 
         ``sigma`` is the step's FW-stage :attr:`sigma`, handed back by the
         layer instead of recomputed: ``rho`` cannot change between FW and BW
-        of one step, so it is the same function of the same bytes.
+        of one step, so it is the same function of the same bytes.  The
+        arithmetic runs on the ``posterior_gc`` dispatch point
+        (:mod:`repro.core.backend`); the transcendentals stay here.
         """
         if (
             grad_weight.ndim != len(self.shape) + 1
@@ -197,24 +202,23 @@ class GaussianPosterior:
             )
         if epsilon.shape != grad_weight.shape:
             raise ValueError("gradient / epsilon shape does not match the posterior")
-        total_w_grad = grad_weight + kl_weight * prior_nll_grad
-        sigma_grad = epsilon * total_w_grad
-        if include_entropy_term:
-            sigma_grad = sigma_grad - kl_weight / sigma
-        rho_grad = sigma_grad * softplus_grad(self.rho.value)
+        sigmoid_rho = softplus_grad(self.rho.value)
         tape = active_tape()
         if tape is not None:
             # Distributed capture: hand the per-sample stacks to the tape so
             # the coordinator can accumulate them in canonical sample order
-            # across shards (slice [s] is exactly what the loop below adds).
-            tape.record(self.mu.name, total_w_grad)
-            tape.record(self.rho.name, rho_grad)
+            # across shards (slice [s] is exactly what the kernel adds).
+            mu_stack, rho_stack = _posterior_gc(
+                grad_weight, epsilon, prior_nll_grad, kl_weight, sigma,
+                sigmoid_rho, include_entropy_term, None, None,
+            )
+            tape.record(self.mu.name, mu_stack)
+            tape.record(self.rho.name, rho_stack)
             return
-        # Per-sample accumulation in sample order: float addition is not
-        # associative, and the sequential trainers add one sample at a time.
-        for s in range(grad_weight.shape[0]):
-            self.mu.grad += total_w_grad[s]
-            self.rho.grad += rho_grad[s]
+        _posterior_gc(
+            grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
+            include_entropy_term, self.mu.grad, self.rho.grad,
+        )
 
     def __repr__(self) -> str:
         return f"GaussianPosterior(shape={self.shape})"

@@ -10,11 +10,29 @@
  * as arrays derived in Python (repro.core.backend), whose `supports`
  * predicate guards every limit checked below.
  *
+ * Forward generation has two bodies with identical results: the row body
+ * (one register row at a time, portable C) and, on x86-64 CPUs with
+ * AVX-512F/DQ and VPOPCNTDQ, the lane body, which runs eight rows -- one per
+ * Monte-Carlo sample -- as the eight 64-bit lanes of one vector, for the
+ * paper's 256-bit register at strides of whole registers.  The lane
+ * body is compiled for that ISA through a per-function target attribute and
+ * chosen at run time, so the library's own flags stay generic (whole-library
+ * AVX-512 code generation slows the conv kernels in the same object).
+ *
  * Built by repro.core.native with plain -O2: no -ffast-math, the standardise
  * step is a true IEEE divide, so outputs are bit-identical to NumPy.
  */
 #include <stddef.h>
 #include <stdint.h>
+
+/* The lane body needs a compiler that knows VPOPCNTDQ (its intrinsics, the
+ * target attribute and __builtin_cpu_supports name): gcc 8 / clang 8 on.  An
+ * older one builds the row body alone and keeps the rest of the library. */
+#if defined(__x86_64__) && (defined(__clang__) ? __clang_major__ >= 8        \
+                                                : defined(__GNUC__) && __GNUC__ >= 8)
+#include <immintrin.h>
+#define GRNG_HAVE_LANES 1
+#endif
 
 #define GRNG_MAX_WORDS 16
 #define GRNG_SCRATCH_WORDS 512
@@ -34,11 +52,12 @@ static inline uint64_t reverse64(uint64_t x)
  * sequence word i is h[i-W] ^ XOR_s (h[i-W] >> s | h[i-W+1] << (64 - s)): it
  * needs only the words W and W-1 back (W = n_words >= 2).  Time order is oldest bit first,
  * i.e. the register read Rn..R1, hence the bit reversal on the way in and
- * out.  Emits ((double)popcount - mean) / std. */
-int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
-                 size_t rows, size_t n_words, const int32_t *shifts,
-                 size_t stride_words, size_t count, double mean, double std,
-                 double *out)
+ * out.  Emits ((double)popcount - mean) / std.  This is the row body;
+ * grng_forward below runs it or the lane body. */
+int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
+                      int64_t *last_pc, size_t rows, size_t n_words,
+                      const int32_t *shifts, size_t stride_words, size_t count,
+                      double mean, double std, double *out)
 {
     const int s0 = shifts[0], s1 = shifts[1], s2 = shifts[2];
     if (n_words < 2 || n_words > GRNG_MAX_WORDS || stride_words < 1)
@@ -74,6 +93,126 @@ int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
         last_pc[r] = pc;
     }
     return 0;
+}
+
+#ifdef GRNG_HAVE_LANES
+#define GRNG_LANES 8
+#define GRNG_LANE_TARGET __attribute__((target("avx512f,avx512dq,avx512vpopcntdq")))
+
+/* The forward word form of grng_forward_rows, in every lane at once. */
+GRNG_LANE_TARGET
+static inline __m512i lane_word(__m512i a, __m512i b, const __m128i *right,
+                                const __m128i *left)
+{
+    return a ^ (_mm512_srl_epi64(a, right[0]) | _mm512_sll_epi64(b, left[0]))
+             ^ (_mm512_srl_epi64(a, right[1]) | _mm512_sll_epi64(b, left[1]))
+             ^ (_mm512_srl_epi64(a, right[2]) | _mm512_sll_epi64(b, left[2]));
+}
+
+GRNG_LANE_TARGET
+static inline __m512i lane_popcount(__m512i h0, __m512i h1, __m512i h2, __m512i h3)
+{
+    return _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_popcnt_epi64(h0), _mm512_popcnt_epi64(h1)),
+        _mm512_add_epi64(_mm512_popcnt_epi64(h2), _mm512_popcnt_epi64(h3)));
+}
+
+/* The paper's 256-bit register at a stride of whole registers, up to eight
+ * rows as the lanes of one vector: lane r runs row r, and when fewer than
+ * eight rows are left the spare lanes run a duplicate of the last one, whose
+ * results are dropped (the masked scatter never writes them).  The four
+ * history words stay in vector registers: after each register's worth of new
+ * words the window is exactly those words, so its popcount is their sum.  The
+ * standardise is the row body's subtract and divide, per lane in IEEE double. */
+GRNG_LANE_TARGET
+static void forward_lanes(const uint64_t *state, uint64_t *new_state,
+                          int64_t *last_pc, size_t lanes, const int32_t *shifts,
+                          size_t stride_words, size_t count, double mean,
+                          double std, double *out)
+{
+    uint64_t words[4][GRNG_LANES] __attribute__((aligned(64)));
+    int64_t index[GRNG_LANES], lane_pc[GRNG_LANES] __attribute__((aligned(64)));
+    __m128i right[3], left[3];
+    for (int t = 0; t < 3; t++) {
+        right[t] = _mm_cvtsi32_si128(shifts[t]);
+        left[t] = _mm_cvtsi32_si128(64 - shifts[t]);
+    }
+    for (size_t r = 0; r < GRNG_LANES; r++) {
+        size_t row = r < lanes ? r : lanes - 1;
+        index[r] = (int64_t)(row * count);
+        for (size_t j = 0; j < 4; j++)
+            words[j][r] = reverse64(state[row * 4 + 3 - j]);
+    }
+    const __mmask8 real = (__mmask8)((1u << lanes) - 1);
+    const __m512i at = _mm512_loadu_si512(index);
+    const __m512d vmean = _mm512_set1_pd(mean), vstd = _mm512_set1_pd(std);
+    __m512i h0 = _mm512_load_si512(words[0]), h1 = _mm512_load_si512(words[1]);
+    __m512i h2 = _mm512_load_si512(words[2]), h3 = _mm512_load_si512(words[3]);
+    __m512i pc = lane_popcount(h0, h1, h2, h3);
+    for (size_t k = 0; k < count; k++) {
+        for (size_t t = 0; t < stride_words; t += 4) {
+            h0 = lane_word(h0, h1, right, left);
+            h1 = lane_word(h1, h2, right, left);
+            h2 = lane_word(h2, h3, right, left);
+            h3 = lane_word(h3, h0, right, left);
+        }
+        pc = lane_popcount(h0, h1, h2, h3);
+        _mm512_mask_i64scatter_pd(out++, real, at,
+            _mm512_div_pd(_mm512_sub_pd(_mm512_cvtepi64_pd(pc), vmean), vstd), 8);
+    }
+    _mm512_store_si512(lane_pc, pc);
+    _mm512_store_si512(words[0], h0);
+    _mm512_store_si512(words[1], h1);
+    _mm512_store_si512(words[2], h2);
+    _mm512_store_si512(words[3], h3);
+    for (size_t r = 0; r < lanes; r++) {
+        for (size_t j = 0; j < 4; j++)
+            new_state[r * 4 + 3 - j] = reverse64(words[j][r]);
+        last_pc[r] = lane_pc[r];
+    }
+}
+#endif
+
+/* 8 when grng_forward runs the lane body on this CPU (for the geometry and
+ * row groups it takes), 1 when only the row body exists here. */
+int grng_lane_width(void)
+{
+#ifdef GRNG_HAVE_LANES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")
+        && __builtin_cpu_supports("avx512vpopcntdq"))
+        return GRNG_LANES;
+#endif
+    return 1;
+}
+
+int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
+                 size_t rows, size_t n_words, const int32_t *shifts,
+                 size_t stride_words, size_t count, double mean, double std,
+                 double *out)
+{
+    if (n_words < 2 || n_words > GRNG_MAX_WORDS || stride_words < 1)
+        return -1;
+#ifdef GRNG_HAVE_LANES
+    /* The lane body takes the 256-bit register at whole-register strides;
+     * a lone row costs a full vector pass, about twice the row body. */
+    if (n_words == 4 && stride_words % 4 == 0 && grng_lane_width() == GRNG_LANES) {
+        for (size_t r = 0; r < rows; r += GRNG_LANES) {
+            size_t lanes = rows - r < GRNG_LANES ? rows - r : GRNG_LANES;
+            if (lanes == 1)
+                grng_forward_rows(state + r * 4, new_state + r * 4, last_pc + r, 1,
+                                  4, shifts, stride_words, count, mean, std,
+                                  out + r * count);
+            else
+                forward_lanes(state + r * 4, new_state + r * 4, last_pc + r, lanes,
+                              shifts, stride_words, count, mean, std,
+                              out + r * count);
+        }
+        return 0;
+    }
+#endif
+    return grng_forward_rows(state, new_state, last_pc, rows, n_words, shifts,
+                             stride_words, count, mean, std, out);
 }
 
 /* Literal reverse: the mirrored taps are n_bits plus three small offsets

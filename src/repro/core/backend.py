@@ -2,12 +2,13 @@
 
 Every hot kernel of the engine -- packed LFSR stepping, strided window
 popcounts, CLT standardisation, the fused GRNG block that composes those
-three, per-sample matmul and the conv data movement (im2col, col2im, max-pool
-forward and backward) -- is a named *dispatch point* in this registry.  The
-NumPy code the repo grew up with is registered under the name ``"reference"``
-for each point and is the always-available oracle; alternative
-implementations (a different NumPy strategy, or the in-tree C kernels
-``_grng.c`` / ``_conv.c`` that :mod:`repro.core.native` builds lazily with
+three, per-sample matmul, the conv data movement (im2col, col2im, max-pool
+forward and backward) and the posterior's GC stage -- is a named *dispatch
+point* in this registry.  The NumPy code the repo grew up with is registered
+under the name ``"reference"`` for each point and is the always-available
+oracle; alternative implementations (a different NumPy strategy, or the
+in-tree C kernels ``_grng.c`` / ``_conv.c`` / ``_gc.c`` that
+:mod:`repro.core.native` builds lazily with
 the system compiler and loads through ``ctypes``) register against the same
 dispatch point and become *eligible* only after passing that point's
 conformance gate: a fixed battery of inputs spanning the kernel's
@@ -357,21 +358,23 @@ class KernelRegistry:
         for index, case in enumerate(kernel.conformance_cases()):
             if impl.supports is not None and not impl.supports(**_copy_case(case)):
                 continue
-            expected = reference.fn(**_copy_case(case))
-            try:
-                got = impl.fn(**_copy_case(case))
-                kernel.check(case, expected, got)
-            except Exception as exc:
-                shapes = {
-                    key: (value.shape, str(value.dtype))
-                    if isinstance(value, np.ndarray)
-                    else value
-                    for key, value in case.items()
-                }
-                return BackendConformanceError(
-                    f"backend {impl.name!r} failed the {kernel.name!r} "
-                    f"conformance gate on case {index} ({shapes}): {exc}"
-                )
+            # the battery's NaN / inf inputs are deliberate: no warnings
+            with np.errstate(all="ignore"):
+                expected = reference.fn(**_copy_case(case))
+                try:
+                    got = impl.fn(**_copy_case(case))
+                    kernel.check(case, expected, got)
+                except Exception as exc:
+                    shapes = {
+                        key: (value.shape, str(value.dtype))
+                        if isinstance(value, np.ndarray)
+                        else value
+                        for key, value in case.items()
+                    }
+                    return BackendConformanceError(
+                        f"backend {impl.name!r} failed the {kernel.name!r} "
+                        f"conformance gate on case {index} ({shapes}): {exc}"
+                    )
         return True
 
     def _is_eligible(self, kernel: _Kernel, impl: BackendImpl) -> bool:
@@ -913,6 +916,9 @@ def _grng_block_cases() -> list[dict[str, Any]]:
         # past the reference path's byte cap: split calls continue one
         # register stream; the C scratch window wraps 70 times per row
         (256, 256, 9000, 8, False),
+        # one group of eight vector lanes plus a lone row, two full groups
+        (256, 256, 300, 9, False),
+        (256, 256, 120, 16, False),
         (128, 128, 300, 3, False),  # std = sqrt(128)/2 is not a power of two
         (128, 64, 24, 2, True),
         (192, 192, 100, 2, False),
@@ -1471,6 +1477,117 @@ def _maxpool2d_backward_cases() -> list[dict[str, Any]]:
     return cases
 
 
+# -- posterior_gc ------------------------------------------------------
+# The GC stage of a mean-field Gaussian posterior over (S, *shape) sample
+# stacks.  The ``reference`` body is the NumPy code ``GaussianPosterior`` grew
+# up with; ``sigma`` and ``sigmoid_rho`` (softplus(rho) and its derivative)
+# arrive computed, so the transcendentals stay in NumPy on every backend.
+# With ``mu_grad=None`` (the distributed tape path) it hands back the two
+# per-sample contribution stacks instead of accumulating them.
+def _posterior_gc_reference(
+    grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
+    include_entropy_term, mu_grad, rho_grad,
+):
+    total_w_grad = grad_weight + kl_weight * prior_nll_grad
+    sigma_grad = epsilon * total_w_grad
+    if include_entropy_term:
+        sigma_grad = sigma_grad - kl_weight / sigma
+    rho_stack = sigma_grad * sigmoid_rho
+    if mu_grad is None:
+        return total_w_grad, rho_stack
+    # Per-sample accumulation in sample order: float addition is not
+    # associative, and the sequential trainers add one sample at a time.
+    for s in range(grad_weight.shape[0]):
+        mu_grad += total_w_grad[s]
+        rho_grad += rho_stack[s]
+    return mu_grad, rho_grad
+
+
+def _posterior_gc_native_supports(
+    grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
+    include_entropy_term, mu_grad, rho_grad,
+):
+    if mu_grad is None or not isinstance(grad_weight, np.ndarray):
+        return False  # the tape path records the stacks themselves
+    shape = mu_grad.shape
+    stacks = grad_weight.shape[:1] + shape
+    inputs = [(grad_weight, stacks), (epsilon, stacks), (prior_nll_grad, stacks),
+              (sigma, shape), (sigmoid_rho, shape)]
+    return (
+        isinstance(kl_weight, (float, int))
+        and not isinstance(kl_weight, bool)
+        and all(
+            _strided(a, np.float64, want) and a.flags.c_contiguous
+            for a, want in inputs
+        )
+        and all(
+            _writable(a, np.float64, shape) and a.flags.c_contiguous
+            for a in (mu_grad, rho_grad)
+        )
+    )
+
+
+def _posterior_gc_native(
+    grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
+    include_entropy_term, mu_grad, rho_grad,
+):
+    native.library.load().posterior_gc(
+        grad_weight.ctypes.data, epsilon.ctypes.data, prior_nll_grad.ctypes.data,
+        sigma.ctypes.data, sigmoid_rho.ctypes.data, grad_weight.shape[0],
+        mu_grad.size, float(kl_weight), int(bool(include_entropy_term)),
+        mu_grad.ctypes.data, rho_grad.ctypes.data,
+    )
+    return mu_grad, rho_grad
+
+
+def _plant_specials(rng, array: np.ndarray) -> None:
+    """Plant NaN, +-inf and -0.0 at random positions of ``array``."""
+    flat = array.reshape(-1)
+    for value in (np.nan, np.inf, -np.inf, -0.0):
+        flat[rng.integers(0, flat.size, size=max(1, flat.size // 16))] = value
+
+
+def _posterior_gc_cases() -> list[dict[str, Any]]:
+    rng = np.random.default_rng(0x6C)
+    cases = []
+    for samples, shape, kl_weight, entropy, prefilled, specials in (
+        (8, (24, 10), 0.01, True, False, False),  # a dense layer's step
+        (3, (4, 2, 3, 3), 0.5, True, True, False),  # conv weights, pre-filled grads
+        (1, (7,), 0.0, False, True, False),
+        (5, (6, 5), 0, True, False, True),  # kl 0 with the entropy term: -0/sigma
+        (4, (9, 3), 1e-3, False, True, True),
+    ):
+        stack = (samples, *shape)
+        case = {
+            "grad_weight": rng.standard_normal(stack),
+            "epsilon": rng.standard_normal(stack),
+            "prior_nll_grad": rng.standard_normal(stack),
+            "kl_weight": kl_weight,
+            "sigma": np.logaddexp(0.0, rng.standard_normal(shape)),
+            "sigmoid_rho": rng.random(shape),
+            "include_entropy_term": entropy,
+            "mu_grad": rng.standard_normal(shape) if prefilled else np.zeros(shape),
+            "rho_grad": np.full(shape, -0.0) if prefilled else np.zeros(shape),
+        }
+        if specials:
+            for value in case.values():
+                if isinstance(value, np.ndarray):
+                    _plant_specials(rng, value)
+        cases.append(case)
+    return cases
+
+
+def _nan_canonical(array: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(array), np.nan, array)
+
+
+def _check_posterior_gc(case, expected, got) -> None:
+    # NaN-ness is checked, NaN payload bits are not: NumPy's own payload
+    # depends on whether its SIMD body or its scalar tail met the element
+    for exp, out in zip(expected, got):
+        _check_same_bytes(_nan_canonical(exp), _nan_canonical(out), "gradients")
+
+
 # -- fused folded kernels (serving-tile fusion behind the stability probe) --
 def _validate_splits(total: int, splits) -> tuple[int, ...]:
     splits = tuple(int(s) for s in splits)
@@ -1885,6 +2002,37 @@ def _register_builtin(reg: KernelRegistry) -> None:
     )
 
     reg.register_kernel(
+        "posterior_gc",
+        doc="GC stage of a Gaussian posterior: fold (S, *shape) sample "
+        "gradients into mu_grad / rho_grad in sample order (or, with "
+        "mu_grad=None, return the two per-sample contribution stacks).",
+        chain=("native", "reference"),
+        rows_of=lambda grad_weight, *args, **kwargs: grad_weight.shape[0],
+        conformance_cases=_posterior_gc_cases,
+        check=_check_posterior_gc,
+    )
+    reg.register_backend(
+        "posterior_gc",
+        BackendImpl(
+            "reference",
+            _posterior_gc_reference,
+            description="NumPy passes over the (S, *shape) stacks, then S "
+            "in-place row adds per gradient",
+        ),
+    )
+    reg.register_backend(
+        "posterior_gc",
+        BackendImpl(
+            "native",
+            _posterior_gc_native,
+            description="compiled one-pass loop (core/_gc.c): the reference's "
+            "IEEE operations in its operand order, float64 C-contiguous only",
+            supports=_posterior_gc_native_supports,
+            available=_native_available,
+        ),
+    )
+
+    reg.register_kernel(
         "fused_sample_matmul",
         doc="Per-sample matmul over a tile of concatenated requests "
         "(row `splits`); the reference recomputes each request block "
@@ -2049,6 +2197,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"conformance={backend['conformance']:10s} "
                     f"{backend['description']}"
                 )
+                if (entry["kernel"], backend["name"]) == ("grng_block", "native") and (
+                    backend["available"]
+                ):
+                    # which forward body this CPU runs: the vector lanes or rows
+                    width = native.library.load().grng_lane_width()
+                    print(f"  {'':16s} grng_lane_width={width}")
     if args.verify:
         for entry in list_backends():
             kernel = entry["kernel"]

@@ -1,14 +1,14 @@
 """Lazy build and ``ctypes`` loading of the in-tree C kernels.
 
 Only :mod:`repro.core.backend` imports this module: the compiled kernels
-(``_grng.c``, ``_conv.c``) are ``native`` backends of their dispatch points,
-reachable only through the registry and its bit-exactness gate.  Nothing
-happens at import.  The first availability check compiles every source into
-one shared object with the system compiler (or finds the cached build), loads
-it and memoises the outcome; every failure -- no compiler, a failed or
-timed-out build, an unloadable file -- ends in "not available" plus one
-:class:`RuntimeWarning` per process, never in an exception, and the dispatch
-layer answers from the NumPy kernels instead.
+(``_grng.c``, ``_conv.c``, ``_gc.c``) are ``native`` backends of their
+dispatch points, reachable only through the registry and its bit-exactness
+gate.  Nothing happens at import.  The first availability check compiles
+every source into one shared object with the system compiler (or finds the
+cached build), loads it and memoises the outcome; every failure -- no
+compiler, a failed or timed-out build, an unloadable file -- ends in "not
+available" plus one :class:`RuntimeWarning` per process, never in an
+exception, and the dispatch layer answers from the NumPy kernels instead.
 
 The shared object is cached per user in a 0700 directory under
 ``$XDG_CACHE_HOME`` (or ``~/.cache``; failing that under the system temp
@@ -35,31 +35,42 @@ import tempfile
 import warnings
 from pathlib import Path
 
-__all__ = ["NativeLibrary", "find_compiler", "library"]
+__all__ = ["NativeLibrary", "compile_flags", "find_compiler", "library"]
 
 #: Compiled, in this order, into the one library.
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_grng.c", "_conv.c"))
+SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("_grng.c", "_conv.c", "_gc.c")
+)
 
 #: Instruction-set flags enabled only when the CPU reports the feature
 #: (``/proc/cpuinfo`` name, compiler option).  The flags are part of the cache
-#: key, so a cache shared between machines never serves a foreign build.
+#: key, so a cache shared between machines never serves a foreign build.  No
+#: vector ISA belongs here: ``_grng.c``'s AVX-512 lane body enables it for that
+#: one function and checks the CPU at run time, because AVX-512 code generation
+#: across the whole library slows the conv kernels.
 _CPU_FLAGS = (("popcnt", "-mpopcnt"), ("bmi2", "-mbmi2"))
 
 _SIZE, _PTR, _DOUBLE = ctypes.c_size_t, ctypes.c_void_p, ctypes.c_double
+# state, new_state, last_pc, rows, n_words, shifts, stride_words, count,
+# mean, std, out
+_FORWARD = [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
+            _PTR]
 _SIGNATURES = {
     # the _conv.c kernels: data pointer(s) around one int64 geometry vector
     "conv_im2col": [_PTR, _PTR, _PTR],
     "conv_col2im": [_PTR, _PTR, _PTR],
     "conv_maxpool_forward": [_PTR, _PTR, _PTR, _PTR],
     "conv_maxpool_backward": [_PTR, _PTR, _PTR, _PTR],
-    # state, new_state, last_pc, rows, n_words, shifts, stride_words, count,
-    # mean, std, out
-    "grng_forward": [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _SIZE, _SIZE,
-                     _DOUBLE, _DOUBLE, _PTR],
+    "grng_forward": _FORWARD,
+    "grng_forward_rows": _FORWARD,  # the row body alone, whatever the CPU
+    "grng_lane_width": [],
     # state, new_state, last_pc, rows, n_words, carries, level_shifts,
     # level_sizes, n_levels, stride_words, count, out
     "grng_reverse": [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _PTR, _PTR, _SIZE,
                      _SIZE, _SIZE, _PTR],
+    # g, eps, p, sigma, sgrad, samples, n, kl, entropy, mu_grad, rho_grad
+    "posterior_gc": [_PTR, _PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE, _DOUBLE,
+                     ctypes.c_int, _PTR, _PTR],
 }
 
 
@@ -78,6 +89,13 @@ def _cpu_flags() -> list[str]:
             reported = set(line.partition(":")[2].split())
             return [option for name, option in _CPU_FLAGS if name in reported]
     return []
+
+
+def compile_flags() -> list[str]:
+    """The compiler flags of the one library (part of its cache key)."""
+    # no -ffast-math, no fused multiply-add: float results are the bytes
+    # the NumPy reference produces
+    return ["-O2", "-ffp-contract=off", "-shared", "-fPIC", *_cpu_flags()]
 
 
 def _digest(data: bytes) -> str:
@@ -156,9 +174,7 @@ class NativeLibrary:
             [compiler, "--version"], capture_output=True, text=True,
             timeout=30, check=True,
         ).stdout
-        # no -ffast-math, no fused multiply-add: float results are the bytes
-        # the NumPy reference produces
-        flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC", *_cpu_flags()]
+        flags = compile_flags()
         key = _digest(
             "\0".join(
                 [*(source.read_text() for source in SOURCES), version, *flags,

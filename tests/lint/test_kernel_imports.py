@@ -1,8 +1,9 @@
 """Lint gate: engine code must reach hot kernels through the dispatch layer.
 
 PR 6 moved every hot kernel (LFSR block stepping, window popcounts, CLT
-standardisation, per-sample matmul, im2col -- since joined by col2im and the
-max-pool forward/backward) behind the backend registry in
+standardisation, per-sample matmul, im2col -- since joined by col2im, the
+max-pool forward/backward and the posterior's GC stage) behind the backend
+registry in
 :mod:`repro.core.backend`.  The refactor only stays done if nothing quietly
 re-imports the raw implementations, so this test walks the AST of every
 module under ``src/repro`` and fails the build when engine code:
@@ -45,9 +46,10 @@ ALLOWED_RAW_CALLERS = {
 }
 
 #: Raw kernel entry points in repro.core.bitops.  ``window_popcounts`` /
-#: ``sample_matmul`` and the conv data-movement kernels (``im2col``,
-#: ``col2im``, ``maxpool2d_*``) have no raw bitops spelling -- their only
-#: non-dispatch implementations live inside core/backend.py -- so forbidding
+#: ``sample_matmul``, the conv data-movement kernels (``im2col``,
+#: ``col2im``, ``maxpool2d_*``) and ``posterior_gc`` have no raw bitops
+#: spelling -- their only non-dispatch implementations live inside
+#: core/backend.py -- so forbidding
 #: these three names (plus private backend imports) covers every hot kernel.
 FORBIDDEN_BITOPS_NAMES = {
     "fill_lfsr_sequence",
@@ -68,6 +70,7 @@ EXPECTED_KERNELS = {
     "col2im",
     "maxpool2d_forward",
     "maxpool2d_backward",
+    "posterior_gc",
 }
 
 
@@ -184,6 +187,14 @@ def test_public_wrappers_route_through_dispatch():
     from repro.core import LfsrGaussianRNG
 
     LfsrGaussianRNG(16, seed_index=3).epsilon_block(8)  # clt_standardise
+
+    from repro.bnn.posteriors import GaussianPosterior
+
+    posterior = GaussianPosterior((3, 2), lambda s, r: np.zeros(s), 0.1, "w", rng)
+    stack = rng.standard_normal((2, 3, 2))
+    posterior.accumulate_sample_gradients(  # posterior_gc
+        stack, stack, 0.1, stack, posterior.sigma
+    )
 
     for kernel in EXPECTED_KERNELS:
         assert _total_calls(kernel) > before[kernel], (

@@ -15,8 +15,11 @@ Checked against it, forward and reverse: the ``lfsr_step_block`` dispatch
 point (history, produced bits, end state, zero padding), ``window_popcounts``
 on its output, the fused ``grng_block`` point on its compiled ``native``
 backend (values, popcounts, end states, split calls, every width and row
-count its ``supports`` predicate accepts) and ``GrngBank``'s forward ->
-whole-span replay -> reversed retrieval round trip.
+count its ``supports`` predicate accepts -- across the vector lane body's
+groups of eight rows at 256 bits when the CPU runs it) and ``GrngBank``'s
+forward -> whole-span replay -> reversed retrieval round trip.  The kernel's
+``grng_forward`` is also held byte-equal to its row body alone over the whole
+domain.
 
 A second from-scratch construction brackets the kernels from the other side:
 the **Galois** (internal-XOR) form of the same polynomial -- shift the whole
@@ -40,6 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.backend as backend
+import repro.core.native as native
 from repro.core import GrngBank
 
 #: 1-based tap positions, tail tap ``n`` included (Xilinx XAPP 052 table).
@@ -56,7 +60,7 @@ TAP_TABLE = {
 #: levels past it.  The +1 / +63 variants end on a sub-word tail.
 LONG_COUNTS = (1 << 17, (1 << 17) + 1, (1 << 17) + 63)
 SEEDS_256 = tuple(
-    (0x9E3779B97F4A7C15 * (row + 1)) ** 4 % (1 << 256) | 1 for row in range(8)
+    (0x9E3779B97F4A7C15 * (row + 1)) ** 4 % (1 << 256) | 1 for row in range(16)
 )
 
 
@@ -374,9 +378,12 @@ def test_native_domain_is_every_word_aligned_width():
     [
         (n_bits, reverse, rows)
         for n_bits, reverse in native_domain()
-        # odd row counts leave the reverse kernel's last row un-paired; the
-        # 8-row bank (the bit-serial oracle's slowest case) at 256 bits only
-        for rows in ((1, 2, 3, 8) if n_bits == 256 else (1, 2, 3))
+        # odd row counts leave the reverse kernel's last row un-paired; 9 and
+        # 16 rows span two groups of eight vector lanes (at 9 the lone last
+        # row runs on the row body; 2 and 3 rows run duplicate lanes); the
+        # banks of 8+ rows (the bit-serial oracle's slowest cases) at 256
+        # bits only
+        for rows in ((1, 2, 3, 8, 9, 16) if n_bits == 256 else (1, 2, 3))
     ],
 )
 def test_native_grng_block_matches_bit_serial_oracle(native_grng, n_bits, reverse, rows):
@@ -446,6 +453,59 @@ def test_native_standardise_is_numpy_division(states, count, stride, mean, std):
         # popcounts from the NumPy chain at mean 0 / std 1, then NumPy's own divide
         raw, _, _ = grng_block(states, 128, stride, count, False, 0.0, 1.0)
     assert values.tobytes() == ((raw.astype(np.int64) - mean) / std).tobytes()
+
+
+# ----------------------------------------------------------------------
+# the two forward bodies of the compiled kernel: vector lanes vs rows
+# ----------------------------------------------------------------------
+def forward_body(function, state, shifts, stride_words, count, mean, std):
+    rows, n_words = state.shape
+    new_state = np.empty_like(state)
+    last = np.empty(rows, dtype=np.int64)
+    out = np.empty((rows, count), dtype=np.float64)
+    table = np.array(shifts, dtype=np.int32)
+    status = function(
+        state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words,
+        table.ctypes.data, stride_words, count, mean, std, out.ctypes.data,
+    )
+    assert status == 0
+    return out.tobytes(), new_state.tobytes(), last.tobytes()
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=17),
+    count=st.integers(min_value=1, max_value=300),
+    # half the draws in the lane body's geometry (256-bit register, stride
+    # 256 or 512), half anywhere from 128- to 1024-bit registers at strides
+    # 64 to 512, where grng_forward hands the call to the row body
+    geometry=st.one_of(
+        st.sampled_from([(4, 4), (4, 8)]),
+        st.tuples(st.sampled_from([2, 3, 4, 8, 16]), st.integers(min_value=1, max_value=8)),
+    ),
+    shifts=st.lists(st.integers(min_value=1, max_value=63), min_size=3, max_size=3),
+    seed=st.integers(min_value=0, max_value=(1 << 32) - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
+    """``grng_forward`` on the vector lanes == ``grng_forward_rows``, bytewise.
+
+    Output, end state and last popcount, at every row count -- multiples of
+    eight, the part-filled groups whose spare lanes run a dropped duplicate,
+    and the lone last row the lanes leave to the row body -- every width and
+    stride, any three in-word taps.
+    """
+    require_native()
+    lib = native.library.load()
+    if lib.grng_lane_width() != 8:
+        pytest.skip("this CPU lacks AVX-512F/DQ + VPOPCNTDQ: only the row body runs")
+    n_words, stride_words = geometry
+    state = np.random.default_rng(seed).integers(
+        0, 1 << 64, size=(rows, n_words), dtype=np.uint64
+    )
+    mean, std = n_words * 32.0, math.sqrt(n_words * 16.0)
+    args = (state, shifts, stride_words, count, mean, std)
+    lanes = forward_body(lib.grng_forward, *args)
+    assert lanes == forward_body(lib.grng_forward_rows, *args)
 
 
 # ----------------------------------------------------------------------

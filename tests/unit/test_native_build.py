@@ -1,7 +1,7 @@
 """Build and fallback robustness of the compiled ``native`` backends.
 
-``repro.core.native`` builds ``_grng.c`` and ``_conv.c`` lazily into one
-shared object with the system compiler and caches it per user.  Every way
+``repro.core.native`` builds ``_grng.c``, ``_conv.c`` and ``_gc.c`` lazily
+into one shared object with the system compiler and caches it per user.  Every way
 that can go wrong -- no compiler, a corrupt cache entry, two first users
 racing, a replica captured where the build worked and rebuilt where it does
 not -- must end in the NumPy kernels answering with the same bytes, never in
@@ -31,7 +31,8 @@ SRC = Path(backend.__file__).resolve().parents[2]
 
 #: Every dispatch point with a compiled backend.
 NATIVE_KERNELS = (
-    "grng_block", "im2col", "col2im", "maxpool2d_forward", "maxpool2d_backward"
+    "grng_block", "im2col", "col2im", "maxpool2d_forward", "maxpool2d_backward",
+    "posterior_gc",
 )
 
 
@@ -88,10 +89,10 @@ def using_everywhere(name: str | None):
 
 class TestNoToolchain:
     def test_one_warning_and_the_reference_bytes(self, no_toolchain, restore_selection):
-        with backend.using("grng_block", "reference"):
+        with using_everywhere("reference"):
             want = train_two_steps()
         # the default chain, whatever REPRO_BACKEND this leg of CI forces
-        with warnings.catch_warnings(record=True) as caught, backend.using("grng_block", None):
+        with warnings.catch_warnings(record=True) as caught, using_everywhere(None):
             warnings.simplefilter("always")
             got = train_two_steps()
             again = train_two_steps()
@@ -101,7 +102,7 @@ class TestNoToolchain:
         assert got == want and again == want
         assert set(want[1]["grng_block"]) == {"reference"}
 
-    def test_one_warning_covers_all_five_dispatch_points(
+    def test_one_warning_covers_every_native_dispatch_point(
         self, no_toolchain, restore_selection
     ):
         # B-LeNet's step runs every native-backed kernel
@@ -127,7 +128,7 @@ class TestNoToolchain:
         backend.apply_selection({})
         replica.build()  # re-applies the captured selection
         assert backend.current_selection()["grng_block"] == "native"
-        with backend.using("grng_block", "reference"):
+        with using_everywhere("reference"):
             want = train_two_steps()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -206,10 +207,10 @@ class TestBuildCache:
         broken = native.NativeLibrary(cache_dir=tmp_path)
         monkeypatch.setattr(broken, "_compile", failing_compile)
         monkeypatch.setattr(native, "library", broken)
-        with backend.using("grng_block", "reference"):
+        with using_everywhere("reference"):
             want = train_two_steps()
         with pytest.warns(RuntimeWarning, match="native kernels unavailable"):
-            with backend.using("grng_block", None):
+            with using_everywhere(None):
                 got = train_two_steps()
         assert got == want
         assert not native_listing()["available"]
@@ -226,9 +227,9 @@ class TestBuildCache:
         assert native._digest(left.read_bytes()) == left.stem.rpartition("-")[2]
 
     @pytest.mark.parametrize("edited", range(len(native.SOURCES)))
-    def test_editing_either_source_changes_the_key(self, monkeypatch, tmp_path, edited):
+    def test_editing_any_source_changes_the_key(self, monkeypatch, tmp_path, edited):
         needs_compiler()
-        assert {source.name for source in native.SOURCES} == {"_grng.c", "_conv.c"}
+        assert {source.name for source in native.SOURCES} == {"_grng.c", "_conv.c", "_gc.c"}
         cache = tmp_path / "cache"
         cache.mkdir()
         assert native.NativeLibrary(cache_dir=cache).load() is not None
@@ -241,12 +242,24 @@ class TestBuildCache:
         assert len(keys) == 2  # one shared object per key, both kept
 
 
+def test_no_vector_isa_in_the_library_flags():
+    # AVX-512 code generation for the whole object slows the conv kernels;
+    # the GRNG lane body enables it for that one function instead
+    flags = native.compile_flags()
+    assert not [flag for flag in flags if flag.startswith("-mavx512")], flags
+    assert not [flag for flag in flags if flag.startswith(("-march", "-mtune"))], flags
+
+
 def test_one_library_serves_every_native_backend():
     if not native_listing()["available"]:
         pytest.skip("native backends unavailable: no C compiler, or the build failed")
     lib = native.library.load()
-    for symbol in ("grng_forward", "conv_im2col", "conv_maxpool_backward"):
-        assert hasattr(lib, symbol)  # one shared object holds both sources
+    for symbol in (
+        "grng_forward", "grng_forward_rows", "grng_lane_width", "conv_im2col",
+        "conv_maxpool_backward", "posterior_gc",
+    ):
+        assert hasattr(lib, symbol)  # one shared object holds every source
+    assert lib.grng_lane_width() in (1, 8)
     for kernel in NATIVE_KERNELS:
         assert backend.verify_backend(kernel, "native")
 
