@@ -101,6 +101,13 @@ def _workload(kernel: str):
         sigmoid_rho = rng.random(shape)
         grads = np.zeros(shape), np.zeros(shape)
         return (*stacks[:2], stacks[2], 1e-3, sigma, sigmoid_rho, True, *grads), {}
+    # serve_http_closed's wire: the (S, rows, classes) response tensor out,
+    # the 16-row B-MLP request batch in
+    if kernel == "json_dumps_f64":
+        return (rng.random((8, 16, 10)),), {}
+    if kernel == "json_loads_f64":
+        text = backend.registry.call("json_dumps_f64", rng.standard_normal((16, 196)))
+        return (b'{"x": ' + text + b"}", 6), {}
     raise AssertionError(f"no benchmark workload defined for kernel {kernel!r}")
 
 

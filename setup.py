@@ -16,6 +16,6 @@ setup(
     python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.core": ["_grng.c", "_conv.c", "_gc.c"]},
+    package_data={"repro.core": ["_grng.c", "_conv.c", "_gc.c", "_json.c"]},
     install_requires=["numpy>=1.26"],
 )

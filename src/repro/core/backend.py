@@ -3,11 +3,12 @@
 Every hot kernel of the engine -- packed LFSR stepping, strided window
 popcounts, CLT standardisation, the fused GRNG block that composes those
 three, per-sample matmul, the conv data movement (im2col, col2im, max-pool
-forward and backward) and the posterior's GC stage -- is a named *dispatch
-point* in this registry.  The NumPy code the repo grew up with is registered
-under the name ``"reference"`` for each point and is the always-available
-oracle; alternative implementations (a different NumPy strategy, or the
-in-tree C kernels ``_grng.c`` / ``_conv.c`` / ``_gc.c`` that
+forward and backward), the posterior's GC stage and the float64 <-> JSON text
+codec of the serving wire -- is a named *dispatch point* in this registry.
+The NumPy (or stdlib) code the repo grew up with is registered under the name
+``"reference"`` for each point and is the always-available oracle;
+alternative implementations (a different NumPy strategy, or the in-tree C
+kernels ``_grng.c`` / ``_conv.c`` / ``_gc.c`` / ``_json.c`` that
 :mod:`repro.core.native` builds lazily with
 the system compiler and loads through ``ctypes``) register against the same
 dispatch point and become *eligible* only after passing that point's
@@ -49,6 +50,7 @@ runs every available backend through its conformance gate.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import threading
@@ -1588,6 +1590,140 @@ def _check_posterior_gc(case, expected, got) -> None:
         _check_same_bytes(_nan_canonical(exp), _nan_canonical(out), "gradients")
 
 
+# -- json_dumps_f64 / json_loads_f64 -----------------------------------
+# Float64 <-> JSON text at both ends of /v1/predict.  The references are the
+# stdlib calls the wire always made; the compiled codec (core/_json.c) writes
+# their bytes and reads their values.  ctypes releases the GIL around it.
+_JSON_DECODER = json.JSONDecoder()
+_JSON_MAX_DIMS = 32  # core/_json.c declines deeper nesting
+
+
+def _json_dumps_f64_reference(array):
+    return json.dumps(array.tolist()).encode()
+
+
+def _json_dumps_f64_native_supports(array):
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == np.float64
+        and array.flags.c_contiguous
+        and array.flags.aligned
+    )
+
+
+def _json_dumps_f64_native(array):
+    shape = np.array(array.shape, dtype=np.int64)
+    lists = sum(math.prod(array.shape[:depth]) for depth in range(array.ndim))
+    # worst case: a 24-byte repr and ", " per value; "[", "]" and ", " per list
+    out = np.empty(26 * array.size + 4 * lists + 24, dtype=np.uint8)
+    written = np.empty(1, dtype=np.int64)
+    native.library.load().json_dumps_f64(
+        array.ctypes.data, shape.ctypes.data, array.ndim, out.ctypes.data,
+        written.ctypes.data,
+    )
+    return out[: written[0]].tobytes()
+
+
+def _json_loads_f64_reference(text, offset):
+    value, end = _JSON_DECODER.raw_decode(text.decode("ascii"), offset)
+    return np.asarray(value, dtype=np.float64), end
+
+
+def _json_loads_f64_native_supports(text, offset):
+    return 0 <= offset < len(text)  # the C parser starts reading at text[offset]
+
+
+def _json_loads_f64_native(text, offset):
+    library = native.library.load()
+    # n values take at least 2n - 1 characters
+    capacity = min((len(text) - offset + 1) // 2, 1 << 20)
+    info = np.empty(3 + _JSON_MAX_DIMS, dtype=np.int64)
+    while True:
+        out = np.empty(capacity, dtype=np.float64)
+        if library.json_loads_f64(
+            text, len(text), offset, out.ctypes.data, capacity, info.ctypes.data
+        ):
+            # declined (ragged, not all numbers, a long integer, bad grammar):
+            # the reference answers, or raises what json / NumPy raise
+            return _json_loads_f64_reference(text, offset)
+        ndim, end, count = (int(value) for value in info[:3])
+        if count <= capacity:
+            break
+        capacity = count
+    out.resize(count, refcheck=False)  # shrinks in place: nothing else holds it
+    return out.reshape(tuple(info[3 : 3 + ndim].tolist())), end
+
+
+def _json_edge_values() -> np.ndarray:
+    """A few hundred float64s across the formatter's edge classes."""
+    rng = np.random.default_rng(0x150)
+    finfo = np.finfo(np.float64)
+    decades = 10.0 ** np.arange(-6, 19)  # both sides of repr's exponent switch
+    return np.concatenate([
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, finfo.tiny,
+         finfo.max, -finfo.max, 0.1, 1 / 3, 2.0**53, 2.0**-1074 * 3],
+        decades, np.nextafter(decades, 0), -np.nextafter(decades, np.inf),
+        np.ldexp(1.0, rng.integers(-1074, 1024, 64)),
+        rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64),
+        rng.integers(0, 2**64, 64, dtype=np.uint64).view(np.float64),
+        rng.random(32),  # what serving writes: probabilities
+    ])
+
+
+def _json_dumps_f64_cases() -> list[dict[str, Any]]:
+    values = _json_edge_values()
+    return [
+        {"array": array}
+        for array in (
+            values,
+            values[:240].reshape(2, 3, 4, 10),
+            values[:36].reshape(6, 6),
+            np.array(values[7]),
+            np.empty(0),
+            np.empty((2, 0, 3)),
+            np.empty((3, 0)),
+            values[-32:].astype(np.float32),  # outside the compiled domain
+            values[::2],
+        )
+    ]
+
+
+def _json_loads_f64_cases() -> list[dict[str, Any]]:
+    cases = [
+        {"text": _json_dumps_f64_reference(case["array"]), "offset": 0}
+        for case in _json_dumps_f64_cases()
+    ]
+    for text, offset in (
+        (b'{"x": [[1, -0, 1E5, 1e+05, -2.5e-3], [99999999999999999999, 0, '
+         b'9007199254740993, -1.0, 9999999999999999999]]}', 6),
+        (b"[\n 1 ,\t2\r]", 0),
+        (b"[[true, null], [1, 2]]", 0),  # declined: the reference decides
+        (b"[[], []]", 0),
+        (b"[NaN, Infinity, -Infinity, -0.0]", 0),
+    ):
+        cases.append({"text": text, "offset": offset})
+    return cases
+
+
+def _check_json_dumps_f64(case, expected, got) -> None:
+    if got != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(expected, got)) if a != b),
+            min(len(expected), len(got)),
+        )
+        raise AssertionError(
+            f"JSON text differs from json.dumps at byte {at}: "
+            f"{got[at:at + 32]!r} != {expected[at:at + 32]!r}"
+        )
+
+
+def _check_json_loads_f64(case, expected, got) -> None:
+    (exp_array, exp_end), (got_array, got_end) = expected, got
+    if got_end != exp_end:
+        raise AssertionError(f"end {got_end} != oracle {exp_end}")
+    _check_same_bytes(exp_array, got_array, "parsed values")
+
+
 # -- fused folded kernels (serving-tile fusion behind the stability probe) --
 def _validate_splits(total: int, splits) -> tuple[int, ...]:
     splits = tuple(int(s) for s in splits)
@@ -2028,6 +2164,65 @@ def _register_builtin(reg: KernelRegistry) -> None:
             description="compiled one-pass loop (core/_gc.c): the reference's "
             "IEEE operations in its operand order, float64 C-contiguous only",
             supports=_posterior_gc_native_supports,
+            available=_native_available,
+        ),
+    )
+
+    reg.register_kernel(
+        "json_dumps_f64",
+        doc="json.dumps(array.tolist()).encode(): float64 values as repr "
+        "writes them, nested as json.dumps nests lists.",
+        chain=("native", "reference"),
+        rows_of=lambda array: len(array) if np.ndim(array) else 1,
+        conformance_cases=_json_dumps_f64_cases,
+        check=_check_json_dumps_f64,
+    )
+    reg.register_backend(
+        "json_dumps_f64",
+        BackendImpl(
+            "reference",
+            _json_dumps_f64_reference,
+            description="tolist() then the stdlib json encoder (repr per float)",
+        ),
+    )
+    reg.register_backend(
+        "json_dumps_f64",
+        BackendImpl(
+            "native",
+            _json_dumps_f64_native,
+            description="compiled Ryu shortest digits in repr's layout "
+            "(core/_json.c), C-contiguous float64 only",
+            supports=_json_dumps_f64_native_supports,
+            available=_native_available,
+        ),
+    )
+
+    reg.register_kernel(
+        "json_loads_f64",
+        doc="Parse the JSON array at text[offset] (ASCII bytes) into float64: "
+        "returns (array, end) as JSONDecoder.raw_decode + np.asarray would.",
+        chain=("native", "reference"),
+        rows_of=lambda text, offset: 1,
+        conformance_cases=_json_loads_f64_cases,
+        check=_check_json_loads_f64,
+    )
+    reg.register_backend(
+        "json_loads_f64",
+        BackendImpl(
+            "reference",
+            _json_loads_f64_reference,
+            description="JSONDecoder.raw_decode, then np.asarray(..., float64)",
+        ),
+    )
+    reg.register_backend(
+        "json_loads_f64",
+        BackendImpl(
+            "native",
+            _json_loads_f64_native,
+            description="compiled parse of rectangular number arrays "
+            "(core/_json.c, strtod_l in the C locale); declined documents "
+            "go to the reference",
+            supports=_json_loads_f64_native_supports,
             available=_native_available,
         ),
     )

@@ -1,12 +1,12 @@
 """Lazy build and ``ctypes`` loading of the in-tree C kernels.
 
 Only :mod:`repro.core.backend` imports this module: the compiled kernels
-(``_grng.c``, ``_conv.c``, ``_gc.c``) are ``native`` backends of their
-dispatch points, reachable only through the registry and its bit-exactness
-gate.  Nothing happens at import.  The first availability check compiles
-every source into one shared object with the system compiler (or finds the
-cached build), loads it and memoises the outcome; every failure -- no
-compiler, a failed or timed-out build, an unloadable file -- ends in "not
+(``_grng.c``, ``_conv.c``, ``_gc.c``, ``_json.c``) are ``native`` backends of
+their dispatch points, reachable only through the registry and its
+bit-exactness gate.  Nothing happens at import.  The first availability check
+compiles every source into one shared object with the system compiler (or
+finds the cached build), loads it and memoises the outcome; every failure --
+no compiler, a failed or timed-out build, an unloadable file -- ends in "not
 available" plus one :class:`RuntimeWarning` per process, never in an
 exception, and the dispatch layer answers from the NumPy kernels instead.
 
@@ -39,7 +39,8 @@ __all__ = ["NativeLibrary", "compile_flags", "find_compiler", "library"]
 
 #: Compiled, in this order, into the one library.
 SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("_grng.c", "_conv.c", "_gc.c")
+    Path(__file__).with_name(name)
+    for name in ("_grng.c", "_conv.c", "_gc.c", "_json.c")
 )
 
 #: Instruction-set flags enabled only when the CPU reports the feature
@@ -71,6 +72,10 @@ _SIGNATURES = {
     # g, eps, p, sigma, sgrad, samples, n, kl, entropy, mu_grad, rho_grad
     "posterior_gc": [_PTR, _PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE, _DOUBLE,
                      ctypes.c_int, _PTR, _PTR],
+    # data, shape, ndim, out, written
+    "json_dumps_f64": [_PTR, _PTR, _SIZE, _PTR, _PTR],
+    # text, len, offset, out, cap, info
+    "json_loads_f64": [ctypes.c_char_p, _SIZE, _SIZE, _PTR, _SIZE, _PTR],
 }
 
 

@@ -3,11 +3,12 @@
 :class:`GatewayClient` wraps the versioned HTTP surface of
 :mod:`repro.serve.gateway` with exactly the semantics the server promises:
 
-* **wire bit-exactness** -- responses are parsed with :func:`json.loads`,
-  whose float parsing is the exact inverse of the server's ``repr``
+* **wire bit-exactness** -- bodies go through :mod:`repro.serve.wire`, whose
+  float parsing is the exact inverse of the server's ``repr``-exact
   serialisation: every float64 in ``sample_probabilities`` round-trips
   byte-identical to the server-side ``mc_predict`` result.
-  :meth:`GatewayClient.predict_arrays` hands them back as float64 arrays;
+  :meth:`GatewayClient.predict_arrays` hands them back as float64 arrays,
+  parsed straight into arrays by the compiled codec;
 * **load-shed handling** -- ``429`` responses (rate-limited or overloaded)
   are retried up to ``max_retries`` times, honouring the server's
   ``Retry-After`` (envelope float preferred over the integer header) with a
@@ -44,7 +45,12 @@ from typing import Any
 
 import numpy as np
 
+from . import wire
+
 __all__ = ["GatewayClient", "GatewayError", "GatewayShedError"]
+
+#: The float tensors of a predict response, parsed straight into arrays.
+_ARRAY_KEYS = ("entropy", "mean_probabilities", "sample_probabilities")
 
 
 class GatewayError(RuntimeError):
@@ -155,7 +161,7 @@ class GatewayClient:
         headers = {"Content-Type": "application/json"}
         if self.tenant is not None:
             headers[self.tenant_header] = self.tenant
-        payload = b"" if body is None else json.dumps(body).encode()
+        payload = b"" if body is None else wire.dumps(body)
         if method == "POST":
             headers["Content-Length"] = str(len(payload))
         connection = self._connection()
@@ -200,13 +206,19 @@ class GatewayClient:
         cls = GatewayShedError if status == 429 else GatewayError
         return cls(status, code, message, retry_after_s=retry_after)
 
-    def _request(self, method: str, path: str, body: dict | None = None) -> dict:
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: dict | None = None,
+        float_keys: tuple[str, ...] = (),
+    ) -> dict:
         path = self.api_prefix + path
         attempts = 0
         while True:
             status, headers, raw = self._request_once(method, path, body)
             if 200 <= status < 300:
-                return json.loads(raw)
+                return wire.loads(raw, float_keys)
             error = self._parse_error(status, headers, raw)
             if status != 429 or attempts >= self.max_retries:
                 raise error
@@ -272,16 +284,19 @@ class GatewayClient:
     ) -> dict:
         """``POST /v1/predict``; returns the parsed JSON payload.
 
-        Floats in the payload are exact: ``json.loads`` inverts the server's
+        Floats in the payload are exact: parsing inverts the server's
         ``repr`` serialisation bit for bit.  Retries shed (429) requests up
         to ``max_retries`` times, honouring ``Retry-After``.
         """
-        body: dict[str, Any] = {"x": np.asarray(x).tolist()}
+        return self._predict(x, sampling, version, float_keys=())
+
+    def _predict(self, x, sampling, version, float_keys: tuple[str, ...]) -> dict:
+        body: dict[str, Any] = {"x": np.asarray(x)}
         if sampling is not None:
             body["sampling"] = sampling
         if version is not None:
             body["version"] = version
-        return self._request("POST", "/predict", body)
+        return self._request("POST", "/predict", body, float_keys)
 
     def predict_arrays(
         self,
@@ -290,7 +305,7 @@ class GatewayClient:
         version: str | None = None,
     ) -> dict:
         """:meth:`predict` with the tensor fields as float64 arrays."""
-        payload = self.predict(x, sampling=sampling, version=version)
+        payload = self._predict(x, sampling, version, float_keys=_ARRAY_KEYS)
         for key in (
             "predictions",
             "entropy",

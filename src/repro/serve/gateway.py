@@ -78,12 +78,14 @@ bounded wait (``max_wait_ms``) and a ``priority`` that sheds last.  An
 admitted request is *never* dropped: it either completes or fails with an
 explicit 5xx.
 
-Bit-exactness across the wire: responses are JSON with floats serialised via
-``repr`` (Python's shortest round-trip representation), so a client parsing
-``sample_probabilities`` back into a float64 array recovers **byte-identical**
-values to a direct in-process ``mc_predict`` call -- the integration suite
-asserts exactly that through a real socket, on ``/v1`` and the legacy
-aliases, while overload traffic is being shed around the asserted requests.
+Bit-exactness across the wire: responses are JSON with floats serialised as
+``repr`` writes them (Python's shortest round-trip representation), so a
+client parsing ``sample_probabilities`` back into a float64 array recovers
+**byte-identical** values to a direct in-process ``mc_predict`` call -- the
+integration suite asserts exactly that through a real socket, on ``/v1`` and
+the legacy aliases, while overload traffic is being shed around the asserted
+requests.  Bodies are encoded and decoded by :mod:`repro.serve.wire`, whose
+compiled float codec writes and reads exactly the stdlib's bytes.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ from .registry import (
     UnknownVersionError,
     VersionConflictError,
 )
+from . import wire
 from .server import PredictionServer, ServerClosed, ServerConfig
 from .worker import WorkerCrashError
 
@@ -228,7 +231,7 @@ class _Handler(BaseHTTPRequestHandler):
             # request on this socket; drop the connection.  A fully-read
             # body keeps the connection reusable even after a 4xx.
             self.close_connection = True
-        body = json.dumps(payload).encode()
+        body = wire.dumps(payload)
         self._send_common_headers(status, retry_after_s)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -249,7 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
             error["retry_after_s"] = exc.retry_after_s
         self._respond(exc.status, {"error": error}, retry_after_s=exc.retry_after_s)
 
-    def _read_json_body(self) -> dict:
+    def _read_json_body(self, float_keys: tuple[str, ...] = ()) -> dict:
         length = self.headers.get("Content-Length")
         if length is None:
             raise _GatewayError(411, "length_required", "Content-Length is required")
@@ -286,8 +289,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._body_consumed = True
         raw = b"".join(chunks)
         try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            body = wire.loads(raw, float_keys)
+        except ValueError as exc:  # JSONDecodeError, or int() refusing 4300+ digits
             raise _GatewayError(
                 400, "invalid_json", f"request body is not valid JSON: {exc}"
             ) from None
@@ -528,7 +531,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         try:
             x = np.asarray(body["x"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _GatewayError(
                 400, "invalid_input", f'"x" is not a numeric array: {exc}'
             ) from None
@@ -544,7 +547,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_predict(self) -> None:
         gateway = self.gateway
         admission = gateway.admission
-        body = self._read_json_body()
+        body = self._read_json_body(float_keys=("x",))
         x = self._parse_inputs(body)
         sampling = self._parse_sampling(body)
         requested = body.get("version")
@@ -640,8 +643,8 @@ class _Handler(BaseHTTPRequestHandler):
             "version": version,
             "generation": generation,
             "predictions": mean.argmax(axis=1).tolist(),
-            "entropy": predictive_entropy(mean).tolist(),
-            "mean_probabilities": mean.tolist(),
+            "entropy": predictive_entropy(mean),
+            "mean_probabilities": mean,
         }
         streamed = False
         if not gateway.config.include_sample_probabilities:
@@ -653,7 +656,7 @@ class _Handler(BaseHTTPRequestHandler):
             # (byte-identical) streaming path earlier
             estimated_bytes = samples.size * 26
             if estimated_bytes < gateway.config.stream_threshold_bytes:
-                payload["sample_probabilities"] = samples.tolist()
+                payload["sample_probabilities"] = samples
                 self._respond(200, payload)
             else:
                 streamed = True
@@ -670,26 +673,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond_predict_streaming(self, payload: dict, samples: np.ndarray) -> None:
         """Send the predict payload chunked, one Monte-Carlo sample at a time.
 
-        ``json.dumps`` serialises floats via ``repr`` whether the tensor is
-        dumped whole or per-sample, and ``sample_probabilities`` is appended
-        exactly where the buffered encoding would place it -- so the
-        concatenated chunks are byte-identical to the non-streaming body.
-        Peak memory is O(rows * classes) instead of O(S * rows * classes).
+        The chunks are :func:`wire.dump_chunks`: the buffered writer's encoder
+        applied per sample, with ``sample_probabilities`` appended where
+        :func:`wire.dumps` places it -- so the concatenated chunks are
+        byte-identical to the non-streaming body.  Peak memory is
+        O(rows * classes) instead of O(S * rows * classes).
         """
         self._send_common_headers(200, None)
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
-        head = json.dumps(payload)
-        assert head.endswith("}")
-        self._write_chunk(head[:-1].encode() + b', "sample_probabilities": [')
-        for index in range(samples.shape[0]):
-            piece = json.dumps(samples[index].tolist())
-            if index:
-                # json.dumps' default item separator, so the concatenation
-                # matches the buffered encoding byte for byte
-                piece = ", " + piece
-            self._write_chunk(piece.encode())
-        self._write_chunk(b"]}")
+        for chunk in wire.dump_chunks(payload, "sample_probabilities", samples):
+            self._write_chunk(chunk)
         self.wfile.write(b"0\r\n\r\n")
 
     def _write_chunk(self, data: bytes) -> None:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.bnn import mc_predict
+from repro.nn.metrics import predictive_entropy
 from repro.models import (
     ActivationSpec,
     DenseSpec,
@@ -326,6 +327,45 @@ class TestWireSurfaceEquivalence:
             json.loads(raw_streamed)["sample_probabilities"], dtype=np.float64
         )
         assert np.array_equal(served, references["v1"][0])
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the planted NaN
+    def test_both_writers_write_the_pre_codec_bytes(self):
+        """``stream_threshold_bytes=0`` chunks every response: its de-chunked
+        body, the buffered body and ``json.dumps`` of the payload as the
+        gateway built it before the float codec are the same bytes -- with
+        NaN planted in every served tensor."""
+        spec = _spec()
+        model = spec.build_bayesian(seed=11)
+        model.bayesian_layers()[0].weight_posterior.mu.value.flat[0] = np.nan
+        x = np.random.default_rng(41).normal(size=(3, N_FEATURES))
+        result = mc_predict(
+            model, x, n_samples=CONFIG.n_samples, seed=CONFIG.seed,
+            grng_stride=CONFIG.grng_stride, lfsr_bits=CONFIG.lfsr_bits,
+        )
+        mean = result.mean_probabilities
+        assert np.isnan(mean).any()
+        pre_codec = json.dumps({
+            "version": "v1",
+            "generation": 1,
+            "predictions": mean.argmax(axis=1).tolist(),
+            "entropy": predictive_entropy(mean).tolist(),
+            "mean_probabilities": mean.tolist(),
+            "sample_probabilities": result.sample_probabilities.tolist(),
+        }).encode()
+        replica = ReplicaSpec.capture(spec, model)
+        raws = {}
+        for threshold in (0, 1 << 30):
+            config = GatewayConfig(stream_threshold_bytes=threshold)
+            with ServingGateway(
+                ModelRegistry.single(replica), ServerConfig(max_wait_ms=1.0), config
+            ) as gateway:
+                status, headers, raws[threshold] = _raw_post(
+                    gateway.address, "/v1/predict", {"x": x.tolist(), "sampling": SAMPLING}
+                )
+            assert status == 200
+            assert (headers.get("transfer-encoding") == "chunked") == (threshold == 0)
+        assert raws[0] == raws[1 << 30] == pre_codec
 
 
 class TestOverloadIntegrity:

@@ -2,8 +2,8 @@
 
 PR 6 moved every hot kernel (LFSR block stepping, window popcounts, CLT
 standardisation, per-sample matmul, im2col -- since joined by col2im, the
-max-pool forward/backward and the posterior's GC stage) behind the backend
-registry in
+max-pool forward/backward, the posterior's GC stage and the wire's float
+codec) behind the backend registry in
 :mod:`repro.core.backend`.  The refactor only stays done if nothing quietly
 re-imports the raw implementations, so this test walks the AST of every
 module under ``src/repro`` and fails the build when engine code:
@@ -47,7 +47,8 @@ ALLOWED_RAW_CALLERS = {
 
 #: Raw kernel entry points in repro.core.bitops.  ``window_popcounts`` /
 #: ``sample_matmul``, the conv data-movement kernels (``im2col``,
-#: ``col2im``, ``maxpool2d_*``) and ``posterior_gc`` have no raw bitops
+#: ``col2im``, ``maxpool2d_*``), ``posterior_gc`` and the ``json_*_f64``
+#: codec have no raw bitops
 #: spelling -- their only non-dispatch implementations live inside
 #: core/backend.py -- so forbidding
 #: these three names (plus private backend imports) covers every hot kernel.
@@ -71,6 +72,8 @@ EXPECTED_KERNELS = {
     "maxpool2d_forward",
     "maxpool2d_backward",
     "posterior_gc",
+    "json_dumps_f64",
+    "json_loads_f64",
 }
 
 
@@ -195,6 +198,11 @@ def test_public_wrappers_route_through_dispatch():
     posterior.accumulate_sample_gradients(  # posterior_gc
         stack, stack, 0.1, stack, posterior.sigma
     )
+
+    from repro.serve import wire
+
+    text = wire.dumps({"x": rng.standard_normal((2, 3))})  # json_dumps_f64
+    wire.loads(text, ("x",))  # json_loads_f64
 
     for kernel in EXPECTED_KERNELS:
         assert _total_calls(kernel) > before[kernel], (

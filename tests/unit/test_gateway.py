@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bnn import mc_predict
+from repro.core import backend
 from repro.models import ModelSpec, ReplicaSpec
 from repro.serve import (
     GatewayConfig,
@@ -37,6 +38,14 @@ def _post(url: str, body: dict) -> tuple[int, dict]:
         data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
         method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return response.status, json.loads(response.read())
+
+
+def _post_raw(url: str, raw: bytes) -> tuple[int, dict]:
+    request = urllib.request.Request(
+        url, data=raw, headers={"Content-Type": "application/json"}, method="POST"
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return response.status, json.loads(response.read())
@@ -167,6 +176,29 @@ class TestPredict:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=30)
         assert info.value.code == 400
+
+    @pytest.mark.parametrize("codec", ["native", "reference"])
+    def test_out_of_range_integers_are_400(self, gateway, codec, restore_selection):
+        """An integer too large for float64 is bad input and one past int()'s
+        4300-digit limit is bad JSON -- never a 500 -- on either codec."""
+        if codec == "native" and not all(
+            impl["available"]
+            for entry in backend.list_backends()
+            if entry["kernel"].startswith("json_")
+            for impl in entry["backends"]
+        ):
+            pytest.skip("no C compiler: the json codec's native backend is unavailable")
+        for kernel in ("json_dumps_f64", "json_loads_f64"):
+            backend.set_backend(kernel, codec)
+        for digits, code, says in (
+            (400, "invalid_input", "too large to convert to float"),
+            (5000, "invalid_json", "Exceeds the limit (4300 digits)"),
+        ):
+            raw = b'{"x": [[' + b"7" * digits + b", " + b", ".join([b"0.5"] * 15) + b"]]}"
+            status, payload = _error_of(lambda raw=raw: _post_raw(gateway.url + "/v1/predict", raw))
+            assert status == 400, digits
+            assert payload["error"]["code"] == code
+            assert says in payload["error"]["message"]
 
     def test_oversized_body_is_413(self, tiny_mlp_spec):
         registry = ModelRegistry.single(

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.serve import wire
 from repro.serve.client import GatewayClient, GatewayError, GatewayShedError
 
 
@@ -112,11 +113,12 @@ class TestRequestShape:
         )
         method, path, sent = client.requests[0]
         assert (method, path) == ("POST", "/v1/predict")
-        assert sent == {
+        # the body bytes are the ones json.dumps of the listed input writes
+        assert wire.dumps(sent) == json.dumps({
             "x": [[1.0, 2.0]],
             "sampling": {"n_samples": 4, "seed": 0},
             "version": "v1",
-        }
+        }).encode()
         assert payload["predictions"].dtype == np.int64
         assert payload["entropy"].dtype == np.float64
         assert payload["entropy"][0] == value  # bit-exact through JSON

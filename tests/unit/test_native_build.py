@@ -1,8 +1,8 @@
 """Build and fallback robustness of the compiled ``native`` backends.
 
-``repro.core.native`` builds ``_grng.c``, ``_conv.c`` and ``_gc.c`` lazily
-into one shared object with the system compiler and caches it per user.  Every way
-that can go wrong -- no compiler, a corrupt cache entry, two first users
+``repro.core.native`` builds ``_grng.c``, ``_conv.c``, ``_gc.c`` and
+``_json.c`` lazily into one shared object with the system compiler and caches
+it per user.  Every way that can go wrong -- no compiler, a corrupt cache entry, two first users
 racing, a replica captured where the build worked and rebuilt where it does
 not -- must end in the NumPy kernels answering with the same bytes, never in
 an exception or a crash.
@@ -229,7 +229,9 @@ class TestBuildCache:
     @pytest.mark.parametrize("edited", range(len(native.SOURCES)))
     def test_editing_any_source_changes_the_key(self, monkeypatch, tmp_path, edited):
         needs_compiler()
-        assert {source.name for source in native.SOURCES} == {"_grng.c", "_conv.c", "_gc.c"}
+        assert {source.name for source in native.SOURCES} == {
+            "_grng.c", "_conv.c", "_gc.c", "_json.c"
+        }
         cache = tmp_path / "cache"
         cache.mkdir()
         assert native.NativeLibrary(cache_dir=cache).load() is not None
@@ -256,11 +258,11 @@ def test_one_library_serves_every_native_backend():
     lib = native.library.load()
     for symbol in (
         "grng_forward", "grng_forward_rows", "grng_lane_width", "conv_im2col",
-        "conv_maxpool_backward", "posterior_gc",
+        "conv_maxpool_backward", "posterior_gc", "json_dumps_f64", "json_loads_f64",
     ):
         assert hasattr(lib, symbol)  # one shared object holds every source
     assert lib.grng_lane_width() in (1, 8)
-    for kernel in NATIVE_KERNELS:
+    for kernel in (*NATIVE_KERNELS, "json_dumps_f64", "json_loads_f64"):
         assert backend.verify_backend(kernel, "native")
 
 
