@@ -16,10 +16,8 @@ input; CI runs them in separate jobs and emits one report each):
 
 * the **execution-engine** cases (``test_bench_mc_predict`` /
   ``test_bench_train_step``): per ``(workload, arch, S)`` combination the
-  speedup of the batched Monte-Carlo pipeline over the two per-sample
-  baselines (``vs_sequential``: the plain S-times loop with independent
-  per-row generation; ``vs_lockstep``: the per-sample loop served by the
-  bank's speculative prefetching);
+  speedup of the batched Monte-Carlo pipeline over the per-sample baseline
+  (``vs_sequential``: the plain S-times loop with per-row generation);
 * the **serving** cases (``test_bench_serving``): per generator stride, the
   aggregate-throughput speedup of the micro-batching server (``inline`` and
   ``pool2`` worker modes, 8 concurrent clients x 4 requests) over the same
@@ -356,14 +354,11 @@ def _engine_report(cases: dict, report: dict) -> None:
         if not batched:
             continue
         entry = {}
-        for baseline in ("sequential", "lockstep"):
-            base = cases.get((workload, arch, n_samples, baseline))
-            if base:
-                # medians: robust against the occasional GC / scheduler
-                # outlier round that skews per-call means at this time scale
-                entry[f"vs_{baseline}"] = round(
-                    base["median_ms"] / batched["median_ms"], 3
-                )
+        base = cases.get((workload, arch, n_samples, "sequential"))
+        if base:
+            # medians: robust against the occasional GC / scheduler
+            # outlier round that skews per-call means at this time scale
+            entry["vs_sequential"] = round(base["median_ms"] / batched["median_ms"], 3)
         report["speedups"][f"{workload}[{arch}-S{n_samples}]"] = entry
 
 

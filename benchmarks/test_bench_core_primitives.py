@@ -81,10 +81,10 @@ def test_bench_grng_bank_reverse_retrieval(benchmark):
     assert values.shape == (BANK_ROWS, BLOCK)
 
 
-def test_bench_stream_bank_lockstep_iteration(benchmark):
+def test_bench_stream_bank_per_row_iteration(benchmark):
     # A full generate + checkpoint-replay iteration over 8 reversible sample
-    # streams; lockstep speculation serves all samples from batched kernel
-    # calls even though each sampler is driven one at a time.
+    # streams, each sampler driven one at a time: every request is a one-row
+    # kernel call (the per-sample oracle path of the trainers).
     bank = StreamBank(8, policy="reversible", seed=0, grng_stride=16)
     shape = (64, 64)
 

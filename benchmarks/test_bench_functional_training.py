@@ -5,17 +5,15 @@ These actually train the reduced Bayesian models on synthetic data, so they
 run once per benchmark (``pedantic`` mode) and use CPU-scale settings.  The
 regenerated tables are printed alongside the timing.
 
-The ``mc_predict`` / ``train_step`` cases time the three execution modes of
+The ``mc_predict`` / ``train_step`` cases time the two execution modes of
 the S-sample FW/BW/GC pipeline at the hardware-faithful ``grng_stride=1``:
 
 * ``sequential`` -- one Monte-Carlo sample at a time, each sample generating
-  its epsilons through its own per-row GRNG view (no cross-sample
-  speculation; the plain S-times Python loop);
-* ``lockstep`` -- the same per-sample loop served by the bank's speculative
-  cross-sample prefetching (PR 1's engine);
+  its epsilons through its own per-row GRNG view (the plain S-times Python
+  loop);
 * ``batched`` -- the whole ``(S, batch, ...)`` pipeline in one pass.
 
-All three produce bit-identical results (enforced by the equivalence tests);
+Both produce bit-identical results (enforced by the equivalence tests);
 ``benchmarks/emit_results.py`` converts a ``--benchmark-json`` dump of this
 module into ``BENCH_engine.json`` with the derived speedups.
 """
@@ -34,9 +32,8 @@ from repro.models import get_model
 
 #: Execution-mode knobs shared by the mc_predict and train_step cases.
 EXECUTION_MODES = {
-    "sequential": dict(batched=False, lockstep=False),
-    "lockstep": dict(batched=False, lockstep=True),
-    "batched": dict(batched=True, lockstep=True),
+    "sequential": dict(batched=False),
+    "batched": dict(batched=True),
 }
 
 #: Hardware-faithful sliding-window GRNG mode by default; the nightly CI run

@@ -133,7 +133,6 @@ def mc_predict(
     grng_stride: int = 256,
     lfsr_bits: int = 256,
     batched: bool = True,
-    lockstep: bool = True,
     out: np.ndarray | None = None,
 ) -> PredictiveResult:
     """Draw ``n_samples`` weight samples and return the predictive distribution.
@@ -142,10 +141,8 @@ def mc_predict(
     the epsilons drawn here never need to be retrieved, so the pending blocks
     are simply discarded afterwards.  ``batched=True`` (the default) executes
     all samples in one pass over the ``(S, batch, ...)`` tensor;
-    ``batched=False`` is the per-sample escape hatch, with ``lockstep``
-    selecting between the bank's speculative cross-sample prefetching and
-    fully independent per-row generation.  All modes produce bit-identical
-    probabilities.
+    ``batched=False`` is the per-sample escape hatch, one row of the bank
+    per sample; both produce bit-identical probabilities.
 
     ``out`` optionally provides a reusable ``(n_samples, batch, classes)``
     output buffer (see :func:`mc_forward`); results are bit-identical with or
@@ -159,7 +156,6 @@ def mc_predict(
         seed=seed,
         lfsr_bits=lfsr_bits,
         grng_stride=grng_stride,
-        lockstep=lockstep,
     )
     if batched:
         return mc_forward(model, x, bank.batched_sampler(), out=out)

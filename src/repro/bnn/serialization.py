@@ -381,7 +381,7 @@ def load_checkpoint(trainer: "BNNTrainer", path: str | Path) -> dict:
         )
         for record in grng_records
     ]
-    trainer.bank.load_generator_states(snapshots)
+    trainer.bank.restore(snapshots)
     trainer.bank.load_usage_state_dicts(manifest.get("stream_usage", []))
     history = trainer.history
     for field in _HISTORY_FIELDS:

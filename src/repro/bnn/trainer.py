@@ -101,11 +101,6 @@ class TrainerConfig:
         batched ``(S, batch, ...)`` pipeline (default).  ``False`` selects
         the per-sample loop; both produce bit-identical parameter
         trajectories, only wall-clock time differs.
-    lockstep:
-        With ``batched=False``, whether the per-sample samplers share the
-        bank's speculative cross-sample prefetching (default) or generate
-        fully independently per row (the pre-lockstep baseline).  Results
-        are identical in every mode.
     seed:
         Seed for the stream bank (epsilons).  Model initialisation has its own
         rng, owned by whoever builds the model.
@@ -121,7 +116,6 @@ class TrainerConfig:
     grng_stride: int = 256
     include_entropy_term: bool = True
     batched: bool = True
-    lockstep: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -195,7 +189,6 @@ class BNNTrainer:
             seed=self.config.seed,
             lfsr_bits=self.config.lfsr_bits,
             grng_stride=self.config.grng_stride,
-            lockstep=self.config.lockstep,
         )
         if self.config.quantization_bits in (8, 16):
             quantization = QuantizationConfig.from_word_length(self.config.quantization_bits)
@@ -479,7 +472,6 @@ class BNNTrainer:
             grng_stride=self.config.grng_stride,
             lfsr_bits=self.config.lfsr_bits,
             batched=self.config.batched,
-            lockstep=self.config.lockstep,
         )
         return accuracy(result.mean_probabilities, y)
 

@@ -974,24 +974,6 @@ def _sample_matmul_reference(a, b, out):
     return out
 
 
-def _sample_matmul_dot(a, b, out):
-    # np.dot and np.matmul reach the same cblas *gemm for 2-D float64
-    # operands; the gate verifies the bit-identity claim anyway.
-    shared_a = a.ndim == 2
-    for s in range(b.shape[0]):
-        np.dot(a if shared_a else a[s], b[s], out=out[s])
-    return out
-
-
-def _sample_matmul_dot_supports(a, b, out):
-    return (
-        a.dtype == np.float64
-        and b.dtype == np.float64
-        and out.dtype == np.float64
-        and out.flags.c_contiguous
-    )
-
-
 def _sample_matmul_cases() -> list[dict[str, Any]]:
     rng = np.random.default_rng(0xD00D)
     cases = []
@@ -2003,16 +1985,6 @@ def _register_builtin(reg: KernelRegistry) -> None:
             "reference",
             _sample_matmul_reference,
             description="np.matmul loop, one 2-D product per sample",
-        ),
-    )
-    reg.register_backend(
-        "sample_matmul",
-        BackendImpl(
-            "dot_loop",
-            _sample_matmul_dot,
-            description="np.dot loop (same cblas gemm, float64 contiguous "
-            "outputs only)",
-            supports=_sample_matmul_dot_supports,
         ),
     )
 

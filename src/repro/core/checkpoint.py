@@ -95,12 +95,6 @@ class StreamBank:
         sliding-window mode; ``lfsr_bits`` (non-overlapping patterns) gives
         effectively independent variables and is what the functional BNN
         trainers use by default.  The reversal property holds for any stride.
-    lockstep:
-        Enable the shared bank's speculative cross-sample prefetching for the
-        per-sample samplers (default).  ``False`` serves every per-row
-        request with its own kernel call -- the pre-lockstep per-sample
-        behaviour, kept as a benchmark baseline and for workloads whose
-        samples deliberately diverge.  Values are identical either way.
     sample_indices:
         Which of the run's canonical Monte-Carlo samples this bank hosts
         (default: ``0 .. n_samples-1``).  A distributed shard worker passes
@@ -120,7 +114,6 @@ class StreamBank:
         lfsr_bits: int = 256,
         bytes_per_value: int = 2,
         grng_stride: int = 1,
-        lockstep: bool = True,
         sample_indices: Sequence[int] | None = None,
     ) -> None:
         if n_samples < 1:
@@ -141,11 +134,10 @@ class StreamBank:
         self._policy: StreamPolicy = policy
         self._seed = seed
         self._lfsr_bits = lfsr_bits
-        # All per-sample generators live in one packed GrngBank and draw in
-        # lockstep: the first sample to request a layer's block triggers one
-        # batched kernel call serving every sample.  Seeding matches the
-        # scalar generators bit for bit, so values are policy- and
-        # engine-independent.
+        # All per-sample generators live in one packed GrngBank: the batched
+        # sampler draws every row per kernel call, a per-sample sampler its
+        # own row.  Seeding matches the scalar generators bit for bit, so
+        # values are policy- and engine-independent.
         self._grng_bank = GrngBank(
             n_bits=lfsr_bits,
             seed_indices=[
@@ -153,7 +145,6 @@ class StreamBank:
                 for sample_index in self._sample_indices
             ],
             stride=grng_stride,
-            lockstep=lockstep,
         )
         self._streams: list[EpsilonStream] = [
             self._build_stream(self._grng_bank.row_view(sample_index), bytes_per_value)
@@ -206,7 +197,7 @@ class StreamBank:
         """A sampler serving all ``S`` samples per call from the shared bank.
 
         The batched sampler draws ``(S, *weight_shape)`` tensors straight from
-        the lockstep :class:`~repro.core.grng_bank.GrngBank` kernels while
+        the shared :class:`~repro.core.grng_bank.GrngBank` kernels while
         updating the same per-sample :class:`~repro.core.streams.StreamUsage`
         records as the per-sample samplers would, so traffic totals stay
         policy-comparable.  It shares the bank's register state with the
@@ -233,26 +224,18 @@ class StreamBank:
         return [LfsrSnapshot.capture(stream.grng) for stream in self._streams]
 
     def restore(self, snapshots: Sequence[LfsrSnapshot]) -> None:
-        """Restore every stream's generator from ``snapshots``."""
+        """Restore every stream's generator from ``snapshots``.
+
+        This is how a distributed shard worker adopts the coordinator's
+        canonical generator states before executing a step, and how
+        checkpoint loading rewinds a bank onto the saved trajectory.
+        """
         if len(snapshots) != self._n_samples:
             raise ValueError(
                 f"expected {self._n_samples} snapshots, got {len(snapshots)}"
             )
         for snapshot, stream in zip(snapshots, self._streams):
             snapshot.restore(stream.grng)
-
-    def load_generator_states(self, snapshots: Sequence[LfsrSnapshot]) -> None:
-        """Restore every generator at a step boundary and re-arm speculation.
-
-        :meth:`restore` marks the written rows dirty (suspending lockstep
-        speculation defensively); at a step boundary every row is restored
-        together and provably in phase, so the bank is immediately re-armed.
-        This is how a distributed shard worker adopts the coordinator's
-        canonical generator states before executing a step, and how
-        checkpoint loading rewinds a bank onto the saved trajectory.
-        """
-        self.restore(snapshots)
-        self._grng_bank.end_iteration()
 
     def usage_state_dicts(self) -> list[dict[str, int]]:
         """Per-sample traffic counters, in row order (checkpoint / wire format)."""
@@ -279,17 +262,11 @@ class StreamBank:
         return self._grng_bank
 
     def finish_iteration(self) -> None:
-        """Check that every stream consumed all its blocks this iteration.
-
-        Also re-arms the bank's lockstep speculation: per-iteration register
-        restores mark rows dirty, and the iteration boundary is the point
-        where all rows are provably back in phase.
-        """
+        """Check that every stream consumed all its blocks this iteration."""
         if self._batched_sampler is not None:
             self._batched_sampler.finish_iteration()
         for sampler in self._samplers:
             sampler.finish_iteration()
-        self._grng_bank.end_iteration()
 
     def total_offchip_epsilon_bytes(self) -> int:
         """Off-chip bytes moved for epsilons across all samples (read + write)."""

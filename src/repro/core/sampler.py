@@ -12,12 +12,10 @@ the training stages need:
   policy) and reconstruct the identical weights, also returning the epsilons
   themselves because the gradient of ``sigma`` needs them.
 
-When samplers are built by a :class:`~repro.core.checkpoint.StreamBank`, the
-per-sample streams share a lockstep
-:class:`~repro.core.grng_bank.GrngBank`: the first sampler to draw a layer's
-block triggers one batched kernel call that produces the same-shaped block
-for every Monte-Carlo sample, so the per-sample call pattern of the trainers
-costs one vectorised generation (and one vectorised retrieval) per layer.
+When samplers are built by a :class:`~repro.core.checkpoint.StreamBank`, each
+per-sample stream draws from its own row of one shared
+:class:`~repro.core.grng_bank.GrngBank`; a per-sample sampler's request is a
+one-row kernel call, independent of the other rows.
 
 :class:`BatchedWeightSampler` goes one step further for callers that execute
 the whole Monte-Carlo batch at once (the batched FW/BW/GC pipeline of

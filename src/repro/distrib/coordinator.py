@@ -534,7 +534,6 @@ class DistributedBackend:
             "seed": config.seed,
             "lfsr_bits": config.lfsr_bits,
             "grng_stride": config.grng_stride,
-            "lockstep": config.lockstep,
         }
         # the step's content-addressed state slots, hashed once (not once
         # per worker): every parameter tensor plus each row block's data

@@ -278,7 +278,6 @@ class ShardEngine:
             bank_cfg["seed"],
             bank_cfg["lfsr_bits"],
             bank_cfg["grng_stride"],
-            bank_cfg["lockstep"],
         )
         bank = self._banks.get(key)
         if bank is None:
@@ -288,7 +287,6 @@ class ShardEngine:
                 seed=bank_cfg["seed"],
                 lfsr_bits=bank_cfg["lfsr_bits"],
                 grng_stride=bank_cfg["grng_stride"],
-                lockstep=bank_cfg["lockstep"],
                 sample_indices=samples,
             )
             self._banks[key] = bank
@@ -355,7 +353,7 @@ class ShardEngine:
         bank = self._bank_for(samples, payload["bank"])
         # adopt the coordinator's canonical generator states and zero the
         # traffic counters: everything shipped back is a pure per-step delta
-        bank.load_generator_states(payload["snapshots"])
+        bank.restore(payload["snapshots"])
         bank.reset_usage()
         arena = self.arena
         if arena is not None and not arena.holds(len(row_blocks), samples):

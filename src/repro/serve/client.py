@@ -102,7 +102,6 @@ class GatewayClient:
         max_retries: int = 3,
         max_retry_wait_s: float = 5.0,
         tenant_header: str = "X-Tenant",
-        api_prefix: str = "/v1",
         clock=time.monotonic,
         sleep=time.sleep,
     ) -> None:
@@ -118,7 +117,6 @@ class GatewayClient:
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.max_retry_wait_s = max_retry_wait_s
-        self.api_prefix = api_prefix.rstrip("/")
         self._clock = clock
         self._sleep = sleep
         # one keep-alive connection per thread: HTTPConnection is not
@@ -213,7 +211,7 @@ class GatewayClient:
         body: dict | None = None,
         float_keys: tuple[str, ...] = (),
     ) -> dict:
-        path = self.api_prefix + path
+        path = "/v1" + path
         attempts = 0
         while True:
             status, headers, raw = self._request_once(method, path, body)
@@ -253,9 +251,7 @@ class GatewayClient:
 
     def metrics(self) -> str:
         """``GET /v1/metrics``: the raw Prometheus text exposition."""
-        status, headers, raw = self._request_once(
-            "GET", self.api_prefix + "/metrics", None
-        )
+        status, headers, raw = self._request_once("GET", "/v1/metrics", None)
         if not 200 <= status < 300:
             raise self._parse_error(status, headers, raw)
         return raw.decode("utf-8")

@@ -126,7 +126,6 @@ def materialize_epsilon_sweep(
         seed=config.seed,
         lfsr_bits=config.lfsr_bits,
         grng_stride=config.grng_stride,
-        lockstep=True,
     )
     sampler = bank.batched_sampler()
     sampler.prefetch_forward([int(np.prod(shape)) for shape in shapes])

@@ -2,9 +2,8 @@
 
 This is the boundary real clients cross: a stdlib-only
 (:class:`http.server.ThreadingHTTPServer`) JSON-over-HTTP front-end layered
-on the versioned serving stack.  The stable wire surface is versioned under
-``/v1``; the PR 5 unversioned paths (``/predict``, ``/healthz``, ...) remain
-as aliases that answer identically plus a ``Deprecation: true`` header.
+on the versioned serving stack.  The wire surface is versioned under
+``/v1``; any other path answers ``404 not_found``.
 
 ``POST /v1/predict``
     Body ``{"x": [[...], ...], "sampling": {...}, "version": "v2"?}``.
@@ -82,10 +81,10 @@ Bit-exactness across the wire: responses are JSON with floats serialised as
 ``repr`` writes them (Python's shortest round-trip representation), so a
 client parsing ``sample_probabilities`` back into a float64 array recovers
 **byte-identical** values to a direct in-process ``mc_predict`` call -- the
-integration suite asserts exactly that through a real socket, on ``/v1`` and
-the legacy aliases, while overload traffic is being shed around the asserted
-requests.  Bodies are encoded and decoded by :mod:`repro.serve.wire`, whose
-compiled float codec writes and reads exactly the stdlib's bytes.
+integration suite asserts exactly that through a real socket while overload
+traffic is being shed around the asserted requests.  Bodies are encoded and
+decoded by :mod:`repro.serve.wire`, whose compiled float codec writes and
+reads exactly the stdlib's bytes.
 """
 
 from __future__ import annotations
@@ -124,16 +123,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = ["ServingGateway", "GatewayConfig"]
 
 _SAMPLING_FIELDS = frozenset(SamplingConfig.__dataclass_fields__)
-
-#: Unversioned (PR 5) paths kept as deprecated aliases of the /v1 routes.
-_LEGACY_ALIASES = {
-    "/predict": "/v1/predict",
-    "/healthz": "/v1/healthz",
-    "/stats": "/v1/stats",
-    "/models": "/v1/models",
-    "/models/deploy": "/v1/models/deploy",
-    "/models/rollback": "/v1/models/rollback",
-}
 
 
 @dataclass(frozen=True)
@@ -216,8 +205,6 @@ class _Handler(BaseHTTPRequestHandler):
             # the trace id doubles as the request id; it rides a header so
             # the response *body* stays byte-identical with tracing off
             self.send_header("X-Request-Id", self._request_id)
-        if self._deprecated:
-            self.send_header("Deprecation", "true")
         if retry_after_s is not None:
             # the header is integer seconds (RFC 9110); the envelope carries
             # the precise float
@@ -311,7 +298,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self, method: str) -> None:
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        self._deprecated = False
         # GET requests carry no body; POST bodies are unread until
         # _read_json_body drains them (keep-alive safety on errors)
         self._body_consumed = method == "GET"
@@ -320,10 +306,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._request_id: str | None = None
         self._trace_handle = None
         self._access: dict | None = None
-        canonical = _LEGACY_ALIASES.get(path)
-        if canonical is not None:
-            self._deprecated = True
-            path = canonical
         routes = {
             ("GET", "/v1/healthz"): self._handle_healthz,
             ("GET", "/v1/stats"): self._handle_stats,

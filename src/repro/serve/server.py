@@ -200,6 +200,8 @@ class PredictionServer:
         self._version_lock = threading.Lock()
         self._loaded: set[str] = set()
         self._pins: dict[str, int] = {}
+        # per-row input shape by version (registered contents are immutable)
+        self._row_shapes: dict[str, tuple[int, ...]] = {}
         # shared weight sweeps (worker-pool mode): parent-owned segments,
         # published lazily per (version, config) from the dispatcher thread,
         # each built from a frozen parent-side replica of its version
@@ -329,9 +331,11 @@ class PredictionServer:
     ) -> Future:
         """Queue one prediction request; resolves to a ``PredictiveResult``.
 
-        ``x`` is one request's input batch (first axis = rows).  Requests
-        sharing a :class:`SamplingConfig` are pooled into tiles and replay
-        one cached sampled-weight sweep.  Under backpressure the call blocks, or
+        ``x`` is one request's input batch (first axis = rows); rows of any
+        shape but the pinned version's input shape raise ``ValueError``
+        before anything is queued.  Requests sharing a
+        :class:`SamplingConfig` are pooled into tiles and replay one cached
+        sampled-weight sweep.  Under backpressure the call blocks, or
         raises :class:`~repro.serve.microbatcher.QueueFull` when
         ``block=False`` / the timeout expires.
 
@@ -365,6 +369,13 @@ class PredictionServer:
                 f"shape {x.shape}"
             )
         pinned_version, generation = self._admit(version)
+        expected = self._row_shape(pinned_version)
+        if x.shape[1:] != expected:
+            self._unpin(pinned_version)
+            raise ValueError(
+                f"model version {pinned_version!r} expects rows of shape "
+                f"{expected}, got input of shape {x.shape}"
+            )
         if trace is _AUTO_TRACE:
             handle = self.tracer.begin(
                 kind="predict", version=pinned_version, rows=int(x.shape[0])
@@ -600,6 +611,13 @@ class PredictionServer:
                 assert self._executor is not None
                 self._executor.unload(version)
             self._loaded.discard(version)
+
+    def _row_shape(self, version: str) -> tuple[int, ...]:
+        shape = self._row_shapes.get(version)
+        if shape is None:
+            spec = self._registry.get(version).replica.spec
+            shape = self._row_shapes[version] = tuple(spec.trace()[0].input_shape)
+        return shape
 
     def _unpin(self, version: str) -> None:
         with self._version_lock:

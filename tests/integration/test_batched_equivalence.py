@@ -180,19 +180,6 @@ class TestPredictEquivalence:
             sequential.sample_probabilities, batched.sample_probabilities
         )
 
-    def test_per_row_sequential_matches_lockstep_sequential(self, mlp_setup):
-        """The benchmark baselines themselves agree bit for bit."""
-        spec, _, test = mlp_setup
-        model = spec.build_bayesian(seed=42)
-        x = test.flatten_images()
-        lockstep = mc_predict(model, x, n_samples=4, grng_stride=32, batched=False)
-        per_row = mc_predict(
-            model, x, n_samples=4, grng_stride=32, batched=False, lockstep=False
-        )
-        assert np.array_equal(
-            lockstep.sample_probabilities, per_row.sample_probabilities
-        )
-
     def test_eval_mode_restored_after_batched_predict(self, mlp_setup):
         spec, _, test = mlp_setup
         model = spec.build_bayesian(seed=42)

@@ -109,7 +109,7 @@ def test_http_served_bytes_equal_mc_predict(n_workers):
 
     config = ServerConfig(n_workers=n_workers, max_batch_rows=16, max_wait_ms=2.0)
     with ServingGateway(registry, config) as gateway:
-        url = gateway.url + "/predict"
+        url = gateway.url + "/v1/predict"
 
         def client(index: int) -> None:
             try:
@@ -167,7 +167,7 @@ def test_deploy_rollback_under_load_loses_and_mixes_nothing(n_workers):
                 input_index = client_index % len(inputs)
                 try:
                     body = _post(
-                        url + "/predict",
+                        url + "/v1/predict",
                         {"x": inputs[input_index].tolist(), "sampling": SAMPLING},
                     )
                 except Exception as exc:  # pragma: no cover - failure reporting
@@ -184,21 +184,21 @@ def test_deploy_rollback_under_load_loses_and_mixes_nothing(n_workers):
             thread.start()
 
         # the swap happens while the clients hammer the gateway
-        deployed = _post(url + "/models/deploy", {"version": "v2"})
+        deployed = _post(url + "/v1/models/deploy", {"version": "v2"})
         assert deployed["active_version"] == "v2"
         # the swap is observable: an unpinned request now serves v2 bytes
-        mid = _post(url + "/predict", {"x": inputs[0].tolist(), "sampling": SAMPLING})
+        mid = _post(url + "/v1/predict", {"x": inputs[0].tolist(), "sampling": SAMPLING})
         assert mid["version"] == "v2"
         assert np.array_equal(
             np.asarray(mid["sample_probabilities"]), references["v2"][0]
         )
-        restored = _post(url + "/models/rollback", {})
+        restored = _post(url + "/v1/models/rollback", {})
         assert restored["active_version"] == "v1"
         assert restored["rolled_back"] is True
 
         for thread in threads:
             thread.join(timeout=120)
-        after = _post(url + "/predict", {"x": inputs[1].tolist(), "sampling": SAMPLING})
+        after = _post(url + "/v1/predict", {"x": inputs[1].tolist(), "sampling": SAMPLING})
         assert after["version"] == "v1"
         assert np.array_equal(
             np.asarray(after["sample_probabilities"]), references["v1"][1]
@@ -230,18 +230,18 @@ def test_swap_keeps_epsilon_cache_isolation_inline():
 
     with ServingGateway(registry, ServerConfig(max_wait_ms=1.0)) as gateway:
         url = gateway.url
-        first = _post(url + "/predict", {"x": x.tolist(), "sampling": SAMPLING})
+        first = _post(url + "/v1/predict", {"x": x.tolist(), "sampling": SAMPLING})
         assert np.array_equal(
             np.asarray(first["sample_probabilities"]), references["v1"][0]
         )
         executor = gateway.prediction_server._executor
         assert len(executor.executor_for("v1").cache) == 1
-        _post(url + "/models/deploy", {"version": "v2"})
+        _post(url + "/v1/models/deploy", {"version": "v2"})
         # the swap dropped v1's cached sweeps (cold versions hold no cache
         # memory) while keeping the replica resident for pinned traffic
         assert len(executor.executor_for("v1").cache) == 0
         pinned = _post(
-            url + "/predict",
+            url + "/v1/predict",
             {"x": x.tolist(), "sampling": SAMPLING, "version": "v1"},
         )
         assert pinned["version"] == "v1"
@@ -271,10 +271,9 @@ def _raw_post(address: tuple[str, int], path: str, body: dict) -> tuple:
 
 
 class TestWireSurfaceEquivalence:
-    def test_v1_and_legacy_routes_serve_identical_bytes(self):
-        """Acceptance: bit-exactness holds through a real socket on BOTH the
-        /v1 route and the deprecated legacy alias -- and their bodies match
-        each other byte for byte."""
+    def test_v1_route_serves_mc_predict_bytes(self):
+        """Acceptance: bit-exactness holds through a real socket on the /v1
+        route, whose response carries no deprecation marker."""
         spec = _spec()
         registry = _two_version_registry(spec)
         rng = np.random.default_rng(21)
@@ -283,19 +282,10 @@ class TestWireSurfaceEquivalence:
 
         with ServingGateway(registry, ServerConfig(max_wait_ms=1.0)) as gateway:
             body = {"x": x.tolist(), "sampling": SAMPLING}
-            status_v1, headers_v1, raw_v1 = _raw_post(
-                gateway.address, "/v1/predict", body
-            )
-            status_legacy, headers_legacy, raw_legacy = _raw_post(
-                gateway.address, "/predict", body
-            )
-        assert status_v1 == status_legacy == 200
-        assert "deprecation" not in headers_v1
-        assert headers_legacy.get("deprecation") == "true"
-        assert raw_v1 == raw_legacy  # the alias is the same handler, same bytes
-        served = np.asarray(
-            json.loads(raw_v1)["sample_probabilities"], dtype=np.float64
-        )
+            status, headers, raw = _raw_post(gateway.address, "/v1/predict", body)
+        assert status == 200
+        assert "deprecation" not in headers
+        served = np.asarray(json.loads(raw)["sample_probabilities"], dtype=np.float64)
         assert np.array_equal(served, references["v1"][0])
 
     def test_streamed_response_bytes_equal_buffered(self):

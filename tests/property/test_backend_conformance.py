@@ -13,8 +13,9 @@ wall-clock time but never bits.  Two layers of evidence:
 * the hypothesis tests below drive each kernel with *randomised* workloads
   (random shapes, dtypes, strides 1 / 64 / 256, random register states) and
   assert the forced backend's output is bit-identical to the reference
-  oracle's on the same inputs.  ``lfsr_step_block`` has no second backend, so
-  its randomised proof is the independent bit-serial oracle in
+  oracle's on the same inputs.  ``sample_matmul`` has only its reference
+  backend, so it has no randomised test; ``lfsr_step_block`` has no second
+  backend either, so its randomised proof is the independent bit-serial oracle in
   ``test_lfsr_bitserial_oracle.py`` instead; ``im2col``'s reference gather is
   checked against a sliding-window formulation here, and both backends of the
   four conv data-movement kernels against pasted-in oracles in
@@ -121,33 +122,6 @@ def test_clt_standardise_matches_oracle(name, seed, dtype, size, width):
     want = _oracle("clt_standardise", popcounts, mean, std)
     assert np.asarray(got).dtype == np.float64
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-@pytest.mark.parametrize("name", _backends_for("sample_matmul"))
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n_samples=st.integers(min_value=1, max_value=4),
-    m=st.integers(min_value=1, max_value=12),
-    k=st.integers(min_value=0, max_value=12),
-    p=st.integers(min_value=1, max_value=12),
-    shared_a=st.booleans(),
-)
-@settings(max_examples=20, deadline=None)
-def test_sample_matmul_matches_oracle(name, seed, n_samples, m, k, p, shared_a):
-    _skip_unless_available("sample_matmul", name)
-    rng = np.random.default_rng(seed)
-    # the kernel's shared-operand convention: a 2-D ``a`` broadcasts over
-    # every sample (mirroring repro.nn.functional.sample_matmul)
-    a = rng.standard_normal((m, k) if shared_a else (n_samples, m, k))
-    b = rng.standard_normal((n_samples, k, p))
-    got = _forced(
-        "sample_matmul", name, a, b, np.empty((n_samples, m, p), dtype=np.float64)
-    )
-    want = _oracle(
-        "sample_matmul", a, b, np.empty((n_samples, m, p), dtype=np.float64)
-    )
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 def _im2col_sliding_window(x, kernel, stride, padding):

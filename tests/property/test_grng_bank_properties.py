@@ -90,7 +90,7 @@ class TestGrngBankBitIdentical:
             assert np.array_equal(batched[row], scalar.epsilon_block_reverse(count))
 
 
-class TestLockstepStreamProperties:
+class TestRowViewStreamProperties:
     @given(
         shapes=block_shapes,
         seed=st.integers(0, 60),
@@ -102,8 +102,9 @@ class TestLockstepStreamProperties:
         self, shapes, seed, n_samples, policy
     ):
         # Trainer-style interleaving (per sample: forward all layers, then
-        # retrieve them LIFO) across two iterations; speculative lockstep
-        # prefetching must never change a single bit.
+        # retrieve them LIFO) across two iterations: every row view sits out
+        # of phase with its siblings between requests, and each must still
+        # reproduce its scalar generator bit for bit.
         bank = StreamBank(
             n_samples, policy=policy, seed=seed, lfsr_bits=64, grng_stride=4
         )

@@ -141,12 +141,12 @@ class TestSelection:
 
     def test_apply_selection_replaces_wholesale(self, restore_selection):
         backend.apply_selection({"clt_standardise": "reference"})
-        backend.apply_selection({"sample_matmul": "dot_loop"})
-        assert backend.current_selection() == {"sample_matmul": "dot_loop"}
+        backend.apply_selection({"window_popcounts": "cumsum16"})
+        assert backend.current_selection() == {"window_popcounts": "cumsum16"}
         with pytest.raises(UnknownBackendError):
             backend.apply_selection({"im2col": "nope"})
         # a rejected selection must not have been half-applied
-        assert backend.current_selection() == {"sample_matmul": "dot_loop"}
+        assert backend.current_selection() == {"window_popcounts": "cumsum16"}
 
     def test_load_env_kernel_pairs_and_bare_names(self, restore_selection):
         backend.registry.load_env("window_popcounts=cumsum16")
@@ -253,7 +253,7 @@ class TestReplicaSpecSelection:
     def test_selection_is_not_part_of_the_fingerprint(self, restore_selection):
         spec = get_model("B-MLP", reduced=True)
         plain = ReplicaSpec.structural(spec)
-        with backend.using("sample_matmul", "dot_loop"):
+        with backend.using("window_popcounts", "cumsum16"):
             forced = ReplicaSpec.structural(spec)
         # all backends are bit-identical, so the replica identity (and any
         # registry version check built on it) must not depend on selection

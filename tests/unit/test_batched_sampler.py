@@ -250,7 +250,7 @@ class TestStridedKernel:
         assert stepped["calls"] == 2 * -(-count // 32)
 
     def test_replay_blocks_round_trip(self):
-        bank = GrngBank(n_rows=3, n_bits=64, stride=4, lockstep=True)
+        bank = GrngBank(n_rows=3, n_bits=64, stride=4)
         start = bank.states()
         first = bank.epsilon_blocks(11)
         end = bank.states()

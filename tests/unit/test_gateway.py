@@ -76,7 +76,7 @@ def gateway(tiny_mlp_spec: ModelSpec):
 
 class TestReadEndpoints:
     def test_healthz_reports_rollout_state(self, gateway):
-        status, body = _get(gateway.url + "/healthz")
+        status, body = _get(gateway.url + "/v1/healthz")
         assert status == 200
         assert body["status"] == "ok"
         assert body["active_version"] == "v1"
@@ -85,7 +85,7 @@ class TestReadEndpoints:
         assert body["n_workers"] == 0
 
     def test_models_lists_fingerprints_and_flags(self, gateway):
-        status, body = _get(gateway.url + "/models")
+        status, body = _get(gateway.url + "/v1/models")
         assert status == 200
         assert body["active_version"] == "v1"
         by_name = {entry["version"]: entry for entry in body["versions"]}
@@ -98,8 +98,8 @@ class TestReadEndpoints:
 
     def test_stats_includes_per_version_counters(self, gateway, rng):
         x = rng.normal(size=(4, 16)).tolist()
-        _post(gateway.url + "/predict", {"x": x, "sampling": SAMPLING})
-        status, body = _get(gateway.url + "/stats")
+        _post(gateway.url + "/v1/predict", {"x": x, "sampling": SAMPLING})
+        status, body = _get(gateway.url + "/v1/stats")
         assert status == 200
         assert body["per_version"]["v1"]["completed"] == 1
         assert body["per_version"]["v1"]["rows"] == 4
@@ -116,7 +116,7 @@ class TestPredict:
     def test_served_bytes_equal_mc_predict(self, gateway, tiny_mlp_spec, rng):
         x = rng.normal(size=(6, 16))
         status, body = _post(
-            gateway.url + "/predict", {"x": x.tolist(), "sampling": SAMPLING}
+            gateway.url + "/v1/predict", {"x": x.tolist(), "sampling": SAMPLING}
         )
         assert status == 200
         assert body["version"] == "v1" and body["generation"] == 1
@@ -136,7 +136,7 @@ class TestPredict:
         x = rng.normal(size=(2, 16)).tolist()
         code, body = _error_of(
             lambda: _post(
-                gateway.url + "/predict",
+                gateway.url + "/v1/predict",
                 {"x": x, "sampling": SAMPLING, "version": "v2"},
             )
         )
@@ -145,14 +145,14 @@ class TestPredict:
         assert "not loaded" in body["error"]["message"]
         code, body = _error_of(
             lambda: _post(
-                gateway.url + "/predict",
+                gateway.url + "/v1/predict",
                 {"x": x, "sampling": SAMPLING, "version": "ghost"},
             )
         )
         assert code == 404
 
     def test_bad_bodies_are_400(self, gateway):
-        url = gateway.url + "/predict"
+        url = gateway.url + "/v1/predict"
         for body in (
             {},  # no x
             {"x": "not numbers"},
@@ -168,7 +168,7 @@ class TestPredict:
 
     def test_non_json_body_is_400(self, gateway):
         request = urllib.request.Request(
-            gateway.url + "/predict",
+            gateway.url + "/v1/predict",
             data=b"this is not json",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -200,6 +200,37 @@ class TestPredict:
             assert payload["error"]["code"] == code
             assert says in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(b'{"x": [[1.0, 2.0]]}', id="too-few-features"),
+            pytest.param(b'{"x": [[], []]}', id="empty-rows"),
+            pytest.param(b'{"x": [[[1.0]]]}', id="3-d"),
+            pytest.param(
+                b'{"x": ' + b"[" * 34 + b"1.0" + b"]" * 34 + b"}", id="34-deep"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("codec", ["native", "reference"])
+    def test_wrong_row_shape_is_400(self, gateway, codec, raw, restore_selection):
+        """Rows that do not match the model's input shape are bad input,
+        refused before admission -- never a 500 from inside the model."""
+        if codec == "native" and not all(
+            impl["available"]
+            for entry in backend.list_backends()
+            if entry["kernel"].startswith("json_")
+            for impl in entry["backends"]
+        ):
+            pytest.skip("no C compiler: the json codec's native backend is unavailable")
+        for kernel in ("json_dumps_f64", "json_loads_f64"):
+            backend.set_backend(kernel, codec)
+        status, payload = _error_of(lambda: _post_raw(gateway.url + "/v1/predict", raw))
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_input"
+        _, stats = _get(gateway.url + "/v1/stats")
+        assert stats["admission"]["admitted"] == 0
+        assert stats["requests_completed"] == stats["requests_failed"] == 0
+
     def test_oversized_body_is_413(self, tiny_mlp_spec):
         registry = ModelRegistry.single(
             ReplicaSpec.capture(
@@ -213,7 +244,7 @@ class TestPredict:
         ) as gateway:
             code, _ = _error_of(
                 lambda: _post(
-                    gateway.url + "/predict",
+                    gateway.url + "/v1/predict",
                     {"x": [[0.0] * 16] * 8, "sampling": SAMPLING},
                 )
             )
@@ -222,7 +253,7 @@ class TestPredict:
     def test_sampling_defaults_apply(self, gateway, tiny_mlp_spec, rng):
         """An omitted sampling section means the library-default config."""
         x = rng.normal(size=(2, 16))
-        status, body = _post(gateway.url + "/predict", {"x": x.tolist()})
+        status, body = _post(gateway.url + "/v1/predict", {"x": x.tolist()})
         assert status == 200
         default = SamplingConfig()
         reference = mc_predict(
@@ -242,14 +273,14 @@ class TestSwapEndpoints:
     def test_deploy_and_rollback_round_trip(self, gateway, tiny_mlp_spec, rng):
         x = rng.normal(size=(3, 16))
         status, deployed = _post(
-            gateway.url + "/models/deploy", {"version": "v2"}
+            gateway.url + "/v1/models/deploy", {"version": "v2"}
         )
         assert status == 200
         assert deployed == {
             "active_version": "v2", "generation": 2, "rolled_back": False,
         }
         _, body = _post(
-            gateway.url + "/predict", {"x": x.tolist(), "sampling": SAMPLING}
+            gateway.url + "/v1/predict", {"x": x.tolist(), "sampling": SAMPLING}
         )
         assert body["version"] == "v2" and body["generation"] == 2
         reference = mc_predict(
@@ -261,36 +292,36 @@ class TestSwapEndpoints:
             reference.sample_probabilities,
         )
         # v1 stays loaded for instant rollback and pinned canary traffic
-        _, health = _get(gateway.url + "/healthz")
+        _, health = _get(gateway.url + "/v1/healthz")
         assert health["loaded_versions"] == ["v1", "v2"]
         _, pinned = _post(
-            gateway.url + "/predict",
+            gateway.url + "/v1/predict",
             {"x": x.tolist(), "sampling": SAMPLING, "version": "v1"},
         )
         assert pinned["version"] == "v1"
-        status, restored = _post(gateway.url + "/models/rollback", {})
+        status, restored = _post(gateway.url + "/v1/models/rollback", {})
         assert status == 200
         assert restored == {
             "active_version": "v1", "generation": 3, "rolled_back": True,
         }
         _, after = _post(
-            gateway.url + "/predict", {"x": x.tolist(), "sampling": SAMPLING}
+            gateway.url + "/v1/predict", {"x": x.tolist(), "sampling": SAMPLING}
         )
         assert after["version"] == "v1" and after["generation"] == 3
 
     def test_deploy_unknown_version_is_404(self, gateway):
         code, _ = _error_of(
-            lambda: _post(gateway.url + "/models/deploy", {"version": "v9"})
+            lambda: _post(gateway.url + "/v1/models/deploy", {"version": "v9"})
         )
         assert code == 404
 
     def test_deploy_without_version_is_400(self, gateway):
-        code, _ = _error_of(lambda: _post(gateway.url + "/models/deploy", {}))
+        code, _ = _error_of(lambda: _post(gateway.url + "/v1/models/deploy", {}))
         assert code == 400
 
     def test_rollback_without_history_is_409(self, gateway):
         code, body = _error_of(
-            lambda: _post(gateway.url + "/models/rollback", {})
+            lambda: _post(gateway.url + "/v1/models/rollback", {})
         )
         assert code == 409
         assert body["error"]["code"] == "rollback_unavailable"
@@ -304,27 +335,36 @@ class TestWireApiV1:
                 assert response.status == 200
                 assert response.headers.get("Deprecation") is None
 
-    def test_legacy_aliases_answer_with_deprecation_header(self, gateway):
-        for path in ("/healthz", "/stats", "/models"):
-            with urllib.request.urlopen(gateway.url + path, timeout=30) as response:
-                assert response.status == 200
-                assert response.headers.get("Deprecation") == "true"
-
-    def test_v1_predict_matches_legacy_alias_bytes(self, gateway, rng):
-        body = json.dumps(
-            {"x": rng.normal(size=(2, 16)).tolist(), "sampling": SAMPLING}
-        ).encode()
-        raw = {}
-        for path in ("/v1/predict", "/predict"):
-            request = urllib.request.Request(
-                gateway.url + path,
-                data=body,
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=30) as response:
-                raw[path] = response.read()
-        assert raw["/v1/predict"] == raw["/predict"]
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("POST", "/predict"),
+            ("GET", "/healthz"),
+            ("GET", "/stats"),
+            ("GET", "/models"),
+            ("POST", "/models/deploy"),
+            ("POST", "/models/rollback"),
+        ],
+    )
+    def test_unversioned_paths_answer_404(self, gateway, rng, method, path):
+        """The pre-/v1 paths are unknown routes: the not_found envelope, and
+        a write sent to one changes nothing."""
+        if method == "GET":
+            request = lambda: _get(gateway.url + path)  # noqa: E731
+        else:
+            body = {
+                "x": rng.normal(size=(2, 16)).tolist(),
+                "sampling": SAMPLING,
+                "version": "v2",
+            }
+            request = lambda: _post(gateway.url + path, body)  # noqa: E731
+        code, payload = _error_of(request)
+        assert code == 404
+        assert payload["error"]["code"] == "not_found"
+        _, health = _get(gateway.url + "/v1/healthz")
+        assert health["active_version"] == "v1"
+        _, stats = _get(gateway.url + "/v1/stats")
+        assert stats["admission"]["admitted"] == 0
 
     def test_unknown_sampling_fields_use_error_envelope(self, gateway):
         code, body = _error_of(
@@ -460,7 +500,7 @@ class TestLifecycle:
         )
         with ServingGateway(replica, ServerConfig(max_wait_ms=1.0)) as gateway:
             _, body = _post(
-                gateway.url + "/predict",
+                gateway.url + "/v1/predict",
                 {"x": rng.normal(size=(2, 16)).tolist(), "sampling": SAMPLING},
             )
             assert body["version"] == "v1"

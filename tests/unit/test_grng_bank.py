@@ -35,10 +35,9 @@ class TestConstruction:
         assert len(bank) == 3
 
     def test_properties(self):
-        bank = GrngBank(2, n_bits=64, stride=8, lockstep=True)
+        bank = GrngBank(2, n_bits=64, stride=8)
         assert bank.n_bits == 64
         assert bank.stride == 8
-        assert bank.lockstep
         assert bank.resolution == pytest.approx(1.0 / np.sqrt(16.0))
         assert bank.lfsr_array.n_rows == 2
         assert "GrngBank" in repr(bank)
@@ -131,7 +130,7 @@ class TestRowViews:
 
         scalar_stream = ReversibleGaussianStream(make_scalars(1)[0])
         banked_stream = ReversibleGaussianStream(
-            GrngBank(1, n_bits=64, stride=4, lockstep=True).row_view(0)
+            GrngBank(1, n_bits=64, stride=4).row_view(0)
         )
         for stream in (scalar_stream, banked_stream):
             stream.forward_block((4,))
@@ -191,11 +190,13 @@ class TestRowViews:
         assert back == expected_back
 
 
-class TestLockstepSpeculation:
-    def test_lockstep_order_matches_scalar(self):
+class TestRowViewsOutOfPhase:
+    """Per-row requests in any order, size or interleaving equal the scalar."""
+
+    def test_trainer_order_matches_scalar(self):
         # Trainer-style access: each row draws the same shapes, one row at a
-        # time; speculation must serve rows 1.. from the prefetch queues.
-        bank = GrngBank(3, n_bits=64, stride=4, lockstep=True)
+        # time, so the rows are out of phase between requests.
+        bank = GrngBank(3, n_bits=64, stride=4)
         scalars = make_scalars(3)
         counts = [12, 30, 7]
         got = [[bank.row_view(row).epsilon_block(c) for c in counts] for row in range(3)]
@@ -203,10 +204,9 @@ class TestLockstepSpeculation:
             for block, count in zip(got[row], counts):
                 assert np.array_equal(block, scalar.epsilon_block(count))
 
-    def test_mismatched_request_falls_back_exactly(self):
-        bank = GrngBank(2, n_bits=64, stride=4, lockstep=True)
+    def test_mismatched_sizes_across_rows_match_scalar(self):
+        bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
-        # row 0 requests 20 (speculates 20 for row 1), but row 1 asks for 8.
         a0 = bank.row_view(0).epsilon_block(20)
         a1 = bank.row_view(1).epsilon_block(8)
         assert np.array_equal(a0, scalars[0].epsilon_block(20))
@@ -219,18 +219,17 @@ class TestLockstepSpeculation:
             bank.row_view(0).epsilon_block(5), scalars[0].epsilon_block(5)
         )
 
-    def test_logical_state_hides_speculation(self):
-        bank = GrngBank(2, n_bits=64, stride=4, lockstep=True)
+    def test_one_row_request_leaves_other_rows_untouched(self):
+        bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
         bank.row_view(0).epsilon_block(25)
         scalars[0].epsilon_block(25)
-        # row 1 has a prefetched block pending; its visible state must still
-        # be the pre-block state.
         assert bank.row_view(1).lfsr.state == scalars[1].lfsr.state
         assert bank.row_view(1).sum_register == scalars[1].sum_register
+        assert bank.row_view(1).lfsr.shift_count == scalars[1].lfsr.shift_count == 0
 
-    def test_external_state_write_disables_speculation(self):
-        bank = GrngBank(2, n_bits=64, stride=4, lockstep=True)
+    def test_external_state_write_matches_scalar(self):
+        bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
         bank.row_view(0).epsilon_block(10)
         scalars[0].epsilon_block(10)
@@ -244,43 +243,57 @@ class TestLockstepSpeculation:
                 bank.row_view(row).epsilon_block(15), scalars[row].epsilon_block(15)
             )
 
-    def test_end_iteration_rearms_speculation(self):
-        bank = GrngBank(2, n_bits=64, stride=4, lockstep=True)
-        scalars = make_scalars(2)
-        view = bank.row_view(0)
-        view.lfsr.state = scalars[0].lfsr.state  # marks the row dirty
-        bank.end_iteration()
-        for row in range(2):
-            assert np.array_equal(
-                bank.row_view(row).epsilon_block(9), scalars[row].epsilon_block(9)
-            )
-
-    def test_end_iteration_discards_unconsumed_prefetches(self):
-        bank = GrngBank(2, n_bits=64, stride=4, lockstep=True)
-        scalars = make_scalars(2)
-        bank.row_view(0).epsilon_block(10)
-        scalars[0].epsilon_block(10)
-        bank.end_iteration()  # row 1 never consumed its prefetched block
-        assert bank.row_view(1).lfsr.state == scalars[1].lfsr.state
-        assert np.array_equal(
-            bank.row_view(1).epsilon_block(10), scalars[1].epsilon_block(10)
-        )
-
-    def test_reverse_speculation_matches_scalar(self):
-        bank = GrngBank(2, n_bits=64, stride=4, lockstep=True)
+    def test_reverse_matches_scalar(self):
+        bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
         for row in range(2):
             bank.row_view(row).epsilon_block(40)
             scalars[row].epsilon_block(40)
-        bank.end_iteration()
         got = [bank.row_view(row).epsilon_block_reverse(40) for row in range(2)]
         for row, scalar in enumerate(scalars):
             assert np.array_equal(got[row], scalar.epsilon_block_reverse(40))
 
+    def test_batched_request_continues_out_of_phase_rows(self):
+        # Rows advanced by different per-row requests: one batched call then
+        # continues every row from its own register.
+        bank = GrngBank(3, n_bits=64, stride=4)
+        scalars = make_scalars(3)
+        for row, count in enumerate([5, 0, 17]):
+            bank.row_view(row).epsilon_block(count)
+            scalars[row].epsilon_block(count)
+        forward = bank.epsilon_blocks(11)
+        for row, scalar in enumerate(scalars):
+            assert np.array_equal(forward[row], scalar.epsilon_block(11))
+        back = bank.epsilon_blocks_reverse(6)
+        for row, scalar in enumerate(scalars):
+            assert np.array_equal(back[row], scalar.epsilon_block_reverse(6))
+        assert np.array_equal(
+            bank.row_view(2).epsilon_block(4), scalars[2].epsilon_block(4)
+        )
+
+    def test_bank_states_are_the_row_registers(self):
+        bank = GrngBank(3, n_bits=64, stride=4)
+        scalars = make_scalars(3)
+        for row, count in enumerate([9, 3, 21]):
+            bank.row_view(row).epsilon_block(count)
+            scalars[row].epsilon_block(count)
+        assert bank.states() == [bank.row_view(row).lfsr.state for row in range(3)]
+        assert bank.states() == [scalar.lfsr.state for scalar in scalars]
+        # a whole-bank write is what every view reads next, sums resynced
+        new_states = [0x1F, 0xABCDEF, 0x123456789]
+        bank.set_states(new_states)
+        for row, (scalar, state) in enumerate(zip(scalars, new_states)):
+            scalar.lfsr.state = state
+            scalar.resync_sum_register()
+            view = bank.row_view(row)
+            assert view.lfsr.state == state
+            assert view.sum_register == scalar.sum_register
+            assert np.array_equal(view.epsilon_block(7), scalar.epsilon_block(7))
+
 
 class TestReplay:
     def test_replay_matches_scalar_replay(self):
-        bank = GrngBank(2, n_bits=64, stride=4, lockstep=True)
+        bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
         starts = [bank.row_view(row).lfsr.state for row in range(2)]
         blocks = [bank.row_view(row).epsilon_block(16) for row in range(2)]
@@ -294,8 +307,46 @@ class TestReplay:
             assert np.array_equal(replayed, blocks[row])
             assert bank.row_view(row).lfsr.state == starts[row]
 
+    def test_row_replay_leaves_other_rows_untouched(self):
+        bank = GrngBank(2, n_bits=64, stride=4)
+        views = [bank.row_view(row) for row in range(2)]
+        start = views[0].lfsr.state
+        for view in views:
+            view.epsilon_block(14)
+        before = (
+            views[1].lfsr.state,
+            views[1].sum_register,
+            views[1].lfsr.shift_count,
+            views[1].generated_count,
+        )
+        views[0].replay_block(start, 14, expected_end_state=views[0].lfsr.state)
+        after = (
+            views[1].lfsr.state,
+            views[1].sum_register,
+            views[1].lfsr.shift_count,
+            views[1].generated_count,
+        )
+        assert after == before
+
+    def test_batched_replay_of_per_row_spans(self):
+        # Spans generated one row at a time replay in one whole-bank call,
+        # value for value, landing on each row's end pattern.
+        bank = GrngBank(3, n_bits=64, stride=4)
+        scalars = make_scalars(3)
+        starts = [bank.row_view(row).lfsr.state for row in range(3)]
+        blocks = [bank.row_view(row).epsilon_block(13) for row in range(3)]
+        ends = [bank.row_view(row).lfsr.state for row in range(3)]
+        replayed = bank.replay_blocks(starts, 13, expected_end_states=ends)
+        assert bank.states() == ends
+        for row, scalar in enumerate(scalars):
+            assert np.array_equal(replayed[row], blocks[row])
+            scalar_start = scalar.lfsr.state
+            scalar.epsilon_block(13)
+            scalar.replay_block(scalar_start, 13, expected_end_state=ends[row])
+            assert bank.row_view(row).lfsr.shift_count == scalar.lfsr.shift_count
+
     def test_replay_detects_tampering(self):
-        bank = GrngBank(1, n_bits=64, stride=1, lockstep=True)
+        bank = GrngBank(1, n_bits=64, stride=1)
         view = bank.row_view(0)
         start = view.lfsr.state
         view.epsilon_block(8)
@@ -303,10 +354,33 @@ class TestReplay:
         with pytest.raises(ReplayError):
             view.replay_block(start, 8, expected_end_state=view.lfsr.state)
 
+    def test_failed_replay_leaves_view_where_the_scalar_is(self):
+        # A tampered register makes both engines raise; afterwards the view's
+        # register, sum and shift counter must equal the scalar's, and both
+        # must keep producing the same values.
+        bank = GrngBank(2, n_bits=64, stride=4)
+        view = bank.row_view(1)
+        scalar = make_scalars(2)[1]
+        for g in (view, scalar):
+            start = g.lfsr.state
+            g.epsilon_block(12)
+            g.lfsr.shift_forward()  # corrupt the register
+            with pytest.raises(ReplayError):
+                g.replay_block(start, 12, expected_end_state=g.lfsr.state)
+        assert view.lfsr.state == scalar.lfsr.state
+        assert view.sum_register == scalar.sum_register
+        assert view.lfsr.shift_count == scalar.lfsr.shift_count
+        assert view.generated_count == scalar.generated_count
+        assert view.mode is scalar.mode
+        assert np.array_equal(view.epsilon_block(9), scalar.epsilon_block(9))
+        assert np.array_equal(
+            view.epsilon_block_reverse(9), scalar.epsilon_block_reverse(9)
+        )
+
     def test_nested_replays_lifo(self):
         # Mirrors a two-layer backward pass: replay the most recent block,
-        # then the one before it, for every row in lockstep.
-        bank = GrngBank(3, n_bits=64, stride=4, lockstep=True)
+        # then the one before it, for every row.
+        bank = GrngBank(3, n_bits=64, stride=4)
         starts, blocks = [], []
         for row in range(3):
             view = bank.row_view(row)

@@ -125,7 +125,7 @@ class TestLfsrSnapshot:
     def test_snapshot_roundtrips_banked_row_view(self):
         from repro.core import GrngBank
 
-        bank = GrngBank(2, n_bits=64, stride=4, lockstep=True)
+        bank = GrngBank(2, n_bits=64, stride=4)
         view = bank.row_view(1)
         view.epsilon_block(6)
         snapshot = LfsrSnapshot.capture(view)

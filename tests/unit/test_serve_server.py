@@ -91,7 +91,7 @@ class TestInlineServer:
 
     def test_bad_request_fails_its_future_and_server_survives(self, replica, rng):
         with PredictionServer(replica, ServerConfig(max_wait_ms=1.0)) as server:
-            bad = server.submit(np.zeros((4, 7)), CFG)  # wrong feature count
+            bad = server.submit(np.full((4, 16), "x"), CFG)  # not numbers
             with pytest.raises(Exception):
                 bad.result(timeout=30.0)
             good = server.submit(_inputs(rng), CFG)
@@ -99,6 +99,24 @@ class TestInlineServer:
             snapshot = server.stats()
         assert snapshot.requests_failed == 1
         assert snapshot.requests_completed == 1
+
+    @pytest.mark.parametrize("shape", [(4, 7), (2, 0), (3, 16, 1), (1, 1, 4, 4)])
+    def test_wrong_row_shape_is_refused_before_queueing(self, replica, rng, shape):
+        """A batch whose rows do not match the pinned version's input shape
+        raises at submit: nothing is queued, pinned or counted."""
+        with PredictionServer(replica, ServerConfig(max_wait_ms=1.0)) as server:
+            with pytest.raises(ValueError, match=r"expects rows of shape \(16,\)"):
+                server.submit(np.zeros(shape), CFG)
+            with pytest.raises(ValueError, match="expects rows of shape"):
+                server.submit(np.zeros(shape), CFG, version="v1")
+            assert server._pins == {}
+            assert server.pending_rows == 0
+            good = server.submit(_inputs(rng), CFG)
+            assert good.result(timeout=30.0).mean_probabilities.shape == (8, 3)
+            snapshot = server.stats()
+        assert snapshot.requests_failed == 0
+        assert snapshot.requests_completed == 1
+        assert snapshot.tiles_executed == 1
 
     def test_bad_request_does_not_fail_tile_mates(self, replica, rng):
         """A malformed request pooled into a tile fails alone."""
@@ -130,7 +148,7 @@ class TestInlineServer:
             executor.execute = gated_execute
             decoy = server.submit(_inputs(rng), CFG)  # occupies the executor
             assert entered.wait(timeout=10.0)
-            bad = server.submit(np.zeros((4, 7)), CFG)  # queues together...
+            bad = server.submit(np.full((4, 16), "x"), CFG)  # queues together...
             good = server.submit(_inputs(rng), CFG)  # ...with this one
             release.set()
             with pytest.raises(Exception):
@@ -218,7 +236,7 @@ class TestWorkerPoolServer:
         with PredictionServer(
             replica, ServerConfig(n_workers=1, max_wait_ms=1.0)
         ) as server:
-            bad = server.submit(np.zeros((4, 7)), CFG)
+            bad = server.submit(np.full((4, 16), "x"), CFG)  # not numbers
             error = bad.exception(timeout=60.0)
             assert isinstance(error, TileExecutionError)
             assert "Traceback" in str(error)

@@ -198,10 +198,11 @@ def test_verdict_is_cached_per_signature():
 def test_signature_covers_backend_selection():
     p = RowStabilityProbe()
     base = p.signature()
-    # dot_loop is never the ambient selection (REPRO_BACKEND=reference pins
-    # everything to the oracle; the default pins nothing), so this pin
-    # always names a different verdict domain -- in every CI leg
-    with backend.using("sample_matmul", "dot_loop"):
+    # cumsum16 is never the ambient selection (it is not at the head of its
+    # chain, REPRO_BACKEND=reference pins everything to the oracle and the
+    # default pins nothing), so this pin always names a different verdict
+    # domain -- in every CI leg
+    with backend.using("window_popcounts", "cumsum16"):
         pinned = p.signature()
     assert p.signature() == base
     assert pinned != base
