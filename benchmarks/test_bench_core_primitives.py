@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bnn import BaselineBNNTrainer, ShiftBNNTrainer, TrainerConfig
-from repro.core import FibonacciLFSR, GrngBank, LfsrArray, LfsrGaussianRNG, StreamBank
+from repro.core import FibonacciLFSR, GrngBank, LfsrGaussianRNG, StreamBank
 from repro.datasets import BatchLoader, synthetic_mnist
 from repro.models import get_model
 from repro.nn import functional as F
@@ -49,14 +49,6 @@ def test_bench_grng_epsilon_block_decorrelated(benchmark):
     grng = LfsrGaussianRNG(256, seed_index=1, stride=256)
     values = benchmark(lambda: grng.epsilon_block(4096))
     assert values.size == 4096
-
-
-def test_bench_lfsr_array_bit_generation(benchmark):
-    # The packed multi-register engine: BANK_ROWS independent 256-bit LFSRs
-    # producing BLOCK bits each, in lockstep.
-    array = LfsrArray.from_seed_indices(256, range(BANK_ROWS))
-    bits = benchmark(lambda: array.generate_bits(BLOCK))
-    assert bits.shape == (BANK_ROWS, BLOCK)
 
 
 def test_bench_grng_bank_epsilon_blocks(benchmark):

@@ -156,7 +156,7 @@ def main() -> None:
     #    the registry in repro.core.backend.  A backend only becomes eligible
     #    after passing a conformance gate that proves it bit-identical to the
     #    NumPy reference oracle, so selection (REPRO_BACKEND env var, e.g.
-    #    "reference" or "window_popcounts=cumsum16", or backend.set_backend)
+    #    "reference" or "grng_block=reference", or backend.set_backend)
     #    changes speed, never results.  Inspect the registry from the shell:
     #        python -m repro.core.backend --list
     #        python -m repro.core.backend --verify

@@ -24,7 +24,6 @@ from .lfsr import (
     parity,
     seed_from_index,
 )
-from .lfsr_array import LfsrArray
 from .sampler import (
     BatchedWeightSampler,
     SampledWeights,
@@ -47,7 +46,6 @@ __all__ = [
     "MAXIMAL_TAPS",
     "FibonacciLFSR",
     "LFSRStateError",
-    "LfsrArray",
     "mirrored_taps",
     "normalise_taps",
     "parity",

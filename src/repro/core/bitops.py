@@ -1,10 +1,12 @@
-"""Word-packed bit-sequence primitives shared by the scalar and array LFSRs.
+"""Word-packed bit-sequence primitives of the NumPy LFSR path.
 
 The LFSR recurrence ``b(t) = XOR_p b(t - p)`` (tap offsets ``p``, tail tap
 ``n`` included) is linear over GF(2), which admits two big software
-optimisations that this module implements once for both
-:class:`~repro.core.lfsr.FibonacciLFSR` (one register) and
-:class:`~repro.core.lfsr_array.LfsrArray` (a bank of registers in lockstep):
+optimisations that this module implements once, for any number of registers
+stepped in lockstep.  Its one caller is the ``lfsr_step_block`` reference of
+:mod:`repro.core.backend`, which serves :class:`~repro.core.lfsr.FibonacciLFSR`
+(one register) and the NumPy ``grng_block`` path of
+:class:`~repro.core.grng_bank.GrngBank` (one register per Monte-Carlo sample).
 
 * **word packing** -- sequences are stored 64 bits per ``uint64`` word, so one
   XOR instruction advances 64 recurrence positions per register instead of one
@@ -40,7 +42,6 @@ __all__ = [
     "pack_int_rows",
     "unpack_int_rows",
     "fill_lfsr_sequence",
-    "run_lfsr_block",
     "run_lfsr_block_packed",
 ]
 
@@ -168,7 +169,7 @@ def fill_lfsr_sequence(
         position += length
 
 
-def run_lfsr_block(
+def run_lfsr_block_packed(
     state_words: np.ndarray,
     n_bits: int,
     count: int,
@@ -181,32 +182,13 @@ def run_lfsr_block(
     ``j`` is ``R(j+1)``).  For ``reverse=False`` the forward tap ``offsets``
     are expected, for ``reverse=True`` the mirrored ones.
 
-    Returns ``(seq_bits, new_state_words)`` where ``seq_bits`` is the
-    ``(N, n_bits + count)`` uint8 bit sequence -- per row the ``n_bits`` of
-    history followed by the ``count`` freshly produced bits -- and
-    ``new_state_words`` is the packed end-of-block register state.
-    """
-    seq_words, new_state_words = run_lfsr_block_packed(
-        state_words, n_bits, count, offsets, reverse
-    )
-    return unpack_bits(seq_words, n_bits + count), new_state_words
-
-
-def run_lfsr_block_packed(
-    state_words: np.ndarray,
-    n_bits: int,
-    count: int,
-    offsets: Sequence[int],
-    reverse: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`run_lfsr_block` without the final bit unpack.
-
-    Returns ``(seq_words, new_state_words)``: the produced sequence stays
-    word-packed (bit ``i`` of a row at bit ``i % 64`` of word ``i // 64``),
-    which lets popcount-style consumers reduce it with
+    Returns ``(seq_words, new_state_words)``: per row the ``n_bits`` of
+    history followed by the ``count`` freshly produced bits, word-packed (bit
+    ``i`` of a row at bit ``i % 64`` of word ``i // 64``; bits beyond
+    ``n_bits + count`` are zero), and the packed end-of-block register state.
+    Popcount-style consumers reduce the sequence with
     :func:`numpy.bitwise_count` instead of materialising ``n_bits + count``
-    bytes per row.  Bits beyond ``n_bits + count`` in the returned words are
-    zero.
+    bytes per row.
     """
     total = n_bits + count
     seq = np.zeros(

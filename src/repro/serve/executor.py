@@ -61,6 +61,7 @@ per-tile softmax allocations.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from collections import OrderedDict
@@ -72,6 +73,7 @@ import numpy as np
 from ..bnn.predict import mc_forward
 from ..core import stability
 from ..core.checkpoint import StreamBank
+from ..core.lfsr import normalise_taps
 from ..core.sampler import BatchedWeightSampler
 from ..core.streams import StreamOrderError
 from .registry import UnknownVersionError
@@ -180,8 +182,20 @@ class SamplingConfig:
     lfsr_bits: int = 256
 
     def __post_init__(self) -> None:
+        # Request bodies land here field by field, so every malformed value
+        # must surface as a ValueError (the gateway's 400 invalid_sampling),
+        # never as an error from deep inside a sweep.
+        for name in ("n_samples", "seed", "grng_stride", "lfsr_bits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.grng_stride < 1:
+            raise ValueError("grng_stride must be at least 1")
+        normalise_taps(self.lfsr_bits, None)  # LFSRStateError is a ValueError
 
 
 @dataclass(frozen=True)

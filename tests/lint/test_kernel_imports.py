@@ -9,7 +9,7 @@ re-imports the raw implementations, so this test walks the AST of every
 module under ``src/repro`` and fails the build when engine code:
 
 * imports or references the raw LFSR block kernels
-  (``fill_lfsr_sequence`` / ``run_lfsr_block`` / ``run_lfsr_block_packed``)
+  (``fill_lfsr_sequence`` / ``run_lfsr_block_packed``)
   from :mod:`repro.core.bitops` -- those are the reference oracle's home and
   may only be touched by ``core/bitops.py`` itself and ``core/backend.py``;
 * imports private (``_``-prefixed) names from :mod:`repro.core.backend` --
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 import repro.core.backend as backend
-from repro.core import GrngBank, LfsrArray
+from repro.core import FibonacciLFSR, GrngBank
 from repro.nn import functional as F
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -51,10 +51,9 @@ ALLOWED_RAW_CALLERS = {
 #: codec have no raw bitops
 #: spelling -- their only non-dispatch implementations live inside
 #: core/backend.py -- so forbidding
-#: these three names (plus private backend imports) covers every hot kernel.
+#: these two names (plus private backend imports) covers every hot kernel.
 FORBIDDEN_BITOPS_NAMES = {
     "fill_lfsr_sequence",
-    "run_lfsr_block",
     "run_lfsr_block_packed",
 }
 
@@ -131,7 +130,7 @@ def _violations_in(path: Path, tree: ast.Module) -> list[str]:
                             "the registry API, not implementation functions"
                         )
         elif isinstance(node, ast.Attribute):
-            # catches `bitops.run_lfsr_block(...)` via a module alias; the
+            # catches `bitops.run_lfsr_block_packed(...)` via a module alias; the
             # kernel names are unique to bitops so attr matching is exact
             if node.attr in FORBIDDEN_BITOPS_NAMES:
                 found.append(
@@ -173,8 +172,7 @@ def test_public_wrappers_route_through_dispatch():
     """The wrappers engine code calls must move the registry's counters."""
     before = {kernel: _total_calls(kernel) for kernel in EXPECTED_KERNELS}
 
-    array = LfsrArray.from_seed_indices(16, [0, 1])
-    array.window_popcounts(32, stride=1)  # drives lfsr_step_block too
+    FibonacciLFSR(16, seed=1).window_popcounts(32)  # drives lfsr_step_block too
     GrngBank(2, n_bits=16).epsilon_blocks(8)  # grng_block
 
     rng = np.random.default_rng(0)

@@ -6,47 +6,48 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GrngBank, LfsrArray, LfsrGaussianRNG, StreamBank
+from repro.core import GrngBank, LfsrGaussianRNG, StreamBank
 
 block_shapes = st.lists(
     st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=5
 )
 
 
-class TestLfsrArrayProperties:
+class TestGrngBankRegisterProperties:
     @given(
         seeds=st.lists(st.integers(0, 500), min_size=1, max_size=6),
-        count=st.integers(1, 600),
+        count=st.integers(1, 150),
         n_bits=st.sampled_from([8, 16, 32, 64, 256]),
+        stride=st.sampled_from([1, 3, 4]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_lockstep_generation_matches_scalar_registers(self, seeds, count, n_bits):
-        array = LfsrArray.from_seed_indices(n_bits, seeds)
-        block = array.generate_bits(count)
+    def test_lockstep_generation_matches_scalar_registers(
+        self, seeds, count, n_bits, stride
+    ):
+        bank = GrngBank(seed_indices=seeds, n_bits=n_bits, stride=stride)
+        block = bank.epsilon_blocks(count)
         for row, seed in enumerate(seeds):
-            scalar = LfsrGaussianRNG(n_bits=n_bits, seed_index=seed).lfsr
-            assert np.array_equal(block[row], scalar.generate_bits(count))
-            assert array.get_state(row) == scalar.state
+            scalar = LfsrGaussianRNG(n_bits=n_bits, seed_index=seed, stride=stride)
+            assert np.array_equal(block[row], scalar.epsilon_block(count))
+            assert bank.states()[row] == scalar.lfsr.state
+            assert bank.row_view(row).sum_register == scalar.sum_register
 
     @given(
         seeds=st.lists(st.integers(0, 500), min_size=1, max_size=4),
-        count=st.integers(1, 400),
+        count=st.integers(1, 150),
         n_bits=st.sampled_from([16, 64, 256]),
+        stride=st.sampled_from([1, 3, 64]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_reverse_generation_round_trips(self, seeds, count, n_bits):
-        array = LfsrArray.from_seed_indices(n_bits, seeds)
-        states = array.states()
-        array.generate_bits(count)
-        recovered = array.generate_bits_reverse(count)
-        # Reversed shifting recovers exactly the dropped tail bits the scalar
-        # reference recovers, and the registers return bit-exactly to their
-        # pre-block patterns.
-        for row, seed in enumerate(seeds):
-            scalar = LfsrGaussianRNG(n_bits=n_bits, seed_index=seed).lfsr
-            scalar.generate_bits(count)
-            assert np.array_equal(recovered[row], scalar.generate_bits_reverse(count))
-        assert array.states() == states
+    def test_reverse_generation_round_trips(self, seeds, count, n_bits, stride):
+        bank = GrngBank(seed_indices=seeds, n_bits=n_bits, stride=stride)
+        states = bank.states()
+        forward = bank.epsilon_blocks(count)
+        recovered = bank.epsilon_blocks_reverse(count)
+        # Reversed shifting retrieves the forward values newest first, and
+        # the registers return bit-exactly to their pre-block patterns.
+        assert np.array_equal(recovered, forward[:, ::-1])
+        assert bank.states() == states
 
 
 class TestGrngBankBitIdentical:

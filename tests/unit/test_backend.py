@@ -132,25 +132,25 @@ class TestConformanceGate:
 
 class TestSelection:
     def test_using_restores_previous_selection(self, restore_selection):
-        backend.set_backend("window_popcounts", "reference")
-        with backend.using("window_popcounts", "cumsum16"):
-            assert backend.current_selection()["window_popcounts"] == "cumsum16"
-        assert backend.current_selection()["window_popcounts"] == "reference"
-        backend.set_backend("window_popcounts", None)
-        assert "window_popcounts" not in backend.current_selection()
+        backend.set_backend("grng_block", "native")
+        with backend.using("grng_block", "reference"):
+            assert backend.current_selection()["grng_block"] == "reference"
+        assert backend.current_selection()["grng_block"] == "native"
+        backend.set_backend("grng_block", None)
+        assert "grng_block" not in backend.current_selection()
 
     def test_apply_selection_replaces_wholesale(self, restore_selection):
         backend.apply_selection({"clt_standardise": "reference"})
-        backend.apply_selection({"window_popcounts": "cumsum16"})
-        assert backend.current_selection() == {"window_popcounts": "cumsum16"}
+        backend.apply_selection({"grng_block": "reference"})
+        assert backend.current_selection() == {"grng_block": "reference"}
         with pytest.raises(UnknownBackendError):
             backend.apply_selection({"im2col": "nope"})
         # a rejected selection must not have been half-applied
-        assert backend.current_selection() == {"window_popcounts": "cumsum16"}
+        assert backend.current_selection() == {"grng_block": "reference"}
 
     def test_load_env_kernel_pairs_and_bare_names(self, restore_selection):
-        backend.registry.load_env("window_popcounts=cumsum16")
-        assert backend.current_selection() == {"window_popcounts": "cumsum16"}
+        backend.registry.load_env("grng_block=reference")
+        assert backend.current_selection() == {"grng_block": "reference"}
         # a bare backend name applies to every kernel that registers it --
         # 'reference' exists everywhere, so it forces the oracle globally
         backend.registry.load_env("reference")
@@ -200,9 +200,10 @@ class TestIntrospection:
         by_kernel = {entry["kernel"]: entry for entry in listing}
         assert KERNELS <= set(by_kernel)
         popcounts = by_kernel["window_popcounts"]
-        assert popcounts["chain"][-1] == "reference"
+        assert popcounts["chain"] == ["packed_bitcount", "cumsum16", "reference"]
         names = {b["name"] for b in popcounts["backends"]}
-        assert {"reference", "cumsum16", "packed_bitcount"} <= names
+        assert names == {"reference", "cumsum16", "packed_bitcount"}
+        assert by_kernel["clt_standardise"]["chain"] == ["reference"]
         for entry in listing:
             reference = next(
                 b for b in entry["backends"] if b["name"] == "reference"
@@ -235,12 +236,12 @@ class TestIntrospection:
 class TestReplicaSpecSelection:
     def test_capture_records_and_build_applies_selection(self, restore_selection):
         spec = get_model("B-MLP", reduced=True)
-        with backend.using("window_popcounts", "cumsum16"):
+        with backend.using("grng_block", "reference"):
             replica = ReplicaSpec.structural(spec)
-        assert ("window_popcounts", "cumsum16") in replica.backend_selection
+        assert ("grng_block", "reference") in replica.backend_selection
         backend.apply_selection({})
         replica.build()
-        assert backend.current_selection()["window_popcounts"] == "cumsum16"
+        assert backend.current_selection()["grng_block"] == "reference"
 
     def test_legacy_spec_without_selection_changes_nothing(self, restore_selection):
         spec = get_model("B-MLP", reduced=True)
@@ -253,7 +254,7 @@ class TestReplicaSpecSelection:
     def test_selection_is_not_part_of_the_fingerprint(self, restore_selection):
         spec = get_model("B-MLP", reduced=True)
         plain = ReplicaSpec.structural(spec)
-        with backend.using("window_popcounts", "cumsum16"):
+        with backend.using("grng_block", "reference"):
             forced = ReplicaSpec.structural(spec)
         # all backends are bit-identical, so the replica identity (and any
         # registry version check built on it) must not depend on selection

@@ -214,23 +214,15 @@ class TestStridedKernel:
 
     @pytest.mark.parametrize("n_bits", [64, 24])
     @pytest.mark.parametrize("stride", [2, 8, 64, 128])
-    def test_window_popcounts_strided_equals_dense_subsample(self, n_bits, stride):
-        from repro.core import LfsrArray
-
-        count = stride * 9
-        dense_array = LfsrArray.from_seed_indices(n_bits, [0, 1, 2])
-        strided_array = LfsrArray.from_seed_indices(n_bits, [0, 1, 2])
-        dense = dense_array.window_popcounts(count)[:, stride - 1 :: stride]
-        strided = strided_array.window_popcounts(count, stride=stride)
+    def test_strided_bank_equals_dense_subsample(self, n_bits, stride):
+        # A strided bank emits the values of every stride-th pattern of the
+        # dense (stride 1) stream and lands on the same registers.
+        dense_bank = GrngBank(n_rows=3, n_bits=n_bits, stride=1)
+        strided_bank = GrngBank(n_rows=3, n_bits=n_bits, stride=stride)
+        dense = dense_bank.epsilon_blocks(stride * 9)[:, stride - 1 :: stride]
+        strided = strided_bank.epsilon_blocks(9)
         assert np.array_equal(dense, strided)
-        assert dense_array.states() == strided_array.states()
-
-    def test_strided_requires_divisible_count(self):
-        from repro.core import LfsrArray
-
-        array = LfsrArray.from_seed_indices(64, [0])
-        with pytest.raises(ValueError):
-            array.window_popcounts(10, stride=3)
+        assert dense_bank.states() == strided_bank.states()
 
     def test_chunked_generation_equals_single_call(self, monkeypatch):
         import repro.core.backend as backend
@@ -245,7 +237,7 @@ class TestStridedKernel:
         backend.reset_counters()
         assert np.array_equal(forward, chunked.epsilon_blocks(count))
         assert np.array_equal(reverse, chunked.epsilon_blocks_reverse(count))
-        assert small.lfsr_array.states() == chunked.lfsr_array.states()
+        assert small.states() == chunked.states()
         stepped = backend.counters_snapshot()["lfsr_step_block"]["reference"]
         assert stepped["calls"] == 2 * -(-count // 32)
 
@@ -276,13 +268,13 @@ class TestStridedKernel:
         start = bank.states()
         bank.epsilon_blocks(7)
         end = bank.states()
-        shift_counts = bank.lfsr_array.shift_counts
+        sums = [bank.row_view(row).sum_register for row in range(3)]
         bad_end = list(end)
         bad_end[1] ^= 2  # only row 1 "tampered"
         with pytest.raises(ReplayError):
             bank.replay_blocks(start, 7, expected_end_states=bad_end)
         assert bank.states() == end
-        assert list(bank.lfsr_array.shift_counts) == list(shift_counts)
+        assert [bank.row_view(row).sum_register for row in range(3)] == sums
         # the bank is still usable: a correct replay succeeds afterwards
         values = bank.replay_blocks(start, 7, expected_end_states=end)
         assert values.shape == (3, 7)

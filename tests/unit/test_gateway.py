@@ -26,6 +26,16 @@ from repro.serve import (
 
 SAMPLING = {"n_samples": 4, "seed": 5, "grng_stride": 64}
 
+#: Sampling sections the JSON body can carry that no sweep can run.
+BAD_SAMPLING = [
+    {"n_samples": 1.5},
+    {"seed": -1},
+    {"seed": "a"},
+    {"grng_stride": 0},
+    {"grng_stride": 1.5},
+    {"lfsr_bits": 300},
+]
+
 
 def _get(url: str) -> tuple[int, dict]:
     with urllib.request.urlopen(url, timeout=30) as response:
@@ -230,6 +240,43 @@ class TestPredict:
         _, stats = _get(gateway.url + "/v1/stats")
         assert stats["admission"]["admitted"] == 0
         assert stats["requests_completed"] == stats["requests_failed"] == 0
+
+    @pytest.mark.parametrize("sampling", BAD_SAMPLING, ids=repr)
+    @pytest.mark.parametrize("codec", ["native", "reference"])
+    def test_malformed_sampling_values_are_400(
+        self, gateway, codec, sampling, restore_selection
+    ):
+        """Wrongly typed or out-of-range sampling fields are refused before
+        admission as invalid_sampling -- never a 500 from inside the sweep."""
+        if codec == "native" and not all(
+            impl["available"]
+            for entry in backend.list_backends()
+            if entry["kernel"].startswith("json_")
+            for impl in entry["backends"]
+        ):
+            pytest.skip("no C compiler: the json codec's native backend is unavailable")
+        for kernel in ("json_dumps_f64", "json_loads_f64"):
+            backend.set_backend(kernel, codec)
+        body = {"x": [[0.5] * 16], "sampling": sampling}
+        status, payload = _error_of(lambda: _post(gateway.url + "/v1/predict", body))
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_sampling"
+        _, stats = _get(gateway.url + "/v1/stats")
+        assert stats["admission"]["admitted"] == 0
+        assert stats["requests_completed"] == stats["requests_failed"] == 0
+
+    @pytest.mark.parametrize("sampling", BAD_SAMPLING, ids=repr)
+    def test_sampling_config_rejects_malformed_values(self, sampling):
+        with pytest.raises(ValueError):
+            SamplingConfig(**sampling)
+
+    def test_sampling_config_accepts_integral_values(self):
+        config = SamplingConfig(n_samples=1, seed=0, grng_stride=1, lfsr_bits=64)
+        assert config == SamplingConfig(
+            n_samples=np.int64(1), seed=0, grng_stride=1, lfsr_bits=64
+        )
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            SamplingConfig(n_samples=True)
 
     def test_oversized_body_is_413(self, tiny_mlp_spec):
         registry = ModelRegistry.single(

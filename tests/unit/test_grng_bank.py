@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    GRNGMode,
+    FibonacciLFSR,
     GrngBank,
+    LFSRStateError,
     LfsrGaussianRNG,
     ReplayError,
 )
@@ -29,41 +30,99 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GrngBank(2, stride=0)
 
+    def test_empty_seed_indices_rejected(self):
+        with pytest.raises(ValueError):
+            GrngBank(seed_indices=[])
+
+    def test_unknown_width_without_taps_rejected(self):
+        with pytest.raises(LFSRStateError):
+            GrngBank(1, n_bits=7)
+
     def test_seed_indices_override_n_rows(self):
         bank = GrngBank(seed_indices=[5, 9, 11], n_bits=64)
         assert bank.n_rows == 3
-        assert len(bank) == 3
+
+    @pytest.mark.parametrize("n_bits", [16, 64, 256])
+    def test_seeds_match_scalar_seeding(self, n_bits):
+        bank = GrngBank(seed_indices=[0, 3, 7, 500], n_bits=n_bits)
+        scalars = [FibonacciLFSR.from_seed_index(n_bits, i) for i in (0, 3, 7, 500)]
+        assert bank.states() == [lfsr.state for lfsr in scalars]
+        for row, lfsr in enumerate(scalars):
+            assert bank.row_view(row).sum_register == lfsr.popcount
 
     def test_properties(self):
         bank = GrngBank(2, n_bits=64, stride=8)
         assert bank.n_bits == 64
         assert bank.stride == 8
-        assert bank.resolution == pytest.approx(1.0 / np.sqrt(16.0))
-        assert bank.lfsr_array.n_rows == 2
-        assert "GrngBank" in repr(bank)
+        assert bank.taps == FibonacciLFSR(64, seed=1).taps
+
+
+class TestStates:
+    def test_set_states_validates(self):
+        bank = GrngBank(2, n_bits=8)
+        before = bank.states()
+        with pytest.raises(ValueError, match="expected 2 states"):
+            bank.set_states([1])
+        for bad in ([5, 0], [5, 1 << 8], [5, -3]):
+            with pytest.raises(LFSRStateError):
+                bank.set_states(bad)
+        with pytest.raises(ValueError):
+            bank.set_states([5, "nope"])  # type: ignore[list-item]
+        assert bank.states() == before
+
+    def test_view_state_write_validates(self):
+        view = GrngBank(1, n_bits=8).row_view(0)
+        for bad in (0, 1 << 8, "nope"):
+            with pytest.raises(LFSRStateError):
+                view.lfsr.state = bad  # type: ignore[assignment]
+        view.lfsr.state = 0xA5
+        assert view.lfsr.state == 0xA5
+
+    def test_view_state_write_touches_one_row(self):
+        bank = GrngBank(3, n_bits=64)
+        before = bank.states()
+        bank.row_view(1).lfsr.state = 0xDEADBEEF
+        assert bank.states() == [before[0], 0xDEADBEEF, before[2]]
 
 
 class TestBatchedInterface:
+    # Widths off the 64-bit grid run the NumPy path, word-aligned ones the
+    # compiled kernel where it is available.
+    @pytest.mark.parametrize("n_bits", [8, 16, 24, 64, 128, 256])
     @pytest.mark.parametrize("stride", [1, 4, 64])
-    def test_epsilon_blocks_match_scalar(self, stride):
-        bank = GrngBank(3, n_bits=64, stride=stride)
-        scalars = make_scalars(3, stride=stride)
+    def test_epsilon_blocks_match_scalar(self, n_bits, stride):
+        bank = GrngBank(3, n_bits=n_bits, stride=stride)
+        scalars = make_scalars(3, n_bits=n_bits, stride=stride)
         block = bank.epsilon_blocks(200)
         reference = np.stack([g.epsilon_block(200) for g in scalars])
         assert np.array_equal(block, reference)
-        assert bank.generated_counts.tolist() == [200, 200, 200]
+        assert bank.states() == [g.lfsr.state for g in scalars]
 
+    def test_long_block_matches_the_stepwise_register(self):
+        # A block much longer than the register crosses many squared-
+        # polynomial levels; compare against single hardware shifts.
+        bank = GrngBank(seed_indices=[5], n_bits=16)
+        reference = FibonacciLFSR.from_seed_index(16, 5)
+        popcounts = []
+        for _ in range(5000):
+            reference.shift_forward()
+            popcounts.append(reference.popcount)
+        expected = (np.array(popcounts) - 8.0) / 2.0
+        assert np.array_equal(bank.epsilon_blocks(5000)[0], expected)
+        assert bank.states() == [reference.state]
+
+    @pytest.mark.parametrize("n_bits", [8, 16, 64, 256])
     @pytest.mark.parametrize("stride", [1, 4])
-    def test_epsilon_blocks_reverse_match_scalar(self, stride):
-        bank = GrngBank(3, n_bits=64, stride=stride)
-        scalars = make_scalars(3, stride=stride)
+    def test_epsilon_blocks_reverse_match_scalar(self, n_bits, stride):
+        bank = GrngBank(3, n_bits=n_bits, stride=stride)
+        scalars = make_scalars(3, n_bits=n_bits, stride=stride)
         bank.epsilon_blocks(150)
         for g in scalars:
             g.epsilon_block(150)
         block = bank.epsilon_blocks_reverse(150)
         reference = np.stack([g.epsilon_block_reverse(150) for g in scalars])
         assert np.array_equal(block, reference)
-        assert bank.retrieved_counts.tolist() == [150, 150, 150]
+        assert bank.states() == [g.lfsr.state for g in scalars]
 
     @pytest.mark.parametrize("stride", [1, 3, 64, 256])
     def test_reverse_carries_a_drifted_sum_register_like_the_scalar(self, stride):
@@ -113,18 +172,7 @@ class TestRowViews:
         with pytest.raises(IndexError):
             bank.row_view(2)
 
-    def test_next_and_previous_epsilon(self):
-        bank = GrngBank(1, n_bits=64, stride=4)
-        scalar = make_scalars(1)[0]
-        view = bank.row_view(0)
-        forward = [view.next_epsilon() for _ in range(5)]
-        assert forward == [scalar.next_epsilon() for _ in range(5)]
-        assert view.mode is GRNGMode.FORWARD
-        backward = [view.previous_epsilon() for _ in range(5)]
-        assert backward == [scalar.previous_epsilon() for _ in range(5)]
-        assert view.mode is GRNGMode.REVERSE
-
-    def test_shift_count_matches_scalar_after_replay(self):
+    def test_stream_replay_round_trip_matches_scalar(self):
         # A checkpoint replay is net-zero register movement on both engines.
         from repro.core import ReversibleGaussianStream
 
@@ -136,58 +184,11 @@ class TestRowViews:
             stream.forward_block((4,))
             stream.retrieve_block((4,))
             stream.reset_epoch()
-        assert (
-            banked_stream.grng.lfsr.shift_count
-            == scalar_stream.grng.lfsr.shift_count
+        assert banked_stream.grng.lfsr.state == scalar_stream.grng.lfsr.state
+        assert banked_stream.grng.sum_register == scalar_stream.grng.sum_register
+        assert np.array_equal(
+            banked_stream.forward_block((6,)), scalar_stream.forward_block((6,))
         )
-
-    def test_view_lfsr_copy_carries_shift_count(self):
-        bank = GrngBank(1, n_bits=64, stride=4)
-        view = bank.row_view(0)
-        view.epsilon_block(10)
-        assert view.lfsr.copy().shift_count == view.lfsr.shift_count == 40
-
-    def test_view_copy_is_detached_scalar(self):
-        bank = GrngBank(1, n_bits=64, stride=4)
-        view = bank.row_view(0)
-        view.epsilon_block(10)
-        clone = view.copy()
-        assert isinstance(clone, LfsrGaussianRNG)
-        assert clone.lfsr.state == view.lfsr.state
-        continuation = clone.epsilon_block(20)
-        assert np.array_equal(continuation, view.epsilon_block(20))
-
-    def test_distribution_summary_does_not_advance(self):
-        bank = GrngBank(1, n_bits=64, stride=64)
-        view = bank.row_view(0)
-        state = view.lfsr.state
-        summary = view.distribution_summary(512)
-        assert view.lfsr.state == state
-        assert abs(summary["mean"]) < 0.2
-
-    def test_set_mode_validation(self):
-        view = GrngBank(1, n_bits=64).row_view(0)
-        with pytest.raises(TypeError):
-            view.set_mode("forward")  # type: ignore[arg-type]
-        view.set_mode(GRNGMode.IDLE)
-        assert view.mode is GRNGMode.IDLE
-
-    def test_view_repr(self):
-        view = GrngBank(1, n_bits=64).row_view(0)
-        assert "BankedGaussianRNG" in repr(view)
-        assert "LfsrRowView" in repr(view.lfsr)
-
-    def test_row_view_shift_forward_matches_scalar(self):
-        bank = GrngBank(1, n_bits=64)
-        scalar = make_scalars(1, stride=1)[0]
-        view = bank.row_view(0)
-        bits = [view.lfsr.shift_forward() for _ in range(20)]
-        expected = [scalar.lfsr.shift_forward() for _ in range(20)]
-        assert bits == expected
-        assert view.lfsr.state == scalar.lfsr.state
-        back = [view.lfsr.shift_reverse() for _ in range(20)]
-        expected_back = [scalar.lfsr.shift_reverse() for _ in range(20)]
-        assert back == expected_back
 
 
 class TestRowViewsOutOfPhase:
@@ -226,7 +227,6 @@ class TestRowViewsOutOfPhase:
         scalars[0].epsilon_block(25)
         assert bank.row_view(1).lfsr.state == scalars[1].lfsr.state
         assert bank.row_view(1).sum_register == scalars[1].sum_register
-        assert bank.row_view(1).lfsr.shift_count == scalars[1].lfsr.shift_count == 0
 
     def test_external_state_write_matches_scalar(self):
         bank = GrngBank(2, n_bits=64, stride=4)
@@ -313,19 +313,9 @@ class TestReplay:
         start = views[0].lfsr.state
         for view in views:
             view.epsilon_block(14)
-        before = (
-            views[1].lfsr.state,
-            views[1].sum_register,
-            views[1].lfsr.shift_count,
-            views[1].generated_count,
-        )
+        before = (views[1].lfsr.state, views[1].sum_register)
         views[0].replay_block(start, 14, expected_end_state=views[0].lfsr.state)
-        after = (
-            views[1].lfsr.state,
-            views[1].sum_register,
-            views[1].lfsr.shift_count,
-            views[1].generated_count,
-        )
+        after = (views[1].lfsr.state, views[1].sum_register)
         assert after == before
 
     def test_batched_replay_of_per_row_spans(self):
@@ -340,38 +330,33 @@ class TestReplay:
         assert bank.states() == ends
         for row, scalar in enumerate(scalars):
             assert np.array_equal(replayed[row], blocks[row])
-            scalar_start = scalar.lfsr.state
-            scalar.epsilon_block(13)
-            scalar.replay_block(scalar_start, 13, expected_end_state=ends[row])
-            assert bank.row_view(row).lfsr.shift_count == scalar.lfsr.shift_count
+            assert np.array_equal(replayed[row], scalar.epsilon_block(13))
+            assert bank.row_view(row).sum_register == scalar.sum_register
 
     def test_replay_detects_tampering(self):
         bank = GrngBank(1, n_bits=64, stride=1)
         view = bank.row_view(0)
         start = view.lfsr.state
         view.epsilon_block(8)
-        view.lfsr.shift_forward()  # corrupt the register
+        view.lfsr.state ^= 1  # corrupt the register
         with pytest.raises(ReplayError):
             view.replay_block(start, 8, expected_end_state=view.lfsr.state)
 
     def test_failed_replay_leaves_view_where_the_scalar_is(self):
         # A tampered register makes both engines raise; afterwards the view's
-        # register, sum and shift counter must equal the scalar's, and both
-        # must keep producing the same values.
+        # register and sum must equal the scalar's, and both must keep
+        # producing the same values.
         bank = GrngBank(2, n_bits=64, stride=4)
         view = bank.row_view(1)
         scalar = make_scalars(2)[1]
         for g in (view, scalar):
             start = g.lfsr.state
             g.epsilon_block(12)
-            g.lfsr.shift_forward()  # corrupt the register
+            g.lfsr.state ^= 1  # corrupt the register
             with pytest.raises(ReplayError):
                 g.replay_block(start, 12, expected_end_state=g.lfsr.state)
         assert view.lfsr.state == scalar.lfsr.state
         assert view.sum_register == scalar.sum_register
-        assert view.lfsr.shift_count == scalar.lfsr.shift_count
-        assert view.generated_count == scalar.generated_count
-        assert view.mode is scalar.mode
         assert np.array_equal(view.epsilon_block(9), scalar.epsilon_block(9))
         assert np.array_equal(
             view.epsilon_block_reverse(9), scalar.epsilon_block_reverse(9)

@@ -198,11 +198,11 @@ def test_verdict_is_cached_per_signature():
 def test_signature_covers_backend_selection():
     p = RowStabilityProbe()
     base = p.signature()
-    # cumsum16 is never the ambient selection (it is not at the head of its
-    # chain, REPRO_BACKEND=reference pins everything to the oracle and the
-    # default pins nothing), so this pin always names a different verdict
-    # domain -- in every CI leg
-    with backend.using("window_popcounts", "cumsum16"):
+    # grng_block=native is never an explicit pin of the ambient selection
+    # (the default pins nothing, REPRO_BACKEND=reference and
+    # REPRO_BACKEND=grng_block=reference pin the oracle), so this pin always
+    # names a different verdict domain -- in every CI leg
+    with backend.using("grng_block", "native"):
         pinned = p.signature()
     assert p.signature() == base
     assert pinned != base
