@@ -124,6 +124,10 @@ __all__ = ["ServingGateway", "GatewayConfig"]
 
 _SAMPLING_FIELDS = frozenset(SamplingConfig.__dataclass_fields__)
 
+#: Largest sampled-weight sweep a request may ask for: ``n_samples`` x the
+#: pinned version's Bayesian weights x 8 bytes (the float64 sweep it caches).
+_MAX_SWEEP_BYTES = 256 << 20
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -234,6 +238,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _respond_error(self, exc: _GatewayError) -> None:
+        self._withdraw_arrival()  # refused before its submit: it joins no tile
         error: dict = {"code": exc.code, "message": str(exc)}
         if exc.retry_after_s is not None:
             error["retry_after_s"] = exc.retry_after_s
@@ -290,6 +295,22 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        # announce the request as soon as its request line is in: until it
+        # is queued or answered, the micro-batcher keeps a partial tile open
+        # for it (never past max_wait_ms) instead of flushing without it
+        self._arrival = self.gateway.prediction_server._batcher._announce()
+        parsed = False
+        try:
+            parsed = super().parse_request()
+        finally:
+            if not parsed or self.command != "POST":
+                self._withdraw_arrival()  # only a POST can join a tile
+        return parsed
+
+    def _withdraw_arrival(self) -> None:
+        self.gateway.prediction_server._batcher._withdraw(self._arrival)
+
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._route("GET")
 
@@ -328,6 +349,8 @@ class _Handler(BaseHTTPRequestHandler):
                     "not_found",
                     f"no route for {method} {path}; endpoints: {known}",
                 )
+            if handler != self._handle_predict:
+                self._withdraw_arrival()
             handler()
         except _GatewayError as exc:
             if exc.status == 429 and self._access is not None:
@@ -567,6 +590,18 @@ class _Handler(BaseHTTPRequestHandler):
             # submit with the explicit version so a concurrent deploy cannot
             # change what the request is served with
             version, generation = gateway.prediction_server.resolve_version(requested)
+            weights = gateway._weight_counts.get(version)
+            if weights is None:
+                spec = gateway.registry.get(version).replica.spec
+                weights = gateway._weight_counts[version] = spec.weight_count
+            if sampling.n_samples * weights * 8 > _MAX_SWEEP_BYTES:
+                raise _GatewayError(
+                    400,
+                    "invalid_sampling",
+                    f"n_samples={sampling.n_samples} needs a weight sweep of "
+                    f"{sampling.n_samples * weights * 8 >> 20} MiB on version "
+                    f"{version!r}; the cap is {_MAX_SWEEP_BYTES >> 20} MiB",
+                )
             future = gateway.prediction_server.submit(
                 x,
                 sampling,
@@ -576,6 +611,7 @@ class _Handler(BaseHTTPRequestHandler):
                 priority=policy.priority,
                 source=source,
                 trace=handle,
+                _arrival=self._arrival,
             )
         except UnknownVersionError as exc:
             raise _GatewayError(404, "unknown_version", str(exc)) from None
@@ -812,6 +848,8 @@ class ServingGateway:
             ("reason",),
         )
         self.access_log: _AccessLog | None = None
+        # Bayesian weights per version (registered contents never change)
+        self._weight_counts: dict[str, int] = {}
 
     @property
     def registry(self) -> ModelRegistry:

@@ -7,10 +7,13 @@ with the classic inference-server flush policy:
 
 * a tile is flushed as soon as the pending work reaches ``max_batch_rows``
   example rows (a full tile), or
+* immediately on shutdown, so close() never strands requests, or
+* as soon as no announced request is still arriving (``idle``): a front end
+  such as the HTTP gateway announces every request it starts reading, so
+  when none is outstanding, waiting longer only adds latency, or
 * when the *oldest* pending request has waited ``max_wait_ms`` milliseconds
   (a partial tile -- latency beats occupancy once someone has waited long
-  enough), or
-* immediately on shutdown, so close() never strands requests.
+  enough; this still bounds the wait for an announced request).
 
 Requests are never split across tiles: a request larger than
 ``max_batch_rows`` simply becomes a tile of its own.  Backpressure is a row
@@ -84,6 +87,13 @@ class _Waiter:
 
 
 @dataclass
+class _Arrival:
+    """A front end's announcement of one request it has begun reading."""
+
+    settled: bool = False
+
+
+@dataclass
 class PendingItem(Generic[T]):
     """One queued request together with its pooling metadata."""
 
@@ -129,10 +139,15 @@ class MicroBatcher(Generic[T]):
         self._wait_sequence = 0
         self._waiters: list[_Waiter] = []
         self._closed = False
+        # announced requests not yet submitted or withdrawn; the idle flush
+        # arms with the first announcement, so in-process callers that never
+        # announce keep filling tiles up to the deadline
+        self._arrivals = 0
+        self._armed = False
         # why tiles flushed: a rows-threshold flush means the pooling policy
-        # is filling tiles; a timeout flush means latency won; close flushes
-        # are the shutdown drain
-        self._flush_causes = {"rows": 0, "timeout": 0, "close": 0}
+        # is filling tiles; an idle flush means no companion was on the way;
+        # a timeout flush means latency won; close flushes are the drain
+        self._flush_causes = {"rows": 0, "idle": 0, "timeout": 0, "close": 0}
 
     # ------------------------------------------------------------------
     @property
@@ -165,13 +180,31 @@ class MicroBatcher(Generic[T]):
             return self._closed
 
     def flush_causes(self) -> dict[str, int]:
-        """Tile flush counters by cause: ``{"rows", "timeout", "close"}``."""
+        """Tile flush counters by cause: ``{"rows", "idle", "timeout", "close"}``."""
         with self._lock:
             return dict(self._flush_causes)
 
     # ------------------------------------------------------------------
     # producer side
     # ------------------------------------------------------------------
+    def _announce(self) -> _Arrival:
+        """Count a request that is still arriving; settle it exactly once."""
+        with self._lock:
+            self._arrivals += 1
+            self._armed = True
+        return _Arrival()
+
+    def _withdraw(self, arrival: _Arrival) -> None:
+        """Settle an announcement that will not be submitted (idempotent)."""
+        with self._lock:
+            self._settle_locked(arrival)
+
+    def _settle_locked(self, arrival: _Arrival | None) -> None:
+        if arrival is not None and not arrival.settled:
+            arrival.settled = True
+            self._arrivals -= 1
+            self._can_flush.notify_all()
+
     def submit(
         self,
         item: T,
@@ -179,6 +212,7 @@ class MicroBatcher(Generic[T]):
         block: bool = True,
         timeout: float | None = None,
         priority: int = 0,
+        _arrival: _Arrival | None = None,
     ) -> None:
         """Queue one request carrying ``rows`` example rows.
 
@@ -192,12 +226,13 @@ class MicroBatcher(Generic[T]):
         level).  An arriving request never waits behind *lower*-priority
         waiters, and -- when the waiting room is bounded -- displaces the
         lowest-priority waiter instead of being refused, provided it outranks
-        it.
+        it.  ``_arrival`` (the front end's announcement) is settled either way.
         """
         if rows < 1:
             raise ValueError("a request must carry at least one row")
         deadline = None if timeout is None else self._clock() + timeout
         with self._lock:
+            self._settle_locked(_arrival)
             if self._closed:
                 raise QueueClosed("the micro-batcher is closed")
             # fast path: the budget fits and no equal-or-higher-priority
@@ -324,14 +359,17 @@ class MicroBatcher(Generic[T]):
                     if self._closed:
                         self._flush_causes["close"] += 1
                         return self._pop_tile_locked()
+                    if self._armed and not self._arrivals:
+                        self._flush_causes["idle"] += 1
+                        return self._pop_tile_locked()
                     now = self._clock()
                     oldest_deadline = self._pending[0].enqueued_at + self._max_wait_s
                     if now >= oldest_deadline:
                         self._flush_causes["timeout"] += 1
                         return self._pop_tile_locked()
-                    # a newly-submitted request can only shorten the wait via
-                    # the rows condition, which notifies; the deadline of the
-                    # current oldest request bounds the sleep either way
+                    # submits and settled announcements notify, so the rows
+                    # and idle conditions are re-checked as they change; the
+                    # deadline of the current oldest request bounds the sleep
                     self._can_flush.wait(timeout=oldest_deadline - now)
                 elif self._closed:
                     return None

@@ -49,7 +49,7 @@ from ..bnn.predict import PredictiveResult
 from ..models.zoo import ReplicaSpec
 from ..obs.trace import StageRecorder, TraceHandle, Tracer
 from .executor import MultiVersionExecutor, SamplingConfig
-from .microbatcher import MicroBatcher, PendingItem, QueueClosed
+from .microbatcher import MicroBatcher, PendingItem, QueueClosed, _Arrival
 from .registry import Deployment, ModelRegistry, UnknownVersionError
 from .shm_cache import SharedEpsilonStore
 from .stats import ServerStats, StatsSnapshot
@@ -75,7 +75,8 @@ class ServerConfig:
     max_batch_rows: int = 64
     """Rows per tile; the flush threshold of the micro-batcher."""
     max_wait_ms: float = 2.0
-    """Maximum time the oldest queued request waits before a partial flush."""
+    """Maximum time the oldest queued request waits before a partial flush;
+    behind the gateway it flushes once nothing else is arriving (``idle``)."""
     max_pending_rows: int = 1024
     """Backpressure budget: ``submit`` blocks once this many rows are queued."""
     max_waiting: int | None = None
@@ -328,6 +329,7 @@ class PredictionServer:
         priority: int = 0,
         source: str | None = None,
         trace: "TraceHandle | None | object" = _AUTO_TRACE,
+        _arrival: _Arrival | None = None,
     ) -> Future:
         """Queue one prediction request; resolves to a ``PredictiveResult``.
 
@@ -357,6 +359,7 @@ class PredictionServer:
         rate; an explicit ``None`` means the caller already made the
         sampling decision (sampled out) and the request stays untraced.
         Traces carry spans only and can never influence result bytes.
+        ``_arrival`` passes the gateway's announcement to the micro-batcher.
         """
         if not self._started:
             raise RuntimeError("server not started; call start() or use a with-block")
@@ -399,6 +402,7 @@ class PredictionServer:
                 block=block,
                 timeout=timeout,
                 priority=priority,
+                _arrival=_arrival,
             )
         except QueueClosed:
             self._unpin(pinned_version)
@@ -440,7 +444,7 @@ class PredictionServer:
         return self._stats.drain_rate_rows_per_s()
 
     def flush_causes(self) -> dict[str, int]:
-        """Microbatcher tile-flush counters by cause (rows/timeout/close)."""
+        """Microbatcher tile-flush counters by cause (rows/idle/timeout/close)."""
         return self._batcher.flush_causes()
 
     # ------------------------------------------------------------------

@@ -14,8 +14,11 @@ The two acceptance properties of the gateway layer:
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -377,6 +380,21 @@ class TestOverloadIntegrity:
         outcomes_lock = threading.Lock()
 
         with ServingGateway(registry, config) as gateway:
+            # the overflow happens by construction: the first tile's execution
+            # is held until every other client has been queued or shed
+            server = gateway.prediction_server
+            executor = server._executor
+            execute, release = executor.execute, threading.Event()
+            held_requests: list[int] = []
+
+            def held_execute(requests):
+                executor.execute = execute  # hold only this tile
+                held_requests.append(len(requests))
+                assert release.wait(timeout=120)
+                return execute(requests)
+
+            executor.execute = held_execute
+
             def client(index: int) -> None:
                 input_index = index % len(inputs)
                 status, headers, raw = _raw_post(
@@ -391,8 +409,20 @@ class TestOverloadIntegrity:
                 threading.Thread(target=client, args=(index,))
                 for index in range(32)
             ]
-            for thread in threads:
-                thread.start()
+            try:
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 120
+                while True:
+                    with outcomes_lock:
+                        answered = len(outcomes)
+                    queued = server.pending_rows // 4
+                    if held_requests and held_requests[0] + queued + answered == 32:
+                        break
+                    assert time.monotonic() < deadline, "the burst never settled"
+                    time.sleep(0.005)
+            finally:
+                release.set()
             for thread in threads:
                 thread.join(timeout=120)
             stats = json.loads(
@@ -403,7 +433,8 @@ class TestOverloadIntegrity:
         shed = [o for o in outcomes if o[1] == 429]
         served = [o for o in outcomes if o[1] == 200]
         assert len(shed) + len(served) == 32  # no third outcome
-        assert shed, "the burst should overflow a 16-row budget"
+        # at most one held 16-row tile plus a 16-row queue can be served
+        assert len(shed) >= 24, "the burst should overflow a 16-row budget"
         for _, _, headers, raw in shed:
             assert int(headers["retry-after"]) >= 1
             envelope = json.loads(raw)["error"]
@@ -484,36 +515,55 @@ class TestCrossConnectionCoalescing:
         inputs = [rng.normal(size=(2, N_FEATURES)) for _ in range(8)]
         references = _references(spec, inputs)
 
-        # a generous flush window lets concurrent sockets land in one tile
-        config = ServerConfig(max_batch_rows=64, max_wait_ms=150.0)
-        results: list[tuple] = [None] * len(inputs)
+        # held arrivals instead of a timing window: every socket sends its
+        # headers and all but the last body byte, so each request has been
+        # announced and is still arriving; once the last bytes go out, the
+        # idle rule flushes one tile holding all of them (the deadline is
+        # far out of reach)
+        config = ServerConfig(max_batch_rows=64, max_wait_ms=10_000.0)
+        bodies = [
+            json.dumps({"x": x.tolist(), "sampling": SAMPLING}).encode()
+            for x in inputs
+        ]
+        results: list[tuple] = []
 
         with ServingGateway(registry, config) as gateway:
-            def client(index: int) -> None:
-                results[index] = _raw_post(
-                    gateway.address,
-                    "/v1/predict",
-                    {"x": inputs[index].tolist(), "sampling": SAMPLING},
-                )
-
-            threads = [
-                threading.Thread(target=client, args=(index,))
-                for index in range(len(inputs))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            batcher = gateway.prediction_server._batcher
+            sockets = []
+            try:
+                for body in bodies:
+                    sock = socket.create_connection(gateway.address, timeout=120)
+                    sockets.append(sock)
+                    sock.sendall(
+                        b"POST /v1/predict HTTP/1.1\r\nHost: gateway\r\n"
+                        b"Content-Type: application/json\r\n"
+                        b"Content-Length: %d\r\n\r\n" % len(body) + body[:-1]
+                    )
+                deadline = time.monotonic() + 120
+                while batcher._arrivals < len(bodies):
+                    assert time.monotonic() < deadline, "requests never announced"
+                    time.sleep(0.005)
+                for sock, body in zip(sockets, bodies):
+                    sock.sendall(body[-1:])
+                for sock in sockets:
+                    response = http.client.HTTPResponse(sock)
+                    response.begin()
+                    results.append((response.status, response.read()))
+            finally:
+                for sock in sockets:
+                    sock.close()
             stats = json.loads(
                 urllib.request.urlopen(gateway.url + "/v1/stats", timeout=30).read()
             )
+            flushes = gateway.prediction_server.flush_causes()
 
         coalescing = stats["coalescing"]
-        assert coalescing["multi_source_tiles"] >= 1, (
-            f"no cross-connection tile observed: {coalescing}"
+        assert coalescing["multi_source_tiles"] == 1, (
+            f"the held arrivals did not share one tile: {coalescing}"
         )
-        assert coalescing["max_sources"] >= 2
-        for index, (status, _, raw) in enumerate(results):
+        assert coalescing["max_sources"] == len(inputs)
+        assert flushes["idle"] == 1 and flushes["timeout"] == 0
+        for index, (status, raw) in enumerate(results):
             assert status == 200
             payload = np.asarray(
                 json.loads(raw)["sample_probabilities"], dtype=np.float64

@@ -297,6 +297,32 @@ class TestPredict:
             )
         assert code == 413
 
+    def test_oversized_weight_sweep_is_400_before_queueing(
+        self, gateway, tiny_mlp_spec, rng
+    ):
+        """``n_samples`` x Bayesian weights x 8 B above the per-sweep cap is
+        refused at admission; nothing is queued or materialised, and the next
+        request is served bit-exactly."""
+        x = rng.normal(size=(2, 16))
+        url = gateway.url + "/v1/predict"
+        code, body = _error_of(
+            lambda: _post(url, {"x": x.tolist(), "sampling": {"n_samples": 1_000_000}})
+        )
+        assert code == 400
+        assert body["error"]["code"] == "invalid_sampling"
+        assert "n_samples=1000000" in body["error"]["message"]
+        assert "256 MiB" in body["error"]["message"]
+        _, stats = _get(gateway.url + "/v1/stats")
+        assert stats["requests_completed"] == stats["tiles_executed"] == 0
+        status, body = _post(url, {"x": x.tolist(), "sampling": SAMPLING})
+        assert status == 200
+        reference = mc_predict(
+            tiny_mlp_spec.build_bayesian(seed=11), x, n_samples=4, seed=5,
+            grng_stride=64,
+        )
+        served = np.asarray(body["sample_probabilities"], dtype=np.float64)
+        assert np.array_equal(served, reference.sample_probabilities)
+
     def test_sampling_defaults_apply(self, gateway, tiny_mlp_spec, rng):
         """An omitted sampling section means the library-default config."""
         x = rng.normal(size=(2, 16))
@@ -536,6 +562,155 @@ class TestConnectionRobustness:
                 response += chunk
         assert response.startswith(b"HTTP/1.1 400")
         assert b"truncated_body" in response
+
+
+def _exchange(address: tuple[str, int], raw: bytes, half_close: bool = False):
+    """Send ``raw`` on a fresh socket and read until the server closes it.
+
+    Returns ``(status, error code or None, body)``; ``half_close`` ends the
+    request stream early, like a client dying mid-body.
+    """
+    import socket
+
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(raw)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    code = None
+    if b"application/json" in head:
+        code = json.loads(body).get("error", {}).get("code")
+    return int(head.split()[1]), code, body
+
+
+def _request(method: str, path: str, body: bytes | None = None, tenant: str = "t") -> bytes:
+    """One raw HTTP/1.1 request that asks the server to close afterwards."""
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: gateway\r\nConnection: close\r\n"
+        f"X-Tenant: {tenant}\r\n"
+    )
+    if body is not None:
+        head += f"Content-Length: {len(body)}\r\n"
+    return head.encode() + b"\r\n" + (body or b"")
+
+
+def _predict(body: dict | bytes, tenant: str = "t") -> bytes:
+    raw = body if isinstance(body, bytes) else json.dumps(body).encode()
+    return _request("POST", "/v1/predict", raw, tenant)
+
+
+class TestArrivalBookkeeping:
+    """Every way out of the gateway settles the request's announcement.
+
+    The gateway announces a request as soon as its request line is read,
+    and the micro-batcher flushes a partial tile (cause ``idle``) only once
+    no announced request is still arriving.  With ``max_wait_ms=10_000`` an
+    exit path that leaked its announcement, or settled it twice, would leave
+    every later tile waiting out the ten-second deadline.
+    """
+
+    def test_no_exit_path_leaks_an_announcement(self, tiny_mlp_spec, rng):
+        import threading
+        import time
+
+        from repro.serve import AdmissionConfig, TierPolicy
+
+        registry = ModelRegistry.single(
+            ReplicaSpec.capture(tiny_mlp_spec, tiny_mlp_spec.build_bayesian(seed=11))
+        )
+        admission = AdmissionConfig(
+            tiers={
+                "standard": TierPolicy(),
+                "metered": TierPolicy(rate_per_s=0.001, burst=1),
+            },
+            tenant_tiers={"metered-tenant": "metered"},
+        )
+        config = ServerConfig(max_wait_ms=10_000.0, max_batch_rows=4, max_pending_rows=4)
+        x = rng.normal(size=(2, 16))
+        valid = {"x": x.tolist(), "sampling": SAMPLING}
+        four_rows = _predict({"x": rng.normal(size=(4, 16)).tolist(), "sampling": SAMPLING})
+        exits = [
+            (_request("GET", "/v2/nothing"), 404, "not_found"),
+            (_request("POST", "/v1/nothing", b"{}"), 404, "not_found"),
+            (_request("GET", "/v1/healthz"), 200, None),
+            (_request("POST", "/v1/models/deploy", b'{"version": "v1"}'), 200, None),
+            (_request("PUT", "/v1/predict", b"{}"), 501, None),
+            (b"POST /v1/predict junk HTTP/1.1\r\n\r\n", 400, None),  # bad request line
+            (_request("POST", "/v1/predict"), 411, "length_required"),
+            (
+                b"POST /v1/predict HTTP/1.1\r\nContent-Length: 1099511627776\r\n\r\n",
+                413,
+                "body_too_large",
+            ),
+            (_predict(b"{nope"), 400, "invalid_json"),
+            (_predict(b"[1, 2]"), 400, "invalid_json"),
+            (_predict({"sampling": SAMPLING}), 400, "invalid_input"),
+            (_predict({"x": x.tolist(), "sampling": {"bogus": 1}}), 400, "invalid_sampling"),
+            (_predict({"x": x.tolist(), "sampling": {"n_samples": 10**6}}), 400, "invalid_sampling"),
+            (_predict({"x": x.tolist(), "version": "v9"}), 404, "unknown_version"),
+            (_predict(valid, tenant="metered-tenant"), 200, None),  # its one token
+            (_predict(valid, tenant="metered-tenant"), 429, "rate_limited"),
+        ]
+        with ServingGateway(
+            registry, config, GatewayConfig(admission=admission)
+        ) as gateway:
+            address = gateway.address
+            server = gateway.prediction_server
+            for raw, status, code in exits:
+                assert _exchange(address, raw)[:2] == (status, code), raw[:40]
+            truncated = b"POST /v1/predict HTTP/1.1\r\nContent-Length: 500\r\n\r\n{\"x\": [[1"
+            assert _exchange(address, truncated, half_close=True)[:2] == (
+                400, "truncated_body"
+            )
+
+            # 429 overloaded: hold the first tile's execution so a second
+            # four-row request fills the row budget and a third is shed
+            executor = server._executor
+            execute, entered, release = executor.execute, threading.Event(), threading.Event()
+
+            def held_execute(requests):
+                executor.execute = execute  # hold only this tile
+                entered.set()
+                assert release.wait(timeout=60)
+                return execute(requests)
+
+            executor.execute = held_execute
+            answers: list = []
+            background = [
+                threading.Thread(target=lambda: answers.append(_exchange(address, four_rows)))
+                for _ in range(2)
+            ]
+            try:
+                background[0].start()
+                assert entered.wait(timeout=30)
+                background[1].start()
+                deadline = time.monotonic() + 30
+                while server.pending_rows < 4:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                assert _exchange(address, _predict(valid))[:2] == (429, "overloaded")
+            finally:
+                release.set()
+                for thread in background:
+                    thread.join(timeout=60)
+            assert [answer[:2] for answer in answers] == [(200, None), (200, None)]
+
+            idle_before = server.flush_causes()["idle"]
+            start = time.monotonic()
+            status, _, body = _exchange(address, _predict(valid))
+            elapsed = time.monotonic() - start
+        assert status == 200
+        assert elapsed < 5.0, f"the tile waited out the deadline ({elapsed:.1f} s)"
+        reference = mc_predict(
+            tiny_mlp_spec.build_bayesian(seed=11), x, n_samples=4, seed=5,
+            grng_stride=64,
+        )
+        served = np.asarray(json.loads(body)["sample_probabilities"], dtype=np.float64)
+        assert np.array_equal(served, reference.sample_probabilities)
+        assert server.flush_causes()["idle"] == idle_before + 1
 
 
 class TestLifecycle:

@@ -57,6 +57,94 @@ class TestFlushPolicy:
         assert _items(batcher.next_tile()) == ["now"]
 
 
+def _consume_in_background(batcher: MicroBatcher) -> tuple[threading.Thread, list]:
+    """Start a dispatcher-like thread blocked in ``next_tile``."""
+    tiles: list = []
+    thread = threading.Thread(target=lambda: tiles.append(batcher.next_tile()))
+    thread.start()
+    return thread, tiles
+
+
+class TestIdleFlush:
+    """The ``idle`` cause: flush once no announced request is still arriving.
+
+    Every batcher waits ``max_wait_ms=10_000``, so a flush that fell back on
+    the deadline would show up as a ten-second wait.
+    """
+
+    def test_announced_request_flushes_at_once_when_submitted(self):
+        batcher = MicroBatcher(max_batch_rows=64, max_wait_ms=10_000.0)
+        batcher.submit("a", rows=4, _arrival=batcher._announce())
+        start = time.monotonic()
+        tile = batcher.next_tile()
+        assert time.monotonic() - start < 1.0
+        assert _items(tile) == ["a"]
+        assert batcher.flush_causes() == {"rows": 0, "idle": 1, "timeout": 0, "close": 0}
+
+    def test_refused_submit_settles_its_announcement(self):
+        batcher = MicroBatcher(
+            max_batch_rows=64, max_wait_ms=10_000.0, max_pending_rows=64
+        )
+        batcher.submit("a", rows=40, _arrival=batcher._announce())
+        refused = batcher._announce()
+        with pytest.raises(QueueFull):
+            batcher.submit("b", rows=40, block=False, _arrival=refused)
+        assert refused.settled
+        start = time.monotonic()
+        assert _items(batcher.next_tile()) == ["a"]
+        assert time.monotonic() - start < 1.0
+        assert batcher.flush_causes()["idle"] == 1
+
+    def test_outstanding_announcement_holds_the_tile_until_submitted(self):
+        batcher = MicroBatcher(max_batch_rows=64, max_wait_ms=10_000.0)
+        first, second = batcher._announce(), batcher._announce()
+        batcher.submit("a", rows=4, _arrival=first)
+        thread, tiles = _consume_in_background(batcher)
+        thread.join(timeout=0.2)
+        assert thread.is_alive(), "flushed while a request was still arriving"
+        batcher.submit("b", rows=4, _arrival=second)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert _items(tiles[0]) == ["a", "b"]
+        assert batcher.flush_causes()["idle"] == 1
+
+    def test_withdrawn_announcement_wakes_the_waiting_dispatcher(self):
+        batcher = MicroBatcher(max_batch_rows=64, max_wait_ms=10_000.0)
+        first, second = batcher._announce(), batcher._announce()
+        batcher.submit("a", rows=4, _arrival=first)
+        thread, tiles = _consume_in_background(batcher)
+        thread.join(timeout=0.2)
+        assert thread.is_alive(), "flushed while a request was still arriving"
+        batcher._withdraw(second)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert _items(tiles[0]) == ["a"]
+        # settling twice (a withdraw after the submit, or a second withdraw)
+        # changes nothing: the next announced request still flushes at once
+        batcher._withdraw(first)
+        batcher._withdraw(second)
+        batcher.submit("b", rows=4, _arrival=batcher._announce())
+        start = time.monotonic()
+        assert _items(batcher.next_tile()) == ["b"]
+        assert time.monotonic() - start < 1.0
+        assert batcher.flush_causes()["idle"] == 2
+
+    def test_unannounced_burst_still_fills_one_tile(self):
+        """The in-process burst shape: no front end ever announced, so 16
+        four-row submits against a waiting dispatcher form one full tile."""
+        batcher = MicroBatcher(max_batch_rows=64, max_wait_ms=10_000.0)
+        batcher.submit(0, rows=4)
+        thread, tiles = _consume_in_background(batcher)
+        thread.join(timeout=0.2)
+        assert thread.is_alive(), "a partial tile flushed before the deadline"
+        for index in range(1, 16):
+            batcher.submit(index, rows=4)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert _items(tiles[0]) == list(range(16))
+        assert batcher.flush_causes() == {"rows": 1, "idle": 0, "timeout": 0, "close": 0}
+
+
 class TestShutdown:
     def test_empty_queue_shutdown_returns_none(self):
         batcher = MicroBatcher()
