@@ -53,6 +53,10 @@ class SampleGradientTape:
     def __init__(self) -> None:
         self.contributions: dict[str, np.ndarray] = {}
 
+    def destination(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Float64 memory to write ``name``'s stack into before recording it."""
+        return np.empty(shape)
+
     def record(self, name: str, stack: np.ndarray) -> None:
         """Store the ``(S, *shape)`` contribution stack of parameter ``name``."""
         if name in self.contributions:
@@ -68,6 +72,3 @@ class SampleGradientTape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _ACTIVE.pop()
-
-    def __len__(self) -> int:
-        return len(self.contributions)

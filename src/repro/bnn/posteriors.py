@@ -11,6 +11,8 @@ values per weight.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
@@ -72,6 +74,7 @@ class GaussianPosterior:
         rho_value = np.full(self.shape, inverse_softplus(initial_sigma), dtype=np.float64)
         self.rho = Parameter(f"{name}.rho", rho_value)
         self._frozen_sigma: np.ndarray | None = None
+        self._pinned: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -79,11 +82,25 @@ class GaussianPosterior:
         """Current standard deviation ``softplus(rho)``.
 
         One softplus per access while the posterior trains; the memoised
-        array once it is frozen (:meth:`freeze`).
+        array once it is frozen (:meth:`freeze`) or while it is pinned.
         """
         if self._frozen_sigma is not None:
             return self._frozen_sigma
+        if self._pinned is not None:
+            return self._pinned[0]
         return softplus(self.rho.value)
+
+    @contextmanager
+    def _pinned_rho(self) -> Iterator[None]:
+        """Scope over which ``rho`` is fixed: :attr:`sigma` and the GC stage's
+        ``softplus_grad(rho)`` are computed once, read-only, not once per pass."""
+        self._pinned = (softplus(self.rho.value), softplus_grad(self.rho.value))
+        for array in self._pinned:
+            array.flags.writeable = False
+        try:
+            yield
+        finally:
+            self._pinned = None
 
     def freeze(self) -> None:
         """Make this posterior immutable (idempotent; there is no thaw).
@@ -190,7 +207,8 @@ class GaussianPosterior:
         layer instead of recomputed: ``rho`` cannot change between FW and BW
         of one step, so it is the same function of the same bytes.  The
         arithmetic runs on the ``posterior_gc`` dispatch point
-        (:mod:`repro.core.backend`); the transcendentals stay here.
+        (:mod:`repro.core.backend`); the transcendentals stay here.  Under a
+        tape the ``(S, *shape)`` stacks go into memory the tape lends.
         """
         if (
             grad_weight.ndim != len(self.shape) + 1
@@ -202,23 +220,23 @@ class GaussianPosterior:
             )
         if epsilon.shape != grad_weight.shape:
             raise ValueError("gradient / epsilon shape does not match the posterior")
-        sigmoid_rho = softplus_grad(self.rho.value)
+        sigmoid_rho = self._pinned[1] if self._pinned else softplus_grad(self.rho.value)
         tape = active_tape()
-        if tape is not None:
-            # Distributed capture: hand the per-sample stacks to the tape so
+        if tape is None:
+            mu_grad, rho_grad = self.mu.grad, self.rho.grad
+        else:
+            # Distributed capture: the per-sample stacks go to the tape so
             # the coordinator can accumulate them in canonical sample order
-            # across shards (slice [s] is exactly what the kernel adds).
-            mu_stack, rho_stack = _posterior_gc(
-                grad_weight, epsilon, prior_nll_grad, kl_weight, sigma,
-                sigmoid_rho, include_entropy_term, None, None,
-            )
-            tape.record(self.mu.name, mu_stack)
-            tape.record(self.rho.name, rho_stack)
-            return
+            # across shards (slice [s] is exactly what the kernel would add).
+            mu_grad = tape.destination(self.mu.name, grad_weight.shape)
+            rho_grad = tape.destination(self.rho.name, grad_weight.shape)
         _posterior_gc(
             grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
-            include_entropy_term, self.mu.grad, self.rho.grad,
+            include_entropy_term, mu_grad, rho_grad,
         )
+        if tape is not None:
+            tape.record(self.mu.name, mu_grad)
+            tape.record(self.rho.name, rho_grad)
 
     def __repr__(self) -> str:
         return f"GaussianPosterior(shape={self.shape})"

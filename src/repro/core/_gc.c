@@ -1,5 +1,6 @@
 /* GC stage of the mean-field Gaussian posterior in one pass: fold S
- * Monte-Carlo samples' weight gradients into the mu and rho gradients.
+ * Monte-Carlo samples' weight gradients into the mu and rho gradients, or
+ * write each sample's two contributions into (S, n) stacks.
  *
  * g, eps and p are (S, n) C-contiguous stacks (the data-fit gradient at the
  * sampled weight, its epsilon and the prior gradient); sigma and sgrad are the
@@ -9,14 +10,24 @@
  * samples accumulated in sample order; built by repro.core.native with
  * -ffp-contract=off and no -ffast-math, so nothing is fused or reassociated
  * and the results are NumPy's bytes.
+ * With stacks set, mu_grad and rho_grad are (S, n) stacks to overwrite.
  */
 #include <stddef.h>
 
 int posterior_gc(const double *g, const double *eps, const double *p,
                  const double *sigma, const double *sgrad, size_t samples,
-                 size_t n, double kl, int entropy, double *mu_grad,
-                 double *rho_grad)
+                 size_t n, double kl, int entropy, int stacks,
+                 double *mu_grad, double *rho_grad)
 {
+    if (stacks) {  /* nothing to sum: one sample-major pass */
+        for (size_t s = 0, at = 0; s < samples; s++)
+            for (size_t i = 0; i < n; i++, at++) {
+                double t = mu_grad[at] = g[at] + kl * p[at];
+                double sg = eps[at] * t;
+                rho_grad[at] = (entropy ? sg - kl / sigma[i] : sg) * sgrad[i];
+            }
+        return 0;
+    }
     for (size_t i = 0; i < n; i++) {
         double mu = mu_grad[i], rho = rho_grad[i];
         for (size_t s = 0, at = i; s < samples; s++, at += n) {

@@ -1458,8 +1458,9 @@ def _maxpool2d_backward_cases() -> list[dict[str, Any]]:
 # stacks.  The ``reference`` body is the NumPy code ``GaussianPosterior`` grew
 # up with; ``sigma`` and ``sigmoid_rho`` (softplus(rho) and its derivative)
 # arrive computed, so the transcendentals stay in NumPy on every backend.
-# With ``mu_grad=None`` (the distributed tape path) it hands back the two
-# per-sample contribution stacks instead of accumulating them.
+# ``mu_grad`` / ``rho_grad`` shaped like the parameter are accumulated into;
+# shaped like the (S, *shape) stacks (the distributed tape path) they are
+# overwritten with the per-sample contributions instead.
 def _posterior_gc_reference(
     grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
     include_entropy_term, mu_grad, rho_grad,
@@ -1469,8 +1470,9 @@ def _posterior_gc_reference(
     if include_entropy_term:
         sigma_grad = sigma_grad - kl_weight / sigma
     rho_stack = sigma_grad * sigmoid_rho
-    if mu_grad is None:
-        return total_w_grad, rho_stack
+    if mu_grad.ndim == grad_weight.ndim:
+        mu_grad[...], rho_grad[...] = total_w_grad, rho_stack
+        return mu_grad, rho_grad
     # Per-sample accumulation in sample order: float addition is not
     # associative, and the sequential trainers add one sample at a time.
     for s in range(grad_weight.shape[0]):
@@ -1483,10 +1485,10 @@ def _posterior_gc_native_supports(
     grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
     include_entropy_term, mu_grad, rho_grad,
 ):
-    if mu_grad is None or not isinstance(grad_weight, np.ndarray):
-        return False  # the tape path records the stacks themselves
-    shape = mu_grad.shape
-    stacks = grad_weight.shape[:1] + shape
+    if not isinstance(grad_weight, np.ndarray) or not isinstance(mu_grad, np.ndarray):
+        return False
+    stacks, shape = grad_weight.shape, grad_weight.shape[1:]
+    out = stacks if mu_grad.ndim == grad_weight.ndim else shape
     inputs = [(grad_weight, stacks), (epsilon, stacks), (prior_nll_grad, stacks),
               (sigma, shape), (sigmoid_rho, shape)]
     return (
@@ -1497,7 +1499,7 @@ def _posterior_gc_native_supports(
             for a, want in inputs
         )
         and all(
-            _writable(a, np.float64, shape) and a.flags.c_contiguous
+            _writable(a, np.float64, out) and a.flags.c_contiguous
             for a in (mu_grad, rho_grad)
         )
     )
@@ -1510,8 +1512,9 @@ def _posterior_gc_native(
     native.library.load().posterior_gc(
         grad_weight.ctypes.data, epsilon.ctypes.data, prior_nll_grad.ctypes.data,
         sigma.ctypes.data, sigmoid_rho.ctypes.data, grad_weight.shape[0],
-        mu_grad.size, float(kl_weight), int(bool(include_entropy_term)),
-        mu_grad.ctypes.data, rho_grad.ctypes.data,
+        sigma.size, float(kl_weight), int(bool(include_entropy_term)),
+        int(mu_grad.ndim == grad_weight.ndim), mu_grad.ctypes.data,
+        rho_grad.ctypes.data,
     )
     return mu_grad, rho_grad
 
@@ -1526,30 +1529,35 @@ def _plant_specials(rng, array: np.ndarray) -> None:
 def _posterior_gc_cases() -> list[dict[str, Any]]:
     rng = np.random.default_rng(0x6C)
     cases = []
-    for samples, shape, kl_weight, entropy, prefilled, specials in (
-        (8, (24, 10), 0.01, True, False, False),  # a dense layer's step
-        (3, (4, 2, 3, 3), 0.5, True, True, False),  # conv weights, pre-filled grads
-        (1, (7,), 0.0, False, True, False),
-        (5, (6, 5), 0, True, False, True),  # kl 0 with the entropy term: -0/sigma
-        (4, (9, 3), 1e-3, False, True, True),
-    ):
-        stack = (samples, *shape)
-        case = {
-            "grad_weight": rng.standard_normal(stack),
-            "epsilon": rng.standard_normal(stack),
-            "prior_nll_grad": rng.standard_normal(stack),
-            "kl_weight": kl_weight,
-            "sigma": np.logaddexp(0.0, rng.standard_normal(shape)),
-            "sigmoid_rho": rng.random(shape),
-            "include_entropy_term": entropy,
-            "mu_grad": rng.standard_normal(shape) if prefilled else np.zeros(shape),
-            "rho_grad": np.full(shape, -0.0) if prefilled else np.zeros(shape),
-        }
-        if specials:
-            for value in case.values():
-                if isinstance(value, np.ndarray):
-                    _plant_specials(rng, value)
-        cases.append(case)
+    # the battery twice: into accumulators, then into the tape's (S, *shape)
+    # destinations -- pre-filled with garbage that must be overwritten
+    for stacks in (False, True):
+        for samples, shape, kl_weight, entropy, prefilled, specials in (
+            (8, (24, 10), 0.01, True, False, False),  # a dense layer's step
+            (3, (4, 2, 3, 3), 0.5, True, True, False),  # conv weights, pre-filled grads
+            (1, (7,), 0.0, False, True, False),
+            (5, (6, 5), 0, True, False, True),  # kl 0 with the entropy term: -0/sigma
+            (4, (9, 3), 1e-3, False, True, True),
+        ):
+            stack = (samples, *shape)
+            out = stack if stacks else shape
+            garbage = rng.standard_normal(out) if stacks else np.full(out, -0.0)
+            case = {
+                "grad_weight": rng.standard_normal(stack),
+                "epsilon": rng.standard_normal(stack),
+                "prior_nll_grad": rng.standard_normal(stack),
+                "kl_weight": kl_weight,
+                "sigma": np.logaddexp(0.0, rng.standard_normal(shape)),
+                "sigmoid_rho": rng.random(shape),
+                "include_entropy_term": entropy,
+                "mu_grad": rng.standard_normal(out) if prefilled else np.zeros(out),
+                "rho_grad": garbage if prefilled else np.zeros(out),
+            }
+            if specials:
+                for value in case.values():
+                    if isinstance(value, np.ndarray):
+                        _plant_specials(rng, value)
+            cases.append(case)
     return cases
 
 
@@ -2107,8 +2115,9 @@ def _register_builtin(reg: KernelRegistry) -> None:
     reg.register_kernel(
         "posterior_gc",
         doc="GC stage of a Gaussian posterior: fold (S, *shape) sample "
-        "gradients into mu_grad / rho_grad in sample order (or, with "
-        "mu_grad=None, return the two per-sample contribution stacks).",
+        "gradients into mu_grad / rho_grad in sample order (or, given "
+        "(S, *shape) mu_grad / rho_grad, write the per-sample contributions "
+        "into them).",
         chain=("native", "reference"),
         rows_of=lambda grad_weight, *args, **kwargs: grad_weight.shape[0],
         conformance_cases=_posterior_gc_cases,
@@ -2120,7 +2129,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
             "reference",
             _posterior_gc_reference,
             description="NumPy passes over the (S, *shape) stacks, then S "
-            "in-place row adds per gradient",
+            "in-place row adds per gradient (or one assignment per stack)",
         ),
     )
     reg.register_backend(

@@ -69,9 +69,10 @@ _SIGNATURES = {
     # level_sizes, n_levels, stride_words, count, out
     "grng_reverse": [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _PTR, _PTR, _SIZE,
                      _SIZE, _SIZE, _PTR],
-    # g, eps, p, sigma, sgrad, samples, n, kl, entropy, mu_grad, rho_grad
+    # g, eps, p, sigma, sgrad, samples, n, kl, entropy, stacks, mu_grad,
+    # rho_grad
     "posterior_gc": [_PTR, _PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE, _DOUBLE,
-                     ctypes.c_int, _PTR, _PTR],
+                     ctypes.c_int, ctypes.c_int, _PTR, _PTR],
     # data, shape, ndim, out, written
     "json_dumps_f64": [_PTR, _PTR, _SIZE, _PTR, _PTR],
     # text, len, offset, out, cap, info

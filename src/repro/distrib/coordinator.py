@@ -473,9 +473,10 @@ class DistributedBackend:
             self._metrics.unregister_collector(self._collector)
         workers = self._workers + self._retired
         for worker in workers:
+            if not worker.process.is_alive():
+                continue  # a dead worker reads no shutdown message
             if abort:
-                if worker.process.is_alive():
-                    worker.process.terminate()
+                worker.process.terminate()
             else:
                 try:
                     worker.task_queue.put(None)
@@ -486,6 +487,12 @@ class DistributedBackend:
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.kill()
                 worker.process.join(timeout=timeout)
+            # the feeder thread holds the pipe's fds until it exits: wait for
+            # it, unless a dead worker's unread bytes may block it for ever
+            drained = worker.task_queue.empty()
+            worker.task_queue.close()
+            if drained:
+                worker.task_queue.join_thread()
         self._close_arenas(workers)
         self._workers = []
         self._retired = []

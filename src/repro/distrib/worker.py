@@ -52,6 +52,7 @@ import mmap
 import os
 import traceback
 from collections import deque
+from contextlib import ExitStack
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -172,10 +173,10 @@ class ResultArena:
 
 
 class _ArenaTape(SampleGradientTape):
-    """Tape that files every stack into its arena slot as it is recorded.
+    """Tape that files every stack into its arena slot.
 
-    The engine then never holds a whole row block's stacks beside the
-    arena: each one is released as soon as the layer that built it returns.
+    The GC stage is lent the slot as its destination and writes its stacks
+    in place; any other stack (a bias one) is copied in as it is recorded.
     """
 
     def __init__(
@@ -183,11 +184,20 @@ class _ArenaTape(SampleGradientTape):
     ) -> None:
         super().__init__()
         self._slot = (arena, block_index, samples)
+        self._cell = arena.cell(block_index, samples)
+
+    def destination(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        slot = self._cell.get(name)
+        if slot is not None and slot.shape == tuple(shape):
+            return slot
+        return super().destination(name, shape)  # ``record`` refuses the stack
 
     def record(self, name: str, stack: np.ndarray) -> None:
-        arena, block_index, samples = self._slot
         stack = np.asarray(stack)
-        super().record(name, arena.write(block_index, samples, name, stack))
+        if stack is not self._cell.get(name):
+            arena, block_index, samples = self._slot
+            stack = arena.write(block_index, samples, name, stack)
+        super().record(name, stack)
 
 
 class _RowBlockReplay:
@@ -364,51 +374,54 @@ class ShardEngine:
         model.zero_grad()
         sampler = _RowBlockReplay(bank.batched_sampler(), len(row_blocks))
         blocks = []
-        for block_index in range(len(row_blocks)):
-            x_slot, y_slot = data_slots(block_index)
-            x, y = resolved[x_slot], resolved[y_slot]
-            # KL/prior/entropy terms are row-count independent: they enter
-            # exactly once per sample, through row block 0
-            first_block = block_index == 0
-            sampler.begin_block(block_index)
-            if arena is None:
-                tape = SampleGradientTape()
-            else:
-                tape = _ArenaTape(arena, block_index, samples)
-            with tape:
-                logits = model.forward_samples(x, sampler)
-                nlls: list[float] = []
-                probabilities = np.empty_like(logits)
-                grad_logits = np.empty_like(logits)
-                for local_index in range(len(samples)):
-                    if row_normalised:
-                        nlls.append(
-                            self.loss.forward_rows(logits[local_index], y, total_rows)
+        with ExitStack() as pins:  # rho's transcendentals once per unit
+            for layer in model.bayesian_layers():
+                pins.enter_context(layer.weight_posterior._pinned_rho())
+            for block_index in range(len(row_blocks)):
+                x_slot, y_slot = data_slots(block_index)
+                x, y = resolved[x_slot], resolved[y_slot]
+                # KL/prior/entropy terms are row-count independent: they enter
+                # exactly once per sample, through row block 0
+                first_block = block_index == 0
+                sampler.begin_block(block_index)
+                if arena is None:
+                    tape = SampleGradientTape()
+                else:
+                    tape = _ArenaTape(arena, block_index, samples)
+                with tape:
+                    logits = model.forward_samples(x, sampler)
+                    nlls: list[float] = []
+                    probabilities = np.empty_like(logits)
+                    grad_logits = np.empty_like(logits)
+                    for local_index in range(len(samples)):
+                        if row_normalised:
+                            nlls.append(
+                                self.loss.forward_rows(logits[local_index], y, total_rows)
+                            )
+                        else:
+                            nlls.append(self.loss.forward(logits[local_index], y))
+                        probabilities[local_index] = loss_probabilities(
+                            self.loss, logits[local_index]
                         )
-                    else:
-                        nlls.append(self.loss.forward(logits[local_index], y))
-                    probabilities[local_index] = loss_probabilities(
-                        self.loss, logits[local_index]
+                        if row_normalised:
+                            grad_logits[local_index] = self.loss.backward_rows()
+                        else:
+                            grad_logits[local_index] = self.loss.backward()
+                    model.backward_samples(
+                        grad_logits,
+                        sampler,
+                        kl_weight=payload["kl_weight"] if first_block else 0.0,
+                        include_entropy_term=(
+                            payload["include_entropy_term"] if first_block else False
+                        ),
                     )
-                    if row_normalised:
-                        grad_logits[local_index] = self.loss.backward_rows()
-                    else:
-                        grad_logits[local_index] = self.loss.backward()
-                model.backward_samples(
-                    grad_logits,
-                    sampler,
-                    kl_weight=payload["kl_weight"] if first_block else 0.0,
-                    include_entropy_term=(
-                        payload["include_entropy_term"] if first_block else False
-                    ),
-                )
-            missing = set(self._parameters) - set(tape.contributions)
-            if missing:  # pragma: no cover - layer code failing its contract
-                raise RuntimeError(
-                    f"no per-sample contributions captured for {sorted(missing)}"
-                )
-            stacks = tape.contributions if arena is None else None
-            blocks.append((stacks, nlls, probabilities))
+                missing = set(self._parameters) - set(tape.contributions)
+                if missing:  # pragma: no cover - layer code failing its contract
+                    raise RuntimeError(
+                        f"no per-sample contributions captured for {sorted(missing)}"
+                    )
+                stacks = tape.contributions if arena is None else None
+                blocks.append((stacks, nlls, probabilities))
         bank.finish_iteration()
 
         cells = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -467,6 +468,7 @@ class TestDispatchUnits:
         x, y = batches[0]
         gc.collect()  # earlier tests' queues give their pipes back here
         mappings, fds = _shared_anonymous_mappings(), _open_fds()
+        threads = set(threading.enumerate())
         distributed = distributed_trainer(
             spec, _config(4, 32), n_workers=2, policy="reversible", build_seed=99
         )
@@ -489,6 +491,9 @@ class TestDispatchUnits:
         finally:
             distributed.close()
         assert all(arena.closed for arena in arenas)
+        # close() waits for the task queues' feeder threads, which hold the
+        # pipes' fds until they exit: nothing is left to garbage collection
+        assert set(threading.enumerate()) <= threads
         del distributed, backend, victim
         gc.collect()
         assert _shared_anonymous_mappings() == mappings
