@@ -1682,6 +1682,16 @@ def _json_loads_f64_cases() -> list[dict[str, Any]]:
         (b"[[true, null], [1, 2]]", 0),  # declined: the reference decides
         (b"[[], []]", 0),
         (b"[NaN, Infinity, -Infinity, -0.0]", 0),
+        # the Eisel-Lemire fast path's edges: 19 / 20 significant digits
+        # (leading zeros do not count), q = -342 / -343 / 308 / 309, exact
+        # ties (q in [-4, 23]), the subnormal edge and overflow
+        (b"[0.1234567890123456789, 0.12345678901234567891, 1234567890123456789.0, "
+         b"12345678901234567891.0, 0.0000000000001234567890123456789, "
+         b"0.00000000000012345678901234567891, 0.000000000000000000000000000]", 0),
+        (b"[1e-342, 1e-343, 1e308, 1e309, 9999999999999999999e-342, "
+         b"17976931348623157e292, 4.9406564584124654e-324, 1e-0000000000000000001]", 0),
+        (b"[9007199254740993.0, 9007199254740995.0, 1e23, 2.4703282292062327e-324, "
+         b"2.4703282292062328e-324, 1.7976931348623159e308, -0.0, 0e5, -0E-0]", 0),
     ):
         cases.append({"text": text, "offset": offset})
     return cases
@@ -2196,8 +2206,9 @@ def _register_builtin(reg: KernelRegistry) -> None:
             "native",
             _json_loads_f64_native,
             description="compiled parse of rectangular number arrays "
-            "(core/_json.c, strtod_l in the C locale); declined documents "
-            "go to the reference",
+            "(core/_json.c: Eisel-Lemire for float tokens of <= 19 significant "
+            "digits, strtod_l in the C locale for the rest); declined "
+            "documents go to the reference",
             supports=_json_loads_f64_native_supports,
             available=_native_available,
         ),

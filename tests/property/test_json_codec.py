@@ -18,14 +18,18 @@ bytes and values on:
 * eight threads encoding and decoding at once (the compiled calls run with
   the GIL released);
 * both gateway writers (buffered and chunked) with NaN, +-inf and -0.0
-  planted, and a process without a C compiler.
+  planted, and a process without a C compiler;
+* float tokens against ``float()``'s bits on both sides of the decoder's
+  Eisel-Lemire limits (19 significant digits, decimal exponents -342..308):
+  1-25-digit decimals, near-halfway tokens, and a seeded 240,000-token sweep.
 
-The Ryu power-of-5 tables committed in ``_json.c`` are regenerated here from
-Python integers and compared.
+The Ryu and Eisel-Lemire power-of-5 tables committed in ``_json.c`` are
+regenerated here from Python integers and compared.
 """
 
 from __future__ import annotations
 
+import decimal
 import http.client
 import json
 import sys
@@ -62,8 +66,25 @@ def pre_codec_loads(text: bytes, key: str) -> np.ndarray:
     return np.asarray(json.loads(text)[key], dtype=np.float64)
 
 
+def top_bits(value: int, bits: int) -> int:
+    """``value`` shifted to exactly ``bits`` bits, truncating."""
+    shift = value.bit_length() - bits
+    return value >> shift if shift >= 0 else value << -shift
+
+
+def eisel_lemire_pow5(q: int) -> int:
+    """5^q truncated to 128 bits as fast_float builds it: normalised for
+    q >= 0, the rounded-up reciprocal 2^b // 5^-q + 1 below."""
+    if q >= 0:
+        return top_bits(5**q, 128)
+    z = (5**-q).bit_length()
+    if q >= -27:  # the reciprocal is exact enough in 128 bits
+        return (1 << (z + 127)) // 5**-q + 1
+    return top_bits((1 << (2 * z + 128)) // 5**-q + 1, 128)
+
+
 def pow5_tables() -> str:
-    """The C block of Ryu's tables, from Python integers."""
+    """The C block of Ryu's and Eisel-Lemire's tables, from Python integers."""
     mask = (1 << 64) - 1
 
     def table(name: str, values: list[int]) -> list[str]:
@@ -72,12 +93,13 @@ def pow5_tables() -> str:
         return [f"static const uint64_t {name}[{len(values)}][2] = {{",
                 *("    " + row for row in rows), "};"]
 
-    split = []
-    for i in range(326):  # 5^i scaled to its top 125 bits
-        shift = (5**i).bit_length() - 125
-        split.append(5**i >> shift if shift >= 0 else 5**i << -shift)
+    split = [top_bits(5**i, 125) for i in range(326)]  # 5^i scaled to its top 125 bits
     inverse = [(1 << ((5**q).bit_length() - 1 + 125)) // 5**q + 1 for q in range(342)]
-    return "\n".join(table("POW5_SPLIT", split) + table("POW5_INV_SPLIT", inverse)) + "\n"
+    powers = [eisel_lemire_pow5(q) for q in range(-342, 309)]
+    return "\n".join(
+        table("POW5_SPLIT", split) + table("POW5_INV_SPLIT", inverse)
+        + table("POW5_128", powers)
+    ) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +215,86 @@ def test_nested_shapes_round_trip(name, array):
             assert_round_trip(array)
         else:  # a bare number is not an array: only the encoder takes it
             assert DUMPS(array) == pre_codec_dumps(array)
+
+
+# ----------------------------------------------------------------------
+# decoder: float tokens against float()'s bits, on both sides of the fast
+# path's limits (19 significant digits, decimal exponents -342..308)
+# ----------------------------------------------------------------------
+def assert_decodes_like_float(tokens: list[str]) -> None:
+    text = ("[" + ", ".join(tokens) + "]").encode()
+    value, end = LOADS(text, 0)
+    assert end == len(text)
+    assert value.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+
+@st.composite
+def decimal_tokens(draw) -> str:
+    """NUMBER_RE float tokens of 1-25 digits, exponents -400..400."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(1, len(digits)))
+    token = draw(st.sampled_from(["", "-"])) + (digits[:point].lstrip("0") or "0")
+    if point < len(digits):
+        token += "." + digits[point:]
+    if point == len(digits) or draw(st.booleans()):
+        token += draw(st.sampled_from(["e", "E", "e+", "E-", "e-"]))
+        token += str(draw(st.integers(0, 400)))
+    return token
+
+
+@st.composite
+def near_halfway_tokens(draw) -> str:
+    """The midpoint of two adjacent finite doubles to 17-19 digits, +-1 in
+    the last digit: the inputs where a short product would misround."""
+    bits = draw(st.integers(0, 0x7FEFFFFFFFFFFFFE))
+    low, high = floats_from_bits([bits, bits + 1]).tolist()
+    exact = decimal.Context(prec=800)  # any double's decimal expansion fits
+    midpoint = exact.divide(exact.add(decimal.Decimal(low), decimal.Decimal(high)), 2)
+    rounded = decimal.Context(prec=draw(st.integers(17, 19))).plus(midpoint)
+    _, digits, exponent = rounded.as_tuple()
+    significand = int("".join(map(str, digits))) + draw(st.sampled_from([-1, 0, 1]))
+    return f"{draw(st.sampled_from(['', '-']))}{significand}e{exponent}"
+
+
+@BACKENDS
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(decimal_tokens(), min_size=1, max_size=32))
+def test_decimal_tokens_decode_to_float_bits(name, tokens):
+    with forced(name):
+        assert_decodes_like_float(tokens)
+
+
+@BACKENDS
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(near_halfway_tokens(), min_size=1, max_size=16))
+def test_near_halfway_tokens_decode_to_float_bits(name, tokens):
+    with forced(name):
+        assert_decodes_like_float(tokens)
+
+
+@BACKENDS
+def test_seeded_sweep_decodes_to_float_bits(name):
+    """240,000 tokens: repr of random finite bit patterns, and 1-25-digit
+    decimals with exponents -345..309, of which about 24 % have more than 19
+    digits and about 0.7 % a decimal exponent outside -342..308."""
+    rng = np.random.default_rng(0x5EED)
+    count = 120_000
+    values = rng.integers(0, 2**64, count + 1000, dtype=np.uint64).view(np.float64)
+    tokens = [repr(v) for v in values[np.isfinite(values)][:count].tolist()]
+    lengths = rng.integers(1, 26, count).tolist()
+    points = rng.integers(0, 26, count).tolist()
+    exponents = rng.integers(-345, 310, count).tolist()
+    signs = rng.choice(["", "-"], count).tolist()
+    rows = (rng.integers(0, 10, (count, 25)) + ord("0")).astype(np.uint8)
+    rows[:, 0] = rng.integers(ord("1"), ord("9") + 1, count)  # no leading zero
+    for row, length, point, exponent, sign in zip(
+        rows.view("S25").ravel().tolist(), lengths, points, exponents, signs
+    ):
+        digits = row[:length].decode()
+        fraction = f".{digits[point:]}" if point < length else ""
+        tokens.append(f"{sign}{digits[:point] or '0'}{fraction}e{exponent}")
+    with forced(name):
+        assert_decodes_like_float(tokens)
 
 
 def test_native_declines_outside_its_domain():
