@@ -164,9 +164,9 @@ class BayesianLayer(Layer):
         :meth:`~repro.bnn.posteriors.GaussianPosterior.accumulate_sample_gradients`).
         """
         if kl_weight:
-            prior_grad = prior.nll_grad(sampled_weights)
+            prior_grad, prior_scale = prior.nll_grad_factors(sampled_weights)
         else:
-            prior_grad = np.zeros_like(sampled_weights)
+            prior_grad, prior_scale = np.zeros_like(sampled_weights), 1.0
         self.weight_posterior.accumulate_sample_gradients(
             grad_weight=grad_weight,
             epsilon=epsilon,
@@ -174,6 +174,7 @@ class BayesianLayer(Layer):
             prior_nll_grad=prior_grad,
             sigma=sigma,
             include_entropy_term=include_entropy_term,
+            prior_scale=prior_scale,
         )
 
     # the plain Layer protocol is not meaningful for Bayesian layers

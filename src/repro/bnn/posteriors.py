@@ -192,6 +192,7 @@ class GaussianPosterior:
         prior_nll_grad: np.ndarray,
         sigma: np.ndarray,
         include_entropy_term: bool = True,
+        prior_scale: float = 1.0,
     ) -> None:
         """Batched GC stage: :meth:`accumulate_gradients` for all ``S`` samples.
 
@@ -209,6 +210,9 @@ class GaussianPosterior:
         arithmetic runs on the ``posterior_gc`` dispatch point
         (:mod:`repro.core.backend`); the transcendentals stay here.  Under a
         tape the ``(S, *shape)`` stacks go into memory the tape lends.
+
+        The prior gradient is ``prior_nll_grad * prior_scale``, multiplied
+        inside the GC pass (see :meth:`~repro.bnn.priors.Prior.nll_grad_factors`).
         """
         if (
             grad_weight.ndim != len(self.shape) + 1
@@ -232,7 +236,7 @@ class GaussianPosterior:
             rho_grad = tape.destination(self.rho.name, grad_weight.shape)
         _posterior_gc(
             grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
-            include_entropy_term, mu_grad, rho_grad,
+            include_entropy_term, mu_grad, rho_grad, prior_scale,
         )
         if tape is not None:
             tape.record(self.mu.name, mu_grad)

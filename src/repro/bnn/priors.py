@@ -30,6 +30,14 @@ class Prior:
         """Gradient of ``-log P(w)`` with respect to ``w`` (element-wise)."""
         raise NotImplementedError
 
+    def nll_grad_factors(self, weights: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(p, scale)`` whose product ``p * scale`` is :meth:`nll_grad`, bytewise.
+
+        The batched GC stage multiplies the two itself, so a prior whose
+        gradient is the weights times a constant builds no array for it.
+        """
+        return self.nll_grad(weights), 1.0
+
 
 class GaussianPrior(Prior):
     """Zero-mean isotropic Gaussian prior ``N(0, sigma_c^2)``.
@@ -53,6 +61,9 @@ class GaussianPrior(Prior):
 
     def nll_grad(self, weights: np.ndarray) -> np.ndarray:
         return np.asarray(weights) * self._inv_var
+
+    def nll_grad_factors(self, weights: np.ndarray) -> tuple[np.ndarray, float]:
+        return np.asarray(weights), self._inv_var
 
     def __repr__(self) -> str:
         return f"GaussianPrior(sigma={self.sigma})"

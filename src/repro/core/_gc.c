@@ -3,7 +3,9 @@
  * write each sample's two contributions into (S, n) stacks.
  *
  * g, eps and p are (S, n) C-contiguous stacks (the data-fit gradient at the
- * sampled weight, its epsilon and the prior gradient); sigma and sgrad are the
+ * sampled weight, its epsilon and the prior gradient before its scalar factor
+ * prior_scale: p * prior_scale is the prior gradient, so a Gaussian prior
+ * hands over the weights and 1 / sigma_c^2); sigma and sgrad are the
  * step's softplus(rho) and sigmoid(rho), computed by NumPy so the
  * transcendentals keep NumPy's bytes.  Per element and per sample this runs
  * exactly the NumPy body's IEEE operations with the operands in its order,
@@ -16,13 +18,13 @@
 
 int posterior_gc(const double *g, const double *eps, const double *p,
                  const double *sigma, const double *sgrad, size_t samples,
-                 size_t n, double kl, int entropy, int stacks,
+                 size_t n, double kl, double prior_scale, int entropy, int stacks,
                  double *mu_grad, double *rho_grad)
 {
     if (stacks) {  /* nothing to sum: one sample-major pass */
         for (size_t s = 0, at = 0; s < samples; s++)
             for (size_t i = 0; i < n; i++, at++) {
-                double t = mu_grad[at] = g[at] + kl * p[at];
+                double t = mu_grad[at] = g[at] + kl * (p[at] * prior_scale);
                 double sg = eps[at] * t;
                 rho_grad[at] = (entropy ? sg - kl / sigma[i] : sg) * sgrad[i];
             }
@@ -31,7 +33,7 @@ int posterior_gc(const double *g, const double *eps, const double *p,
     for (size_t i = 0; i < n; i++) {
         double mu = mu_grad[i], rho = rho_grad[i];
         for (size_t s = 0, at = i; s < samples; s++, at += n) {
-            double t = g[at] + kl * p[at];
+            double t = g[at] + kl * (p[at] * prior_scale);
             double sg = eps[at] * t;
             if (entropy)
                 sg = sg - kl / sigma[i];

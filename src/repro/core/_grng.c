@@ -19,8 +19,16 @@
  * chosen at run time, so the library's own flags stay generic (whole-library
  * AVX-512 code generation slows the conv kernels in the same object).
  *
- * Built by repro.core.native with plain -O2: no -ffast-math, the standardise
- * step is a true IEEE divide, so outputs are bit-identical to NumPy.
+ * Forward generation can also hand its values straight to the sampler: given
+ * a layer's mu and sigma (one value per column k, shared by every row) it
+ * writes the sampled weights eps * sigma[k] + mu[k] into w, and writes the
+ * epsilons into out only when out is not NULL.  Each sigma is checked as it
+ * is read; a negative one stops the call with status -2 (the caller commits
+ * nothing of it).
+ *
+ * Built by repro.core.native with plain -O2 and -ffp-contract=off: no
+ * -ffast-math, the standardise step is a true IEEE divide and the weight a
+ * multiply then an add, so outputs are bit-identical to NumPy.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -52,12 +60,13 @@ static inline uint64_t reverse64(uint64_t x)
  * sequence word i is h[i-W] ^ XOR_s (h[i-W] >> s | h[i-W+1] << (64 - s)): it
  * needs only the words W and W-1 back (W = n_words >= 2).  Time order is oldest bit first,
  * i.e. the register read Rn..R1, hence the bit reversal on the way in and
- * out.  Emits ((double)popcount - mean) / std.  This is the row body;
- * grng_forward below runs it or the lane body. */
+ * out.  Emits ((double)popcount - mean) / std, and the weights when w is
+ * given.  This is the row body; grng_forward below runs it or the lane body. */
 int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
                       int64_t *last_pc, size_t rows, size_t n_words,
                       const int32_t *shifts, size_t stride_words, size_t count,
-                      double mean, double std, double *out)
+                      double mean, double std, double *out, const double *mu,
+                      const double *sigma, double *w)
 {
     const int s0 = shifts[0], s1 = shifts[1], s2 = shifts[2];
     if (n_words < 2 || n_words > GRNG_MAX_WORDS || stride_words < 1)
@@ -65,7 +74,7 @@ int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
     for (size_t r = 0; r < rows; r++, state += n_words, new_state += n_words) {
         uint64_t h[GRNG_MAX_WORDS + GRNG_SCRATCH_WORDS];
         int32_t pc = 0;
-        size_t until_emit = stride_words, remaining = count * stride_words;
+        size_t k = 0, until_emit = stride_words, remaining = count * stride_words;
         for (size_t j = 0; j < n_words; j++) {
             h[j] = reverse64(state[n_words - 1 - j]);
             pc += popcount64(h[j]);
@@ -74,13 +83,21 @@ int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
             size_t n = remaining < GRNG_SCRATCH_WORDS ? remaining : GRNG_SCRATCH_WORDS;
             for (size_t j = 0; j < n; j++) {
                 uint64_t a = h[j], b = h[j + 1];
-                uint64_t w = a ^ (a >> s0 | b << (64 - s0))
-                               ^ (a >> s1 | b << (64 - s1))
-                               ^ (a >> s2 | b << (64 - s2));
-                h[n_words + j] = w;
-                pc += popcount64(w) - popcount64(a);
+                uint64_t word = a ^ (a >> s0 | b << (64 - s0))
+                                  ^ (a >> s1 | b << (64 - s1))
+                                  ^ (a >> s2 | b << (64 - s2));
+                h[n_words + j] = word;
+                pc += popcount64(word) - popcount64(a);
                 if (--until_emit == 0) {
-                    *out++ = ((double)pc - mean) / std;
+                    double eps = ((double)pc - mean) / std;
+                    if (out)
+                        *out++ = eps;
+                    if (w) {
+                        if (sigma[k] < 0)
+                            return -2;
+                        *w++ = eps * sigma[k] + mu[k];
+                    }
+                    k++;
                     until_emit = stride_words;
                 }
             }
@@ -99,14 +116,17 @@ int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
 #define GRNG_LANES 8
 #define GRNG_LANE_TARGET __attribute__((target("avx512f,avx512dq,avx512vpopcntdq")))
 
-/* The forward word form of grng_forward_rows, in every lane at once. */
+/* The forward word form of grng_forward_rows, in every lane at once.  The
+ * shift counts are vectors (vpsrlvq / vpsllvq): one uop each, where a shift
+ * by an xmm count is two, and the six shifts per word are most of the lane
+ * body's work. */
 GRNG_LANE_TARGET
-static inline __m512i lane_word(__m512i a, __m512i b, const __m128i *right,
-                                const __m128i *left)
+static inline __m512i lane_word(__m512i a, __m512i b, const __m512i *right,
+                                const __m512i *left)
 {
-    return a ^ (_mm512_srl_epi64(a, right[0]) | _mm512_sll_epi64(b, left[0]))
-             ^ (_mm512_srl_epi64(a, right[1]) | _mm512_sll_epi64(b, left[1]))
-             ^ (_mm512_srl_epi64(a, right[2]) | _mm512_sll_epi64(b, left[2]));
+    return a ^ (_mm512_srlv_epi64(a, right[0]) | _mm512_sllv_epi64(b, left[0]))
+             ^ (_mm512_srlv_epi64(a, right[1]) | _mm512_sllv_epi64(b, left[1]))
+             ^ (_mm512_srlv_epi64(a, right[2]) | _mm512_sllv_epi64(b, left[2]));
 }
 
 GRNG_LANE_TARGET
@@ -123,19 +143,22 @@ static inline __m512i lane_popcount(__m512i h0, __m512i h1, __m512i h2, __m512i 
  * results are dropped (the masked scatter never writes them).  The four
  * history words stay in vector registers: after each register's worth of new
  * words the window is exactly those words, so its popcount is their sum.  The
- * standardise is the row body's subtract and divide, per lane in IEEE double. */
+ * standardise is the row body's subtract and divide, per lane in IEEE double;
+ * every lane is at the same column k, so the weight is one broadcast multiply
+ * then one broadcast add. */
 GRNG_LANE_TARGET
-static void forward_lanes(const uint64_t *state, uint64_t *new_state,
-                          int64_t *last_pc, size_t lanes, const int32_t *shifts,
-                          size_t stride_words, size_t count, double mean,
-                          double std, double *out)
+static int forward_lanes(const uint64_t *state, uint64_t *new_state,
+                         int64_t *last_pc, size_t lanes, const int32_t *shifts,
+                         size_t stride_words, size_t count, double mean,
+                         double std, double *out, const double *mu,
+                         const double *sigma, double *w)
 {
     uint64_t words[4][GRNG_LANES] __attribute__((aligned(64)));
     int64_t index[GRNG_LANES], lane_pc[GRNG_LANES] __attribute__((aligned(64)));
-    __m128i right[3], left[3];
+    __m512i right[3], left[3];
     for (int t = 0; t < 3; t++) {
-        right[t] = _mm_cvtsi32_si128(shifts[t]);
-        left[t] = _mm_cvtsi32_si128(64 - shifts[t]);
+        right[t] = _mm512_set1_epi64(shifts[t]);
+        left[t] = _mm512_set1_epi64(64 - shifts[t]);
     }
     for (size_t r = 0; r < GRNG_LANES; r++) {
         size_t row = r < lanes ? r : lanes - 1;
@@ -157,8 +180,16 @@ static void forward_lanes(const uint64_t *state, uint64_t *new_state,
             h3 = lane_word(h3, h0, right, left);
         }
         pc = lane_popcount(h0, h1, h2, h3);
-        _mm512_mask_i64scatter_pd(out++, real, at,
-            _mm512_div_pd(_mm512_sub_pd(_mm512_cvtepi64_pd(pc), vmean), vstd), 8);
+        __m512d eps = _mm512_div_pd(_mm512_sub_pd(_mm512_cvtepi64_pd(pc), vmean), vstd);
+        if (out)
+            _mm512_mask_i64scatter_pd(out + k, real, at, eps, 8);
+        if (w) {
+            if (sigma[k] < 0)
+                return -2;
+            _mm512_mask_i64scatter_pd(w + k, real, at,
+                _mm512_add_pd(_mm512_mul_pd(eps, _mm512_set1_pd(sigma[k])),
+                              _mm512_set1_pd(mu[k])), 8);
+        }
     }
     _mm512_store_si512(lane_pc, pc);
     _mm512_store_si512(words[0], h0);
@@ -170,6 +201,7 @@ static void forward_lanes(const uint64_t *state, uint64_t *new_state,
             new_state[r * 4 + 3 - j] = reverse64(words[j][r]);
         last_pc[r] = lane_pc[r];
     }
+    return 0;
 }
 #endif
 
@@ -189,7 +221,7 @@ int grng_lane_width(void)
 int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
                  size_t rows, size_t n_words, const int32_t *shifts,
                  size_t stride_words, size_t count, double mean, double std,
-                 double *out)
+                 double *out, const double *mu, const double *sigma, double *w)
 {
     if (n_words < 2 || n_words > GRNG_MAX_WORDS || stride_words < 1)
         return -1;
@@ -199,20 +231,23 @@ int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
     if (n_words == 4 && stride_words % 4 == 0 && grng_lane_width() == GRNG_LANES) {
         for (size_t r = 0; r < rows; r += GRNG_LANES) {
             size_t lanes = rows - r < GRNG_LANES ? rows - r : GRNG_LANES;
-            if (lanes == 1)
-                grng_forward_rows(state + r * 4, new_state + r * 4, last_pc + r, 1,
-                                  4, shifts, stride_words, count, mean, std,
-                                  out + r * count);
-            else
-                forward_lanes(state + r * 4, new_state + r * 4, last_pc + r, lanes,
-                              shifts, stride_words, count, mean, std,
-                              out + r * count);
+            double *out_r = out ? out + r * count : NULL;
+            double *w_r = w ? w + r * count : NULL;
+            int status = lanes == 1
+                ? grng_forward_rows(state + r * 4, new_state + r * 4, last_pc + r,
+                                    1, 4, shifts, stride_words, count, mean, std,
+                                    out_r, mu, sigma, w_r)
+                : forward_lanes(state + r * 4, new_state + r * 4, last_pc + r,
+                                lanes, shifts, stride_words, count, mean, std,
+                                out_r, mu, sigma, w_r);
+            if (status)
+                return status;
         }
         return 0;
     }
 #endif
     return grng_forward_rows(state, new_state, last_pc, rows, n_words, shifts,
-                             stride_words, count, mean, std, out);
+                             stride_words, count, mean, std, out, mu, sigma, w);
 }
 
 /* Literal reverse: the mirrored taps are n_bits plus three small offsets

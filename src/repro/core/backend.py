@@ -782,11 +782,18 @@ _NATIVE_TAPS = 3
 
 
 def _grng_block_reference(
-    state_words, n_bits, offsets, stride, count, reverse, mean, std, out
+    state_words, n_bits, offsets, stride, count, reverse, mean, std, out,
+    mu=None, sigma=None, w_out=None,
 ):
     # Exactly the three NumPy dispatch points in sequence, one pass per
     # byte-capped chunk, each through the registry so its own selection,
-    # gate and counters keep applying.
+    # gate and counters keep applying; then, for a fused call, the sampler's
+    # ``mu + eps * sigma`` (a multiply, then an add into the product).
+    if w_out is not None:
+        if np.any(sigma < 0):
+            raise ValueError("sigma must be non-negative")
+        if out is None:
+            out = np.empty(w_out.shape, dtype=np.float64)
     chunk = max(1, _KERNEL_SEQ_BYTES * 8 // (state_words.shape[0] * stride))
     done = 0
     while done < count:
@@ -803,7 +810,10 @@ def _grng_block_reference(
             else registry.call("clt_standardise", popcounts, mean, std)
         )
         done += size
-    return out, state_words, popcounts[:, -1]
+    if w_out is not None:
+        np.multiply(out, sigma, out=w_out)
+        w_out += mu
+    return out, state_words, popcounts[:, -1], w_out
 
 
 @lru_cache(maxsize=64)
@@ -849,24 +859,49 @@ def _native_geometry(n_bits: int, offsets: tuple[int, ...], reverse: bool):
     return arrays
 
 
-def _grng_block_native_supports(
-    state_words, n_bits, offsets, stride, count, reverse, mean, std, out
-):
+def _c_array(array, dtype, shape, writable=False) -> bool:
+    """An aligned C-contiguous ``dtype`` array of ``shape`` (cheaper than
+    ``_strided``, which ``grng_block``'s per-layer calls would pay 8x a step)."""
+    if not isinstance(array, np.ndarray):
+        return False
+    flags = array.flags
     return (
-        stride % 64 == 0
+        array.dtype == dtype
+        and array.shape == shape
+        and flags.c_contiguous
+        and flags.aligned
+        and (flags.writeable or not writable)
+    )
+
+
+def _grng_block_native_supports(
+    state_words, n_bits, offsets, stride, count, reverse, mean, std, out,
+    mu=None, sigma=None, w_out=None,
+):
+    shape = (state_words.shape[0], count)
+    if w_out is None:
+        outputs = _c_array(out, np.int32 if reverse else np.float64, shape, True)
+    else:
+        outputs = (
+            not reverse
+            and (out is None or _c_array(out, np.float64, shape, True))
+            and _c_array(w_out, np.float64, shape, True)
+            and _c_array(mu, np.float64, (count,))
+            and _c_array(sigma, np.float64, (count,))
+        )
+    return (
+        outputs
+        and stride % 64 == 0
         and count >= 1
-        and _native_geometry(n_bits, tuple(offsets), bool(reverse)) is not None
         and state_words.dtype == np.uint64
         and state_words.shape[1:] == (n_bits // 64,)
-        and out.dtype == (np.int32 if reverse else np.float64)
-        and out.shape == (state_words.shape[0], count)
-        and out.flags.c_contiguous
-        and out.flags.writeable
+        and _native_geometry(n_bits, tuple(offsets), bool(reverse)) is not None
     )
 
 
 def _grng_block_native(
-    state_words, n_bits, offsets, stride, count, reverse, mean, std, out
+    state_words, n_bits, offsets, stride, count, reverse, mean, std, out,
+    mu=None, sigma=None, w_out=None,
 ):
     lib = native.library.load()
     tables = _native_geometry(n_bits, tuple(offsets), bool(reverse))
@@ -884,13 +919,18 @@ def _grng_block_native(
             out.ctypes.data,
         )
     else:
-        status = lib.grng_forward(
-            *head, tables[0].ctypes.data, stride // 64, count,
-            float(mean), float(std), out.ctypes.data,
+        fused = (None,) * 3 if w_out is None else (
+            mu.ctypes.data, sigma.ctypes.data, w_out.ctypes.data
         )
+        status = lib.grng_forward(
+            *head, tables[0].ctypes.data, stride // 64, count, float(mean),
+            float(std), None if out is None else out.ctypes.data, *fused,
+        )
+    if status == -2:
+        raise ValueError("sigma must be non-negative")
     if status:
         raise KernelBackendError(f"native grng_block rejected its arguments ({status})")
-    return out, new_state, last
+    return out, new_state, last, w_out
 
 
 def _grng_block_cases() -> list[dict[str, Any]]:
@@ -899,54 +939,69 @@ def _grng_block_cases() -> list[dict[str, Any]]:
     # The NumPy reverse path costs ~10 ms a call whatever the size and the
     # gate runs in every process that first dispatches here, so the reverse
     # cases are few and short; tests/property/test_lfsr_bitserial_oracle.py
-    # holds the long ones.
-    for n_bits, stride, count, rows, reverse in (
-        (256, 256, 700, 3, False),  # the paper's GRNG; odd row count
-        (256, 256, 150, 3, True),  # literal reverse, un-paired last row
-        (256, 256, 1, 1, False),  # degenerate: one value
-        (256, 64, 40, 2, False),  # stride narrower than the register
-        (256, 512, 40, 2, False),  # stride wider than the register
-        (256, 512, 9, 1, True),
+    # holds the long ones.  ``fused`` cases also pass (mu, sigma, w_out) and
+    # ask for the weights with ("eps") or without ("w") the epsilons; they
+    # ride on existing geometries, so the gate makes no extra NumPy pass.
+    for n_bits, stride, count, rows, reverse, fused in (
+        (256, 256, 700, 3, False, None),  # the paper's GRNG; odd row count
+        (256, 256, 150, 3, True, None),  # literal reverse, un-paired last row
+        (256, 256, 1, 1, False, "eps"),  # degenerate: one value
+        (256, 64, 40, 2, False, "eps"),  # stride narrower than the register
+        (256, 512, 40, 2, False, "w"),  # stride wider than the register
+        (256, 512, 9, 1, True, None),
         # past the reference path's byte cap: split calls continue one
         # register stream; the C scratch window wraps 70 times per row
-        (256, 256, 9000, 8, False),
+        (256, 256, 9000, 8, False, None),
         # one group of eight vector lanes plus a lone row, two full groups
-        (256, 256, 300, 9, False),
-        (256, 256, 120, 16, False),
-        (128, 128, 300, 3, False),  # std = sqrt(128)/2 is not a power of two
-        (128, 64, 24, 2, True),
-        (192, 192, 100, 2, False),
-        (64, 64, 24, 2, True),  # one-word register (reverse form only)
+        (256, 256, 300, 9, False, "eps"),
+        (256, 256, 120, 16, False, None),
+        # std = sqrt(128)/2 is not a power of two
+        (128, 128, 300, 3, False, "w"),
+        (128, 64, 24, 2, True, None),
+        (192, 192, 100, 2, False, None),
+        (64, 64, 24, 2, True, None),  # one-word register (reverse form only)
     ):
         taps = _lfsr_taps(n_bits)
-        cases.append(
-            {
-                "state_words": _random_state_words(rng, rows, n_bits),
-                "n_bits": n_bits,
-                "offsets": _mirrored(n_bits, taps) if reverse else taps,
-                "stride": stride,
-                "count": count,
-                "reverse": reverse,
-                "mean": n_bits / 2.0,
-                "std": math.sqrt(n_bits / 4.0),
-                "out": np.zeros(
-                    (rows, count), dtype=np.int32 if reverse else np.float64
-                ),
-            }
-        )
+        case = {
+            "state_words": _random_state_words(rng, rows, n_bits),
+            "n_bits": n_bits,
+            "offsets": _mirrored(n_bits, taps) if reverse else taps,
+            "stride": stride,
+            "count": count,
+            "reverse": reverse,
+            "mean": n_bits / 2.0,
+            "std": math.sqrt(n_bits / 4.0),
+            "out": np.zeros((rows, count), dtype=np.int32 if reverse else np.float64),
+        }
+        if fused:
+            # IEEE specials in both; sigma's are the non-negative ones
+            mu, sigma = rng.standard_normal(count), rng.random(count)
+            if count > 1:
+                _plant_specials(rng, mu)
+                sigma[rng.integers(0, count, size=4)] = (0.0, -0.0, np.inf, 5e-324)
+                sigma[rng.integers(0, count)] = np.nan
+            case.update(mu=mu, sigma=sigma, w_out=np.zeros((rows, count)))
+            if fused == "w":
+                case["out"] = None
+        cases.append(case)
     return cases
 
 
 def _check_grng_block(case, expected, got) -> None:
-    exp_out, exp_state, exp_last = expected
-    got_out, got_state, got_last = got
-    if got_out.dtype != exp_out.dtype or got_out.shape != exp_out.shape:
-        raise AssertionError(
-            f"out is {got_out.dtype}{got_out.shape}, oracle "
-            f"{exp_out.dtype}{exp_out.shape}"
-        )
-    if exp_out.tobytes() != got_out.tobytes():
-        raise AssertionError("emitted values are not byte-identical")
+    exp_out, exp_state, exp_last, exp_w = expected
+    got_out, got_state, got_last, got_w = got
+    if case["out"] is not None:
+        if got_out.dtype != exp_out.dtype or got_out.shape != exp_out.shape:
+            raise AssertionError(
+                f"out is {got_out.dtype}{got_out.shape}, oracle "
+                f"{exp_out.dtype}{exp_out.shape}"
+            )
+        if exp_out.tobytes() != got_out.tobytes():
+            raise AssertionError("emitted values are not byte-identical")
+    if case.get("w_out") is not None:
+        # NaN-ness, not NaN payload bits: the compiler may swap the operands
+        # of a commutative vector op, and x86 propagates the first NaN
+        _check_same_bytes(_nan_canonical(exp_w), _nan_canonical(got_w), "weights")
     if got_state.dtype != np.uint64 or not np.array_equal(exp_state, got_state):
         raise AssertionError("end-of-block register state differs from the oracle")
     if not np.array_equal(
@@ -1460,12 +1515,14 @@ def _maxpool2d_backward_cases() -> list[dict[str, Any]]:
 # arrive computed, so the transcendentals stay in NumPy on every backend.
 # ``mu_grad`` / ``rho_grad`` shaped like the parameter are accumulated into;
 # shaped like the (S, *shape) stacks (the distributed tape path) they are
-# overwritten with the per-sample contributions instead.
+# overwritten with the per-sample contributions instead.  The prior gradient
+# is ``prior_nll_grad * prior_scale``: a Gaussian prior passes the weights
+# and ``1 / sigma_c^2``, any other prior its gradient and 1.0.
 def _posterior_gc_reference(
     grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
-    include_entropy_term, mu_grad, rho_grad,
+    include_entropy_term, mu_grad, rho_grad, prior_scale=1.0,
 ):
-    total_w_grad = grad_weight + kl_weight * prior_nll_grad
+    total_w_grad = grad_weight + kl_weight * (prior_nll_grad * prior_scale)
     sigma_grad = epsilon * total_w_grad
     if include_entropy_term:
         sigma_grad = sigma_grad - kl_weight / sigma
@@ -1483,7 +1540,7 @@ def _posterior_gc_reference(
 
 def _posterior_gc_native_supports(
     grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
-    include_entropy_term, mu_grad, rho_grad,
+    include_entropy_term, mu_grad, rho_grad, prior_scale=1.0,
 ):
     if not isinstance(grad_weight, np.ndarray) or not isinstance(mu_grad, np.ndarray):
         return False
@@ -1492,8 +1549,10 @@ def _posterior_gc_native_supports(
     inputs = [(grad_weight, stacks), (epsilon, stacks), (prior_nll_grad, stacks),
               (sigma, shape), (sigmoid_rho, shape)]
     return (
-        isinstance(kl_weight, (float, int))
-        and not isinstance(kl_weight, bool)
+        all(
+            isinstance(scalar, (float, int)) and not isinstance(scalar, bool)
+            for scalar in (kl_weight, prior_scale)
+        )
         and all(
             _strided(a, np.float64, want) and a.flags.c_contiguous
             for a, want in inputs
@@ -1507,12 +1566,13 @@ def _posterior_gc_native_supports(
 
 def _posterior_gc_native(
     grad_weight, epsilon, prior_nll_grad, kl_weight, sigma, sigmoid_rho,
-    include_entropy_term, mu_grad, rho_grad,
+    include_entropy_term, mu_grad, rho_grad, prior_scale=1.0,
 ):
     native.library.load().posterior_gc(
         grad_weight.ctypes.data, epsilon.ctypes.data, prior_nll_grad.ctypes.data,
         sigma.ctypes.data, sigmoid_rho.ctypes.data, grad_weight.shape[0],
-        sigma.size, float(kl_weight), int(bool(include_entropy_term)),
+        sigma.size, float(kl_weight), float(prior_scale),
+        int(bool(include_entropy_term)),
         int(mu_grad.ndim == grad_weight.ndim), mu_grad.ctypes.data,
         rho_grad.ctypes.data,
     )
@@ -1532,12 +1592,13 @@ def _posterior_gc_cases() -> list[dict[str, Any]]:
     # the battery twice: into accumulators, then into the tape's (S, *shape)
     # destinations -- pre-filled with garbage that must be overwritten
     for stacks in (False, True):
-        for samples, shape, kl_weight, entropy, prefilled, specials in (
-            (8, (24, 10), 0.01, True, False, False),  # a dense layer's step
-            (3, (4, 2, 3, 3), 0.5, True, True, False),  # conv weights, pre-filled grads
-            (1, (7,), 0.0, False, True, False),
-            (5, (6, 5), 0, True, False, True),  # kl 0 with the entropy term: -0/sigma
-            (4, (9, 3), 1e-3, False, True, True),
+        # a prior_scale other than 1 is a Gaussian prior's 1 / sigma_c^2
+        for samples, shape, kl_weight, entropy, prefilled, specials, scale in (
+            (8, (24, 10), 0.01, True, False, False, 4.0),  # a dense layer's step
+            (3, (4, 2, 3, 3), 0.5, True, True, False, 1.0),  # conv, pre-filled grads
+            (1, (7,), 0.0, False, True, False, 1.0),
+            (5, (6, 5), 0, True, False, True, 1.0),  # kl 0 with the entropy term: -0/sigma
+            (4, (9, 3), 1e-3, False, True, True, 1 / 0.3**2),
         ):
             stack = (samples, *shape)
             out = stack if stacks else shape
@@ -1552,6 +1613,7 @@ def _posterior_gc_cases() -> list[dict[str, Any]]:
                 "include_entropy_term": entropy,
                 "mu_grad": rng.standard_normal(out) if prefilled else np.zeros(out),
                 "rho_grad": garbage if prefilled else np.zeros(out),
+                "prior_scale": scale,
             }
             if specials:
                 for value in case.values():
@@ -1956,7 +2018,9 @@ def _register_builtin(reg: KernelRegistry) -> None:
         doc="One fused GRNG pass per register row: `count` values of "
         "`stride` shifts each -- standardised float64 epsilons (forward) or "
         "int32 popcounts of the earlier patterns (reverse) -- written into "
-        "`out`; returns (out, new_state_words, last_popcounts).",
+        "`out`; forward, given per-column `mu` and `sigma`, also the sampled "
+        "weights mu + eps * sigma into `w_out` (then `out` may be None); "
+        "returns (out, new_state_words, last_popcounts, w_out).",
         chain=("native", "reference"),
         rows_of=lambda state_words, *args, **kwargs: state_words.shape[0],
         conformance_cases=_grng_block_cases,

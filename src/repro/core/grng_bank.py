@@ -13,7 +13,9 @@ conversion.
 Two interfaces are exposed:
 
 * the batched array interface (:meth:`GrngBank.epsilon_blocks`,
-  :meth:`GrngBank.epsilon_blocks_reverse`, :meth:`GrngBank.replay_blocks`)
+  :meth:`GrngBank.epsilon_blocks_reverse`, and the fused
+  :meth:`GrngBank.weight_blocks` / :meth:`GrngBank.replay_weight_blocks`
+  that return ``mu + eps * sigma``)
   for callers that operate on every sample at once;
 * per-row :class:`BankedGaussianRNG` views carrying the part of the scalar
   generator's surface that :class:`~repro.core.streams.EpsilonStream`
@@ -151,7 +153,7 @@ class GrngBank:
         # emits (one per ``stride`` shifts) and, forward, standardise.
         # Integer popcounts are exact, so the values are bit-identical for
         # any stride and any backend.  Returns the last popcount per row.
-        _, words, last = _grng_block(
+        _, words, last, _ = _grng_block(
             self._words[selection],
             self._n,
             self._reverse_taps if reverse else self._taps,
@@ -194,9 +196,54 @@ class GrngBank:
         # backend of the dispatch point produces byte-identical float64.
         return _clt_standardise(sums, self._mean, self._std)
 
+    def _fused(self, words, mu, sigma, epsilon: bool):
+        # One forward dispatch from ``words`` that writes the sampled weights
+        # (and, if asked, the epsilons); nothing of the bank moves here.
+        count = int(mu.size)
+        weights = np.empty((self.n_rows, count), dtype=np.float64)
+        values = np.empty_like(weights) if epsilon else None
+        if count == 0:
+            return weights, values, words.copy(), self._sums.copy()
+        _, end, last, _ = _grng_block(
+            words, self._n, self._taps, self._stride, count, False,
+            self._mean, self._std, values,
+            mu=mu.reshape(-1), sigma=sigma.reshape(-1), w_out=weights,
+        )
+        return weights, values, end, last
+
     # ------------------------------------------------------------------
     # batched array interface
     # ------------------------------------------------------------------
+    def register_words(self) -> np.ndarray:
+        """A copy of every row's packed register words (a checkpoint)."""
+        return self._words.copy()
+
+    def weight_blocks(
+        self, mu: np.ndarray, sigma: np.ndarray, epsilon: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Draw ``mu.size`` variables per row and return ``mu + eps * sigma``.
+
+        One fused kernel call: the ``(n_rows, mu.size)`` weights (``mu`` and
+        ``sigma`` flattened, shared by every row) are bit-identical to
+        building them from :meth:`epsilon_blocks`, and the epsilons are
+        returned as well only when ``epsilon`` is set.  A negative ``sigma``
+        raises :class:`ValueError` with every register and sum unmoved.
+        """
+        weights, values, end, last = self._fused(self._words, mu, sigma, epsilon)
+        self._words[...] = end
+        self._sums[...] = last
+        return weights, values
+
+    def replay_weight_blocks(
+        self, start_words: np.ndarray, mu: np.ndarray, sigma: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Regenerate :meth:`weight_blocks` from a :meth:`register_words` checkpoint.
+
+        Returns ``(weights, epsilons, end_words)``; the caller verifies the
+        landing words.  The bank's own registers and sums are not touched.
+        """
+        return self._fused(start_words, mu, sigma, True)[:3]
+
     def epsilon_blocks(self, count: int) -> np.ndarray:
         """Generate ``count`` Gaussian variables for every row at once.
 
@@ -221,53 +268,6 @@ class GrngBank:
         if count == 0:
             return np.zeros((self.n_rows, 0), dtype=np.float64)
         return self._generate_reverse(None, count)
-
-    def replay_blocks(
-        self,
-        start_states: Sequence[int],
-        count: int,
-        expected_end_states: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Replay one contiguous span of ``count`` variables for every row.
-
-        This is the whole-span batched counterpart of
-        :meth:`BankedGaussianRNG.replay_block`: the registers are rewound to
-        ``start_states`` (one checkpoint per row), the span is regenerated
-        with a single forward kernel call, and the landing patterns are
-        verified against ``expected_end_states`` (the pre-retrieval
-        patterns).  Registers are left on the span *end* -- callers that
-        retrieve a whole backward pass at once continue from exactly the
-        pattern the forward stage reached.  A failed check puts every
-        register and sum back where it was before the call.
-
-        Returns an ``(n_rows, count)`` float64 array, bit-identical to the
-        concatenated per-layer replays of the same span.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if len(start_states) != self.n_rows:
-            raise ValueError(
-                f"expected {self.n_rows} start states, got {len(start_states)}"
-            )
-        if count == 0:
-            return np.zeros((self.n_rows, 0), dtype=np.float64)
-        saved_words, saved_sums = self._words.copy(), self._sums.copy()
-        self._load(start_states)
-        values = self._generate_forward(None, count)
-        if expected_end_states is not None:
-            landed = self.states()
-            mismatched = [
-                row
-                for row in range(self.n_rows)
-                if landed[row] != int(expected_end_states[row])
-            ]
-            if mismatched:
-                self._words, self._sums = saved_words, saved_sums
-                raise ReplayError(
-                    "checkpoint replay did not land on the pre-retrieval "
-                    f"pattern for rows {mismatched}"
-                )
-        return values
 
     # ------------------------------------------------------------------
     # per-row interface

@@ -53,9 +53,9 @@ _CPU_FLAGS = (("popcnt", "-mpopcnt"), ("bmi2", "-mbmi2"))
 
 _SIZE, _PTR, _DOUBLE = ctypes.c_size_t, ctypes.c_void_p, ctypes.c_double
 # state, new_state, last_pc, rows, n_words, shifts, stride_words, count,
-# mean, std, out
+# mean, std, out, mu, sigma, w
 _FORWARD = [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
-            _PTR]
+            _PTR, _PTR, _PTR, _PTR]
 _SIGNATURES = {
     # the _conv.c kernels: data pointer(s) around one int64 geometry vector
     "conv_im2col": [_PTR, _PTR, _PTR],
@@ -69,10 +69,10 @@ _SIGNATURES = {
     # level_sizes, n_levels, stride_words, count, out
     "grng_reverse": [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _PTR, _PTR, _SIZE,
                      _SIZE, _SIZE, _PTR],
-    # g, eps, p, sigma, sgrad, samples, n, kl, entropy, stacks, mu_grad,
-    # rho_grad
+    # g, eps, p, sigma, sgrad, samples, n, kl, prior_scale, entropy, stacks,
+    # mu_grad, rho_grad
     "posterior_gc": [_PTR, _PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE, _DOUBLE,
-                     ctypes.c_int, ctypes.c_int, _PTR, _PTR],
+                     _DOUBLE, ctypes.c_int, ctypes.c_int, _PTR, _PTR],
     # data, shape, ndim, out, written
     "json_dumps_f64": [_PTR, _PTR, _SIZE, _PTR, _PTR],
     # text, len, offset, out, cap, info

@@ -21,13 +21,11 @@ one-row kernel call, independent of the other rows.
 the whole Monte-Carlo batch at once (the batched FW/BW/GC pipeline of
 ``BayesianNetwork.forward_samples``): its :meth:`~BatchedWeightSampler.sample`
 and :meth:`~BatchedWeightSampler.resample` return ``(S, *weight_shape)``
-epsilon and weight tensors pulled straight from the bank's batched forward /
-reversed / replay kernels -- no per-row views, no per-sample Python -- while
-still attributing traffic (:class:`~repro.core.streams.StreamUsage`) to each
-Monte-Carlo sample exactly like the per-sample streams would.  All three
-stream policies are supported and produce bit-identical values and byte
-accounting; :meth:`~BatchedWeightSampler.prefetch_forward` additionally fuses
-a whole forward pass's epsilon generation into a single kernel call.
+weight (and epsilon) tensors written by one fused kernel call per layer --
+no per-row views, no per-sample Python -- while still attributing traffic
+(:class:`~repro.core.streams.StreamUsage`) to each Monte-Carlo sample
+exactly like the per-sample streams would.  All three stream policies are
+supported and produce bit-identical values and byte accounting.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grng import ReplayError
 from .streams import EpsilonStream, StreamOrderError, StreamUsage
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -120,17 +117,19 @@ class WeightSampler:
 
 @dataclass(frozen=True)
 class SampledWeightsBatch:
-    """Sampled weights and epsilons for all ``S`` Monte-Carlo samples.
+    """Sampled weights (and their epsilons) for all ``S`` Monte-Carlo samples.
 
     Both tensors have shape ``(S, *weight_shape)``; slice ``[i]`` is exactly
     what :class:`SampledWeights` of sample ``i``'s scalar sampler would hold.
+    ``epsilon`` is ``None`` where no epsilon was materialised: a forward
+    sample under the ``"reversible"`` and ``"reversible-hw"`` policies.
     """
 
     weights: np.ndarray
-    epsilon: np.ndarray
+    epsilon: np.ndarray | None
 
     def __post_init__(self) -> None:
-        if self.weights.shape != self.epsilon.shape:
+        if self.epsilon is not None and self.weights.shape != self.epsilon.shape:
             raise ValueError(
                 "weights and epsilon must have the same shape, got "
                 f"{self.weights.shape} vs {self.epsilon.shape}"
@@ -148,9 +147,12 @@ class _BatchBlockRecord:
 
     shape: tuple[int, ...]
     count: int
-    #: Stored epsilon values, kept only under the ``"stored"`` policy (the
-    #: software analogue of spilling the whole block set to DRAM).
-    stored_values: np.ndarray | None = field(default=None, repr=False)
+    #: ``"reversible"``: every row's register words before the block.
+    checkpoint: np.ndarray | None = field(default=None, repr=False)
+    #: ``"stored"``: the read-only block itself (the software analogue of
+    #: spilling it to DRAM); ``"reversible-hw"``: its reversed regeneration,
+    #: filled in when the backward pass starts.
+    epsilon: np.ndarray | None = field(default=None, repr=False)
 
 
 class BatchedWeightSampler:
@@ -161,19 +163,19 @@ class BatchedWeightSampler:
     class serves all ``S`` samples per call by driving the bank's batched
     kernels directly:
 
-    * ``sample(mu, sigma)`` generates the layer's epsilon block for every
-      sample with one forward kernel call (or serves it from a
-      :meth:`prefetch_forward` superblock) and returns ``(S, *shape)``
-      weights ``mu + eps * sigma``;
-    * ``resample(mu, sigma)`` reconstructs the identical blocks for the
-      backward / gradient stages.  The first ``resample`` of an iteration
-      retrieves the *entire* outstanding span in one batched kernel call:
-      a whole-span checkpoint replay (``"reversible"``), a whole-span
-      reversed-shift regeneration (``"reversible-hw"``), or the stored
-      values (``"stored"``).
+    * ``sample(mu, sigma)`` draws the layer's block for every sample with one
+      fused kernel call that writes the ``(S, *shape)`` weights
+      ``mu + eps * sigma`` straight away.  Only the ``"stored"`` policy also
+      materialises the epsilons (and keeps them, read-only); the
+      ``"reversible"`` policy keeps the layer's start registers instead.
+    * ``resample(mu, sigma)`` reconstructs the identical block for the
+      backward / gradient stages, layer by layer in reverse order: a replay
+      from the layer's own checkpoint (``"reversible"``), a slice of one
+      whole-span reversed-shift regeneration (``"reversible-hw"``), or the
+      stored values (``"stored"``).
 
     The call contract mirrors the trainers' pipeline: a full forward pass
-    (``sample`` per Bayesian layer, optionally preceded by
+    (``sample`` per Bayesian layer, optionally announced by
     ``prefetch_forward``) followed by a full backward pass (``resample`` in
     reverse layer order), then :meth:`finish_iteration`.  Values, register
     trajectories and per-sample :class:`~repro.core.streams.StreamUsage`
@@ -197,9 +199,10 @@ class BatchedWeightSampler:
         self._usages = list(usages)
         self._policy = policy
         self._records: list[_BatchBlockRecord] = []
-        self._prefetched: list[tuple[int, np.ndarray]] = []
-        self._retrieval_values: list[np.ndarray] | None = None
-        self._span_start_states: list[int] | None = None
+        self._schedule: list[int] = []
+        self._retrieving = False
+        #: ``"reversible"``: the words the next replay must land on.
+        self._landing: np.ndarray | None = None
         self._hw_resume_states: list[int] | None = None
 
     # ------------------------------------------------------------------
@@ -228,73 +231,78 @@ class BatchedWeightSampler:
         """Number of generated blocks not yet consumed by the backward pass."""
         return len(self._records)
 
-    _validate = staticmethod(WeightSampler._validate)
+    @staticmethod
+    def _validate(mu: np.ndarray, sigma: np.ndarray) -> None:
+        # sigma < 0 is checked where the weights are built: by the kernel as
+        # it reads each value, or before _build_weights
+        if mu.shape != sigma.shape:
+            raise ValueError(
+                f"mu and sigma must have the same shape, got {mu.shape} vs {sigma.shape}"
+            )
+
+    def _batch(self, shape, weights, epsilon) -> SampledWeightsBatch:
+        full = (self.n_samples,) + tuple(shape)
+        return SampledWeightsBatch(
+            weights=weights.reshape(full),
+            epsilon=None if epsilon is None else epsilon.reshape(full),
+        )
 
     # ------------------------------------------------------------------
     # forward stage
     # ------------------------------------------------------------------
     def prefetch_forward(self, counts: Sequence[int]) -> None:
-        """Generate a whole forward pass's epsilon blocks with one kernel call.
+        """Announce a whole forward pass's block sizes, in forward order.
 
-        ``counts`` lists the per-layer block sizes in forward order (the
-        static layer schedule of the network).  Subsequent :meth:`sample`
-        calls are served from the superblock; slicing a single contiguous
-        generation is bit-identical to generating block by block because the
-        LFSR stream -- and therefore the window-popcount sequence -- is
-        continuous across block boundaries.
+        ``counts`` is the static layer schedule of the network; every
+        subsequent :meth:`sample` must request the next block of it.  Blocks
+        are still drawn layer by layer, each just in time.
         """
-        if self._retrieval_values is not None:
+        if self._retrieving:
             raise StreamOrderError(
                 "cannot prefetch forward blocks while a backward retrieval "
                 "is in progress"
             )
-        if self._prefetched:
+        if self._schedule:
             raise StreamOrderError(
                 "previous prefetched blocks were never consumed"
             )
         counts = [int(count) for count in counts]
         if any(count <= 0 for count in counts):
             raise ValueError(f"block counts must be positive, got {counts}")
-        if not counts:
-            return
-        if self._span_start_states is None:
-            self._span_start_states = self._bank.states()
-        superblock = self._bank.epsilon_blocks(sum(counts))
-        offset = 0
-        for count in counts:
-            self._prefetched.append((count, superblock[:, offset : offset + count]))
-            offset += count
+        self._schedule = counts
 
     def sample(self, mu: np.ndarray, sigma: np.ndarray) -> SampledWeightsBatch:
         """Forward-stage sampling for every Monte-Carlo sample at once."""
         self._validate(mu, sigma)
-        if self._retrieval_values is not None:
+        if self._retrieving:
             raise StreamOrderError(
                 "cannot sample new blocks while a backward retrieval is in "
                 "progress"
             )
         count = int(mu.size)
-        if self._prefetched:
-            prefetched_count, values = self._prefetched[0]
-            if prefetched_count != count:
-                # peek-don't-pop: an out-of-schedule request must leave the
-                # prefetch queue aligned for a caller that recovers
-                raise StreamOrderError(
-                    f"prefetched block of {prefetched_count} values does not "
-                    f"match the requested {count}; the sample() sequence must "
-                    "follow the prefetch_forward() schedule"
-                )
-            self._prefetched.pop(0)
-        else:
-            if self._span_start_states is None:
-                self._span_start_states = self._bank.states()
-            values = self._bank.epsilon_blocks(count)
-        epsilon = values.reshape((self.n_samples,) + mu.shape)
+        if self._schedule and self._schedule[0] != count:
+            # an out-of-schedule request must leave the schedule aligned for
+            # a caller that recovers
+            raise StreamOrderError(
+                f"prefetched block of {self._schedule[0]} values does not "
+                f"match the requested {count}; the sample() sequence must "
+                "follow the prefetch_forward() schedule"
+            )
+        checkpoint = (
+            self._bank.register_words() if self._policy == "reversible" else None
+        )
+        weights, epsilon = self._bank.weight_blocks(
+            mu, sigma, epsilon=self._policy == "stored"
+        )
+        if self._schedule:
+            self._schedule.pop(0)
+        if epsilon is not None:
+            # the stored block is what resample() hands back: nobody may
+            # write it in between
+            epsilon.flags.writeable = False
         self._records.append(
             _BatchBlockRecord(
-                shape=tuple(mu.shape),
-                count=count,
-                stored_values=epsilon if self._policy == "stored" else None,
+                tuple(mu.shape), count, checkpoint=checkpoint, epsilon=epsilon
             )
         )
         for usage in self._usages:
@@ -306,9 +314,7 @@ class BatchedWeightSampler:
                 usage.record_generate(count)
             else:
                 usage.record_generate(count)
-        return SampledWeightsBatch(
-            weights=self._build_weights(mu, sigma, epsilon), epsilon=epsilon
-        )
+        return self._batch(mu.shape, weights, epsilon)
 
     @staticmethod
     def _build_weights(
@@ -337,29 +343,37 @@ class BatchedWeightSampler:
         """Backward-stage reconstruction with the original epsilons.
 
         The blocks must be retrieved in reverse forward order (the LIFO walk
-        of backpropagation).  The first call retrieves the whole outstanding
-        span with a single batched kernel call.
+        of backpropagation).  Every check runs before any side effect, so a
+        refused call consumes and moves nothing.
         """
         self._validate(mu, sigma)
         if not self._records:
             raise StreamOrderError("no outstanding epsilon block to retrieve")
-        # validate against the outstanding record BEFORE any retrieval side
-        # effect (span replay / register rewind / pop), so an out-of-order
-        # backward walk fails without consuming or moving anything
-        if self._records[-1].shape != tuple(mu.shape):
+        record = self._records[-1]
+        if record.shape != tuple(mu.shape):
             raise StreamOrderError(
                 f"retrieval shape {tuple(mu.shape)} does not match outstanding "
-                f"block shape {self._records[-1].shape}; backward order must "
-                "mirror forward order"
+                f"block shape {record.shape}; backward order must mirror "
+                "forward order"
             )
-        if self._retrieval_values is None:
-            self._begin_retrieval()
-        assert self._retrieval_values is not None
-        record = self._records.pop()
-        values = self._retrieval_values.pop()
-        epsilon = np.ascontiguousarray(values).reshape(
-            (self.n_samples,) + mu.shape
-        )
+        if self._schedule:
+            raise StreamOrderError(
+                "cannot start the backward pass with unconsumed prefetched "
+                "forward blocks"
+            )
+        if self._policy == "reversible":
+            weights, epsilon = self._replay(record, mu, sigma)
+        else:
+            if np.any(sigma < 0):
+                raise ValueError("sigma must be non-negative")
+            if not self._retrieving and self._policy == "reversible-hw":
+                self._reverse_span()
+            epsilon = record.epsilon
+            if self._policy == "reversible-hw":
+                epsilon = np.ascontiguousarray(epsilon)
+            weights = self._build_weights(mu.reshape(-1), sigma.reshape(-1), epsilon)
+        self._retrieving = True
+        self._records.pop()
         for usage in self._usages:
             if self._policy == "stored":
                 usage.record_retrieve(record.count)
@@ -370,61 +384,46 @@ class BatchedWeightSampler:
             else:
                 usage.record_retrieve(record.count)
         if not self._records:
-            self._retrieval_values = None
-            self._span_start_states = None
-        return SampledWeightsBatch(
-            weights=self._build_weights(mu, sigma, epsilon), epsilon=epsilon
-        )
+            self._retrieving = False
+            self._landing = None
+        return self._batch(mu.shape, weights, epsilon)
 
-    def _begin_retrieval(self) -> None:
-        """Regenerate (or look up) the whole outstanding span, block by block."""
-        if self._prefetched:
+    def _replay(self, record: _BatchBlockRecord, mu, sigma):
+        """Regenerate one layer from its checkpoint and verify the landing.
+
+        The first replay must land on the registers the forward pass left
+        (the pre-retrieval patterns), every later one on the checkpoint of
+        the layer replayed before it -- the whole-span chain, link by link.
+        The bank's registers stay on the span end throughout.
+        """
+        landing = self._bank.register_words() if self._landing is None else self._landing
+        weights, epsilon, end = self._bank.replay_weight_blocks(
+            record.checkpoint, mu, sigma
+        )
+        if not np.array_equal(end, landing):
             raise StreamOrderError(
-                "cannot start the backward pass with unconsumed prefetched "
-                "forward blocks"
+                "checkpoint replay did not land on the pre-retrieval "
+                "patterns; the registers were modified outside the sampler"
             )
-        total = sum(record.count for record in self._records)
-        if self._policy == "stored":
-            self._retrieval_values = [
-                record.stored_values for record in self._records  # type: ignore[misc]
-            ]
-            return
-        if self._policy == "reversible":
-            assert self._span_start_states is not None
-            try:
-                span = self._bank.replay_blocks(
-                    self._span_start_states,
-                    total,
-                    expected_end_states=self._bank.states(),
-                )
-            except ReplayError as exc:
-                raise StreamOrderError(
-                    "whole-span checkpoint replay did not land on the "
-                    "pre-retrieval patterns; the registers were modified "
-                    "outside the sampler"
-                ) from exc
-            values: list[np.ndarray] = []
-            offset = 0
-            for record in self._records:
-                values.append(span[:, offset : offset + record.count])
-                offset += record.count
-            self._retrieval_values = values
-            return
-        # "reversible-hw": literal reversed shifting for the whole span; the
-        # registers physically rewind to the span start, and the farthest
-        # patterns are remembered so finish_iteration() can resume from them
-        # (the per-stream policy does the same in reset_epoch).
+        self._landing = record.checkpoint
+        return weights, epsilon
+
+    def _reverse_span(self) -> None:
+        """``"reversible-hw"``: regenerate the whole span by reversed shifting.
+
+        The registers physically rewind to the span start, and the farthest
+        patterns are remembered so finish_iteration() can resume from them
+        (the per-stream policy does the same in reset_epoch).
+        """
         self._hw_resume_states = self._bank.states()
+        total = sum(record.count for record in self._records)
         reversed_span = self._bank.epsilon_blocks_reverse(total)
-        values = [np.empty(0)] * len(self._records)
         offset = 0
-        for index in range(len(self._records) - 1, -1, -1):
-            count = self._records[index].count
+        for record in reversed(self._records):
             # Reverse shifting yields newest-value-first; restore generation
             # order so callers see exactly the forward block.
-            values[index] = reversed_span[:, offset : offset + count][:, ::-1]
-            offset += count
-        self._retrieval_values = values
+            record.epsilon = reversed_span[:, offset : offset + record.count][:, ::-1]
+            offset += record.count
 
     # ------------------------------------------------------------------
     def finish_iteration(self) -> None:
@@ -433,16 +432,15 @@ class BatchedWeightSampler:
             raise StreamOrderError(
                 f"{len(self._records)} epsilon block(s) were never retrieved"
             )
-        if self._prefetched:
+        if self._schedule:
             raise StreamOrderError(
-                f"{len(self._prefetched)} prefetched block(s) were never sampled"
+                f"{len(self._schedule)} prefetched block(s) were never sampled"
             )
         if self._hw_resume_states is not None:
             # Resume from the farthest pattern of the forward stage, exactly
             # like ReversibleGaussianStream.reset_epoch.
             self._bank.set_states(self._hw_resume_states)
             self._hw_resume_states = None
-        self._span_start_states = None
 
     def discard_pending(self) -> None:
         """Drop outstanding blocks without retrieving them.
@@ -452,9 +450,9 @@ class BatchedWeightSampler:
         dropping the bank).
         """
         self._records.clear()
-        self._prefetched.clear()
-        self._retrieval_values = None
-        self._span_start_states = None
+        self._schedule.clear()
+        self._retrieving = False
+        self._landing = None
         self._hw_resume_states = None
 
     def __repr__(self) -> str:

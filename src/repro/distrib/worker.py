@@ -208,11 +208,10 @@ class _RowBlockReplay:
     generation and one retrieval per layer, so ``StreamUsage`` is the
     single-process accounting by construction -- and keeps the
     ``SampledWeightsBatch`` objects it hands out; every later block gets the
-    same objects back in the same order.  What is kept is the resident set
-    the batched sampler already holds for an outstanding span (its
-    prefetched superblock and whole-span retrieval values), held until the
-    last block has consumed it: the forward records drain during the last
-    block's forward pass, the backward records during its backward pass.
+    same objects back in the same order: each layer's sampled weights (and
+    retrieved epsilons), held until the last block has consumed them.  The
+    forward records drain during the last block's forward pass, the backward
+    records during its backward pass.
     """
 
     def __init__(self, sampler: "BatchedWeightSampler", n_blocks: int) -> None:

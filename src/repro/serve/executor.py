@@ -114,17 +114,19 @@ def materialize_epsilon_sweep(
     """Generate a version's epsilon sweep exactly as ``mc_predict`` would.
 
     Epsilons are a pure function of the sampling configuration and the
-    per-layer weight *shapes* -- never of the posterior values -- so this
-    runs the genuine bank construction, whole-forward prefetch and
-    per-layer ``sample`` walk against zero-valued placeholders.  The
-    returned tensors are private to the caller (fresh contiguous copies).
+    per-layer weight *shapes* -- never of the posterior values, nor of the
+    stream policy -- so this runs the genuine bank construction, forward
+    schedule and per-layer ``sample`` walk against zero-valued placeholders,
+    on a ``"stored"`` bank: the one policy whose forward pass materialises
+    the epsilons.  The returned tensors are private to the caller (fresh
+    contiguous copies).
     """
     shapes = [tuple(int(dim) for dim in shape) for shape in shapes]
     if not shapes:
         raise ValueError("need at least one weight shape to materialise")
     bank = StreamBank(
         n_samples=config.n_samples,
-        policy="reversible",
+        policy="stored",
         seed=config.seed,
         lfsr_bits=config.lfsr_bits,
         grng_stride=config.grng_stride,
@@ -135,7 +137,7 @@ def materialize_epsilon_sweep(
     for shape in shapes:
         placeholder = np.zeros(shape, dtype=np.float64)
         sampled = sampler.sample(placeholder, placeholder)
-        epsilons.append(np.ascontiguousarray(sampled.epsilon))
+        epsilons.append(sampled.epsilon.copy())  # the sampler's are read-only
     # prediction never runs backward; drop the outstanding span
     sampler.discard_pending()
     return epsilons

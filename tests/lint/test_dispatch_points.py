@@ -1,0 +1,22 @@
+"""Ratchet: the kernel registry may not grow.
+
+:mod:`repro.core.backend` has 14 dispatch points.  Each is a name, a default
+chain, a conformance battery and a gate, so a new capability of an existing
+kernel extends that kernel's arguments (fused weight sampling is an optional
+``mu`` / ``sigma`` / ``w_out`` of ``grng_block``), and the registry diet may
+only lower the count.  Lower ``MAX_DISPATCH_POINTS`` when a point goes.
+"""
+
+from __future__ import annotations
+
+import repro.core.backend as backend
+
+MAX_DISPATCH_POINTS = 14
+
+
+def test_the_registry_does_not_grow():
+    names = backend.kernel_names()
+    assert len(names) <= MAX_DISPATCH_POINTS, (
+        f"{len(names)} dispatch points (limit {MAX_DISPATCH_POINTS}): extend an "
+        f"existing kernel instead of registering a new one; registered: {names}"
+    )

@@ -17,7 +17,7 @@ on its output, the fused ``grng_block`` point on its compiled ``native``
 backend (values, popcounts, end states, split calls, every width and row
 count its ``supports`` predicate accepts -- across the vector lane body's
 groups of eight rows at 256 bits when the CPU runs it) and ``GrngBank``'s
-forward -> whole-span replay -> reversed retrieval round trip.  The kernel's
+forward -> checkpoint replay -> reversed retrieval round trip.  The kernel's
 ``grng_forward`` is also held byte-equal to its row body alone over the whole
 domain.
 
@@ -345,7 +345,7 @@ def grng_block(seeds, n_bits, stride, count, reverse, mean=None, std=None):
     mean = n_bits / 2.0 if mean is None else mean
     std = math.sqrt(n_bits / 4.0) if std is None else std
     out = np.empty((len(seeds), count), dtype=np.int32 if reverse else np.float64)
-    _, new_words, last = backend.registry.call(
+    _, new_words, last, _ = backend.registry.call(
         "grng_block", to_words(seeds, n_bits), n_bits, kernel_offsets(n_bits, reverse),
         stride, count, reverse, mean, std, out,
     )
@@ -458,18 +458,22 @@ def test_native_standardise_is_numpy_division(states, count, stride, mean, std):
 # ----------------------------------------------------------------------
 # the two forward bodies of the compiled kernel: vector lanes vs rows
 # ----------------------------------------------------------------------
-def forward_body(function, state, shifts, stride_words, count, mean, std):
+def forward_body(function, state, shifts, stride_words, count, mean, std, mu=None, sigma=None):
+    """One body's (epsilons, end state, last popcounts[, weights]) bytes."""
     rows, n_words = state.shape
     new_state = np.empty_like(state)
     last = np.empty(rows, dtype=np.int64)
     out = np.empty((rows, count), dtype=np.float64)
+    weights = None if mu is None else np.empty((rows, count), dtype=np.float64)
     table = np.array(shifts, dtype=np.int32)
     status = function(
         state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words,
         table.ctypes.data, stride_words, count, mean, std, out.ctypes.data,
+        *((None,) * 3 if mu is None else (mu.ctypes.data, sigma.ctypes.data, weights.ctypes.data)),
     )
     assert status == 0
-    return out.tobytes(), new_state.tobytes(), last.tobytes()
+    result = (out.tobytes(), new_state.tobytes(), last.tobytes())
+    return result if mu is None else (*result, weights.tobytes())
 
 
 @given(
@@ -506,10 +510,16 @@ def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
     args = (state, shifts, stride_words, count, mean, std)
     lanes = forward_body(lib.grng_forward, *args)
     assert lanes == forward_body(lib.grng_forward_rows, *args)
+    # fused sampling: the weights too, one broadcast (mu, sigma) per column
+    values = np.random.default_rng(seed + 1)
+    mu, sigma = values.standard_normal(count), values.random(count)
+    fused = forward_body(lib.grng_forward, *args, mu, sigma)
+    assert fused[:3] == lanes
+    assert fused == forward_body(lib.grng_forward_rows, *args, mu, sigma)
 
 
 # ----------------------------------------------------------------------
-# GrngBank: forward -> whole-span replay -> reversed retrieval
+# GrngBank: forward -> checkpoint replay -> reversed retrieval
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     ("n_bits", "stride", "which"),
@@ -535,6 +545,7 @@ def check_bank_round_trip(n_bits, stride):
     start = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[:3]]
     bank = GrngBank(n_rows=len(start), n_bits=n_bits, stride=stride)
     bank.set_states(start)
+    start_words = bank.register_words()
     mean, std = n_bits / 2.0, math.sqrt(n_bits / 4.0)
     want = np.empty((len(start), count), dtype=np.float64)
     end = []
@@ -547,8 +558,12 @@ def check_bank_round_trip(n_bits, stride):
     assert forward.tobytes() == want.tobytes()
     assert bank.states() == end
 
-    replayed = bank.replay_blocks(start, count, expected_end_states=end)
+    weights, replayed, landed = bank.replay_weight_blocks(
+        start_words, np.zeros(count), np.ones(count)
+    )
     assert replayed.tobytes() == want.tobytes()
+    assert weights.tobytes() == want.tobytes()  # 0 + eps * 1
+    assert np.array_equal(landed, bank.register_words())
     assert bank.states() == end
 
     # Retrieval is newest first and starts with the variable just emitted.

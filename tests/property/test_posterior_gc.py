@@ -5,8 +5,9 @@ weight gradients into ``mu.grad`` / ``rho.grad`` through the ``posterior_gc``
 dispatch point.  The NumPy body it ran before that dispatch point existed is
 pasted below as the oracle, and both backends -- the NumPy ``reference`` and
 the compiled ``native`` loop -- are held to its bytes over random sample
-counts, dense and conv shapes, KL weights, the entropy switch, NaN / +-inf /
--0.0 in every input, and fresh or pre-filled gradients.  Counters prove the
+counts, dense and conv shapes, KL weights, prior scales (a Gaussian prior
+hands over its weights and ``1 / sigma_c^2``), the entropy switch, NaN /
++-inf / -0.0 in every input, and fresh or pre-filled gradients.  Counters prove the
 forced backend ran; inputs outside the compiled loop's domain (a strided
 stack, a float32 operand) must be declined and still give these bytes.
 
@@ -39,7 +40,10 @@ from repro.distrib.worker import ResultArena, _ArenaTape
 # the oracle: accumulate_sample_gradients' body before posterior_gc
 # ----------------------------------------------------------------------
 def _oracle(posterior, grad_weight, epsilon, kl_weight, prior_nll_grad, sigma,
-            include_entropy_term=True, tape=None):
+            include_entropy_term=True, tape=None, prior_scale=1.0):
+    # a Gaussian prior's nll_grad array, w * (1 / sigma_c^2), built first as
+    # the layer did before the scale moved into the kernel
+    prior_nll_grad = prior_nll_grad * prior_scale
     total_w_grad = grad_weight + kl_weight * prior_nll_grad
     sigma_grad = epsilon * total_w_grad
     if include_entropy_term:
@@ -118,6 +122,8 @@ def _force(name: str):
 DENSE = st.tuples(st.integers(1, 40), st.integers(1, 12))
 CONV = st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
 BACKENDS = pytest.mark.parametrize("name", ["reference", "native"])
+#: 1.0 (any prior's gradient as is) or a Gaussian prior's 1 / sigma_c^2
+PRIOR_SCALE = st.one_of(st.just(1.0), st.just(4.0), st.floats(1e-3, 1e3))
 
 
 @BACKENDS
@@ -129,19 +135,22 @@ BACKENDS = pytest.mark.parametrize("name", ["reference", "native"])
     include_entropy_term=st.booleans(),
     specials=st.booleans(),
     prefilled=st.booleans(),
+    prior_scale=PRIOR_SCALE,
 )
 @settings(max_examples=80, deadline=None)
 def test_gc_matches_the_pre_dispatch_body(
-    name, seed, samples, shape, kl_weight, include_entropy_term, specials, prefilled
+    name, seed, samples, shape, kl_weight, include_entropy_term, specials, prefilled,
+    prior_scale,
 ):
     (got, want), arrays = _inputs(seed, samples, shape, specials, prefilled)
     with np.errstate(all="ignore"):
         _oracle(want, kl_weight=kl_weight, include_entropy_term=include_entropy_term,
-                **arrays)
+                prior_scale=prior_scale, **arrays)
         with _force(name):
             before = _calls(name)
             got.accumulate_sample_gradients(
-                kl_weight=kl_weight, include_entropy_term=include_entropy_term, **arrays
+                kl_weight=kl_weight, include_entropy_term=include_entropy_term,
+                prior_scale=prior_scale, **arrays
             )
             assert _calls(name) == before + 1, "the call fell through to another backend"
     assert _canonical(got.mu.grad) == _canonical(want.mu.grad)
@@ -179,10 +188,11 @@ def test_outside_the_compiled_domain_the_reference_answers(tamper):
     kl_weight=st.one_of(st.sampled_from([0, 0.0]), st.floats(1e-6, 10.0)),
     include_entropy_term=st.booleans(),
     specials=st.booleans(),
+    prior_scale=PRIOR_SCALE,
 )
 @settings(max_examples=40, deadline=None)
 def test_the_tape_path_writes_the_oracle_stacks(
-    name, seed, samples, shape, kl_weight, include_entropy_term, specials
+    name, seed, samples, shape, kl_weight, include_entropy_term, specials, prior_scale
 ):
     """Stack mode: the forced backend runs and records the oracle's stacks."""
     (got, want), arrays = _inputs(seed, samples, shape, specials, prefilled=True)
@@ -190,11 +200,12 @@ def test_the_tape_path_writes_the_oracle_stacks(
     grads = got.mu.grad.copy(), got.rho.grad.copy()
     with np.errstate(all="ignore"):
         _oracle(want, kl_weight=kl_weight, include_entropy_term=include_entropy_term,
-                tape=want_tape, **arrays)
+                tape=want_tape, prior_scale=prior_scale, **arrays)
         with _force(name), got_tape:
             before = _calls(name)
             got.accumulate_sample_gradients(
-                kl_weight=kl_weight, include_entropy_term=include_entropy_term, **arrays
+                kl_weight=kl_weight, include_entropy_term=include_entropy_term,
+                prior_scale=prior_scale, **arrays
             )
             assert _calls(name) == before + 1, "the call fell through to another backend"
     assert got_tape.contributions.keys() == want_tape.contributions.keys()

@@ -4,7 +4,7 @@ The contract under test: :class:`~repro.core.sampler.BatchedWeightSampler`
 serves all ``S`` samples per call and is *bit-identical* -- values, register
 trajectories, traffic accounting -- to running the per-sample
 :class:`~repro.core.sampler.WeightSampler` objects sequentially, for every
-stream policy and stride, with and without whole-forward prefetching.
+stream policy and stride, with and without an announced forward schedule.
 """
 
 from __future__ import annotations
@@ -66,12 +66,18 @@ class TestBitEquivalence:
             seq_fwd, seq_bwd = _run_sequential(seq_bank, mus, sigmas)
             bat_fwd, bat_bwd = _run_batched(bat_bank, mus, sigmas, prefetch)
             for layer in range(len(mus)):
+                # only "stored" materialises forward epsilons; the others are
+                # held to the retrieved block of the same layer instead
+                if policy != "stored":
+                    assert bat_fwd[layer].epsilon is None
+                retrieved = bat_bwd[len(mus) - 1 - layer]
                 for s in range(4):
                     assert np.array_equal(
                         seq_fwd[s][layer].weights, bat_fwd[layer].weights[s]
                     )
+                    forward_eps = (bat_fwd[layer] if policy == "stored" else retrieved)
                     assert np.array_equal(
-                        seq_fwd[s][layer].epsilon, bat_fwd[layer].epsilon[s]
+                        seq_fwd[s][layer].epsilon, forward_eps.epsilon[s]
                     )
                     assert np.array_equal(
                         seq_bwd[s][layer].weights, bat_bwd[layer].weights[s]
@@ -104,9 +110,10 @@ class TestBitEquivalence:
             == bat_bank.total_epsilon_footprint_bytes()
         )
 
-    def test_forward_epsilons_continue_the_row_streams(self):
-        """The batched superblock consumes the same stream the row views do."""
-        bank = StreamBank(2, policy="reversible", seed=5, lfsr_bits=64, grng_stride=2)
+    @pytest.mark.parametrize("policy", ["stored", "reversible"])
+    def test_forward_epsilons_continue_the_row_streams(self, policy):
+        """The batched blocks consume the same stream the row views do."""
+        bank = StreamBank(2, policy=policy, seed=5, lfsr_bits=64, grng_stride=2)
         reference = GrngBank(
             n_bits=64,
             seed_indices=[5 * 1024, 5 * 1024 + 1],
@@ -117,7 +124,11 @@ class TestBitEquivalence:
         sigma = np.ones(6)
         batch = sampler.sample(mu, sigma)
         expected = reference.epsilon_blocks(6)
-        assert np.array_equal(batch.epsilon, expected)
+        # 0 + eps * 1 is eps bit for bit (an epsilon is never -0.0)
+        assert batch.weights.tobytes() == expected.tobytes()
+        if policy == "stored":
+            assert np.array_equal(batch.epsilon, expected)
+        assert np.array_equal(sampler.resample(mu, sigma).epsilon, expected)
 
 
 class TestContracts:
@@ -154,7 +165,7 @@ class TestContracts:
         for count in (4, 6):
             expected = reference.sample(np.zeros(count), np.ones(count))
             recovered = probed.sample(np.zeros(count), np.ones(count))
-            assert np.array_equal(expected.epsilon, recovered.epsilon)
+            assert np.array_equal(expected.weights, recovered.weights)
 
     def test_double_prefetch_raises(self):
         sampler = self._bank().batched_sampler()
@@ -241,43 +252,32 @@ class TestStridedKernel:
         stepped = backend.counters_snapshot()["lfsr_step_block"]["reference"]
         assert stepped["calls"] == 2 * -(-count // 32)
 
-    def test_replay_blocks_round_trip(self):
+    def test_replay_weight_blocks_round_trip(self):
         bank = GrngBank(n_rows=3, n_bits=64, stride=4)
-        start = bank.states()
+        start = bank.register_words()
         first = bank.epsilon_blocks(11)
-        end = bank.states()
-        replayed = bank.replay_blocks(start, 11, expected_end_states=end)
+        end = bank.register_words()
+        weights, replayed, landed = bank.replay_weight_blocks(
+            start, np.zeros(11), np.ones(11)
+        )
         assert np.array_equal(first, replayed)
-        assert bank.states() == end
+        assert weights.tobytes() == first.tobytes()  # 0 + eps * 1
+        assert np.array_equal(landed, end)
+        assert np.array_equal(bank.register_words(), end)
 
-    def test_replay_blocks_detects_modified_registers(self):
-        from repro.core import ReplayError
-
-        bank = GrngBank(n_rows=2, n_bits=64, stride=1)
-        start = bank.states()
-        bank.epsilon_blocks(5)
-        end = bank.states()
-        with pytest.raises(ReplayError):
-            bank.replay_blocks(start, 5, expected_end_states=[e ^ 1 for e in end])
-
-    def test_failed_replay_leaves_registers_untouched(self):
-        """A mismatched whole-span replay must not move any row."""
-        from repro.core import ReplayError
-
+    def test_replay_weight_blocks_leaves_the_bank_alone(self):
+        """A replay from any start words moves no register and no sum."""
         bank = GrngBank(n_rows=3, n_bits=64, stride=2)
-        start = bank.states()
+        start = bank.register_words()
         bank.epsilon_blocks(7)
         end = bank.states()
         sums = [bank.row_view(row).sum_register for row in range(3)]
-        bad_end = list(end)
-        bad_end[1] ^= 2  # only row 1 "tampered"
-        with pytest.raises(ReplayError):
-            bank.replay_blocks(start, 7, expected_end_states=bad_end)
+        stale = start.copy()
+        stale[1, 0] ^= np.uint64(2)  # only row 1 "tampered"
+        _, _, landed = bank.replay_weight_blocks(stale, np.zeros(7), np.ones(7))
+        assert not np.array_equal(landed, bank.register_words())
         assert bank.states() == end
         assert [bank.row_view(row).sum_register for row in range(3)] == sums
-        # the bank is still usable: a correct replay succeeds afterwards
-        values = bank.replay_blocks(start, 7, expected_end_states=end)
-        assert values.shape == (3, 7)
 
     def test_hw_discard_drops_stale_resume_states(self):
         """Stale reversible-hw resume states must die with discard_pending."""
@@ -295,3 +295,77 @@ class TestStridedKernel:
         bank.finish_iteration()
         # finish must NOT teleport the registers to the discarded span's end
         assert [snap.state for snap in bank.snapshots()] == states_before_finish
+
+
+class TestRetrievalGuards:
+    def test_stored_blocks_are_read_only_and_retrieved_as_generated(self):
+        """A caller cannot rewrite the stored block resample() hands back."""
+        kwargs = dict(policy="stored", seed=2, lfsr_bits=64, grng_stride=2)
+        bank, twin = StreamBank(3, **kwargs), StreamBank(3, **kwargs)
+        mu, sigma = np.zeros((4, 5)), np.ones((4, 5))
+        forward = bank.batched_sampler().sample(mu, sigma)
+        generated = twin.batched_sampler().sample(mu, sigma).epsilon.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(forward.epsilon, 2, out=forward.epsilon)
+        retrieved = bank.batched_sampler().resample(mu, sigma)
+        assert retrieved.epsilon.tobytes() == generated.tobytes()
+        assert not retrieved.epsilon.flags.writeable
+        bank.finish_iteration()
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_tampered_register_fails_the_first_resample_and_moves_nothing(self, row):
+        bank = StreamBank(3, policy="reversible", seed=6, grng_stride=256)
+        sampler = bank.batched_sampler()
+        layers = [(np.zeros(shape), np.full(shape, 0.1)) for shape in SHAPES]
+        for mu, sigma in layers:
+            sampler.sample(mu, sigma)
+        bank.streams[row].grng.lfsr.state ^= 1
+        states = bank.grng_bank.states()
+        sums = [bank.grng_bank.row_view(r).sum_register for r in range(3)]
+        usage = [dict(vars(stream.usage)) for stream in bank.streams]
+        with pytest.raises(StreamOrderError, match="did not land"):
+            sampler.resample(*layers[-1])
+        assert bank.grng_bank.states() == states
+        assert [bank.grng_bank.row_view(r).sum_register for r in range(3)] == sums
+        assert [vars(stream.usage) for stream in bank.streams] == usage
+        assert sampler.pending_blocks == len(layers)
+
+    def test_reversible_step_peaks_no_higher_than_stored(self):
+        """The paper's memory claim inside the process, without any timing.
+
+        A reduced B-MLP ``reversible`` step regenerates each layer just in
+        time and holds no epsilon between its forward and backward passes, so
+        its traced peak may not exceed the step that stores every epsilon.
+        Both peaks are set by the first layer's backward pass (its weights,
+        epsilons and weight gradients), so they are equal up to small Python
+        objects -- counters above the small-int cache, ctypes handles -- which
+        fall either way by a few hundred bytes; ``noise`` allows for those
+        and nothing layer-sized (at S = 8 the smallest layer's block is
+        40 KB, the largest 800 KB, a whole-span buffer 1.37 MB).
+        """
+        import tracemalloc
+
+        from repro.bnn import BNNTrainer, TrainerConfig
+        from repro.models import get_model
+
+        spec = get_model("B-MLP", reduced=True)
+        x = np.random.default_rng(0).standard_normal((16, 196))
+        y = np.arange(16) % 10
+
+        def peak(policy):
+            trainer = BNNTrainer(
+                spec.build_bayesian(seed=1),
+                TrainerConfig(n_samples=8, seed=3, grng_stride=256),
+                policy=policy,
+            )
+            trainer.train_step(x, y, kl_weight=0.01)  # gates, workspace, Adam state
+            tracemalloc.start()
+            try:
+                trainer.train_step(x, y, kl_weight=0.01)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        noise = 4096
+        reversible, stored = peak("reversible"), peak("stored")
+        assert reversible <= stored + noise, (reversible, stored)

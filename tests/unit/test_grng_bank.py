@@ -323,11 +323,14 @@ class TestReplay:
         # value for value, landing on each row's end pattern.
         bank = GrngBank(3, n_bits=64, stride=4)
         scalars = make_scalars(3)
-        starts = [bank.row_view(row).lfsr.state for row in range(3)]
+        starts = bank.register_words()
         blocks = [bank.row_view(row).epsilon_block(13) for row in range(3)]
-        ends = [bank.row_view(row).lfsr.state for row in range(3)]
-        replayed = bank.replay_blocks(starts, 13, expected_end_states=ends)
-        assert bank.states() == ends
+        ends = bank.register_words()
+        _, replayed, landed = bank.replay_weight_blocks(
+            starts, np.zeros(13), np.ones(13)
+        )
+        assert np.array_equal(landed, ends)
+        assert np.array_equal(bank.register_words(), ends)
         for row, scalar in enumerate(scalars):
             assert np.array_equal(replayed[row], blocks[row])
             assert np.array_equal(replayed[row], scalar.epsilon_block(13))

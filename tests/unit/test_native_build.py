@@ -276,7 +276,8 @@ def test_native_and_reference_agree_on_a_train_step(restore_selection):
     with backend.using("grng_block", "native"):
         got, native_counters = train_two_steps()
     assert got == want
-    # forward span + whole-span replay per step, nothing left on the NumPy chain
-    assert native_counters["grng_block"] == {"native": {"calls": 4, "rows": 12}}
+    # per step and Bayesian layer (2 x 4, S = 3): one fused forward call and
+    # one checkpoint replay; nothing left on the NumPy chain
+    assert native_counters["grng_block"] == {"native": {"calls": 16, "rows": 48}}
     assert "lfsr_step_block" not in native_counters
     assert reference_counters["lfsr_step_block"]["reference"]["calls"] >= 4
