@@ -19,9 +19,9 @@ input; CI runs them in separate jobs and emits one report each):
   speedup of the batched Monte-Carlo pipeline over the per-sample baseline
   (``vs_sequential``: the plain S-times loop with per-row generation);
 * the **serving** cases (``test_bench_serving``): per generator stride, the
-  aggregate-throughput speedup of the micro-batching server (``inline`` and
-  ``pool2`` worker modes, 8 concurrent clients x 4 requests) over the same
-  requests issued sequentially through per-request ``mc_predict``;
+  aggregate-throughput speedup of the micro-batching server (``inline``
+  mode, 8 concurrent clients x 4 requests) over the same requests issued
+  sequentially through per-request ``mc_predict``;
 * the **fused-tile** cases (``test_bench_serving_fused``): per generator
   stride, one executor tile of four pooled same-config requests with tile
   fusion on (``REPRO_FUSED=auto``, the probe-gated folded forward) vs off
@@ -144,7 +144,7 @@ GATEWAY_P99_MS = 2500.0
 GATEWAY_STEADY_PROFILE = "steady"
 
 #: The acceptance bound of PR 9: with full tracing on (sample rate 1.0,
-#: span trees assembled across the worker boundary, metrics collectors
+#: span trees assembled through the execution path, metrics collectors
 #: bound) the steady-soak p99 request latency may cost at most 5% over the
 #: identical soak with ``REPRO_OBS=0``.
 OBS_OVERHEAD_RATIO = 1.05

@@ -8,17 +8,14 @@ The baseline is the same 32 requests executed sequentially through standalone
 existed (each call paying its own stream-bank construction and epsilon
 generation).
 
-Three serving modes are timed against that baseline at two generator
-strides:
+The ``inline`` serving mode (tiles execute on the dispatcher thread) is
+timed against that baseline at two generator strides: ``stride256`` is the
+library-default sampling configuration, where per-request epsilon
+generation dominates and the server's cached replay shines; ``stride1`` is
+the hardware-faithful sliding-window mode with far cheaper generation, the
+conservative end of the speedup.
 
-* ``inline`` -- tiles execute on the dispatcher thread (single process);
-* ``pool2`` -- tiles shard round-robin across two replica worker processes;
-* ``stride256`` is the library-default sampling configuration, where
-  per-request epsilon generation dominates and the server's cached replay
-  shines; ``stride1`` is the hardware-faithful sliding-window mode with far
-  cheaper generation, the conservative end of the speedup.
-
-Every mode returns bit-identical answers (asserted here per round and
+Both modes return bit-identical answers (asserted here per round and
 property-tested in ``tests/integration/test_serving_equivalence.py``);
 ``benchmarks/emit_results.py`` turns a ``--benchmark-json`` dump of this
 module into the ``BENCH_serving.json`` serving-speedup report.
@@ -51,12 +48,7 @@ REQUESTS_PER_CLIENT = 4
 ROWS_PER_REQUEST = 16
 N_SAMPLES = 8
 
-#: mode -> worker count (None marks the sequential mc_predict baseline)
-SERVING_MODES: dict[str, int | None] = {
-    "sequential": None,
-    "inline": 0,
-    "pool2": 2,
-}
+SERVING_MODES = ("sequential", "inline")
 
 
 def _workload():
@@ -73,7 +65,7 @@ def _workload():
     return spec, model, requests
 
 
-@pytest.mark.parametrize("mode", list(SERVING_MODES))
+@pytest.mark.parametrize("mode", SERVING_MODES)
 @pytest.mark.parametrize("stride", [1, 256])
 def test_bench_serving(benchmark, stride, mode):
     # recorded into the --benchmark-json dump so emit_results.py derives
@@ -88,9 +80,8 @@ def test_bench_serving(benchmark, stride, mode):
         seed=0,
         grng_stride=stride,
     ).sample_probabilities
-    n_workers = SERVING_MODES[mode]
 
-    if n_workers is None:
+    if mode == "sequential":
 
         def run():
             outputs = [
@@ -107,7 +98,6 @@ def test_bench_serving(benchmark, stride, mode):
         return
 
     config = ServerConfig(
-        n_workers=n_workers,
         max_batch_rows=64,
         max_wait_ms=2.0,
         max_pending_rows=N_CLIENTS * REQUESTS_PER_CLIENT * ROWS_PER_REQUEST,

@@ -187,10 +187,7 @@ def main() -> None:
     #     splits, cache-line-straddling offsets).  REPRO_FUSED=0 forces the
     #     per-request fallback; either way the served bytes equal
     #     mc_predict, and the stats "fusion" block counts fused vs fallback
-    #     tiles -- a fallback is never silent.  Worker pools additionally
-    #     attach ONE shared epsilon-sweep copy per (version, config) via
-    #     multiprocessing.shared_memory (repro.serve.shm_cache), keeping
-    #     pool RSS sub-linear in the worker count.  Inspect the proof:
+    #     tiles -- a fallback is never silent.  Inspect the proof:
     #         python -m repro.core.stability --report
     from repro.core import stability
 

@@ -6,13 +6,12 @@ This is the production-shaped use of the library:
 2. capture it as a picklable :class:`~repro.models.ReplicaSpec`,
 3. start a :class:`~repro.serve.PredictionServer` that pools incoming
    requests into ``(S, batch)`` tiles for the batched Monte-Carlo engine and
-   shards them across two model-replica worker processes,
+   executes them inline on its dispatcher thread,
 4. fire eight concurrent clients at it and read the telemetry
    (throughput, p50/p99 latency, batch occupancy),
 5. verify the serving contract: every served answer is bit-identical to a
    standalone ``mc_predict`` call with the same sampling configuration --
-   pooling, epsilon-cache replay and worker sharding change throughput,
-   never bytes.
+   pooling and weight-sweep replay change throughput, never bytes.
 
 Run with::
 
@@ -46,13 +45,13 @@ def main() -> None:
     )
     trainer.fit(BatchLoader(train, batch_size=64, flatten=True).batches(), epochs=2)
 
-    # 2. capture the trained parameters as a replica recipe (what each worker
-    #    process rebuilds -- bit-identical to the trained model)
+    # 2. capture the trained parameters as a replica recipe (what the
+    #    executor rebuilds -- bit-identical to the trained model)
     replica = ReplicaSpec.capture(spec, trainer.model)
 
     # 3. the serving front-end: tiles of up to 64 rows, 2 ms flush deadline,
-    #    two worker processes each holding a replica + private epsilon cache
-    config = ServerConfig(n_workers=2, max_batch_rows=64, max_wait_ms=2.0)
+    #    one frozen replica + its cached weight sweeps per loaded version
+    config = ServerConfig(max_batch_rows=64, max_wait_ms=2.0)
     sampling = SamplingConfig(n_samples=8, seed=0, grng_stride=64)
 
     rng = np.random.default_rng(11)

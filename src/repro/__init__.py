@@ -15,8 +15,7 @@ as a pure-Python library.  It is organised as:
 * :mod:`repro.accel` -- an analytic accelerator simulator (mappings, traffic,
   energy, latency, FPGA resources, a GPU roofline reference);
 * :mod:`repro.serve` -- an asynchronous micro-batching serving front-end that
-  pools prediction requests into ``(S, batch)`` tiles for the batched engine,
-  optionally sharded across model-replica worker processes;
+  pools prediction requests into ``(S, batch)`` tiles for the batched engine;
 * :mod:`repro.distrib` -- a data-parallel distributed training engine that
   shards each training step across an elastic pool of worker processes (2-D:
   Monte-Carlo samples x minibatch row blocks), ships step state as

@@ -2343,8 +2343,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
 _register_builtin(registry)
 registry.load_env()
 
-# Fork safety (the serve worker pool and the distributed coordinator both
-# prefer fork-start workers): the registry lock is taken on every kernel call
+# Fork safety (the distributed coordinator prefers fork-start workers): the registry lock is taken on every kernel call
 # from arbitrary threads, so a fork racing a dispatch would hand the child a
 # lock that is held forever.  The stdlib-logging protocol makes the fork
 # atomic with respect to the lock: hold it across the fork in the parent and

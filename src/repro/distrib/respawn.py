@@ -1,8 +1,7 @@
-"""Shared worker-respawn machinery for the serving and training pools.
+"""Worker-respawn machinery for the distributed training pool.
 
-Both process pools (:class:`repro.serve.worker.WorkerPool` for inference
-tiles, :class:`repro.distrib.coordinator.DistributedBackend` for training
-shards) follow the same fault-tolerance discipline:
+The :class:`repro.distrib.coordinator.DistributedBackend` follows one
+fault-tolerance discipline:
 
 * a crashed worker process may be **replaced** a bounded number of times
   (``max_respawns`` across the pool's lifetime -- a model that kills every
@@ -11,14 +10,12 @@ shards) follow the same fault-tolerance discipline:
   number of times (``max_task_retries`` per work item) before its callers
   are failed.
 
-Re-execution is always safe in this codebase because both workloads are
-deterministic functions of their payload: a serving tile's epsilons derive
-from the request's seed, and a training shard's epsilons derive from the
-canonical generator states shipped with the step -- never from worker-local
-state.  Retrying therefore reproduces the exact bits the first attempt would
-have produced.
+Re-execution is always safe because a training shard is a deterministic
+function of its payload: its epsilons derive from the canonical generator
+states shipped with the step -- never from worker-local state.  Retrying
+therefore reproduces the exact bits the first attempt would have produced.
 
-Both worker loops also wait for work through :func:`next_task`, which makes
+The worker loop also waits for work through :func:`next_task`, which makes
 a worker exit once its pool's process is gone: a SIGKILLed parent runs no
 ``atexit`` handler, and a forked worker holds the write end of its own task
 queue, so it would otherwise never see an EOF.

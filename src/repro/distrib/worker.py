@@ -457,9 +457,9 @@ def _worker_main(
 ) -> None:
     """Training-worker process body: build the replica, then serve units.
 
-    The wire protocol mirrors the serving pool's: a ``("ready", rank, None)``
-    handshake after construction, then ``("done" | "error", task_id,
-    payload)`` per unit, with exceptions crossing the process boundary as
+    The wire protocol: a ``("ready", rank, None)`` handshake after
+    construction, then ``("done" | "error", task_id, payload)`` per unit,
+    with exceptions crossing the process boundary as
     formatted tracebacks.  A ``done`` payload names the sending ``rank``:
     the coordinator reads the stacks out of *that* worker's arena.  A
     delta-cache mismatch is not an error: the worker answers ``("resync",

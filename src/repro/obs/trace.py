@@ -1,22 +1,20 @@
-"""Request tracing: span trees threaded from gateway admission to workers.
+"""Request tracing: span trees threaded from gateway admission to execution.
 
 A :class:`Tracer` assigns each request an ID at admission and accumulates
 spans as the request moves through admission -> microbatcher waiting room ->
-tile assembly -> worker execution -> serialization.  Worker processes record
-leaf spans on their own monotonic clock via a :class:`StageRecorder`; the
-pool reconciles clocks with a per-rank offset captured from the worker's
-ready handshake (the offset is biased by the ready message's queue latency,
-which is microseconds against millisecond spans -- documented, accepted).
+tile assembly -> execution -> serialization.  The tile executor records
+leaf stage spans (epsilon replay, forward) into a :class:`StageRecorder` on
+the same monotonic clock, and the server attaches them under the request's
+``execute`` span.
 
 Finished traces land in a bounded ring buffer; a separate slowest-N exemplar
 heap keeps the worst offenders alive past ring eviction so
 ``GET /v1/traces?slowest=N`` can answer "where did the tail go?" long after
 the ring has churned.
 
-Tracing never touches response bodies: span data rides message side-channels
-(extra tuple elements on the worker task/done protocol, the ``X-Request-Id``
-response *header*) and the predict payload bytes are identical with tracing
-on, off, or sampled.
+Tracing never touches response bodies: span data rides side-channels (the
+stage recorder, the ``X-Request-Id`` response *header*) and the predict
+payload bytes are identical with tracing on, off, or sampled.
 """
 
 from __future__ import annotations
@@ -237,11 +235,11 @@ class Tracer:
 
 
 class StageRecorder:
-    """Lightweight span sink for worker processes and inline execution.
+    """Lightweight span sink for tile execution.
 
-    Records raw ``(name, start, end)`` stage timings on the local monotonic
-    clock; the parent drains them, converts via the per-rank clock offset,
-    and attaches them to the owning :class:`TraceHandle`.
+    Records raw ``(name, start, end)`` stage timings on the monotonic clock;
+    the server drains them after the tile and attaches them to each owning
+    :class:`TraceHandle`.
     """
 
     __slots__ = ("_spans",)

@@ -5,21 +5,19 @@ is the software analogue for inference traffic.  Individual prediction
 requests are pooled into ``(S, batch)`` tiles
 (:class:`~repro.serve.microbatcher.MicroBatcher`), executed through the
 batched Monte-Carlo engine with the per-config sampled-weight sweep cached
-and replayed (:class:`~repro.serve.executor.TileExecutor`), optionally sharded
-across model-replica worker processes
-(:class:`~repro.serve.worker.WorkerPool`), and answered through futures by
-the :class:`~repro.serve.server.PredictionServer` -- bit-identically to a
-standalone ``mc_predict`` call per request, for any pooling and any worker
-count.
+and replayed (:class:`~repro.serve.executor.TileExecutor`), and answered
+through futures by the :class:`~repro.serve.server.PredictionServer` --
+bit-identically to a standalone ``mc_predict`` call per request, for any
+pooling.
 
 Quick start::
 
     from repro.models import ReplicaSpec, get_model
-    from repro.serve import PredictionServer, SamplingConfig, ServerConfig
+    from repro.serve import PredictionServer, SamplingConfig
 
     spec = get_model("B-MLP", reduced=True)
     replica = ReplicaSpec.capture(spec, trained_model)
-    with PredictionServer(replica, ServerConfig(n_workers=2)) as server:
+    with PredictionServer(replica) as server:
         future = server.submit(x_batch, SamplingConfig(n_samples=8))
         result = future.result()          # a PredictiveResult
         print(result.predictions, result.entropy)
@@ -55,7 +53,6 @@ from .registry import (
 )
 from .server import PredictionServer, ServerClosed, ServerConfig
 from .stats import ServerStats, StatsSnapshot
-from .worker import TileExecutionError, WorkerCrashError, WorkerPool
 
 __all__ = [
     "SamplingConfig",
@@ -72,9 +69,6 @@ __all__ = [
     "ServerClosed",
     "ServerStats",
     "StatsSnapshot",
-    "WorkerPool",
-    "WorkerCrashError",
-    "TileExecutionError",
     "ModelRegistry",
     "ModelVersion",
     "Deployment",

@@ -153,10 +153,8 @@ def materialize_weight_sweep(
     come from :func:`materialize_epsilon_sweep` and the genuine
     ``_build_weights`` turns them into weights in place, so no second
     ``S x W`` buffer exists and no epsilon copy outlives the call.  The
-    tensors are returned read-only.  Both the in-process
-    :class:`TileExecutor` cache and the shared-memory store
-    (:mod:`repro.serve.shm_cache`) call this one function, which is what
-    makes their bytes interchangeable.
+    tensors are returned read-only: :class:`TileExecutor` caches and
+    replays them.
     """
     posteriors = [layer.weight_posterior for layer in model.bayesian_layers()]
     sweep = materialize_epsilon_sweep(
@@ -310,9 +308,9 @@ class EpsilonCache:
 class TileExecutor:
     """Execute one tile of pooled requests against a model replica.
 
-    One executor is single-threaded by design: the inline server runs it on
-    the dispatcher thread and each worker process owns a private instance
-    (model replica, sweep cache and scratch buffers are not shared).
+    One executor is single-threaded by design: the server runs it on the
+    dispatcher thread (model replica, sweep cache and scratch buffers are
+    not shared).
 
     The executor takes ownership of ``model`` and freezes it
     (:meth:`BayesianNetwork.freeze`): the cached sweeps are a function of
@@ -327,10 +325,7 @@ class TileExecutor:
     ) -> None:
         model.freeze()
         self._model = model
-        self._schedule = [
-            layer.n_bayesian_weights for layer in model.bayesian_layers()
-        ]
-        if not self._schedule:
+        if not model.bayesian_layers():
             raise ValueError("the served model has no Bayesian layers")
         self._cache = EpsilonCache(max_cached_configs)
         self._fusion_events: dict[str, int] = dict.fromkeys(FUSION_EVENT_KEYS, 0)
@@ -374,34 +369,6 @@ class TileExecutor:
                 n_samples=config.n_samples,
             )
         return PrecomputedWeightSampler(sweep)
-
-    def install_sweep(
-        self, config: SamplingConfig, sweep: Sequence[np.ndarray]
-    ) -> None:
-        """Adopt an externally built weight sweep (shared-memory attach path).
-
-        Validates the sweep against the model's layer schedule and the
-        config's ``n_samples`` before it can ever be replayed; the tensors
-        may be read-only views into a shared segment --
-        :class:`PrecomputedWeightSampler` never writes them.  Whether the
-        *values* belong to this replica is the publisher's contract (the
-        segment is keyed by version and built by
-        :func:`materialize_weight_sweep` from that version's replica).
-        """
-        sweep = list(sweep)
-        schedule = [int(block[0].size) for block in sweep]
-        if schedule != self._schedule:
-            raise StreamOrderError(
-                f"installed sweep schedule {schedule} does not match the "
-                f"network's forward schedule {self._schedule}"
-            )
-        for block in sweep:
-            if block.shape[0] != config.n_samples:
-                raise StreamOrderError(
-                    f"installed sweep has {block.shape[0]} samples, config "
-                    f"expects {config.n_samples}"
-                )
-        self._cache.put(config, sweep)
 
     _MAX_SCRATCH_SHAPES = 16
 
@@ -607,9 +574,8 @@ class MultiVersionExecutor:
 
     Thread-safety: execution is per-request under an internal lock, so the
     control operations (``load``/``unload``/``invalidate``, which arrive from
-    a deploy on another thread in the inline server) interleave between
-    requests, never mid-forward.  In a worker process both tiles and control
-    messages arrive through one task queue, so the lock is uncontended there.
+    a deploy on another thread) interleave between requests, never
+    mid-forward.
     """
 
     def __init__(
@@ -688,32 +654,19 @@ class MultiVersionExecutor:
             if executor is not None:
                 executor.cache.clear()
 
-    def install_sweep(
-        self,
-        version: str,
-        config: SamplingConfig,
-        sweep: Sequence[np.ndarray],
-    ) -> None:
-        """Install a shared-memory weight sweep into ``version``'s cache."""
-        with self._lock:
-            executor = self._require_locked(version)
-            executor.install_sweep(config, sweep)
-
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
     def execute(
         self,
-        requests: Sequence[tuple],
+        requests: Sequence[tuple[np.ndarray, SamplingConfig, str]],
     ) -> list[tuple[np.ndarray | None, Exception | None]]:
         """Execute a (possibly version-mixed) tile; element ``i`` answers request ``i``.
 
-        Each request is ``(x, config, version)``; a 2-element ``(x, config)``
-        request is accepted when exactly one version is loaded (the
-        single-model :class:`~repro.serve.worker.WorkerPool` surface).
-        Requests are grouped by pinned version and each group runs through
-        that version's :class:`TileExecutor.execute` -- so same-config
-        requests fuse even in a version-mixed tile.  Error isolation matches
+        Each request is ``(x, config, version)``.  Requests are grouped by
+        pinned version and each group runs through that version's
+        :class:`TileExecutor.execute` -- so same-config requests fuse even in
+        a version-mixed tile.  Error isolation matches
         :meth:`TileExecutor.execute`: a request pinned to an unloaded
         version fails alone with :class:`UnknownVersionError`.
         """
@@ -721,16 +674,7 @@ class MultiVersionExecutor:
             None
         ] * len(requests)
         by_version: OrderedDict[str, list[int]] = OrderedDict()
-        for index, request in enumerate(requests):
-            try:
-                if len(request) == 3:
-                    _, _, version = request
-                else:
-                    _, _ = request
-                    version = self._sole_version()
-            except Exception as exc:
-                outcomes[index] = (None, exc)
-                continue
+        for index, (_, _, version) in enumerate(requests):
             by_version.setdefault(version, []).append(index)
         for version, indices in by_version.items():
             # the lock is held for the whole version group: control
@@ -765,12 +709,3 @@ class MultiVersionExecutor:
             for key, value in events.items():
                 total[key] += value
         return total
-
-    def _sole_version(self) -> str:
-        with self._lock:
-            if len(self._executors) != 1:
-                raise UnknownVersionError(
-                    "a request without a version pin needs a single-version "
-                    f"executor; loaded: {sorted(self._executors)}"
-                )
-            return next(iter(self._executors))

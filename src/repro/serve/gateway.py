@@ -20,7 +20,7 @@ on the versioned serving stack.  The wire surface is versioned under
     on the wire are identical to the buffered encoding either way.
 
 ``GET /v1/healthz``
-    Liveness and rollout state (active version/generation, worker count).
+    Liveness and rollout state (active version/generation, loaded versions).
 
 ``GET /v1/stats``
     The :class:`~repro.serve.stats.StatsSnapshot` (per-version counters,
@@ -115,7 +115,6 @@ from .registry import (
 )
 from . import wire
 from .server import PredictionServer, ServerClosed, ServerConfig
-from .worker import WorkerCrashError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..models.zoo import ReplicaSpec
@@ -420,7 +419,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "status": "ok",
                 "active_version": active.version,
                 "generation": active.generation,
-                "n_workers": gateway.server_config.n_workers,
                 "loaded_versions": gateway.prediction_server.loaded_versions(),
             },
         )
@@ -568,7 +566,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         if handle is not None:
             # the gateway owns the handle's lifetime: the server threads its
-            # queue_wait/execute/worker spans through it but must not finish
+            # queue_wait/execute/stage spans through it but must not finish
             # it before the serialization span below is recorded
             handle.deferred = True
             self._trace_handle = handle
@@ -644,8 +642,6 @@ class _Handler(BaseHTTPRequestHandler):
                 handle.finish("aborted")
             raise _GatewayError(503, "unavailable", str(exc)) from None
         except Exception as exc:
-            if handle is not None and isinstance(exc, WorkerCrashError):
-                handle.finish("aborted")
             raise _GatewayError(
                 500, "internal", f"{type(exc).__name__}: {exc}"
             ) from None
@@ -806,7 +802,7 @@ class ServingGateway:
         registry = ModelRegistry()
         registry.register("v1", ReplicaSpec.capture(spec, model_v1))
         registry.deploy("v1")
-        with ServingGateway(registry, ServerConfig(n_workers=2)) as gateway:
+        with ServingGateway(registry) as gateway:
             url = f"http://{gateway.address[0]}:{gateway.address[1]}"
             ...  # POST {url}/v1/predict, POST {url}/v1/models/deploy, ...
     """
@@ -995,9 +991,6 @@ def main(argv: list[str] | None = None) -> int:
         "--versions", type=int, default=2, help="how many versions to register"
     )
     parser.add_argument(
-        "--workers", type=int, default=0, help="worker processes (0 = inline)"
-    )
-    parser.add_argument(
         "--registry-dir",
         default=None,
         help="persist the registry here; an existing directory is restored "
@@ -1033,7 +1026,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     gateway = ServingGateway(
         registry,
-        ServerConfig(n_workers=args.workers, trace_sample_rate=args.trace_sample),
+        ServerConfig(trace_sample_rate=args.trace_sample),
         GatewayConfig(
             host=args.host,
             port=args.port,

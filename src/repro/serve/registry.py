@@ -20,8 +20,8 @@ new weights.  The registry is the piece that makes the pinning well defined:
   (itself a new generation, so the deploy history stays an append-only log).
 
 The registry is deliberately free of execution machinery: the
-:class:`~repro.serve.server.PredictionServer` layers replica loading, sweep
--cache invalidation and worker reload on top of these primitives, and the
+:class:`~repro.serve.server.PredictionServer` layers replica loading and
+sweep-cache invalidation on top of these primitives, and the
 HTTP gateway exposes them at ``/models``.
 
 A registry may be **persistent**: constructed via :meth:`ModelRegistry.open`

@@ -8,21 +8,18 @@
 * a :class:`~repro.serve.microbatcher.MicroBatcher` pools requests into
   ``(S, batch)`` tiles under the ``max_batch_rows`` / ``max_wait_ms`` flush
   policy, with row-budget backpressure;
-* the dispatcher thread hands tiles either to an inline
-  :class:`~repro.serve.executor.TileExecutor` (``n_workers=0``; lowest
-  latency, single process) or to a
-  :class:`~repro.serve.worker.WorkerPool` of replica processes;
+* the dispatcher thread executes each tile inline on a
+  :class:`~repro.serve.executor.MultiVersionExecutor`;
 * each future resolves to the *exact* :class:`~repro.bnn.predict.PredictiveResult`
   a standalone ``mc_predict`` call with the same sampling configuration
   would return -- mean / entropy / per-sample probabilities included --
-  regardless of how requests were pooled or which worker ran them;
+  regardless of how requests were pooled;
 * :meth:`~PredictionServer.stats` reports throughput, p50/p99 latency and
   the batch-occupancy histogram.
 
-Failure semantics: a tile that raises fails only its own requests
-(:class:`TileExecutionError`); a dead worker fails exactly its outstanding
-tiles (:class:`WorkerCrashError`, never a hang); ``close(drain=True)``
-finishes queued work first, ``close(drain=False)`` fails it fast with
+Failure semantics: a request that raises fails only its own future (errors
+are isolated per request inside a tile); ``close(drain=True)`` finishes
+queued work first, ``close(drain=False)`` fails it fast with
 :class:`ServerClosed`.
 
 Hot model swap: constructed from a
@@ -44,17 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bnn.model import BayesianNetwork
 from ..bnn.predict import PredictiveResult
 from ..models.zoo import ReplicaSpec
 from ..obs.trace import StageRecorder, TraceHandle, Tracer
 from .executor import MultiVersionExecutor, SamplingConfig
 from .microbatcher import MicroBatcher, PendingItem, QueueClosed, _Arrival
 from .registry import Deployment, ModelRegistry, UnknownVersionError
-from .shm_cache import SharedEpsilonStore
 from .stats import ServerStats, StatsSnapshot
-from ..distrib.respawn import RespawnPolicy
-from .worker import WorkerCrashError, WorkerPool
 
 __all__ = ["PredictionServer", "ServerConfig", "ServerClosed"]
 
@@ -83,30 +76,11 @@ class ServerConfig:
     """Bound on submitters blocked behind the row budget (the micro-batcher's
     priority waiting room).  ``None`` keeps it unbounded; a bound makes
     overload shed deterministically instead of queueing blocked threads."""
-    n_workers: int = 0
-    """``0`` executes tiles inline on the dispatcher thread; ``>=1`` shards
-    tiles across that many replica processes."""
-    start_method: str | None = None
-    """Multiprocessing start method (``None``: fork where available)."""
-    worker_respawns: int = 0
-    """Total replacement workers the pool may spawn after crashes.  ``0``
-    keeps the fail-fast semantics (a dead worker's tiles fail immediately);
-    ``>= 1`` also re-queues a dead worker's in-flight tiles once before
-    failing their futures -- retried tiles return byte-identical results
-    because tile weights derive from the request's seed and pinned version,
-    not worker state."""
     max_cached_configs: int = 8
     """Weight sweeps kept per executor (one per sampling config, each
     ``n_samples x Bayesian weights x 8`` bytes)."""
     latency_window: int = 4096
     """Recent-request window for the latency percentiles."""
-    share_epsilon_sweeps: bool = True
-    """Worker-pool mode only: build each ``(version, config)`` sampled-weight
-    sweep once in the server process and publish it to the workers through
-    ``multiprocessing.shared_memory`` -- N workers share one physical copy
-    (sub-linear pool RSS) instead of building N private ones.  Attach
-    failures degrade silently to private materialisation, which is
-    bit-identical by construction."""
     trace_ring: int = 512
     """Finished traces retained in the tracer's ring buffer."""
     trace_slowest: int = 16
@@ -116,10 +90,6 @@ class ServerConfig:
     0 disables per-request tracing, as does ``REPRO_OBS=0``)."""
 
     def __post_init__(self) -> None:
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be non-negative")
-        if self.worker_respawns < 0:
-            raise ValueError("worker_respawns must be non-negative")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must be in [0, 1]")
 
@@ -155,10 +125,9 @@ class PredictionServer:
     Hot swap contract: every request is pinned to a ``(version, generation)``
     at :meth:`submit` time; :meth:`deploy` / :meth:`rollback` atomically move
     the *active* pointer for future requests while queued and in-flight
-    requests finish on their pinned version's replica.  A swap ships the
-    incoming version's replica to every execution site (inline executor or
-    all pool workers -- respawned replacements rebuild it too) *before* the
-    pointer moves, and drops the cached weight sweeps of every non-active
+    requests finish on their pinned version's replica.  A swap loads the
+    incoming version's replica into the executor *before* the pointer
+    moves, and drops the cached weight sweeps of every non-active
     version afterwards; previously loaded versions stay resident so
     ``rollback`` (and explicitly pinned canary requests) serve instantly.
     """
@@ -189,29 +158,14 @@ class PredictionServer:
         )
         self._tile_ids = itertools.count()
         self._executor: MultiVersionExecutor | None = None
-        self._pool: WorkerPool | None = None
         self._dispatcher: threading.Thread | None = None
-        self._inflight_lock = threading.Lock()
-        self._inflight: dict[int, tuple[list[PendingItem[_Request]], float]] = {}
-        # tile_id -> worker span payload, staged by the pool's trace_handler
-        # just before the matching done message resolves the tile
-        self._tile_spans: dict[int, dict] = {}
-        # version control plane: which versions are loaded at the execution
-        # sites, and how many admitted requests are pinned to each
+        # version control plane: which versions are loaded in the executor,
+        # and how many admitted requests are pinned to each
         self._version_lock = threading.Lock()
         self._loaded: set[str] = set()
         self._pins: dict[str, int] = {}
         # per-row input shape by version (registered contents are immutable)
         self._row_shapes: dict[str, tuple[int, ...]] = {}
-        # shared weight sweeps (worker-pool mode): parent-owned segments,
-        # published lazily per (version, config) from the dispatcher thread,
-        # each built from a frozen parent-side replica of its version
-        self._shm_store: SharedEpsilonStore | None = None
-        self._published: set[tuple[str, SamplingConfig]] = set()
-        self._publish_replicas: dict[str, BayesianNetwork] = {}
-        self._shm_lock = threading.Lock()
-        self._idle = threading.Event()
-        self._idle.set()
         self._started = False
         self._closed = False
 
@@ -233,7 +187,7 @@ class PredictionServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "PredictionServer":
-        """Build the executor (or fork the worker pool) and start dispatching."""
+        """Build the executor and start dispatching."""
         if self._started:
             raise RuntimeError("server already started")
         active = self._registry.active
@@ -245,31 +199,10 @@ class PredictionServer:
         self._started = True
         initial = {active.version: self._registry.get(active.version).replica}
         self._loaded = set(initial)
-        if self._config.n_workers:
-            # fork the workers BEFORE any service thread exists
-            respawn = (
-                RespawnPolicy(max_respawns=self._config.worker_respawns)
-                if self._config.worker_respawns
-                else None
-            )
-            self._pool = WorkerPool(
-                initial,
-                n_workers=self._config.n_workers,
-                result_handler=self._on_tile_result,
-                max_cached_configs=self._config.max_cached_configs,
-                start_method=self._config.start_method,
-                respawn=respawn,
-                fusion_handler=self._stats.record_fusion_events,
-                trace_handler=self._store_tile_spans,
-            )
-            self._pool.start()
-            if self._config.share_epsilon_sweeps:
-                self._shm_store = SharedEpsilonStore()
-        else:
-            self._executor = MultiVersionExecutor(
-                initial,
-                max_cached_configs=self._config.max_cached_configs,
-            )
+        self._executor = MultiVersionExecutor(
+            initial,
+            max_cached_configs=self._config.max_cached_configs,
+        )
         self._stats.reset_clock()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True
@@ -287,9 +220,8 @@ class PredictionServer:
         """Stop the server.
 
         ``drain=True`` completes everything already submitted before
-        returning; ``drain=False`` fails queued (and, in worker mode,
-        in-flight) requests with :class:`ServerClosed` /
-        :class:`~repro.serve.worker.WorkerCrashError` as fast as possible.
+        returning; ``drain=False`` fails queued requests with
+        :class:`ServerClosed` as fast as possible.
         """
         if not self._started or self._closed:
             self._closed = True
@@ -302,16 +234,6 @@ class PredictionServer:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=timeout)
             self._dispatcher = None
-        if drain:
-            self._idle.wait(timeout=timeout)
-        if self._pool is not None:
-            self._pool.stop(abort=not drain)
-            self._pool = None
-        if self._shm_store is not None:
-            self._shm_store.close()
-            self._shm_store = None
-            self._published.clear()
-            self._publish_replicas.clear()
         # any trace still open at shutdown is closed as aborted, never leaked
         # (finish is idempotent, so racing owners are harmless)
         self.tracer.abort_open()
@@ -456,7 +378,7 @@ class PredictionServer:
         return self._registry
 
     def loaded_versions(self) -> list[str]:
-        """Versions currently resident at the execution sites (sorted)."""
+        """Versions currently resident in the executor (sorted)."""
         with self._version_lock:
             return sorted(self._loaded)
 
@@ -515,13 +437,7 @@ class PredictionServer:
         with self._version_lock:
             if version in self._loaded:
                 return
-            if self._pool is not None:
-                # shipping to workers is a cheap queue put; the build cost is
-                # paid inside each worker without blocking admissions here
-                self._pool.load_version(version, replica)
-                self._loaded.add(version)
-                return
-        # inline: building the replica is the expensive part -- do it OUTSIDE
+        # building the replica is the expensive part -- do it OUTSIDE
         # the version lock so admissions and completions (which take the lock
         # to pin/unpin) keep flowing during a multi-second build
         assert self._executor is not None
@@ -532,16 +448,15 @@ class PredictionServer:
     def deploy(self, version: str) -> Deployment:
         """Hot-swap the active version; in-flight requests keep their pin.
 
-        Ordering inside the swap: the incoming replica is shipped to every
-        execution site *before* the registry pointer moves (per-worker task
-        queues are FIFO, so a request pinned after the swap can only reach a
-        worker that has already applied the load), and every *other* loaded
-        version's cached weight sweeps are dropped after it.  Returns the new
-        :class:`~repro.serve.registry.Deployment`.
+        Ordering inside the swap: the incoming replica is loaded into the
+        executor *before* the registry pointer moves (so a request pinned
+        after the swap always finds its version resident), and every *other*
+        loaded version's cached weight sweeps are dropped after it.  Returns
+        the new :class:`~repro.serve.registry.Deployment`.
         """
         if not self._started or self._closed:
             raise RuntimeError("the server is not running")
-        # pre-load outside the version lock (inline replica builds are slow);
+        # pre-load outside the version lock (replica builds are slow);
         # _swap_locked keeps a load fallback for the rare concurrent retire
         self._ensure_loaded(version)
         with self._version_lock:
@@ -559,30 +474,21 @@ class PredictionServer:
             return self._swap_locked(target, self._registry.rollback)
 
     def _swap_locked(self, version: str, registry_op) -> Deployment:
-        """Load ``version`` everywhere, swap the registry, invalidate caches."""
-        replica = self._registry.get(version).replica
+        """Load ``version``, swap the registry, invalidate caches."""
+        assert self._executor is not None
         if version not in self._loaded:
-            if self._pool is not None:
-                self._pool.load_version(version, replica)
-            else:
-                assert self._executor is not None
-                self._executor.load(version, replica)
+            self._executor.load(version, self._registry.get(version).replica)
             self._loaded.add(version)
         deployment = registry_op()
         # swap invalidation: cold versions keep their replicas (rollback
         # and pinned traffic stay instant) but drop their cached weight
         # sweeps -- they rebuild deterministically on the next request
         for other in self._loaded - {version}:
-            self._drop_shared_sweeps(other)
-            if self._pool is not None:
-                self._pool.invalidate_version(other)
-            else:
-                assert self._executor is not None
-                self._executor.invalidate(other)
+            self._executor.invalidate(other)
         return deployment
 
     def retire_version(self, version: str) -> None:
-        """Unload a version from every execution site and free its caches.
+        """Unload a version from the executor and free its caches.
 
         Refused while the version is active, is the rollback target, or has
         admitted requests still in flight -- retiring must never lose a
@@ -608,12 +514,8 @@ class PredictionServer:
                 )
             if version not in self._loaded:
                 return
-            self._drop_shared_sweeps(version)
-            if self._pool is not None:
-                self._pool.unload_version(version)
-            else:
-                assert self._executor is not None
-                self._executor.unload(version)
+            assert self._executor is not None
+            self._executor.unload(version)
             self._loaded.discard(version)
 
     def _row_shape(self, version: str) -> tuple[int, ...]:
@@ -650,98 +552,32 @@ class PredictionServer:
             )
             dispatched_at = time.monotonic()
             traced = any(item.item.trace is not None for item in tile)
-            with self._inflight_lock:
-                self._inflight[tile_id] = (tile, dispatched_at)
-                self._idle.clear()
             requests = [
                 (item.item.x, item.item.config, item.item.version) for item in tile
             ]
-            if self._pool is not None:
-                self._publish_sweeps(requests)
-                try:
-                    self._pool.dispatch(tile_id, requests, traced=traced)
-                except Exception as exc:
-                    self._on_tile_result(tile_id, None, exc)
+            assert self._executor is not None
+            recorder = StageRecorder() if traced else None
+            if recorder is not None:
+                self._executor.attach_stage_recorder(recorder)
+            try:
+                results = self._executor.execute(requests)
+            except Exception as exc:
+                results, error = None, exc
             else:
-                assert self._executor is not None
-                recorder = StageRecorder() if traced else None
-                if recorder is not None:
-                    self._executor.attach_stage_recorder(recorder)
-                try:
-                    results = self._executor.execute(requests)
-                except Exception as exc:
-                    results, error = None, exc
-                else:
-                    error = None
-                if recorder is not None:
-                    self._executor.attach_stage_recorder(None)
-                    self._store_tile_spans(
-                        tile_id, {"rank": None, "spans": recorder.drain()}
-                    )
-                self._on_tile_result(tile_id, results, error)
-                events = self._executor.consume_fusion_events()
-                if events:
-                    self._stats.record_fusion_events(events)
-
-    def _publish_sweeps(self, requests) -> None:
-        """Publish any not-yet-shared ``(version, config)`` sweep (pool mode).
-
-        Runs on the dispatcher thread before the tile ships, so a worker's
-        first tile for a config usually finds the attachment already in its
-        FIFO queue.  Failures are swallowed: shared sweeps are an RSS/latency
-        optimisation, and every worker regenerates identical bytes privately.
-        """
-        if self._shm_store is None or self._pool is None:
-            return
-        with self._shm_lock:
-            for _, config, version in requests:
-                key = (version, config)
-                if key in self._published:
-                    continue
-                try:
-                    descriptor = self._shm_store.publish(
-                        version, config, self._publish_replica(version)
-                    )
-                    self._pool.publish_sweep(descriptor)
-                except Exception:  # pragma: no cover - degraded-mode fallback
-                    pass
-                # failed keys are recorded too: re-trying every tile would
-                # turn a persistent failure into per-tile overhead
-                self._published.add(key)
-
-    def _publish_replica(self, version: str) -> BayesianNetwork:
-        """The parent-side frozen replica ``version``'s sweeps are built from."""
-        model = self._publish_replicas.get(version)
-        if model is None:
-            model = self._registry.get(version).replica.build()
-            model.freeze()
-            self._publish_replicas[version] = model
-        return model
-
-    def _drop_shared_sweeps(self, version: str) -> None:
-        """Unlink ``version``'s shared segments (deploy/rollback/retire)."""
-        with self._shm_lock:
-            if self._shm_store is not None:
-                self._shm_store.invalidate(version)
-            self._publish_replicas.pop(version, None)
-            self._published = {
-                key for key in self._published if key[0] != version
-            }
-
-    def _store_tile_spans(self, tile_id: int, payload: dict) -> None:
-        """Stage a tile's worker span payload (pool trace_handler callback).
-
-        The pool invokes this from the collector thread right before the
-        matching done message resolves the tile, so the spans are available
-        when :meth:`_on_tile_result` attaches them to each request's trace.
-        """
-        with self._inflight_lock:
-            self._tile_spans[tile_id] = payload
+                error = None
+            spans = None
+            if recorder is not None:
+                self._executor.attach_stage_recorder(None)
+                spans = recorder.drain()
+            self._on_tile_result(tile, tile_id, dispatched_at, results, error, spans)
+            events = self._executor.consume_fusion_events()
+            if events:
+                self._stats.record_fusion_events(events)
 
     @staticmethod
     def _trace_status(error: Exception) -> str:
-        """Map a failure to a trace status: crash/shutdown aborts, else error."""
-        if isinstance(error, (WorkerCrashError, ServerClosed)):
+        """Map a failure to a trace status: shutdown aborts, else error."""
+        if isinstance(error, ServerClosed):
             return "aborted"
         return "error"
 
@@ -751,7 +587,7 @@ class PredictionServer:
         dispatched_at: float,
         finished_at: float,
         tile_id: int,
-        worker_payload: dict | None,
+        spans: list[dict] | None,
         status: str,
     ) -> None:
         """Attach the execution spans to one request's trace and close it.
@@ -763,55 +599,43 @@ class PredictionServer:
         handle = pending.item.trace
         if handle is None:
             return
-        rank = worker_payload.get("rank") if worker_payload else None
         handle.add_span(
             "queue_wait", pending.enqueued_at, dispatched_at, tile=tile_id
         )
         handle.add_span(
-            "execute",
-            dispatched_at,
-            finished_at,
-            status=status,
-            tile=tile_id,
-            worker=rank,
+            "execute", dispatched_at, finished_at, status=status, tile=tile_id
         )
-        if worker_payload:
-            for span in worker_payload.get("spans", ()):
-                meta = span.get("meta") or {}
-                handle.add_span(
-                    span["name"],
-                    span["start_s"],
-                    span["end_s"],
-                    status=span.get("status", "ok"),
-                    parent="execute",
-                    **meta,
-                )
+        for span in spans or ():
+            meta = span.get("meta") or {}
+            handle.add_span(
+                span["name"],
+                span["start_s"],
+                span["end_s"],
+                status=span.get("status", "ok"),
+                parent="execute",
+                **meta,
+            )
         if not handle.deferred:
             handle.finish(status)
 
     def _on_tile_result(
         self,
+        tile: list[PendingItem[_Request]],
         tile_id: int,
+        dispatched_at: float,
         results: list[tuple[np.ndarray | None, Exception | None]] | None,
         error: Exception | None,
+        spans: list[dict] | None,
     ) -> None:
         """Resolve a tile: ``results`` holds per-request outcomes (errors are
-        isolated per request), ``error`` fails the whole tile (dispatch
-        failure, worker crash)."""
-        with self._inflight_lock:
-            entry = self._inflight.pop(tile_id, None)
-            worker_payload = self._tile_spans.pop(tile_id, None)
-            if not self._inflight:
-                self._idle.set()
-        if entry is None:  # pragma: no cover - duplicate report
-            return
-        tile, dispatched_at = entry
+        isolated per request), ``error`` fails the whole tile; ``spans`` are
+        the tile's drained :class:`StageRecorder` stage timings."""
         now = time.monotonic()
         if error is not None:
             status = self._trace_status(error)
             for pending in tile:
                 self._close_request_trace(
-                    pending, dispatched_at, now, tile_id, worker_payload, status
+                    pending, dispatched_at, now, tile_id, spans, status
                 )
                 self._fail(pending.item, error)
             return
@@ -823,14 +647,14 @@ class PredictionServer:
                     dispatched_at,
                     now,
                     tile_id,
-                    worker_payload,
+                    spans,
                     self._trace_status(request_error),
                 )
                 self._fail(pending.item, request_error)
                 continue
             self._unpin(pending.item.version)
             self._close_request_trace(
-                pending, dispatched_at, now, tile_id, worker_payload, "ok"
+                pending, dispatched_at, now, tile_id, spans, "ok"
             )
             if not pending.item.future.set_running_or_notify_cancel():
                 continue  # client cancelled while queued

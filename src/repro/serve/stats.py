@@ -16,7 +16,7 @@ The deque that remains (``_recent_rows``) only feeds
 ``drain_rate_rows_per_s``, where recency is the point.
 
 The collector is a small lock-guarded accumulator (it is touched from client
-threads, the dispatcher thread and the worker-pool collector thread);
+threads and the dispatcher thread);
 :meth:`ServerStats.snapshot` freezes a consistent view into an immutable
 :class:`StatsSnapshot`.
 """
@@ -171,9 +171,8 @@ class ServerStats:
         """Fold one executor's drained fused-vs-fallback counters in.
 
         Called with :meth:`TileExecutor.consume_fusion_events` payloads from
-        the inline dispatcher or (via the pool's ``fusion_handler``) from
-        worker ``done`` messages; unknown keys are kept, so executor and
-        stats schemas may evolve independently.
+        the dispatcher; unknown keys are kept, so executor and stats schemas
+        may evolve independently.
         """
         with self._lock:
             for key, value in events.items():

@@ -1,21 +1,20 @@
 """Observability integration: tracing must be a pure side channel.
 
-Four properties of the PR-9 observability layer, proven over real sockets
-and real worker processes:
+Three properties of the observability layer, proven over real sockets:
 
 1. **Byte transparency** -- the ``/v1/predict`` response *body* is
    byte-identical with tracing on (default), off (``REPRO_OBS=0``) and
    sampled, and its floats equal a standalone ``mc_predict`` exactly; only
    the ``X-Request-Id`` *header* differs.
 2. **Span propagation** -- a traced request's span tree crosses the
-   admission -> waiting room -> tile -> worker-process boundary and comes
-   back assembled: worker leaf spans are parented under ``execute`` with
-   clock offsets reconciled into the parent's timeline.
+   admission -> waiting room -> tile -> execution path and comes back
+   assembled: the executor's leaf stage spans are parented under
+   ``execute`` and fall inside it on the request's timeline.
 3. **Exposition** -- ``/v1/metrics`` renders the serving families fed by
    the pull-model collectors plus the gateway's push counters.
-4. **Crash safety** -- a worker crash aborts the victim's trace (status
-   ``aborted``) instead of leaking an open handle, and a crash absorbed by
-   the respawn path still records complete ``ok`` traces.
+
+A tile that fails in the executor closes its requests' traces as ``error``
+and a shutdown closes queued ones as ``aborted``; no trace is left open.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.serve import (
     SamplingConfig,
     ServerConfig,
     ServingGateway,
-    WorkerCrashError,
 )
 
 N_FEATURES = 16
@@ -82,18 +80,18 @@ def test_predict_body_bytes_identical_on_off_and_sampled(monkeypatch):
     spec = _spec()
     x = np.random.default_rng(3).normal(size=(4, N_FEATURES))
 
-    with ServingGateway(_registry(spec), ServerConfig(n_workers=0)) as gateway:
+    with ServingGateway(_registry(spec)) as gateway:
         headers_on, raw_on = _raw_predict(gateway, x)
     assert "x-request-id" in headers_on  # traced: the id rides a header
 
     monkeypatch.setenv("REPRO_OBS", "0")
-    with ServingGateway(_registry(spec), ServerConfig(n_workers=0)) as gateway:
+    with ServingGateway(_registry(spec)) as gateway:
         headers_off, raw_off = _raw_predict(gateway, x)
     assert "x-request-id" not in headers_off
     monkeypatch.delenv("REPRO_OBS")
 
     with ServingGateway(
-        _registry(spec), ServerConfig(n_workers=0, trace_sample_rate=0.5)
+        _registry(spec), ServerConfig(trace_sample_rate=0.5)
     ) as gateway:
         headers_a, raw_a = _raw_predict(gateway, x)  # sampled out (1st of 2)
         headers_b, raw_b = _raw_predict(gateway, x)  # sampled in
@@ -118,10 +116,9 @@ def test_predict_body_bytes_identical_on_off_and_sampled(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("n_workers", [0, 1])
-def test_trace_endpoints_expose_the_assembled_span_tree(n_workers):
+def test_trace_endpoints_expose_the_assembled_span_tree():
     spec = _spec()
-    config = ServerConfig(n_workers=n_workers, max_wait_ms=1.0)
+    config = ServerConfig(max_wait_ms=1.0)
     with ServingGateway(_registry(spec), config) as gateway:
         client = GatewayClient(gateway.url)
         x = np.random.default_rng(4).normal(size=(3, N_FEATURES))
@@ -142,8 +139,7 @@ def test_trace_endpoints_expose_the_assembled_span_tree(n_workers):
             "serialization",
         ):
             assert stage in spans, stage
-        # worker/inline leaf spans are parented under the tile execution and
-        # (for n_workers=1) clock-reconciled into the parent's timeline
+        # the executor's leaf spans are parented under the tile execution
         for leaf in ("epsilon_replay", "forward"):
             assert spans[leaf]["parent"] == "execute"
             assert (
@@ -151,8 +147,6 @@ def test_trace_endpoints_expose_the_assembled_span_tree(n_workers):
                 <= spans[leaf]["offset_ms"]
                 <= spans["execute"]["offset_ms"] + spans["execute"]["duration_ms"] + 1.0
             )
-        if n_workers:
-            assert spans["execute"]["meta"]["worker"] == 0
 
         listing = client.traces(slowest=4)
         assert any(t["trace_id"] == trace_id for t in listing["traces"])
@@ -166,7 +160,7 @@ def test_trace_endpoints_expose_the_assembled_span_tree(n_workers):
 
 def test_metrics_exposition_reflects_served_traffic():
     spec = _spec()
-    with ServingGateway(_registry(spec), ServerConfig(n_workers=0)) as gateway:
+    with ServingGateway(_registry(spec)) as gateway:
         client = GatewayClient(gateway.url, tenant="acme")
         x = np.random.default_rng(5).normal(size=(2, N_FEATURES))
         client.predict(x, sampling=SAMPLING)
@@ -193,47 +187,30 @@ def test_metrics_exposition_reflects_served_traffic():
         assert family in text, family
 
 
-def test_worker_crash_aborts_the_trace_without_leaking():
+def test_failed_tile_closes_its_trace_as_error_without_leaking():
     replica = ReplicaSpec.capture(_spec(), _spec().build_bayesian(seed=11))
     x = np.random.default_rng(6).normal(size=(2, N_FEATURES))
-    server = PredictionServer(
-        replica, ServerConfig(n_workers=1, max_wait_ms=1.0)
-    ).start()
+    server = PredictionServer(replica, ServerConfig(max_wait_ms=1.0)).start()
     try:
-        server.predict(x, CONFIG)  # sanity: the worker serves when alive
-        process = server._pool.processes[0]
-        process.kill()
-        process.join(timeout=10.0)
+        reference = server.predict(x, CONFIG)
+        executor = server._executor
+        inner = executor.execute
+
+        def failing_once(requests):
+            executor.execute = inner
+            raise RuntimeError("tile exploded")
+
+        executor.execute = failing_once
         doomed = server.submit(x, CONFIG)
-        with pytest.raises(WorkerCrashError):
+        with pytest.raises(RuntimeError, match="tile exploded"):
             doomed.result(timeout=60.0)
-        # the victim's trace was finished "aborted", not leaked open
+        result = server.predict(x, CONFIG)  # the next tile serves normally
+        assert np.array_equal(
+            result.sample_probabilities, reference.sample_probabilities
+        )
         assert server.tracer.open_count == 0
         statuses = [t["status"] for t in server.tracer.slowest(16)]
-        assert statuses.count("ok") == 1
-        assert "aborted" in statuses
+        assert sorted(statuses) == ["error", "ok", "ok"]
     finally:
         server.close(drain=False)
     assert server.tracer.open_count == 0
-
-
-def test_respawned_worker_still_produces_complete_ok_traces():
-    replica = ReplicaSpec.capture(_spec(), _spec().build_bayesian(seed=11))
-    x = np.random.default_rng(7).normal(size=(2, N_FEATURES))
-    config = ServerConfig(n_workers=2, max_wait_ms=1.0, worker_respawns=2)
-    server = PredictionServer(replica, config).start()
-    try:
-        reference = server.predict(x, CONFIG)
-        victim = server._pool.processes[0]
-        victim.kill()
-        victim.join(timeout=10.0)
-        for _ in range(3):
-            result = server.predict(x, CONFIG)
-            assert np.array_equal(
-                result.sample_probabilities, reference.sample_probabilities
-            )
-        assert server.tracer.open_count == 0
-        statuses = [t["status"] for t in server.tracer.slowest(16)]
-        assert statuses.count("ok") == 4  # every request closed cleanly
-    finally:
-        server.close(drain=False)

@@ -1,11 +1,10 @@
 """Bit-exactness of the serving subsystem against per-request ``mc_predict``.
 
-The serving front-end's contract is that pooling, caching and worker
-sharding change throughput, never bytes: for every request, the served
+The serving front-end's contract is that pooling and caching change
+throughput, never bytes: for every request, the served
 answer equals ``mc_predict`` run standalone on the same model and sampling
 configuration.  These tests check that equality across
 
-* pool sizes 0 (inline), 1 and 2 workers (the union-of-workers property),
 * mixed request batch sizes pooled into shared tiles,
 * multiple interleaved sampling configurations (distinct seeds / sample
   counts hitting different sweep-cache entries),
@@ -30,15 +29,11 @@ from repro.serve import (
     ServerConfig,
     TileExecutor,
 )
-from repro.serve.executor import MultiVersionExecutor
-from repro.serve.shm_cache import SharedEpsilonStore, attach_sweep
 
 
-def _serve_all(replica, requests, n_workers):
+def _serve_all(replica, requests):
     """Submit every request concurrently and gather results in order."""
-    config = ServerConfig(
-        n_workers=n_workers, max_batch_rows=48, max_wait_ms=2.0
-    )
+    config = ServerConfig(max_batch_rows=48, max_wait_ms=2.0)
     with PredictionServer(replica, config) as server:
         futures = [server.submit(x, cfg) for x, cfg in requests]
         return [future.result(timeout=120.0) for future in futures]
@@ -58,8 +53,7 @@ def _reference(model, requests):
     ]
 
 
-@pytest.mark.parametrize("n_workers", [0, 1, 2])
-def test_served_answers_equal_mc_predict_dense(n_workers):
+def test_served_answers_equal_mc_predict_dense():
     spec = get_model("B-MLP", reduced=True)
     model = spec.build_bayesian(seed=21)
     rng = np.random.default_rng(77)
@@ -77,7 +71,7 @@ def test_served_answers_equal_mc_predict_dense(n_workers):
         ]
     ]
     expected = _reference(model, requests)
-    served = _serve_all(ReplicaSpec.capture(spec, model), requests, n_workers)
+    served = _serve_all(ReplicaSpec.capture(spec, model), requests)
     for result, reference in zip(served, expected):
         assert np.array_equal(
             result.sample_probabilities, reference.sample_probabilities
@@ -87,23 +81,22 @@ def test_served_answers_equal_mc_predict_dense(n_workers):
         assert np.array_equal(result.predictions, reference.predictions)
 
 
-@pytest.mark.parametrize("n_workers", [0, 2])
-def test_served_answers_equal_mc_predict_conv(n_workers):
+def test_served_answers_equal_mc_predict_conv():
     spec = get_model("B-LeNet", reduced=True)
     model = spec.build_bayesian(seed=4)
     rng = np.random.default_rng(13)
     cfg = SamplingConfig(n_samples=3, seed=1, grng_stride=64)
     requests = [(rng.normal(size=(rows, 3, 16, 16)), cfg) for rows in (4, 6, 2)]
     expected = _reference(model, requests)
-    served = _serve_all(ReplicaSpec.capture(spec, model), requests, n_workers)
+    served = _serve_all(ReplicaSpec.capture(spec, model), requests)
     for result, reference in zip(served, expected):
         assert np.array_equal(
             result.sample_probabilities, reference.sample_probabilities
         )
 
 
-def test_trained_model_serves_bit_exactly_through_workers():
-    """Replica capture -> worker rebuild preserves a *trained* parameter set."""
+def test_trained_model_serves_bit_exactly():
+    """Replica capture -> rebuild preserves a *trained* parameter set."""
     spec = get_model("B-MLP", reduced=True)
     train, _ = synthetic_mnist(n_train=96, n_test=32, image_size=14, seed=3)
     trainer = ShiftBNNTrainer(
@@ -116,7 +109,7 @@ def test_trained_model_serves_bit_exactly_through_workers():
     cfg = SamplingConfig(n_samples=4, seed=0, grng_stride=64)
     requests = [(rng.normal(size=(8, 196)), cfg) for _ in range(3)]
     expected = _reference(model, requests)
-    served = _serve_all(ReplicaSpec.capture(spec, model), requests, n_workers=2)
+    served = _serve_all(ReplicaSpec.capture(spec, model), requests)
     for result, reference in zip(served, expected):
         assert np.array_equal(
             result.sample_probabilities, reference.sample_probabilities
@@ -166,9 +159,8 @@ def _request_shape(spec) -> tuple[int, ...]:
 
 
 @pytest.mark.parametrize("fused", ["auto", "0"])
-@pytest.mark.parametrize("n_workers", [0, 2])
 @pytest.mark.parametrize("name", ["B-MLP", "B-LeNet"])
-def test_weight_sweeps_never_cross_versions(name, n_workers, fused, monkeypatch):
+def test_weight_sweeps_never_cross_versions(name, fused, monkeypatch):
     """Same config, different parameters: every answer is its own version's.
 
     The cached sweep is ``mu + sigma * eps`` -- it depends on the version,
@@ -176,9 +168,9 @@ def test_weight_sweeps_never_cross_versions(name, n_workers, fused, monkeypatch)
     keeps reusing ONE config is the adversarial case: v1's weights replayed
     for v2 would still have the right shapes.
     """
-    monkeypatch.setenv("REPRO_FUSED", fused)  # forked workers inherit it
+    monkeypatch.setenv("REPRO_FUSED", fused)
     # the draw (build seeds, config, rows) differs per case but is reproducible
-    rng = np.random.default_rng([n_workers, len(name), len(fused)])
+    rng = np.random.default_rng([0, len(name), len(fused)])
     seed_v1, seed_v2 = (int(s) for s in rng.choice(2**16, size=2, replace=False))
     spec = get_model(name, reduced=True)
     config = SamplingConfig(
@@ -212,15 +204,10 @@ def test_weight_sweeps_never_cross_versions(name, n_workers, fused, monkeypatch)
             got = future.result(timeout=120.0).sample_probabilities
             assert np.array_equal(got, want), f"not {expected_version}'s bytes"
 
-    server_config = ServerConfig(n_workers=n_workers, max_batch_rows=48, max_wait_ms=2.0)
+    server_config = ServerConfig(max_batch_rows=48, max_wait_ms=2.0)
     with PredictionServer(registry, server_config) as server:
         check(server, "v1")  # cold miss
         check(server, "v1")  # warm hit
-        if n_workers:
-            # the parent built ONE shared sweep and every worker adopted it
-            (descriptor,) = server._shm_store.descriptors()
-            assert descriptor.key() == ("v1", config)
-            assert server._pool.last_control_error is None
         server.deploy("v2")
         check(server, "v2")  # v1's sweep for this config must not be reused
         check(server, "v1", pin="v1")  # demoted + invalidated: rebuilt from v1
@@ -231,39 +218,6 @@ def test_weight_sweeps_never_cross_versions(name, n_workers, fused, monkeypatch)
         fusion = server.stats().fusion
     if fused == "0":
         assert fusion["fused_requests"] == 0 and fusion["fallback_disabled"] > 0
-
-
-def test_attached_shared_sweep_is_replayed_not_rebuilt():
-    """Pool mode in one process: publish -> attach -> install -> warm hit."""
-    spec = get_model("B-LeNet", reduced=True)
-    replicas = {
-        "v1": ReplicaSpec.capture(spec, spec.build_bayesian(seed=3)),
-        "v2": ReplicaSpec.capture(spec, spec.build_bayesian(seed=4)),
-    }
-    config = SamplingConfig(n_samples=3, seed=8, grng_stride=64)
-    x = np.random.default_rng(2).normal(size=(5,) + tuple(spec.input_shape))
-    executor = MultiVersionExecutor(replicas)
-    with SharedEpsilonStore() as store:
-        attachments = []
-        for version, replica in replicas.items():
-            published = replica.build()
-            published.freeze()
-            attachment = attach_sweep(store.publish(version, config, published))
-            executor.install_sweep(version, config, attachment.weights)
-            attachments.append(attachment)
-        outcomes = executor.execute([(x, config, "v1"), (x, config, "v2")])
-        for attachment in attachments:
-            executor.invalidate(attachment.descriptor.version)
-            attachment.release()
-    for version, (probabilities, error) in zip(replicas, outcomes):
-        assert error is None
-        cache = executor.executor_for(version).cache
-        assert (cache.hits, cache.misses) == (1, 0)  # the segment was replayed
-        reference = mc_predict(
-            replicas[version].build(), x, n_samples=3, seed=8, grng_stride=64
-        )
-        assert np.array_equal(probabilities, reference.sample_probabilities)
-    assert not np.array_equal(outcomes[0][0], outcomes[1][0])
 
 
 def test_training_model_is_never_frozen_by_serving_its_capture():

@@ -176,7 +176,7 @@ def test_fused_serving_end_to_end(monkeypatch):
     rng = np.random.default_rng(5)
     xs = [rng.standard_normal((rows, 196)) for rows in (16, 16, 1, 7)]
     with PredictionServer(
-        replica, ServerConfig(n_workers=0, max_batch_rows=64, max_wait_ms=5.0)
+        replica, ServerConfig(max_batch_rows=64, max_wait_ms=5.0)
     ) as server:
         futures = [server.submit(x, sampling=CONFIG) for x in xs]
         results = [future.result(timeout=60) for future in futures]

@@ -92,7 +92,14 @@ class TestReadEndpoints:
         assert body["active_version"] == "v1"
         assert body["generation"] == 1
         assert body["loaded_versions"] == ["v1"]
-        assert body["n_workers"] == 0
+        # the exact key set is the wire contract: a field added or dropped
+        # here is a client-visible change
+        assert set(body) == {
+            "status",
+            "active_version",
+            "generation",
+            "loaded_versions",
+        }
 
     def test_models_lists_fingerprints_and_flags(self, gateway):
         status, body = _get(gateway.url + "/v1/models")
@@ -734,3 +741,12 @@ class TestLifecycle:
         gateway = ServingGateway(replica)
         with pytest.raises(RuntimeError):
             gateway.address
+
+    def test_command_line_has_no_worker_pool_flag(self, capsys):
+        """``--workers`` is refused by argparse before anything is built."""
+        from repro.serve.gateway import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Unit tests for the prediction server: lifecycle, failures, worker crashes."""
+"""Unit tests for the prediction server: lifecycle, failures, hot swap."""
 
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ from repro.serve import (
     SamplingConfig,
     ServerClosed,
     ServerConfig,
-    TileExecutionError,
     UnknownVersionError,
-    WorkerCrashError,
 )
 
 CFG = SamplingConfig(n_samples=4, seed=5, grng_stride=64, lfsr_bits=256)
@@ -218,182 +216,82 @@ class TestInlineServer:
             server.submit(_inputs(rng), CFG)
 
 
-class TestWorkerPoolServer:
-    def test_round_trip_through_worker(self, replica, rng):
-        x = _inputs(rng)
-        reference = mc_predict(
-            replica.build(), x, n_samples=4, seed=5, grng_stride=64
-        )
-        with PredictionServer(
-            replica, ServerConfig(n_workers=1, max_wait_ms=1.0)
-        ) as server:
+    def test_tile_level_failure_fails_its_requests_and_dispatcher_survives(
+        self, replica, rng
+    ):
+        """An exception escaping the executor fails that tile, not the server."""
+        with PredictionServer(replica, ServerConfig(max_wait_ms=1.0)) as server:
+            executor = server._executor
+            inner = executor.execute
+            calls = []
+
+            def failing_once(requests):
+                calls.append(len(requests))
+                if len(calls) == 1:
+                    raise RuntimeError("tile exploded")
+                return inner(requests)
+
+            executor.execute = failing_once
+            doomed = server.submit(_inputs(rng), CFG)
+            with pytest.raises(RuntimeError, match="tile exploded"):
+                doomed.result(timeout=30.0)
+            x = _inputs(rng)
             result = server.predict(x, CFG)
+            snapshot = server.stats()
+        reference = mc_predict(replica.build(), x, n_samples=4, seed=5, grng_stride=64)
         assert np.array_equal(
             result.sample_probabilities, reference.sample_probabilities
         )
+        assert snapshot.requests_failed == 1
+        assert snapshot.requests_completed == 1
 
-    def test_worker_side_error_surfaces_with_traceback(self, replica, rng):
-        with PredictionServer(
-            replica, ServerConfig(n_workers=1, max_wait_ms=1.0)
-        ) as server:
-            bad = server.submit(np.full((4, 16), "x"), CFG)  # not numbers
-            error = bad.exception(timeout=60.0)
-            assert isinstance(error, TileExecutionError)
-            assert "Traceback" in str(error)
-            # the worker survives a raising tile and keeps serving
-            good = server.submit(_inputs(rng), CFG)
-            assert good.result(timeout=60.0) is not None
-
-    def test_worker_crash_fails_future_instead_of_hanging(self, replica, rng):
-        server = PredictionServer(
-            replica, ServerConfig(n_workers=1, max_wait_ms=1.0)
-        ).start()
-        try:
-            # sanity: the worker serves before being killed
-            server.predict(_inputs(rng), CFG)
-            process = server._pool.processes[0]
-            process.kill()
-            process.join(timeout=10.0)
-            assert not process.is_alive()
-            doomed = server.submit(_inputs(rng), CFG)
-            with pytest.raises(WorkerCrashError):
-                doomed.result(timeout=60.0)
-            # every later submission fails fast too -- no hangs once dead
-            also_doomed = server.submit(_inputs(rng), CFG)
-            with pytest.raises(WorkerCrashError):
-                also_doomed.result(timeout=60.0)
-            assert server.stats().requests_failed == 2
-        finally:
-            server.close(drain=False)
-
-
-    def test_workers_exit_when_the_server_is_killed(self, orphaned_worker_pids):
-        """A SIGKILLed server process runs no close(): its workers must notice."""
-        script = """
-import time
-import numpy as np
-from repro.models import ReplicaSpec, get_model
-from repro.serve import PredictionServer, SamplingConfig, ServerConfig
-
-spec = get_model("B-MLP", reduced=True)
-replica = ReplicaSpec.capture(spec, spec.build_bayesian(seed=1), build_seed=1)
-server = PredictionServer(replica, ServerConfig(n_workers=2, max_wait_ms=1.0)).start()
-server.predict(np.zeros((2, 196)), SamplingConfig(n_samples=2, seed=3, grng_stride=64))
-print(*[process.pid for process in server._pool.processes], flush=True)
-time.sleep(120)
-"""
-        assert orphaned_worker_pids(script) == []
-
-    def test_shutdown_does_not_wait_for_the_orphan_poll(
-        self, replica, rng, monkeypatch
-    ):
-        from repro.distrib import respawn
-
-        monkeypatch.setattr(respawn, "_ORPHAN_POLL_S", 600.0)
-        server = PredictionServer(
-            replica, ServerConfig(n_workers=2, max_wait_ms=1.0)
-        ).start()
+    def test_close_joins_the_dispatcher_thread(self, replica, rng):
+        server = PredictionServer(replica, ServerConfig(max_wait_ms=1.0)).start()
         server.predict(_inputs(rng), CFG)
-        processes = server._pool.processes
+        dispatcher = server._dispatcher
+        assert dispatcher is not None and dispatcher.is_alive()
         started = time.monotonic()
         server.close()
-        assert time.monotonic() - started < 60.0
-        assert not any(process.is_alive() for process in processes)
+        assert time.monotonic() - started < 30.0
+        assert not dispatcher.is_alive()
+        server.close()  # closing twice is a no-op
 
 
-class TestWorkerRespawn:
-    """Crash recovery: bounded respawns, one requeue per in-flight tile."""
+class TestSingleExecutionPath:
+    """Serving has one execution path; the process-pool surface is gone."""
 
-    def test_killed_worker_is_replaced_and_serving_continues(self, replica, rng):
-        x = _inputs(rng)
-        server = PredictionServer(
-            replica,
-            ServerConfig(n_workers=2, max_wait_ms=1.0, worker_respawns=2),
-        ).start()
-        try:
-            reference = server.predict(x, CFG)
-            victim = server._pool.processes[0]
-            victim.kill()
-            victim.join(timeout=10.0)
-            # requests keep being served (by survivors or the replacement),
-            # bit-identically
-            for _ in range(3):
-                result = server.predict(x, CFG)
-                assert np.array_equal(
-                    result.sample_probabilities, reference.sample_probabilities
-                )
-            deadline = time.monotonic() + 15.0
-            while (
-                time.monotonic() < deadline and server._pool.alive_workers < 2
-            ):
-                time.sleep(0.05)
-            assert server._pool.alive_workers == 2
-            assert server._pool.respawns_used == 1
-            assert server.stats().requests_failed == 0
-        finally:
-            server.close(drain=False)
+    @pytest.mark.parametrize(
+        "option",
+        ["n_workers", "start_method", "worker_respawns", "share_epsilon_sweeps"],
+    )
+    def test_removed_pool_options_are_refused(self, option):
+        with pytest.raises(TypeError, match=option):
+            ServerConfig(**{option: 1})
 
-    def test_inflight_tile_requeued_once_before_failing(self, replica, rng):
-        """A tile queued on a worker that dies is re-executed, not failed."""
-        import os
-        import signal
+    @pytest.mark.parametrize(
+        "name", ["WorkerPool", "WorkerCrashError", "TileExecutionError"]
+    )
+    def test_removed_pool_names_are_not_exported(self, name):
+        import repro.serve
 
-        from repro.distrib.respawn import RespawnPolicy
-        from repro.serve.worker import WorkerPool
+        assert name not in repro.serve.__all__
+        assert not hasattr(repro.serve, name)
 
-        x = _inputs(rng)
-        reference = mc_predict(
-            replica.build(), x, n_samples=4, seed=5, grng_stride=64
-        )
-        done = {}
-        event = threading.Event()
+    @pytest.mark.parametrize("module", ["repro.serve.worker", "repro.serve.shm_cache"])
+    def test_removed_pool_modules_are_gone(self, module):
+        import importlib
 
-        def handler(tile_id, outcomes, error):
-            done[tile_id] = (outcomes, error)
-            event.set()
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
-        pool = WorkerPool(
-            replica,
-            n_workers=2,
-            result_handler=handler,
-            respawn=RespawnPolicy(max_respawns=1, max_task_retries=1),
-        )
-        pool.start()
-        try:
-            victim = pool._workers[0]
-            # freeze the worker so the tile provably sits in its queue, then
-            # kill it -- the deterministic version of "died mid-tile"
-            os.kill(victim.process.pid, signal.SIGSTOP)
-            pool._next_worker = 0  # route the tile to the frozen worker
-            pool.dispatch(7, [(x, CFG)])
-            time.sleep(0.2)
-            os.kill(victim.process.pid, signal.SIGKILL)
-            assert event.wait(timeout=60.0), "requeued tile never completed"
-            outcomes, error = done[7]
-            assert error is None
-            probabilities, request_error = outcomes[0]
-            assert request_error is None
-            assert np.array_equal(probabilities, reference.sample_probabilities)
-            assert pool.respawns_used == 1
-        finally:
-            pool.stop(abort=True)
+    def test_executor_is_built_in_process_at_start(self, replica):
+        from repro.serve import MultiVersionExecutor
 
-    def test_without_policy_dead_worker_still_fails_fast(self, replica, rng):
-        """worker_respawns=0 keeps the pre-respawn fail-fast semantics."""
-        server = PredictionServer(
-            replica, ServerConfig(n_workers=1, max_wait_ms=1.0)
-        ).start()
-        try:
-            server.predict(_inputs(rng), CFG)
-            process = server._pool.processes[0]
-            process.kill()
-            process.join(timeout=10.0)
-            doomed = server.submit(_inputs(rng), CFG)
-            with pytest.raises(WorkerCrashError):
-                doomed.result(timeout=60.0)
-            assert server._pool.respawns_used == 0
-        finally:
-            server.close(drain=False)
+        server = PredictionServer(replica)
+        assert server._executor is None
+        with server:
+            assert isinstance(server._executor, MultiVersionExecutor)
+            assert server._executor.versions() == ["v1"]
 
 
 class TestVersionedServer:
@@ -509,27 +407,5 @@ class TestVersionedServer:
                 server.predict(x, CFG, version="v1")  # unloaded
             redeployed = server.deploy("v2")
             assert redeployed.version == "v2"
-            result = server.predict(x, CFG)
-        assert np.array_equal(result.sample_probabilities, v2.sample_probabilities)
-
-    def test_swap_through_worker_pool_respawn_template(
-        self, registry, tiny_mlp_spec, rng
-    ):
-        """A worker respawned after a deploy rebuilds the post-swap versions."""
-        x = _inputs(rng)
-        v2 = mc_predict(tiny_mlp_spec.build_bayesian(seed=22), x,
-                        n_samples=4, seed=5, grng_stride=64)
-        config = ServerConfig(n_workers=1, max_wait_ms=1.0, worker_respawns=1)
-        with PredictionServer(registry, config) as server:
-            server.predict(x, CFG)
-            server.deploy("v2")
-            # kill the only worker *after* the swap: the respawned
-            # replacement must rebuild v2 from the updated template
-            process = server._pool.processes[0]
-            process.kill()
-            process.join(timeout=10.0)
-            deadline = time.monotonic() + 30.0
-            while server._pool.alive_workers < 1 and time.monotonic() < deadline:
-                time.sleep(0.05)
             result = server.predict(x, CFG)
         assert np.array_equal(result.sample_probabilities, v2.sample_probabilities)
