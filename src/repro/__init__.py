@@ -38,7 +38,7 @@ Quick start::
     trainer.fit(BatchLoader(train, 64, flatten=True).batches(), epochs=5)
 """
 
-from . import accel, analysis, bnn, core, datasets, distrib, experiments, models, nn, serve
+import importlib
 
 __version__ = "1.1.0"
 
@@ -55,3 +55,11 @@ __all__ = [
     "distrib",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: a subpackage loads on first attribute access, so importing one
+    # plane (``repro.serve``) never drags in another (``repro.distrib``)
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

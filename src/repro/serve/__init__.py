@@ -24,6 +24,8 @@ Quick start::
         print(server.stats())
 """
 
+import importlib
+
 from .admission import (
     AdmissionConfig,
     AdmissionController,
@@ -31,7 +33,6 @@ from .admission import (
     TierPolicy,
     TokenBucket,
 )
-from .client import GatewayClient, GatewayError, GatewayShedError
 from .executor import (
     EpsilonCache,
     MultiVersionExecutor,
@@ -88,3 +89,13 @@ __all__ = [
     "GatewayError",
     "GatewayShedError",
 ]
+
+#: the SDK names resolve on first use: importing ``.client`` eagerly would put
+#: it in ``sys.modules`` before ``python -m repro.serve.client`` executes it
+_CLIENT_NAMES = frozenset({"GatewayClient", "GatewayError", "GatewayShedError"})
+
+
+def __getattr__(name: str):
+    if name in _CLIENT_NAMES:
+        return getattr(importlib.import_module(".client", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -387,3 +387,61 @@ class TestStepWorkspace:
         trainer.model.release_sample_caches()
         assert trainer.model._workspace is None
         assert all(layer._workspace is None for layer in trainer.model.layers)
+
+
+# ----------------------------------------------------------------------
+# both engines at the sample counts and batch shapes the bench workloads run
+# ----------------------------------------------------------------------
+def _engine_setup(arch: str):
+    if arch == "dense":
+        spec = get_model("B-MLP", reduced=True)
+        train, _ = synthetic_mnist(n_train=64, n_test=40, image_size=14, seed=7)
+        return spec, train.flatten_images()[:64], train.labels[:64]
+    spec = get_model("B-LeNet", reduced=True)
+    train, _ = synthetic_cifar10(n_train=40, n_test=40, image_size=16, seed=7)
+    return spec, train.images[:32], train.labels[:32]
+
+
+ENGINE_SHAPES = [
+    pytest.param(arch, n_samples, stride, id=f"{arch}-S{n_samples}-stride{stride}")
+    for arch in ("dense", "conv")
+    for n_samples in (4, 8, 16)
+    for stride in (1, 256)
+]
+
+
+@pytest.mark.parametrize(("arch", "n_samples", "stride"), ENGINE_SHAPES)
+def test_mc_predict_engines_agree_at_bench_shapes(arch, n_samples, stride):
+    spec, x, _ = _engine_setup(arch)
+    model = spec.build_bayesian(seed=42)
+    results = [
+        mc_predict(model, x, n_samples=n_samples, grng_stride=stride, batched=batched)
+        for batched in (False, True)
+    ]
+    sequential, batched = results
+    assert batched.sample_probabilities.shape[:2] == (n_samples, len(x))
+    assert np.all(np.isfinite(batched.mean_probabilities))
+    assert (
+        sequential.sample_probabilities.tobytes()
+        == batched.sample_probabilities.tobytes()
+    )
+
+
+@pytest.mark.parametrize(("arch", "n_samples", "stride"), ENGINE_SHAPES)
+def test_train_step_engines_agree_at_bench_shapes(arch, n_samples, stride):
+    spec, x, y = _engine_setup(arch)
+    trainers, reports = [], []
+    for batched in (False, True):
+        config = TrainerConfig(
+            n_samples=n_samples,
+            learning_rate=1e-3,
+            seed=1,
+            grng_stride=stride,
+            batched=batched,
+        )
+        trainer = BNNTrainer(spec.build_bayesian(seed=9), config, policy="reversible")
+        reports.append(trainer.train_step(x, y, kl_weight=1e-3))
+        trainers.append(trainer)
+    assert np.isfinite(reports[1].total)
+    assert reports[0].total == reports[1].total
+    assert _fingerprint(trainers[0]) == _fingerprint(trainers[1])

@@ -129,6 +129,42 @@ class TestBitExactEquivalence:
             distributed.fit(batches, epochs=1)
             _assert_same_run(reference, distributed)
 
+    @pytest.mark.parametrize("stride", [1, 256])
+    @pytest.mark.parametrize(
+        "n_workers", [None, 0, 2], ids=["single", "inline2", "pool2"]
+    )
+    def test_one_backend_serves_successive_fits(self, n_workers, stride):
+        """Fresh trainers on one live backend each land on the reference bytes.
+
+        ``single`` refits on the process's own engine: nothing a first fit
+        leaves behind (compiled kernels, caches, workspaces) may move a bit.
+        """
+        spec = get_model("B-MLP", reduced=True)
+        train, _ = synthetic_mnist(n_train=64, n_test=16, image_size=14, seed=3)
+        batches = BatchLoader(train, batch_size=16, flatten=True).batches()[:4]
+        config = _config(8, stride)
+        reference = _reference(spec, batches, config)
+        backend = None
+        if n_workers is not None:
+            backend = DistributedBackend(
+                ReplicaSpec.structural(spec, build_seed=99),
+                n_workers=n_workers,
+                n_shards=2,
+            )
+        try:
+            for _ in range(2):
+                distributed = BNNTrainer(
+                    spec.build_bayesian(seed=99),
+                    config,
+                    policy="reversible",
+                    backend=backend,
+                )
+                distributed.fit(batches, epochs=1)
+                _assert_same_run(reference, distributed)
+        finally:
+            if backend is not None:
+                backend.close()
+
     def test_more_shards_than_samples(self, dense_setup):
         spec, batches = dense_setup
         config = _config(2, 32)

@@ -445,6 +445,8 @@ class TestOverloadIntegrity:
         admission = stats["admission"]
         assert admission["admitted"] >= len(served)
         assert admission["shed_capacity"] == len(shed)
+        # every admitted request executed: none failed inside the server
+        assert stats["requests_failed"] == 0
 
     def test_deploy_rollback_racing_shed_heavy_burst(self):
         """Acceptance: a deploy/rollback cycle races a burst heavy enough to

@@ -16,6 +16,8 @@ configuration.  These tests check that equality across
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,42 @@ def test_served_answers_equal_mc_predict_conv():
         assert np.array_equal(
             result.sample_probabilities, reference.sample_probabilities
         )
+
+
+@pytest.mark.parametrize("stride", [1, 256])
+def test_concurrent_clients_pool_and_stay_bit_exact(stride):
+    """Eight client threads, four 16-row requests each, all at once."""
+    spec = get_model("B-MLP", reduced=True)
+    model = spec.build_bayesian(seed=42)
+    rng = np.random.default_rng(7)
+    cfg = SamplingConfig(n_samples=8, seed=0, grng_stride=stride)
+    groups = [[rng.normal(size=(16, 196)) for _ in range(4)] for _ in range(8)]
+    expected = [_reference(model, [(x, cfg) for x in group]) for group in groups]
+    answers: dict[int, list] = {}
+    # a generous wait: every tile fills to its 64 rows before the deadline
+    config = ServerConfig(max_batch_rows=64, max_wait_ms=50.0, max_pending_rows=512)
+    with PredictionServer(ReplicaSpec.capture(spec, model), config) as server:
+        start = threading.Barrier(len(groups))
+
+        def client(index: int) -> None:
+            start.wait(timeout=30.0)
+            futures = [server.submit(x, cfg) for x in groups[index]]
+            answers[index] = [future.result(timeout=120.0) for future in futures]
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        snapshot = server.stats()
+    for index, group in enumerate(expected):
+        for result, reference in zip(answers[index], group):
+            assert (
+                result.sample_probabilities.tobytes()
+                == reference.sample_probabilities.tobytes()
+            )
+    assert snapshot.requests_completed == 32
+    assert snapshot.mean_batch_occupancy > 1.0  # separate clients pooled
 
 
 def test_trained_model_serves_bit_exactly():

@@ -9,12 +9,17 @@ The check walks the AST of every module under those three packages --
 imports inside functions (lazy imports) and ``importlib.import_module`` /
 ``__import__`` calls with a literal name included -- resolves relative
 imports against the module's own package, and fails on any import that
-crosses the map.
+crosses the map.  Fresh-process checks confirm the runtime agrees: the
+package root loads its subpackages lazily, so importing one plane leaves the
+other (and ``multiprocessing``) unloaded.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +32,7 @@ SUBPACKAGES = frozenset(
 )
 
 #: package -> the ``repro`` packages it may not import (``"repro"`` is the
-#: root package itself, which imports every subpackage eagerly).
+#: root package itself, which reaches every subpackage).
 FORBIDDEN = {
     "serve": {"distrib"},
     "distrib": {"serve"},
@@ -172,3 +177,33 @@ def test_lint_flags_obs_importing_any_repro_package(source, top):
     tops = [found for _, found in imported_packages(path, ast.parse(source))]
     assert tops == [top]
     assert top in FORBIDDEN["obs"]
+
+
+def _run_fresh(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_ROOT.parent), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "package, absent",
+    [
+        ("repro.serve", ["repro.distrib", "multiprocessing"]),
+        ("repro.distrib", ["repro.serve"]),
+    ],
+)
+def test_importing_one_plane_leaves_the_other_unloaded(package, absent):
+    probe = f"import sys, {package}; print([m for m in {absent!r} if m in sys.modules])"
+    result = _run_fresh("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_client_cli_runs_without_a_runpy_warning():
+    """``repro.serve`` must not import ``.client`` before ``-m`` executes it."""
+    result = _run_fresh("-W", "error::RuntimeWarning", "-m", "repro.serve.client", "--help")
+    assert result.returncode == 0, result.stderr

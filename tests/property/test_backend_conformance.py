@@ -10,6 +10,10 @@ wall-clock time but never bits.  Two layers of evidence:
   absent (the ``native`` ones without a C compiler) self-skip -- the
   parametrisation still names them, so a CI log shows exactly which backends
   were exercised where.
+* ``test_hot_path_call_matches_oracle_and_spares_inputs`` makes one call
+  per backend (and one through the default selection) at the size the
+  training and serving steps run, and also checks that no backend writes
+  into an argument other than its declared outputs.
 * the hypothesis tests below drive each kernel with *randomised* workloads
   (random shapes, dtypes, strides 1 / 64 / 256, random register states) and
   assert the forced backend's output is bit-identical to the reference
@@ -148,3 +152,144 @@ def test_im2col_matches_sliding_window_oracle(
     assert np.ascontiguousarray(got_cols).tobytes() == (
         np.ascontiguousarray(want_cols).tobytes()
     )
+
+
+# ----------------------------------------------------------------------
+# one hot-path-sized call per kernel, per backend and through ``auto``
+# ----------------------------------------------------------------------
+HOT_ROWS = 16
+HOT_BITS = 256
+HOT_STEPS = 1 << 14
+HOT_POPCOUNT_BITS = 1 << 16  # stride 256 -> 256 variables per row
+HOT_IM2COL_SHAPE = (8, 16, 28, 28)
+_HOT_OFFSETS = normalise_taps(HOT_BITS, MAXIMAL_TAPS[HOT_BITS])
+
+#: argument positions a kernel writes into; every other array argument is
+#: input and must come back unchanged
+OUTPUT_ARGS = {
+    "grng_block": (8,),
+    "sample_matmul": (2,),
+    "fused_sample_matmul": (2,),
+    "posterior_gc": (7, 8),
+}
+
+
+def _hot_state_words() -> np.ndarray:
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 1 << 64, size=(HOT_ROWS, HOT_BITS // 64), dtype=np.uint64)
+    words[:, 0] |= np.uint64(1)  # never the all-zero register
+    return words
+
+
+def _hot_workload(kernel: str) -> tuple:
+    """Fresh arguments for one call at the size the training and serving steps run."""
+    rng = np.random.default_rng(11)
+    if kernel == "lfsr_step_block":
+        return _hot_state_words(), HOT_BITS, HOT_STEPS, _HOT_OFFSETS, False
+    if kernel == "window_popcounts":
+        seq_words, _ = _oracle(
+            "lfsr_step_block", _hot_state_words(), HOT_BITS, HOT_POPCOUNT_BITS,
+            _HOT_OFFSETS, False,
+        )
+        return seq_words, HOT_BITS, HOT_POPCOUNT_BITS, HOT_BITS
+    if kernel == "clt_standardise":
+        return rng.integers(96, 161, size=1 << 20, dtype=np.int64), 128.0, 8.0
+    if kernel == "grng_block":
+        count = HOT_POPCOUNT_BITS // HOT_BITS
+        out = np.empty((HOT_ROWS, count), dtype=np.float64)
+        return (
+            _hot_state_words(), HOT_BITS, _HOT_OFFSETS, HOT_BITS, count, False,
+            128.0, 8.0, out,
+        )
+    if kernel == "sample_matmul":
+        a = rng.standard_normal((8, 192, 192))
+        b = rng.standard_normal((8, 192, 192))
+        return a, b, np.empty((8, 192, 192))
+    if kernel == "im2col":
+        return rng.standard_normal(HOT_IM2COL_SHAPE), 3, 1, 0
+    if kernel in ("col2im", "maxpool2d_forward", "maxpool2d_backward"):
+        # channels-last storage, as the training step carries it
+        x = np.ascontiguousarray(
+            np.maximum(rng.standard_normal(HOT_IM2COL_SHAPE), 0.0).transpose(0, 2, 3, 1)
+        ).transpose(0, 3, 1, 2)
+        if kernel == "col2im":
+            cols, _, _ = _oracle("im2col", x, 3, 1, 1)
+            return cols, HOT_IM2COL_SHAPE, 3, 1, 1
+        if kernel == "maxpool2d_forward":
+            return x, 2, 2
+        pooled, argmax = _oracle("maxpool2d_forward", x, 2, 2)
+        return pooled, argmax, HOT_IM2COL_SHAPE, 2, 2
+    if kernel == "fused_sample_matmul":
+        # a pooled serving tile: 4 requests of 16 rows each, B-MLP-sized layer
+        splits = (16, 16, 16, 16)
+        a = rng.standard_normal((8, sum(splits), 196))
+        b = rng.standard_normal((8, 196, 128))
+        return a, b, np.empty((8, sum(splits), 128)), splits
+    if kernel == "fused_im2col":
+        return rng.standard_normal(HOT_IM2COL_SHAPE), 3, 1, 0, (2, 2, 2, 2)
+    if kernel == "posterior_gc":
+        # the reduced B-MLP's first layer at S = 8; accumulates in place
+        shape = (196, 64)
+        stacks = [rng.standard_normal((8, *shape)) for _ in range(3)]
+        sigma = np.logaddexp(0.0, rng.standard_normal(shape))
+        sigmoid_rho = rng.random(shape)
+        return (
+            *stacks, 1e-3, sigma, sigmoid_rho, True, np.zeros(shape), np.zeros(shape)
+        )
+    # serve_http_closed's wire: the (S, rows, classes) response tensor out,
+    # the 16-row B-MLP request batch in
+    if kernel == "json_dumps_f64":
+        return (rng.random((8, 16, 10)),)
+    if kernel == "json_loads_f64":
+        text = _oracle("json_dumps_f64", rng.standard_normal((16, 196)))
+        return b'{"x": ' + text + b"}", 6
+    raise AssertionError(f"no hot-path workload defined for kernel {kernel!r}")
+
+
+#: integer dtype kinds whose arrays are popcounts: exact in any width, so a
+#: backend picks its own and the values compare as int64
+POPCOUNT_KINDS = {"window_popcounts": "iu", "grng_block": "i"}
+
+
+def _canonical(kernel: str, value):
+    """Bytes-level identity of a kernel result (popcounts compare as int64)."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in POPCOUNT_KINDS.get(kernel, ""):
+            value = value.astype(np.int64)
+        return str(value.dtype), value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return tuple(_canonical(kernel, item) for item in value)
+    return value
+
+
+def _hot_call(kernel: str, which: str) -> tuple:
+    args = _hot_workload(kernel)
+    inputs = {
+        index: arg.copy()
+        for index, arg in enumerate(args)
+        if isinstance(arg, np.ndarray) and index not in OUTPUT_ARGS.get(kernel, ())
+    }
+    if which == "auto":
+        result = backend.registry.call(kernel, *args)
+    else:
+        result = _forced(kernel, which, *args)
+    for index, before in inputs.items():
+        assert args[index].tobytes() == before.tobytes(), f"argument {index} written"
+    written = tuple(args[index] for index in OUTPUT_ARGS.get(kernel, ()))
+    return _canonical(kernel, (result, written))
+
+
+HOT_CASES = [
+    pytest.param(kernel, name, id=f"{kernel}-{name}")
+    for kernel in sorted(backend.kernel_names())
+    for name in ("auto", *backend.registry.backend_names(kernel))
+]
+
+
+@pytest.mark.parametrize(("kernel", "which"), HOT_CASES)
+def test_hot_path_call_matches_oracle_and_spares_inputs(kernel: str, which: str):
+    """Every backend, and the default selection, on one full-size workload."""
+    if which != "auto":
+        _skip_unless_available(kernel, which)
+    got = _hot_call(kernel, which)
+    assert got == _hot_call(kernel, "reference")

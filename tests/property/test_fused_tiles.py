@@ -121,6 +121,31 @@ def test_disabled_fusion_falls_back_with_counted_marker(monkeypatch):
     assert events["fallback_disabled"] == len(xs)  # counted, not silent
 
 
+@pytest.mark.parametrize("stride", [1, 256])
+@pytest.mark.parametrize("mode", ["fused", "unfused"])
+def test_pooled_tile_bytes_do_not_depend_on_fusion(monkeypatch, mode, stride):
+    """Four 16-row same-config requests, cold tile then warm, fusion on or off."""
+    monkeypatch.setenv("REPRO_FUSED", "auto" if mode == "fused" else "0")
+    if mode == "fused" and not stability.probe.verdict().ok:  # pragma: no cover
+        # platform guard; the fallback leg still runs
+        pytest.skip("this BLAS fails the row-stability verdict; fusion is off")
+    model = get_model("B-MLP", reduced=True).build_bayesian(seed=42)
+    rng = np.random.default_rng(7)
+    xs = [rng.normal(size=(16, 196)) for _ in range(4)]
+    config = SamplingConfig(n_samples=8, seed=0, grng_stride=stride)
+    expected = [_reference(model, x, config).tobytes() for x in xs]
+    executor = TileExecutor(model)
+    for _ in range(2):
+        outcomes = executor.execute([(x, config) for x in xs])
+        assert [p.tobytes() for p, _ in outcomes] == expected
+    events = executor.consume_fusion_events()
+    if mode == "fused":
+        assert events["fused_tiles"] == 2 and events["fallback_requests"] == 0
+    else:
+        # the forced fallback is counted, never silent
+        assert events["fused_tiles"] == 0 and events["fallback_disabled"] == 8
+
+
 def test_force_failed_probe_falls_back_with_counted_marker(monkeypatch):
     # simulate an unstable BLAS: the probe's GEMM funnel is monkeypatched to
     # be nondeterministic, so the stability verdict fails and auto mode must

@@ -92,6 +92,17 @@ class TestSimulation:
         assert sim.throughput_gops > 0
         assert sim.energy_efficiency_gops_per_watt > 0
 
+    @pytest.mark.parametrize(
+        "accelerator", standard_comparison_set(), ids=lambda accel: accel.name
+    )
+    def test_every_paper_model_costs_time_and_energy(self, accelerator):
+        for spec in paper_models().values():
+            sim = simulate_training_iteration(accelerator, spec, 16)
+            assert sim.accelerator_name == accelerator.name
+            assert 0 < sim.energy_joules < float("inf")
+            assert 0 < sim.latency_seconds < float("inf")
+
+
     def test_invalid_sample_count(self, lenet):
         with pytest.raises(ValueError):
             simulate_training_iteration(shift_bnn_accelerator(), lenet, 0)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bnn import (
     BaselineBNNTrainer,
+    BNNTrainer,
     BayesDense,
     BayesianNetwork,
     GaussianPrior,
@@ -15,6 +16,8 @@ from repro.bnn import (
     mc_predict,
 )
 from repro.core import StreamBank
+from repro.datasets import BatchLoader, synthetic_mnist
+from repro.models import get_model
 from repro.nn import Dense, QuantizationConfig, ReLU
 from conftest import build_tiny_bayes_network
 
@@ -220,6 +223,26 @@ class TestTrainers:
         trainer.fit(batches, epochs=2)
         accuracy = trainer.evaluate(*batches[0])
         assert 0.0 <= accuracy <= 1.0
+
+
+    @pytest.mark.parametrize(
+        ("trainer_cls", "policy"),
+        [(BaselineBNNTrainer, "stored"), (ShiftBNNTrainer, "reversible")],
+        ids=["stored", "reversible"],
+    )
+    def test_named_trainer_steps_like_its_policy(self, trainer_cls, policy):
+        spec = get_model("B-MLP", reduced=True)
+        train, _ = synthetic_mnist(64, 32, image_size=14, seed=1)
+        batches = BatchLoader(train, batch_size=32, flatten=True).batches()
+        config = TrainerConfig(n_samples=2, learning_rate=5e-3, seed=3, grng_stride=32)
+        named = trainer_cls(spec.build_bayesian(seed=1), config)
+        plain = BNNTrainer(spec.build_bayesian(seed=1), config, policy=policy)
+        for x, y in batches:
+            report = named.train_step(x, y, kl_weight=0.01)
+            assert np.isfinite(report.total)
+            assert report.total == plain.train_step(x, y, kl_weight=0.01).total
+        for mine, theirs in zip(named.model.parameters(), plain.model.parameters()):
+            assert mine.value.tobytes() == theirs.value.tobytes()
 
 
 class TestMCPredict:

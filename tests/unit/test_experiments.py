@@ -27,6 +27,28 @@ from repro.experiments import (
 from repro.models import PAPER_MODEL_NAMES
 
 
+#: every analytic table's row count at its default arguments
+DEFAULT_ROWS = {
+    "fig2": 25,  # 5 models x 5 sample counts
+    "fig3": 5,
+    "fig10": 5,
+    "fig11": 5,
+    "fig12": 5,
+    "fig13": 18,  # 3 models x 6 sample counts
+    "fig14": 20,  # 5 models x 4 accelerators
+    "table2": 5,
+    "dse": 4,
+    "ablation_grng": 12,  # 4 widths x 3 strides
+    "ablation_spu": 5,
+    "ablation_bandwidth": 4,
+}
+
+
+@pytest.fixture(scope="module")
+def analytic_results():
+    return run_all(include_functional=False)
+
+
 class TestExperimentResult:
     def test_table_and_csv_rendering(self):
         result = ExperimentResult(
@@ -221,8 +243,14 @@ class TestRunner:
         } == set(ANALYTIC_EXPERIMENTS)
         assert {"fig9", "table1"} == set(FUNCTIONAL_EXPERIMENTS)
 
-    def test_run_all_analytic(self):
-        results = run_all(include_functional=False)
-        assert set(results) == set(ANALYTIC_EXPERIMENTS)
-        assert all(isinstance(result, ExperimentResult) for result in results.values())
-        assert all(result.rows for result in results.values())
+    def test_run_all_analytic(self, analytic_results):
+        assert set(analytic_results) == set(ANALYTIC_EXPERIMENTS) == set(DEFAULT_ROWS)
+        assert all(
+            isinstance(result, ExperimentResult) for result in analytic_results.values()
+        )
+
+    @pytest.mark.parametrize("name", list(DEFAULT_ROWS))
+    def test_default_table_shape(self, analytic_results, name):
+        result = analytic_results[name]
+        assert len(result.rows) == DEFAULT_ROWS[name]
+        assert all(len(row) == len(result.headers) for row in result.rows)

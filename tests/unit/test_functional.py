@@ -94,6 +94,14 @@ class TestConvolution:
         assert np.allclose(grad_b, grad_out.sum(axis=(0, 2, 3)))
 
 
+    def test_forward_matches_naive_at_a_conv_layer_shape(self, rng):
+        x = rng.normal(size=(8, 16, 16, 16))
+        weights = rng.normal(size=(32, 16, 3, 3))
+        fast, _ = F.conv2d_forward(x, weights, None, 1, 1)
+        assert fast.shape == (8, 32, 16, 16)
+        assert np.allclose(fast, naive_conv2d(x, weights, None, 1, 1))
+
+
 class TestIm2Col:
     def test_im2col_shape(self, rng):
         x = rng.normal(size=(2, 3, 6, 6))

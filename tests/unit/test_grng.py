@@ -126,6 +126,16 @@ class TestBlockInterface:
         assert np.allclose(regenerated, forward[60:])
 
 
+    @pytest.mark.parametrize(("stride", "count"), [(1, 50_000), (256, 4096)])
+    def test_long_block_equals_chunked_blocks(self, stride, count):
+        whole = LfsrGaussianRNG(256, seed_index=1, stride=stride)
+        chunked = LfsrGaussianRNG(256, seed_index=1, stride=stride)
+        block = whole.epsilon_block(count)
+        pieces = [chunked.epsilon_block(n) for n in (count // 3, count - count // 3)]
+        assert np.array_equal(block, np.concatenate(pieces))
+        assert whole.lfsr.state == chunked.lfsr.state
+
+
 class TestStatistics:
     def test_decorrelated_stride_produces_standard_normal_moments(self):
         grng = LfsrGaussianRNG(n_bits=256, seed_index=21, stride=256)

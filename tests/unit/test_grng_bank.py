@@ -155,6 +155,24 @@ class TestBatchedInterface:
             bank.epsilon_blocks_reverse(-1)
 
 
+    def test_sixteen_long_rows_match_their_scalars(self):
+        bank = GrngBank(16, n_bits=256, stride=1)
+        block = bank.epsilon_blocks(50_000)
+        assert block.shape == (16, 50_000)
+        for row in (0, 15):
+            scalar = LfsrGaussianRNG(n_bits=256, seed_index=row, stride=1)
+            assert np.array_equal(block[row], scalar.epsilon_block(50_000))
+
+    def test_sixteen_long_rows_rewind_and_replay(self):
+        bank = GrngBank(16, n_bits=256, stride=1)
+        start = bank.states()
+        forward = bank.epsilon_blocks(50_000)
+        backward = bank.epsilon_blocks_reverse(50_000)
+        assert np.array_equal(backward, forward[:, ::-1])
+        assert bank.states() == start
+        assert np.array_equal(bank.epsilon_blocks(50_000), forward)
+
+
 class TestRowViews:
     def test_row_view_matches_scalar(self):
         bank = GrngBank(2, n_bits=64, stride=4)

@@ -194,6 +194,23 @@ class TestVectorisedGeneration:
         assert np.array_equal(counts, np.array(expected))
 
 
+    def test_long_block_equals_chunked_generation(self):
+        whole = FibonacciLFSR(256, seed=0xDEADBEEF)
+        chunked = whole.copy()
+        block = whole.generate_bits(50_000)
+        pieces = [chunked.generate_bits(n) for n in (1, 20_000, 29_999)]
+        assert np.array_equal(block, np.concatenate(pieces))
+        assert whole.state == chunked.state
+
+    def test_long_reverse_block_rewinds_the_register(self):
+        lfsr = FibonacciLFSR(256, seed=0xDEADBEEF)
+        start = lfsr.state
+        block = lfsr.generate_bits(50_000)
+        lfsr.generate_bits_reverse(50_000)
+        assert lfsr.state == start
+        assert np.array_equal(lfsr.generate_bits(50_000), block)
+
+
 class TestHelpers:
     def test_parity(self):
         assert parity(0) == 0

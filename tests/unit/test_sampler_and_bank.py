@@ -74,6 +74,18 @@ class TestWeightSampler:
         assert sampler.stream.grng.n_bits == 64
 
 
+    def test_resample_reproduces_layer_sized_weights(self):
+        sampler = StreamBank(1, policy="reversible", seed=0, grng_stride=16).sampler(0)
+        mu = np.zeros((256, 64))
+        sigma = np.full((256, 64), 0.05)
+        for _ in range(2):
+            first = sampler.sample(mu, sigma)
+            second = sampler.resample(mu, sigma)
+            assert second.weights.shape == (256, 64)
+            assert first.weights.tobytes() == second.weights.tobytes()
+            sampler.finish_iteration()
+
+
 class TestLfsrSnapshot:
     def test_capture_and_restore(self):
         grng = LfsrGaussianRNG(n_bits=64, seed_index=3)
@@ -209,3 +221,18 @@ class TestStreamBank:
     def test_policy_property(self):
         assert StreamBank(1, policy="stored").policy == "stored"
         assert StreamBank(1).policy == "reversible"
+
+    def test_per_row_iteration_replays_every_stream(self):
+        bank = StreamBank(8, policy="reversible", seed=0, grng_stride=16)
+        shape = (64, 64)
+        previous = None
+        for _ in range(2):
+            blocks = [sampler.stream.forward_block(shape) for sampler in bank]
+            for sampler, block in zip(bank, blocks):
+                assert sampler.stream.retrieve_block(shape).tobytes() == block.tobytes()
+            bank.finish_iteration()
+            assert len({block.tobytes() for block in blocks}) == len(bank)
+            # the next iteration draws fresh epsilons, never a replay
+            if previous is not None:
+                assert not np.array_equal(blocks[0], previous)
+            previous = blocks[0]
