@@ -1,7 +1,8 @@
 """Plain-text table rendering for experiment output.
 
 Every experiment module produces structured rows; this helper renders them as
-aligned ASCII tables (what the benchmark harness prints) and as CSV text (for
+aligned ASCII tables (what ``python -m repro.experiments.runner`` prints,
+checked in ``tests/unit/test_analysis.py``) and as CSV text (for
 saving results to disk), without any third-party dependency.
 """
 

@@ -782,7 +782,7 @@ _NATIVE_TAPS = 3
 
 
 def _grng_block_reference(
-    state_words, n_bits, offsets, stride, count, reverse, mean, std, out,
+    state_words, n_bits, offsets, stride, count, mean, std, out,
     mu=None, sigma=None, w_out=None,
 ):
     # Exactly the three NumPy dispatch points in sequence, one pass per
@@ -799,15 +799,13 @@ def _grng_block_reference(
     while done < count:
         size = min(chunk, count - done)
         seq_words, state_words = registry.call(
-            "lfsr_step_block", state_words, n_bits, size * stride, offsets, reverse
+            "lfsr_step_block", state_words, n_bits, size * stride, offsets, False
         )
         popcounts = registry.call(
             "window_popcounts", seq_words, n_bits, size * stride, stride
         )
-        out[:, done : done + size] = (
-            popcounts
-            if reverse
-            else registry.call("clt_standardise", popcounts, mean, std)
+        out[:, done : done + size] = registry.call(
+            "clt_standardise", popcounts, mean, std
         )
         done += size
     if w_out is not None:
@@ -817,46 +815,26 @@ def _grng_block_reference(
 
 
 @lru_cache(maxsize=64)
-def _native_geometry(n_bits: int, offsets: tuple[int, ...], reverse: bool):
-    """The C kernel's shift tables for a tap tuple; ``None`` outside its domain.
+def _native_geometry(n_bits: int, offsets: tuple[int, ...]):
+    """The C kernel's shift table for a tap tuple; ``None`` outside its domain.
 
-    Forward, every tap besides the tail must sit within a word of it (shift
-    ``n_bits - p < 64``, on a register of at least two words); reversed, the
-    mirrored taps must reach less than a word back, so the in-word solve
-    ``(1 + q)^-1 = PROD_k (1 + q^(2^k))`` applies -- one list of left shifts
-    ``m << k`` (those still below 64) per squaring level.  The kernel has
-    three tap slots; a two-tap polynomial fills them with one tap three
+    Every tap besides the tail must sit within a word of it (shift
+    ``n_bits - p < 64``, on a register of at least two words).  The kernel
+    has three tap slots; a two-tap polynomial fills them with one tap three
     times (``x ^ x ^ x == x``).
     """
     inner = [p for p in offsets if p != n_bits]
     n_words, tail = divmod(n_bits, 64)
-    if tail or n_words > _NATIVE_MAX_WORDS or len(inner) + 1 != len(offsets):
+    if tail or not 2 <= n_words <= _NATIVE_MAX_WORDS or len(inner) + 1 != len(offsets):
         return None
     if len(inner) == 1:
         inner = inner * _NATIVE_TAPS
-    if len(inner) != _NATIVE_TAPS:
+    shifts = [n_bits - p for p in inner]
+    if len(shifts) != _NATIVE_TAPS or not all(0 < shift < 64 for shift in shifts):
         return None
-    if not reverse:
-        shifts = [n_bits - p for p in inner]
-        if n_words < 2 or not all(0 < s < 64 for s in shifts):
-            return None
-        tables = [shifts]
-    else:
-        if not all(0 < m < 64 for m in inner):
-            return None
-        levels = []
-        while min(inner) << len(levels) < 64:
-            k = len(levels)
-            levels.append([m << k for m in inner if m << k < 64])
-        tables = [
-            [64 - m for m in inner],
-            [shift for level in levels for shift in level],
-            [len(level) for level in levels],
-        ]
-    arrays = tuple(np.array(table, dtype=np.int32) for table in tables)
-    for array in arrays:
-        array.flags.writeable = False  # shared by every caller of the cache
-    return arrays
+    table = np.array(shifts, dtype=np.int32)
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
 
 
 def _c_array(array, dtype, shape, writable=False) -> bool:
@@ -875,16 +853,15 @@ def _c_array(array, dtype, shape, writable=False) -> bool:
 
 
 def _grng_block_native_supports(
-    state_words, n_bits, offsets, stride, count, reverse, mean, std, out,
+    state_words, n_bits, offsets, stride, count, mean, std, out,
     mu=None, sigma=None, w_out=None,
 ):
     shape = (state_words.shape[0], count)
     if w_out is None:
-        outputs = _c_array(out, np.int32 if reverse else np.float64, shape, True)
+        outputs = _c_array(out, np.float64, shape, True)
     else:
         outputs = (
-            not reverse
-            and (out is None or _c_array(out, np.float64, shape, True))
+            (out is None or _c_array(out, np.float64, shape, True))
             and _c_array(w_out, np.float64, shape, True)
             and _c_array(mu, np.float64, (count,))
             and _c_array(sigma, np.float64, (count,))
@@ -895,37 +872,29 @@ def _grng_block_native_supports(
         and count >= 1
         and state_words.dtype == np.uint64
         and state_words.shape[1:] == (n_bits // 64,)
-        and _native_geometry(n_bits, tuple(offsets), bool(reverse)) is not None
+        and _native_geometry(n_bits, tuple(offsets)) is not None
     )
 
 
 def _grng_block_native(
-    state_words, n_bits, offsets, stride, count, reverse, mean, std, out,
+    state_words, n_bits, offsets, stride, count, mean, std, out,
     mu=None, sigma=None, w_out=None,
 ):
     lib = native.library.load()
-    tables = _native_geometry(n_bits, tuple(offsets), bool(reverse))
+    shifts = _native_geometry(n_bits, tuple(offsets))
     # every buffer stays referenced by a local until the call returns
     state = np.ascontiguousarray(state_words)
     rows, n_words = state.shape
     new_state = np.empty_like(state)
     last = np.empty(rows, dtype=np.int64)
-    head = (state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words)
-    if reverse:
-        carries, level_shifts, level_sizes = tables
-        status = lib.grng_reverse(
-            *head, carries.ctypes.data, level_shifts.ctypes.data,
-            level_sizes.ctypes.data, len(level_sizes), stride // 64, count,
-            out.ctypes.data,
-        )
-    else:
-        fused = (None,) * 3 if w_out is None else (
-            mu.ctypes.data, sigma.ctypes.data, w_out.ctypes.data
-        )
-        status = lib.grng_forward(
-            *head, tables[0].ctypes.data, stride // 64, count, float(mean),
-            float(std), None if out is None else out.ctypes.data, *fused,
-        )
+    fused = (None,) * 3 if w_out is None else (
+        mu.ctypes.data, sigma.ctypes.data, w_out.ctypes.data
+    )
+    status = lib.grng_forward(
+        state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words,
+        shifts.ctypes.data, stride // 64, count, float(mean), float(std),
+        None if out is None else out.ctypes.data, *fused,
+    )
     if status == -2:
         raise ValueError("sigma must be non-negative")
     if status:
@@ -936,42 +905,34 @@ def _grng_block_native(
 def _grng_block_cases() -> list[dict[str, Any]]:
     rng = np.random.default_rng(0x6B46)
     cases = []
-    # The NumPy reverse path costs ~10 ms a call whatever the size and the
-    # gate runs in every process that first dispatches here, so the reverse
-    # cases are few and short; tests/property/test_lfsr_bitserial_oracle.py
-    # holds the long ones.  ``fused`` cases also pass (mu, sigma, w_out) and
-    # ask for the weights with ("eps") or without ("w") the epsilons; they
-    # ride on existing geometries, so the gate makes no extra NumPy pass.
-    for n_bits, stride, count, rows, reverse, fused in (
-        (256, 256, 700, 3, False, None),  # the paper's GRNG; odd row count
-        (256, 256, 150, 3, True, None),  # literal reverse, un-paired last row
-        (256, 256, 1, 1, False, "eps"),  # degenerate: one value
-        (256, 64, 40, 2, False, "eps"),  # stride narrower than the register
-        (256, 512, 40, 2, False, "w"),  # stride wider than the register
-        (256, 512, 9, 1, True, None),
+    # tests/property/test_lfsr_bitserial_oracle.py holds the long cases.
+    # ``fused`` cases also pass (mu, sigma, w_out) and ask for the weights
+    # with ("eps") or without ("w") the epsilons; they ride on existing
+    # geometries, so the gate makes no extra NumPy pass.
+    for n_bits, stride, count, rows, fused in (
+        (256, 256, 700, 3, None),  # the paper's GRNG; odd row count
+        (256, 256, 1, 1, "eps"),  # degenerate: one value
+        (256, 64, 40, 2, "eps"),  # stride narrower than the register
+        (256, 512, 40, 2, "w"),  # stride wider than the register
         # past the reference path's byte cap: split calls continue one
         # register stream; the C scratch window wraps 70 times per row
-        (256, 256, 9000, 8, False, None),
+        (256, 256, 9000, 8, None),
         # one group of eight vector lanes plus a lone row, two full groups
-        (256, 256, 300, 9, False, "eps"),
-        (256, 256, 120, 16, False, None),
+        (256, 256, 300, 9, "eps"),
+        (256, 256, 120, 16, None),
         # std = sqrt(128)/2 is not a power of two
-        (128, 128, 300, 3, False, "w"),
-        (128, 64, 24, 2, True, None),
-        (192, 192, 100, 2, False, None),
-        (64, 64, 24, 2, True, None),  # one-word register (reverse form only)
+        (128, 128, 300, 3, "w"),
+        (192, 192, 100, 2, None),
     ):
-        taps = _lfsr_taps(n_bits)
         case = {
             "state_words": _random_state_words(rng, rows, n_bits),
             "n_bits": n_bits,
-            "offsets": _mirrored(n_bits, taps) if reverse else taps,
+            "offsets": _lfsr_taps(n_bits),
             "stride": stride,
             "count": count,
-            "reverse": reverse,
             "mean": n_bits / 2.0,
             "std": math.sqrt(n_bits / 4.0),
-            "out": np.zeros((rows, count), dtype=np.int32 if reverse else np.float64),
+            "out": np.zeros((rows, count), dtype=np.float64),
         }
         if fused:
             # IEEE specials in both; sigma's are the non-negative ones
@@ -2015,12 +1976,11 @@ def _register_builtin(reg: KernelRegistry) -> None:
     )
     reg.register_kernel(
         "grng_block",
-        doc="One fused GRNG pass per register row: `count` values of "
-        "`stride` shifts each -- standardised float64 epsilons (forward) or "
-        "int32 popcounts of the earlier patterns (reverse) -- written into "
-        "`out`; forward, given per-column `mu` and `sigma`, also the sampled "
-        "weights mu + eps * sigma into `w_out` (then `out` may be None); "
-        "returns (out, new_state_words, last_popcounts, w_out).",
+        doc="One fused forward GRNG pass per register row: `count` "
+        "standardised float64 epsilons of `stride` shifts each, written into "
+        "`out`; given per-column `mu` and `sigma`, also the sampled weights "
+        "mu + eps * sigma into `w_out` (then `out` may be None); returns "
+        "(out, new_state_words, last_popcounts, w_out).",
         chain=("native", "reference"),
         rows_of=lambda state_words, *args, **kwargs: state_words.shape[0],
         conformance_cases=_grng_block_cases,

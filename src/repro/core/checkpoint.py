@@ -83,7 +83,11 @@ class StreamBank:
     policy:
         ``"stored"`` for the baseline store-and-fetch behaviour,
         ``"reversible"`` for Shift-BNN's checkpointed regeneration, or
-        ``"reversible-hw"`` for literal step-accurate reverse shifting.
+        ``"reversible-hw"`` for the hardware's checkpoint-free retrieval:
+        nothing is kept between the passes, and each block's start registers
+        are derived from the current ones by reversing the LFSR (a jump back
+        of the block's shifts, then a forward replay).  All three produce the
+        same epsilons.
     seed:
         Bank-level seed; sample ``i`` uses seed index ``seed * stride + i`` so
         two banks built with the same ``seed`` produce identical epsilons

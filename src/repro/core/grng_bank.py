@@ -5,10 +5,13 @@ Fibonacci LFSR plus one bit-sum register per Monte-Carlo sample.  The
 registers live packed in a ``(rows, ceil(n_bits / 64))`` ``uint64`` matrix
 (bit ``j`` of row ``i`` is bit ``j % 64`` of ``words[i, j // 64]``), and
 every shift goes through the ``grng_block`` dispatch point, which shifts,
-popcounts the emitted patterns and standardises them in one pass.  Values are
-bit-identical to the scalar :class:`~repro.core.grng.LfsrGaussianRNG`
-(property-tested), because both share the same seeds, recurrence and CLT
-conversion.
+popcounts the emitted patterns and standardises them in one pass.  Shifts only
+ever run forward: a reversed retrieval jumps the registers back (the state
+``N`` shifts earlier is a fixed linear function of the current one, see
+:func:`~repro.core.lfsr._jump_terms`), regenerates forward to where they were
+and hands the values out newest first.  Values are bit-identical to the
+scalar :class:`~repro.core.grng.LfsrGaussianRNG` (property-tested), because
+both share the same seeds, recurrence and CLT conversion.
 
 Two interfaces are exposed:
 
@@ -34,7 +37,7 @@ import numpy as np
 from .backend import dispatch
 from .bitops import pack_int_rows, unpack_bits, unpack_int_rows
 from .grng import ReplayError
-from .lfsr import LFSRStateError, mirrored_taps, normalise_taps, seed_from_index
+from .lfsr import LFSRStateError, _rewound_words, normalise_taps, seed_from_index
 
 __all__ = ["BankedGaussianRNG", "GrngBank", "LfsrRowView"]
 
@@ -76,7 +79,6 @@ class GrngBank:
         if stride < 1:
             raise ValueError("stride must be at least 1 shift per variable")
         self._taps = normalise_taps(n_bits, taps)
-        self._reverse_taps = mirrored_taps(n_bits, self._taps)
         if seed_indices is None:
             seed_indices = range(n_rows or 0)
         states = [seed_from_index(n_bits, int(index)) for index in seed_indices]
@@ -146,38 +148,28 @@ class GrngBank:
     # ------------------------------------------------------------------
     # generation (physical register states)
     # ------------------------------------------------------------------
-    def _shift(
-        self, selection, count: int, out: np.ndarray, reverse: bool
-    ) -> np.ndarray:
-        # One fused dispatch: shift, popcount only the positions the GRNG
-        # emits (one per ``stride`` shifts) and, forward, standardise.
-        # Integer popcounts are exact, so the values are bit-identical for
-        # any stride and any backend.  Returns the last popcount per row.
-        _, words, last, _ = _grng_block(
-            self._words[selection],
-            self._n,
-            self._reverse_taps if reverse else self._taps,
-            self._stride,
-            count,
-            reverse,
-            self._mean,
-            self._std,
-            out,
-        )
-        self._words[selection] = words
-        return last
-
     def _generate_forward(
         self, rows: Sequence[int] | None, count: int
     ) -> np.ndarray:
+        # One fused dispatch: shift, popcount only the positions the GRNG
+        # emits (one per ``stride`` shifts) and standardise.  Integer
+        # popcounts are exact, so the values are bit-identical for any stride
+        # and any backend.
         selection = _selection(rows)
         values = np.empty((len(self._sums[selection]), count), dtype=np.float64)
-        self._sums[selection] = self._shift(selection, count, values, reverse=False)
+        _, words, last, _ = _grng_block(
+            self._words[selection], self._n, self._taps, self._stride, count,
+            self._mean, self._std, values,
+        )
+        self._words[selection] = words
+        self._sums[selection] = last
         return values
 
     def _generate_reverse(
         self, rows: Sequence[int] | None, count: int
     ) -> np.ndarray:
+        # Jump the registers back count * stride shifts, run forward to where
+        # they were, and hand the patterns out newest first.
         selection = _selection(rows)
         current_sums = self._sums[selection]
         # The hardware steps the sum register by (recovered tail - dropped
@@ -186,14 +178,20 @@ class GrngBank:
         # rides along unchanged: emit the current sum, then the exact
         # popcounts of the earlier patterns plus that drift.
         drift = current_sums - self._popcounts(selection)
-        earlier = np.empty((len(current_sums), count), dtype=np.int32)
-        self._shift(selection, count, earlier, reverse=True)
-        drifted = earlier + drift[:, None]
+        start = _rewound_words(
+            self._words[selection], self._n, self._taps, count * self._stride
+        )
+        # at mean 0 and std 1 the standardised values are the popcounts
+        popcounts = np.empty((len(current_sums), count), dtype=np.float64)
+        _grng_block(start, self._n, self._taps, self._stride, count, 0.0, 1.0, popcounts)
         # built before the register update: current_sums may view self._sums
-        sums = np.concatenate([current_sums[:, None], drifted[:, :-1]], axis=1)
-        self._sums[selection] = drifted[:, -1]
-        # Integer-to-double conversion is exact for popcounts, so every
-        # backend of the dispatch point produces byte-identical float64.
+        sums = np.empty_like(popcounts)
+        sums[:, 0] = current_sums
+        np.add(popcounts[:, -2::-1], drift[:, None], out=sums[:, 1:])
+        self._words[selection] = start
+        self._sums[selection] = self._popcounts(selection) + drift
+        # Popcounts are exact in float64, so every backend of the dispatch
+        # point produces byte-identical values.
         return _clt_standardise(sums, self._mean, self._std)
 
     def _fused(self, words, mu, sigma, epsilon: bool):
@@ -205,7 +203,7 @@ class GrngBank:
         if count == 0:
             return weights, values, words.copy(), self._sums.copy()
         _, end, last, _ = _grng_block(
-            words, self._n, self._taps, self._stride, count, False,
+            words, self._n, self._taps, self._stride, count,
             self._mean, self._std, values,
             mu=mu.reshape(-1), sigma=sigma.reshape(-1), w_out=weights,
         )

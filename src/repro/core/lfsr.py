@@ -27,11 +27,12 @@ on a forward shift).  Internally the state is a Python integer whose bit ``j``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .backend import dispatch
-from .bitops import pack_int_rows, unpack_bits, unpack_int_rows
+from .bitops import pack_bits, pack_int_rows, unpack_bits, unpack_int_rows
 
 _lfsr_step_block = dispatch("lfsr_step_block")
 _window_popcounts = dispatch("window_popcounts")
@@ -139,6 +140,60 @@ def seed_from_index(n_bits: int, index: int) -> int:
     if value == 0:
         value = 1
     return value
+
+
+@lru_cache(maxsize=256)
+def _jump_terms(n_bits: int, taps: tuple[int, ...], shifts: int) -> tuple[int, ...]:
+    """Exponents ``i`` of ``R = x^-shifts mod P``, ascending.
+
+    ``P = x^n + SUM_p x^(n-p)`` (the tail tap gives the ``1``) annihilates
+    the forward shift ``L``, and ``P(0) = 1`` makes ``x`` invertible modulo
+    ``P``, so ``L^-shifts = R(L)``: the register ``shifts`` shifts back is
+    the XOR of the registers ``i`` shifts ahead, one per term ``x^i`` of
+    ``R``.  Square-and-multiply on Python integers (bit ``k`` is the
+    coefficient of ``x^k``), where multiplying by ``x^-1 = (P - 1) / x`` is
+    one conditional XOR and one shift.
+    """
+    modulus = 1 << n_bits
+    for p in taps:
+        modulus |= 1 << (n_bits - p)
+    low = (1 << n_bits) - 1
+    power = 1
+    for bit in bin(shifts)[2:]:
+        # over GF(2) squaring spreads the bits; then fold x^n = SUM_p x^(n-p)
+        power = int("0".join(bin(power)[2:]), 2)
+        while power >> n_bits:
+            high, power = power >> n_bits, power & low
+            for p in taps:
+                power ^= high << (n_bits - p)
+        if bit == "1":
+            if power & 1:
+                power ^= modulus
+            power >>= 1
+    return tuple(i for i in range(n_bits) if power >> i & 1)
+
+
+def _rewound_words(
+    state_words: np.ndarray, n_bits: int, taps: tuple[int, ...], shifts: int
+) -> np.ndarray:
+    """The packed registers ``shifts`` forward shifts before ``state_words``.
+
+    A jump, not a walk: one forward run of ``n_bits - 1`` shifts holds, as
+    its windows, every register up to ``n_bits - 1`` shifts ahead, and the
+    XOR of the windows :func:`_jump_terms` names is the earlier register.
+    """
+    terms = _jump_terms(n_bits, tuple(taps), shifts)
+    seq_words, _ = _lfsr_step_block(state_words, n_bits, n_bits - 1, taps, False)
+    # Every row at once in one integer: a row's windows end before its own
+    # sequence does, so no row reads into the next.
+    rows, row_words = seq_words.shape
+    sequence = int.from_bytes(seq_words.astype("<u8").tobytes(), "little")
+    windows = 0
+    for i in terms:
+        windows ^= sequence >> i
+    packed = np.frombuffer(windows.to_bytes(rows * row_words * 8, "little"), "<u8")
+    # a window is in time order, oldest bit first: Rn..R1
+    return pack_bits(unpack_bits(packed.reshape(rows, row_words), n_bits)[:, ::-1])
 
 
 @dataclass(frozen=True)

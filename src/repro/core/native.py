@@ -65,10 +65,6 @@ _SIGNATURES = {
     "grng_forward": _FORWARD,
     "grng_forward_rows": _FORWARD,  # the row body alone, whatever the CPU
     "grng_lane_width": [],
-    # state, new_state, last_pc, rows, n_words, carries, level_shifts,
-    # level_sizes, n_levels, stride_words, count, out
-    "grng_reverse": [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _PTR, _PTR, _SIZE,
-                     _SIZE, _SIZE, _PTR],
     # g, eps, p, sigma, sgrad, samples, n, kl, prior_scale, entropy, stacks,
     # mu_grad, rho_grad
     "posterior_gc": [_PTR, _PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE, _DOUBLE,

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .lfsr import _rewound_words
 from .streams import EpsilonStream, StreamOrderError, StreamUsage
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -150,8 +151,7 @@ class _BatchBlockRecord:
     #: ``"reversible"``: every row's register words before the block.
     checkpoint: np.ndarray | None = field(default=None, repr=False)
     #: ``"stored"``: the read-only block itself (the software analogue of
-    #: spilling it to DRAM); ``"reversible-hw"``: its reversed regeneration,
-    #: filled in when the backward pass starts.
+    #: spilling it to DRAM).
     epsilon: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -170,9 +170,10 @@ class BatchedWeightSampler:
       ``"reversible"`` policy keeps the layer's start registers instead.
     * ``resample(mu, sigma)`` reconstructs the identical block for the
       backward / gradient stages, layer by layer in reverse order: a replay
-      from the layer's own checkpoint (``"reversible"``), a slice of one
-      whole-span reversed-shift regeneration (``"reversible-hw"``), or the
-      stored values (``"stored"``).
+      from the layer's start registers -- its own checkpoint
+      (``"reversible"``) or, storing nothing, the registers jumped back from
+      the start of the layer after it (``"reversible-hw"``) -- or the stored
+      values (``"stored"``).
 
     The call contract mirrors the trainers' pipeline: a full forward pass
     (``sample`` per Bayesian layer, optionally announced by
@@ -201,9 +202,8 @@ class BatchedWeightSampler:
         self._records: list[_BatchBlockRecord] = []
         self._schedule: list[int] = []
         self._retrieving = False
-        #: ``"reversible"``: the words the next replay must land on.
+        #: the words the next replay must land on
         self._landing: np.ndarray | None = None
-        self._hw_resume_states: list[int] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -361,17 +361,13 @@ class BatchedWeightSampler:
                 "cannot start the backward pass with unconsumed prefetched "
                 "forward blocks"
             )
-        if self._policy == "reversible":
-            weights, epsilon = self._replay(record, mu, sigma)
-        else:
+        if self._policy == "stored":
             if np.any(sigma < 0):
                 raise ValueError("sigma must be non-negative")
-            if not self._retrieving and self._policy == "reversible-hw":
-                self._reverse_span()
             epsilon = record.epsilon
-            if self._policy == "reversible-hw":
-                epsilon = np.ascontiguousarray(epsilon)
             weights = self._build_weights(mu.reshape(-1), sigma.reshape(-1), epsilon)
+        else:
+            weights, epsilon = self._replay(record, mu, sigma)
         self._retrieving = True
         self._records.pop()
         for usage in self._usages:
@@ -389,41 +385,30 @@ class BatchedWeightSampler:
         return self._batch(mu.shape, weights, epsilon)
 
     def _replay(self, record: _BatchBlockRecord, mu, sigma):
-        """Regenerate one layer from its checkpoint and verify the landing.
+        """Regenerate one layer from its start registers and verify the landing.
 
         The first replay must land on the registers the forward pass left
-        (the pre-retrieval patterns), every later one on the checkpoint of
-        the layer replayed before it -- the whole-span chain, link by link.
-        The bank's registers stay on the span end throughout.
+        (the pre-retrieval patterns), every later one on the start of the
+        layer replayed before it -- the whole-span chain, link by link.
+        ``"reversible-hw"`` keeps no checkpoint: it jumps back from the
+        landing, so the landing check also proves the jump.  The bank's
+        registers stay on the span end throughout.
         """
-        landing = self._bank.register_words() if self._landing is None else self._landing
-        weights, epsilon, end = self._bank.replay_weight_blocks(
-            record.checkpoint, mu, sigma
-        )
+        bank = self._bank
+        landing = bank.register_words() if self._landing is None else self._landing
+        start = record.checkpoint
+        if start is None:
+            start = _rewound_words(
+                landing, bank.n_bits, bank.taps, record.count * bank.stride
+            )
+        weights, epsilon, end = bank.replay_weight_blocks(start, mu, sigma)
         if not np.array_equal(end, landing):
             raise StreamOrderError(
                 "checkpoint replay did not land on the pre-retrieval "
                 "patterns; the registers were modified outside the sampler"
             )
-        self._landing = record.checkpoint
+        self._landing = start
         return weights, epsilon
-
-    def _reverse_span(self) -> None:
-        """``"reversible-hw"``: regenerate the whole span by reversed shifting.
-
-        The registers physically rewind to the span start, and the farthest
-        patterns are remembered so finish_iteration() can resume from them
-        (the per-stream policy does the same in reset_epoch).
-        """
-        self._hw_resume_states = self._bank.states()
-        total = sum(record.count for record in self._records)
-        reversed_span = self._bank.epsilon_blocks_reverse(total)
-        offset = 0
-        for record in reversed(self._records):
-            # Reverse shifting yields newest-value-first; restore generation
-            # order so callers see exactly the forward block.
-            record.epsilon = reversed_span[:, offset : offset + record.count][:, ::-1]
-            offset += record.count
 
     # ------------------------------------------------------------------
     def finish_iteration(self) -> None:
@@ -436,11 +421,6 @@ class BatchedWeightSampler:
             raise StreamOrderError(
                 f"{len(self._schedule)} prefetched block(s) were never sampled"
             )
-        if self._hw_resume_states is not None:
-            # Resume from the farthest pattern of the forward stage, exactly
-            # like ReversibleGaussianStream.reset_epoch.
-            self._bank.set_states(self._hw_resume_states)
-            self._hw_resume_states = None
 
     def discard_pending(self) -> None:
         """Drop outstanding blocks without retrieving them.
@@ -453,7 +433,6 @@ class BatchedWeightSampler:
         self._schedule.clear()
         self._retrieving = False
         self._landing = None
-        self._hw_resume_states = None
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,7 @@ baseline accelerators and Shift-BNN:
   retrievals from that store -- the software analogue of spilling ``eps`` to
   DRAM (the dominant traffic source the paper measures in Fig. 3).
 * :class:`ReversibleGaussianStream` stores nothing but the LFSR state; blocks
-  are regenerated on retrieval by reversed shifting (optionally from a tiny
+  are regenerated on retrieval by reversing the LFSR (or from a tiny
   per-block register checkpoint), exactly reproducing the forward values.
 
 Both classes implement the same :class:`EpsilonStream` interface and keep byte
@@ -258,9 +258,12 @@ class ReversibleGaussianStream(EpsilonStream):
     use_checkpoints:
         When ``True`` (default) the register state at each block boundary is
         remembered so retrieval can regenerate the block with the fast
-        vectorised forward generator.  When ``False`` the stream retrieves by
-        literal reverse shifting, the exact hardware behaviour; results are
-        identical (property-tested), only the software speed differs.
+        vectorised forward generator.  When ``False`` nothing is remembered
+        and the stream retrieves with the generator's
+        ``epsilon_block_reverse``, which rewinds the register: the scalar
+        generator by reverse shifting (the hardware's Eq. 3), a bank row by
+        a jump back and a forward replay.  Results are identical
+        (property-tested), only the software speed differs.
     """
 
     def __init__(

@@ -2,8 +2,9 @@
 
 DESIGN.md calls out three design choices worth sweeping that the paper fixes
 by construction.  Each ablation returns the usual :class:`ExperimentResult`
-table so it can be exercised by the benchmark harness and the test suite like
-any other experiment.
+table so it can be printed by ``python -m repro.experiments.runner`` and
+exercised by ``tests/unit/test_serialization_and_ablations.py`` like any other
+experiment.
 
 * **GRNG width / stride** -- how many LFSR bits (and how many shifts per
   variable) are needed for the CLT approximation to deliver well-behaved

@@ -7,7 +7,8 @@ Usage::
 
 The analytic experiments (Figs. 2, 3, 10-14, Table 2, DSE) complete in seconds;
 the functional ones (Fig. 9, Table 1) train reduced models and take a few
-minutes, so they are opt-in both here and in the benchmark suite.
+minutes, so they are opt-in here; tier-1 runs them at tiny sizes in
+``tests/integration/test_functional_experiments.py``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ Two publishing styles coexist:
 
 ``REPRO_OBS=0`` is the global kill switch (see :func:`obs_enabled`); it is
 read at component construction time so two stacks with different settings
-can coexist in one process (the overhead benchmark relies on this).
+can coexist in one process (``tests/soak/gateway_soak.py`` relies on this
+to compare a traced and an untraced gateway).
 """
 
 from __future__ import annotations

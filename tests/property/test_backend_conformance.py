@@ -167,7 +167,7 @@ _HOT_OFFSETS = normalise_taps(HOT_BITS, MAXIMAL_TAPS[HOT_BITS])
 #: argument positions a kernel writes into; every other array argument is
 #: input and must come back unchanged
 OUTPUT_ARGS = {
-    "grng_block": (8,),
+    "grng_block": (7,),
     "sample_matmul": (2,),
     "fused_sample_matmul": (2,),
     "posterior_gc": (7, 8),
@@ -198,7 +198,7 @@ def _hot_workload(kernel: str) -> tuple:
         count = HOT_POPCOUNT_BITS // HOT_BITS
         out = np.empty((HOT_ROWS, count), dtype=np.float64)
         return (
-            _hot_state_words(), HOT_BITS, _HOT_OFFSETS, HOT_BITS, count, False,
+            _hot_state_words(), HOT_BITS, _HOT_OFFSETS, HOT_BITS, count,
             128.0, 8.0, out,
         )
     if kernel == "sample_matmul":

@@ -16,10 +16,12 @@ point (history, produced bits, end state, zero padding), ``window_popcounts``
 on its output, the fused ``grng_block`` point on its compiled ``native``
 backend (values, popcounts, end states, split calls, every width and row
 count its ``supports`` predicate accepts -- across the vector lane body's
-groups of eight rows at 256 bits when the CPU runs it) and ``GrngBank``'s
-forward -> checkpoint replay -> reversed retrieval round trip.  The kernel's
-``grng_forward`` is also held byte-equal to its row body alone over the whole
-domain.
+groups of eight rows at 256 bits when the CPU runs it), ``GrngBank``'s
+reversed retrieval and its forward -> checkpoint replay -> reversed retrieval
+round trip, and the jump under that retrieval (the register ``N`` shifts
+back as a fixed linear function of the current one) for random widths, taps,
+strides and ``N``.  The kernel's ``grng_forward`` is also held byte-equal to
+its row body alone over the whole domain.
 
 A second from-scratch construction brackets the kernels from the other side:
 the **Galois** (internal-XOR) form of the same polynomial -- shift the whole
@@ -45,6 +47,7 @@ from hypothesis import strategies as st
 import repro.core.backend as backend
 import repro.core.native as native
 from repro.core import GrngBank
+from repro.core.lfsr import _rewound_words
 
 #: 1-based tap positions, tail tap ``n`` included (Xilinx XAPP 052 table).
 TAP_TABLE = {
@@ -70,10 +73,10 @@ SEEDS_256 = tuple(
 class BitSerialLFSR:
     """Cells ``R1..Rn`` (``cells[0]`` is the head ``R1``), one bit each."""
 
-    def __init__(self, n_bits: int, seed: int) -> None:
+    def __init__(self, n_bits: int, seed: int, taps=None) -> None:
         assert 0 < seed < (1 << n_bits)
         self.n = n_bits
-        self.taps = TAP_TABLE[n_bits]
+        self.taps = TAP_TABLE[n_bits] if taps is None else tuple(taps)
         self.cells = deque((seed >> j) & 1 for j in range(n_bits))
 
     def tick_forward(self) -> int:
@@ -340,53 +343,47 @@ def native_grng():
         yield
 
 
-def grng_block(seeds, n_bits, stride, count, reverse, mean=None, std=None):
+def grng_block(seeds, n_bits, stride, count, mean=None, std=None):
     """One dispatch: ``(out, end_states, last_popcounts)``."""
     mean = n_bits / 2.0 if mean is None else mean
     std = math.sqrt(n_bits / 4.0) if std is None else std
-    out = np.empty((len(seeds), count), dtype=np.int32 if reverse else np.float64)
+    out = np.empty((len(seeds), count), dtype=np.float64)
     _, new_words, last, _ = backend.registry.call(
-        "grng_block", to_words(seeds, n_bits), n_bits, kernel_offsets(n_bits, reverse),
-        stride, count, reverse, mean, std, out,
+        "grng_block", to_words(seeds, n_bits), n_bits, kernel_offsets(n_bits, False),
+        stride, count, mean, std, out,
     )
     return out, from_words(new_words), [int(v) for v in last]
 
 
 def native_domain():
-    """(n_bits, reverse) pairs the native ``supports`` predicate accepts."""
-    pairs = []
-    for n_bits in sorted(TAP_TABLE):
-        for reverse in (False, True):
-            probe = np.empty((1, 1), dtype=np.int32 if reverse else np.float64)
-            if backend._grng_block_native_supports(
-                to_words([1], n_bits), n_bits, kernel_offsets(n_bits, reverse),
-                64, 1, reverse, 0.0, 1.0, probe,
-            ):
-                pairs.append((n_bits, reverse))
-    return pairs
-
-
-def test_native_domain_is_every_word_aligned_width():
-    assert native_domain() == [
-        (64, True), (128, False), (128, True), (192, False), (192, True),
-        (256, False), (256, True),
+    """Register widths the native ``supports`` predicate accepts."""
+    probe = np.empty((1, 1), dtype=np.float64)
+    return [
+        n_bits
+        for n_bits in sorted(TAP_TABLE)
+        if backend._grng_block_native_supports(
+            to_words([1], n_bits), n_bits, kernel_offsets(n_bits, False),
+            64, 1, 0.0, 1.0, probe,
+        )
     ]
 
 
+def test_native_domain_is_every_word_aligned_width():
+    assert native_domain() == [128, 192, 256]
+
+
+#: 9 and 16 rows span two groups of eight vector lanes (at 9 the lone last row
+#: runs on the row body; 2 and 3 rows run duplicate lanes); the banks of 8+
+#: rows (the bit-serial oracle's slowest cases) at 256 bits only
+def row_counts(n_bits: int):
+    return (1, 2, 3, 8, 9, 16) if n_bits == 256 else (1, 2, 3)
+
+
 @pytest.mark.parametrize(
-    ("n_bits", "reverse", "rows"),
-    [
-        (n_bits, reverse, rows)
-        for n_bits, reverse in native_domain()
-        # odd row counts leave the reverse kernel's last row un-paired; 9 and
-        # 16 rows span two groups of eight vector lanes (at 9 the lone last
-        # row runs on the row body; 2 and 3 rows run duplicate lanes); the
-        # banks of 8+ rows (the bit-serial oracle's slowest cases) at 256
-        # bits only
-        for rows in ((1, 2, 3, 8, 9, 16) if n_bits == 256 else (1, 2, 3))
-    ],
+    ("n_bits", "rows"),
+    [(n_bits, rows) for n_bits in native_domain() for rows in row_counts(n_bits)],
 )
-def test_native_grng_block_matches_bit_serial_oracle(native_grng, n_bits, reverse, rows):
+def test_native_grng_block_matches_bit_serial_oracle(native_grng, n_bits, rows):
     seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[:rows]]
     longest = max(LONG_COUNTS)
     mean, std = n_bits / 2.0, math.sqrt(n_bits / 4.0)
@@ -395,42 +392,152 @@ def test_native_grng_block_matches_bit_serial_oracle(native_grng, n_bits, revers
     for stride in (64, n_bits, 2 * n_bits):
         count = min(LONG_COUNTS) // stride - 1
         before = native_calls()
-        out, end, last = grng_block(seeds, n_bits, stride, count, reverse)
+        out, end, last = grng_block(seeds, n_bits, stride, count)
         assert native_calls() == before + 1, "the call fell through to NumPy"
         for parts in (2, 7):
             states, pieces = seeds, []
             edges = np.linspace(0, count, parts + 1).astype(int)
             for lo, hi in zip(edges[:-1], edges[1:]):
-                piece, states, piece_last = grng_block(
-                    states, n_bits, stride, int(hi - lo), reverse
-                )
+                piece, states, piece_last = grng_block(states, n_bits, stride, int(hi - lo))
                 pieces.append(piece)
             assert np.concatenate(pieces, axis=1).tobytes() == out.tobytes()
             assert (states, piece_last) == (end, last)
         for row, seed in enumerate(seeds):
-            bits, popcounts = oracle_prefix(n_bits, seed, count * stride, reverse, longest)
+            bits, popcounts = oracle_prefix(n_bits, seed, count * stride, False, longest)
             emitted = popcounts[stride - 1 :: stride]
-            want = emitted.astype(np.int32) if reverse else (emitted - mean) / std
-            assert out[row].tobytes() == want.tobytes(), (stride, row)
+            assert out[row].tobytes() == ((emitted - mean) / std).tobytes(), (stride, row)
             assert last[row] == emitted[-1]
-            assert end[row] == oracle_state_after(n_bits, seed, bits, reverse)
+            assert end[row] == oracle_state_after(n_bits, seed, bits, False)
 
 
-@pytest.mark.parametrize(("n_bits", "reverse"), native_domain())
-def test_native_grng_block_matches_galois_form(native_grng, n_bits, reverse):
+@pytest.mark.parametrize("n_bits", native_domain())
+def test_native_grng_block_matches_galois_form(native_grng, n_bits):
     seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[2:5]]
     stride, count = n_bits, 4096 // n_bits * 8
-    out, _, _ = grng_block(seeds, n_bits, stride, count, reverse)
-    offsets = kernel_offsets(n_bits, reverse)
+    out, _, _ = grng_block(seeds, n_bits, stride, count)
+    offsets = kernel_offsets(n_bits, False)
     for row, seed in enumerate(seeds):
-        history = history_bits(n_bits, seed, reverse)
+        history = history_bits(n_bits, seed, False)
         bits = galois_stream(n_bits, offsets, history, count * stride)
         emitted = stream_popcounts(history, bits, n_bits, stride)
-        if reverse:
-            want = emitted.astype(np.int32)
-        else:
-            want = (emitted - n_bits / 2.0) / math.sqrt(n_bits / 4.0)
+        want = (emitted - n_bits / 2.0) / math.sqrt(n_bits / 4.0)
         assert out[row].tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# reversed retrieval: GrngBank.epsilon_blocks_reverse (jump, then forward)
+# ----------------------------------------------------------------------
+def reverse_bank(seeds, n_bits, stride, taps=None):
+    bank = GrngBank(n_rows=len(seeds), n_bits=n_bits, taps=taps, stride=stride)
+    bank.set_states(seeds)
+    return bank
+
+
+def reversed_values(current: int, earlier: np.ndarray, n_bits: int) -> bytes:
+    """Retrieval emits the current pattern first, then the earlier ones."""
+    sums = np.concatenate(([current], earlier[:-1])).astype(np.int64)
+    return ((sums - n_bits / 2.0) / math.sqrt(n_bits / 4.0)).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("n_bits", "rows"),
+    [(n_bits, rows) for n_bits in (64, 128, 192, 256) for rows in row_counts(n_bits)],
+)
+def test_bank_reverse_matches_bit_serial_oracle(n_bits, rows):
+    """The long reversed runs: values, end registers, sum registers, splits."""
+    seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[:rows]]
+    longest = max(LONG_COUNTS)
+    for stride in (64, n_bits, 2 * n_bits):
+        count = min(LONG_COUNTS) // stride - 1
+        bank = reverse_bank(seeds, n_bits, stride)
+        out = bank.epsilon_blocks_reverse(count)
+        end = bank.states()
+        sums = [bank.row_view(row).sum_register for row in range(rows)]
+        for parts in (2, 7):
+            pieces, split = [], reverse_bank(seeds, n_bits, stride)
+            edges = np.linspace(0, count, parts + 1).astype(int)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                pieces.append(split.epsilon_blocks_reverse(int(hi - lo)))
+            assert np.concatenate(pieces, axis=1).tobytes() == out.tobytes()
+            assert split.states() == end
+        for row, seed in enumerate(seeds):
+            bits, popcounts = oracle_prefix(n_bits, seed, count * stride, True, longest)
+            emitted = popcounts[stride - 1 :: stride]
+            current = bin(seed).count("1")
+            assert out[row].tobytes() == reversed_values(current, emitted, n_bits), (stride, row)
+            assert sums[row] == emitted[-1]
+            assert end[row] == oracle_state_after(n_bits, seed, bits, True)
+
+
+@pytest.mark.parametrize("n_bits", [64, 128, 192, 256])
+def test_bank_reverse_matches_galois_form(n_bits):
+    seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[2:5]]
+    stride, count = n_bits, 4096 // n_bits * 8
+    out = reverse_bank(seeds, n_bits, stride).epsilon_blocks_reverse(count)
+    offsets = kernel_offsets(n_bits, True)
+    for row, seed in enumerate(seeds):
+        history = history_bits(n_bits, seed, True)
+        bits = galois_stream(n_bits, offsets, history, count * stride)
+        emitted = stream_popcounts(history, bits, n_bits, stride)
+        assert out[row].tobytes() == reversed_values(sum(history), emitted, n_bits)
+
+
+# ----------------------------------------------------------------------
+# the jump itself, at random widths, taps, strides and distances
+# ----------------------------------------------------------------------
+@st.composite
+def registers(draw, max_bits=200):
+    """``(n_bits, taps, seeds)``: any width, any valid taps (tail included)."""
+    n_bits = draw(st.integers(min_value=2, max_value=max_bits))
+    inner = draw(st.sets(st.integers(min_value=1, max_value=n_bits - 1), min_size=1, max_size=5))
+    rows = draw(st.integers(min_value=1, max_value=3))
+    seeds = draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << n_bits) - 1), min_size=rows, max_size=rows)
+    )
+    return n_bits, tuple(sorted(inner | {n_bits})), seeds
+
+
+@given(
+    register=registers(),
+    stride=st.integers(min_value=1, max_value=40),
+    count=st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=40, deadline=None)
+def test_bank_reverse_at_random_taps_matches_bit_serial_oracle(register, stride, count):
+    n_bits, taps, seeds = register
+    bank = reverse_bank(seeds, n_bits, stride, taps)
+    out = bank.epsilon_blocks_reverse(count)
+    for row, seed in enumerate(seeds):
+        lfsr = BitSerialLFSR(n_bits, seed, taps)
+        earlier = []
+        for _ in range(count):
+            for _ in range(stride):
+                lfsr.tick_reverse()
+            earlier.append(lfsr.popcount())
+        want = reversed_values(bin(seed).count("1"), np.array(earlier), n_bits)
+        assert out[row].tobytes() == want
+        assert bank.states()[row] == lfsr.state()
+        assert bank.row_view(row).sum_register == earlier[-1]
+
+
+@given(register=registers(max_bits=300), shifts=st.integers(min_value=0, max_value=1 << 20))
+@settings(max_examples=25, deadline=None)
+def test_jump_back_then_forward_is_the_identity(register, shifts):
+    n_bits, taps, seeds = register
+    words = to_words(seeds, n_bits)
+    earlier = _rewound_words(words, n_bits, taps, shifts)
+    if shifts <= 3000:
+        for row, seed in enumerate(seeds):
+            lfsr = BitSerialLFSR(n_bits, seed, taps)
+            for _ in range(shifts):
+                lfsr.tick_reverse()
+            assert from_words(earlier[row : row + 1])[0] == lfsr.state()
+    if shifts:
+        _, landed = backend.registry.call(
+            "lfsr_step_block", earlier, n_bits, shifts, taps, False
+        )
+        earlier = landed
+    assert from_words(earlier) == list(seeds)
 
 
 @given(
@@ -448,10 +555,10 @@ def test_native_standardise_is_numpy_division(states, count, stride, mean, std):
     """``((double)pc - mean) / std`` in C == ``(pc - mean) / std`` in NumPy, bytewise."""
     require_native()
     with backend.using("grng_block", "native"):
-        values, _, _ = grng_block(states, 128, stride, count, False, mean, std)
+        values, _, _ = grng_block(states, 128, stride, count, mean, std)
     with backend.using("grng_block", "reference"):
         # popcounts from the NumPy chain at mean 0 / std 1, then NumPy's own divide
-        raw, _, _ = grng_block(states, 128, stride, count, False, 0.0, 1.0)
+        raw, _, _ = grng_block(states, 128, stride, count, 0.0, 1.0)
     assert values.tobytes() == ((raw.astype(np.int64) - mean) / std).tobytes()
 
 
@@ -529,7 +636,7 @@ def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
         (256, 1, "reference"),  # dense emission: outside native's domain
         (192, 192, "native"),
         (128, 64, "native"),
-        (64, 64, "native"),  # forward falls through to NumPy, reverse is compiled
+        (64, 64, "native"),  # outside native's domain: falls through to NumPy
     ],
 )
 def test_grng_bank_round_trip_matches_bit_serial_oracle(n_bits, stride, which):

@@ -234,6 +234,11 @@ class TestBuildCache:
         }
         cache = tmp_path / "cache"
         cache.mkdir()
+        # seed the unedited key with the process's own build instead of a
+        # second compile; the load below verifies its digest like any entry
+        built = native.library.load()
+        assert built is not None
+        shutil.copy(built._name, cache)
         assert native.NativeLibrary(cache_dir=cache).load() is not None
         copies = [Path(shutil.copy(source, tmp_path)) for source in native.SOURCES]
         with copies[edited].open("a") as handle:
