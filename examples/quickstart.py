@@ -151,15 +151,17 @@ def main() -> None:
     if not wire_exact:
         raise SystemExit("gateway answers diverged from standalone mc_predict")
 
-    # 9. kernel backends: every hot kernel (LFSR stepping, window popcounts,
-    #    CLT standardisation, per-sample matmul, im2col) dispatches through
-    #    the registry in repro.core.backend.  A backend only becomes eligible
+    # 9. kernel backends: every hot kernel with a choice of implementation
+    #    (the GRNG block, window popcounts, im2col, ...) dispatches through
+    #    the registry in repro.core.backend; the ones with a single body (LFSR
+    #    stepping, CLT standardisation, per-sample matmul) are plain functions
+    #    counted under the same names.  A backend only becomes eligible
     #    after passing a conformance gate that proves it bit-identical to the
     #    NumPy reference oracle, so selection (REPRO_BACKEND env var, e.g.
     #    "reference" or "grng_block=reference", or backend.set_backend)
     #    changes speed, never results.  Inspect the registry from the shell:
-    #        python -m repro.core.backend --list
-    #        python -m repro.core.backend --verify
+    #        python -m repro.core --list
+    #        python -m repro.core --verify
     import repro.core.backend as kernel_backend
 
     print("\nkernel-backend dispatch (everything above ran through it):")

@@ -1,10 +1,10 @@
 """Pluggable kernel-backend dispatch with a bit-exactness conformance gate.
 
-Every hot kernel of the engine -- packed LFSR stepping, strided window
-popcounts, CLT standardisation, the fused GRNG block that composes those
-three, per-sample matmul, the conv data movement (im2col, col2im, max-pool
-forward and backward), the posterior's GC stage and the float64 <-> JSON text
-codec of the serving wire -- is a named *dispatch point* in this registry.
+Every hot kernel of the engine that has a choice of implementation -- strided
+window popcounts, the fused GRNG block, the conv data movement (im2col,
+col2im, max-pool forward and backward), the posterior's GC stage, the
+float64 <-> JSON text codec of the serving wire and the tile-fused per-sample
+matmul -- is a named *dispatch point* in this registry.
 The NumPy (or stdlib) code the repo grew up with is registered under the name
 ``"reference"`` for each point and is the always-available oracle;
 alternative implementations (a different NumPy strategy, or the in-tree C
@@ -18,6 +18,12 @@ must reproduce the oracle **bit for bit**.  The repo's crown-jewel contract --
 served and distributed answers byte-identical to the standalone engine -- is
 thereby preserved by construction: a backend that would change a single bit
 can never be dispatched to.
+
+Kernels with one implementation are plain functions, not dispatch points:
+:func:`lfsr_step_block` (packed LFSR stepping), :func:`clt_standardise` (CLT
+standardisation) and :func:`sample_matmul` (per-sample matmul).  There is
+nothing to select or gate, but each counts its calls and rows under its name
+and ``"reference"``, exactly as a dispatched call is counted.
 
 Selection
 ---------
@@ -43,8 +49,8 @@ rebuild replicas on the same backends as the process that captured them, and
 per-(kernel, backend) call/row counters feed ``ServerStats`` and the gateway's
 ``GET /stats`` so operators can see which implementations actually ran.
 
-``python -m repro.core.backend --list`` prints the registry; ``--verify``
-runs every available backend through its conformance gate.
+``python -m repro.core --list`` prints the registry; ``--verify`` runs every
+available backend through its conformance gate.
 """
 
 from __future__ import annotations
@@ -71,13 +77,16 @@ __all__ = [
     "KernelRegistry",
     "UnknownBackendError",
     "apply_selection",
+    "clt_standardise",
     "counters_snapshot",
     "current_selection",
     "dispatch",
     "kernel_names",
+    "lfsr_step_block",
     "list_backends",
     "registry",
     "reset_counters",
+    "sample_matmul",
     "set_backend",
     "stats_snapshot",
     "using",
@@ -99,6 +108,17 @@ class BackendConformanceError(KernelBackendError):
     Raised when a forced backend is not bit-identical to the reference oracle
     on the gate's input battery; such a backend is never dispatched to.
     """
+
+
+#: The kernels with one implementation, plain functions that count their
+#: calls under these names.
+_COUNTED_FUNCTIONS = ("clt_standardise", "lfsr_step_block", "sample_matmul")
+
+#: Former dispatch points: the counted functions, and ``fused_im2col``, whose
+#: whole-tile unfold is now the fused forward's own ``im2col`` call.  A
+#: selection naming one -- a replica captured while it was a dispatch point --
+#: still applies: the name is skipped, and the bytes are the ones it selected.
+_RETIRED_KERNELS = frozenset({*_COUNTED_FUNCTIONS, "fused_im2col"})
 
 
 @dataclass(frozen=True)
@@ -264,7 +284,11 @@ class KernelRegistry:
 
     def apply_selection(self, selection: Mapping[str, str]) -> None:
         """Replace the forced choices wholesale (replica rebuilds use this)."""
-        items = dict(selection)
+        items = {
+            kernel: backend
+            for kernel, backend in selection.items()
+            if kernel not in _RETIRED_KERNELS
+        }
         with self._lock:
             for kernel, backend in items.items():
                 entry = self._kernel(kernel)
@@ -442,15 +466,18 @@ class KernelRegistry:
         """Dispatch one kernel call through the selected backend."""
         kernel = self._kernel(kernel_name)
         impl = self._resolve(kernel, args, kwargs)
-        rows = kernel.rows_of(*args, **kwargs)
-        key = (kernel_name, impl.name)
+        self._count(kernel_name, impl.name, kernel.rows_of(*args, **kwargs))
+        return impl.fn(*args, **kwargs)
+
+    def _count(self, kernel: str, backend: str, rows: int) -> None:
+        """Count one call of ``rows`` rows against ``(kernel, backend)``."""
+        key = (kernel, backend)
         with self._lock:
             counter = self._counters.get(key)
             if counter is None:
                 counter = self._counters[key] = [0, 0]
             counter[0] += 1
             counter[1] += int(rows)
-        return impl.fn(*args, **kwargs)
 
     def dispatch(self, kernel: str) -> Callable[..., Any]:
         """A callable bound to ``kernel`` that resolves its backend per call."""
@@ -538,86 +565,42 @@ class KernelRegistry:
 
 
 # ----------------------------------------------------------------------
-# built-in dispatch points
+# built-in kernels
 # ----------------------------------------------------------------------
-# -- lfsr_step_block ---------------------------------------------------
-def _lfsr_step_block_reference(state_words, n_bits, count, offsets, reverse):
+# -- kernels with one implementation: plain functions ---------------------
+# Nothing to select or gate; each counts ``(name, "reference")`` exactly as
+# ``KernelRegistry.call`` counts a dispatched call.
+def lfsr_step_block(state_words, n_bits, count, offsets, reverse):
+    """Run ``count`` packed LFSR recurrence steps per register row.
+
+    Returns ``(seq_words, new_state_words)`` (``bitops.run_lfsr_block_packed``:
+    the word-aligned leapfrog fill).
+    """
+    registry._count("lfsr_step_block", _Kernel.REFERENCE, state_words.shape[0])
     return bitops.run_lfsr_block_packed(state_words, n_bits, count, offsets, reverse)
 
 
-def _lfsr_taps(n_bits: int) -> tuple[int, ...]:
-    # Ascending, as the kernel contract (and normalise_taps) requires.
-    taps = {
-        8: (4, 5, 6, 8),
-        16: (4, 13, 15, 16),
-        64: (60, 61, 63, 64),
-        128: (99, 101, 126, 128),
-        192: (177, 178, 190, 192),
-        256: (246, 251, 254, 256),
-    }
-    return taps[n_bits]
+def clt_standardise(popcounts, mean, std):
+    """Standardise pattern popcounts to CLT Gaussians: float64
+    ``(popcounts - mean) / std`` over a fresh array."""
+    popcounts = np.asarray(popcounts)
+    registry._count("clt_standardise", _Kernel.REFERENCE, popcounts.size)
+    return (popcounts - mean) / std
 
 
-def _mirrored(n_bits: int, taps: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted({n_bits - p for p in taps if p != n_bits} | {n_bits}))
+def sample_matmul(a, b, out):
+    """Per-sample 2-D matrix products over a leading Monte-Carlo sample axis,
+    into the preallocated ``out``.
 
-
-def _random_state_words(rng, rows: int, n_bits: int) -> np.ndarray:
-    words = rng.integers(
-        0, 1 << 64, size=(rows, bitops.words_for_bits(n_bits)), dtype=np.uint64
-    )
-    tail = n_bits & 63
-    if tail:
-        words[:, -1] &= np.uint64((1 << tail) - 1)
-    words[:, 0] |= np.uint64(1)  # the all-zero state is a recurrence fixed point
-    return words
-
-
-def _lfsr_step_block_cases() -> list[dict[str, Any]]:
-    rng = np.random.default_rng(0xC0FFEE)
-    cases = []
-    for n_bits, count, rows, reverse in (
-        (256, 512, 1, False),
-        (256, 640, 3, True),
-        (256, 64, 2, False),  # count < n_bits
-        # past level 6 (position 256 << 6), where chunks become whole-word
-        # slice XORs, ending on a sub-word tail
-        (256, (256 << 6) + 4096 + 37, 2, False),
-        (256, (256 << 6) + 4096 + 37, 2, True),
-        (16, 100, 2, False),
-        (16, 96, 2, True),
-        (8, 3, 1, False),  # degenerate: tiny block
-    ):
-        taps = _lfsr_taps(n_bits)
-        offsets = _mirrored(n_bits, taps) if reverse else taps
-        cases.append(
-            {
-                "state_words": _random_state_words(rng, rows, n_bits),
-                "n_bits": n_bits,
-                "count": count,
-                "offsets": offsets,
-                "reverse": reverse,
-            }
-        )
-    return cases
-
-
-def _check_lfsr_step_block(case, expected, got) -> None:
-    total = case["n_bits"] + case["count"]
-    exp_seq, exp_state = expected
-    got_seq, got_state = got
-    if got_seq.dtype != np.uint64 or got_state.dtype != np.uint64:
-        raise AssertionError("sequence and state words must be uint64")
-    if got_seq.shape[1] < bitops.words_for_bits(total):
-        raise AssertionError("sequence buffer too small for the produced bits")
-    if not np.array_equal(
-        bitops.unpack_bits(exp_seq, total), bitops.unpack_bits(got_seq, total)
-    ):
-        raise AssertionError("produced bit sequence differs from the oracle")
-    if np.any(bitops.unpack_bits(got_seq, got_seq.shape[1] * 64)[:, total:]):
-        raise AssertionError("bits beyond n_bits + count must be zero")
-    if not np.array_equal(exp_state, got_state):
-        raise AssertionError("end-of-block register state differs from the oracle")
+    One 2-D matmul per sample: each slice is then byte-identical to the
+    sequential per-sample call (a stacked 3-D matmul may take a different
+    BLAS path and is not guaranteed to round identically).
+    """
+    registry._count("sample_matmul", _Kernel.REFERENCE, b.shape[0])
+    shared_a = a.ndim == 2
+    for s in range(b.shape[0]):
+        np.matmul(a if shared_a else a[s], b[s], out=out[s])
+    return out
 
 
 # -- window_popcounts --------------------------------------------------
@@ -730,40 +713,6 @@ def _check_window_popcounts(case, expected, got) -> None:
     if not np.array_equal(np.asarray(expected, np.int64), np.asarray(got, np.int64)):
         raise AssertionError("popcount values differ from the oracle")
 
-
-# -- clt_standardise ---------------------------------------------------
-def _clt_standardise_reference(popcounts, mean, std):
-    return (np.asarray(popcounts) - mean) / std
-
-
-def _clt_standardise_cases() -> list[dict[str, Any]]:
-    rng = np.random.default_rng(0xFACADE)
-    n = 256
-    mean, std = n / 2.0, float(np.sqrt(n / 4.0))
-    pops32 = rng.integers(0, n + 1, size=(4, 96), dtype=np.int32)
-    return [
-        {"popcounts": pops32, "mean": mean, "std": std},
-        {"popcounts": pops32.astype(np.int16), "mean": mean, "std": std},
-        {"popcounts": pops32.astype(np.int64), "mean": mean, "std": std},
-        {"popcounts": pops32[0].astype(np.float64), "mean": mean, "std": std},
-        {"popcounts": pops32[0, :7], "mean": mean, "std": std},
-        {"popcounts": np.int64(137), "mean": mean, "std": std},  # scalar path
-        {"popcounts": np.zeros((3, 0), dtype=np.int16), "mean": mean, "std": std},
-        {"popcounts": rng.integers(0, 17, size=33, dtype=np.int16), "mean": 8.0,
-         "std": 2.0},
-    ]
-
-
-def _check_clt_standardise(case, expected, got) -> None:
-    expected, got = np.asarray(expected), np.asarray(got)
-    if got.dtype != np.float64:
-        raise AssertionError(f"epsilon values must be float64, got {got.dtype}")
-    if got.shape != expected.shape:
-        raise AssertionError(f"shape {got.shape} != oracle {expected.shape}")
-    if expected.tobytes() != got.tobytes():
-        raise AssertionError("standardised values are not byte-identical")
-
-
 # -- grng_block --------------------------------------------------------
 #: Upper bound on the packed bit sequence one *reference* kernel call
 #: materialises (``rows * shifts / 8`` bytes); split calls continue the same
@@ -785,32 +734,32 @@ def _grng_block_reference(
     state_words, n_bits, offsets, stride, count, mean, std, out,
     mu=None, sigma=None, w_out=None,
 ):
-    # Exactly the three NumPy dispatch points in sequence, one pass per
-    # byte-capped chunk, each through the registry so its own selection,
-    # gate and counters keep applying; then, for a fused call, the sampler's
-    # ``mu + eps * sigma`` (a multiply, then an add into the product).
-    if w_out is not None:
-        if np.any(sigma < 0):
-            raise ValueError("sigma must be non-negative")
-        if out is None:
-            out = np.empty(w_out.shape, dtype=np.float64)
+    # The three NumPy stages in sequence, one pass per byte-capped chunk (the
+    # popcounts through the registry, so their selection, gate and counters
+    # keep applying); for a fused call, each chunk's epsilons then become the
+    # sampler's ``mu + eps * sigma`` (a multiply, then an add into the product)
+    # straight into ``w_out``, so no whole epsilon block is ever allocated.
+    if w_out is not None and np.any(sigma < 0):
+        raise ValueError("sigma must be non-negative")
     chunk = max(1, _KERNEL_SEQ_BYTES * 8 // (state_words.shape[0] * stride))
     done = 0
     while done < count:
         size = min(chunk, count - done)
-        seq_words, state_words = registry.call(
-            "lfsr_step_block", state_words, n_bits, size * stride, offsets, False
+        span = slice(done, done + size)
+        seq_words, state_words = lfsr_step_block(
+            state_words, n_bits, size * stride, offsets, False
         )
         popcounts = registry.call(
             "window_popcounts", seq_words, n_bits, size * stride, stride
         )
-        out[:, done : done + size] = registry.call(
-            "clt_standardise", popcounts, mean, std
-        )
+        del seq_words  # one chunk's sequence alive at a time, not two
+        values = clt_standardise(popcounts, mean, std)
+        if out is not None:
+            out[:, span] = values
+        if w_out is not None:
+            np.multiply(values, sigma[span], out=w_out[:, span])
+            w_out[:, span] += mu[span]
         done += size
-    if w_out is not None:
-        np.multiply(out, sigma, out=w_out)
-        w_out += mu
     return out, state_words, popcounts[:, -1], w_out
 
 
@@ -902,6 +851,30 @@ def _grng_block_native(
     return out, new_state, last, w_out
 
 
+def _lfsr_taps(n_bits: int) -> tuple[int, ...]:
+    # Ascending, as the kernel contract (and normalise_taps) requires.
+    taps = {
+        8: (4, 5, 6, 8),
+        16: (4, 13, 15, 16),
+        64: (60, 61, 63, 64),
+        128: (99, 101, 126, 128),
+        192: (177, 178, 190, 192),
+        256: (246, 251, 254, 256),
+    }
+    return taps[n_bits]
+
+
+def _random_state_words(rng, rows: int, n_bits: int) -> np.ndarray:
+    words = rng.integers(
+        0, 1 << 64, size=(rows, bitops.words_for_bits(n_bits)), dtype=np.uint64
+    )
+    tail = n_bits & 63
+    if tail:
+        words[:, -1] &= np.uint64((1 << tail) - 1)
+    words[:, 0] |= np.uint64(1)  # the all-zero state is a recurrence fixed point
+    return words
+
+
 def _grng_block_cases() -> list[dict[str, Any]]:
     rng = np.random.default_rng(0x6B46)
     cases = []
@@ -969,44 +942,6 @@ def _check_grng_block(case, expected, got) -> None:
         np.asarray(exp_last, np.int64), np.asarray(got_last, np.int64)
     ):
         raise AssertionError("last popcounts differ from the oracle")
-
-
-# -- sample_matmul -----------------------------------------------------
-def _sample_matmul_reference(a, b, out):
-    # One 2-D matmul per sample: each slice is then byte-identical to the
-    # sequential per-sample call (a stacked 3-D matmul may take a different
-    # BLAS path and is not guaranteed to round identically).
-    shared_a = a.ndim == 2
-    for s in range(b.shape[0]):
-        np.matmul(a if shared_a else a[s], b[s], out=out[s])
-    return out
-
-
-def _sample_matmul_cases() -> list[dict[str, Any]]:
-    rng = np.random.default_rng(0xD00D)
-    cases = []
-    for a_shape, b_shape, dtype in (
-        ((3, 4, 5), (3, 5, 2), np.float64),
-        ((4, 5), (3, 5, 2), np.float64),  # shared operand broadcast
-        ((1, 7, 7), (1, 7, 7), np.float64),  # single sample
-        ((2, 4, 0), (2, 0, 3), np.float64),  # degenerate inner dimension
-        ((2, 0, 5), (2, 5, 3), np.float64),  # degenerate row count
-        ((3, 4, 5), (3, 5, 2), np.float32),
-    ):
-        a = rng.standard_normal(a_shape).astype(dtype)
-        b = rng.standard_normal(b_shape).astype(dtype)
-        out = np.empty((b.shape[0], a.shape[-2], b.shape[-1]), dtype=dtype)
-        cases.append({"a": a, "b": b, "out": out})
-    return cases
-
-
-def _check_sample_matmul(case, expected, got) -> None:
-    if got.dtype != expected.dtype:
-        raise AssertionError(f"dtype {got.dtype} != oracle {expected.dtype}")
-    if got.shape != expected.shape:
-        raise AssertionError(f"shape {got.shape} != oracle {expected.shape}")
-    if expected.tobytes() != got.tobytes():
-        raise AssertionError("per-sample products are not byte-identical")
 
 
 # -- conv data movement: im2col, col2im, max pooling ---------------------
@@ -1771,7 +1706,7 @@ def _fused_sample_matmul_reference(a, b, out, splits, trans_b=False):
             out_blk = np.empty(
                 (b.shape[0], rows, b.shape[-1]), dtype=out.dtype
             )
-            registry.call("sample_matmul", a_blk, b, out_blk)
+            sample_matmul(a_blk, b, out_blk)
             out[:, lo:hi] = out_blk
         lo = hi
     return out
@@ -1785,7 +1720,7 @@ def _fused_sample_matmul_fused(a, b, out, splits, trans_b=False):
         for s in range(b.shape[0]):
             out[s] = (a if shared_a else a[s]) @ b[s].T
         return out
-    return registry.call("sample_matmul", a, b, out)
+    return sample_matmul(a, b, out)
 
 
 def _fused_sample_matmul_supports(a, b, out, splits, trans_b=False):
@@ -1829,49 +1764,13 @@ def _fused_sample_matmul_cases() -> list[dict[str, Any]]:
     return cases
 
 
-def _fused_im2col_reference(x, kernel, stride, padding, splits):
-    # Per-request oracle: each batch block is unfolded standalone from a
-    # fresh contiguous copy, then the column matrices are stacked.
-    splits = _validate_splits(x.shape[0], splits)
-    blocks = []
-    out_h = out_w = 0
-    lo = 0
-    for items in splits:
-        hi = lo + items
-        cols, out_h, out_w = registry.call(
-            "im2col", np.ascontiguousarray(x[lo:hi]), kernel, stride, padding
-        )
-        blocks.append(cols)
-        lo = hi
-    return np.concatenate(blocks, axis=0), out_h, out_w
-
-
-def _fused_im2col_fused(x, kernel, stride, padding, splits):
-    _validate_splits(x.shape[0], splits)
-    return registry.call("im2col", x, kernel, stride, padding)
-
-
-def _fused_im2col_cases() -> list[dict[str, Any]]:
-    rng = np.random.default_rng(0xF0_CAB)
-    cases = []
-    for x_shape, kernel, stride, padding, splits, dtype in (
-        ((6, 2, 6, 6), 3, 1, 1, (1, 1, 1, 1, 1, 1), np.float64),
-        ((13, 1, 5, 5), 3, 2, 0, (1, 2, 3, 7), np.float64),
-        ((7, 3, 8, 8), 3, 1, 1, (2, 5), np.float64),
-        ((5, 2, 4, 4), 2, 2, 0, (5,), np.float64),  # single-block identity
-        ((7, 3, 8, 8), 3, 1, 1, (3, 4), np.float32),
-    ):
-        x = rng.standard_normal(x_shape).astype(dtype)
-        cases.append(
-            {
-                "x": x,
-                "kernel": kernel,
-                "stride": stride,
-                "padding": padding,
-                "splits": splits,
-            }
-        )
-    return cases
+def _check_sample_matmul(case, expected, got) -> None:
+    if got.dtype != expected.dtype:
+        raise AssertionError(f"dtype {got.dtype} != oracle {expected.dtype}")
+    if got.shape != expected.shape:
+        raise AssertionError(f"shape {got.shape} != oracle {expected.shape}")
+    if expected.tobytes() != got.tobytes():
+        raise AssertionError("per-sample products are not byte-identical")
 
 
 # ----------------------------------------------------------------------
@@ -1886,26 +1785,6 @@ def _native_available() -> bool:
 
 
 def _register_builtin(reg: KernelRegistry) -> None:
-    reg.register_kernel(
-        "lfsr_step_block",
-        doc="Run `count` packed LFSR recurrence steps per register row; "
-        "returns (seq_words, new_state_words).",
-        chain=("reference",),
-        rows_of=lambda state_words, n_bits, count, offsets, reverse: (
-            state_words.shape[0]
-        ),
-        conformance_cases=_lfsr_step_block_cases,
-        check=_check_lfsr_step_block,
-    )
-    reg.register_backend(
-        "lfsr_step_block",
-        BackendImpl(
-            "reference",
-            _lfsr_step_block_reference,
-            description="word-aligned leapfrog fill (bitops.run_lfsr_block_packed)",
-        ),
-    )
-
     reg.register_kernel(
         "window_popcounts",
         doc="Pattern popcounts after every `stride`-th of `count` shifts, "
@@ -1954,26 +1833,6 @@ def _register_builtin(reg: KernelRegistry) -> None:
         ),
     )
 
-    # One backend, like sample_matmul: the dispatch point stays for its
-    # counters, which the benchmark's core.kernel.clt_standardise.* metrics
-    # read.
-    reg.register_kernel(
-        "clt_standardise",
-        doc="Standardise pattern popcounts to CLT Gaussians: "
-        "(popcounts - mean) / std as float64.",
-        chain=("reference",),
-        rows_of=lambda popcounts, mean, std: int(np.asarray(popcounts).size),
-        conformance_cases=_clt_standardise_cases,
-        check=_check_clt_standardise,
-    )
-    reg.register_backend(
-        "clt_standardise",
-        BackendImpl(
-            "reference",
-            _clt_standardise_reference,
-            description="subtract-then-divide over a fresh array",
-        ),
-    )
     reg.register_kernel(
         "grng_block",
         doc="One fused forward GRNG pass per register row: `count` "
@@ -1992,7 +1851,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
             "reference",
             _grng_block_reference,
             description="lfsr_step_block > window_popcounts > clt_standardise "
-            "through the registry, in 2 MiB sequence chunks",
+            "in 2 MiB sequence chunks, weights written per chunk",
         ),
     )
     reg.register_backend(
@@ -2004,24 +1863,6 @@ def _register_builtin(reg: KernelRegistry) -> None:
             "word-aligned widths and strides, polynomials of up to four taps",
             supports=_grng_block_native_supports,
             available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
-        "sample_matmul",
-        doc="Per-sample 2-D matrix products over a leading Monte-Carlo "
-        "sample axis, into a preallocated output.",
-        chain=("reference",),
-        rows_of=lambda a, b, out: b.shape[0],
-        conformance_cases=_sample_matmul_cases,
-        check=_check_sample_matmul,
-    )
-    reg.register_backend(
-        "sample_matmul",
-        BackendImpl(
-            "reference",
-            _sample_matmul_reference,
-            description="np.matmul loop, one 2-D product per sample",
         ),
     )
 
@@ -2270,35 +2111,6 @@ def _register_builtin(reg: KernelRegistry) -> None:
         ),
     )
 
-    reg.register_kernel(
-        "fused_im2col",
-        doc="im2col over a tile of concatenated requests (batch `splits`); "
-        "the reference unfolds each request block standalone and stacks "
-        "the column matrices.",
-        chain=("fused", "reference"),
-        rows_of=lambda x, kernel, stride, padding, splits: x.shape[0],
-        conformance_cases=_fused_im2col_cases,
-        check=_check_im2col,
-    )
-    reg.register_backend(
-        "fused_im2col",
-        BackendImpl(
-            "reference",
-            _fused_im2col_reference,
-            description="per-request unfold from fresh contiguous blocks, "
-            "rows stacked",
-        ),
-    )
-    reg.register_backend(
-        "fused_im2col",
-        BackendImpl(
-            "fused",
-            _fused_im2col_fused,
-            description="whole-tile unfold (pure data movement; the gate "
-            "proves the stacking property)",
-        ),
-    )
-
 
 _register_builtin(registry)
 registry.load_env()
@@ -2355,8 +2167,19 @@ def reset_counters() -> None:
 
 
 def stats_snapshot() -> dict[str, dict[str, Any]]:
-    """Selection plus counters per kernel (feeds ``ServerStats``)."""
-    return registry.stats_snapshot()
+    """Selection plus counters per kernel (feeds ``ServerStats``).
+
+    The plain functions are listed beside the dispatch points, their
+    selection reading ``"reference"``: the one body they have.
+    """
+    snapshot = registry.stats_snapshot()
+    counters = registry.counters_snapshot()
+    for name in _COUNTED_FUNCTIONS:
+        snapshot[name] = {
+            "selection": _Kernel.REFERENCE,
+            "backends": counters.get(name, {}),
+        }
+    return dict(sorted(snapshot.items()))
 
 
 def list_backends() -> list[dict[str, Any]]:
@@ -2377,7 +2200,7 @@ def verify_backend(kernel: str, backend: str) -> bool:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI: inspect the registry and run conformance gates on demand."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro.core.backend",
+        prog="python -m repro.core",
         description="Inspect the kernel-backend registry.",
     )
     parser.add_argument(
@@ -2431,5 +2254,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 1 if failures else 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())
+if __name__ == "__main__":  # the former spelling of the command
+    raise SystemExit("the registry CLI is `python -m repro.core` now")

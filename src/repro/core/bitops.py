@@ -3,7 +3,7 @@
 The LFSR recurrence ``b(t) = XOR_p b(t - p)`` (tap offsets ``p``, tail tap
 ``n`` included) is linear over GF(2), which admits two big software
 optimisations that this module implements once, for any number of registers
-stepped in lockstep.  Its one caller is the ``lfsr_step_block`` reference of
+stepped in lockstep.  Its one caller is the ``lfsr_step_block`` function of
 :mod:`repro.core.backend`, which serves :class:`~repro.core.lfsr.FibonacciLFSR`
 (one register) and the NumPy ``grng_block`` path of
 :class:`~repro.core.grng_bank.GrngBank` (one register per Monte-Carlo sample).

@@ -21,12 +21,10 @@ from enum import Enum
 
 import numpy as np
 
-from .backend import dispatch
+from .backend import clt_standardise
 from .lfsr import FibonacciLFSR
 
 __all__ = ["GRNGMode", "LfsrGaussianRNG", "ReplayError"]
-
-_clt_standardise = dispatch("clt_standardise")
 
 
 class GRNGMode(Enum):
@@ -157,7 +155,7 @@ class LfsrGaussianRNG:
     # scalar (hardware-faithful) interface
     # ------------------------------------------------------------------
     def _standardise(self, popcount: float | np.ndarray) -> float | np.ndarray:
-        return _clt_standardise(popcount, self._mean, self._std)
+        return clt_standardise(popcount, self._mean, self._std)
 
     def next_epsilon(self) -> float:
         """Generate one Gaussian variable by ``stride`` forward shifts."""

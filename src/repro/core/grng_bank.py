@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import dispatch
+from .backend import clt_standardise, dispatch
 from .bitops import pack_int_rows, unpack_bits, unpack_int_rows
 from .grng import ReplayError
 from .lfsr import LFSRStateError, _rewound_words, normalise_taps, seed_from_index
@@ -42,7 +42,6 @@ from .lfsr import LFSRStateError, _rewound_words, normalise_taps, seed_from_inde
 __all__ = ["BankedGaussianRNG", "GrngBank", "LfsrRowView"]
 
 _grng_block = dispatch("grng_block")
-_clt_standardise = dispatch("clt_standardise")
 
 
 def _selection(rows: Sequence[int] | None):
@@ -190,9 +189,9 @@ class GrngBank:
         np.add(popcounts[:, -2::-1], drift[:, None], out=sums[:, 1:])
         self._words[selection] = start
         self._sums[selection] = self._popcounts(selection) + drift
-        # Popcounts are exact in float64, so every backend of the dispatch
-        # point produces byte-identical values.
-        return _clt_standardise(sums, self._mean, self._std)
+        # Popcounts are exact in float64, so every grng_block backend
+        # produces byte-identical values.
+        return clt_standardise(sums, self._mean, self._std)
 
     def _fused(self, words, mu, sigma, epsilon: bool):
         # One forward dispatch from ``words`` that writes the sampled weights

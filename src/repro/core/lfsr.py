@@ -31,10 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backend import dispatch
+from .backend import dispatch, lfsr_step_block
 from .bitops import pack_bits, pack_int_rows, unpack_bits, unpack_int_rows
 
-_lfsr_step_block = dispatch("lfsr_step_block")
 _window_popcounts = dispatch("window_popcounts")
 
 __all__ = [
@@ -183,7 +182,7 @@ def _rewound_words(
     XOR of the windows :func:`_jump_terms` names is the earlier register.
     """
     terms = _jump_terms(n_bits, tuple(taps), shifts)
-    seq_words, _ = _lfsr_step_block(state_words, n_bits, n_bits - 1, taps, False)
+    seq_words, _ = lfsr_step_block(state_words, n_bits, n_bits - 1, taps, False)
     # Every row at once in one integer: a row's windows end before its own
     # sequence does, so no row reads into the next.
     rows, row_words = seq_words.shape
@@ -374,7 +373,7 @@ class FibonacciLFSR:
         """Run ``count`` packed recurrence steps; return the packed sequence."""
         offsets = mirrored_taps(self._n, self._taps) if reverse else self._taps
         words = pack_int_rows([self._state], self._n)
-        seq_words, new_words = _lfsr_step_block(
+        seq_words, new_words = lfsr_step_block(
             words, self._n, count, offsets, reverse
         )
         self._state = unpack_int_rows(new_words)[0]

@@ -18,20 +18,20 @@ This module turns that hazard into a runtime proof:
   under a signature that covers the numpy version, the battery version
   and the active kernel-backend selection, so switching backends
   invalidates them.
-* The ``fused`` backends of the ``fused_sample_matmul`` / ``fused_im2col``
-  dispatch points in :mod:`repro.core.backend` consult the probe from
-  their ``supports`` hook, and their conformance gate *is* the probe
-  contract: the reference implementation recomputes every request block
-  standalone, so any fused result that survives the gate is bit-exact by
-  construction.  Where the probe rejects a class, dispatch silently takes
-  the per-block reference path -- still fused at the tile level, never
-  wrong.
+* The ``fused`` backend of the ``fused_sample_matmul`` dispatch point in
+  :mod:`repro.core.backend` consults the probe from its ``supports`` hook,
+  and its conformance gate *is* the probe contract: the reference
+  implementation recomputes every request block standalone, so any fused
+  result that survives the gate is bit-exact by construction.  Where the
+  probe rejects a class, dispatch silently takes the per-block reference
+  path -- still fused at the tile level, never wrong.  A fused conv tile
+  unfolds all its requests in one ``im2col``; the verdict's
+  ``folded_im2col_gate`` proves that equal to the per-request unfolds.
 * :func:`folded_splits` / :func:`scaled_active_splits` carry the
   per-request row counts of a fused tile down to :mod:`repro.nn.functional`
   through a thread-local, so layer code needs no signature changes.
 
-``REPRO_FUSED`` controls the tile-fusion mode: ``0`` disables fusion,
-``1`` demands it (warning once if the probe verdict blocks it), anything
+``REPRO_FUSED`` is a kill switch: ``0`` disables tile fusion; anything
 else -- including unset -- means ``auto`` (fuse exactly when the verdict
 passes).
 
@@ -46,7 +46,6 @@ import argparse
 import hashlib
 import os
 import threading
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -72,7 +71,7 @@ __all__ = [
 # fusion mode (REPRO_FUSED)
 # ----------------------------------------------------------------------
 def fused_mode() -> str:
-    """The tile-fusion mode: ``"off"``, ``"on"`` or ``"auto"``.
+    """The tile-fusion mode: ``"off"`` or ``"auto"``.
 
     Read from ``REPRO_FUSED`` on every call so tests and operators can flip
     it without restarting the process.
@@ -80,8 +79,6 @@ def fused_mode() -> str:
     raw = os.environ.get("REPRO_FUSED", "").strip().lower()
     if raw in ("0", "off", "false", "never"):
         return "off"
-    if raw in ("1", "on", "true", "force"):
-        return "on"
     return "auto"
 
 
@@ -182,6 +179,17 @@ def _case_rng(*key: Any) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
+#: (x_shape, kernel, stride, padding, splits, dtype) of the im2col check:
+#: all-1-item requests, prime splits, a single-request tile, float32
+_IM2COL_GATE_CASES = (
+    ((6, 2, 6, 6), 3, 1, 1, (1, 1, 1, 1, 1, 1), np.float64),
+    ((13, 1, 5, 5), 3, 2, 0, (1, 2, 3, 7), np.float64),
+    ((7, 3, 8, 8), 3, 1, 1, (2, 5), np.float64),
+    ((5, 2, 4, 4), 2, 2, 0, (5,), np.float64),
+    ((7, 3, 8, 8), 3, 1, 1, (3, 4), np.float32),
+)
+
+
 class RowStabilityProbe:
     """Empirical per-shape-class row-stability prover (cached per process)."""
 
@@ -193,7 +201,6 @@ class RowStabilityProbe:
         self._classes: OrderedDict[ShapeClass, bool] = OrderedDict()
         self._max_cached_classes = int(max_cached_classes)
         self._verdicts: dict[str, StabilityVerdict] = {}
-        self._warned_signatures: set[str] = set()
         self._battery_runs = 0  # probing effort, exposed for tests/report
 
     # ------------------------------------------------------------------
@@ -217,7 +224,6 @@ class RowStabilityProbe:
         with self._lock:
             self._classes.clear()
             self._verdicts.clear()
-            self._warned_signatures.clear()
 
     # ------------------------------------------------------------------
     # the single GEMM funnel -- every probe matmul goes through here, so a
@@ -334,23 +340,7 @@ class RowStabilityProbe:
 
     def allows(self) -> bool:
         """Should the executor fuse tiles right now (mode + verdict)?"""
-        mode = fused_mode()
-        if mode == "off":
-            return False
-        verdict = self.verdict()
-        if not verdict.ok and mode == "on":
-            with self._lock:
-                warned = verdict.signature in self._warned_signatures
-                self._warned_signatures.add(verdict.signature)
-            if not warned:
-                warnings.warn(
-                    "REPRO_FUSED=1 requested but the row-stability verdict "
-                    f"failed ({verdict.components}); serving falls back to "
-                    "the per-request path to preserve bit-exactness",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return verdict.ok
+        return fused_mode() != "off" and self.verdict().ok
 
     def _probe_gemm_determinism(self) -> bool:
         # same operands, repeated calls, fresh copies and out= variants must
@@ -417,10 +407,31 @@ class RowStabilityProbe:
             return False
 
     def _probe_im2col_gate(self) -> bool:
-        try:
-            return _backend.verify_backend("fused_im2col", "fused")
-        except _backend.BackendConformanceError:
-            return False
+        # a fused conv tile unfolds every request in one im2col; the column
+        # matrix must equal the per-request unfolds -- each from a fresh
+        # contiguous block, as a standalone forward makes it -- stacked
+        from ..nn import functional as F
+
+        rng = np.random.default_rng(0xF0_CAB)
+        for x_shape, kernel, stride, padding, splits, dtype in _IM2COL_GATE_CASES:
+            x = rng.standard_normal(x_shape).astype(dtype)
+            whole, out_h, out_w = F.im2col(x, kernel, stride, padding)
+            blocks = []
+            lo = 0
+            for items in splits:
+                cols, block_h, block_w = F.im2col(
+                    np.ascontiguousarray(x[lo : lo + items]), kernel, stride, padding
+                )
+                if (block_h, block_w) != (out_h, out_w):
+                    return False
+                blocks.append(cols)
+                lo += items
+            stacked = np.concatenate(blocks, axis=0)
+            if whole.dtype != stacked.dtype or whole.shape != stacked.shape:
+                return False
+            if np.ascontiguousarray(whole).tobytes() != stacked.tobytes():
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # reporting

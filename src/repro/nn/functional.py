@@ -42,19 +42,18 @@ import numpy as np
 
 from ..core import stability as _stability
 from ..core.backend import dispatch
+from ..core.backend import sample_matmul as _per_sample_matmul
 from .tensor_utils import channels_last, check_4d, conv_output_size
 
 _im2col_kernel = dispatch("im2col")
 _col2im_kernel = dispatch("col2im")
 _maxpool2d_forward_kernel = dispatch("maxpool2d_forward")
 _maxpool2d_backward_kernel = dispatch("maxpool2d_backward")
-_sample_matmul_kernel = dispatch("sample_matmul")
-# Tile-fused variants: active only inside a `stability.folded_splits` context
-# (the serving executor opens one around a fused multi-request forward).
-# Their `fused` backends consult the row-stability probe per shape class and
-# fall back to per-request-block computation -- bit-exact by construction --
+# Tile-fused matmul: active only inside a `stability.folded_splits` context
+# (the serving executor opens one around a fused multi-request forward).  Its
+# `fused` backend consults the row-stability probe per shape class and falls
+# back to per-request-block computation -- bit-exact by construction --
 # wherever the probe rejects the folded GEMM.
-_fused_im2col_kernel = dispatch("fused_im2col")
 _fused_sample_matmul_kernel = dispatch("fused_sample_matmul")
 
 __all__ = [
@@ -190,9 +189,8 @@ def sample_matmul(
     ``result[s] = a[s] @ b[s]``.  The product is computed as ``S`` separate
     2-D matmuls so each slice is bit-identical to the sequential per-sample
     call -- a stacked 3-D matmul may take a different BLAS path and is not
-    guaranteed to round identically.  The loop body is a registered dispatch
-    point (``sample_matmul`` in :mod:`repro.core.backend`) whose conformance
-    gate enforces exactly that byte-identity.
+    guaranteed to round identically.  The loop body is
+    :func:`repro.core.backend.sample_matmul`, which counts its calls.
     """
     if b.ndim != 3:
         raise ValueError(f"b must be (S, k, n), got shape {b.shape}")
@@ -210,7 +208,7 @@ def sample_matmul(
     splits = _stability.scaled_active_splits(a.shape[-2])
     if splits is not None:
         return _fused_sample_matmul_kernel(a, b, out, splits)
-    return _sample_matmul_kernel(a, b, out)
+    return _per_sample_matmul(a, b, out)
 
 
 def conv2d_forward_samples(
@@ -265,14 +263,11 @@ def conv2d_forward_samples(
     for s in range(n_samples):
         if s == 0 or not shared_input:
             x_s = x if shared_input else x[s * batch : (s + 1) * batch]
-            if splits is None:
-                cols_s, out_h, out_w = im2col(
-                    x_s, k_h, stride, padding, out=cols_out[s] if cols_out else None
-                )
-            else:
-                cols_s, out_h, out_w = _fused_im2col_kernel(
-                    x_s, k_h, stride, padding, splits
-                )
+            # a fused tile unfolds all its requests at once: the row-stability
+            # verdict's folded_im2col_gate proves that equal to stacking the
+            # per-request unfolds
+            buffer = cols_out[s] if cols_out and splits is None else None
+            cols_s, out_h, out_w = im2col(x_s, k_h, stride, padding, out=buffer)
         cols_per_sample.append(cols_s)
         if splits is None:
             out_s = cols_s @ flat_weights[s].T

@@ -87,11 +87,6 @@ def bind_serving_collectors(
         "End-to-end request latency (submit to completion), milliseconds.",
         buckets=DEFAULT_LATENCY_BUCKETS_MS,
     )
-    saturation = registry.gauge(
-        "repro_latency_window_saturation",
-        "Fraction of the legacy latency window filled (1 = the old "
-        "deque-window percentiles would have forgotten history).",
-    )
     queue_rows = registry.gauge(
         "repro_queue_pending_rows", "Rows waiting in the microbatcher."
     )
@@ -159,7 +154,6 @@ def bind_serving_collectors(
         hist = snap.latency_histogram_ms
         if hist:
             latency.load(hist["counts"], hist["sum"], hist["count"], hist["max"])
-        saturation.set(snap.latency_window_saturation)
         queue_rows.set(server.pending_rows)
         queue_waiting.set(server.waiting_requests)
         drain.set(server.drain_rate_rows_per_s() or 0.0)

@@ -24,13 +24,14 @@ that cheap:
    additionally *fuses* same-config requests into one folded forward --
    gated by the runtime row-stability proof in
    :mod:`repro.core.stability`.  Inside a fused tile every GEMM routes
-   through the ``fused_sample_matmul`` / ``fused_im2col`` dispatch points:
-   shape classes the probe proves row-stable run as one whole-tile GEMM,
-   every other class is recomputed per request block from fresh contiguous
-   operands (bit-exact by construction).  Where the probe verdict (or
-   ``REPRO_FUSED=0``) blocks fusion, the per-request path runs and the
-   fallback is *counted*, never silent (``consume_fusion_events`` feeds
-   ``ServerStats``).
+   through the ``fused_sample_matmul`` dispatch point: shape classes the
+   probe proves row-stable run as one whole-tile GEMM, every other class is
+   recomputed per request block from fresh contiguous operands (bit-exact by
+   construction); a conv layer unfolds the whole tile in one ``im2col``,
+   which the verdict proves equal to the per-request unfolds.  Where the
+   probe verdict (or ``REPRO_FUSED=0``) blocks fusion, the per-request path
+   runs and the fallback is *counted*, never silent (``consume_fusion_events``
+   feeds ``ServerStats``).
 
 What is cached, and why that is safe
 ------------------------------------

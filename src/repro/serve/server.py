@@ -79,8 +79,6 @@ class ServerConfig:
     max_cached_configs: int = 8
     """Weight sweeps kept per executor (one per sampling config, each
     ``n_samples x Bayesian weights x 8`` bytes)."""
-    latency_window: int = 4096
-    """Recent-request window for the latency percentiles."""
     trace_ring: int = 512
     """Finished traces retained in the tracer's ring buffer."""
     trace_slowest: int = 16
@@ -148,7 +146,7 @@ class PredictionServer:
             max_pending_rows=self._config.max_pending_rows,
             max_waiting=self._config.max_waiting,
         )
-        self._stats = ServerStats(latency_window=self._config.latency_window)
+        self._stats = ServerStats()
         # enabled resolves REPRO_OBS at construction time, so two servers
         # with different env settings can coexist in one process
         self.tracer = Tracer(

@@ -10,10 +10,8 @@ tiles.
 Latency percentiles come from :class:`repro.obs.metrics.Histogram`, not a
 sliding sample window: a bounded deque forgets slow requests as soon as
 enough fast ones arrive, which under load systematically *understates* the
-tail.  ``latency_window_saturation`` reports how full the legacy window
-would have been -- at 1.0 the old numbers were actively forgetting history.
-The deque that remains (``_recent_rows``) only feeds
-``drain_rate_rows_per_s``, where recency is the point.
+tail.  The one deque (``_recent_rows``) feeds ``drain_rate_rows_per_s``,
+where recency is the point.
 
 The collector is a small lock-guarded accumulator (it is touched from client
 threads and the dispatcher thread);
@@ -53,10 +51,6 @@ class StatsSnapshot:
     latency_p95_ms: float | None
     latency_p99_ms: float | None
     latency_mean_ms: float | None
-    latency_window_saturation: float = 0.0
-    """How full the legacy sliding latency window would be (completions over
-    window size, capped at 1.0).  At 1.0 the old deque-window percentiles
-    would have started dropping history -- the histogram ones never do."""
     latency_histogram_ms: dict = field(default_factory=dict)
     """The lifetime latency histogram: ``{"bounds", "counts", "sum",
     "count", "max"}`` (counts include a trailing overflow bucket)."""
@@ -110,14 +104,14 @@ class ServerStats:
     #: Horizon of the drain-rate window: completions older than this many
     #: seconds no longer influence the Retry-After estimate.
     DRAIN_WINDOW_S = 5.0
+    #: Completions the drain-rate window holds at most; caps the O(n) sum in
+    #: :meth:`_drain_rate_locked`.
+    DRAIN_WINDOW_ENTRIES = 4096
 
-    def __init__(self, latency_window: int = 4096, clock=time.monotonic) -> None:
-        if latency_window < 1:
-            raise ValueError("latency_window must be positive")
+    def __init__(self, clock=time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._started_at = clock()
-        self._latency_window = latency_window
         self._latency_ms = Histogram(DEFAULT_LATENCY_BUCKETS_MS)
         self._requests_completed = 0
         self._requests_failed = 0
@@ -128,7 +122,9 @@ class ServerStats:
         self._occupancy: Counter[int] = Counter()
         self._per_version: dict[str, dict[str, int]] = {}
         self._fusion: dict[str, int] = dict.fromkeys(FUSION_EVENT_KEYS, 0)
-        self._recent_rows: deque[tuple[float, int]] = deque(maxlen=latency_window)
+        self._recent_rows: deque[tuple[float, int]] = deque(
+            maxlen=self.DRAIN_WINDOW_ENTRIES
+        )
         self._sourced_tiles = 0
         self._multi_source_tiles = 0
         self._source_total = 0
@@ -238,9 +234,6 @@ class ServerStats:
                 latency_p95_ms=self._latency_ms.percentile(95.0),
                 latency_p99_ms=self._latency_ms.percentile(99.0),
                 latency_mean_ms=self._latency_ms.mean(),
-                latency_window_saturation=min(
-                    1.0, completed / self._latency_window
-                ),
                 latency_histogram_ms=self._latency_ms.snapshot(),
                 occupancy_histogram=dict(sorted(self._occupancy.items())),
                 mean_batch_occupancy=(self._tile_requests / tiles) if tiles else None,

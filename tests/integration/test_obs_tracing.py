@@ -182,9 +182,12 @@ def test_metrics_exposition_reflects_served_traffic():
         'status="200"',
         "repro_traces_recorded_total 2",
         "repro_traces_open 0",
-        "repro_latency_window_saturation",
+        # the plain functions keep their counter names
+        'repro_kernel_calls_total{kernel="sample_matmul",backend="reference"}',
     ):
         assert family in text, family
+    # the legacy latency window is gone, and so is its gauge
+    assert "repro_latency_window_saturation" not in text
 
 
 def test_failed_tile_closes_its_trace_as_error_without_leaking():

@@ -1,12 +1,14 @@
 """Lint gate: engine code must reach hot kernels through the dispatch layer.
 
-PR 6 moved every hot kernel (LFSR block stepping, window popcounts, CLT
-standardisation, per-sample matmul, im2col -- since joined by col2im, the
-max-pool forward/backward, the posterior's GC stage and the wire's float
-codec) behind the backend registry in
-:mod:`repro.core.backend`.  The refactor only stays done if nothing quietly
-re-imports the raw implementations, so this test walks the AST of every
-module under ``src/repro`` and fails the build when engine code:
+Every hot kernel with a choice of implementation (window popcounts, the
+fused GRNG block, im2col, col2im, the max-pool forward/backward, the
+posterior's GC stage and the wire's float codec) sits behind the backend
+registry in :mod:`repro.core.backend`; the kernels with one implementation
+(LFSR block stepping, CLT standardisation, per-sample matmul) are plain
+functions there that count their calls under the same names.  That only
+stays true if nothing quietly re-imports the raw implementations, so this
+test walks the AST of every module under ``src/repro`` and fails the build
+when engine code:
 
 * imports or references the raw LFSR block kernels
   (``fill_lfsr_sequence`` / ``run_lfsr_block_packed``)
@@ -20,9 +22,9 @@ module under ``src/repro`` and fails the build when engine code:
   conformance gate, not a library engine code may call.
 
 A final runtime check asserts that the public wrappers really do route
-through the registry (the per-kernel call counters move when they run), so a
-future refactor cannot silently reintroduce an inline implementation while
-keeping the imports clean.
+through the registry or the counted functions (the per-kernel call counters
+move when they run), so a future refactor cannot silently reintroduce an
+inline implementation while keeping the imports clean.
 """
 
 from __future__ import annotations
@@ -45,13 +47,12 @@ ALLOWED_RAW_CALLERS = {
     SRC_ROOT / "core" / "backend.py",
 }
 
-#: Raw kernel entry points in repro.core.bitops.  ``window_popcounts`` /
-#: ``sample_matmul``, the conv data-movement kernels (``im2col``,
-#: ``col2im``, ``maxpool2d_*``), ``posterior_gc`` and the ``json_*_f64``
-#: codec have no raw bitops
-#: spelling -- their only non-dispatch implementations live inside
-#: core/backend.py -- so forbidding
-#: these two names (plus private backend imports) covers every hot kernel.
+#: Raw kernel entry points in repro.core.bitops.  ``window_popcounts``,
+#: ``clt_standardise``, ``sample_matmul``, the conv data-movement kernels
+#: (``im2col``, ``col2im``, ``maxpool2d_*``), ``posterior_gc`` and the
+#: ``json_*_f64`` codec have no raw bitops spelling -- their implementations
+#: live inside core/backend.py -- so forbidding these two names (plus private
+#: backend imports) covers every hot kernel.
 FORBIDDEN_BITOPS_NAMES = {
     "fill_lfsr_sequence",
     "run_lfsr_block_packed",
@@ -60,12 +61,10 @@ FORBIDDEN_BITOPS_NAMES = {
 #: The only module allowed to import the compiled-kernel loader.
 ALLOWED_NATIVE_IMPORTERS = {SRC_ROOT / "core" / "backend.py"}
 
+#: The dispatch points, each with its ``reference`` oracle.
 EXPECTED_KERNELS = {
-    "lfsr_step_block",
     "window_popcounts",
-    "clt_standardise",
     "grng_block",
-    "sample_matmul",
     "im2col",
     "col2im",
     "maxpool2d_forward",
@@ -73,7 +72,12 @@ EXPECTED_KERNELS = {
     "posterior_gc",
     "json_dumps_f64",
     "json_loads_f64",
+    "fused_sample_matmul",
 }
+
+#: The plain functions of the kernels with one implementation, counted under
+#: their names like a dispatched call.
+COUNTED_FUNCTIONS = {"lfsr_step_block", "clt_standardise", "sample_matmul"}
 
 
 def _module_is(module: str | None, suffix: str) -> bool:
@@ -155,7 +159,7 @@ def test_no_direct_raw_kernel_calls_in_engine_code():
 
 
 def test_registry_covers_all_hot_kernels():
-    assert EXPECTED_KERNELS <= set(backend.kernel_names())
+    assert set(backend.kernel_names()) == EXPECTED_KERNELS
     for kernel in EXPECTED_KERNELS:
         names = backend.registry.backend_names(kernel)
         assert "reference" in names, f"{kernel} lost its reference oracle"
@@ -170,7 +174,8 @@ def _total_calls(kernel: str) -> int:
 
 def test_public_wrappers_route_through_dispatch():
     """The wrappers engine code calls must move the registry's counters."""
-    before = {kernel: _total_calls(kernel) for kernel in EXPECTED_KERNELS}
+    routed = (EXPECTED_KERNELS - {"fused_sample_matmul"}) | COUNTED_FUNCTIONS
+    before = {kernel: _total_calls(kernel) for kernel in routed}
 
     FibonacciLFSR(16, seed=1).window_popcounts(32)  # drives lfsr_step_block too
     GrngBank(2, n_bits=16).epsilon_blocks(8)  # grng_block
@@ -202,7 +207,7 @@ def test_public_wrappers_route_through_dispatch():
     text = wire.dumps({"x": rng.standard_normal((2, 3))})  # json_dumps_f64
     wire.loads(text, ("x",))  # json_loads_f64
 
-    for kernel in EXPECTED_KERNELS:
+    for kernel in routed:
         assert _total_calls(kernel) > before[kernel], (
             f"{kernel}: public wrapper did not route through the dispatch "
             "layer (registry counters unchanged)"

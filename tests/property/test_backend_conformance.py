@@ -14,17 +14,18 @@ wall-clock time but never bits.  Two layers of evidence:
   per backend (and one through the default selection) at the size the
   training and serving steps run, and also checks that no backend writes
   into an argument other than its declared outputs.
+* ``test_counted_function_matches_direct_oracle_and_spares_inputs`` makes
+  the same full-size call of each plain function with one implementation
+  (``lfsr_step_block``, ``clt_standardise``, ``sample_matmul``) and checks
+  it against a direct NumPy spelling of its arithmetic.
 * the hypothesis tests below drive each kernel with *randomised* workloads
   (random shapes, dtypes, strides 1 / 64 / 256, random register states) and
   assert the forced backend's output is bit-identical to the reference
-  oracle's on the same inputs.  ``sample_matmul`` and ``clt_standardise``
-  have only their reference backends, so they have no randomised test;
-  ``lfsr_step_block`` has no second
-  backend either, so its randomised proof is the independent bit-serial oracle in
-  ``test_lfsr_bitserial_oracle.py`` instead; ``im2col``'s reference gather is
-  checked against a sliding-window formulation here, and both backends of the
-  four conv data-movement kernels against pasted-in oracles in
-  ``test_conv_fast_paths.py``.
+  oracle's on the same inputs.  ``lfsr_step_block``'s randomised proof is
+  the independent bit-serial oracle in ``test_lfsr_bitserial_oracle.py``;
+  ``im2col``'s reference gather is checked against a sliding-window
+  formulation here, and both backends of the four conv data-movement
+  kernels against pasted-in oracles in ``test_conv_fast_paths.py``.
 
 ``window_popcounts`` backends may legitimately return different *integer
 dtypes* (int16 / int32 / int64 -- popcounts are exact in all of them), so
@@ -100,7 +101,7 @@ def test_window_popcounts_matches_oracle(name, seed, width, rows, stride, window
     states = [int(rng.integers(1, 1 << 63)) for _ in range(rows)]
     words = pack_int_rows(states, width)
     taps = normalise_taps(width, MAXIMAL_TAPS[width])
-    seq_words, _ = _oracle("lfsr_step_block", words, width, count, taps, False)
+    seq_words, _ = backend.lfsr_step_block(words, width, count, taps, False)
     got = _forced("window_popcounts", name, seq_words, width, count, stride)
     want = _oracle("window_popcounts", seq_words, width, count, stride)
     # dtype may differ between backends; the counted values may not
@@ -168,7 +169,6 @@ _HOT_OFFSETS = normalise_taps(HOT_BITS, MAXIMAL_TAPS[HOT_BITS])
 #: input and must come back unchanged
 OUTPUT_ARGS = {
     "grng_block": (7,),
-    "sample_matmul": (2,),
     "fused_sample_matmul": (2,),
     "posterior_gc": (7, 8),
 }
@@ -187,9 +187,8 @@ def _hot_workload(kernel: str) -> tuple:
     if kernel == "lfsr_step_block":
         return _hot_state_words(), HOT_BITS, HOT_STEPS, _HOT_OFFSETS, False
     if kernel == "window_popcounts":
-        seq_words, _ = _oracle(
-            "lfsr_step_block", _hot_state_words(), HOT_BITS, HOT_POPCOUNT_BITS,
-            _HOT_OFFSETS, False,
+        seq_words, _ = backend.lfsr_step_block(
+            _hot_state_words(), HOT_BITS, HOT_POPCOUNT_BITS, _HOT_OFFSETS, False
         )
         return seq_words, HOT_BITS, HOT_POPCOUNT_BITS, HOT_BITS
     if kernel == "clt_standardise":
@@ -225,8 +224,6 @@ def _hot_workload(kernel: str) -> tuple:
         a = rng.standard_normal((8, sum(splits), 196))
         b = rng.standard_normal((8, 196, 128))
         return a, b, np.empty((8, sum(splits), 128)), splits
-    if kernel == "fused_im2col":
-        return rng.standard_normal(HOT_IM2COL_SHAPE), 3, 1, 0, (2, 2, 2, 2)
     if kernel == "posterior_gc":
         # the reduced B-MLP's first layer at S = 8; accumulates in place
         shape = (196, 64)
@@ -293,3 +290,68 @@ def test_hot_path_call_matches_oracle_and_spares_inputs(kernel: str, which: str)
         _skip_unless_available(kernel, which)
     got = _hot_call(kernel, which)
     assert got == _hot_call(kernel, "reference")
+
+
+# ----------------------------------------------------------------------
+# the plain functions of the kernels with one implementation
+# ----------------------------------------------------------------------
+def _bits(words: np.ndarray) -> np.ndarray:
+    """Bit ``k`` of row ``r`` is bit ``k % 64`` of word ``k // 64``."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+
+
+def _lfsr_oracle(state_words, n_bits, count, offsets, reverse):
+    # the sequence starts with the register oldest bit first (Rn .. R1); each
+    # later bit is the XOR of the bits `p` back, `min(offsets)` bits at a time
+    assert not reverse
+    seq = np.zeros((state_words.shape[0], n_bits + count), dtype=np.uint8)
+    seq[:, :n_bits] = _bits(state_words)[:, n_bits - 1 :: -1]
+    step = min(offsets)
+    for t in range(n_bits, n_bits + count, step):
+        end = min(t + step, n_bits + count)
+        for p in offsets:
+            seq[:, t:end] ^= seq[:, t - p : end - p]
+    state = np.packbits(seq[:, count:][:, ::-1], axis=1, bitorder="little")
+    return seq, state.view("<u8")
+
+
+def _clt_oracle(popcounts, mean, std):
+    return (popcounts.astype(np.float64) - mean) / std
+
+
+def _sample_matmul_oracle(a, b, out):
+    return np.stack([a[s] @ b[s] for s in range(b.shape[0])])
+
+
+@pytest.mark.parametrize("name", sorted(backend._COUNTED_FUNCTIONS))
+def test_counted_function_matches_direct_oracle_and_spares_inputs(name: str):
+    """Each plain function, at the hot-path size, equals its arithmetic
+    spelled out directly and writes no argument but its output."""
+    args = _hot_workload(name)
+    outputs = (2,) if name == "sample_matmul" else ()
+    inputs = {
+        index: arg.copy()
+        for index, arg in enumerate(args)
+        if isinstance(arg, np.ndarray) and index not in outputs
+    }
+    got = getattr(backend, name)(*args)
+    for index, before in inputs.items():
+        assert args[index].tobytes() == before.tobytes(), f"argument {index} written"
+    want = {
+        "clt_standardise": _clt_oracle,
+        "lfsr_step_block": _lfsr_oracle,
+        "sample_matmul": _sample_matmul_oracle,
+    }[name](*(inputs.get(index, arg) for index, arg in enumerate(args)))
+    if name == "lfsr_step_block":
+        (seq_words, state_words), (seq, state) = got, want
+        produced = _bits(seq_words)
+        total = seq.shape[1]
+        assert np.array_equal(produced[:, :total], seq)
+        assert not produced[:, total:].any(), "bits past n_bits + count must be 0"
+        assert state_words.dtype == np.uint64
+        assert np.array_equal(state_words, state)
+        return
+    if name == "sample_matmul":
+        assert got is args[2]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

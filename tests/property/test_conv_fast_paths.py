@@ -454,14 +454,14 @@ def test_shared_lowering_inside_a_fused_tile():
     x = rng.standard_normal((7, 3, 8, 8))
     weights = rng.standard_normal((3, 6, 3, 3, 3))
     plain, _ = _shared_and_folded(x, weights, None, 1, 1)
-    before = backend.counters_snapshot().get("fused_im2col", {})
+    before = backend.counters_snapshot().get("im2col", {})
     with stability.folded_splits((1, 2, 4)):
         shared, per_sample = _shared_and_folded(x, weights, None, 1, 1)
-    after = backend.counters_snapshot().get("fused_im2col", {})
+    after = backend.counters_snapshot().get("im2col", {})
     calls = sum(v["calls"] for v in after.values()) - sum(
         v["calls"] for v in before.values()
     )
-    assert calls == 1 + 3  # one shared lowering, three folded ones
+    assert calls == 1 + 3  # one whole-tile shared lowering, three folded ones
     assert _same_bytes(shared[0], per_sample[0])
     assert _same_bytes(shared[0], plain[0])  # tiles never change bytes
 

@@ -11,8 +11,8 @@ shares no code with ``repro.core.bitops`` -- words are packed and unpacked
 with the helpers below -- so a bug common to the kernel and the repo's
 reference can no longer cancel out.
 
-Checked against it, forward and reverse: the ``lfsr_step_block`` dispatch
-point (history, produced bits, end state, zero padding), ``window_popcounts``
+Checked against it, forward and reverse: the ``lfsr_step_block`` function
+(history, produced bits, end state, zero padding), ``window_popcounts``
 on its output, the fused ``grng_block`` point on its compiled ``native``
 backend (values, popcounts, end states, split calls, every width and row
 count its ``supports`` predicate accepts -- across the vector lane body's
@@ -172,9 +172,8 @@ def kernel_offsets(n_bits: int, reverse: bool) -> tuple[int, ...]:
 
 
 def check_step_block(n_bits, seeds, count, reverse, longest):
-    """Run the dispatch point and compare every output with the oracle."""
-    seq_words, new_words = backend.registry.call(
-        "lfsr_step_block",
+    """Run the packed kernel and compare every output with the oracle."""
+    seq_words, new_words = backend.lfsr_step_block(
         to_words(seeds, n_bits),
         n_bits,
         count,
@@ -315,8 +314,8 @@ def test_galois_form_agrees_with_bit_serial_oracle_and_step_block(n_bits, revers
     galois = galois_stream(n_bits, offsets, history_bits(n_bits, seed, reverse), count)
     serial, _ = oracle_prefix(n_bits, seed, count, reverse, count)
     assert np.array_equal(galois, serial)
-    seq_words, _ = backend.registry.call(
-        "lfsr_step_block", to_words([seed], n_bits), n_bits, count, offsets, reverse
+    seq_words, _ = backend.lfsr_step_block(
+        to_words([seed], n_bits), n_bits, count, offsets, reverse
     )
     assert np.array_equal(word_bits(seq_words)[0, n_bits : n_bits + count], galois)
 
@@ -533,9 +532,7 @@ def test_jump_back_then_forward_is_the_identity(register, shifts):
                 lfsr.tick_reverse()
             assert from_words(earlier[row : row + 1])[0] == lfsr.state()
     if shifts:
-        _, landed = backend.registry.call(
-            "lfsr_step_block", earlier, n_bits, shifts, taps, False
-        )
+        _, landed = backend.lfsr_step_block(earlier, n_bits, shifts, taps, False)
         earlier = landed
     assert from_words(earlier) == list(seeds)
 

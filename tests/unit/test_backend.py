@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,19 +18,24 @@ from repro.core.backend import (
     KernelRegistry,
     UnknownBackendError,
 )
+from repro.bnn import BNNTrainer, TrainerConfig
+from repro.bnn.serialization import load_replica, save_replica
+from repro.datasets import BatchLoader, synthetic_cifar10, synthetic_mnist
 from repro.models import ReplicaSpec, get_model
 
 KERNELS = {
-    "lfsr_step_block",
     "window_popcounts",
-    "clt_standardise",
     "grng_block",
-    "sample_matmul",
     "im2col",
     "col2im",
     "maxpool2d_forward",
     "maxpool2d_backward",
 }
+
+#: The kernels with one implementation: plain functions, not dispatch points.
+COUNTED = ("clt_standardise", "lfsr_step_block", "sample_matmul")
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +150,7 @@ class TestSelection:
         assert "grng_block" not in backend.current_selection()
 
     def test_apply_selection_replaces_wholesale(self, restore_selection):
-        backend.apply_selection({"clt_standardise": "reference"})
+        backend.apply_selection({"window_popcounts": "reference"})
         backend.apply_selection({"grng_block": "reference"})
         assert backend.current_selection() == {"grng_block": "reference"}
         with pytest.raises(UnknownBackendError):
@@ -165,9 +175,15 @@ class TestSelection:
             backend.registry.load_env("window_popcounts=bogus_name_xyz")
         assert backend.current_selection() == {}
         with pytest.warns(RuntimeWarning, match="no kernel registers"):
-            backend.registry.load_env("bogus_backend_xyz,clt_standardise=reference")
+            backend.registry.load_env("bogus_backend_xyz,im2col=reference")
         # the typo is dropped, the valid token still lands
-        assert backend.current_selection() == {"clt_standardise": "reference"}
+        assert backend.current_selection() == {"im2col": "reference"}
+
+    def test_load_env_ignores_a_retired_kernel(self, restore_selection):
+        # clt_standardise is a plain function now: nothing to select
+        with pytest.warns(RuntimeWarning, match="unknown selection"):
+            backend.registry.load_env("clt_standardise=reference,grng_block=reference")
+        assert backend.current_selection() == {"grng_block": "reference"}
 
 
 class TestIntrospection:
@@ -203,7 +219,7 @@ class TestIntrospection:
         assert popcounts["chain"] == ["packed_bitcount", "cumsum16", "reference"]
         names = {b["name"] for b in popcounts["backends"]}
         assert names == {"reference", "cumsum16", "packed_bitcount"}
-        assert by_kernel["clt_standardise"]["chain"] == ["reference"]
+        assert not set(COUNTED) & set(by_kernel)  # plain functions, not listed
         for entry in listing:
             reference = next(
                 b for b in entry["backends"] if b["name"] == "reference"
@@ -233,6 +249,104 @@ class TestIntrospection:
         assert "FAIL" not in out
 
 
+    def test_cli_runs_on_the_one_registry(self):
+        # a fresh process: the package CLI must not execute the registry
+        # module a second time, which runpy would warn about
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.core", "--list"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        listed = [
+            line.split()[0] for line in done.stdout.splitlines() if "(selection:" in line
+        ]
+        assert len(listed) == 10
+        assert sorted(listed) == sorted(backend.kernel_names())
+
+    def test_former_cli_module_points_at_the_package(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.core.backend", "--verify"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        # never a silent pass: a script still running the old spelling fails
+        assert done.returncode == 1
+        assert "python -m repro.core" in done.stderr
+        assert done.stdout == ""
+
+    def test_stats_snapshot_lists_the_counted_functions(self):
+        stats = backend.stats_snapshot()
+        assert set(stats) == set(backend.kernel_names()) | set(COUNTED)
+        for name in COUNTED:
+            assert stats[name]["selection"] == "reference"
+
+
+class TestCountedFunctions:
+    """The three plain functions count exactly what their dispatch points did.
+
+    The pinned numbers are one warm ``train_step``'s ``(calls, rows)`` per
+    function, read when the three were still dispatch points (a compiled
+    ``grng_block`` never steps an LFSR or standardises in NumPy; its
+    reference composes both per 2 MiB chunk).
+    """
+
+    PINNED = {
+        ("B-MLP", "reversible", "native"): {"sample_matmul": (11, 88)},
+        ("B-MLP", "reversible", "reference"): {
+            "clt_standardise": (10, 342016),
+            "lfsr_step_block": (10, 80),
+            "sample_matmul": (11, 88),
+        },
+        ("B-LeNet", "stored", "native"): {"sample_matmul": (6, 24)},
+        ("B-LeNet", "stored", "reference"): {
+            "clt_standardise": (4, 42024),
+            "lfsr_step_block": (4, 16),
+            "sample_matmul": (6, 24),
+        },
+    }
+
+    @pytest.mark.parametrize(
+        ("model", "policy", "grng"),
+        sorted(PINNED),
+        ids=["-".join(key) for key in sorted(PINNED)],
+    )
+    def test_a_train_step_counts_what_the_dispatch_points_did(
+        self, restore_selection, model, policy, grng
+    ):
+        if grng == "native" and backend.native.library.load() is None:
+            pytest.skip("the compiled grng_block is unavailable here")
+        if model == "B-MLP":
+            train, _ = synthetic_mnist(n_train=32, n_test=16, image_size=14, seed=0)
+            batches = BatchLoader(train, batch_size=16, flatten=True).batches()
+            n_samples = 8
+        else:
+            train, _ = synthetic_cifar10(n_train=16, n_test=16, image_size=16, seed=0)
+            batches = BatchLoader(train, batch_size=8).batches()
+            n_samples = 4
+        backend.apply_selection({"grng_block": grng})
+        trainer = BNNTrainer(
+            get_model(model, reduced=True).build_bayesian(seed=1),
+            TrainerConfig(n_samples=n_samples, seed=2),
+            policy=policy,
+        )
+        trainer.train_step(*batches[0], kl_weight=1 / 32)
+        backend.reset_counters()
+        trainer.train_step(*batches[1], kl_weight=1 / 32)
+        counters = backend.counters_snapshot()
+        got = {
+            name: (counters[name]["reference"]["calls"], counters[name]["reference"]["rows"])
+            for name in COUNTED
+            if name in counters
+        }
+        assert got == self.PINNED[(model, policy, grng)]
+        assert all(set(counters[name]) == {"reference"} for name in got)
+
+
 class TestReplicaSpecSelection:
     def test_capture_records_and_build_applies_selection(self, restore_selection):
         spec = get_model("B-MLP", reduced=True)
@@ -247,9 +361,9 @@ class TestReplicaSpecSelection:
         spec = get_model("B-MLP", reduced=True)
         replica = ReplicaSpec(spec=spec)  # pre-PR-6 pickles carry None
         assert replica.backend_selection is None
-        backend.apply_selection({"clt_standardise": "reference"})
+        backend.apply_selection({"im2col": "reference"})
         replica.build()
-        assert backend.current_selection() == {"clt_standardise": "reference"}
+        assert backend.current_selection() == {"im2col": "reference"}
 
     def test_selection_is_not_part_of_the_fingerprint(self, restore_selection):
         spec = get_model("B-MLP", reduced=True)
@@ -259,3 +373,23 @@ class TestReplicaSpecSelection:
         # all backends are bit-identical, so the replica identity (and any
         # registry version check built on it) must not depend on selection
         assert plain.fingerprint() == forced.fingerprint()
+
+    def test_selection_naming_a_retired_kernel_still_builds(
+        self, restore_selection, tmp_path
+    ):
+        # captured while these were dispatch points; the retired names are
+        # skipped, the live pin still applies -- from a pickle or an archive
+        selection = (
+            ("clt_standardise", "reference"),
+            ("fused_im2col", "fused"),
+            ("grng_block", "reference"),
+            ("lfsr_step_block", "reference"),
+            ("sample_matmul", "reference"),
+        )
+        replica = ReplicaSpec(spec=get_model("B-MLP", reduced=True), backend_selection=selection)
+        restored = load_replica(save_replica(replica, tmp_path / "replica.npz"))
+        assert restored.backend_selection == selection
+        for candidate in (replica, restored):
+            backend.apply_selection({})
+            candidate.build()
+            assert backend.current_selection() == {"grng_block": "reference"}

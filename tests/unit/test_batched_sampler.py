@@ -277,6 +277,27 @@ class TestStridedKernel:
         # both directions chunk alike; the reverse adds its jump's one short run
         assert stepped["calls"] == 2 * -(-count // 32) + 1
 
+    def test_chunked_reference_weights_equal_single_call(
+        self, monkeypatch, restore_selection
+    ):
+        import repro.core.backend as backend
+
+        # the NumPy grng_block writes each chunk's weights as it goes; at a
+        # 32-variable cap, 500 variables span 16 chunks, the last a partial
+        backend.set_backend("grng_block", "reference")
+        rng = np.random.default_rng(3)
+        mu, sigma = rng.standard_normal(500), rng.random(500)
+        whole, chunked = GrngBank(n_rows=2, n_bits=64, stride=2), GrngBank(
+            n_rows=2, n_bits=64, stride=2
+        )
+        want_w, want_eps = whole.weight_blocks(mu, sigma, epsilon=True)
+        monkeypatch.setattr(backend, "_KERNEL_SEQ_BYTES", 16)
+        got_w, got_eps = chunked.weight_blocks(mu, sigma)
+        assert got_eps is None
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got_w.tobytes() == (mu + want_eps * sigma).tobytes()
+        assert whole.states() == chunked.states()
+
     def test_replay_weight_blocks_round_trip(self):
         bank = GrngBank(n_rows=3, n_bits=64, stride=4)
         start = bank.register_words()

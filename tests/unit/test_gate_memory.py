@@ -1,8 +1,8 @@
 """Memory bounds of the NumPy GRNG path's popcount stage.
 
 The ``reference`` backend of ``grng_block`` composes ``lfsr_step_block >
-window_popcounts > clt_standardise`` through the registry, one 2 MiB packed
-sequence chunk at a time.  On the dense int64 ``window_popcounts`` reference
+window_popcounts > clt_standardise`` (the popcounts through the registry),
+one 2 MiB packed sequence chunk at a time.  On the dense int64 ``window_popcounts`` reference
 such a chunk peaks at ~280 MiB of traced allocations, so two NumPy fast
 paths of that chain stay for a measured reason each:
 

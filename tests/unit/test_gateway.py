@@ -122,6 +122,17 @@ class TestReadEndpoints:
         assert body["per_version"]["v1"]["rows"] == 4
         assert body["requests_completed"] == 1
 
+    def test_stats_lists_the_counted_kernels_and_no_latency_window(self, gateway, rng):
+        x = rng.normal(size=(2, 16)).tolist()
+        _post(gateway.url + "/v1/predict", {"x": x, "sampling": SAMPLING})
+        _, body = _get(gateway.url + "/v1/stats")
+        kernels = body["kernel_backends"]
+        for name in ("clt_standardise", "lfsr_step_block", "sample_matmul"):
+            assert kernels[name]["selection"] == "reference"
+        assert kernels["sample_matmul"]["backends"]["reference"]["calls"] > 0
+        assert "fused_im2col" not in kernels
+        assert "latency_window_saturation" not in body
+
     def test_unknown_route_is_404(self, gateway):
         code, body = _error_of(lambda: _get(gateway.url + "/nope"))
         assert code == 404

@@ -22,7 +22,7 @@ class _FakeClock:
 
 
 def test_empty_window_percentiles_are_none():
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     snapshot = stats.snapshot()
     assert snapshot.latency_p50_ms is None
     assert snapshot.latency_p99_ms is None
@@ -36,7 +36,7 @@ def test_empty_window_percentiles_are_none():
 
 
 def test_failures_only_still_report_empty_window():
-    stats = ServerStats(latency_window=4, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     stats.record_failure()
     snapshot = stats.snapshot()
     assert snapshot.requests_failed == 1
@@ -45,7 +45,7 @@ def test_failures_only_still_report_empty_window():
 
 def test_lifetime_histogram_keeps_slow_outliers_in_the_tail():
     clock = _FakeClock()
-    stats = ServerStats(latency_window=4, clock=clock)
+    stats = ServerStats(clock=clock)
     # 3 old slow requests, then 4 fast ones.  The old 4-deep deque window
     # would have forgotten the slow ones entirely and reported p99 = 10ms;
     # the lifetime histogram keeps them in the tail.
@@ -56,11 +56,10 @@ def test_lifetime_histogram_keeps_slow_outliers_in_the_tail():
     assert snapshot.rows_completed == 14
     assert snapshot.latency_p50_ms <= 25.0  # the fast majority
     assert snapshot.latency_p99_ms >= 500.0  # slow outliers still visible
-    assert snapshot.latency_window_saturation == 1.0  # 7 >= the window of 4
 
 
 def test_histogram_percentiles_are_bucket_accurate():
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     for _ in range(100):
         stats.record_completion(0.004, rows=1)  # 4 ms -> the (2.5, 5] bucket
     snapshot = stats.snapshot()
@@ -77,21 +76,26 @@ def test_histogram_percentiles_are_bucket_accurate():
 
 
 def test_percentile_above_the_last_bucket_reports_the_tracked_max():
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     stats.record_completion(60.0, rows=1)  # 60 s >> the 10 s top bucket
     assert stats.snapshot().latency_p99_ms == 60000.0
 
 
-def test_window_saturation_warms_up_to_one():
-    stats = ServerStats(latency_window=4, clock=_FakeClock())
-    assert stats.snapshot().latency_window_saturation == 0.0
-    stats.record_completion(0.010, rows=1)
-    assert stats.snapshot().latency_window_saturation == 0.25
+def test_drain_window_holds_at_most_its_entry_bound():
+    clock = _FakeClock()
+    stats = ServerStats(clock=clock)
+    bound = ServerStats.DRAIN_WINDOW_ENTRIES
+    for _ in range(bound + 10):
+        stats.record_completion(0.010, rows=1)
+    clock.now += 1.0
+    # the oldest ten completions fell out of the window, not out of the totals
+    assert stats.snapshot().rows_completed == bound + 10
+    assert stats.drain_rate_rows_per_s() == bound / 1.0
 
 
 def test_uptime_and_throughput_use_the_injected_clock():
     clock = _FakeClock()
-    stats = ServerStats(latency_window=8, clock=clock)
+    stats = ServerStats(clock=clock)
     clock.now += 5.0
     stats.record_completion(0.010, rows=4)
     stats.record_completion(0.010, rows=4)
@@ -106,7 +110,7 @@ def test_uptime_and_throughput_use_the_injected_clock():
 
 
 def test_per_version_counters_track_completions_and_failures():
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     stats.record_completion(0.010, rows=4, version="v1")
     stats.record_completion(0.020, rows=2, version="v1")
     stats.record_completion(0.030, rows=8, version="v2")
@@ -122,14 +126,14 @@ def test_per_version_counters_track_completions_and_failures():
 
 
 def test_untagged_requests_do_not_create_version_buckets():
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     stats.record_completion(0.010, rows=1)
     stats.record_failure()
     assert stats.snapshot().per_version == {}
 
 
 def test_snapshot_per_version_is_a_frozen_copy():
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     stats.record_completion(0.010, rows=1, version="v1")
     snapshot = stats.snapshot()
     snapshot.per_version["v1"]["completed"] = 999
@@ -140,7 +144,7 @@ def test_fusion_counters_aggregate_events(monkeypatch):
     from repro.serve.executor import FUSION_EVENT_KEYS
 
     monkeypatch.setenv("REPRO_FUSED", "auto")
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     snapshot = stats.snapshot()
     assert snapshot.fusion["mode"] == "auto"
     assert all(snapshot.fusion[key] == 0 for key in FUSION_EVENT_KEYS)
@@ -155,23 +159,23 @@ def test_fusion_counters_aggregate_events(monkeypatch):
 
 
 def test_fusion_mode_tracks_environment(monkeypatch):
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     monkeypatch.setenv("REPRO_FUSED", "0")
     assert stats.snapshot().fusion["mode"] == "off"
-    monkeypatch.setenv("REPRO_FUSED", "1")
-    assert stats.snapshot().fusion["mode"] == "on"
+    monkeypatch.setenv("REPRO_FUSED", "1")  # the retired forcing mode
+    assert stats.snapshot().fusion["mode"] == "auto"
 
 
 def test_fusion_counters_tolerate_unknown_keys():
     # executor and stats schemas may evolve independently across versions
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     stats.record_fusion_events({"some_future_counter": 2})
     assert stats.snapshot().fusion["some_future_counter"] == 2
 
 
 def test_drain_rate_warms_up_and_decays_with_the_window():
     clock = _FakeClock()
-    stats = ServerStats(latency_window=8, clock=clock)
+    stats = ServerStats(clock=clock)
     assert stats.drain_rate_rows_per_s() is None  # cold
     stats.record_completion(0.010, rows=10)
     clock.now += 1.0
@@ -189,7 +193,7 @@ def test_drain_rate_warms_up_and_decays_with_the_window():
 
 def test_snapshot_reports_drain_rate():
     clock = _FakeClock()
-    stats = ServerStats(latency_window=8, clock=clock)
+    stats = ServerStats(clock=clock)
     assert stats.snapshot().drain_rate_rows_per_s is None
     stats.record_completion(0.010, rows=6)
     clock.now += 2.0
@@ -197,7 +201,7 @@ def test_snapshot_reports_drain_rate():
 
 
 def test_coalescing_counters_track_multi_source_tiles():
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     stats.record_tile(n_requests=1, rows=4, sources=1)
     stats.record_tile(n_requests=3, rows=12, sources=2)
     stats.record_tile(n_requests=4, rows=16, sources=4)
@@ -213,7 +217,7 @@ def test_coalescing_counters_track_multi_source_tiles():
 
 
 def test_coalescing_block_zeroed_until_sources_are_tagged():
-    stats = ServerStats(latency_window=8, clock=_FakeClock())
+    stats = ServerStats(clock=_FakeClock())
     stats.record_tile(n_requests=2, rows=8)
     assert stats.snapshot().coalescing == {
         "tiles": 0,

@@ -3,7 +3,7 @@
 The probe is the safety gate in front of tile fusion: these tests pin its
 caching discipline (one battery per exact shape class, one verdict per
 signature), its sensitivity (a monkeypatched unstable/nondeterministic GEMM
-must fail the class or the verdict), the ``REPRO_FUSED`` mode parsing, and
+must fail the class or the verdict), the ``REPRO_FUSED`` kill switch, and
 the thread-local folded-splits plumbing that carries per-request row counts
 into :mod:`repro.nn.functional`.
 """
@@ -35,10 +35,11 @@ from repro.core.stability import (
         ("off", "off"),
         ("FALSE", "off"),
         ("never", "off"),
-        ("1", "on"),
-        ("on", "on"),
-        ("True", "on"),
-        ("force", "on"),
+        # the retired forcing mode: these spellings now mean auto
+        ("1", "auto"),
+        ("on", "auto"),
+        ("True", "auto"),
+        ("force", "auto"),
         ("", "auto"),
         ("auto", "auto"),
         ("yes-please", "auto"),
@@ -208,23 +209,41 @@ def test_signature_covers_backend_selection():
     assert pinned != base
 
 
-def test_failed_verdict_blocks_fusion_and_warns_once_when_forced(monkeypatch):
+def test_failed_verdict_blocks_fusion_silently(monkeypatch):
     class BrokenProbe(RowStabilityProbe):
         def _probe_gemm_determinism(self):
             return False
 
     p = BrokenProbe()
-    monkeypatch.setenv("REPRO_FUSED", "auto")
-    assert p.allows() is False
-    monkeypatch.setenv("REPRO_FUSED", "1")
-    with pytest.warns(RuntimeWarning, match="row-stability verdict"):
-        assert p.allows() is False
-    # warned once per signature, not once per tile
     import warnings as _warnings
 
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        assert p.allows() is False
+    # no spelling of REPRO_FUSED fuses past a failed verdict, and the
+    # fallback is counted in the serving stats rather than warned about
+    for raw in ("auto", "1"):
+        monkeypatch.setenv("REPRO_FUSED", raw)
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error")
+            assert p.allows() is False
+
+
+def test_unfolding_a_tile_unlike_its_requests_fails_the_verdict(monkeypatch):
+    # an im2col whose rows depend on the batch it sees: unfolding the whole
+    # tile no longer equals stacking the per-request unfolds
+    from repro.nn import functional as F
+
+    honest = F.im2col
+
+    def permuted(x, kernel, stride, padding, out=None):
+        cols, out_h, out_w = honest(x, kernel, stride, padding, out=out)
+        if x.shape[0] > 1:
+            cols = np.roll(cols, out_h * out_w, axis=0)
+        return cols, out_h, out_w
+
+    assert RowStabilityProbe().verdict().components["folded_im2col_gate"]
+    monkeypatch.setattr(F, "im2col", permuted)
+    verdict = RowStabilityProbe().verdict()
+    assert verdict.components["folded_im2col_gate"] is False
+    assert verdict.ok is False
 
 
 def test_mode_off_blocks_without_running_the_battery(monkeypatch):
@@ -250,7 +269,7 @@ def test_report_shape():
     p.splits_ok("nn", np.float64, 6, 4, (2, 3))
     report = p.report()
     assert report["signature"] == p.signature()
-    assert report["mode"] in ("off", "on", "auto")
+    assert report["mode"] in ("off", "auto")
     assert report["battery_runs"] >= 1
     assert any(row["k"] == 6 and row["n"] == 4 for row in report["classes"])
 
