@@ -47,7 +47,7 @@ The active selection is captured in
 :class:`~repro.models.zoo.ReplicaSpec` so serving and distributed workers
 rebuild replicas on the same backends as the process that captured them, and
 per-(kernel, backend) call/row counters feed ``ServerStats`` and the gateway's
-``GET /stats`` so operators can see which implementations actually ran.
+``GET /v1/stats`` so operators can see which implementations actually ran.
 
 ``python -m repro.core --list`` prints the registry; ``--verify`` runs every
 available backend through its conformance gate.
@@ -157,9 +157,9 @@ class _Kernel:
     doc: str
     chain: tuple[str, ...]
     rows_of: Callable[..., int]
-    conformance_cases: Callable[[], list[dict[str, Any]]]
+    cases: Callable[[], list[dict[str, Any]]]
     check: Callable[[dict[str, Any], Any, Any], None]
-    backends: dict[str, BackendImpl] = field(default_factory=dict)
+    backends: dict[str, BackendImpl]
 
     #: Name every kernel's oracle is registered under.
     REFERENCE = "reference"
@@ -199,36 +199,35 @@ class KernelRegistry:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def register_kernel(
+    def register(
         self,
         name: str,
         *,
         doc: str,
-        chain: Sequence[str],
         rows_of: Callable[..., int],
-        conformance_cases: Callable[[], list[dict[str, Any]]],
+        cases: Callable[[], list[dict[str, Any]]],
         check: Callable[[dict[str, Any], Any, Any], None],
+        backends: Sequence[BackendImpl],
     ) -> None:
+        """Declare dispatch point ``name``: its gate (``check`` over the
+        battery ``cases`` builds) and its ``backends``, whose order is the
+        default chain -- so the ``reference`` oracle, the last resort, ends it.
+        """
+        chain = tuple(impl.name for impl in backends)
+        if not chain or chain[-1] != _Kernel.REFERENCE:
+            raise KernelBackendError(
+                f"kernel {name!r}: the backends {chain} must end in "
+                f"{_Kernel.REFERENCE!r}"
+            )
+        if len(set(chain)) != len(chain):
+            raise KernelBackendError(f"kernel {name!r} repeats a backend: {chain}")
         with self._lock:
             if name in self._kernels:
                 raise KernelBackendError(f"kernel {name!r} is already registered")
             self._kernels[name] = _Kernel(
-                name=name,
-                doc=doc,
-                chain=tuple(chain),
-                rows_of=rows_of,
-                conformance_cases=conformance_cases,
-                check=check,
+                name, doc, chain, rows_of, cases, check,
+                {impl.name: impl for impl in backends},
             )
-
-    def register_backend(self, kernel: str, impl: BackendImpl) -> None:
-        with self._lock:
-            entry = self._kernel(kernel)
-            if impl.name in entry.backends:
-                raise KernelBackendError(
-                    f"backend {impl.name!r} is already registered for {kernel!r}"
-                )
-            entry.backends[impl.name] = impl
 
     # ------------------------------------------------------------------
     # lookups
@@ -381,7 +380,7 @@ class KernelRegistry:
     ) -> Any:
         """Gate ``impl`` against the oracle; return ``True`` or the failure."""
         reference = kernel.backends[_Kernel.REFERENCE]
-        for index, case in enumerate(kernel.conformance_cases()):
+        for index, case in enumerate(kernel.cases()):
             if impl.supports is not None and not impl.supports(**_copy_case(case)):
                 continue
             # the battery's NaN / inf inputs are deliberate: no warnings
@@ -603,6 +602,43 @@ def sample_matmul(a, b, out):
     return out
 
 
+# -- result checks ------------------------------------------------------
+# A gate runs the oracle and the candidate on copies of each case and hands
+# both results to the point's check, which raises on any difference.
+def _check_same(case, expected, got) -> None:
+    """The shared check: each result equals the oracle's -- arrays in dtype,
+    shape and bytes, ``bytes`` byte for byte, anything else by ``==``."""
+    if not isinstance(expected, tuple):
+        expected, got = (expected,), (got,)
+    if len(got) != len(expected):
+        raise AssertionError(f"{len(got)} results, oracle {len(expected)}")
+    for index, (exp, out) in enumerate(zip(expected, got)):
+        if isinstance(exp, np.ndarray):
+            if (out.dtype, out.shape) != (exp.dtype, exp.shape):
+                raise AssertionError(
+                    f"result {index} is {out.dtype}{out.shape}, oracle "
+                    f"{exp.dtype}{exp.shape}"
+                )
+            if np.ascontiguousarray(exp).tobytes() != np.ascontiguousarray(out).tobytes():
+                raise AssertionError(f"result {index} is not byte-identical")
+        elif isinstance(exp, bytes):
+            if out != exp:
+                at = next(
+                    (i for i, (a, b) in enumerate(zip(exp, out)) if a != b),
+                    min(len(exp), len(out)),
+                )
+                raise AssertionError(
+                    f"result {index} differs at byte {at}: "
+                    f"{out[at:at + 32]!r} != {exp[at:at + 32]!r}"
+                )
+        elif out != exp:
+            raise AssertionError(f"result {index}: {out!r} != oracle {exp!r}")
+
+
+def _nan_canonical(array: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(array), np.nan, array)
+
+
 # -- window_popcounts --------------------------------------------------
 def _window_popcounts_reference(seq_words, n_bits, count, stride):
     # Dense per-shift int64 running sum, then slice the emitted positions:
@@ -708,10 +744,7 @@ def _check_window_popcounts(case, expected, got) -> None:
     # downstream are byte-identical whenever the integer values agree.
     if got.dtype.kind not in "iu":
         raise AssertionError(f"popcounts must be integers, got {got.dtype}")
-    if got.shape != expected.shape:
-        raise AssertionError(f"shape {got.shape} != oracle {expected.shape}")
-    if not np.array_equal(np.asarray(expected, np.int64), np.asarray(got, np.int64)):
-        raise AssertionError("popcount values differ from the oracle")
+    _check_same(case, expected.astype(np.int64), got.astype(np.int64))
 
 # -- grng_block --------------------------------------------------------
 #: Upper bound on the packed bit sequence one *reference* kernel call
@@ -851,19 +884,6 @@ def _grng_block_native(
     return out, new_state, last, w_out
 
 
-def _lfsr_taps(n_bits: int) -> tuple[int, ...]:
-    # Ascending, as the kernel contract (and normalise_taps) requires.
-    taps = {
-        8: (4, 5, 6, 8),
-        16: (4, 13, 15, 16),
-        64: (60, 61, 63, 64),
-        128: (99, 101, 126, 128),
-        192: (177, 178, 190, 192),
-        256: (246, 251, 254, 256),
-    }
-    return taps[n_bits]
-
-
 def _random_state_words(rng, rows: int, n_bits: int) -> np.ndarray:
     words = rng.integers(
         0, 1 << 64, size=(rows, bitops.words_for_bits(n_bits)), dtype=np.uint64
@@ -876,6 +896,8 @@ def _random_state_words(rng, rows: int, n_bits: int) -> np.ndarray:
 
 
 def _grng_block_cases() -> list[dict[str, Any]]:
+    from . import lfsr  # deferred: lfsr imports this module
+
     rng = np.random.default_rng(0x6B46)
     cases = []
     # tests/property/test_lfsr_bitserial_oracle.py holds the long cases.
@@ -900,7 +922,7 @@ def _grng_block_cases() -> list[dict[str, Any]]:
         case = {
             "state_words": _random_state_words(rng, rows, n_bits),
             "n_bits": n_bits,
-            "offsets": _lfsr_taps(n_bits),
+            "offsets": lfsr.normalise_taps(n_bits, None),
             "stride": stride,
             "count": count,
             "mean": n_bits / 2.0,
@@ -922,26 +944,15 @@ def _grng_block_cases() -> list[dict[str, Any]]:
 
 
 def _check_grng_block(case, expected, got) -> None:
-    exp_out, exp_state, exp_last, exp_w = expected
-    got_out, got_state, got_last, got_w = got
-    if case["out"] is not None:
-        if got_out.dtype != exp_out.dtype or got_out.shape != exp_out.shape:
-            raise AssertionError(
-                f"out is {got_out.dtype}{got_out.shape}, oracle "
-                f"{exp_out.dtype}{exp_out.shape}"
-            )
-        if exp_out.tobytes() != got_out.tobytes():
-            raise AssertionError("emitted values are not byte-identical")
-    if case.get("w_out") is not None:
-        # NaN-ness, not NaN payload bits: the compiler may swap the operands
-        # of a commutative vector op, and x86 propagates the first NaN
-        _check_same_bytes(_nan_canonical(exp_w), _nan_canonical(got_w), "weights")
-    if got_state.dtype != np.uint64 or not np.array_equal(exp_state, got_state):
-        raise AssertionError("end-of-block register state differs from the oracle")
-    if not np.array_equal(
-        np.asarray(exp_last, np.int64), np.asarray(got_last, np.int64)
-    ):
-        raise AssertionError("last popcounts differ from the oracle")
+    # The last popcounts compare free of dtype, as window_popcounts' values
+    # do.  The weights compare by NaN-ness, not NaN payload bits: the compiler
+    # may swap the operands of a commutative vector op, and x86 propagates
+    # the first NaN.
+    def canonical(out, state, last, w_out):
+        w_out = None if w_out is None else _nan_canonical(w_out)
+        return out, state, np.asarray(last, np.int64), w_out
+
+    _check_same(case, canonical(*expected), canonical(*got))
 
 
 # -- conv data movement: im2col, col2im, max pooling ---------------------
@@ -1104,23 +1115,6 @@ def _im2col_cases() -> list[dict[str, Any]]:
     return cases
 
 
-def _check_same_bytes(expected, got, what: str) -> None:
-    if got.dtype != expected.dtype:
-        raise AssertionError(f"dtype {got.dtype} != oracle {expected.dtype}")
-    if got.shape != expected.shape:
-        raise AssertionError(f"shape {got.shape} != oracle {expected.shape}")
-    if np.ascontiguousarray(expected).tobytes() != np.ascontiguousarray(got).tobytes():
-        raise AssertionError(f"{what} are not byte-identical")
-
-
-def _check_im2col(case, expected, got) -> None:
-    exp_cols, exp_h, exp_w = expected
-    got_cols, got_h, got_w = got
-    if (got_h, got_w) != (exp_h, exp_w):
-        raise AssertionError(f"output size {(got_h, got_w)} != {(exp_h, exp_w)}")
-    _check_same_bytes(exp_cols, got_cols, "column matrices")
-
-
 # col2im: the adjoint of im2col.  Each element receives its window
 # contributions in (row, col) order, accumulated into +0.0.
 def _col2im_reference(cols, x_shape, kernel, stride, padding, out=None):
@@ -1198,10 +1192,6 @@ def _col2im_cases() -> list[dict[str, Any]]:
             case["out"] = _strided_inputs(rng, x_shape)[1]
         cases.append(case)
     return cases
-
-
-def _check_folded(case, expected, got) -> None:
-    _check_same_bytes(expected, got, "folded tensors")
 
 
 # max pooling.  Strict `>` keeps the first window position on ties, exactly
@@ -1318,11 +1308,6 @@ def _maxpool2d_forward_cases() -> list[dict[str, Any]]:
     cases.append({"x": x, "pool": 2, "stride": 2})
     cases.append({"x": x.astype(np.float32), "pool": 2, "stride": 2})
     return cases
-
-
-def _check_maxpool2d_forward(case, expected, got) -> None:
-    _check_same_bytes(expected[0], got[0], "pooled maxima")
-    _check_same_bytes(expected[1], got[1], "argmax maps")
 
 
 def _maxpool2d_backward_reference(grad_out, argmax, x_shape, pool, stride, out=None):
@@ -1519,15 +1504,12 @@ def _posterior_gc_cases() -> list[dict[str, Any]]:
     return cases
 
 
-def _nan_canonical(array: np.ndarray) -> np.ndarray:
-    return np.where(np.isnan(array), np.nan, array)
-
-
 def _check_posterior_gc(case, expected, got) -> None:
     # NaN-ness is checked, NaN payload bits are not: NumPy's own payload
     # depends on whether its SIMD body or its scalar tail met the element
-    for exp, out in zip(expected, got):
-        _check_same_bytes(_nan_canonical(exp), _nan_canonical(out), "gradients")
+    _check_same(
+        case, tuple(map(_nan_canonical, expected)), tuple(map(_nan_canonical, got))
+    )
 
 
 # -- json_dumps_f64 / json_loads_f64 -----------------------------------
@@ -1655,25 +1637,6 @@ def _json_loads_f64_cases() -> list[dict[str, Any]]:
     return cases
 
 
-def _check_json_dumps_f64(case, expected, got) -> None:
-    if got != expected:
-        at = next(
-            (i for i, (a, b) in enumerate(zip(expected, got)) if a != b),
-            min(len(expected), len(got)),
-        )
-        raise AssertionError(
-            f"JSON text differs from json.dumps at byte {at}: "
-            f"{got[at:at + 32]!r} != {expected[at:at + 32]!r}"
-        )
-
-
-def _check_json_loads_f64(case, expected, got) -> None:
-    (exp_array, exp_end), (got_array, got_end) = expected, got
-    if got_end != exp_end:
-        raise AssertionError(f"end {got_end} != oracle {exp_end}")
-    _check_same_bytes(exp_array, got_array, "parsed values")
-
-
 # -- fused folded kernels (serving-tile fusion behind the stability probe) --
 def _validate_splits(total: int, splits) -> tuple[int, ...]:
     splits = tuple(int(s) for s in splits)
@@ -1764,350 +1727,245 @@ def _fused_sample_matmul_cases() -> list[dict[str, Any]]:
     return cases
 
 
-def _check_sample_matmul(case, expected, got) -> None:
-    if got.dtype != expected.dtype:
-        raise AssertionError(f"dtype {got.dtype} != oracle {expected.dtype}")
-    if got.shape != expected.shape:
-        raise AssertionError(f"shape {got.shape} != oracle {expected.shape}")
-    if expected.tobytes() != got.tobytes():
-        raise AssertionError("per-sample products are not byte-identical")
-
-
 # ----------------------------------------------------------------------
 # registry construction
 # ----------------------------------------------------------------------
 registry = KernelRegistry()
 
 
-def _native_available() -> bool:
-    # resolved at call time: tests swap ``native.library``
-    return native.library.load() is not None
+def _native(fn, supports, description: str) -> BackendImpl:
+    """A compiled backend: available once ``native.library`` builds and loads
+    (resolved at call time: tests swap ``native.library``)."""
+    return BackendImpl(
+        "native", fn, description, supports, lambda: native.library.load() is not None
+    )
 
 
 def _register_builtin(reg: KernelRegistry) -> None:
-    reg.register_kernel(
+    reg.register(
         "window_popcounts",
         doc="Pattern popcounts after every `stride`-th of `count` shifts, "
         "from the packed bit sequence.",
-        chain=("packed_bitcount", "cumsum16", "reference"),
         rows_of=lambda seq_words, n_bits, count, stride: seq_words.shape[0],
-        conformance_cases=_window_popcounts_cases,
+        cases=_window_popcounts_cases,
         check=_check_window_popcounts,
-    )
-    reg.register_backend(
-        "window_popcounts",
-        BackendImpl(
-            "reference",
-            _window_popcounts_reference,
-            description="dense per-shift int64 running sum, sliced to the "
-            "emitted positions",
+        # The two NumPy fast paths of this chain stay for measured reasons; on
+        # the dense int64 reference a 2 MiB sequence chunk peaks at ~280 MiB
+        # traced.
+        backends=(
+            # packed_bitcount keeps the grng_block/native gate's oracle runs
+            # at ~4.6 MiB instead of ~276 MiB, in the set-up of every process
+            # that dispatches grng_block (tests/unit/test_gate_memory.py).
+            BackendImpl(
+                "packed_bitcount", _window_popcounts_packed,
+                "np.bitwise_count on the packed words, windows as differences "
+                "of stride-block sums (word-aligned strides only)",
+                _window_popcounts_packed_supports,
+                lambda: hasattr(np, "bitwise_count"),
+            ),
+            # cumsum16 serves what the compiled grng_block declines -- a
+            # /v1/predict `grng_stride` that is not a multiple of 64, an
+            # `lfsr_bits` that is not a whole number of words -- at ~19 MiB
+            # traced per served sweep instead of ~297 MiB (same test file).
+            BackendImpl(
+                "cumsum16", _window_popcounts_cumsum,
+                "unpacked narrow cumsum (int16 at stride 1, int32 block sums "
+                "otherwise)",
+            ),
+            BackendImpl(
+                "reference", _window_popcounts_reference,
+                "dense per-shift int64 running sum, sliced to the emitted positions",
+            ),
         ),
     )
-    # The two NumPy fast paths of this chain stay for measured reasons; on the
-    # dense int64 reference a 2 MiB sequence chunk peaks at ~280 MiB traced.
-    # cumsum16 serves what the compiled grng_block declines -- a /v1/predict
-    # `grng_stride` that is not a multiple of 64, an `lfsr_bits` that is not
-    # a whole number of words -- at ~19 MiB traced per served sweep instead
-    # of ~297 MiB (tests/unit/test_gate_memory.py).
-    reg.register_backend(
-        "window_popcounts",
-        BackendImpl(
-            "cumsum16",
-            _window_popcounts_cumsum,
-            description="unpacked narrow cumsum (int16 at stride 1, int32 "
-            "block sums otherwise)",
-        ),
-    )
-    # packed_bitcount keeps the grng_block/native gate's oracle runs at
-    # ~4.6 MiB instead of ~276 MiB, in the set-up of every process that
-    # dispatches grng_block (same test file).
-    reg.register_backend(
-        "window_popcounts",
-        BackendImpl(
-            "packed_bitcount",
-            _window_popcounts_packed,
-            description="np.bitwise_count on the packed words, windows as "
-            "differences of stride-block sums (word-aligned strides only)",
-            supports=_window_popcounts_packed_supports,
-            available=lambda: hasattr(np, "bitwise_count"),
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "grng_block",
         doc="One fused forward GRNG pass per register row: `count` "
         "standardised float64 epsilons of `stride` shifts each, written into "
         "`out`; given per-column `mu` and `sigma`, also the sampled weights "
         "mu + eps * sigma into `w_out` (then `out` may be None); returns "
         "(out, new_state_words, last_popcounts, w_out).",
-        chain=("native", "reference"),
         rows_of=lambda state_words, *args, **kwargs: state_words.shape[0],
-        conformance_cases=_grng_block_cases,
+        cases=_grng_block_cases,
         check=_check_grng_block,
-    )
-    reg.register_backend(
-        "grng_block",
-        BackendImpl(
-            "reference",
-            _grng_block_reference,
-            description="lfsr_step_block > window_popcounts > clt_standardise "
-            "in 2 MiB sequence chunks, weights written per chunk",
+        backends=(
+            _native(
+                _grng_block_native, _grng_block_native_supports,
+                "compiled streaming kernel (core/_grng.c via ctypes): "
+                "word-aligned widths and strides, polynomials of up to four taps",
+            ),
+            BackendImpl(
+                "reference", _grng_block_reference,
+                "lfsr_step_block > window_popcounts > clt_standardise in 2 MiB "
+                "sequence chunks, weights written per chunk",
+            ),
         ),
     )
-    reg.register_backend(
-        "grng_block",
-        BackendImpl(
-            "native",
-            _grng_block_native,
-            description="compiled streaming kernel (core/_grng.c via ctypes): "
-            "word-aligned widths and strides, polynomials of up to four taps",
-            supports=_grng_block_native_supports,
-            available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "im2col",
         doc="Unfold (N, C, H, W) into the (N*out_h*out_w, C*k*k) column "
         "matrix; returns (cols, out_h, out_w).",
-        chain=("native", "reference"),
         rows_of=lambda x, kernel, stride, padding, out=None: x.shape[0],
-        conformance_cases=_im2col_cases,
-        check=_check_im2col,
-    )
-    reg.register_backend(
-        "im2col",
-        BackendImpl(
-            "reference",
-            _im2col_reference,
-            description="per-kernel-position strided slice gather",
+        cases=_im2col_cases,
+        check=_check_same,
+        backends=(
+            _native(
+                _im2col_native, _im2col_native_supports,
+                "compiled single-pass gather (core/_conv.c): float64 "
+                "through element strides, straight into the column matrix",
+            ),
+            BackendImpl(
+                "reference", _im2col_reference,
+                "per-kernel-position strided slice gather",
+            ),
         ),
     )
-    reg.register_backend(
-        "im2col",
-        BackendImpl(
-            "native",
-            _im2col_native,
-            description="compiled single-pass gather (core/_conv.c): float64 "
-            "through element strides, straight into the column matrix",
-            supports=_im2col_native_supports,
-            available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "col2im",
         doc="Fold a (N*out_h*out_w, C*k*k) column matrix back into an NCHW "
         "view of channels-last storage (adjoint of im2col), window "
         "contributions added in (row, col) order.",
-        chain=("native", "reference"),
         rows_of=lambda cols, x_shape, kernel, stride, padding, out=None: x_shape[0],
-        conformance_cases=_col2im_cases,
-        check=_check_folded,
-    )
-    reg.register_backend(
-        "col2im",
-        BackendImpl(
-            "reference",
-            _col2im_reference,
-            description="k*k strided `+=` passes over a zeroed padded tensor",
+        cases=_col2im_cases,
+        check=_check_same,
+        backends=(
+            _native(
+                _col2im_native, _col2im_native_supports,
+                "compiled single-pass gather (core/_conv.c): each "
+                "element sums its windows once, no padded buffer, no zero fill",
+            ),
+            BackendImpl(
+                "reference", _col2im_reference,
+                "k*k strided `+=` passes over a zeroed padded tensor",
+            ),
         ),
     )
-    reg.register_backend(
-        "col2im",
-        BackendImpl(
-            "native",
-            _col2im_native,
-            description="compiled single-pass gather (core/_conv.c): each "
-            "element sums its windows once, no padded buffer, no zero fill",
-            supports=_col2im_native_supports,
-            available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "maxpool2d_forward",
         doc="Max pooling over (N, C, H, W); returns (pooled, argmax) with the "
         "first window position winning ties and NaN treated as np.argmax "
         "does.",
-        chain=("native", "reference"),
         rows_of=lambda x, pool, stride, out=None: x.shape[0],
-        conformance_cases=_maxpool2d_forward_cases,
-        check=_check_maxpool2d_forward,
-    )
-    reg.register_backend(
-        "maxpool2d_forward",
-        BackendImpl(
-            "reference",
-            _maxpool2d_forward_reference,
-            description="running pairwise `>` over the pool**2 strided window "
-            "views (gathered-window argmax when a NaN is present)",
+        cases=_maxpool2d_forward_cases,
+        check=_check_same,
+        backends=(
+            _native(
+                _maxpool2d_forward_native, _maxpool2d_forward_native_supports,
+                "compiled single pass (core/_conv.c): maximum, argmax "
+                "and the NaN rule inline, no isnan pre-pass",
+            ),
+            BackendImpl(
+                "reference", _maxpool2d_forward_reference,
+                "running pairwise `>` over the pool**2 strided window "
+                "views (gathered-window argmax when a NaN is present)",
+            ),
         ),
     )
-    reg.register_backend(
-        "maxpool2d_forward",
-        BackendImpl(
-            "native",
-            _maxpool2d_forward_native,
-            description="compiled single pass (core/_conv.c): maximum, argmax "
-            "and the NaN rule inline, no isnan pre-pass",
-            supports=_maxpool2d_forward_native_supports,
-            available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "maxpool2d_backward",
         doc="Scatter the pooled gradient back to the argmax positions of an "
         "NCHW view of channels-last storage, accumulated into +0.0.",
-        chain=("native", "reference"),
         rows_of=lambda grad_out, argmax, x_shape, pool, stride, out=None: (
             grad_out.shape[0]
         ),
-        conformance_cases=_maxpool2d_backward_cases,
-        check=_check_folded,
-    )
-    reg.register_backend(
-        "maxpool2d_backward",
-        BackendImpl(
-            "reference",
-            _maxpool2d_backward_reference,
-            description="pool**2 masked writes (np.add.at when windows overlap)",
+        cases=_maxpool2d_backward_cases,
+        check=_check_same,
+        backends=(
+            _native(
+                _maxpool2d_backward_native, _maxpool2d_backward_native_supports,
+                "compiled zero fill + `+=` scatter (core/_conv.c), "
+                "overlapping windows included",
+            ),
+            BackendImpl(
+                "reference", _maxpool2d_backward_reference,
+                "pool**2 masked writes (np.add.at when windows overlap)",
+            ),
         ),
     )
-    reg.register_backend(
-        "maxpool2d_backward",
-        BackendImpl(
-            "native",
-            _maxpool2d_backward_native,
-            description="compiled zero fill + `+=` scatter (core/_conv.c), "
-            "overlapping windows included",
-            supports=_maxpool2d_backward_native_supports,
-            available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "posterior_gc",
         doc="GC stage of a Gaussian posterior: fold (S, *shape) sample "
         "gradients into mu_grad / rho_grad in sample order (or, given "
         "(S, *shape) mu_grad / rho_grad, write the per-sample contributions "
         "into them).",
-        chain=("native", "reference"),
         rows_of=lambda grad_weight, *args, **kwargs: grad_weight.shape[0],
-        conformance_cases=_posterior_gc_cases,
+        cases=_posterior_gc_cases,
         check=_check_posterior_gc,
-    )
-    reg.register_backend(
-        "posterior_gc",
-        BackendImpl(
-            "reference",
-            _posterior_gc_reference,
-            description="NumPy passes over the (S, *shape) stacks, then S "
-            "in-place row adds per gradient (or one assignment per stack)",
+        backends=(
+            _native(
+                _posterior_gc_native, _posterior_gc_native_supports,
+                "compiled one-pass loop (core/_gc.c): the reference's "
+                "IEEE operations in its operand order, float64 C-contiguous only",
+            ),
+            BackendImpl(
+                "reference", _posterior_gc_reference,
+                "NumPy passes over the (S, *shape) stacks, then S "
+                "in-place row adds per gradient (or one assignment per stack)",
+            ),
         ),
     )
-    reg.register_backend(
-        "posterior_gc",
-        BackendImpl(
-            "native",
-            _posterior_gc_native,
-            description="compiled one-pass loop (core/_gc.c): the reference's "
-            "IEEE operations in its operand order, float64 C-contiguous only",
-            supports=_posterior_gc_native_supports,
-            available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "json_dumps_f64",
         doc="json.dumps(array.tolist()).encode(): float64 values as repr "
         "writes them, nested as json.dumps nests lists.",
-        chain=("native", "reference"),
         rows_of=lambda array: len(array) if np.ndim(array) else 1,
-        conformance_cases=_json_dumps_f64_cases,
-        check=_check_json_dumps_f64,
-    )
-    reg.register_backend(
-        "json_dumps_f64",
-        BackendImpl(
-            "reference",
-            _json_dumps_f64_reference,
-            description="tolist() then the stdlib json encoder (repr per float)",
+        cases=_json_dumps_f64_cases,
+        check=_check_same,
+        backends=(
+            _native(
+                _json_dumps_f64_native, _json_dumps_f64_native_supports,
+                "compiled Ryu shortest digits in repr's layout "
+                "(core/_json.c), C-contiguous float64 only",
+            ),
+            BackendImpl(
+                "reference", _json_dumps_f64_reference,
+                "tolist() then the stdlib json encoder (repr per float)",
+            ),
         ),
     )
-    reg.register_backend(
-        "json_dumps_f64",
-        BackendImpl(
-            "native",
-            _json_dumps_f64_native,
-            description="compiled Ryu shortest digits in repr's layout "
-            "(core/_json.c), C-contiguous float64 only",
-            supports=_json_dumps_f64_native_supports,
-            available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "json_loads_f64",
         doc="Parse the JSON array at text[offset] (ASCII bytes) into float64: "
         "returns (array, end) as JSONDecoder.raw_decode + np.asarray would.",
-        chain=("native", "reference"),
         rows_of=lambda text, offset: 1,
-        conformance_cases=_json_loads_f64_cases,
-        check=_check_json_loads_f64,
-    )
-    reg.register_backend(
-        "json_loads_f64",
-        BackendImpl(
-            "reference",
-            _json_loads_f64_reference,
-            description="JSONDecoder.raw_decode, then np.asarray(..., float64)",
+        cases=_json_loads_f64_cases,
+        check=_check_same,
+        backends=(
+            _native(
+                _json_loads_f64_native, _json_loads_f64_native_supports,
+                "compiled parse of rectangular number arrays "
+                "(core/_json.c: Eisel-Lemire for float tokens of <= 19 significant "
+                "digits, strtod_l in the C locale for the rest); declined "
+                "documents go to the reference",
+            ),
+            BackendImpl(
+                "reference", _json_loads_f64_reference,
+                "JSONDecoder.raw_decode, then np.asarray(..., float64)",
+            ),
         ),
     )
-    reg.register_backend(
-        "json_loads_f64",
-        BackendImpl(
-            "native",
-            _json_loads_f64_native,
-            description="compiled parse of rectangular number arrays "
-            "(core/_json.c: Eisel-Lemire for float tokens of <= 19 significant "
-            "digits, strtod_l in the C locale for the rest); declined "
-            "documents go to the reference",
-            supports=_json_loads_f64_native_supports,
-            available=_native_available,
-        ),
-    )
-
-    reg.register_kernel(
+    reg.register(
         "fused_sample_matmul",
         doc="Per-sample matmul over a tile of concatenated requests "
         "(row `splits`); the reference recomputes each request block "
         "standalone, so fusing is correct only where the conformance gate "
         "-- the runtime row-stability probe -- proves the folded GEMM "
         "byte-identical.",
-        chain=("fused", "reference"),
         rows_of=lambda a, b, out, splits, trans_b=False: out.shape[-2],
-        conformance_cases=_fused_sample_matmul_cases,
-        check=_check_sample_matmul,
-    )
-    reg.register_backend(
-        "fused_sample_matmul",
-        BackendImpl(
-            "reference",
-            _fused_sample_matmul_reference,
-            description="per-request blocks from fresh contiguous operands "
-            "(the unfused serving path, by construction)",
-        ),
-    )
-    reg.register_backend(
-        "fused_sample_matmul",
-        BackendImpl(
-            "fused",
-            _fused_sample_matmul_fused,
-            description="one whole-tile GEMM per sample; supports() consults "
-            "the RowStabilityProbe per (kind, dtype, K, N, splits) class",
-            supports=_fused_sample_matmul_supports,
+        cases=_fused_sample_matmul_cases,
+        check=_check_same,
+        backends=(
+            BackendImpl(
+                "fused", _fused_sample_matmul_fused,
+                "one whole-tile GEMM per sample; supports() consults "
+                "the RowStabilityProbe per (kind, dtype, K, N, splits) class",
+                _fused_sample_matmul_supports,
+            ),
+            BackendImpl(
+                "reference", _fused_sample_matmul_reference,
+                "per-request blocks from fresh contiguous operands "
+                "(the unfused serving path, by construction)",
+            ),
         ),
     )
 
@@ -2131,39 +1989,17 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX containers
 # ----------------------------------------------------------------------
 # module-level conveniences over the default registry
 # ----------------------------------------------------------------------
-def dispatch(kernel: str) -> Callable[..., Any]:
-    """A callable for ``kernel`` that re-resolves its backend on every call."""
-    return registry.dispatch(kernel)
-
-
-def set_backend(kernel: str, backend: str | None) -> None:
-    """Force ``kernel`` onto ``backend`` (``None`` restores the default chain)."""
-    registry.set_backend(kernel, backend)
-
-
-def using(kernel: str, backend: str | None):
-    """Context manager temporarily forcing a backend."""
-    return registry.using(kernel, backend)
-
-
-def current_selection() -> dict[str, str]:
-    """The explicitly forced ``{kernel: backend}`` choices."""
-    return registry.current_selection()
-
-
-def apply_selection(selection: Mapping[str, str]) -> None:
-    """Replace the forced choices wholesale (used by replica rebuilds)."""
-    registry.apply_selection(selection)
-
-
-def counters_snapshot() -> dict[str, dict[str, dict[str, int]]]:
-    """Per-(kernel, backend) call/row counters for backends that ran."""
-    return registry.counters_snapshot()
-
-
-def reset_counters() -> None:
-    """Zero the per-backend call/row counters."""
-    registry.reset_counters()
+# The default registry's methods, bound under their own names.
+dispatch = registry.dispatch
+set_backend = registry.set_backend
+using = registry.using
+current_selection = registry.current_selection
+apply_selection = registry.apply_selection
+counters_snapshot = registry.counters_snapshot
+reset_counters = registry.reset_counters
+list_backends = registry.list_backends
+kernel_names = registry.kernel_names
+verify_backend = registry.verify_backend
 
 
 def stats_snapshot() -> dict[str, dict[str, Any]]:
@@ -2180,21 +2016,6 @@ def stats_snapshot() -> dict[str, dict[str, Any]]:
             "backends": counters.get(name, {}),
         }
     return dict(sorted(snapshot.items()))
-
-
-def list_backends() -> list[dict[str, Any]]:
-    """Registry contents: kernels, chains, backend availability/conformance."""
-    return registry.list_backends()
-
-
-def kernel_names() -> tuple[str, ...]:
-    """The registered dispatch-point names."""
-    return registry.kernel_names()
-
-
-def verify_backend(kernel: str, backend: str) -> bool:
-    """Run the conformance gate now; raise on mismatch or unavailability."""
-    return registry.verify_backend(kernel, backend)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,12 +1,14 @@
 """Ratchet: the kernel registry may not grow.
 
-:mod:`repro.core.backend` has 10 dispatch points.  Each is a name, a default
-chain, a conformance battery and a gate, so a new capability of an existing
-kernel extends that kernel's arguments (fused weight sampling is an optional
-``mu`` / ``sigma`` / ``w_out`` of ``grng_block``), a kernel with one
-implementation is a plain function that counts its calls (``lfsr_step_block``,
-``clt_standardise``, ``sample_matmul``), and the registry diet may only lower
-the count.  Lower ``MAX_DISPATCH_POINTS`` when a point goes.
+:mod:`repro.core.backend` has 10 dispatch points.  Each is one
+``KernelRegistry.register`` call -- a name, a conformance battery, a gate
+and its backends, whose order is the default chain -- so a new capability
+of an existing kernel extends that kernel's arguments (fused weight sampling
+is an optional ``mu`` / ``sigma`` / ``w_out`` of ``grng_block``), a kernel
+with one implementation is a plain function that counts its calls
+(``lfsr_step_block``, ``clt_standardise``, ``sample_matmul``), and the
+registry diet may only lower the count.  Lower ``MAX_DISPATCH_POINTS`` when
+a point goes.
 """
 
 from __future__ import annotations

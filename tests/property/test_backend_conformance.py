@@ -10,6 +10,10 @@ wall-clock time but never bits.  Two layers of evidence:
   absent (the ``native`` ones without a C compiler) self-skip -- the
   parametrisation still names them, so a CI log shows exactly which backends
   were exercised where.
+* ``test_gate_rejects_the_smallest_change_to_any_result`` proves those gates
+  strict: each returned value of every available non-reference backend,
+  changed by one float bit, one integer step, one byte or a dtype under
+  unchanged bytes, fails its point's gate.
 * ``test_hot_path_call_matches_oracle_and_spares_inputs`` makes one call
   per backend (and one through the default selection) at the size the
   training and serving steps run, and also checks that no backend writes
@@ -34,6 +38,8 @@ compared byte-for-byte.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +78,112 @@ def test_registered_conformance_gate(kernel: str, name: str):
     """The registry's own gate passes for every available backend."""
     _skip_unless_available(kernel, name)
     assert backend.verify_backend(kernel, name)
+
+
+# ----------------------------------------------------------------------
+# gate strictness: the smallest change to a result fails the gate
+# ----------------------------------------------------------------------
+def _flip_float_lsb(value):
+    """The lowest bit of the first finite element of a float array."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind == "f"):
+        return None
+    finite = np.flatnonzero(np.isfinite(value))
+    if not finite.size:
+        return None
+    changed = value.copy()
+    changed.reshape(-1).view(f"u{changed.itemsize}")[finite[0]] ^= 1
+    return changed
+
+
+def _step_integer(value):
+    """One more in a returned integer, or in one element of an integer array."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return value + 1
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu" and value.size:
+        changed = value.copy()
+        changed.reshape(-1)[0] += 1
+        return changed
+    return None
+
+
+def _change_byte(value):
+    """The first byte of a ``bytes`` result, its lowest bit flipped."""
+    if isinstance(value, bytes) and value:
+        return bytes([value[0] ^ 1]) + value[1:]
+    return None
+
+
+def _retype(value):
+    """The same bytes and shape under a dtype of another kind."""
+    other = {"f": "i", "i": "f", "u": "f"}
+    if isinstance(value, np.ndarray) and value.dtype.kind in other:
+        return value.view(f"{other[value.dtype.kind]}{value.itemsize}")
+    return None
+
+
+MUTATIONS = (_flip_float_lsb, _step_integer, _change_byte, _retype)
+
+
+def _mutant(fn, mutate, position, seen):
+    """``fn`` with result ``position`` changed by ``mutate`` where it applies;
+    ``seen`` records the result width and how many calls were changed."""
+
+    def run(**kwargs):
+        result = fn(**kwargs)
+        values = list(result) if isinstance(result, tuple) else [result]
+        seen["width"] = len(values)
+        changed = mutate(values[position])
+        if changed is None:
+            return result
+        seen["changes"] = seen.get("changes", 0) + 1
+        values[position] = changed
+        return tuple(values) if isinstance(result, tuple) else changed
+
+    return run
+
+
+NON_REFERENCE_BACKENDS = [
+    pytest.param(kernel, name, id=f"{kernel}-{name}")
+    for kernel in sorted(backend.kernel_names())
+    for name in backend.registry.backend_names(kernel)
+    if name != "reference"
+]
+
+
+@pytest.mark.parametrize(("kernel", "name"), NON_REFERENCE_BACKENDS)
+def test_gate_rejects_the_smallest_change_to_any_result(kernel: str, name: str):
+    """Each returned value of a backend, changed by the smallest step its
+    kind allows (one float's lowest bit, an integer by one, one byte, the
+    dtype under unchanged bytes), fails the point's gate on the first case
+    where it is changed, and every returned value meets such a change.
+
+    The gates run on a fresh registry built by the built-in registrations,
+    so the shared registry's eligibility cache is left alone.
+    """
+    _skip_unless_available(kernel, name)
+    reg = backend.KernelRegistry()
+    backend._register_builtin(reg)
+    backends = reg._kernels[kernel].backends
+    impl = backends[name]
+    seen: dict = {}
+    backends[name] = replace(impl, fn=_mutant(impl.fn, lambda value: None, 0, seen))
+    assert reg.verify_backend(kernel, name)  # the wrapper alone changes nothing
+    width, covered = seen["width"], set()
+    for position in range(width):
+        for mutate in MUTATIONS:
+            seen = {}
+            backends[name] = replace(impl, fn=_mutant(impl.fn, mutate, position, seen))
+            label = f"{kernel}/{name}: {mutate.__name__} on result {position}"
+            try:
+                reg.verify_backend(kernel, name)
+            except backend.BackendConformanceError:
+                # the gate stops at its first failing case: that must be
+                # the first case the mutant changed
+                assert seen.get("changes") == 1, label
+                covered.add(position)
+            else:
+                assert not seen.get("changes"), f"{label} passed the gate"
+    assert covered == set(range(width)), f"{kernel}/{name}: a result is never checked"
 
 
 # ----------------------------------------------------------------------

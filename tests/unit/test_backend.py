@@ -23,14 +23,25 @@ from repro.bnn.serialization import load_replica, save_replica
 from repro.datasets import BatchLoader, synthetic_cifar10, synthetic_mnist
 from repro.models import ReplicaSpec, get_model
 
-KERNELS = {
-    "window_popcounts",
-    "grng_block",
-    "im2col",
-    "col2im",
-    "maxpool2d_forward",
-    "maxpool2d_backward",
+#: Every dispatch point's default chain: the order its backends register in.
+DEFAULT_CHAINS = {
+    "window_popcounts": ["packed_bitcount", "cumsum16", "reference"],
+    "fused_sample_matmul": ["fused", "reference"],
+    **{
+        kernel: ["native", "reference"]
+        for kernel in (
+            "grng_block",
+            "im2col",
+            "col2im",
+            "maxpool2d_forward",
+            "maxpool2d_backward",
+            "posterior_gc",
+            "json_dumps_f64",
+            "json_loads_f64",
+        )
+    },
 }
+KERNELS = set(DEFAULT_CHAINS)
 
 #: The kernels with one implementation: plain functions, not dispatch points.
 COUNTED = ("clt_standardise", "lfsr_step_block", "sample_matmul")
@@ -41,24 +52,23 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 # ----------------------------------------------------------------------
 # a toy registry, so failure paths never touch the real dispatch points
 # ----------------------------------------------------------------------
-def _toy_registry(**backends: BackendImpl) -> KernelRegistry:
-    reg = KernelRegistry()
-    reg.register_kernel(
+def _register_double(reg: KernelRegistry, *backends: BackendImpl) -> None:
+    reg.register(
         "double",
         doc="multiply a vector by two",
-        chain=(*backends, "reference"),
         rows_of=lambda x: x.size,
-        conformance_cases=lambda: [
+        cases=lambda: [
             {"x": np.arange(5, dtype=np.float64)},
             {"x": np.zeros(0, dtype=np.float64)},
         ],
         check=_check_double,
+        backends=backends,
     )
-    reg.register_backend(
-        "double", BackendImpl("reference", lambda x: x * 2.0)
-    )
-    for impl in backends.values():
-        reg.register_backend("double", impl)
+
+
+def _toy_registry(*backends: BackendImpl) -> KernelRegistry:
+    reg = KernelRegistry()
+    _register_double(reg, *backends, BackendImpl("reference", lambda x: x * 2.0))
     return reg
 
 
@@ -73,7 +83,7 @@ def _liar(x):
 
 class TestConformanceGate:
     def test_forced_nonconformant_backend_raises(self):
-        reg = _toy_registry(liar=BackendImpl("liar", _liar))
+        reg = _toy_registry(BackendImpl("liar", _liar))
         reg.set_backend("double", "liar")
         with pytest.raises(BackendConformanceError, match="liar.*double"):
             reg.call("double", np.ones(3))
@@ -81,7 +91,7 @@ class TestConformanceGate:
     def test_chain_skips_nonconformant_backend(self):
         # 'liar' heads the chain but fails the gate; dispatch must answer
         # from the oracle, bit-exactly, without raising
-        reg = _toy_registry(liar=BackendImpl("liar", _liar))
+        reg = _toy_registry(BackendImpl("liar", _liar))
         out = reg.call("double", np.arange(3, dtype=np.float64))
         assert np.array_equal(out, [0.0, 2.0, 4.0])
         assert reg.counters_snapshot()["double"] == {
@@ -89,13 +99,13 @@ class TestConformanceGate:
         }
 
     def test_verify_backend_reports_the_failing_case(self):
-        reg = _toy_registry(liar=BackendImpl("liar", _liar))
+        reg = _toy_registry(BackendImpl("liar", _liar))
         with pytest.raises(BackendConformanceError, match="case 0"):
             reg.verify_backend("double", "liar")
 
     def test_unavailable_backend_is_skipped_and_verify_raises(self):
         impl = BackendImpl("liar", _liar, available=lambda: False)
-        reg = _toy_registry(liar=impl)
+        reg = _toy_registry(impl)
         out = reg.call("double", np.arange(2, dtype=np.float64))
         assert np.array_equal(out, [0.0, 2.0])
         with pytest.raises(KernelBackendError, match="not available"):
@@ -103,7 +113,7 @@ class TestConformanceGate:
 
     def test_forced_unavailable_backend_warns_and_uses_chain(self):
         impl = BackendImpl("liar", _liar, available=lambda: False)
-        reg = _toy_registry(liar=impl)
+        reg = _toy_registry(impl)
         reg.set_backend("double", "liar")
         with pytest.warns(RuntimeWarning, match="not available"):
             out = reg.call("double", np.arange(2, dtype=np.float64))
@@ -115,7 +125,7 @@ class TestConformanceGate:
         impl = BackendImpl(
             "fragile", lambda x: x * 2.0, supports=lambda x: x.size % 2 == 0
         )
-        reg = _toy_registry(fragile=impl)
+        reg = _toy_registry(impl)
         reg.set_backend("double", "fragile")
         odd = reg.call("double", np.arange(3, dtype=np.float64))
         even = reg.call("double", np.arange(4, dtype=np.float64))
@@ -128,7 +138,22 @@ class TestConformanceGate:
     def test_duplicate_registration_rejected(self):
         reg = _toy_registry()
         with pytest.raises(KernelBackendError, match="already registered"):
-            reg.register_backend("double", BackendImpl("reference", _liar))
+            _register_double(reg, BackendImpl("reference", _liar))
+
+    def test_backends_must_end_in_the_reference(self):
+        reg = KernelRegistry()
+        liar, reference = BackendImpl("liar", _liar), BackendImpl("reference", _liar)
+        for backends in ((), (liar,), (reference, liar)):
+            with pytest.raises(KernelBackendError, match="must end in 'reference'"):
+                _register_double(reg, *backends)
+        assert reg.kernel_names() == ()  # a rejected point is not half-registered
+
+    def test_a_repeated_backend_name_is_rejected(self):
+        reg = KernelRegistry()
+        liar, reference = BackendImpl("liar", _liar), BackendImpl("reference", _liar)
+        with pytest.raises(KernelBackendError, match="repeats a backend"):
+            _register_double(reg, liar, liar, reference)
+        assert reg.kernel_names() == ()
 
     def test_unknown_names_raise(self):
         reg = _toy_registry()
@@ -188,7 +213,9 @@ class TestSelection:
 
 class TestIntrospection:
     def test_registry_covers_the_hot_kernels(self):
-        assert KERNELS <= set(backend.kernel_names())
+        # each of the ten dispatch points on its pinned default chain
+        listing = backend.list_backends()
+        assert {entry["kernel"]: entry["chain"] for entry in listing} == DEFAULT_CHAINS
 
     def test_counters_track_calls_and_rows(self):
         reg = _toy_registry()
