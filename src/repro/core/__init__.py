@@ -13,7 +13,7 @@ from .backend import (
     UnknownBackendError,
 )
 from .checkpoint import LfsrSnapshot, StreamBank, StreamPolicy
-from .grng import GRNGMode, LfsrGaussianRNG, ReplayError
+from .grng import GRNGMode, LfsrGaussianRNG
 from .grng_bank import BankedGaussianRNG, GrngBank, LfsrRowView
 from .lfsr import (
     MAXIMAL_TAPS,
@@ -52,7 +52,6 @@ __all__ = [
     "seed_from_index",
     "GRNGMode",
     "LfsrGaussianRNG",
-    "ReplayError",
     "BankedGaussianRNG",
     "GrngBank",
     "LfsrRowView",

@@ -640,14 +640,33 @@ def _nan_canonical(array: np.ndarray) -> np.ndarray:
 
 
 # -- window_popcounts --------------------------------------------------
+#: Shifts per row that one step of the popcount reference unpacks, rounded
+#: to whole words and strides.
+_REFERENCE_WINDOW_BITS = 1024
+
+
 def _window_popcounts_reference(seq_words, n_bits, count, stride):
     # Dense per-shift int64 running sum, then slice the emitted positions:
-    # the simplest arithmetic over the widest dtype is the oracle.
-    seq = bitops.unpack_bits(seq_words, n_bits + count)
-    delta = seq[:, n_bits:].astype(np.int64) - seq[:, :count]
-    popcounts = np.cumsum(delta, axis=1)
-    popcounts += seq[:, :n_bits].sum(axis=1, dtype=np.int64)[:, None]
-    return popcounts[:, stride - 1 :: stride]
+    # the simplest arithmetic over the widest dtype is the oracle.  It walks
+    # the sequence one word- and stride-aligned window at a time, carrying
+    # the sum, so no count-wide integer array sits beside the packed words
+    # (one whole 2 MiB chunk at once peaked at ~280 MiB traced).
+    align = math.lcm(64, stride)
+    window = align * max(1, _REFERENCE_WINDOW_BITS // align)
+    popcounts = np.empty((seq_words.shape[0], count // stride), dtype=np.int64)
+    head = seq_words[:, : bitops.words_for_bits(n_bits)]
+    running = bitops.unpack_bits(head, n_bits).sum(axis=1, dtype=np.int64)
+    for start in range(0, count, window):
+        size = min(window, count - start)
+        word = start >> 6
+        words = seq_words[:, word : word + bitops.words_for_bits(n_bits + size)]
+        seq = bitops.unpack_bits(words, n_bits + size)
+        sums = np.cumsum(seq[:, n_bits:].astype(np.int64) - seq[:, :size], axis=1)
+        sums += running[:, None]
+        running = sums[:, -1]
+        emitted = sums[:, stride - 1 :: stride]
+        popcounts[:, start // stride : start // stride + emitted.shape[1]] = emitted
+    return popcounts
 
 
 def _window_popcounts_cumsum(seq_words, n_bits, count, stride):
@@ -754,9 +773,14 @@ def _check_window_popcounts(case, expected, got) -> None:
 #: training step's shape (every call re-climbs the leapfrog's squaring
 #: levels), but multi-MiB transients raise glibc's dynamic mmap/trim
 #: thresholds for the whole process -- measured as +7 % peak RSS and slower
-#: small-array work on the in-process serving benchmark.  The compiled
-#: backend never stores the sequence, so the cap does not apply to it.
-_KERNEL_SEQ_BYTES = 1 << 21
+#: small-array work on the in-process serving benchmark.  At 512 KiB a chunk
+#: stays below the layer it feeds at the training step's shape, so a
+#: ``reversible`` step's regeneration peaks no higher than the backward pass
+#: (at 1 MiB and up the chunk set the step's traced peak, above ``stored``'s);
+#: that costs ~1.5x the 2 MiB chunk's time per variable, in a clean process
+#: and after a large freed transient alike.  The compiled backend never stores
+#: the sequence, so the cap does not apply to it.
+_KERNEL_SEQ_BYTES = 1 << 19
 
 #: Limits compiled into ``_grng.c``: GRNG_MAX_WORDS, and its three tap slots.
 _NATIVE_MAX_WORDS = 16
@@ -1749,13 +1773,12 @@ def _register_builtin(reg: KernelRegistry) -> None:
         rows_of=lambda seq_words, n_bits, count, stride: seq_words.shape[0],
         cases=_window_popcounts_cases,
         check=_check_window_popcounts,
-        # The two NumPy fast paths of this chain stay for measured reasons; on
-        # the dense int64 reference a 2 MiB sequence chunk peaks at ~280 MiB
-        # traced.
+        # The two NumPy fast paths of this chain stay for speed: 21,376
+        # values per row at S = 8 take ~9 ms on packed_bitcount, ~38 ms on
+        # cumsum16 and 240-315 ms on the windowed reference.  (Memory no
+        # longer tells them apart: the gate and an off-geometry sweep trace
+        # ~3.6 and ~6 MiB on either; tests/unit/test_gate_memory.py.)
         backends=(
-            # packed_bitcount keeps the grng_block/native gate's oracle runs
-            # at ~4.6 MiB instead of ~276 MiB, in the set-up of every process
-            # that dispatches grng_block (tests/unit/test_gate_memory.py).
             BackendImpl(
                 "packed_bitcount", _window_popcounts_packed,
                 "np.bitwise_count on the packed words, windows as differences "
@@ -1765,8 +1788,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
             ),
             # cumsum16 serves what the compiled grng_block declines -- a
             # /v1/predict `grng_stride` that is not a multiple of 64, an
-            # `lfsr_bits` that is not a whole number of words -- at ~19 MiB
-            # traced per served sweep instead of ~297 MiB (same test file).
+            # `lfsr_bits` that is not a whole number of words.
             BackendImpl(
                 "cumsum16", _window_popcounts_cumsum,
                 "unpacked narrow cumsum (int16 at stride 1, int32 block sums "
@@ -1774,7 +1796,8 @@ def _register_builtin(reg: KernelRegistry) -> None:
             ),
             BackendImpl(
                 "reference", _window_popcounts_reference,
-                "dense per-shift int64 running sum, sliced to the emitted positions",
+                "dense per-shift int64 running sum per 1,024-shift window, "
+                "sliced to the emitted positions",
             ),
         ),
     )
@@ -1796,7 +1819,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
             ),
             BackendImpl(
                 "reference", _grng_block_reference,
-                "lfsr_step_block > window_popcounts > clt_standardise in 2 MiB "
+                "lfsr_step_block > window_popcounts > clt_standardise in 512 KiB "
                 "sequence chunks, weights written per chunk",
             ),
         ),

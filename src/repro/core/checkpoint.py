@@ -33,7 +33,7 @@ from .streams import EpsilonStream, ReversibleGaussianStream, StoredGaussianStre
 
 __all__ = ["LfsrSnapshot", "StreamBank", "StreamPolicy"]
 
-StreamPolicy = Literal["stored", "reversible", "reversible-hw"]
+StreamPolicy = Literal["stored", "reversible"]
 
 #: Generators a snapshot or stream bank can drive: the scalar reference
 #: implementation or a row view of a batched bank.
@@ -81,13 +81,12 @@ class StreamBank:
     n_samples:
         Number of Monte-Carlo samples ``S`` (one stream / SPU each).
     policy:
-        ``"stored"`` for the baseline store-and-fetch behaviour,
-        ``"reversible"`` for Shift-BNN's checkpointed regeneration, or
-        ``"reversible-hw"`` for the hardware's checkpoint-free retrieval:
-        nothing is kept between the passes, and each block's start registers
-        are derived from the current ones by reversing the LFSR (a jump back
-        of the block's shifts, then a forward replay).  All three produce the
-        same epsilons.
+        ``"stored"`` for the baseline store-and-fetch behaviour, or
+        ``"reversible"`` for Shift-BNN's regeneration: nothing is kept
+        between the passes, and each block's start registers are derived
+        from the current ones by reversing the LFSR (a jump back of the
+        block's shifts, then a forward replay).  Both produce the same
+        epsilons.
     seed:
         Bank-level seed; sample ``i`` uses seed index ``seed * stride + i`` so
         two banks built with the same ``seed`` produce identical epsilons
@@ -122,7 +121,7 @@ class StreamBank:
     ) -> None:
         if n_samples < 1:
             raise ValueError("a stream bank needs at least one sample")
-        if policy not in ("stored", "reversible", "reversible-hw"):
+        if policy not in ("stored", "reversible"):
             raise ValueError(f"unknown stream policy {policy!r}")
         if sample_indices is None:
             sample_indices = range(n_samples)
@@ -162,10 +161,7 @@ class StreamBank:
     ) -> EpsilonStream:
         if self._policy == "stored":
             return StoredGaussianStream(grng, bytes_per_value=bytes_per_value)
-        use_checkpoints = self._policy == "reversible"
-        return ReversibleGaussianStream(
-            grng, bytes_per_value=bytes_per_value, use_checkpoints=use_checkpoints
-        )
+        return ReversibleGaussianStream(grng, bytes_per_value=bytes_per_value)
 
     # ------------------------------------------------------------------
     @property

@@ -24,7 +24,7 @@ import numpy as np
 from .backend import clt_standardise
 from .lfsr import FibonacciLFSR
 
-__all__ = ["GRNGMode", "LfsrGaussianRNG", "ReplayError"]
+__all__ = ["GRNGMode", "LfsrGaussianRNG"]
 
 
 class GRNGMode(Enum):
@@ -33,17 +33,6 @@ class GRNGMode(Enum):
     FORWARD = "forward"
     REVERSE = "reverse"
     IDLE = "idle"
-
-
-class ReplayError(RuntimeError):
-    """Raised when a checkpoint replay does not land on the expected pattern.
-
-    This is the software analogue of the consistency check a Shift-BNN stream
-    performs when it regenerates a block from a block-boundary register
-    checkpoint: the replay must end exactly on the pattern the register held
-    before the retrieval, otherwise the register was tampered with between the
-    training stages.
-    """
 
 
 class LfsrGaussianRNG:
@@ -243,40 +232,11 @@ class LfsrGaussianRNG:
         emitted = sums[:: self._stride]
         return self._standardise(emitted.astype(np.float64))
 
-    def replay_block(
-        self,
-        start_state: int,
-        count: int,
-        expected_end_state: int | None = None,
-    ) -> np.ndarray:
-        """Regenerate a block of ``count`` variables from a register checkpoint.
-
-        Models how a Shift-BNN stream serves a retrieval from a block-boundary
-        checkpoint: the register is rewound to ``start_state``, the block is
-        regenerated with the fast forward generator, and -- when
-        ``expected_end_state`` is given -- the replay is checked to land
-        exactly on that pattern (raising :class:`ReplayError` otherwise, with
-        the register left where the replay ended).  On success the register is
-        put back on ``start_state`` with a resynchronised sum register, ready
-        to serve the next (earlier) block.
-        """
-        self._lfsr.state = start_state
-        values = self.epsilon_block(count)
-        if expected_end_state is not None and self._lfsr.state != expected_end_state:
-            raise ReplayError(
-                "checkpoint replay did not land on the pre-retrieval pattern"
-            )
-        self._lfsr.state = start_state
-        # A replay is net-zero register movement; undo the counter advance.
-        self._lfsr.adjust_shift_count(-count * self._stride)
-        self.resync_sum_register()
-        return values
-
     def resync_sum_register(self) -> None:
         """Reload the running bit-sum from the current pattern.
 
         Needed after the register state is overwritten externally (e.g. when a
-        stream restores a block-boundary checkpoint).
+        stream restores its forward frontier).
         """
         self._sum_register = self._lfsr.popcount
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from .backend import clt_standardise, dispatch
 from .bitops import pack_int_rows, unpack_bits, unpack_int_rows
-from .grng import ReplayError
 from .lfsr import LFSRStateError, _rewound_words, normalise_taps, seed_from_index
 
 __all__ = ["BankedGaussianRNG", "GrngBank", "LfsrRowView"]
@@ -212,7 +211,7 @@ class GrngBank:
     # batched array interface
     # ------------------------------------------------------------------
     def register_words(self) -> np.ndarray:
-        """A copy of every row's packed register words (a checkpoint)."""
+        """A copy of every row's packed register words."""
         return self._words.copy()
 
     def weight_blocks(
@@ -234,7 +233,7 @@ class GrngBank:
     def replay_weight_blocks(
         self, start_words: np.ndarray, mu: np.ndarray, sigma: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Regenerate :meth:`weight_blocks` from a :meth:`register_words` checkpoint.
+        """Regenerate :meth:`weight_blocks` from start registers ``start_words``.
 
         Returns ``(weights, epsilons, end_words)``; the caller verifies the
         landing words.  The bank's own registers and sums are not touched.
@@ -325,7 +324,7 @@ class BankedGaussianRNG:
 
     @property
     def lfsr(self) -> LfsrRowView:
-        """The underlying register row (read and written by checkpoints)."""
+        """The underlying register row (read and written by snapshots)."""
         return self._lfsr_view
 
     @property
@@ -362,33 +361,6 @@ class BankedGaussianRNG:
         if count == 0:
             return np.zeros(0, dtype=np.float64)
         return self._bank._generate_reverse([self._row], count)[0]
-
-    def replay_block(
-        self,
-        start_state: int,
-        count: int,
-        expected_end_state: int | None = None,
-    ) -> np.ndarray:
-        """Regenerate a block from a register checkpoint (see the scalar).
-
-        On success the register is rewound to ``start_state`` and the sum
-        register resynchronised.  On a :class:`~repro.core.grng.ReplayError`
-        the register is left where the replay ended, exactly like the scalar
-        generator's.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        self.lfsr.state = start_state
-        values = self.epsilon_block(count)
-        if expected_end_state is not None and self.lfsr.state != expected_end_state:
-            raise ReplayError(
-                "checkpoint replay did not land on the pre-retrieval pattern"
-            )
-        self.lfsr.state = start_state
-        self.resync_sum_register()
-        return values
 
     def resync_sum_register(self) -> None:
         """Reload the running bit-sum from the current pattern."""

@@ -141,7 +141,6 @@ def seed_from_index(n_bits: int, index: int) -> int:
     return value
 
 
-@lru_cache(maxsize=256)
 def _jump_terms(n_bits: int, taps: tuple[int, ...], shifts: int) -> tuple[int, ...]:
     """Exponents ``i`` of ``R = x^-shifts mod P``, ascending.
 
@@ -172,17 +171,22 @@ def _jump_terms(n_bits: int, taps: tuple[int, ...], shifts: int) -> tuple[int, .
     return tuple(i for i in range(n_bits) if power >> i & 1)
 
 
-def _rewound_words(
-    state_words: np.ndarray, n_bits: int, taps: tuple[int, ...], shifts: int
-) -> np.ndarray:
-    """The packed registers ``shifts`` forward shifts before ``state_words``.
+@lru_cache(maxsize=64)
+def _jump_matrix(n_bits: int, taps: tuple[int, ...], shifts: int) -> np.ndarray:
+    """The jump ``shifts`` shifts back as a read-only GF(2) ``n x n`` matrix.
 
-    A jump, not a walk: one forward run of ``n_bits - 1`` shifts holds, as
-    its windows, every register up to ``n_bits - 1`` shifts ahead, and the
-    XOR of the windows :func:`_jump_terms` names is the earlier register.
+    Row ``j`` (float32 zeros and ones) is the register ``shifts`` shifts
+    before the one-hot register ``R(j+1)``; the jump is linear, so any
+    register's is the XOR of the rows its set bits select.  Built once from
+    the ``n_bits`` one-hot registers: one forward run of ``n_bits - 1``
+    shifts holds, as its windows, every register up to ``n_bits - 1`` shifts
+    ahead, and the XOR of the windows :func:`_jump_terms` names is the
+    earlier register.  ``n_bits**2 * 4`` bytes per entry (256 KiB at 256
+    bits).
     """
-    terms = _jump_terms(n_bits, tuple(taps), shifts)
-    seq_words, _ = lfsr_step_block(state_words, n_bits, n_bits - 1, taps, False)
+    terms = _jump_terms(n_bits, taps, shifts)
+    one_hot = pack_bits(np.eye(n_bits, dtype=np.uint8))
+    seq_words, _ = lfsr_step_block(one_hot, n_bits, n_bits - 1, taps, False)
     # Every row at once in one integer: a row's windows end before its own
     # sequence does, so no row reads into the next.
     rows, row_words = seq_words.shape
@@ -192,7 +196,25 @@ def _rewound_words(
         windows ^= sequence >> i
     packed = np.frombuffer(windows.to_bytes(rows * row_words * 8, "little"), "<u8")
     # a window is in time order, oldest bit first: Rn..R1
-    return pack_bits(unpack_bits(packed.reshape(rows, row_words), n_bits)[:, ::-1])
+    matrix = unpack_bits(packed.reshape(rows, row_words), n_bits)[:, ::-1]
+    matrix = matrix.astype(np.float32)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _rewound_words(
+    state_words: np.ndarray, n_bits: int, taps: tuple[int, ...], shifts: int
+) -> np.ndarray:
+    """The packed registers ``shifts`` forward shifts before ``state_words``.
+
+    A jump, not a walk: one product of the registers' bits with the cached
+    :func:`_jump_matrix`, reduced modulo 2.
+    """
+    matrix = _jump_matrix(n_bits, tuple(taps), shifts)
+    # Exact in any summation order: every partial sum counts set bits, so it
+    # is an integer <= n_bits < 2**24, which float32 holds exactly.
+    counts = unpack_bits(state_words, n_bits).astype(np.float32) @ matrix
+    return pack_bits((counts.astype(np.int32) & 1).astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -356,15 +378,6 @@ class FibonacciLFSR:
             raise ValueError("count must be non-negative")
         if count:
             self.generate_bits_reverse(count)
-
-    def adjust_shift_count(self, delta: int) -> None:
-        """Book-keeping hook for callers that rewind the register externally.
-
-        A checkpoint replay, for example, is net-zero register movement: the
-        caller restores the state and rewinds the counter by the shifts the
-        replay performed.
-        """
-        self._shift_count += delta
 
     # ------------------------------------------------------------------
     # vectorised block generation

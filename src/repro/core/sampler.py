@@ -24,7 +24,7 @@ and :meth:`~BatchedWeightSampler.resample` return ``(S, *weight_shape)``
 weight (and epsilon) tensors written by one fused kernel call per layer --
 no per-row views, no per-sample Python -- while still attributing traffic
 (:class:`~repro.core.streams.StreamUsage`) to each Monte-Carlo sample
-exactly like the per-sample streams would.  All three stream policies are
+exactly like the per-sample streams would.  Both stream policies are
 supported and produce bit-identical values and byte accounting.
 """
 
@@ -123,7 +123,7 @@ class SampledWeightsBatch:
     Both tensors have shape ``(S, *weight_shape)``; slice ``[i]`` is exactly
     what :class:`SampledWeights` of sample ``i``'s scalar sampler would hold.
     ``epsilon`` is ``None`` where no epsilon was materialised: a forward
-    sample under the ``"reversible"`` and ``"reversible-hw"`` policies.
+    sample under the ``"reversible"`` policy.
     """
 
     weights: np.ndarray
@@ -148,8 +148,6 @@ class _BatchBlockRecord:
 
     shape: tuple[int, ...]
     count: int
-    #: ``"reversible"``: every row's register words before the block.
-    checkpoint: np.ndarray | None = field(default=None, repr=False)
     #: ``"stored"``: the read-only block itself (the software analogue of
     #: spilling it to DRAM).
     epsilon: np.ndarray | None = field(default=None, repr=False)
@@ -167,13 +165,12 @@ class BatchedWeightSampler:
       fused kernel call that writes the ``(S, *shape)`` weights
       ``mu + eps * sigma`` straight away.  Only the ``"stored"`` policy also
       materialises the epsilons (and keeps them, read-only); the
-      ``"reversible"`` policy keeps the layer's start registers instead.
+      ``"reversible"`` policy keeps nothing of the block.
     * ``resample(mu, sigma)`` reconstructs the identical block for the
       backward / gradient stages, layer by layer in reverse order: a replay
-      from the layer's start registers -- its own checkpoint
-      (``"reversible"``) or, storing nothing, the registers jumped back from
-      the start of the layer after it (``"reversible-hw"``) -- or the stored
-      values (``"stored"``).
+      from the layer's start registers, jumped back from the start of the
+      layer after it (``"reversible"``), or the stored values
+      (``"stored"``).
 
     The call contract mirrors the trainers' pipeline: a full forward pass
     (``sample`` per Bayesian layer, optionally announced by
@@ -190,7 +187,7 @@ class BatchedWeightSampler:
         usages: Sequence[StreamUsage],
         policy: str,
     ) -> None:
-        if policy not in ("stored", "reversible", "reversible-hw"):
+        if policy not in ("stored", "reversible"):
             raise ValueError(f"unknown stream policy {policy!r}")
         if len(usages) != bank.n_rows:
             raise ValueError(
@@ -202,7 +199,8 @@ class BatchedWeightSampler:
         self._records: list[_BatchBlockRecord] = []
         self._schedule: list[int] = []
         self._retrieving = False
-        #: the words the next replay must land on
+        #: the registers the next replay jumps back from: the ones the
+        #: forward pass left, then each replayed layer's start
         self._landing: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -288,9 +286,6 @@ class BatchedWeightSampler:
                 f"match the requested {count}; the sample() sequence must "
                 "follow the prefetch_forward() schedule"
             )
-        checkpoint = (
-            self._bank.register_words() if self._policy == "reversible" else None
-        )
         weights, epsilon = self._bank.weight_blocks(
             mu, sigma, epsilon=self._policy == "stored"
         )
@@ -300,20 +295,15 @@ class BatchedWeightSampler:
             # the stored block is what resample() hands back: nobody may
             # write it in between
             epsilon.flags.writeable = False
-        self._records.append(
-            _BatchBlockRecord(
-                tuple(mu.shape), count, checkpoint=checkpoint, epsilon=epsilon
-            )
-        )
+        self._records.append(_BatchBlockRecord(tuple(mu.shape), count, epsilon))
+        if self._policy == "reversible":
+            # the forward frontier so far: the first replay jumps back from
+            # it, and the bank's registers must still hold it then
+            self._landing = self._bank.register_words()
         for usage in self._usages:
+            usage.record_generate(count)
             if self._policy == "stored":
-                usage.record_generate(count)
                 usage.record_store(count)
-            elif self._policy == "reversible":
-                usage.record_checkpoint(self._bank.n_bits)
-                usage.record_generate(count)
-            else:
-                usage.record_generate(count)
         return self._batch(mu.shape, weights, epsilon)
 
     @staticmethod
@@ -371,41 +361,36 @@ class BatchedWeightSampler:
         self._retrieving = True
         self._records.pop()
         for usage in self._usages:
+            usage.record_retrieve(record.count)
             if self._policy == "stored":
-                usage.record_retrieve(record.count)
                 usage.record_release(record.count)
-            elif self._policy == "reversible":
-                usage.release_checkpoint(self._bank.n_bits)
-                usage.record_retrieve(record.count)
-            else:
-                usage.record_retrieve(record.count)
         if not self._records:
             self._retrieving = False
             self._landing = None
         return self._batch(mu.shape, weights, epsilon)
 
     def _replay(self, record: _BatchBlockRecord, mu, sigma):
-        """Regenerate one layer from its start registers and verify the landing.
+        """Regenerate one layer from registers jumped back from its landing.
 
-        The first replay must land on the registers the forward pass left
-        (the pre-retrieval patterns), every later one on the start of the
-        layer replayed before it -- the whole-span chain, link by link.
-        ``"reversible-hw"`` keeps no checkpoint: it jumps back from the
-        landing, so the landing check also proves the jump.  The bank's
-        registers stay on the span end throughout.
+        No checkpoint is kept: the first landing is the forward frontier
+        ``sample`` left, every later one the start of the layer replayed
+        before it.  Each replay must land there -- the first on the bank's
+        own registers, which nothing may have written since the forward
+        pass -- so the check proves every jump.  The bank's registers stay
+        on the span end throughout.
         """
         bank = self._bank
-        landing = bank.register_words() if self._landing is None else self._landing
-        start = record.checkpoint
-        if start is None:
-            start = _rewound_words(
-                landing, bank.n_bits, bank.taps, record.count * bank.stride
-            )
+        landing = self._landing
+        start = _rewound_words(
+            landing, bank.n_bits, bank.taps, record.count * bank.stride
+        )
         weights, epsilon, end = bank.replay_weight_blocks(start, mu, sigma)
-        if not np.array_equal(end, landing):
+        expected = landing if self._retrieving else bank.register_words()
+        if not np.array_equal(end, expected):
             raise StreamOrderError(
-                "checkpoint replay did not land on the pre-retrieval "
-                "patterns; the registers were modified outside the sampler"
+                "the replay did not land on the registers the forward pass "
+                "left: they were written outside the sampler, or the jump "
+                "back is wrong"
             )
         self._landing = start
         return weights, epsilon

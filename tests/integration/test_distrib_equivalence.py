@@ -12,6 +12,7 @@ same bits as the run that was never disturbed.
 from __future__ import annotations
 
 import gc
+import json
 import os
 import threading
 
@@ -335,6 +336,74 @@ class TestCheckpointResume:
             load_checkpoint(trainer, params_path)
 
 
+    @staticmethod
+    def _rewrite_manifest(path, edit):
+        """Rewrite a saved checkpoint's manifest, as another version wrote it."""
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        manifest = json.loads(bytes(arrays["__manifest__"].tolist()).decode("utf-8"))
+        edit(manifest)
+        arrays["__manifest__"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez(path, **arrays)
+
+    def test_checkpoint_with_register_checkpoint_counters_resumes(
+        self, dense_setup, tmp_path
+    ):
+        """Checkpoints written while ``reversible`` kept per-layer register
+        checkpoints carry two more usage counters; they load and resume."""
+        spec, batches = dense_setup
+        config = _config(3, 32)
+        full = _reference(spec, batches, config, epochs=2)
+        path = tmp_path / "old.npz"
+        interrupted = BNNTrainer(spec.build_bayesian(seed=99), config, policy="reversible")
+
+        def callback(trainer, step):
+            if step == 2:
+                save_checkpoint(trainer, path)
+
+        interrupted.fit(batches, epochs=2, checkpoint_callback=callback)
+
+        def add_counters(manifest):
+            for usage in manifest["stream_usage"]:
+                # between steps: all released, peak one register per layer
+                usage.update(checkpoint_bits=0, checkpoint_bits_peak=4 * 256)
+
+        self._rewrite_manifest(path, add_counters)
+        resumed = BNNTrainer(spec.build_bayesian(seed=99), config, policy="reversible")
+        load_checkpoint(resumed, path)
+        resumed.fit(batches, epochs=2, resume=True)
+        _assert_same_run(full, resumed)
+        assert resumed.epsilon_footprint_bytes() == 0
+
+    def test_reversible_hw_manifest_is_refused_before_anything_changes(
+        self, dense_setup, tmp_path
+    ):
+        spec, batches = dense_setup
+        config = _config(3, 32)
+        path = save_checkpoint(_reference(spec, batches, config), tmp_path / "hw.npz")
+        self._rewrite_manifest(
+            path, lambda manifest: manifest["trainer"].update(policy="reversible-hw")
+        )
+        other = BNNTrainer(spec.build_bayesian(seed=5), config, policy="reversible")
+        other.fit(batches[:1], epochs=1)
+
+        def state(trainer):
+            return (
+                [p.value.tobytes() for p in trainer.model.parameters()],
+                trainer.bank.snapshots(),
+                trainer.bank.usage_state_dicts(),
+                list(trainer.history.losses),
+                trainer.step_count,
+            )
+
+        before = state(other)
+        with pytest.raises(CheckpointMismatchError, match="policy"):
+            load_checkpoint(other, path)
+        assert state(other) == before
+
+
 class TestFaultTolerance:
     def test_worker_killed_mid_step_recovers_bit_exactly(self, dense_setup):
         """A worker dying *while holding a shard* re-executes on a respawn."""
@@ -418,7 +487,7 @@ def _open_fds() -> int:
 class TestDispatchUnits:
     """One unit per worker: drawn once, one small message, no aliasing."""
 
-    @pytest.mark.parametrize("policy", ["stored", "reversible", "reversible-hw"])
+    @pytest.mark.parametrize("policy", ["stored", "reversible"])
     def test_epsilons_drawn_once_per_sample_per_step(self, dense_setup, policy):
         """A 4 x 2 plan costs the generator what the single-process step costs."""
         spec, batches = dense_setup

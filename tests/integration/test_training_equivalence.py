@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accel.traffic import TrafficConfig, compute_memory_footprint
 from repro.bnn import BaselineBNNTrainer, BNNTrainer, ShiftBNNTrainer, TrainerConfig
 from repro.datasets import BatchLoader, synthetic_cifar10, synthetic_mnist
 from repro.models import get_model
@@ -61,7 +62,7 @@ class TestBitExactEquivalence:
         spec, batches = mlp_setup
         config = TrainerConfig(n_samples=1, learning_rate=5e-3, seed=17, grng_stride=8)
         baseline, hardware = train_pair(
-            spec, batches, config, policies=("stored", "reversible-hw")
+            spec, batches, config, policies=("stored", "reversible")
         )
         assert np.allclose(baseline.history.losses, hardware.history.losses, rtol=0, atol=0)
         for a, b in zip(baseline.model.parameters(), hardware.model.parameters()):
@@ -107,3 +108,18 @@ class TestTrafficSideOfEquivalence:
         weights = spec.weight_count
         expected_write = weights * 2 * config.n_samples
         assert baseline.epsilon_footprint_bytes() >= expected_write
+
+    @pytest.mark.parametrize("policy", ["stored", "reversible"])
+    @pytest.mark.parametrize("setup", ["mlp_setup", "lenet_setup"])
+    def test_epsilon_footprint_equals_the_analytic_model(self, request, setup, policy):
+        """The engine's counted footprint is the Fig. 14 model's epsilon bytes:
+        every weight of every sample under ``stored``, nothing under LFSR
+        reversal (no epsilon and no register checkpoint is kept)."""
+        spec, batches = request.getfixturevalue(setup)
+        config = TrainerConfig(n_samples=4, learning_rate=5e-3, seed=7, grng_stride=32)
+        trainer = BNNTrainer(spec.build_bayesian(seed=0), config, policy=policy)
+        trainer.train_step(*batches[0], kl_weight=1 / 64)
+        model = compute_memory_footprint(
+            spec, 4, TrafficConfig(lfsr_reversal=policy == "reversible")
+        )
+        assert trainer.epsilon_footprint_bytes() == model.epsilon_bytes

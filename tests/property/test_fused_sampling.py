@@ -118,7 +118,7 @@ def test_fused_weights_equal_build_weights(name, rows, geometry, count, specials
 @given(
     schedule=st.lists(st.integers(1, 700), min_size=1, max_size=6),
     rows=st.sampled_from([1, 3, 8, 9]),
-    policy=st.sampled_from(["stored", "reversible", "reversible-hw"]),
+    policy=st.sampled_from(["stored", "reversible"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
@@ -149,7 +149,7 @@ def test_random_layer_schedules_match_the_unfused_path(name, schedule, rows, pol
 
 
 @BACKENDS
-@pytest.mark.parametrize("policy", ["stored", "reversible", "reversible-hw"])
+@pytest.mark.parametrize("policy", ["stored", "reversible"])
 @pytest.mark.parametrize("stage", ["sample", "resample"])
 def test_negative_sigma_moves_nothing(name, policy, stage):
     with _force(name):

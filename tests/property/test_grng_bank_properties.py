@@ -96,7 +96,7 @@ class TestRowViewStreamProperties:
         shapes=block_shapes,
         seed=st.integers(0, 60),
         n_samples=st.integers(1, 4),
-        policy=st.sampled_from(["stored", "reversible", "reversible-hw"]),
+        policy=st.sampled_from(["stored", "reversible"]),
     )
     @settings(max_examples=25, deadline=None)
     def test_bank_streams_reproduce_scalar_streams(

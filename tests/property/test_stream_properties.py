@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    GrngBank,
     LfsrGaussianRNG,
     ReversibleGaussianStream,
     StoredGaussianStream,
@@ -47,13 +48,12 @@ class TestStreamEquivalenceProperties:
     @settings(max_examples=30, deadline=None)
     def test_reversible_stream_reproduces_stored_stream(self, shapes, seed):
         stored = StoredGaussianStream(LfsrGaussianRNG(64, seed_index=seed, stride=4))
-        checkpointed = ReversibleGaussianStream(
-            LfsrGaussianRNG(64, seed_index=seed, stride=4), use_checkpoints=True
+        # the scalar generator reverse-shifts, a bank row jumps back and replays
+        shifted = ReversibleGaussianStream(LfsrGaussianRNG(64, seed_index=seed, stride=4))
+        jumped = ReversibleGaussianStream(
+            GrngBank(n_bits=64, seed_indices=[seed], stride=4).row_view(0)
         )
-        hardware = ReversibleGaussianStream(
-            LfsrGaussianRNG(64, seed_index=seed, stride=4), use_checkpoints=False
-        )
-        streams = (stored, checkpointed, hardware)
+        streams = (stored, shifted, jumped)
         forwards = {id(stream): [] for stream in streams}
         for shape in shapes:
             for stream in streams:
@@ -65,8 +65,8 @@ class TestStreamEquivalenceProperties:
         # every policy retrieves exactly what it generated, in LIFO order
         for shape in reversed(shapes):
             retrieved = [stream.retrieve_block(shape) for stream in streams]
-            assert np.allclose(retrieved[0], retrieved[1])
-            assert np.allclose(retrieved[0], retrieved[2])
+            assert np.array_equal(retrieved[0], retrieved[1])
+            assert np.array_equal(retrieved[0], retrieved[2])
         for stream in streams:
             stream.reset_epoch()
 

@@ -319,20 +319,22 @@ class TestCountedFunctions:
     The pinned numbers are one warm ``train_step``'s ``(calls, rows)`` per
     function, read when the three were still dispatch points (a compiled
     ``grng_block`` never steps an LFSR or standardises in NumPy; its
-    reference composes both per 2 MiB chunk).
+    reference composes both per sequence chunk).  The reference rows were
+    re-read when that chunk went from 2 MiB to 512 KiB: 10 and 4 chunks per
+    step became 24 and 6, the rows standardised unchanged.
     """
 
     PINNED = {
         ("B-MLP", "reversible", "native"): {"sample_matmul": (11, 88)},
         ("B-MLP", "reversible", "reference"): {
-            "clt_standardise": (10, 342016),
-            "lfsr_step_block": (10, 80),
+            "clt_standardise": (24, 342016),
+            "lfsr_step_block": (24, 192),
             "sample_matmul": (11, 88),
         },
         ("B-LeNet", "stored", "native"): {"sample_matmul": (6, 24)},
         ("B-LeNet", "stored", "reference"): {
-            "clt_standardise": (4, 42024),
-            "lfsr_step_block": (4, 16),
+            "clt_standardise": (6, 42024),
+            "lfsr_step_block": (6, 24),
             "sample_matmul": (6, 24),
         },
     }

@@ -2,18 +2,17 @@
 
 The ``reference`` backend of ``grng_block`` composes ``lfsr_step_block >
 window_popcounts > clt_standardise`` (the popcounts through the registry),
-one 2 MiB packed sequence chunk at a time.  On the dense int64 ``window_popcounts`` reference
-such a chunk peaks at ~280 MiB of traced allocations, so two NumPy fast
-paths of that chain stay for a measured reason each:
+one 512 KiB packed sequence chunk at a time, and the dense int64
+``window_popcounts`` reference walks its chunk in short windows.  Before
+that, one 2 MiB chunk on the dense reference peaked at ~280 MiB of traced
+allocations.  Two places pay for that chain in production:
 
-* ``packed_bitcount`` (word-aligned strides and registers) keeps the
-  ``grng_block``/``native`` conformance gate -- which runs in the set-up of
-  every process that dispatches ``grng_block`` -- at a few MiB (~276 MiB
-  without it);
-* ``cumsum16`` serves the geometries the compiled kernel declines, which any
+* the ``grng_block``/``native`` conformance gate, which runs in the set-up
+  of every process that dispatches ``grng_block`` (~3.6 MiB);
+* an epsilon sweep at a geometry the compiled kernel declines, which any
   ``/v1/predict`` request can ask for (a ``grng_stride`` that is not a
-  multiple of 64, an ``lfsr_bits`` that is not a whole number of words), in
-  ~19 MiB per sweep (~297 MiB without it).
+  multiple of 64, an ``lfsr_bits`` that is not a whole number of words;
+  ~6 MiB).
 
 Each test runs in a fresh process without ``REPRO_BACKEND``, which would pin
 the stages and measure a different chain.
@@ -83,8 +82,8 @@ def test_grng_block_native_gate_stays_small():
     peak = int(answer)
     assert peak <= PEAK_LIMIT, (
         f"the grng_block/native gate traced a {peak / 2**20:.1f} MiB peak "
-        f"(limit {PEAK_LIMIT / 2**20:.0f} MiB): is window_popcounts' "
-        "packed_bitcount backend still at the head of its chain?"
+        f"(limit {PEAK_LIMIT / 2**20:.0f} MiB): did a chunk-wide popcount "
+        "transient come back?"
     )
 
 
@@ -98,6 +97,6 @@ def test_served_sweep_off_the_compiled_geometry_stays_small(grng_stride, lfsr_bi
     assert peak <= SWEEP_PEAK_LIMIT, (
         f"an epsilon sweep at grng_stride={grng_stride}, lfsr_bits={lfsr_bits} "
         f"traced a {peak / 2**20:.1f} MiB peak (limit "
-        f"{SWEEP_PEAK_LIMIT / 2**20:.0f} MiB): is window_popcounts' cumsum16 "
-        "backend still ahead of the reference in its chain?"
+        f"{SWEEP_PEAK_LIMIT / 2**20:.0f} MiB): did a chunk-wide popcount "
+        "transient come back?"
     )

@@ -199,23 +199,3 @@ class TestCopyAndReplay:
         assert set(copied) == set(original)
         assert copied.pop("_lfsr") == original.pop("_lfsr")
         assert copied == original
-
-    def test_replay_block_reproduces_and_rewinds(self):
-        grng = LfsrGaussianRNG(n_bits=64, seed_index=4, stride=4)
-        start = grng.lfsr.state
-        block = grng.epsilon_block(12)
-        end = grng.lfsr.state
-        replayed = grng.replay_block(start, 12, expected_end_state=end)
-        assert np.array_equal(replayed, block)
-        assert grng.lfsr.state == start
-        assert grng.sum_register == grng.lfsr.popcount
-
-    def test_replay_block_detects_wrong_landing(self):
-        from repro.core import ReplayError
-
-        grng = LfsrGaussianRNG(n_bits=64, seed_index=4)
-        start = grng.lfsr.state
-        grng.epsilon_block(8)
-        grng.lfsr.shift_forward()  # tamper with the register
-        with pytest.raises(ReplayError):
-            grng.replay_block(start, 8, expected_end_state=grng.lfsr.state)

@@ -10,7 +10,6 @@ from repro.core import (
     GrngBank,
     LFSRStateError,
     LfsrGaussianRNG,
-    ReplayError,
 )
 
 
@@ -310,32 +309,6 @@ class TestRowViewsOutOfPhase:
 
 
 class TestReplay:
-    def test_replay_matches_scalar_replay(self):
-        bank = GrngBank(2, n_bits=64, stride=4)
-        scalars = make_scalars(2)
-        starts = [bank.row_view(row).lfsr.state for row in range(2)]
-        blocks = [bank.row_view(row).epsilon_block(16) for row in range(2)]
-        for row, scalar in enumerate(scalars):
-            scalar.epsilon_block(16)
-        for row in range(2):
-            end = bank.row_view(row).lfsr.state
-            replayed = bank.row_view(row).replay_block(
-                starts[row], 16, expected_end_state=end
-            )
-            assert np.array_equal(replayed, blocks[row])
-            assert bank.row_view(row).lfsr.state == starts[row]
-
-    def test_row_replay_leaves_other_rows_untouched(self):
-        bank = GrngBank(2, n_bits=64, stride=4)
-        views = [bank.row_view(row) for row in range(2)]
-        start = views[0].lfsr.state
-        for view in views:
-            view.epsilon_block(14)
-        before = (views[1].lfsr.state, views[1].sum_register)
-        views[0].replay_block(start, 14, expected_end_state=views[0].lfsr.state)
-        after = (views[1].lfsr.state, views[1].sum_register)
-        assert after == before
-
     def test_batched_replay_of_per_row_spans(self):
         # Spans generated one row at a time replay in one whole-bank call,
         # value for value, landing on each row's end pattern.
@@ -353,57 +326,3 @@ class TestReplay:
             assert np.array_equal(replayed[row], blocks[row])
             assert np.array_equal(replayed[row], scalar.epsilon_block(13))
             assert bank.row_view(row).sum_register == scalar.sum_register
-
-    def test_replay_detects_tampering(self):
-        bank = GrngBank(1, n_bits=64, stride=1)
-        view = bank.row_view(0)
-        start = view.lfsr.state
-        view.epsilon_block(8)
-        view.lfsr.state ^= 1  # corrupt the register
-        with pytest.raises(ReplayError):
-            view.replay_block(start, 8, expected_end_state=view.lfsr.state)
-
-    def test_failed_replay_leaves_view_where_the_scalar_is(self):
-        # A tampered register makes both engines raise; afterwards the view's
-        # register and sum must equal the scalar's, and both must keep
-        # producing the same values.
-        bank = GrngBank(2, n_bits=64, stride=4)
-        view = bank.row_view(1)
-        scalar = make_scalars(2)[1]
-        for g in (view, scalar):
-            start = g.lfsr.state
-            g.epsilon_block(12)
-            g.lfsr.state ^= 1  # corrupt the register
-            with pytest.raises(ReplayError):
-                g.replay_block(start, 12, expected_end_state=g.lfsr.state)
-        assert view.lfsr.state == scalar.lfsr.state
-        assert view.sum_register == scalar.sum_register
-        assert np.array_equal(view.epsilon_block(9), scalar.epsilon_block(9))
-        assert np.array_equal(
-            view.epsilon_block_reverse(9), scalar.epsilon_block_reverse(9)
-        )
-
-    def test_nested_replays_lifo(self):
-        # Mirrors a two-layer backward pass: replay the most recent block,
-        # then the one before it, for every row.
-        bank = GrngBank(3, n_bits=64, stride=4)
-        starts, blocks = [], []
-        for row in range(3):
-            view = bank.row_view(row)
-            s1 = view.lfsr.state
-            b1 = view.epsilon_block(10)
-            s2 = view.lfsr.state
-            b2 = view.epsilon_block(6)
-            starts.append((s1, s2))
-            blocks.append((b1, b2))
-        for row in range(3):
-            view = bank.row_view(row)
-            end = view.lfsr.state
-            replay2 = view.replay_block(starts[row][1], 6, expected_end_state=end)
-            assert np.array_equal(replay2, blocks[row][1])
-            view.lfsr.state = starts[row][1]
-            view.resync_sum_register()
-            replay1 = view.replay_block(
-                starts[row][0], 10, expected_end_state=view.lfsr.state
-            )
-            assert np.array_equal(replay1, blocks[row][0])

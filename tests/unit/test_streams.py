@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    GrngBank,
     LfsrGaussianRNG,
     ReversibleGaussianStream,
     StoredGaussianStream,
@@ -17,10 +18,10 @@ def make_stream(policy: str, seed_index: int = 0, stride: int = 4):
     grng = LfsrGaussianRNG(n_bits=64, seed_index=seed_index, stride=stride)
     if policy == "stored":
         return StoredGaussianStream(grng)
-    return ReversibleGaussianStream(grng, use_checkpoints=(policy == "reversible"))
+    return ReversibleGaussianStream(grng)
 
 
-ALL_POLICIES = ["stored", "reversible", "reversible-hw"]
+ALL_POLICIES = ["stored", "reversible"]
 
 
 class TestForwardGeneration:
@@ -42,7 +43,6 @@ class TestForwardGeneration:
             for policy in ALL_POLICIES
         }
         assert np.array_equal(blocks["stored"], blocks["reversible"])
-        assert np.array_equal(blocks["stored"], blocks["reversible-hw"])
 
 
 class TestRetrieval:
@@ -90,26 +90,22 @@ class TestRetrieval:
         stream.retrieve_block((2,))
         stream.reset_epoch()  # must not raise
 
-    def test_reversible_policies_match_stored_values(self):
+    def test_reversible_policy_matches_stored_values(self):
         shapes = [(3, 3), (7,), (2, 4), (10,)]
         stored = make_stream("stored", seed_index=9)
         reversible = make_stream("reversible", seed_index=9)
-        hardware = make_stream("reversible-hw", seed_index=9)
         expected = [stored.forward_block(s) for s in shapes]
-        for stream in (reversible, hardware):
-            for shape in shapes:
-                stream.forward_block(shape)
+        for shape in shapes:
+            reversible.forward_block(shape)
         for shape, value in zip(reversed(shapes), reversed(expected)):
-            assert np.allclose(stored.retrieve_block(shape), value)
-            assert np.allclose(reversible.retrieve_block(shape), value)
-            assert np.allclose(hardware.retrieve_block(shape), value)
+            assert np.array_equal(stored.retrieve_block(shape), value)
+            assert np.array_equal(reversible.retrieve_block(shape), value)
 
 
 class TestFreshnessAcrossIterations:
-    @pytest.mark.parametrize("policy", ["reversible", "reversible-hw"])
-    def test_next_iteration_draws_fresh_values(self, policy):
+    def test_next_iteration_draws_fresh_values(self):
         reference = make_stream("stored", seed_index=4)
-        stream = make_stream(policy, seed_index=4)
+        stream = make_stream("reversible", seed_index=4)
         for _ in range(3):  # three "training iterations"
             expected = reference.forward_block((6,))
             reference.retrieve_block((6,))
@@ -149,8 +145,8 @@ class TestUsageAccounting:
         usage = stream.usage
         assert usage.offchip_write_bytes == 0
         assert usage.offchip_read_bytes == 0
-        # only the (tiny) register checkpoints contribute to the footprint
-        assert usage.footprint_bytes <= stream.grng.n_bits // 8
+        # nothing is kept between the passes: no footprint at all
+        assert usage.footprint_bytes == 0
 
     def test_stored_peak_tracks_outstanding_blocks(self):
         stream = make_stream("stored")
@@ -171,66 +167,37 @@ class TestUsageAccounting:
         stream.retrieve_block((2,))
         assert stream.pending_blocks == 1
 
-    def test_checkpoint_replay_detects_external_register_tampering(self):
-        stream = make_stream("reversible", seed_index=2)
+    @pytest.mark.parametrize("generator", ["scalar", "bank row"])
+    def test_retrieval_detects_external_register_tampering(self, generator):
+        if generator == "scalar":
+            stream = make_stream("reversible", seed_index=2)
+        else:
+            grng = GrngBank(n_bits=64, seed_indices=[2], stride=4).row_view(0)
+            stream = ReversibleGaussianStream(grng)
         stream.forward_block((4,))
-        stream.grng.lfsr.shift_forward()  # corrupt the register between stages
-        with pytest.raises(StreamOrderError):
-            stream.retrieve_block((4,))
-
-    def test_checkpoint_footprint_reports_peak_not_current(self):
-        # Regression: footprint_bytes used the *current* checkpoint count,
-        # which is zero after every completed iteration, hiding Shift-BNN's
-        # true (tiny) checkpoint provisioning entirely.
-        stream = make_stream("reversible")
-        stream.forward_block((4,))
-        stream.forward_block((4,))
-        stream.retrieve_block((4,))
-        stream.retrieve_block((4,))
-        stream.reset_epoch()
-        assert stream.usage.checkpoint_bits == 0
-        assert stream.usage.checkpoint_bits_peak == 2 * stream.grng.n_bits
-        assert stream.usage.footprint_bytes == 2 * stream.grng.n_bits // 8
+        stream.forward_block((3,))
+        stream.grng.lfsr.state ^= 1  # corrupt the register between stages
+        with pytest.raises(StreamOrderError, match="modified outside"):
+            stream.retrieve_block((3,))
 
     def test_traffic_accounting_trace_hand_computed(self):
         # Hand-computed trace over one training iteration with three layers of
-        # 6, 4 and 2 values on a 64-bit GRNG (bytes_per_value=2):
-        #
-        #   forward  (6,): gen=6   ckpt=64   peak=64
-        #   forward  (4,): gen=10  ckpt=128  peak=128
-        #   forward  (2,): gen=12  ckpt=192  peak=192   <-- high-water mark
-        #   retrieve (2,): ret=2   ckpt=128
-        #   retrieve (4,): ret=6   ckpt=64
-        #   retrieve (6,): ret=12  ckpt=0
-        #
-        # Nothing is ever stored, so the whole footprint is the 192-bit peak
-        # (24 bytes) of live register checkpoints.
+        # 6, 4 and 2 values on a 64-bit GRNG (bytes_per_value=2): nothing is
+        # ever stored or checkpointed, so every byte count and the footprint
+        # stay zero while the value counters sum the layers.
         stream = make_stream("reversible")
         usage = stream.usage
-        stream.forward_block((6,))
-        assert (usage.checkpoint_bits, usage.checkpoint_bits_peak) == (64, 64)
-        stream.forward_block((4,))
-        assert (usage.checkpoint_bits, usage.checkpoint_bits_peak) == (128, 128)
-        stream.forward_block((2,))
-        assert (usage.checkpoint_bits, usage.checkpoint_bits_peak) == (192, 192)
+        for shape in [(6,), (4,), (2,)]:
+            stream.forward_block(shape)
+        assert (usage.generated_values, usage.footprint_bytes) == (12, 0)
         stream.retrieve_block((2,))
-        assert (usage.checkpoint_bits, usage.checkpoint_bits_peak) == (128, 192)
+        assert usage.retrieved_values == 2
         stream.retrieve_block((4,))
         stream.retrieve_block((6,))
         stream.reset_epoch()
         assert usage.generated_values == 12
         assert usage.retrieved_values == 12
-        assert usage.checkpoint_bits == 0
-        assert usage.checkpoint_bits_peak == 192
         assert usage.stored_values_peak == 0
         assert usage.offchip_write_bytes == 0
         assert usage.offchip_read_bytes == 0
-        assert usage.footprint_bytes == 192 // 8
-
-    def test_hw_stream_has_zero_footprint(self):
-        # Literal reverse shifting keeps no checkpoints at all.
-        stream = make_stream("reversible-hw")
-        stream.forward_block((5,))
-        stream.retrieve_block((5,))
-        assert stream.usage.checkpoint_bits_peak == 0
-        assert stream.usage.footprint_bytes == 0
+        assert usage.footprint_bytes == 0
