@@ -104,24 +104,18 @@ class BayesianLayer(Layer):
         )
         return self.quantization.quantize_weights(sampled.weights), sampled.epsilon
 
-    def sample_weights_batch(
-        self, sampler: BatchedWeightSampler, sigma: np.ndarray
-    ) -> np.ndarray:
-        """FW-stage weight sampling for all ``S`` samples: ``(S, *shape)``.
-
-        ``sigma`` is the posterior's :attr:`sigma`, computed once by the
-        caller and kept with its cached activations: the parameters cannot
-        change between the FW and BW stages of one step, so BW/GC reuse it
-        instead of re-running the softplus.
-        """
-        sampled = sampler.sample(self.weight_posterior.mu.value, sigma)
+    def sample_weights_batch(self, sampler: BatchedWeightSampler) -> np.ndarray:
+        """FW-stage weight sampling for all ``S`` samples: ``(S, *shape)``."""
+        posterior = self.weight_posterior
+        sampled = sampler.sample(posterior.mu.value, posterior.sigma)
         return self.quantization.quantize_weights(sampled.weights)
 
     def resample_weights_batch(
-        self, sampler: BatchedWeightSampler, sigma: np.ndarray
+        self, sampler: BatchedWeightSampler
     ) -> tuple[np.ndarray, np.ndarray]:
         """BW-stage batch reconstruction; returns ``(S, *shape)`` weights and epsilons."""
-        sampled = sampler.resample(self.weight_posterior.mu.value, sigma)
+        posterior = self.weight_posterior
+        sampled = sampler.resample(posterior.mu.value, posterior.sigma)
         return self.quantization.quantize_weights(sampled.weights), sampled.epsilon
 
     def accumulate_parameter_gradients(
@@ -153,7 +147,6 @@ class BayesianLayer(Layer):
         kl_weight: float,
         prior: Prior,
         sampled_weights: np.ndarray,
-        sigma: np.ndarray,
         include_entropy_term: bool = True,
     ) -> None:
         """Batched GC stage: all inputs carry a leading ``(S, ...)`` sample axis.
@@ -172,7 +165,7 @@ class BayesianLayer(Layer):
             epsilon=epsilon,
             kl_weight=kl_weight,
             prior_nll_grad=prior_grad,
-            sigma=sigma,
+            sigma=self.weight_posterior.sigma,
             include_entropy_term=include_entropy_term,
             prior_scale=prior_scale,
         )
@@ -312,9 +305,8 @@ class BayesDense(BayesianLayer):
                 f"{self.name}: expected {self.in_features} features, got {x.shape[1]}"
             )
         batch = self._samples_per_batch(x, n_samples, self.name)
-        sigma = self.weight_posterior.sigma
-        weights = self.sample_weights_batch(sampler, sigma)
-        self._cache = {"input": x, "n_samples": n_samples, "sigma": sigma}
+        weights = self.sample_weights_batch(sampler)
+        self._cache = {"input": x, "n_samples": n_samples}
         out = F.sample_matmul(x.reshape(n_samples, batch, self.in_features), weights)
         if self.bias is not None:
             out = out + self.bias.value
@@ -336,8 +328,7 @@ class BayesDense(BayesianLayer):
             raise RuntimeError(f"{self.name}: backward_samples before forward_samples")
         x: np.ndarray = self._cache["input"]  # type: ignore[assignment]
         batch = x.shape[0] // n_samples
-        sigma: np.ndarray = self._cache["sigma"]  # type: ignore[assignment]
-        weights, epsilon = self.resample_weights_batch(sampler, sigma)
+        weights, epsilon = self.resample_weights_batch(sampler)
         x3 = x.reshape(n_samples, batch, self.in_features)
         grad3 = grad_out.reshape(n_samples, batch, self.out_features)
         grad_weight = F.sample_matmul(x3.transpose(0, 2, 1), grad3)
@@ -364,7 +355,6 @@ class BayesDense(BayesianLayer):
             kl_weight=kl_weight,
             prior=prior,
             sampled_weights=weights,
-            sigma=sigma,
             include_entropy_term=include_entropy_term,
         )
         return grad_input
@@ -464,8 +454,7 @@ class BayesConv2D(BayesianLayer):
         else:
             self._samples_per_batch(x, n_samples, self.name)
             folded_shape = x.shape
-        sigma = self.weight_posterior.sigma
-        weights = self.sample_weights_batch(sampler, sigma)
+        weights = self.sample_weights_batch(sampler)
         bias_value = self.bias.value if self.bias is not None else None
         cols_out = None
         if self._workspace is not None:
@@ -486,7 +475,6 @@ class BayesConv2D(BayesianLayer):
             "cols": cols,
             "x_shape": folded_shape,
             "n_samples": n_samples,
-            "sigma": sigma,
         }
         return self.quantization.quantize_activations(out)
 
@@ -504,8 +492,7 @@ class BayesConv2D(BayesianLayer):
             raise RuntimeError(f"{self.name}: backward_samples before forward_samples")
         cols: list[np.ndarray] = self._cache["cols"]  # type: ignore[assignment]
         x_shape: tuple[int, int, int, int] = self._cache["x_shape"]  # type: ignore[assignment]
-        sigma: np.ndarray = self._cache["sigma"]  # type: ignore[assignment]
-        weights, epsilon = self.resample_weights_batch(sampler, sigma)
+        weights, epsilon = self.resample_weights_batch(sampler)
         buffer = None
         if need_input_grad and self._workspace is not None:
             buffer = self._workspace.take(
@@ -530,7 +517,6 @@ class BayesConv2D(BayesianLayer):
             kl_weight=kl_weight,
             prior=prior,
             sampled_weights=weights,
-            sigma=sigma,
             include_entropy_term=include_entropy_term,
         )
         return grad_input

@@ -107,10 +107,11 @@ class BayesianNetwork:
         For a replica that only predicts (serving freezes the one it owns):
         an in-place parameter update then raises ``ValueError`` instead of
         silently invalidating whatever was derived from the old bytes.
-        Idempotent and one-way; a model that trains is never frozen.
+        Idempotent and one-way; a model that trains is never frozen (its
+        parameters are in an optimiser's arena, and freezing them raises).
         """
         for parameter in self.parameters():
-            parameter.value.flags.writeable = False
+            parameter.freeze()
         for layer in self.bayesian_layers():
             layer.weight_posterior.freeze()
 

@@ -11,8 +11,6 @@ values per weight.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .grad_tape import active_tape
 __all__ = ["GaussianPosterior", "softplus", "softplus_grad", "inverse_softplus"]
 
 _posterior_gc = dispatch("posterior_gc")
+_FROZEN = -1  # the pin stamp of a frozen rho; arena generations count from 0
 
 
 def softplus(rho: np.ndarray) -> np.ndarray:
@@ -32,8 +31,11 @@ def softplus(rho: np.ndarray) -> np.ndarray:
 
 
 def softplus_grad(rho: np.ndarray) -> np.ndarray:
-    """Derivative of the softplus: the logistic sigmoid."""
-    return 1.0 / (1.0 + np.exp(-rho))
+    """Derivative of the softplus: the logistic sigmoid ``1 / (1 + exp(-rho))``."""
+    out = np.negative(rho, out=np.empty(np.shape(rho)))  # one array, reused
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def inverse_softplus(sigma: float) -> float:
@@ -73,51 +75,55 @@ class GaussianPosterior:
         self.mu = Parameter(f"{name}.mu", mu_init(self.shape, rng))
         rho_value = np.full(self.shape, inverse_softplus(initial_sigma), dtype=np.float64)
         self.rho = Parameter(f"{name}.rho", rho_value)
-        self._frozen_sigma: np.ndarray | None = None
-        self._pinned: tuple[np.ndarray, np.ndarray] | None = None
+        # [stamp, softplus(rho), sigmoid(rho)], each read-only, None until read
+        self._pin: list | None = None
 
     # ------------------------------------------------------------------
     @property
     def sigma(self) -> np.ndarray:
-        """Current standard deviation ``softplus(rho)``.
+        """Current standard deviation ``softplus(rho)`` (read-only)."""
+        return self._pinned(1, softplus)
 
-        One softplus per access while the posterior trains; the memoised
-        array once it is frozen (:meth:`freeze`) or while it is pinned.
+    def _pinned(self, slot: int, function) -> np.ndarray:
+        """``function(rho)`` for the current ``rho``, from the pin when it is fresh.
+
+        The pin is stamped with the owning arena's generation, which every
+        write to ``rho`` moves on, or with ``_FROZEN`` once ``rho`` is
+        read-only without an arena.  So ``sigma`` and the GC stage's
+        ``sigmoid(rho)`` are computed once per update, however often they
+        are read.  A ``rho`` that anything may write in place (no arena, not
+        frozen) is never pinned: each read computes afresh.
         """
-        if self._frozen_sigma is not None:
-            return self._frozen_sigma
-        if self._pinned is not None:
-            return self._pinned[0]
-        return softplus(self.rho.value)
-
-    @contextmanager
-    def _pinned_rho(self) -> Iterator[None]:
-        """Scope over which ``rho`` is fixed: :attr:`sigma` and the GC stage's
-        ``softplus_grad(rho)`` are computed once, read-only, not once per pass."""
-        self._pinned = (softplus(self.rho.value), softplus_grad(self.rho.value))
-        for array in self._pinned:
-            array.flags.writeable = False
-        try:
-            yield
-        finally:
-            self._pinned = None
+        arena = self.rho.arena
+        if arena is not None:
+            stamp = arena.generation
+        elif not self.rho.value.flags.writeable:
+            stamp = _FROZEN
+        else:
+            stamp = None
+        pin = self._pin
+        if stamp is None or pin is None or pin[0] != stamp:
+            pin = [stamp, None, None]
+            if stamp is not None:
+                self._pin = pin
+        if pin[slot] is None:
+            value = function(self.rho.value)
+            value.flags.writeable = False
+            pin[slot] = value
+        return pin[slot]
 
     def freeze(self) -> None:
         """Make this posterior immutable (idempotent; there is no thaw).
 
         ``mu`` and ``rho`` become read-only arrays, so an in-place update
-        (an optimiser step, a state load) raises instead of going unnoticed,
-        and ``sigma`` is computed one last time.  Serving freezes the replica
-        it owns: everything it caches per sampling configuration is a
-        function of these bytes.
+        (a state load) raises instead of going unnoticed, and ``sigma`` is
+        computed one last time.  Serving freezes the replica it owns:
+        everything it caches per sampling configuration is a function of
+        these bytes.  Parameters in an arena cannot be frozen.
         """
-        if self._frozen_sigma is not None:
-            return
-        self.mu.value.flags.writeable = False
-        self.rho.value.flags.writeable = False
-        sigma = softplus(self.rho.value)
-        sigma.flags.writeable = False
-        self._frozen_sigma = sigma
+        for param in self.parameters():
+            param.freeze()
+        self.sigma  # pinned for good: rho can no longer change
 
     @property
     def n_weights(self) -> int:
@@ -182,7 +188,7 @@ class GaussianPosterior:
         if include_entropy_term:
             sigma_grad = sigma_grad - kl_weight / sigma
         # chain through sigma = softplus(rho)
-        self.rho.grad += sigma_grad * softplus_grad(self.rho.value)
+        self.rho.grad += sigma_grad * self._pinned(2, softplus_grad)
 
     def accumulate_sample_gradients(
         self,
@@ -204,10 +210,9 @@ class GaussianPosterior:
         so ``mu.grad`` / ``rho.grad`` receive bit-for-bit the same sums as
         ``S`` sequential :meth:`accumulate_gradients` calls.
 
-        ``sigma`` is the step's FW-stage :attr:`sigma`, handed back by the
-        layer instead of recomputed: ``rho`` cannot change between FW and BW
-        of one step, so it is the same function of the same bytes.  The
-        arithmetic runs on the ``posterior_gc`` dispatch point
+        ``sigma`` is :attr:`sigma` (what the layers pass), and
+        ``sigmoid(rho)`` comes from the same pin.  The arithmetic runs on the
+        ``posterior_gc`` dispatch point
         (:mod:`repro.core.backend`); the transcendentals stay here.  Under a
         tape the ``(S, *shape)`` stacks go into memory the tape lends.
 
@@ -224,7 +229,7 @@ class GaussianPosterior:
             )
         if epsilon.shape != grad_weight.shape:
             raise ValueError("gradient / epsilon shape does not match the posterior")
-        sigmoid_rho = self._pinned[1] if self._pinned else softplus_grad(self.rho.value)
+        sigmoid_rho = self._pinned(2, softplus_grad)
         tape = active_tape()
         if tape is None:
             mu_grad, rho_grad = self.mu.grad, self.rho.grad

@@ -190,7 +190,7 @@ def load_parameters(model: BayesianNetwork, path: str | Path, strict: bool = Tru
                 f"shape mismatch for {name!r}: checkpoint {value.shape}, "
                 f"model {parameter.value.shape}"
             )
-        parameter.value[...] = value
+        parameter.assign(value)
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +360,7 @@ def load_checkpoint(trainer: "BNNTrainer", path: str | Path) -> dict:
     )
     # ---- all checks passed; restore ----
     for name, parameter in parameters.items():
-        parameter.value[...] = stored[f"param/{name}"]
+        parameter.assign(stored[f"param/{name}"])
     slots = {
         slot: [stored[f"opt/{slot}/{name}"] for name in names]
         for slot in saved_optimizer.get("slots", [])

@@ -261,7 +261,7 @@ class BNNTrainer:
         config = self.config
         model = self.model
         model.train()
-        model.zero_grad()
+        self.optimizer.zero_grad()
         total_nll = 0.0
         correct_probs = np.zeros((x.shape[0], 0))
         for sample_index in range(config.n_samples):
@@ -294,7 +294,7 @@ class BNNTrainer:
         config = self.config
         model = self.model
         model.train()
-        model.zero_grad()
+        self.optimizer.zero_grad()
         sampler = self.bank.batched_sampler()
         logits = model.forward_samples(x, sampler)
         total_nll = 0.0
@@ -327,9 +327,9 @@ class BNNTrainer:
         model = self.model
         self.bank.finish_iteration()
         scale = 1.0 / self.config.n_samples
-        for param in model.parameters():
-            param.grad *= scale
-            if self._quantization.gradient_format is not None:
+        self.optimizer.arena.grad *= scale
+        if self._quantization.gradient_format is not None:
+            for param in model.parameters():
                 param.grad[...] = self._quantization.quantize_gradients(param.grad)
         self.optimizer.step()
         mean_nll = total_nll * scale

@@ -14,7 +14,7 @@
  *
  * Generation has two bodies with identical results: the row body
  * (one register row at a time, portable C) and, on x86-64 CPUs with
- * AVX-512F/DQ and VPOPCNTDQ, the lane body, which runs eight rows -- one per
+ * AVX-512F/DQ, VPOPCNTDQ and VBMI2, the lane body, which runs eight rows -- one per
  * Monte-Carlo sample -- as the eight 64-bit lanes of one vector, for the
  * paper's 256-bit register at strides of whole registers.  The lane
  * body is compiled for that ISA through a per-function target attribute and
@@ -25,8 +25,8 @@
  * a layer's mu and sigma (one value per column k, shared by every row) it
  * writes the sampled weights eps * sigma[k] + mu[k] into w, and writes the
  * epsilons into out only when out is not NULL.  Each sigma is checked as it
- * is read; a negative one stops the call with status -2 (the caller commits
- * nothing of it).
+ * is read; a negative one stops the call with status -2, and the outputs are
+ * then unspecified (the caller commits nothing of them).
  *
  * Built by repro.core.native with plain -O2 and -ffp-contract=off: no
  * -ffast-math, the standardise step is a true IEEE divide and the weight a
@@ -35,8 +35,9 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* The lane body needs a compiler that knows VPOPCNTDQ (its intrinsics, the
- * target attribute and __builtin_cpu_supports name): gcc 8 / clang 8 on.  An
+/* The lane body needs a compiler that knows VPOPCNTDQ and VBMI2 (their
+ * intrinsics, target attributes and __builtin_cpu_supports names): gcc 8 /
+ * clang 8 on.  An
  * older one builds the row body alone and keeps the rest of the library. */
 #if defined(__x86_64__) && (defined(__clang__) ? __clang_major__ >= 8        \
                                                 : defined(__GNUC__) && __GNUC__ >= 8)
@@ -116,38 +117,80 @@ int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
 
 #ifdef GRNG_HAVE_LANES
 #define GRNG_LANES 8
-#define GRNG_LANE_TARGET __attribute__((target("avx512f,avx512dq,avx512vpopcntdq")))
+#define GRNG_LANE_TARGET                                                       \
+    __attribute__((target("avx512f,avx512dq,avx512vpopcntdq,avx512vbmi2")))
 
-/* The forward word form of grng_forward_rows, in every lane at once.  The
- * shift counts are vectors (vpsrlvq / vpsllvq): one uop each, where a shift
- * by an xmm count is two, and the six shifts per word are most of the lane
- * body's work. */
+/* The forward word form of grng_forward_rows, in every lane at once: each
+ * a >> s | b << (64 - s) is one funnel shift (vpshrdvq, VBMI2) and the
+ * four-way XOR one ternary-logic op plus one xor -- five ops per word where
+ * separate shifts, ors and xors take twelve. */
 GRNG_LANE_TARGET
-static inline __m512i lane_word(__m512i a, __m512i b, const __m512i *right,
-                                const __m512i *left)
+static inline __m512i lane_word(__m512i a, __m512i b, const __m512i *shift)
 {
-    return a ^ (_mm512_srlv_epi64(a, right[0]) | _mm512_sllv_epi64(b, left[0]))
-             ^ (_mm512_srlv_epi64(a, right[1]) | _mm512_sllv_epi64(b, left[1]))
-             ^ (_mm512_srlv_epi64(a, right[2]) | _mm512_sllv_epi64(b, left[2]));
+    return _mm512_xor_si512(
+        _mm512_ternarylogic_epi64(a, _mm512_shrdv_epi64(a, b, shift[0]),
+                                  _mm512_shrdv_epi64(a, b, shift[1]), 0x96),
+        _mm512_shrdv_epi64(a, b, shift[2]));
 }
 
 GRNG_LANE_TARGET
-static inline __m512i lane_popcount(__m512i h0, __m512i h1, __m512i h2, __m512i h3)
+static inline __m512i lane_popcount(const __m512i *h)
 {
     return _mm512_add_epi64(
-        _mm512_add_epi64(_mm512_popcnt_epi64(h0), _mm512_popcnt_epi64(h1)),
-        _mm512_add_epi64(_mm512_popcnt_epi64(h2), _mm512_popcnt_epi64(h3)));
+        _mm512_add_epi64(_mm512_popcnt_epi64(h[0]), _mm512_popcnt_epi64(h[1])),
+        _mm512_add_epi64(_mm512_popcnt_epi64(h[2]), _mm512_popcnt_epi64(h[3])));
+}
+
+/* One column: stride_words new words in every lane, then the standardised
+ * popcount of the window -- after whole registers, exactly h[0..3]. */
+GRNG_LANE_TARGET
+static inline __m512d lane_column(__m512i *h, const __m512i *shift,
+                                  size_t stride_words, __m512d mean, __m512d std)
+{
+    for (size_t t = 0; t < stride_words; t += 4) {
+        h[0] = lane_word(h[0], h[1], shift);
+        h[1] = lane_word(h[1], h[2], shift);
+        h[2] = lane_word(h[2], h[3], shift);
+        h[3] = lane_word(h[3], h[0], shift);
+    }
+    return _mm512_div_pd(_mm512_sub_pd(_mm512_cvtepi64_pd(lane_popcount(h)), mean), std);
+}
+
+/* In-register 8x8 transpose: e[c] holds column c of every lane on the way
+ * in and lane c's eight columns on the way out. */
+GRNG_LANE_TARGET
+static inline void transpose8(__m512d *e)
+{
+    const __m512i even = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+    const __m512i odd = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+    __m512d t[8], u[8];
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm512_unpacklo_pd(e[i], e[i + 1]);
+        t[i + 1] = _mm512_unpackhi_pd(e[i], e[i + 1]);
+    }
+    for (int i = 0; i < 8; i += 4) {
+        u[i] = _mm512_permutex2var_pd(t[i], even, t[i + 2]);
+        u[i + 1] = _mm512_permutex2var_pd(t[i + 1], even, t[i + 3]);
+        u[i + 2] = _mm512_permutex2var_pd(t[i], odd, t[i + 2]);
+        u[i + 3] = _mm512_permutex2var_pd(t[i + 1], odd, t[i + 3]);
+    }
+    for (int i = 0; i < 4; i++) {
+        e[i] = _mm512_shuffle_f64x2(u[i], u[i + 4], 0x44);
+        e[i + 4] = _mm512_shuffle_f64x2(u[i], u[i + 4], 0xEE);
+    }
 }
 
 /* The paper's 256-bit register at a stride of whole registers, up to eight
  * rows as the lanes of one vector: lane r runs row r, and when fewer than
  * eight rows are left the spare lanes run a duplicate of the last one, whose
- * results are dropped (the masked scatter never writes them).  The four
- * history words stay in vector registers: after each register's worth of new
- * words the window is exactly those words, so its popcount is their sum.  The
- * standardise is the row body's subtract and divide, per lane in IEEE double;
- * every lane is at the same column k, so the weight is one broadcast multiply
- * then one broadcast add. */
+ * results are dropped.  The four history words stay in vector registers,
+ * and the standardise is the row body's subtract and divide, per lane in
+ * IEEE double.  Columns go out in tiles of
+ * eight, transposed in registers, so each real row takes one 64-byte store
+ * of epsilons and one of weights (eps * sigma[k] + mu[k] for its eight k); a
+ * last tile of fewer than eight columns stores under a mask.  On status -2
+ * the outputs are unspecified: a tile is refused before any of it is
+ * stored, where the row body stops at the column. */
 GRNG_LANE_TARGET
 static int forward_lanes(const uint64_t *state, uint64_t *new_state,
                          int64_t *last_pc, size_t lanes, const int32_t *shifts,
@@ -156,48 +199,42 @@ static int forward_lanes(const uint64_t *state, uint64_t *new_state,
                          const double *sigma, double *w)
 {
     uint64_t words[4][GRNG_LANES] __attribute__((aligned(64)));
-    int64_t index[GRNG_LANES], lane_pc[GRNG_LANES] __attribute__((aligned(64)));
-    __m512i right[3], left[3];
-    for (int t = 0; t < 3; t++) {
-        right[t] = _mm512_set1_epi64(shifts[t]);
-        left[t] = _mm512_set1_epi64(64 - shifts[t]);
-    }
+    int64_t lane_pc[GRNG_LANES] __attribute__((aligned(64)));
+    __m512i shift[3], h[4];
+    for (int t = 0; t < 3; t++)
+        shift[t] = _mm512_set1_epi64(shifts[t]);
     for (size_t r = 0; r < GRNG_LANES; r++) {
         size_t row = r < lanes ? r : lanes - 1;
-        index[r] = (int64_t)(row * count);
         for (size_t j = 0; j < 4; j++)
             words[j][r] = reverse64(state[row * 4 + 3 - j]);
     }
-    const __mmask8 real = (__mmask8)((1u << lanes) - 1);
-    const __m512i at = _mm512_loadu_si512(index);
+    for (size_t j = 0; j < 4; j++)
+        h[j] = _mm512_load_si512(words[j]);
     const __m512d vmean = _mm512_set1_pd(mean), vstd = _mm512_set1_pd(std);
-    __m512i h0 = _mm512_load_si512(words[0]), h1 = _mm512_load_si512(words[1]);
-    __m512i h2 = _mm512_load_si512(words[2]), h3 = _mm512_load_si512(words[3]);
-    __m512i pc = lane_popcount(h0, h1, h2, h3);
-    for (size_t k = 0; k < count; k++) {
-        for (size_t t = 0; t < stride_words; t += 4) {
-            h0 = lane_word(h0, h1, right, left);
-            h1 = lane_word(h1, h2, right, left);
-            h2 = lane_word(h2, h3, right, left);
-            h3 = lane_word(h3, h0, right, left);
-        }
-        pc = lane_popcount(h0, h1, h2, h3);
-        __m512d eps = _mm512_div_pd(_mm512_sub_pd(_mm512_cvtepi64_pd(pc), vmean), vstd);
-        if (out)
-            _mm512_mask_i64scatter_pd(out + k, real, at, eps, 8);
+    for (size_t k = 0; k < count; k += GRNG_LANES) {
+        size_t n = count - k < GRNG_LANES ? count - k : GRNG_LANES;
+        const __mmask8 tile = (__mmask8)((1u << n) - 1);
+        __m512d e[GRNG_LANES], vsigma = _mm512_setzero_pd(), vmu = vsigma;
+        for (size_t c = 0; c < GRNG_LANES; c++)
+            e[c] = c < n ? lane_column(h, shift, stride_words, vmean, vstd) : vsigma;
+        transpose8(e);
         if (w) {
-            if (sigma[k] < 0)
+            vsigma = _mm512_maskz_loadu_pd(tile, sigma + k);
+            if (_mm512_mask_cmp_pd_mask(tile, vsigma, _mm512_setzero_pd(), _CMP_LT_OQ))
                 return -2;
-            _mm512_mask_i64scatter_pd(w + k, real, at,
-                _mm512_add_pd(_mm512_mul_pd(eps, _mm512_set1_pd(sigma[k])),
-                              _mm512_set1_pd(mu[k])), 8);
+            vmu = _mm512_maskz_loadu_pd(tile, mu + k);
+        }
+        for (size_t r = 0; r < lanes; r++) {
+            if (out)
+                _mm512_mask_storeu_pd(out + r * count + k, tile, e[r]);
+            if (w)
+                _mm512_mask_storeu_pd(w + r * count + k, tile,
+                                      _mm512_add_pd(_mm512_mul_pd(e[r], vsigma), vmu));
         }
     }
-    _mm512_store_si512(lane_pc, pc);
-    _mm512_store_si512(words[0], h0);
-    _mm512_store_si512(words[1], h1);
-    _mm512_store_si512(words[2], h2);
-    _mm512_store_si512(words[3], h3);
+    _mm512_store_si512(lane_pc, lane_popcount(h));
+    for (size_t j = 0; j < 4; j++)
+        _mm512_store_si512(words[j], h[j]);
     for (size_t r = 0; r < lanes; r++) {
         for (size_t j = 0; j < 4; j++)
             new_state[r * 4 + 3 - j] = reverse64(words[j][r]);
@@ -214,7 +251,8 @@ int grng_lane_width(void)
 #ifdef GRNG_HAVE_LANES
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")
-        && __builtin_cpu_supports("avx512vpopcntdq"))
+        && __builtin_cpu_supports("avx512vpopcntdq")
+        && __builtin_cpu_supports("avx512vbmi2"))
         return GRNG_LANES;
 #endif
     return 1;

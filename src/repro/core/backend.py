@@ -817,7 +817,9 @@ def _grng_block_reference(
             np.multiply(values, sigma[span], out=w_out[:, span])
             w_out[:, span] += mu[span]
         done += size
-    return out, state_words, popcounts[:, -1], w_out
+        last = popcounts[:, -1].copy()
+        del popcounts, values  # nor does a chunk's output live into the next
+    return out, state_words, last, w_out
 
 
 @lru_cache(maxsize=64)

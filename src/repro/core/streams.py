@@ -209,12 +209,13 @@ class StoredGaussianStream(EpsilonStream):
     def retrieve_block(self, shape: tuple[int, ...]) -> np.ndarray:
         if not self._blocks:
             raise StreamOrderError("no stored epsilon block left to retrieve")
-        block = self._blocks.pop()
+        block = self._blocks[-1]
         if block.shape != tuple(shape):
             raise StreamOrderError(
                 f"retrieval shape {tuple(shape)} does not match stored block "
                 f"shape {block.shape}; backward order must mirror forward order"
             )
+        self._blocks.pop()  # only once checked: a refused retrieval keeps it
         self.usage.record_retrieve(block.size)
         self.usage.record_release(block.size)
         return block
@@ -267,7 +268,7 @@ class ReversibleGaussianStream(EpsilonStream):
     def retrieve_block(self, shape: tuple[int, ...]) -> np.ndarray:
         if not self._pending:
             raise StreamOrderError("no outstanding epsilon block to retrieve")
-        record = self._pending.pop()
+        record = self._pending[-1]
         if record.shape != tuple(shape):
             raise StreamOrderError(
                 f"retrieval shape {tuple(shape)} does not match outstanding block "
@@ -278,6 +279,7 @@ class ReversibleGaussianStream(EpsilonStream):
                 "the register is not where the stream left it; it was "
                 "modified outside the stream"
             )
+        self._pending.pop()  # only once checked: a refused retrieval keeps it
         reversed_values = self._grng.epsilon_block_reverse(record.count)
         self._position = self._grng.lfsr.state
         self.usage.record_retrieve(record.count)

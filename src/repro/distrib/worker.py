@@ -52,7 +52,6 @@ import mmap
 import os
 import traceback
 from collections import deque
-from contextlib import ExitStack
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -60,6 +59,7 @@ import numpy as np
 from ..core.checkpoint import StreamBank
 from ..core.streams import StreamOrderError
 from ..nn.losses import loss_probabilities
+from ..nn.optim import ParameterArena
 from ..nn.quantization import QuantizationConfig
 from ..bnn.grad_tape import SampleGradientTape
 from .delta import DeltaCache, DeltaResyncRequired
@@ -276,6 +276,9 @@ class ShardEngine:
         self.arena = arena
         self.delta_cache = DeltaCache()
         self._parameters = {param.name: param for param in model.parameters()}
+        # loads go through an arena, so the posteriors' sigma pins move on once
+        # per unit's parameters, not once per row block or read
+        ParameterArena(model.parameters())
         self._banks: dict[tuple, StreamBank] = {}
         self._applied_quantization: object = None
 
@@ -316,7 +319,7 @@ class ShardEngine:
                     f"shape mismatch for {name!r}: step {value.shape}, "
                     f"replica {parameter.value.shape}"
                 )
-            parameter.value[...] = value
+            parameter.assign(value)
 
     def _apply_quantization(self, quantization_bits: int | None) -> None:
         if quantization_bits == self._applied_quantization:
@@ -373,54 +376,51 @@ class ShardEngine:
         model.zero_grad()
         sampler = _RowBlockReplay(bank.batched_sampler(), len(row_blocks))
         blocks = []
-        with ExitStack() as pins:  # rho's transcendentals once per unit
-            for layer in model.bayesian_layers():
-                pins.enter_context(layer.weight_posterior._pinned_rho())
-            for block_index in range(len(row_blocks)):
-                x_slot, y_slot = data_slots(block_index)
-                x, y = resolved[x_slot], resolved[y_slot]
-                # KL/prior/entropy terms are row-count independent: they enter
-                # exactly once per sample, through row block 0
-                first_block = block_index == 0
-                sampler.begin_block(block_index)
-                if arena is None:
-                    tape = SampleGradientTape()
-                else:
-                    tape = _ArenaTape(arena, block_index, samples)
-                with tape:
-                    logits = model.forward_samples(x, sampler)
-                    nlls: list[float] = []
-                    probabilities = np.empty_like(logits)
-                    grad_logits = np.empty_like(logits)
-                    for local_index in range(len(samples)):
-                        if row_normalised:
-                            nlls.append(
-                                self.loss.forward_rows(logits[local_index], y, total_rows)
-                            )
-                        else:
-                            nlls.append(self.loss.forward(logits[local_index], y))
-                        probabilities[local_index] = loss_probabilities(
-                            self.loss, logits[local_index]
+        for block_index in range(len(row_blocks)):
+            x_slot, y_slot = data_slots(block_index)
+            x, y = resolved[x_slot], resolved[y_slot]
+            # KL/prior/entropy terms are row-count independent: they enter
+            # exactly once per sample, through row block 0
+            first_block = block_index == 0
+            sampler.begin_block(block_index)
+            if arena is None:
+                tape = SampleGradientTape()
+            else:
+                tape = _ArenaTape(arena, block_index, samples)
+            with tape:
+                logits = model.forward_samples(x, sampler)
+                nlls: list[float] = []
+                probabilities = np.empty_like(logits)
+                grad_logits = np.empty_like(logits)
+                for local_index in range(len(samples)):
+                    if row_normalised:
+                        nlls.append(
+                            self.loss.forward_rows(logits[local_index], y, total_rows)
                         )
-                        if row_normalised:
-                            grad_logits[local_index] = self.loss.backward_rows()
-                        else:
-                            grad_logits[local_index] = self.loss.backward()
-                    model.backward_samples(
-                        grad_logits,
-                        sampler,
-                        kl_weight=payload["kl_weight"] if first_block else 0.0,
-                        include_entropy_term=(
-                            payload["include_entropy_term"] if first_block else False
-                        ),
+                    else:
+                        nlls.append(self.loss.forward(logits[local_index], y))
+                    probabilities[local_index] = loss_probabilities(
+                        self.loss, logits[local_index]
                     )
-                missing = set(self._parameters) - set(tape.contributions)
-                if missing:  # pragma: no cover - layer code failing its contract
-                    raise RuntimeError(
-                        f"no per-sample contributions captured for {sorted(missing)}"
-                    )
-                stacks = tape.contributions if arena is None else None
-                blocks.append((stacks, nlls, probabilities))
+                    if row_normalised:
+                        grad_logits[local_index] = self.loss.backward_rows()
+                    else:
+                        grad_logits[local_index] = self.loss.backward()
+                model.backward_samples(
+                    grad_logits,
+                    sampler,
+                    kl_weight=payload["kl_weight"] if first_block else 0.0,
+                    include_entropy_term=(
+                        payload["include_entropy_term"] if first_block else False
+                    ),
+                )
+            missing = set(self._parameters) - set(tape.contributions)
+            if missing:  # pragma: no cover - layer code failing its contract
+                raise RuntimeError(
+                    f"no per-sample contributions captured for {sorted(missing)}"
+                )
+            stacks = tape.contributions if arena is None else None
+            blocks.append((stacks, nlls, probabilities))
         bank.finish_iteration()
 
         cells = []

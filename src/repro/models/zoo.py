@@ -520,7 +520,7 @@ class ReplicaSpec:
                         f"shape mismatch for {name!r}: captured {value.shape}, "
                         f"model {parameter.value.shape}"
                     )
-                parameter.value[...] = value
+                parameter.assign(value)
         if self.quantization is not None:
             model.quantization = self.quantization
         return model

@@ -16,12 +16,16 @@ needs, ``backward(grad)`` returns the gradient w.r.t. the input and fills
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import functional as F
 from .initializers import HeNormal, Initializer, Zeros
 from .tensor_utils import Workspace, check_2d, check_4d, conv_output_size
+
+if TYPE_CHECKING:
+    from .optim import ParameterArena
 
 __all__ = [
     "Parameter",
@@ -38,11 +42,19 @@ __all__ = [
 
 @dataclass
 class Parameter:
-    """A named trainable array with its accumulated gradient."""
+    """A named trainable array with its accumulated gradient.
+
+    Once an optimiser owns it, ``value`` and ``grad`` are views into that
+    optimiser's :class:`~repro.nn.optim.ParameterArena` (``arena``), and
+    ``value`` is read-only: :meth:`assign` is how anything else writes it.
+    """
 
     name: str
     value: np.ndarray
     grad: np.ndarray = field(init=False)
+    arena: "ParameterArena | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.grad = np.zeros_like(self.value)
@@ -50,6 +62,19 @@ class Parameter:
     def zero_grad(self) -> None:
         """Clear the accumulated gradient in place."""
         self.grad.fill(0.0)
+
+    def freeze(self) -> None:
+        """Make the value read-only for good (not in an arena: it writes them)."""
+        if self.arena is not None:
+            raise ValueError(f"{self.name} is in a parameter arena and cannot be frozen")
+        self.value.flags.writeable = False
+
+    def assign(self, value: np.ndarray) -> None:
+        """Overwrite the value in place (through the arena, when one owns it)."""
+        if self.arena is None:
+            self.value[...] = value
+        else:
+            self.arena.assign(self, value)
 
     @property
     def size(self) -> int:

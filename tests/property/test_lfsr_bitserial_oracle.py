@@ -562,22 +562,34 @@ def test_native_standardise_is_numpy_division(states, count, stride, mean, std):
 # ----------------------------------------------------------------------
 # the two forward bodies of the compiled kernel: vector lanes vs rows
 # ----------------------------------------------------------------------
-def forward_body(function, state, shifts, stride_words, count, mean, std, mu=None, sigma=None):
-    """One body's (epsilons, end state, last popcounts[, weights]) bytes."""
+def forward_body(
+    function, state, shifts, stride_words, count, mean, std, mu=None, sigma=None,
+    epsilons=True,
+):
+    """One body's (status, epsilons, end state, last popcounts, weights) bytes.
+
+    ``epsilons=False`` passes ``out=NULL`` (the weights-only mode of every
+    reversible forward call); absent outputs read ``None``.
+    """
     rows, n_words = state.shape
     new_state = np.empty_like(state)
     last = np.empty(rows, dtype=np.int64)
-    out = np.empty((rows, count), dtype=np.float64)
+    out = np.empty((rows, count), dtype=np.float64) if epsilons else None
     weights = None if mu is None else np.empty((rows, count), dtype=np.float64)
     table = np.array(shifts, dtype=np.int32)
+
+    def address(array):
+        return None if array is None else array.ctypes.data
+
     status = function(
         state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words,
-        table.ctypes.data, stride_words, count, mean, std, out.ctypes.data,
-        *((None,) * 3 if mu is None else (mu.ctypes.data, sigma.ctypes.data, weights.ctypes.data)),
+        table.ctypes.data, stride_words, count, mean, std, address(out),
+        address(mu), address(sigma), address(weights),
     )
-    assert status == 0
-    result = (out.tobytes(), new_state.tobytes(), last.tobytes())
-    return result if mu is None else (*result, weights.tobytes())
+    return status, *(
+        None if array is None else array.tobytes()
+        for array in (out, new_state, last, weights)
+    )
 
 
 @given(
@@ -600,12 +612,17 @@ def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
     Output, end state and last popcount, at every row count -- multiples of
     eight, the part-filled groups whose spare lanes run a dropped duplicate,
     and the lone last row the lanes leave to the row body -- every width and
-    stride, any three in-word taps.
+    stride, any three in-word taps, column counts on and off the lanes'
+    eight-column tiles; with and without fused weights, and weights alone.
+    A negative sigma anywhere stops both bodies with -2 (their outputs are
+    then unspecified, so only the status is compared).
     """
     require_native()
     lib = native.library.load()
     if lib.grng_lane_width() != 8:
-        pytest.skip("this CPU lacks AVX-512F/DQ + VPOPCNTDQ: only the row body runs")
+        pytest.skip(
+            "this CPU lacks AVX-512F/DQ + VPOPCNTDQ + VBMI2: only the row body runs"
+        )
     n_words, stride_words = geometry
     state = np.random.default_rng(seed).integers(
         0, 1 << 64, size=(rows, n_words), dtype=np.uint64
@@ -613,13 +630,25 @@ def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
     mean, std = n_words * 32.0, math.sqrt(n_words * 16.0)
     args = (state, shifts, stride_words, count, mean, std)
     lanes = forward_body(lib.grng_forward, *args)
+    assert lanes[0] == 0
     assert lanes == forward_body(lib.grng_forward_rows, *args)
     # fused sampling: the weights too, one broadcast (mu, sigma) per column
     values = np.random.default_rng(seed + 1)
     mu, sigma = values.standard_normal(count), values.random(count)
     fused = forward_body(lib.grng_forward, *args, mu, sigma)
-    assert fused[:3] == lanes
+    assert fused[:4] == lanes[:4]
     assert fused == forward_body(lib.grng_forward_rows, *args, mu, sigma)
+    # weights alone (out=NULL): the same weights, state and popcounts
+    alone = forward_body(lib.grng_forward, *args, mu, sigma, epsilons=False)
+    assert alone == (0, None, *fused[2:])
+    assert alone == forward_body(lib.grng_forward_rows, *args, mu, sigma, epsilons=False)
+    # a negative sigma -- mid-tile in the last full tile, or anywhere in a
+    # call too short for one -- refuses the whole call
+    sigma[count // 8 * 8 - 5 if count >= 8 else values.integers(count)] = -0.5
+    for epsilons in (True, False):
+        for function in (lib.grng_forward, lib.grng_forward_rows):
+            refused = forward_body(function, *args, mu, sigma, epsilons=epsilons)
+            assert refused[0] == -2
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro.bnn.grad_tape import SampleGradientTape
 from repro.bnn.posteriors import GaussianPosterior, softplus_grad
 from repro.core import backend
+from repro.nn.optim import ParameterArena
 from repro.distrib.worker import ResultArena, _ArenaTape
 
 
@@ -251,15 +252,18 @@ def test_one_taped_gc_call_allocates_less_than_one_stack():
     """Deterministic allocation bound: the NumPy body builds four stack-sized
     temporaries, the compiled stack mode writes into the arena slots.
 
-    One dense layer's GC at S = 4 under an arena tape, ``rho`` pinned as the
-    distributed engine pins it.  The first call pays for the gate and the
-    library load; the second is the steady state, and it is measured.
+    One dense layer's GC at S = 4 under an arena tape, ``rho`` in a
+    parameter arena as the distributed engine's replica keeps it, so
+    ``sigmoid(rho)`` is pinned.  The first call pays for the gate, the
+    library load and the pin; the second is the steady state, and it is
+    measured.
     """
     samples, shape = 4, (196, 64)
     (posterior, _), arrays = _inputs(9, samples, shape, specials=False, prefilled=False)
+    ParameterArena(posterior.parameters())
     stack_bytes = 8 * samples * int(np.prod(shape))
     (warm_arena, warm_tape), (arena, tape) = (_arena_tape(shape, samples) for _ in "ab")
-    with _force("native"), posterior._pinned_rho():
+    with _force("native"):
         with warm_tape:
             posterior.accumulate_sample_gradients(kl_weight=0.1, **arrays)
         with tape:

@@ -71,6 +71,34 @@ class TestRetrieval:
             stream.retrieve_block((9,))
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_refused_shape_keeps_the_block(self, policy):
+        """A retrieval refused for its shape consumes nothing: the block is
+        still pending, the usage counters did not move, and the right shape
+        then retrieves exactly the forward values."""
+        stream = make_stream(policy)
+        forward = stream.forward_block((3, 3))
+        usage = stream.usage.state_dict()
+        with pytest.raises(StreamOrderError, match="does not match"):
+            stream.retrieve_block((9,))
+        assert stream.pending_blocks == 1
+        assert stream.usage.state_dict() == usage
+        assert np.array_equal(stream.retrieve_block((3, 3)), forward)
+
+    def test_refused_register_keeps_the_block(self):
+        """A reversible retrieval refused for a tampered register consumes
+        nothing either; putting the register back lets it go through."""
+        stream = make_stream("reversible", seed_index=3)
+        forward = stream.forward_block((4,))
+        usage = stream.usage.state_dict()
+        stream.grng.lfsr.state ^= 1
+        with pytest.raises(StreamOrderError, match="modified outside"):
+            stream.retrieve_block((4,))
+        assert stream.pending_blocks == 1
+        assert stream.usage.state_dict() == usage
+        stream.grng.lfsr.state ^= 1
+        assert np.array_equal(stream.retrieve_block((4,)), forward)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_retrieve_without_forward_raises(self, policy):
         stream = make_stream(policy)
         with pytest.raises(StreamOrderError):
