@@ -25,15 +25,23 @@ __all__ = ["gaussian_kl_divergence", "sampled_complexity", "ELBOReport"]
 
 
 def gaussian_kl_divergence(posterior: GaussianPosterior, prior: GaussianPrior) -> float:
-    """Closed-form ``KL(q(w|theta) || P(w))`` for Gaussian posterior and prior."""
+    """Closed-form ``KL(q(w|theta) || P(w))`` for Gaussian posterior and prior.
+
+    ``sum(log(prior_sigma / sigma) + (sigma**2 + mu**2) / (2 prior_var) - 0.5)``,
+    each element through the same IEEE operations on the same operands as
+    that expression, written into the posterior's scratch arrays, so a step
+    allocates nothing layer-sized here.
+    """
     sigma = posterior.sigma
     mu = posterior.mu.value
     prior_var = prior.sigma**2
-    kl = (
-        np.log(prior.sigma / sigma)
-        + (sigma**2 + mu**2) / (2.0 * prior_var)
-        - 0.5
-    )
+    kl, quadratic = posterior.scratch()
+    np.square(sigma, out=quadratic)
+    np.add(quadratic, np.square(mu, out=kl), out=quadratic)
+    np.divide(quadratic, 2.0 * prior_var, out=quadratic)
+    np.log(np.divide(prior.sigma, sigma, out=kl), out=kl)
+    np.add(kl, quadratic, out=kl)
+    np.subtract(kl, 0.5, out=kl)
     return float(np.sum(kl))
 
 

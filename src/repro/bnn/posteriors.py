@@ -77,6 +77,7 @@ class GaussianPosterior:
         self.rho = Parameter(f"{name}.rho", rho_value)
         # [stamp, softplus(rho), sigmoid(rho)], each read-only, None until read
         self._pin: list | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -111,6 +112,13 @@ class GaussianPosterior:
             value.flags.writeable = False
             pin[slot] = value
         return pin[slot]
+
+    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two work arrays shaped like the weights, allocated on first use
+        and reused by every later call (the analytic KL writes into them)."""
+        if self._scratch is None:
+            self._scratch = (np.empty(self.shape), np.empty(self.shape))
+        return self._scratch
 
     def freeze(self) -> None:
         """Make this posterior immutable (idempotent; there is no thaw).

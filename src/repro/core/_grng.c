@@ -1,7 +1,8 @@
 /* Streaming GRNG kernel: LFSR shift + window popcount + CLT standardise in
  * one pass per register row.  It only runs forward: an earlier register state
- * is derived in Python by a jump (repro.core.lfsr), and reversed retrieval is
- * a forward run from it.
+ * is a jump -- an XOR of windows of a short forward run -- and reversed
+ * retrieval is a forward run from it, both in one call (grng_forward's
+ * jump argument).
  *
  * A register row is n_words 64-bit words (bit j of the register at bit j % 64
  * of word j / 64).  The recurrence b(t) = XOR_p b(t - p) runs 64 bits at a
@@ -58,22 +59,56 @@ static inline uint64_t reverse64(uint64_t x)
     return __builtin_bswap64(x);
 }
 
+/* The word form of the recurrence (see forward_rows): sequence word i from
+ * words i - W and i - W + 1 (a, b), for three in-word tap shifts. */
+static inline uint64_t next_word(uint64_t a, uint64_t b, int s0, int s1, int s2)
+{
+    return a ^ (a >> s0 | b << (64 - s0)) ^ (a >> s1 | b << (64 - s1))
+             ^ (a >> s2 | b << (64 - s2));
+}
+
+/* The jump back: with R = x^-N mod P (jump: n_words words, bit i the
+ * coefficient of x^i), the register N shifts before a row's is the XOR of
+ * the registers i shifts ahead of it, one per set bit i < n -- each a window
+ * of one (n - 1)-shift forward run, so the jump too runs forward only.
+ * Writes every row's earlier register into start (same layout as state). */
+static void rewind_rows(const uint64_t *state, uint64_t *start, size_t rows,
+                        size_t n_words, const int32_t *shifts,
+                        const uint64_t *jump)
+{
+    for (size_t r = 0; r < rows; r++, state += n_words, start += n_words) {
+        uint64_t h[2 * GRNG_MAX_WORDS], acc[GRNG_MAX_WORDS] = {0};
+        for (size_t j = 0; j < n_words; j++)
+            h[j] = reverse64(state[n_words - 1 - j]);
+        for (size_t j = 0; j < n_words; j++)
+            h[n_words + j] = next_word(h[j], h[j + 1], shifts[0], shifts[1], shifts[2]);
+        for (size_t q = 0; q < n_words; q++) {
+            for (uint64_t terms = jump[q]; terms; terms &= terms - 1) {
+                int b = __builtin_ctzll(terms);
+                const uint64_t *seq = h + q;
+                for (size_t j = 0; j < n_words; j++)
+                    acc[j] ^= b ? seq[j] >> b | seq[j + 1] << (64 - b) : seq[j];
+            }
+        }
+        for (size_t j = 0; j < n_words; j++)
+            start[n_words - 1 - j] = reverse64(acc[j]);
+    }
+}
+
 /* Besides the tail tap n_bits every tap offset is n_bits - s with
  * 0 < s < 64 (`shifts`; three slots, i.e. polynomials of up to four taps), so
  * sequence word i is h[i-W] ^ XOR_s (h[i-W] >> s | h[i-W+1] << (64 - s)): it
  * needs only the words W and W-1 back (W = n_words >= 2).  Time order is oldest bit first,
  * i.e. the register read Rn..R1, hence the bit reversal on the way in and
  * out.  Emits ((double)popcount - mean) / std, and the weights when w is
- * given.  This is the row body; grng_forward below runs it or the lane body. */
-int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
-                      int64_t *last_pc, size_t rows, size_t n_words,
-                      const int32_t *shifts, size_t stride_words, size_t count,
-                      double mean, double std, double *out, const double *mu,
-                      const double *sigma, double *w)
+ * given.  This is the row body; grng_forward runs it or the lane body. */
+static int forward_rows(const uint64_t *state, uint64_t *new_state,
+                        int64_t *last_pc, size_t rows, size_t n_words,
+                        const int32_t *shifts, size_t stride_words, size_t count,
+                        double mean, double std, double *out, const double *mu,
+                        const double *sigma, double *w)
 {
     const int s0 = shifts[0], s1 = shifts[1], s2 = shifts[2];
-    if (n_words < 2 || n_words > GRNG_MAX_WORDS || stride_words < 1)
-        return -1;
     for (size_t r = 0; r < rows; r++, state += n_words, new_state += n_words) {
         uint64_t h[GRNG_MAX_WORDS + GRNG_SCRATCH_WORDS];
         int32_t pc = 0;
@@ -85,10 +120,7 @@ int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
         while (remaining) {
             size_t n = remaining < GRNG_SCRATCH_WORDS ? remaining : GRNG_SCRATCH_WORDS;
             for (size_t j = 0; j < n; j++) {
-                uint64_t a = h[j], b = h[j + 1];
-                uint64_t word = a ^ (a >> s0 | b << (64 - s0))
-                                  ^ (a >> s1 | b << (64 - s1))
-                                  ^ (a >> s2 | b << (64 - s2));
+                uint64_t a = h[j], word = next_word(a, h[j + 1], s0, s1, s2);
                 h[n_words + j] = word;
                 pc += popcount64(word) - popcount64(a);
                 if (--until_emit == 0) {
@@ -120,7 +152,7 @@ int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
 #define GRNG_LANE_TARGET                                                       \
     __attribute__((target("avx512f,avx512dq,avx512vpopcntdq,avx512vbmi2")))
 
-/* The forward word form of grng_forward_rows, in every lane at once: each
+/* The forward word form of forward_rows, in every lane at once: each
  * a >> s | b << (64 - s) is one funnel shift (vpshrdvq, VBMI2) and the
  * four-way XOR one ternary-logic op plus one xor -- five ops per word where
  * separate shifts, ors and xors take twelve. */
@@ -258,13 +290,39 @@ int grng_lane_width(void)
     return 1;
 }
 
-int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
-                 size_t rows, size_t n_words, const int32_t *shifts,
-                 size_t stride_words, size_t count, double mean, double std,
-                 double *out, const double *mu, const double *sigma, double *w)
+/* Both entry points take the jump too: given jump (see rewind_rows), each
+ * row first jumps back into start and the forward run starts there, so a
+ * reversed retrieval -- start and end registers, values and weights -- is
+ * one call.  jump == NULL runs forward from state and leaves start alone. */
+int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
+                      int64_t *last_pc, size_t rows, size_t n_words,
+                      const int32_t *shifts, size_t stride_words, size_t count,
+                      double mean, double std, double *out, const double *mu,
+                      const double *sigma, double *w, const uint64_t *jump,
+                      uint64_t *start)
 {
     if (n_words < 2 || n_words > GRNG_MAX_WORDS || stride_words < 1)
         return -1;
+    if (jump) {
+        rewind_rows(state, start, rows, n_words, shifts, jump);
+        state = start;
+    }
+    return forward_rows(state, new_state, last_pc, rows, n_words, shifts,
+                        stride_words, count, mean, std, out, mu, sigma, w);
+}
+
+int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
+                 size_t rows, size_t n_words, const int32_t *shifts,
+                 size_t stride_words, size_t count, double mean, double std,
+                 double *out, const double *mu, const double *sigma, double *w,
+                 const uint64_t *jump, uint64_t *start)
+{
+    if (n_words < 2 || n_words > GRNG_MAX_WORDS || stride_words < 1)
+        return -1;
+    if (jump) {
+        rewind_rows(state, start, rows, n_words, shifts, jump);
+        state = start;
+    }
 #ifdef GRNG_HAVE_LANES
     /* The lane body takes the 256-bit register at whole-register strides;
      * a lone row costs a full vector pass, about twice the row body. */
@@ -274,9 +332,9 @@ int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
             double *out_r = out ? out + r * count : NULL;
             double *w_r = w ? w + r * count : NULL;
             int status = lanes == 1
-                ? grng_forward_rows(state + r * 4, new_state + r * 4, last_pc + r,
-                                    1, 4, shifts, stride_words, count, mean, std,
-                                    out_r, mu, sigma, w_r)
+                ? forward_rows(state + r * 4, new_state + r * 4, last_pc + r,
+                               1, 4, shifts, stride_words, count, mean, std,
+                               out_r, mu, sigma, w_r)
                 : forward_lanes(state + r * 4, new_state + r * 4, last_pc + r,
                                 lanes, shifts, stride_words, count, mean, std,
                                 out_r, mu, sigma, w_r);
@@ -286,6 +344,6 @@ int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
         return 0;
     }
 #endif
-    return grng_forward_rows(state, new_state, last_pc, rows, n_words, shifts,
-                             stride_words, count, mean, std, out, mu, sigma, w);
+    return forward_rows(state, new_state, last_pc, rows, n_words, shifts,
+                        stride_words, count, mean, std, out, mu, sigma, w);
 }

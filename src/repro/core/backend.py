@@ -43,6 +43,14 @@ Per-kernel selection is explicit and observable:
   packed popcount, the compiled GRNG block) therefore fall back per call,
   exactly like the hand-written branches they replaced.
 
+Availability and the gates do not change from call to call, so each dispatch
+point resolves them into a *route* -- the backends a call may take, in order
+-- once per selection version, which every change of the forced choices and
+every :meth:`~KernelRegistry.verify_backend` moves on.  A call then runs only
+the ``supports`` predicates on its route, which check what can differ between
+two calls (dtypes, shapes, contiguity, writability); the last backend on a
+route takes every call.
+
 The active selection is captured in
 :class:`~repro.models.zoo.ReplicaSpec` so serving and distributed workers
 rebuild replicas on the same backends as the process that captured them, and
@@ -161,6 +169,9 @@ class _Kernel:
     check: Callable[[dict[str, Any], Any, Any], None]
     backends: dict[str, BackendImpl]
 
+    #: ``(selection version, backends a call tries in order)``, or None.
+    route: tuple[int, tuple[BackendImpl, ...]] | None = None
+
     #: Name every kernel's oracle is registered under.
     REFERENCE = "reference"
 
@@ -190,6 +201,9 @@ class KernelRegistry:
         self._lock = threading.RLock()
         self._kernels: dict[str, _Kernel] = {}
         self._forced: dict[str, str] = {}
+        # moved on by every write of _forced and by verify_backend: a route
+        # built under an older version is rebuilt on its next call
+        self._version = 0
         # (kernel, backend) -> True | the stored gate failure.  The gate runs
         # lazily on a backend's first non-reference dispatch and is cached.
         self._eligibility: dict[tuple[str, str], Any] = {}
@@ -257,13 +271,14 @@ class KernelRegistry:
             entry = self._kernel(kernel)
             if backend is None:
                 self._forced.pop(kernel, None)
-                return
-            if backend not in entry.backends:
+            elif backend not in entry.backends:
                 raise UnknownBackendError(
                     f"unknown backend {backend!r} for kernel {kernel!r}; "
                     f"registered: {sorted(entry.backends)}"
                 )
-            self._forced[kernel] = backend
+            else:
+                self._forced[kernel] = backend
+            self._version += 1
 
     @contextmanager
     def using(self, kernel: str, backend: str | None) -> Iterator[None]:
@@ -296,6 +311,7 @@ class KernelRegistry:
                         f"unknown backend {backend!r} for kernel {kernel!r}"
                     )
             self._forced = items
+            self._version += 1
 
     def load_env(self, value: str | None = None) -> None:
         """Parse ``REPRO_BACKEND`` into forced selections.
@@ -338,6 +354,7 @@ class KernelRegistry:
                     )
         with self._lock:
             self._forced = selection
+            self._version += 1
 
     def _warn_once(self, message: str) -> None:
         with self._lock:
@@ -371,6 +388,7 @@ class KernelRegistry:
         outcome = self._run_conformance(entry, impl)
         with self._lock:
             self._eligibility[(kernel, backend)] = outcome
+            self._version += 1
         if outcome is not True:
             raise outcome
         return True
@@ -418,54 +436,52 @@ class KernelRegistry:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _resolve(self, kernel: _Kernel, args: tuple, kwargs: dict) -> BackendImpl:
+    def _route(self, kernel: _Kernel) -> tuple[BackendImpl, ...]:
+        """The backends a call of ``kernel`` tries, in order, under the
+        current selection; built once per selection version."""
+        route = kernel.route
+        if route is not None and route[0] == self._version:
+            return route[1]
         with self._lock:
-            forced = self._forced.get(kernel.name)
-        if forced is not None:
-            impl = kernel.backends.get(forced)
-            if impl is None:  # pragma: no cover - set_backend validates
-                raise UnknownBackendError(
-                    f"unknown backend {forced!r} for kernel {kernel.name!r}"
-                )
-            if impl.is_available():
-                if not self._is_eligible(kernel, impl):
-                    # An explicitly selected backend that fails the gate is a
-                    # hard error: silently answering from the oracle would
-                    # mask the nonconformance the selection was probing.
-                    with self._lock:
-                        raise self._eligibility[(kernel.name, impl.name)]
-                if impl.supports is None or impl.supports(*args, **kwargs):
-                    return impl
-                # Forced but outside the backend's input domain: the oracle
-                # answers (bit-identical by definition of eligibility).
-            else:
-                self._warn_once(
-                    f"backend {forced!r} for kernel {kernel.name!r} is not "
-                    "available in this environment; using the default chain"
-                )
-                return self._resolve_chain(kernel, args, kwargs)
-            return kernel.backends[_Kernel.REFERENCE]
-        return self._resolve_chain(kernel, args, kwargs)
-
-    def _resolve_chain(
-        self, kernel: _Kernel, args: tuple, kwargs: dict
-    ) -> BackendImpl:
-        for name in kernel.chain:
-            impl = kernel.backends[name]
-            if not impl.is_available():
-                continue
+            version, forced = self._version, self._forced.get(kernel.name)
+        reference = kernel.backends[_Kernel.REFERENCE]
+        impl = None if forced is None else kernel.backends[forced]
+        if impl is not None and not impl.is_available():
+            self._warn_once(
+                f"backend {forced!r} for kernel {kernel.name!r} is not "
+                "available in this environment; using the default chain"
+            )
+            impl = None
+        if impl is not None:
             if not self._is_eligible(kernel, impl):
-                continue
-            if impl.supports is not None and not impl.supports(*args, **kwargs):
-                continue
-            return impl
-        return kernel.backends[_Kernel.REFERENCE]
+                # An explicitly selected backend that fails the gate is a
+                # hard error: silently answering from the oracle would mask
+                # the nonconformance the selection was probing.
+                with self._lock:
+                    raise self._eligibility[(kernel.name, impl.name)]
+            # Forced but outside the backend's input domain: the oracle
+            # answers (bit-identical by definition of eligibility).
+            backends = (impl,) if impl.supports is None else (impl, reference)
+        else:
+            backends = ()
+            for name in kernel.chain:
+                impl = kernel.backends[name]
+                if impl.is_available() and self._is_eligible(kernel, impl):
+                    backends += (impl,)
+                    if impl.supports is None:
+                        break  # it takes every call: nothing after it runs
+        kernel.route = (version, backends)
+        return backends
 
     def call(self, kernel_name: str, /, *args: Any, **kwargs: Any) -> Any:
         """Dispatch one kernel call through the selected backend."""
-        kernel = self._kernel(kernel_name)
-        impl = self._resolve(kernel, args, kwargs)
-        self._count(kernel_name, impl.name, kernel.rows_of(*args, **kwargs))
+        return self._call(self._kernel(kernel_name), args, kwargs)
+
+    def _call(self, kernel: _Kernel, args: tuple, kwargs: dict) -> Any:
+        for impl in self._route(kernel):
+            if impl.supports is None or impl.supports(*args, **kwargs):
+                break
+        self._count(kernel.name, impl.name, kernel.rows_of(*args, **kwargs))
         return impl.fn(*args, **kwargs)
 
     def _count(self, kernel: str, backend: str, rows: int) -> None:
@@ -479,15 +495,15 @@ class KernelRegistry:
             counter[1] += int(rows)
 
     def dispatch(self, kernel: str) -> Callable[..., Any]:
-        """A callable bound to ``kernel`` that resolves its backend per call."""
-        self._kernel(kernel)  # fail fast on typos at import time
+        """A callable bound to ``kernel``: each call takes its route."""
+        entry = self._kernel(kernel)  # fail fast on typos at import time
 
         def run(*args: Any, **kwargs: Any) -> Any:
-            return self.call(kernel, *args, **kwargs)
+            return self._call(entry, args, kwargs)
 
         run.__name__ = kernel
         run.__qualname__ = f"dispatch({kernel!r})"
-        run.__doc__ = self._kernels[kernel].doc
+        run.__doc__ = entry.doc
         return run
 
     # ------------------------------------------------------------------
@@ -767,19 +783,18 @@ def _check_window_popcounts(case, expected, got) -> None:
 
 # -- grng_block --------------------------------------------------------
 #: Upper bound on the packed bit sequence one *reference* kernel call
-#: materialises (``rows * shifts / 8`` bytes); split calls continue the same
-#: register stream and are bit-identical.  This bounds transient memory, it is
-#: not a locality knob: a whole span in one call is ~25 % faster at the
-#: training step's shape (every call re-climbs the leapfrog's squaring
-#: levels), but multi-MiB transients raise glibc's dynamic mmap/trim
-#: thresholds for the whole process -- measured as +7 % peak RSS and slower
-#: small-array work on the in-process serving benchmark.  At 512 KiB a chunk
-#: stays below the layer it feeds at the training step's shape, so a
-#: ``reversible`` step's regeneration peaks no higher than the backward pass
-#: (at 1 MiB and up the chunk set the step's traced peak, above ``stored``'s);
-#: that costs ~1.5x the 2 MiB chunk's time per variable, in a clean process
-#: and after a large freed transient alike.  The compiled backend never stores
-#: the sequence, so the cap does not apply to it.
+#: materialises at a time (``rows * shifts / 8`` bytes); chunks continue the
+#: same register stream and are bit-identical.  This bounds transient memory,
+#: it is not a locality knob: multi-MiB transients raise glibc's dynamic
+#: mmap/trim thresholds for the whole process -- measured as +7 % peak RSS
+#: and slower small-array work on the in-process serving benchmark.  At
+#: 512 KiB a chunk stays below the layer it feeds at the training step's
+#: shape, so a ``reversible`` step's regeneration peaks no higher than the
+#: backward pass (at 1 MiB and up the chunk set the step's traced peak, above
+#: ``stored``'s).  Each chunk after the first starts from the last
+#: ``n_bits << 6`` bits of the one before (``bitops.lfsr_history``), so only
+#: the first climbs the leapfrog's squaring levels.  The compiled backend
+#: never stores the sequence, so the cap does not apply to it.
 _KERNEL_SEQ_BYTES = 1 << 19
 
 #: Limits compiled into ``_grng.c``: GRNG_MAX_WORDS, and its three tap slots.
@@ -787,28 +802,55 @@ _NATIVE_MAX_WORDS = 16
 _NATIVE_TAPS = 3
 
 
+def _rewound(state_words, n_bits, offsets, shifts):
+    """The registers ``shifts`` shifts before ``state_words``: per row, the
+    XOR of the windows ``bitops.jump_terms`` names of one ``n_bits - 1``-shift
+    forward run (each row's windows end before its sequence does, so all
+    rows go at once, as one Python integer)."""
+    seq_words, _ = lfsr_step_block(state_words, n_bits, n_bits - 1, offsets, False)
+    rows, row_words = seq_words.shape
+    sequence = int.from_bytes(seq_words.astype("<u8").tobytes(), "little")
+    windows = 0
+    for i in bitops.jump_terms(n_bits, offsets, shifts):
+        windows ^= sequence >> i
+    packed = np.frombuffer(windows.to_bytes(rows * row_words * 8, "little"), "<u8")
+    return bitops.register_words(packed.reshape(rows, row_words), 0, n_bits)
+
+
 def _grng_block_reference(
     state_words, n_bits, offsets, stride, count, mean, std, out,
-    mu=None, sigma=None, w_out=None,
+    mu=None, sigma=None, w_out=None, rewind=0,
 ):
-    # The three NumPy stages in sequence, one pass per byte-capped chunk (the
-    # popcounts through the registry, so their selection, gate and counters
-    # keep applying); for a fused call, each chunk's epsilons then become the
-    # sampler's ``mu + eps * sigma`` (a multiply, then an add into the product)
-    # straight into ``w_out``, so no whole epsilon block is ever allocated.
+    # The jump back (if any), then the three NumPy stages in sequence, one
+    # pass per byte-capped chunk (the popcounts through the registry, so
+    # their selection, gate and counters keep applying); for a fused call,
+    # each chunk's epsilons then become the sampler's ``mu + eps * sigma``
+    # (a multiply, then an add into the product) straight into ``w_out``, so
+    # no whole epsilon block is ever allocated.
     if w_out is not None and np.any(sigma < 0):
         raise ValueError("sigma must be non-negative")
+    start = _rewound(state_words, n_bits, offsets, rewind) if rewind else None
+    words = state_words if start is None else start
     chunk = max(1, _KERNEL_SEQ_BYTES * 8 // (state_words.shape[0] * stride))
-    done = 0
+    history, head, done = None, 0, 0
     while done < count:
         size = min(chunk, count - done)
-        span = slice(done, done + size)
-        seq_words, state_words = lfsr_step_block(
-            state_words, n_bits, size * stride, offsets, False
-        )
+        span, shifts = slice(done, done + size), size * stride
+        if history is None:
+            seq_words, words = lfsr_step_block(words, n_bits, shifts, offsets, False)
+        else:
+            seq_words = bitops.continue_lfsr_sequence(
+                history, head, n_bits, shifts, offsets
+            )
         popcounts = registry.call(
-            "window_popcounts", seq_words, n_bits, size * stride, stride
+            "window_popcounts", seq_words[:, head:], n_bits, shifts, stride
         )
+        if done + size < count:
+            history, head = bitops.lfsr_history(
+                seq_words, (head << 6) + n_bits + shifts, n_bits
+            )
+        elif history is not None:
+            words = bitops.register_words(seq_words, (head << 6) + shifts, n_bits)
         del seq_words  # one chunk's sequence alive at a time, not two
         values = clt_standardise(popcounts, mean, std)
         if out is not None:
@@ -819,21 +861,24 @@ def _grng_block_reference(
         done += size
         last = popcounts[:, -1].copy()
         del popcounts, values  # nor does a chunk's output live into the next
-    return out, state_words, last, w_out
+    return out, words, last, w_out, start
 
 
 @lru_cache(maxsize=64)
-def _native_geometry(n_bits: int, offsets: tuple[int, ...]):
-    """The C kernel's shift table for a tap tuple; ``None`` outside its domain.
+def _native_geometry(n_bits: int, offsets: tuple[int, ...], stride: int):
+    """The C kernel's ``(shift table, its address)``; ``None`` outside its domain.
 
-    Every tap besides the tail must sit within a word of it (shift
-    ``n_bits - p < 64``, on a register of at least two words).  The kernel
-    has three tap slots; a two-tap polynomial fills them with one tap three
-    times (``x ^ x ^ x == x``).
+    Strides are whole words, and every tap besides the tail sits within a
+    word of it (shift ``n_bits - p < 64``, on a register of at least two
+    words).  The kernel has three tap slots; a two-tap polynomial fills them
+    with one tap three times (``x ^ x ^ x == x``).
     """
     inner = [p for p in offsets if p != n_bits]
     n_words, tail = divmod(n_bits, 64)
-    if tail or not 2 <= n_words <= _NATIVE_MAX_WORDS or len(inner) + 1 != len(offsets):
+    if (
+        tail or stride % 64 or not 2 <= n_words <= _NATIVE_MAX_WORDS
+        or len(inner) + 1 != len(offsets)
+    ):
         return None
     if len(inner) == 1:
         inner = inner * _NATIVE_TAPS
@@ -842,12 +887,22 @@ def _native_geometry(n_bits: int, offsets: tuple[int, ...]):
         return None
     table = np.array(shifts, dtype=np.int32)
     table.flags.writeable = False  # shared by every caller of the cache
-    return table
+    return table, table.ctypes.data
+
+
+@lru_cache(maxsize=64)
+def _native_jump(n_bits: int, offsets: tuple[int, ...], shifts: int):
+    """``bitops.jump_terms`` as the C kernel's packed ``x^-shifts mod P``:
+    ``(words, their address)``, bit ``i`` the coefficient of ``x^i``."""
+    power = sum(1 << i for i in bitops.jump_terms(n_bits, offsets, shifts))
+    words = bitops.pack_int_rows([power], n_bits)[0]
+    words.flags.writeable = False
+    return words, words.ctypes.data
 
 
 def _c_array(array, dtype, shape, writable=False) -> bool:
     """An aligned C-contiguous ``dtype`` array of ``shape`` (cheaper than
-    ``_strided``, which ``grng_block``'s per-layer calls would pay 8x a step)."""
+    ``_strided``, for the checks the per-layer calls pay 8x a step)."""
     if not isinstance(array, np.ndarray):
         return False
     flags = array.flags
@@ -862,7 +917,7 @@ def _c_array(array, dtype, shape, writable=False) -> bool:
 
 def _grng_block_native_supports(
     state_words, n_bits, offsets, stride, count, mean, std, out,
-    mu=None, sigma=None, w_out=None,
+    mu=None, sigma=None, w_out=None, rewind=0,
 ):
     shape = (state_words.shape[0], count)
     if w_out is None:
@@ -876,38 +931,42 @@ def _grng_block_native_supports(
         )
     return (
         outputs
-        and stride % 64 == 0
         and count >= 1
-        and state_words.dtype == np.uint64
-        and state_words.shape[1:] == (n_bits // 64,)
-        and _native_geometry(n_bits, tuple(offsets)) is not None
+        and _c_array(state_words, np.uint64, (shape[0], n_bits // 64))
+        and _native_geometry(n_bits, tuple(offsets), stride) is not None
     )
 
 
 def _grng_block_native(
     state_words, n_bits, offsets, stride, count, mean, std, out,
-    mu=None, sigma=None, w_out=None,
+    mu=None, sigma=None, w_out=None, rewind=0,
 ):
-    lib = native.library.load()
-    shifts = _native_geometry(n_bits, tuple(offsets))
-    # every buffer stays referenced by a local until the call returns
-    state = np.ascontiguousarray(state_words)
-    rows, n_words = state.shape
-    new_state = np.empty_like(state)
-    last = np.empty(rows, dtype=np.int64)
+    offsets = tuple(offsets)
+    shifts = _native_geometry(n_bits, offsets, stride)
+    jump = _native_jump(n_bits, offsets, rewind) if rewind else (None, None)
+    rows, n_words = state_words.shape
+    # the end registers, the start registers and the last popcounts, in one
+    # block: one allocation and one address per call
+    block = np.empty(rows * (2 * n_words + 1), dtype=np.uint64)
+    registers = rows * n_words
+    new_state = block[:registers].reshape(rows, n_words)
+    start = block[registers : 2 * registers].reshape(rows, n_words) if rewind else None
+    last = block[2 * registers :].view(np.int64)
+    address = block.ctypes.data
     fused = (None,) * 3 if w_out is None else (
         mu.ctypes.data, sigma.ctypes.data, w_out.ctypes.data
     )
-    status = lib.grng_forward(
-        state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words,
-        shifts.ctypes.data, stride // 64, count, float(mean), float(std),
+    status = native.library.load().grng_forward(
+        state_words.ctypes.data, address, address + 16 * registers, rows, n_words,
+        shifts[1], stride // 64, count, float(mean), float(std),
         None if out is None else out.ctypes.data, *fused,
+        jump[1], address + 8 * registers,
     )
     if status == -2:
         raise ValueError("sigma must be non-negative")
     if status:
         raise KernelBackendError(f"native grng_block rejected its arguments ({status})")
-    return out, new_state, last, w_out
+    return out, new_state, last, w_out, start
 
 
 def _random_state_words(rng, rows: int, n_bits: int) -> np.ndarray:
@@ -928,22 +987,24 @@ def _grng_block_cases() -> list[dict[str, Any]]:
     cases = []
     # tests/property/test_lfsr_bitserial_oracle.py holds the long cases.
     # ``fused`` cases also pass (mu, sigma, w_out) and ask for the weights
-    # with ("eps") or without ("w") the epsilons; they ride on existing
+    # with ("eps") or without ("w") the epsilons; ``rewind`` cases first jump
+    # back that many shifts (a retrieval's replay: its count times the
+    # stride, or the jump's edges 1, n - 1 and n).  Both ride on existing
     # geometries, so the gate makes no extra NumPy pass.
-    for n_bits, stride, count, rows, fused in (
-        (256, 256, 700, 3, None),  # the paper's GRNG; odd row count
-        (256, 256, 1, 1, "eps"),  # degenerate: one value
-        (256, 64, 40, 2, "eps"),  # stride narrower than the register
-        (256, 512, 40, 2, "w"),  # stride wider than the register
+    for n_bits, stride, count, rows, fused, rewind in (
+        (256, 256, 700, 3, None, 700 * 256),  # the paper's GRNG; odd row count
+        (256, 256, 1, 1, "eps", 1),  # degenerate: one value
+        (256, 64, 40, 2, "eps", 255),  # stride narrower than the register
+        (256, 512, 40, 2, "w", 256),  # stride wider than the register
         # past the reference path's byte cap: split calls continue one
         # register stream; the C scratch window wraps 70 times per row
-        (256, 256, 9000, 8, None),
+        (256, 256, 9000, 8, None, 9000 * 256),
         # one group of eight vector lanes plus a lone row, two full groups
-        (256, 256, 300, 9, "eps"),
-        (256, 256, 120, 16, None),
+        (256, 256, 300, 9, "eps", 300 * 256),
+        (256, 256, 120, 16, None, 0),
         # std = sqrt(128)/2 is not a power of two
-        (128, 128, 300, 3, "w"),
-        (192, 192, 100, 2, None),
+        (128, 128, 300, 3, "w", 127),
+        (192, 192, 100, 2, None, (1 << 20) + 3),
     ):
         case = {
             "state_words": _random_state_words(rng, rows, n_bits),
@@ -954,6 +1015,7 @@ def _grng_block_cases() -> list[dict[str, Any]]:
             "mean": n_bits / 2.0,
             "std": math.sqrt(n_bits / 4.0),
             "out": np.zeros((rows, count), dtype=np.float64),
+            "rewind": rewind,
         }
         if fused:
             # IEEE specials in both; sigma's are the non-negative ones
@@ -974,9 +1036,9 @@ def _check_grng_block(case, expected, got) -> None:
     # do.  The weights compare by NaN-ness, not NaN payload bits: the compiler
     # may swap the operands of a commutative vector op, and x86 propagates
     # the first NaN.
-    def canonical(out, state, last, w_out):
+    def canonical(out, state, last, w_out, start):
         w_out = None if w_out is None else _nan_canonical(w_out)
-        return out, state, np.asarray(last, np.int64), w_out
+        return out, state, np.asarray(last, np.int64), w_out, start
 
     _check_same(case, canonical(*expected), canonical(*got))
 
@@ -1453,21 +1515,16 @@ def _posterior_gc_native_supports(
         return False
     stacks, shape = grad_weight.shape, grad_weight.shape[1:]
     out = stacks if mu_grad.ndim == grad_weight.ndim else shape
-    inputs = [(grad_weight, stacks), (epsilon, stacks), (prior_nll_grad, stacks),
-              (sigma, shape), (sigmoid_rho, shape)]
     return (
-        all(
-            isinstance(scalar, (float, int)) and not isinstance(scalar, bool)
-            for scalar in (kl_weight, prior_scale)
-        )
-        and all(
-            _strided(a, np.float64, want) and a.flags.c_contiguous
-            for a, want in inputs
-        )
-        and all(
-            _writable(a, np.float64, out) and a.flags.c_contiguous
-            for a in (mu_grad, rho_grad)
-        )
+        isinstance(kl_weight, (float, int)) and not isinstance(kl_weight, bool)
+        and isinstance(prior_scale, (float, int)) and not isinstance(prior_scale, bool)
+        and _c_array(grad_weight, np.float64, stacks)
+        and _c_array(epsilon, np.float64, stacks)
+        and _c_array(prior_nll_grad, np.float64, stacks)
+        and _c_array(sigma, np.float64, shape)
+        and _c_array(sigmoid_rho, np.float64, shape)
+        and _c_array(mu_grad, np.float64, out, True)
+        and _c_array(rho_grad, np.float64, out, True)
     )
 
 
@@ -1808,21 +1865,26 @@ def _register_builtin(reg: KernelRegistry) -> None:
         doc="One fused forward GRNG pass per register row: `count` "
         "standardised float64 epsilons of `stride` shifts each, written into "
         "`out`; given per-column `mu` and `sigma`, also the sampled weights "
-        "mu + eps * sigma into `w_out` (then `out` may be None); returns "
-        "(out, new_state_words, last_popcounts, w_out).",
+        "mu + eps * sigma into `w_out` (then `out` may be None); given "
+        "`rewind`, the pass starts that many shifts before `state_words` "
+        "(a jump back, then forward); returns (out, new_state_words, "
+        "last_popcounts, w_out, start_words), start_words None without a "
+        "rewind.",
         rows_of=lambda state_words, *args, **kwargs: state_words.shape[0],
         cases=_grng_block_cases,
         check=_check_grng_block,
         backends=(
             _native(
                 _grng_block_native, _grng_block_native_supports,
-                "compiled streaming kernel (core/_grng.c via ctypes): "
-                "word-aligned widths and strides, polynomials of up to four taps",
+                "compiled streaming kernel (core/_grng.c via ctypes), the "
+                "jump back included: word-aligned widths and strides, "
+                "polynomials of up to four taps",
             ),
             BackendImpl(
                 "reference", _grng_block_reference,
-                "lfsr_step_block > window_popcounts > clt_standardise in 512 KiB "
-                "sequence chunks, weights written per chunk",
+                "window XOR of an lfsr_step_block run for the jump, then "
+                "lfsr_step_block > window_popcounts > clt_standardise in "
+                "512 KiB sequence chunks, weights written per chunk",
             ),
         ),
     )

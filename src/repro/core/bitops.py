@@ -3,10 +3,13 @@
 The LFSR recurrence ``b(t) = XOR_p b(t - p)`` (tap offsets ``p``, tail tap
 ``n`` included) is linear over GF(2), which admits two big software
 optimisations that this module implements once, for any number of registers
-stepped in lockstep.  Its one caller is the ``lfsr_step_block`` function of
+stepped in lockstep.  Its callers are the ``lfsr_step_block`` function of
 :mod:`repro.core.backend`, which serves :class:`~repro.core.lfsr.FibonacciLFSR`
 (one register) and the NumPy ``grng_block`` path of
-:class:`~repro.core.grng_bank.GrngBank` (one register per Monte-Carlo sample).
+:class:`~repro.core.grng_bank.GrngBank` (one register per Monte-Carlo sample),
+and that path's later chunks, which continue one sequence
+(:func:`continue_lfsr_sequence`).  :func:`jump_terms` is the register jump
+both ``grng_block`` backends apply.
 
 * **word packing** -- sequences are stored 64 bits per ``uint64`` word, so one
   XOR instruction advances 64 recurrence positions per register instead of one
@@ -42,7 +45,11 @@ __all__ = [
     "pack_int_rows",
     "unpack_int_rows",
     "fill_lfsr_sequence",
+    "lfsr_history",
+    "continue_lfsr_sequence",
     "run_lfsr_block_packed",
+    "register_words",
+    "jump_terms",
 ]
 
 _WORD = 64
@@ -115,14 +122,19 @@ def _deposit(seq: np.ndarray, start: int, values: np.ndarray, length: int) -> No
 
 
 def fill_lfsr_sequence(
-    seq: np.ndarray, n_bits: int, count: int, offsets: Sequence[int]
+    seq: np.ndarray,
+    n_bits: int,
+    count: int,
+    offsets: Sequence[int],
+    filled: int | None = None,
 ) -> None:
     """Extend a packed bit sequence by ``count`` bits of the tap recurrence.
 
-    ``seq`` is a ``(N, W)`` uint64 matrix whose first ``n_bits`` bits per row
-    are already filled (and everything beyond them is zero).  ``offsets`` are
-    the ascending tap offsets (at least two) of ``b(t) = XOR_p b(t - p)``
-    with ``max(offsets) == n_bits``.
+    ``seq`` is a ``(N, W)`` uint64 matrix whose first ``filled`` bits per row
+    (default ``n_bits``, at least ``n_bits``) are already filled and
+    everything beyond them is zero.  ``offsets`` are the ascending tap
+    offsets (at least two) of ``b(t) = XOR_p b(t - p)`` with
+    ``max(offsets) == n_bits``.
 
     Chunks are produced with the squared-polynomial tap sets
     ``{2**k * p}`` as soon as ``2**k * n_bits`` bits of history exist, which
@@ -142,7 +154,8 @@ def fill_lfsr_sequence(
     offset_bits = 0
     for offset in offsets:
         offset_bits |= offset
-    position, end = n_bits, n_bits + count
+    position = n_bits if filled is None else filled
+    end = position + count
     level = 0
     while position < end:
         while (n_bits << (level + 1)) <= position:
@@ -200,12 +213,80 @@ def run_lfsr_block_packed(
     history = state_bits if reverse else state_bits[:, ::-1]
     seq[:, : words_for_bits(n_bits)] = pack_bits(history)
     fill_lfsr_sequence(seq, n_bits, count, offsets)
-    window_words = _extract(seq, count, n_bits)
-    tail = n_bits & 63
-    if tail:
-        window_words[:, -1] &= np.uint64((1 << tail) - 1)
     if reverse:
-        new_state_words = window_words
-    else:
-        new_state_words = pack_bits(unpack_bits(window_words, n_bits)[:, ::-1])
-    return seq, new_state_words
+        window_words = _extract(seq, count, n_bits)
+        tail = n_bits & 63
+        if tail:
+            window_words[:, -1] &= np.uint64((1 << tail) - 1)
+        return seq, window_words
+    return seq, register_words(seq, count, n_bits)
+
+
+def register_words(seq: np.ndarray, start: int, n_bits: int) -> np.ndarray:
+    """The packed register whose forward window is bits ``[start, start + n_bits)``.
+
+    A window is in time order, oldest bit first -- ``Rn..R1`` -- so it is
+    flipped into register order.
+    """
+    return pack_bits(unpack_bits(_extract(seq, start, n_bits), n_bits)[:, ::-1])
+
+
+def lfsr_history(seq: np.ndarray, end: int, n_bits: int) -> tuple[np.ndarray, int]:
+    """The history a continuation of a forward sequence starts from.
+
+    Of the first ``end`` bits of ``seq``, the last ``n_bits + 64 * head``
+    (``head`` words beyond the current register, up to ``n_bits << 6`` bits
+    in all): enough for :func:`continue_lfsr_sequence` to run at the
+    word-aligned squaring level 6 at once instead of climbing to it again.
+    Returns ``(history_words, head)``.
+    """
+    head = min(words_for_bits(63 * n_bits), (end - n_bits) >> 6)
+    length = n_bits + (head << 6)
+    return _extract(seq, end - length, length), head  # zero past ``end``
+
+
+def continue_lfsr_sequence(
+    history: np.ndarray, head: int, n_bits: int, count: int, offsets: Sequence[int]
+) -> np.ndarray:
+    """The next ``count`` bits after an :func:`lfsr_history`, as a sequence.
+
+    The history comes first, so the current register's window starts at word
+    ``head``: ``seq[:, head:]`` is laid out like :func:`run_lfsr_block_packed`'s
+    sequence (``n_bits`` of history, then the ``count`` new bits).
+    """
+    filled = n_bits + (head << 6)
+    seq = np.zeros((history.shape[0], words_for_bits(filled + count) + 2), dtype=np.uint64)
+    seq[:, : history.shape[1]] = history
+    fill_lfsr_sequence(seq, n_bits, count, offsets, filled)
+    return seq
+
+
+def jump_terms(n_bits: int, taps: Sequence[int], shifts: int) -> tuple[int, ...]:
+    """Exponents ``i`` of ``R = x^-shifts mod P``, ascending.
+
+    ``P = x^n + SUM_p x^(n-p)`` (the tail tap gives the ``1``) annihilates
+    the forward shift ``L``, and ``P(0) = 1`` makes ``x`` invertible modulo
+    ``P``, so ``L^-shifts = R(L)``: the register ``shifts`` shifts back is
+    the XOR of the registers ``i`` shifts ahead, one per term ``x^i`` of
+    ``R`` -- each a window of one ``(n - 1)``-shift forward run, so the jump
+    runs forward only.  Square-and-multiply on Python integers (bit ``k`` is
+    the coefficient of ``x^k``), where multiplying by ``x^-1 = (P - 1) / x``
+    is one conditional XOR and one shift.
+    """
+    modulus = 1 << n_bits
+    for p in taps:
+        modulus |= 1 << (n_bits - p)
+    low = (1 << n_bits) - 1
+    power = 1
+    for bit in bin(shifts)[2:]:
+        # over GF(2) squaring spreads the bits; then fold x^n = SUM_p x^(n-p)
+        power = int("0".join(bin(power)[2:]), 2)
+        while power >> n_bits:
+            high, power = power >> n_bits, power & low
+            for p in taps:
+                power ^= high << (n_bits - p)
+        if bit == "1":
+            if power & 1:
+                power ^= modulus
+            power >>= 1
+    return tuple(i for i in range(n_bits) if power >> i & 1)

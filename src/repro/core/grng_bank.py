@@ -6,10 +6,11 @@ registers live packed in a ``(rows, ceil(n_bits / 64))`` ``uint64`` matrix
 (bit ``j`` of row ``i`` is bit ``j % 64`` of ``words[i, j // 64]``), and
 every shift goes through the ``grng_block`` dispatch point, which shifts,
 popcounts the emitted patterns and standardises them in one pass.  Shifts only
-ever run forward: a reversed retrieval jumps the registers back (the state
-``N`` shifts earlier is a fixed linear function of the current one, see
-:func:`~repro.core.lfsr._jump_terms`), regenerates forward to where they were
-and hands the values out newest first.  Values are bit-identical to the
+ever run forward: a reversed retrieval is one ``grng_block`` call with a
+``rewind``, which jumps the registers back (the state ``N`` shifts earlier is
+a fixed linear function of the current one, see
+:func:`~repro.core.bitops.jump_terms`) and regenerates forward to where they
+were; the values are then handed out newest first.  Values are bit-identical to the
 scalar :class:`~repro.core.grng.LfsrGaussianRNG` (property-tested), because
 both share the same seeds, recurrence and CLT conversion.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .backend import clt_standardise, dispatch
 from .bitops import pack_int_rows, unpack_bits, unpack_int_rows
-from .lfsr import LFSRStateError, _rewound_words, normalise_taps, seed_from_index
+from .lfsr import LFSRStateError, normalise_taps, seed_from_index
 
 __all__ = ["BankedGaussianRNG", "GrngBank", "LfsrRowView"]
 
@@ -155,7 +156,7 @@ class GrngBank:
         # and any backend.
         selection = _selection(rows)
         values = np.empty((len(self._sums[selection]), count), dtype=np.float64)
-        _, words, last, _ = _grng_block(
+        _, words, last, _, _ = _grng_block(
             self._words[selection], self._n, self._taps, self._stride, count,
             self._mean, self._std, values,
         )
@@ -166,8 +167,8 @@ class GrngBank:
     def _generate_reverse(
         self, rows: Sequence[int] | None, count: int
     ) -> np.ndarray:
-        # Jump the registers back count * stride shifts, run forward to where
-        # they were, and hand the patterns out newest first.
+        # One call jumps the registers back count * stride shifts and runs
+        # forward to where they were; the patterns go out newest first.
         selection = _selection(rows)
         current_sums = self._sums[selection]
         # The hardware steps the sum register by (recovered tail - dropped
@@ -176,12 +177,12 @@ class GrngBank:
         # rides along unchanged: emit the current sum, then the exact
         # popcounts of the earlier patterns plus that drift.
         drift = current_sums - self._popcounts(selection)
-        start = _rewound_words(
-            self._words[selection], self._n, self._taps, count * self._stride
-        )
         # at mean 0 and std 1 the standardised values are the popcounts
         popcounts = np.empty((len(current_sums), count), dtype=np.float64)
-        _grng_block(start, self._n, self._taps, self._stride, count, 0.0, 1.0, popcounts)
+        _, _, _, _, start = _grng_block(
+            self._words[selection], self._n, self._taps, self._stride, count,
+            0.0, 1.0, popcounts, rewind=count * self._stride,
+        )
         # built before the register update: current_sums may view self._sums
         sums = np.empty_like(popcounts)
         sums[:, 0] = current_sums
@@ -192,20 +193,22 @@ class GrngBank:
         # produces byte-identical values.
         return clt_standardise(sums, self._mean, self._std)
 
-    def _fused(self, words, mu, sigma, epsilon: bool):
-        # One forward dispatch from ``words`` that writes the sampled weights
-        # (and, if asked, the epsilons); nothing of the bank moves here.
+    def _fused(self, words, mu, sigma, epsilon: bool, rewind: int = 0):
+        # One dispatch from ``words`` (jumped back ``rewind`` shifts first)
+        # that writes the sampled weights (and, if asked, the epsilons);
+        # nothing of the bank moves here.  Returns (weights, epsilons, end,
+        # last popcounts, start), start None without a rewind.
         count = int(mu.size)
         weights = np.empty((self.n_rows, count), dtype=np.float64)
         values = np.empty_like(weights) if epsilon else None
         if count == 0:
-            return weights, values, words.copy(), self._sums.copy()
-        _, end, last, _ = _grng_block(
+            return weights, values, words.copy(), self._sums.copy(), None
+        _, end, last, _, start = _grng_block(
             words, self._n, self._taps, self._stride, count,
             self._mean, self._std, values,
-            mu=mu.reshape(-1), sigma=sigma.reshape(-1), w_out=weights,
+            mu=mu.reshape(-1), sigma=sigma.reshape(-1), w_out=weights, rewind=rewind,
         )
-        return weights, values, end, last
+        return weights, values, end, last, start
 
     # ------------------------------------------------------------------
     # batched array interface
@@ -225,20 +228,24 @@ class GrngBank:
         returned as well only when ``epsilon`` is set.  A negative ``sigma``
         raises :class:`ValueError` with every register and sum unmoved.
         """
-        weights, values, end, last = self._fused(self._words, mu, sigma, epsilon)
+        weights, values, end, last, _ = self._fused(self._words, mu, sigma, epsilon)
         self._words[...] = end
         self._sums[...] = last
         return weights, values
 
     def replay_weight_blocks(
-        self, start_words: np.ndarray, mu: np.ndarray, sigma: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Regenerate :meth:`weight_blocks` from start registers ``start_words``.
+        self, words: np.ndarray, mu: np.ndarray, sigma: np.ndarray, rewind: int = 0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Regenerate :meth:`weight_blocks` from registers ``words`` jumped
+        back ``rewind`` shifts (none by default), in one kernel call.
 
-        Returns ``(weights, epsilons, end_words)``; the caller verifies the
-        landing words.  The bank's own registers and sums are not touched.
+        Returns ``(weights, epsilons, start_words, end_words)``: the registers
+        the replay started from (``words`` without a rewind) and the ones it
+        landed on, which the caller verifies.  The bank's own registers and
+        sums are not touched.
         """
-        return self._fused(start_words, mu, sigma, True)[:3]
+        weights, values, end, _, start = self._fused(words, mu, sigma, True, rewind)
+        return weights, values, words if start is None else start, end
 
     def epsilon_blocks(self, count: int) -> np.ndarray:
         """Generate ``count`` Gaussian variables for every row at once.

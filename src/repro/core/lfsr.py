@@ -27,12 +27,11 @@ on a forward shift).  Internally the state is a Python integer whose bit ``j``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .backend import dispatch, lfsr_step_block
-from .bitops import pack_bits, pack_int_rows, unpack_bits, unpack_int_rows
+from .bitops import pack_int_rows, unpack_bits, unpack_int_rows
 
 _window_popcounts = dispatch("window_popcounts")
 
@@ -139,82 +138,6 @@ def seed_from_index(n_bits: int, index: int) -> int:
     if value == 0:
         value = 1
     return value
-
-
-def _jump_terms(n_bits: int, taps: tuple[int, ...], shifts: int) -> tuple[int, ...]:
-    """Exponents ``i`` of ``R = x^-shifts mod P``, ascending.
-
-    ``P = x^n + SUM_p x^(n-p)`` (the tail tap gives the ``1``) annihilates
-    the forward shift ``L``, and ``P(0) = 1`` makes ``x`` invertible modulo
-    ``P``, so ``L^-shifts = R(L)``: the register ``shifts`` shifts back is
-    the XOR of the registers ``i`` shifts ahead, one per term ``x^i`` of
-    ``R``.  Square-and-multiply on Python integers (bit ``k`` is the
-    coefficient of ``x^k``), where multiplying by ``x^-1 = (P - 1) / x`` is
-    one conditional XOR and one shift.
-    """
-    modulus = 1 << n_bits
-    for p in taps:
-        modulus |= 1 << (n_bits - p)
-    low = (1 << n_bits) - 1
-    power = 1
-    for bit in bin(shifts)[2:]:
-        # over GF(2) squaring spreads the bits; then fold x^n = SUM_p x^(n-p)
-        power = int("0".join(bin(power)[2:]), 2)
-        while power >> n_bits:
-            high, power = power >> n_bits, power & low
-            for p in taps:
-                power ^= high << (n_bits - p)
-        if bit == "1":
-            if power & 1:
-                power ^= modulus
-            power >>= 1
-    return tuple(i for i in range(n_bits) if power >> i & 1)
-
-
-@lru_cache(maxsize=64)
-def _jump_matrix(n_bits: int, taps: tuple[int, ...], shifts: int) -> np.ndarray:
-    """The jump ``shifts`` shifts back as a read-only GF(2) ``n x n`` matrix.
-
-    Row ``j`` (float32 zeros and ones) is the register ``shifts`` shifts
-    before the one-hot register ``R(j+1)``; the jump is linear, so any
-    register's is the XOR of the rows its set bits select.  Built once from
-    the ``n_bits`` one-hot registers: one forward run of ``n_bits - 1``
-    shifts holds, as its windows, every register up to ``n_bits - 1`` shifts
-    ahead, and the XOR of the windows :func:`_jump_terms` names is the
-    earlier register.  ``n_bits**2 * 4`` bytes per entry (256 KiB at 256
-    bits).
-    """
-    terms = _jump_terms(n_bits, taps, shifts)
-    one_hot = pack_bits(np.eye(n_bits, dtype=np.uint8))
-    seq_words, _ = lfsr_step_block(one_hot, n_bits, n_bits - 1, taps, False)
-    # Every row at once in one integer: a row's windows end before its own
-    # sequence does, so no row reads into the next.
-    rows, row_words = seq_words.shape
-    sequence = int.from_bytes(seq_words.astype("<u8").tobytes(), "little")
-    windows = 0
-    for i in terms:
-        windows ^= sequence >> i
-    packed = np.frombuffer(windows.to_bytes(rows * row_words * 8, "little"), "<u8")
-    # a window is in time order, oldest bit first: Rn..R1
-    matrix = unpack_bits(packed.reshape(rows, row_words), n_bits)[:, ::-1]
-    matrix = matrix.astype(np.float32)
-    matrix.flags.writeable = False
-    return matrix
-
-
-def _rewound_words(
-    state_words: np.ndarray, n_bits: int, taps: tuple[int, ...], shifts: int
-) -> np.ndarray:
-    """The packed registers ``shifts`` forward shifts before ``state_words``.
-
-    A jump, not a walk: one product of the registers' bits with the cached
-    :func:`_jump_matrix`, reduced modulo 2.
-    """
-    matrix = _jump_matrix(n_bits, tuple(taps), shifts)
-    # Exact in any summation order: every partial sum counts set bits, so it
-    # is an integer <= n_bits < 2**24, which float32 holds exactly.
-    counts = unpack_bits(state_words, n_bits).astype(np.float32) @ matrix
-    return pack_bits((counts.astype(np.int32) & 1).astype(np.uint8))
 
 
 @dataclass(frozen=True)

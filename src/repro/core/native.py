@@ -53,9 +53,9 @@ _CPU_FLAGS = (("popcnt", "-mpopcnt"), ("bmi2", "-mbmi2"))
 
 _SIZE, _PTR, _DOUBLE = ctypes.c_size_t, ctypes.c_void_p, ctypes.c_double
 # state, new_state, last_pc, rows, n_words, shifts, stride_words, count,
-# mean, std, out, mu, sigma, w
+# mean, std, out, mu, sigma, w, jump, start
 _FORWARD = [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
-            _PTR, _PTR, _PTR, _PTR]
+            _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]
 _SIGNATURES = {
     # the _conv.c kernels: data pointer(s) around one int64 geometry vector
     "conv_im2col": [_PTR, _PTR, _PTR],

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .lfsr import _rewound_words
 from .streams import EpsilonStream, StreamOrderError, StreamUsage
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -372,19 +371,18 @@ class BatchedWeightSampler:
     def _replay(self, record: _BatchBlockRecord, mu, sigma):
         """Regenerate one layer from registers jumped back from its landing.
 
-        No checkpoint is kept: the first landing is the forward frontier
-        ``sample`` left, every later one the start of the layer replayed
-        before it.  Each replay must land there -- the first on the bank's
-        own registers, which nothing may have written since the forward
-        pass -- so the check proves every jump.  The bank's registers stay
-        on the span end throughout.
+        One kernel call jumps back and replays.  No checkpoint is kept: the
+        first landing is the forward frontier ``sample`` left, every later
+        one the start of the layer replayed before it.  Each replay must land
+        there -- the first on the bank's own registers, which nothing may
+        have written since the forward pass -- so the check proves every
+        jump.  The bank's registers stay on the span end throughout.
         """
         bank = self._bank
         landing = self._landing
-        start = _rewound_words(
-            landing, bank.n_bits, bank.taps, record.count * bank.stride
+        weights, epsilon, start, end = bank.replay_weight_blocks(
+            landing, mu, sigma, rewind=record.count * bank.stride
         )
-        weights, epsilon, end = bank.replay_weight_blocks(start, mu, sigma)
         expected = landing if self._retrieving else bank.register_words()
         if not np.array_equal(end, expected):
             raise StreamOrderError(

@@ -107,10 +107,15 @@ def test_fused_weights_equal_build_weights(name, rows, geometry, count, specials
     # a replay from the start words regenerates both, and leaves the bank be
     start = GrngBank(n_bits=n_bits, seed_indices=indices, stride=stride).register_words()
     with _force(name), np.errstate(all="ignore"):
-        again, replayed_eps, end = fused.replay_weight_blocks(start, mu, sigma)
+        again, replayed_eps, _, end = fused.replay_weight_blocks(start, mu, sigma)
+        # and jumped back from where it ended, in the same one call
+        rewound = fused.replay_weight_blocks(end, mu, sigma, rewind=count * stride)
     assert _canonical(again) == _canonical(want)
     assert replayed_eps.tobytes() == eps.tobytes()
     assert np.array_equal(end, fused.register_words())
+    assert _canonical(rewound[0]) == _canonical(want)
+    assert rewound[1].tobytes() == eps.tobytes()
+    assert np.array_equal(rewound[2], start) and np.array_equal(rewound[3], end)
     assert _bank_state(fused) == _bank_state(plain)
 
 

@@ -17,11 +17,12 @@ on its output, the fused ``grng_block`` point on its compiled ``native``
 backend (values, popcounts, end states, split calls, every width and row
 count its ``supports`` predicate accepts -- across the vector lane body's
 groups of eight rows at 256 bits when the CPU runs it), ``GrngBank``'s
-reversed retrieval and its forward -> checkpoint replay -> reversed retrieval
-round trip, and the jump under that retrieval (the register ``N`` shifts
-back as a fixed linear function of the current one) for random widths, taps,
-strides and ``N``.  The kernel's ``grng_forward`` is also held byte-equal to
-its row body alone over the whole domain.
+reversed retrieval and its forward -> replay -> reversed retrieval round
+trip, and the jump under that retrieval (``grng_block``'s ``rewind``: the
+register ``N`` shifts back as a fixed linear function of the current one) on
+both backends, at every table width and at random widths, taps and ``N``.
+The kernel's ``grng_forward`` is also held byte-equal to its row body alone
+over the whole domain, jump included.
 
 A second from-scratch construction brackets the kernels from the other side:
 the **Galois** (internal-XOR) form of the same polynomial -- shift the whole
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +49,6 @@ from hypothesis import strategies as st
 import repro.core.backend as backend
 import repro.core.native as native
 from repro.core import GrngBank
-from repro.core.lfsr import _rewound_words
 
 #: 1-based tap positions, tail tap ``n`` included (Xilinx XAPP 052 table).
 TAP_TABLE = {
@@ -347,7 +348,7 @@ def grng_block(seeds, n_bits, stride, count, mean=None, std=None):
     mean = n_bits / 2.0 if mean is None else mean
     std = math.sqrt(n_bits / 4.0) if std is None else std
     out = np.empty((len(seeds), count), dtype=np.float64)
-    _, new_words, last, _ = backend.registry.call(
+    _, new_words, last, _, _ = backend.registry.call(
         "grng_block", to_words(seeds, n_bits), n_bits, kernel_offsets(n_bits, False),
         stride, count, mean, std, out,
     )
@@ -519,12 +520,51 @@ def test_bank_reverse_at_random_taps_matches_bit_serial_oracle(register, stride,
         assert bank.row_view(row).sum_register == earlier[-1]
 
 
+def rewound(words, n_bits, taps, shifts):
+    """The start registers of one ``grng_block`` call rewinding ``shifts``."""
+    out = np.empty((len(words), 1), dtype=np.float64)
+    _, _, _, _, start = backend.registry.call(
+        "grng_block", words, n_bits, taps, 64, 1, 0.0, 1.0, out, rewind=shifts
+    )
+    return words if start is None else start
+
+
+@contextmanager
+def grng_backend(which):
+    if which == "native":
+        require_native()
+    with backend.using("grng_block", which):
+        yield
+
+
+@pytest.mark.parametrize("which", ["native", "reference"])
+@pytest.mark.parametrize("n_bits", sorted(TAP_TABLE))
+def test_rewind_matches_bit_serial_oracle(which, n_bits):
+    """At every table width, on both backends: rewinds of 1, n - 1 and n
+    (the edges of the jump's window run) and a long one."""
+    seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[:3]]
+    words = to_words(seeds, n_bits)
+    with grng_backend(which):
+        before = native_calls()
+        for shifts in (1, n_bits - 1, n_bits, 5 * n_bits + 3):
+            start = rewound(words, n_bits, kernel_offsets(n_bits, False), shifts)
+            for row, seed in enumerate(seeds):
+                lfsr = BitSerialLFSR(n_bits, seed)
+                for _ in range(shifts):
+                    lfsr.tick_reverse()
+                assert from_words(start[row : row + 1])[0] == lfsr.state(), shifts
+        if which == "native" and n_bits in native_domain():
+            assert native_calls() == before + 4, "a rewind fell through to NumPy"
+
+
+@pytest.mark.parametrize("which", ["native", "reference"])
 @given(register=registers(max_bits=300), shifts=st.integers(min_value=0, max_value=1 << 20))
 @settings(max_examples=25, deadline=None)
-def test_jump_back_then_forward_is_the_identity(register, shifts):
+def test_jump_back_then_forward_is_the_identity(which, register, shifts):
     n_bits, taps, seeds = register
     words = to_words(seeds, n_bits)
-    earlier = _rewound_words(words, n_bits, taps, shifts)
+    with grng_backend(which):
+        earlier = rewound(words, n_bits, taps, shifts)
     if shifts <= 3000:
         for row, seed in enumerate(seeds):
             lfsr = BitSerialLFSR(n_bits, seed, taps)
@@ -535,6 +575,38 @@ def test_jump_back_then_forward_is_the_identity(register, shifts):
         _, landed = backend.lfsr_step_block(earlier, n_bits, shifts, taps, False)
         earlier = landed
     assert from_words(earlier) == list(seeds)
+
+
+@pytest.mark.parametrize("n_bits", [128, 192, 256])
+@given(
+    rows=st.integers(min_value=1, max_value=9),
+    count=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=(1 << 32) - 1),
+)
+@settings(max_examples=15, deadline=None)
+def test_native_replay_lands_where_its_rewind_started(n_bits, rows, count, seed):
+    """A rewind of ``count * stride`` then ``count`` values land on the
+    registers the call started from, with the reference's start registers,
+    values and weights."""
+    require_native()
+    rng = np.random.default_rng(seed)
+    words = to_words([int(v) | 1 for v in rng.integers(1, 1 << 63, size=rows)], n_bits)
+    mu, sigma = rng.standard_normal(count), rng.random(count)
+    results = {}
+    for which in ("native", "reference"):
+        with backend.using("grng_block", which):
+            out, w_out = np.empty((rows, count)), np.empty((rows, count))
+            results[which] = backend.registry.call(
+                "grng_block", words, n_bits, kernel_offsets(n_bits, False), n_bits,
+                count, 0.0, 1.0, out, mu=mu, sigma=sigma, w_out=w_out,
+                rewind=count * n_bits,
+            )
+    n_out, n_end, n_last, n_w, n_start = results["native"]
+    r_out, r_end, r_last, r_w, r_start = results["reference"]
+    assert np.array_equal(n_end, words) and np.array_equal(r_end, words)
+    assert np.array_equal(n_start, r_start)
+    assert n_out.tobytes() == r_out.tobytes() and n_w.tobytes() == r_w.tobytes()
+    assert np.array_equal(np.asarray(n_last, np.int64), np.asarray(r_last, np.int64))
 
 
 @given(
@@ -564,18 +636,21 @@ def test_native_standardise_is_numpy_division(states, count, stride, mean, std):
 # ----------------------------------------------------------------------
 def forward_body(
     function, state, shifts, stride_words, count, mean, std, mu=None, sigma=None,
-    epsilons=True,
+    epsilons=True, jump=None,
 ):
-    """One body's (status, epsilons, end state, last popcounts, weights) bytes.
+    """One body's (status, epsilons, end state, last popcounts, weights,
+    start state) bytes.
 
     ``epsilons=False`` passes ``out=NULL`` (the weights-only mode of every
-    reversible forward call); absent outputs read ``None``.
+    reversible forward call); ``jump`` (packed ``x^-N mod P``) rewinds
+    first; absent outputs read ``None``.
     """
     rows, n_words = state.shape
     new_state = np.empty_like(state)
     last = np.empty(rows, dtype=np.int64)
     out = np.empty((rows, count), dtype=np.float64) if epsilons else None
     weights = None if mu is None else np.empty((rows, count), dtype=np.float64)
+    start = None if jump is None else np.empty_like(state)
     table = np.array(shifts, dtype=np.int32)
 
     def address(array):
@@ -584,11 +659,11 @@ def forward_body(
     status = function(
         state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words,
         table.ctypes.data, stride_words, count, mean, std, address(out),
-        address(mu), address(sigma), address(weights),
+        address(mu), address(sigma), address(weights), address(jump), address(start),
     )
     return status, *(
         None if array is None else array.tobytes()
-        for array in (out, new_state, last, weights)
+        for array in (out, new_state, last, weights, start)
     )
 
 
@@ -642,6 +717,14 @@ def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
     alone = forward_body(lib.grng_forward, *args, mu, sigma, epsilons=False)
     assert alone == (0, None, *fused[2:])
     assert alone == forward_body(lib.grng_forward_rows, *args, mu, sigma, epsilons=False)
+    # a jump back first (any polynomial: the bodies apply the same one), the
+    # replay runs from the start registers it writes
+    jump = values.integers(0, 1 << 64, size=n_words, dtype=np.uint64)
+    rewound = forward_body(lib.grng_forward, *args, mu, sigma, jump=jump)
+    assert rewound[0] == 0
+    assert rewound == forward_body(lib.grng_forward_rows, *args, mu, sigma, jump=jump)
+    start = np.frombuffer(rewound[5], dtype=np.uint64).reshape(state.shape)
+    assert rewound[:5] == forward_body(lib.grng_forward, start, *args[1:], mu, sigma)[:5]
     # a negative sigma -- mid-tile in the last full tile, or anywhere in a
     # call too short for one -- refuses the whole call
     sigma[count // 8 * 8 - 5 if count >= 8 else values.integers(count)] = -0.5
@@ -652,7 +735,7 @@ def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
 
 
 # ----------------------------------------------------------------------
-# GrngBank: forward -> checkpoint replay -> reversed retrieval
+# GrngBank: forward -> replay -> reversed retrieval
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     ("n_bits", "stride", "which"),
@@ -691,7 +774,7 @@ def check_bank_round_trip(n_bits, stride):
     assert forward.tobytes() == want.tobytes()
     assert bank.states() == end
 
-    weights, replayed, landed = bank.replay_weight_blocks(
+    weights, replayed, _, landed = bank.replay_weight_blocks(
         start_words, np.zeros(count), np.ones(count)
     )
     assert replayed.tobytes() == want.tobytes()

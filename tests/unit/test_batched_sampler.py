@@ -261,7 +261,6 @@ class TestStridedKernel:
 
     def test_chunked_generation_equals_single_call(self, monkeypatch):
         import repro.core.backend as backend
-        from repro.core.lfsr import _jump_matrix
 
         small = GrngBank(n_rows=2, n_bits=64, stride=2)
         chunked = GrngBank(n_rows=2, n_bits=64, stride=2)
@@ -271,13 +270,14 @@ class TestStridedKernel:
         # kernel's domain): 2 rows * 2 shifts -> 32 variables per kernel call
         monkeypatch.setattr(backend, "_KERNEL_SEQ_BYTES", 16)
         backend.reset_counters()
-        _jump_matrix.cache_clear()  # so the reverse builds its jump again
         assert np.array_equal(forward, chunked.epsilon_blocks(count))
         assert np.array_equal(reverse, chunked.epsilon_blocks_reverse(count))
         assert small.states() == chunked.states()
         stepped = backend.counters_snapshot()["lfsr_step_block"]["reference"]
-        # both directions chunk alike; the reverse adds its jump's one short run
-        assert stepped["calls"] == 2 * -(-count // 32) + 1
+        # both directions chunk alike, 16 chunks each, but only a call's first
+        # chunk runs the counted stepper (the rest continue its sequence);
+        # the reverse adds its jump's one short run
+        assert stepped["calls"] == 2 + 1
 
     def test_chunked_reference_weights_equal_single_call(
         self, monkeypatch, restore_selection
@@ -305,13 +305,19 @@ class TestStridedKernel:
         start = bank.register_words()
         first = bank.epsilon_blocks(11)
         end = bank.register_words()
-        weights, replayed, landed = bank.replay_weight_blocks(
+        weights, replayed, started, landed = bank.replay_weight_blocks(
             start, np.zeros(11), np.ones(11)
         )
         assert np.array_equal(first, replayed)
         assert weights.tobytes() == first.tobytes()  # 0 + eps * 1
+        assert started is start
         assert np.array_equal(landed, end)
         assert np.array_equal(bank.register_words(), end)
+        # the same replay, jumped back from where it ended, in one call
+        again = bank.replay_weight_blocks(end, np.zeros(11), np.ones(11), rewind=11 * 4)
+        assert again[0].tobytes() == weights.tobytes()
+        assert again[1].tobytes() == replayed.tobytes()
+        assert np.array_equal(again[2], start) and np.array_equal(again[3], end)
 
     def test_replay_weight_blocks_leaves_the_bank_alone(self):
         """A replay from any start words moves no register and no sum."""
@@ -322,7 +328,7 @@ class TestStridedKernel:
         sums = [bank.row_view(row).sum_register for row in range(3)]
         stale = start.copy()
         stale[1, 0] ^= np.uint64(2)  # only row 1 "tampered"
-        _, _, landed = bank.replay_weight_blocks(stale, np.zeros(7), np.ones(7))
+        _, _, _, landed = bank.replay_weight_blocks(stale, np.zeros(7), np.ones(7))
         assert not np.array_equal(landed, bank.register_words())
         assert bank.states() == end
         assert [bank.row_view(row).sum_register for row in range(3)] == sums

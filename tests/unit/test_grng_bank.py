@@ -317,7 +317,7 @@ class TestReplay:
         starts = bank.register_words()
         blocks = [bank.row_view(row).epsilon_block(13) for row in range(3)]
         ends = bank.register_words()
-        _, replayed, landed = bank.replay_weight_blocks(
+        _, replayed, _, landed = bank.replay_weight_blocks(
             starts, np.zeros(13), np.ones(13)
         )
         assert np.array_equal(landed, ends)

@@ -9,7 +9,6 @@ import repro.core.backend as backend
 from repro.core import MAXIMAL_TAPS, FibonacciLFSR, LFSRStateError, mirrored_taps, parity
 from repro.core.backend import lfsr_step_block
 from repro.core.bitops import pack_int_rows, unpack_int_rows
-from repro.core.lfsr import _jump_matrix, _rewound_words
 
 
 class TestConstruction:
@@ -261,11 +260,21 @@ class TestHelpers:
         assert lfsr.popcount == 4
 
 
-def _jump(states: list[int], n_bits: int, shifts: int, taps=None) -> list[int]:
-    """Integer registers ``shifts`` shifts back, through the packed jump."""
+def _rewind(states: list[int], n_bits: int, shifts: int, taps=None, count: int = 1):
+    """``(start, end)`` registers of one ``grng_block`` call that jumps back
+    ``shifts`` shifts, then runs ``count`` values of 64 shifts forward."""
     taps = tuple(sorted(MAXIMAL_TAPS[n_bits])) if taps is None else taps
     words = pack_int_rows(states, n_bits)
-    return unpack_int_rows(_rewound_words(words, n_bits, taps, shifts))
+    out = np.empty((len(states), count), dtype=np.float64)
+    _, end, _, _, start = backend.registry.call(
+        "grng_block", words, n_bits, taps, 64, count, 0.0, 1.0, out, rewind=shifts
+    )
+    return unpack_int_rows(start), unpack_int_rows(end)
+
+
+def _jump(states: list[int], n_bits: int, shifts: int, taps=None) -> list[int]:
+    """Integer registers ``shifts`` shifts back, through ``grng_block``'s rewind."""
+    return _rewind(states, n_bits, shifts, taps)[0]
 
 
 def _walked_back(state: int, n_bits: int, shifts: int) -> int:
@@ -274,21 +283,30 @@ def _walked_back(state: int, n_bits: int, shifts: int) -> int:
     return lfsr.state
 
 
+@pytest.fixture(params=["native", "reference"])
+def grng(request, restore_selection):
+    """``grng_block`` forced onto each backend (native skips when unavailable)."""
+    if request.param == "native" and backend.native.library.load() is None:
+        pytest.skip("the compiled grng_block is unavailable here")
+    backend.set_backend("grng_block", request.param)
+    return request.param
+
+
 class TestRegisterJump:
-    """The register ``N`` shifts back as one cached GF(2) matrix product."""
+    """The register ``N`` shifts back: ``grng_block``'s rewind, on both backends."""
 
     @pytest.mark.parametrize("n_bits", sorted(MAXIMAL_TAPS))
-    def test_jump_equals_walking_back(self, n_bits):
+    def test_jump_equals_walking_back(self, grng, n_bits):
         states = [
             FibonacciLFSR.from_seed_index(n_bits, index).state for index in range(3)
         ]
-        shifts = 3 * n_bits + 5
-        assert _jump(states, n_bits, shifts) == [
-            _walked_back(state, n_bits, shifts) for state in states
-        ]
+        for shifts in (1, n_bits - 1, n_bits, 3 * n_bits + 5):
+            assert _jump(states, n_bits, shifts) == [
+                _walked_back(state, n_bits, shifts) for state in states
+            ], shifts
 
-    @pytest.mark.parametrize("shifts", [0, 1, 63, 64, 65, 1 << 20])
-    def test_jump_then_forward_lands_where_it_started(self, shifts):
+    @pytest.mark.parametrize("shifts", [1, 63, 64, 65, 1 << 20])
+    def test_jump_then_forward_lands_where_it_started(self, grng, shifts):
         taps = tuple(sorted(MAXIMAL_TAPS[64]))
         states = [0xACE1, (1 << 64) - 1, 1 << 63]
         earlier = pack_int_rows(_jump(states, 64, shifts), 64)
@@ -296,27 +314,33 @@ class TestRegisterJump:
             assert unpack_int_rows(earlier) == [
                 _walked_back(state, 64, shifts) for state in states
             ]
-        if shifts:
-            _, earlier = lfsr_step_block(earlier, 64, shifts, taps, False)
+        _, earlier = lfsr_step_block(earlier, 64, shifts, taps, False)
         assert unpack_int_rows(earlier) == states
 
-    def test_jump_is_linear(self):
+    @pytest.mark.parametrize("n_bits", [128, 256])
+    def test_the_replay_lands_on_the_registers_it_jumped_from(self, grng, n_bits):
+        states = [FibonacciLFSR.from_seed_index(n_bits, index).state for index in range(9)]
+        start, end = _rewind(states, n_bits, 40 * 64, count=40)
+        assert end == states
+        assert start == _jump(states, n_bits, 40 * 64)
+
+    def test_jump_is_linear(self, grng):
         a, b = 0x9E3779B97F4A7C15 ** 3 % (1 << 256), (1 << 255) | 0x5A5A
         jumped_a, jumped_b, jumped_ab = _jump([a, b, a ^ b], 256, 1000)
         assert jumped_ab == jumped_a ^ jumped_b
 
     @pytest.mark.parametrize(("first", "second"), [(1, 1), (255, 257), (4096, 77)])
-    def test_jumps_compose(self, first, second):
+    def test_jumps_compose(self, grng, first, second):
         states = [0xDEADBEEF, (1 << 256) - 3]
         twice = _jump(_jump(states, 256, first), 256, second)
         assert twice == _jump(states, 256, first + second)
 
-    def test_all_ones_register_is_exact(self):
-        # the widest partial sums the float32 product forms: every bit set
+    def test_all_ones_register_is_exact(self, grng):
+        # every window of the forward run XORs in set bits
         full = (1 << 256) - 1
         assert _jump([full], 256, 10_000) == [_walked_back(full, 256, 10_000)]
 
-    def test_rows_jump_independently(self):
+    def test_rows_jump_independently(self, grng):
         states = [FibonacciLFSR.from_seed_index(256, index).state for index in range(8)]
         together = _jump(states, 256, 2048)
         assert together == [_jump([state], 256, 2048)[0] for state in states]
@@ -324,30 +348,17 @@ class TestRegisterJump:
         changed = _jump(states, 256, 2048)
         assert [row for row in range(8) if changed[row] != together[row]] == [3]
 
-    def test_tap_order_does_not_matter(self):
+    def test_tap_order_does_not_matter(self, grng):
         taps = tuple(sorted(MAXIMAL_TAPS[128]))
         state = [0x1D872B41]
         assert _jump(state, 128, 999, taps) == _jump(state, 128, 999, taps[::-1])
 
-    @pytest.mark.parametrize("n_bits", [16, 128, 256])
-    def test_cached_matrix_is_a_read_only_float32_bit_matrix(self, n_bits):
-        matrix = _jump_matrix(n_bits, tuple(sorted(MAXIMAL_TAPS[n_bits])), 500)
-        assert matrix.shape == (n_bits, n_bits)
-        assert matrix.dtype == np.float32
-        assert matrix.nbytes == n_bits * n_bits * 4
-        assert set(np.unique(matrix)) <= {0.0, 1.0}
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
-
-    def test_warm_jump_runs_no_register_and_the_cache_is_bounded(self):
-        assert _jump_matrix.cache_info().maxsize == 64
-        state = [FibonacciLFSR.from_seed_index(256, 5).state]
-        _jump_matrix.cache_clear()
+    def test_native_rewinds_in_the_call_it_replays_in(self, grng):
         backend.reset_counters()
-        cold = _jump(state, 256, 4321)
-        built = backend.counters_snapshot()["lfsr_step_block"]
-        assert sum(entry["calls"] for entry in built.values()) == 1
-        backend.reset_counters()
-        assert _jump(state, 256, 4321) == cold
-        assert "lfsr_step_block" not in backend.counters_snapshot()
-        assert _jump_matrix.cache_info().hits == 1
+        _rewind([FibonacciLFSR.from_seed_index(256, 5).state], 256, 4321, count=3)
+        counters = backend.counters_snapshot()
+        assert counters["grng_block"] == {grng: {"calls": 1, "rows": 1}}
+        # the compiled jump runs no NumPy register; the reference's is one
+        # short forward run, its replay another
+        stepped = counters.get("lfsr_step_block", {}).get("reference", {})
+        assert stepped.get("calls", 0) == (0 if grng == "native" else 2)

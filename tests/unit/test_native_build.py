@@ -90,7 +90,6 @@ def using_everywhere(name: str | None):
 class TestNoToolchain:
     def test_one_warning_and_the_reference_bytes(self, no_toolchain, restore_selection):
         with using_everywhere("reference"):
-            train_two_steps()  # fills the register-jump cache: all runs below hit it
             want = train_two_steps()
         # the default chain, whatever REPRO_BACKEND this leg of CI forces
         with warnings.catch_warnings(record=True) as caught, using_everywhere(None):
@@ -108,7 +107,6 @@ class TestNoToolchain:
     ):
         # B-LeNet's step runs every native-backed kernel
         with using_everywhere("reference"):
-            train_two_steps("B-LeNet")  # fills the register-jump cache
             want = train_two_steps("B-LeNet")
         with warnings.catch_warnings(record=True) as caught, using_everywhere(None):
             warnings.simplefilter("always")
@@ -284,8 +282,7 @@ def test_native_and_reference_agree_on_a_train_step(restore_selection):
         got, native_counters = train_two_steps()
     assert got == want
     # per step and Bayesian layer (2 x 4, S = 3): one fused forward call and
-    # one replay; nothing left on the NumPy chain (the reference run filled
-    # the register-jump cache)
+    # one replay, its jump back included; nothing left on the NumPy chain
     assert native_counters["grng_block"] == {"native": {"calls": 16, "rows": 48}}
     assert "lfsr_step_block" not in native_counters
     assert reference_counters["lfsr_step_block"]["reference"]["calls"] >= 4

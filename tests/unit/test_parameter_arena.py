@@ -16,7 +16,7 @@ import pytest
 from repro.bnn import BNNTrainer, TrainerConfig, load_checkpoint, save_checkpoint
 from repro.bnn.elbo import gaussian_kl_divergence
 from repro.bnn.posteriors import softplus, softplus_grad
-from repro.datasets import BatchLoader, synthetic_mnist
+from repro.datasets import BatchLoader, synthetic_cifar10, synthetic_mnist
 from repro.distrib import distributed_trainer
 from repro.models import get_model
 from repro.nn.layers import Parameter
@@ -266,3 +266,49 @@ class _FreshPosterior:
     def __init__(self, posterior):
         self.mu = posterior.mu
         self.sigma = softplus(np.array(posterior.rho.value))
+
+    def scratch(self):
+        return np.empty_like(self.sigma), np.empty_like(self.sigma)
+
+
+# ----------------------------------------------------------------------
+# the analytic KL writes into scratch, byte for byte the one expression
+# ----------------------------------------------------------------------
+def _kl_oracle(posterior, prior) -> float:
+    """The analytic KL as one expression over fresh temporaries: the code
+    the scratch version replaced, pasted in."""
+    sigma = posterior.sigma
+    mu = posterior.mu.value
+    prior_var = prior.sigma**2
+    kl = (
+        np.log(prior.sigma / sigma)
+        + (sigma**2 + mu**2) / (2.0 * prior_var)
+        - 0.5
+    )
+    return float(np.sum(kl))
+
+
+@pytest.mark.parametrize("model_name", ["B-MLP", "B-LeNet"])
+def test_complexities_equal_the_one_expression_kl_bytewise(model_name):
+    spec = get_model(model_name, reduced=True)
+    if model_name == "B-MLP":
+        train, _ = synthetic_mnist(n_train=32, n_test=16, image_size=14, seed=3)
+        batches = BatchLoader(train, batch_size=16, flatten=True).batches()
+    else:
+        train, _ = synthetic_cifar10(n_train=16, n_test=16, image_size=16, seed=3)
+        batches = BatchLoader(train, batch_size=8).batches()
+    trainer = _trainer(spec)
+    model = trainer.model
+    scratch = None
+    for step in range(20):
+        trainer.train_step(*batches[step % len(batches)])
+        want = sum(
+            _kl_oracle(layer.weight_posterior, model.prior)
+            for layer in model.bayesian_layers()
+        )
+        got = trainer.history.complexities[-1]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), step
+        held = [layer.weight_posterior.scratch() for layer in model.bayesian_layers()]
+        if scratch is not None:  # allocated once, then reused every step
+            assert all(a is b for pair in zip(held, scratch) for a, b in zip(*pair))
+        scratch = held
