@@ -2,13 +2,15 @@
 
 The script walks through Section 4 of the paper at machine level:
 
-1. an 8-bit Fibonacci LFSR shifts forward and produces a sequence of patterns
-   (Fig. 4(a));
-2. shifting it backwards reproduces exactly the previous patterns (Fig. 4(b/c));
-3. a 256-bit GRNG turns patterns into Gaussian variables, and reversed
-   shifting retrieves the same variables in reverse order;
+1. an 8-bit Fibonacci LFSR in a :class:`~repro.core.GrngBank` shifts forward
+   one pattern per value and produces a sequence of patterns (Fig. 4(a));
+2. retrieving the values one at a time walks the register back through exactly
+   the previous patterns (Fig. 4(b/c)) -- each retrieval jumps the register
+   back and replays it forward, so no pattern is ever stored;
+3. a 256-bit GRNG turns patterns into Gaussian variables, and one reversed
+   retrieval returns the same variables in reverse order;
 4. two epsilon-stream policies (store vs regenerate) serve identical values to
-   a weight sampler while moving very different amounts of data.
+   a per-sample weight sampler while moving very different amounts of data.
 
 Run with::
 
@@ -19,27 +21,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import (
-    FibonacciLFSR,
-    LfsrGaussianRNG,
-    ReversibleGaussianStream,
-    StoredGaussianStream,
-    WeightSampler,
-)
+from repro.core import GrngBank, StreamBank
 
 
 def show_pattern_reversal() -> None:
-    print("=== 1/2. 8-bit LFSR forward and reverse shifting (Fig. 4) ===")
-    lfsr = FibonacciLFSR(8, seed=0b0000_1111)
-    forward_patterns = [lfsr.state]
+    print("=== 1/2. 8-bit LFSR forward shifting and reversed retrieval (Fig. 4) ===")
+    bank = GrngBank(1, n_bits=8, stride=1)
+    bank.set_states([0b0000_1111])
+    forward_patterns = bank.states()
     for _ in range(3):
-        lfsr.shift_forward()
-        forward_patterns.append(lfsr.state)
+        bank.epsilon_blocks(1)
+        forward_patterns += bank.states()
     print("forward :", " -> ".join(f"{p:08b}" for p in forward_patterns))
-    reverse_patterns = [lfsr.state]
+    reverse_patterns = bank.states()
     for _ in range(3):
-        lfsr.shift_reverse()
-        reverse_patterns.append(lfsr.state)
+        bank.epsilon_blocks_reverse(1)
+        reverse_patterns += bank.states()
     print("reverse :", " -> ".join(f"{p:08b}" for p in reverse_patterns))
     assert reverse_patterns == forward_patterns[::-1]
     print("the reverse walk reproduces the forward patterns exactly\n")
@@ -47,12 +44,12 @@ def show_pattern_reversal() -> None:
 
 def show_gaussian_retrieval() -> None:
     print("=== 3. Gaussian variables from a 256-bit GRNG ===")
-    grng = LfsrGaussianRNG(n_bits=256, seed_index=1, stride=256)
-    forward = grng.epsilon_block(6)
-    retrieved = grng.epsilon_block_reverse(6)
+    bank = GrngBank(seed_indices=[1], n_bits=256, stride=256)
+    forward = bank.epsilon_blocks(6)[0]
+    retrieved = bank.epsilon_blocks_reverse(6)[0]
     print("generated:", np.round(forward, 3))
     print("retrieved:", np.round(retrieved[::-1], 3), "(after reversing the order)")
-    assert np.allclose(forward, retrieved[::-1])
+    assert np.array_equal(forward, retrieved[::-1])
     print("bit-exact retrieval without storing a single value\n")
 
 
@@ -61,14 +58,15 @@ def show_stream_policies() -> None:
     mu = np.zeros((128, 64))
     sigma = np.full((128, 64), 0.05)
     results = {}
-    for name, policy_cls in (("stored", StoredGaussianStream), ("shift-bnn", ReversibleGaussianStream)):
-        stream = policy_cls(LfsrGaussianRNG(n_bits=256, seed_index=9, stride=16))
-        sampler = WeightSampler(stream)
+    for name, policy in (("stored", "stored"), ("shift-bnn", "reversible")):
+        bank = StreamBank(1, policy=policy, seed=9, lfsr_bits=256, grng_stride=16)
+        sampler = bank.sampler(0)
         forward = sampler.sample(mu, sigma)          # FW stage
         reconstructed = sampler.resample(mu, sigma)  # BW stage
         assert np.array_equal(forward.weights, reconstructed.weights)
-        results[name] = stream.usage
-        moved = stream.usage.offchip_write_bytes + stream.usage.offchip_read_bytes
+        usage = sampler.stream.usage
+        results[name] = usage
+        moved = usage.offchip_write_bytes + usage.offchip_read_bytes
         print(
             f"{name:>9s}: {mu.size} weights sampled and reconstructed, "
             f"epsilon bytes moved off-chip = {moved}"

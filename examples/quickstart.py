@@ -19,9 +19,9 @@ Prometheus metrics endpoint (section 11).
 Training and prediction run the *batched* Monte-Carlo engine by default: all
 ``S`` weight samples execute as one ``(S, batch, ...)`` pass, with every
 layer's epsilon block for every sample produced by a single generator-bank
-kernel call.  ``batched=False`` (on :class:`TrainerConfig`, ``train_step`` and
-:func:`mc_predict`) selects the per-sample loop instead -- the result is
-bit-identical either way, only the wall-clock time changes.
+kernel call.  ``batched=False`` (on :class:`TrainerConfig` and ``train_step``)
+trains through the per-sample loop instead -- the result is bit-identical
+either way, only the wall-clock time changes.
 
 Run with::
 
@@ -64,17 +64,17 @@ def main() -> None:
         marker = "*" if prediction.predictions[index] == test.labels[index] else " "
         print(f"  example {index}: H = {entropy:.3f} nats {marker}")
 
-    # 5. the batched engine vs the per-sample escape hatch (same bits, faster)
-    x = test.flatten_images()
+    # 5. the batched engine vs the per-sample escape hatch (same bits, faster):
+    #    one training step of two twins from the same initial model
+    x_step, y_step = batches[0]
     for batched in (False, True):
+        twin = ShiftBNNTrainer(spec.build_bayesian(seed=42), config)
         start = time.perf_counter()
-        result = mc_predict(
-            trainer.model, x, n_samples=8, grng_stride=64, batched=batched
-        )
+        report = twin.train_step(x_step, y_step, kl_weight=1.0 / len(batches), batched=batched)
         elapsed = (time.perf_counter() - start) * 1e3
         label = "batched " if batched else "per-sample"
-        print(f"mc_predict {label} S=8: {elapsed:6.1f} ms "
-              f"(mean prob of class 0: {result.mean_probabilities[0, 0]:.6f})")
+        print(f"train_step {label} S=4: {elapsed:6.1f} ms (loss {report.total:.12f})")
+    x = test.flatten_images()
 
     # 6. serving API: the async front-end pools concurrent requests into
     #    (S, batch) tiles, replays one cached epsilon sweep per sampling

@@ -5,11 +5,13 @@ inference time the network is sampled ``S`` times and the per-sample softmax
 outputs are averaged.  The spread across samples is the epistemic-uncertainty
 signal that safety-critical applications consume.
 
-By default the ``S`` samples run through the batched execution engine
+The ``S`` samples run through the batched execution engine
 (:meth:`~repro.bnn.model.BayesianNetwork.forward_samples`): one pass over a
 ``(S, batch, ...)`` tensor, with the whole network's epsilon blocks generated
-by a single generator-bank kernel call.  ``batched=False`` selects the
-original per-sample loop; both paths produce bit-identical probabilities.
+by a single generator-bank kernel call.  The probabilities are bit-identical
+to running the samples one at a time through
+:meth:`~repro.bnn.model.BayesianNetwork.forward_sample` (the test suite's
+reference).
 """
 
 from __future__ import annotations
@@ -132,17 +134,14 @@ def mc_predict(
     seed: int = 0,
     grng_stride: int = 256,
     lfsr_bits: int = 256,
-    batched: bool = True,
     out: np.ndarray | None = None,
 ) -> PredictiveResult:
     """Draw ``n_samples`` weight samples and return the predictive distribution.
 
     Prediction uses its own stream bank (reversible policy, nothing stored);
     the epsilons drawn here never need to be retrieved, so the pending blocks
-    are simply discarded afterwards.  ``batched=True`` (the default) executes
-    all samples in one pass over the ``(S, batch, ...)`` tensor;
-    ``batched=False`` is the per-sample escape hatch, one row of the bank
-    per sample; both produce bit-identical probabilities.
+    are simply discarded afterwards.  All samples execute in one pass over
+    the ``(S, batch, ...)`` tensor.
 
     ``out`` optionally provides a reusable ``(n_samples, batch, classes)``
     output buffer (see :func:`mc_forward`); results are bit-identical with or
@@ -157,16 +156,4 @@ def mc_predict(
         lfsr_bits=lfsr_bits,
         grng_stride=grng_stride,
     )
-    if batched:
-        return mc_forward(model, x, bank.batched_sampler(), out=out)
-    with _evaluation_mode(model):
-        outputs = []
-        for sample_index in range(n_samples):
-            sampler = bank.sampler(sample_index)
-            logits = model.forward_sample(x, sampler)
-            outputs.append(softmax(logits))
-        if out is None:
-            probabilities = np.stack(outputs)
-        else:
-            probabilities = np.stack(outputs, out=out)
-    return PredictiveResult(sample_probabilities=probabilities)
+    return mc_forward(model, x, bank.batched_sampler(), out=out)

@@ -100,7 +100,8 @@ class TrainerConfig:
         Execute the ``S`` Monte-Carlo samples of each step through the
         batched ``(S, batch, ...)`` pipeline (default).  ``False`` selects
         the per-sample loop; both produce bit-identical parameter
-        trajectories, only wall-clock time differs.
+        trajectories, only wall-clock time differs.  :meth:`evaluate` always
+        runs the batched engine.
     seed:
         Seed for the stream bank (epsilons).  Model initialisation has its own
         rng, owned by whoever builds the model.
@@ -471,7 +472,6 @@ class BNNTrainer:
             seed=self.config.seed + 7919,
             grng_stride=self.config.grng_stride,
             lfsr_bits=self.config.lfsr_bits,
-            batched=self.config.batched,
         )
         return accuracy(result.mean_probabilities, y)
 

@@ -2,8 +2,11 @@
 
 The classes exported here implement the paper's primary contribution -- the
 ability to regenerate every Gaussian random variable used for Bayesian weight
-sampling by shifting the generating LFSR backwards, so that nothing has to be
-stored between the forward and backward training stages.
+sampling from the generating LFSR itself, so that nothing has to be stored
+between the forward and backward training stages.  :class:`GrngBank` is the
+one generator: a packed bank of LFSRs, one per Monte-Carlo sample, that
+recovers earlier patterns by jumping its registers back and replaying them
+forward.  :class:`BankedGaussianRNG` row views serve the per-sample streams.
 """
 
 from .backend import (
@@ -13,17 +16,8 @@ from .backend import (
     UnknownBackendError,
 )
 from .checkpoint import LfsrSnapshot, StreamBank, StreamPolicy
-from .grng import GRNGMode, LfsrGaussianRNG
 from .grng_bank import BankedGaussianRNG, GrngBank, LfsrRowView
-from .lfsr import (
-    MAXIMAL_TAPS,
-    FibonacciLFSR,
-    LFSRStateError,
-    mirrored_taps,
-    normalise_taps,
-    parity,
-    seed_from_index,
-)
+from .lfsr import MAXIMAL_TAPS, LFSRStateError, normalise_taps, seed_from_index
 from .sampler import (
     BatchedWeightSampler,
     SampledWeights,
@@ -44,14 +38,9 @@ __all__ = [
     "KernelRegistry",
     "UnknownBackendError",
     "MAXIMAL_TAPS",
-    "FibonacciLFSR",
     "LFSRStateError",
-    "mirrored_taps",
     "normalise_taps",
-    "parity",
     "seed_from_index",
-    "GRNGMode",
-    "LfsrGaussianRNG",
     "BankedGaussianRNG",
     "GrngBank",
     "LfsrRowView",

@@ -585,14 +585,14 @@ class KernelRegistry:
 # -- kernels with one implementation: plain functions ---------------------
 # Nothing to select or gate; each counts ``(name, "reference")`` exactly as
 # ``KernelRegistry.call`` counts a dispatched call.
-def lfsr_step_block(state_words, n_bits, count, offsets, reverse):
-    """Run ``count`` packed LFSR recurrence steps per register row.
+def lfsr_step_block(state_words, n_bits, count, offsets):
+    """Run ``count`` packed forward LFSR recurrence steps per register row.
 
     Returns ``(seq_words, new_state_words)`` (``bitops.run_lfsr_block_packed``:
     the word-aligned leapfrog fill).
     """
     registry._count("lfsr_step_block", _Kernel.REFERENCE, state_words.shape[0])
-    return bitops.run_lfsr_block_packed(state_words, n_bits, count, offsets, reverse)
+    return bitops.run_lfsr_block_packed(state_words, n_bits, count, offsets)
 
 
 def clt_standardise(popcounts, mean, std):
@@ -807,7 +807,7 @@ def _rewound(state_words, n_bits, offsets, shifts):
     XOR of the windows ``bitops.jump_terms`` names of one ``n_bits - 1``-shift
     forward run (each row's windows end before its sequence does, so all
     rows go at once, as one Python integer)."""
-    seq_words, _ = lfsr_step_block(state_words, n_bits, n_bits - 1, offsets, False)
+    seq_words, _ = lfsr_step_block(state_words, n_bits, n_bits - 1, offsets)
     rows, row_words = seq_words.shape
     sequence = int.from_bytes(seq_words.astype("<u8").tobytes(), "little")
     windows = 0
@@ -837,7 +837,7 @@ def _grng_block_reference(
         size = min(chunk, count - done)
         span, shifts = slice(done, done + size), size * stride
         if history is None:
-            seq_words, words = lfsr_step_block(words, n_bits, shifts, offsets, False)
+            seq_words, words = lfsr_step_block(words, n_bits, shifts, offsets)
         else:
             seq_words = bitops.continue_lfsr_sequence(
                 history, head, n_bits, shifts, offsets

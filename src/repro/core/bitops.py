@@ -3,11 +3,10 @@
 The LFSR recurrence ``b(t) = XOR_p b(t - p)`` (tap offsets ``p``, tail tap
 ``n`` included) is linear over GF(2), which admits two big software
 optimisations that this module implements once, for any number of registers
-stepped in lockstep.  Its callers are the ``lfsr_step_block`` function of
-:mod:`repro.core.backend`, which serves :class:`~repro.core.lfsr.FibonacciLFSR`
-(one register) and the NumPy ``grng_block`` path of
-:class:`~repro.core.grng_bank.GrngBank` (one register per Monte-Carlo sample),
-and that path's later chunks, which continue one sequence
+stepped in lockstep.  Its caller is the NumPy ``grng_block`` path of
+:class:`~repro.core.grng_bank.GrngBank` (one register per Monte-Carlo
+sample): its first chunk through the ``lfsr_step_block`` function of
+:mod:`repro.core.backend`, its later chunks continuing one sequence
 (:func:`continue_lfsr_sequence`).  :func:`jump_terms` is the register jump
 both ``grng_block`` backends apply.
 
@@ -187,13 +186,11 @@ def run_lfsr_block_packed(
     n_bits: int,
     count: int,
     offsets: Sequence[int],
-    reverse: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``count`` recurrence steps for every register row.
+    """Run ``count`` forward recurrence steps for every register row.
 
     ``state_words`` holds the registers ``R1..Rn`` packed little-endian (bit
-    ``j`` is ``R(j+1)``).  For ``reverse=False`` the forward tap ``offsets``
-    are expected, for ``reverse=True`` the mirrored ones.
+    ``j`` is ``R(j+1)``); ``offsets`` are the forward tap offsets.
 
     Returns ``(seq_words, new_state_words)``: per row the ``n_bits`` of
     history followed by the ``count`` freshly produced bits, word-packed (bit
@@ -207,18 +204,10 @@ def run_lfsr_block_packed(
     seq = np.zeros(
         (state_words.shape[0], words_for_bits(total) + 2), dtype=np.uint64
     )
-    state_bits = unpack_bits(state_words, n_bits)
-    # Forward time order is oldest-bit-first, i.e. Rn..R1; reversed time order
-    # starts from the current head, i.e. R1..Rn.
-    history = state_bits if reverse else state_bits[:, ::-1]
+    # time order is oldest-bit-first, i.e. Rn..R1
+    history = unpack_bits(state_words, n_bits)[:, ::-1]
     seq[:, : words_for_bits(n_bits)] = pack_bits(history)
     fill_lfsr_sequence(seq, n_bits, count, offsets)
-    if reverse:
-        window_words = _extract(seq, count, n_bits)
-        tail = n_bits & 63
-        if tail:
-            window_words[:, -1] &= np.uint64((1 << tail) - 1)
-        return seq, window_words
     return seq, register_words(seq, count, n_bits)
 
 

@@ -24,9 +24,8 @@ bits; within one training iteration a caller should use one or the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence, Union
+from typing import Iterator, Literal, Sequence
 
-from .grng import LfsrGaussianRNG
 from .grng_bank import BankedGaussianRNG, GrngBank
 from .sampler import BatchedWeightSampler, WeightSampler
 from .streams import EpsilonStream, ReversibleGaussianStream, StoredGaussianStream
@@ -34,10 +33,6 @@ from .streams import EpsilonStream, ReversibleGaussianStream, StoredGaussianStre
 __all__ = ["LfsrSnapshot", "StreamBank", "StreamPolicy"]
 
 StreamPolicy = Literal["stored", "reversible"]
-
-#: Generators a snapshot or stream bank can drive: the scalar reference
-#: implementation or a row view of a batched bank.
-GaussianGenerator = Union[LfsrGaussianRNG, BankedGaussianRNG]
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,7 @@ class LfsrSnapshot:
     sum_register: int
 
     @classmethod
-    def capture(cls, grng: GaussianGenerator) -> "LfsrSnapshot":
+    def capture(cls, grng: BankedGaussianRNG) -> "LfsrSnapshot":
         """Snapshot the generator's register and its *actual* running sum.
 
         The sum register is read from the generator rather than recomputed
@@ -65,7 +60,7 @@ class LfsrSnapshot:
             sum_register=grng.sum_register,
         )
 
-    def restore(self, grng: GaussianGenerator) -> None:
+    def restore(self, grng: BankedGaussianRNG) -> None:
         """Write this snapshot back into ``grng``, sum register included."""
         if grng.n_bits != self.n_bits or grng.lfsr.taps != self.taps:
             raise ValueError("snapshot was captured from an incompatible generator")
@@ -139,8 +134,8 @@ class StreamBank:
         self._lfsr_bits = lfsr_bits
         # All per-sample generators live in one packed GrngBank: the batched
         # sampler draws every row per kernel call, a per-sample sampler its
-        # own row.  Seeding matches the scalar generators bit for bit, so
-        # values are policy- and engine-independent.
+        # own row.  Both draw the same bits, so values are policy- and
+        # engine-independent.
         self._grng_bank = GrngBank(
             n_bits=lfsr_bits,
             seed_indices=[
@@ -157,7 +152,7 @@ class StreamBank:
         self._batched_sampler: BatchedWeightSampler | None = None
 
     def _build_stream(
-        self, grng: GaussianGenerator, bytes_per_value: int
+        self, grng: BankedGaussianRNG, bytes_per_value: int
     ) -> EpsilonStream:
         if self._policy == "stored":
             return StoredGaussianStream(grng, bytes_per_value=bytes_per_value)

@@ -10,9 +10,10 @@ ever run forward: a reversed retrieval is one ``grng_block`` call with a
 ``rewind``, which jumps the registers back (the state ``N`` shifts earlier is
 a fixed linear function of the current one, see
 :func:`~repro.core.bitops.jump_terms`) and regenerates forward to where they
-were; the values are then handed out newest first.  Values are bit-identical to the
-scalar :class:`~repro.core.grng.LfsrGaussianRNG` (property-tested), because
-both share the same seeds, recurrence and CLT conversion.
+were; the values are then handed out newest first.  The test suite holds
+every value, register and sum register to a from-scratch bit-serial oracle
+(a register of single bits, one tap XOR and one shift per tick, run forward
+and in reverse) that shares no code with this module.
 
 Two interfaces are exposed:
 
@@ -21,9 +22,9 @@ Two interfaces are exposed:
   :meth:`GrngBank.weight_blocks` / :meth:`GrngBank.replay_weight_blocks`
   that return ``mu + eps * sigma``)
   for callers that operate on every sample at once;
-* per-row :class:`BankedGaussianRNG` views carrying the part of the scalar
-  generator's surface that :class:`~repro.core.streams.EpsilonStream`
-  policies and :class:`~repro.core.checkpoint.LfsrSnapshot` use.  A view is
+* per-row :class:`BankedGaussianRNG` views carrying what
+  :class:`~repro.core.streams.EpsilonStream` policies and
+  :class:`~repro.core.checkpoint.LfsrSnapshot` use.  A view is
   a plain accessor onto its row: every block request is a one-row kernel
   call that never touches the other rows.
 """
@@ -59,12 +60,18 @@ class GrngBank:
     n_bits:
         LFSR width shared by every row (256 in the paper).
     seed_indices:
-        Deterministic seed selector per row, hashed exactly like
-        ``FibonacciLFSR.from_seed_index``.  Defaults to ``range(n_rows)``.
+        Deterministic seed selector per row, hashed by
+        :func:`~repro.core.lfsr.seed_from_index`.  Defaults to
+        ``range(n_rows)``.
     taps:
         Optional explicit tap positions shared by every row.
     stride:
-        Register shifts per emitted variable (see the scalar generator).
+        Register shifts per emitted variable.  ``1`` matches the hardware
+        exactly (one pattern per weight) but makes consecutive variables a
+        slow random walk, because neighbouring patterns share ``n_bits - 1``
+        bits; ``n_bits`` uses non-overlapping patterns and yields effectively
+        independent variables.  Retrieval returns the identical values for
+        any stride.
     """
 
     def __init__(
@@ -250,8 +257,9 @@ class GrngBank:
     def epsilon_blocks(self, count: int) -> np.ndarray:
         """Generate ``count`` Gaussian variables for every row at once.
 
-        Returns an ``(n_rows, count)`` float64 array; row ``i`` is exactly
-        what the scalar generator with the same seed index would produce.
+        Returns an ``(n_rows, count)`` float64 array: per row, one value per
+        ``stride`` shifts, the popcount ``s`` of the pattern then in the
+        register standardised to ``(s - n/2) / sqrt(n/4)``.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -262,9 +270,10 @@ class GrngBank:
     def epsilon_blocks_reverse(self, count: int) -> np.ndarray:
         """Retrieve the previous ``count`` variables per row (newest first).
 
-        Row ``i`` equals ``epsilon_block_reverse(count)`` of the matching
-        scalar generator; registers are left ``count * stride`` patterns
-        earlier.
+        The first value is the current sum register's, the rest those of the
+        ``count - 1`` patterns before it (each ``stride`` shifts apart), so a
+        retrieval right after :meth:`epsilon_blocks` returns that block
+        reversed.  Registers are left ``count * stride`` patterns earlier.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -276,14 +285,14 @@ class GrngBank:
     # per-row interface
     # ------------------------------------------------------------------
     def row_view(self, row: int) -> "BankedGaussianRNG":
-        """A scalar-compatible view of generator ``row``."""
+        """A one-row generator view of row ``row``."""
         if not 0 <= row < self.n_rows:
             raise IndexError(f"row {row} out of range for {self.n_rows} rows")
         return BankedGaussianRNG(self, row)
 
 
 class LfsrRowView:
-    """The register of one :class:`GrngBank` row, shaped like ``FibonacciLFSR``.
+    """The register of one :class:`GrngBank` row.
 
     ``state`` reads and writes go straight to the row's packed words; the
     width and taps are the bank's.
@@ -318,10 +327,9 @@ class LfsrRowView:
 class BankedGaussianRNG:
     """A Gaussian generator view over one :class:`GrngBank` row.
 
-    Carries the part of the :class:`~repro.core.grng.LfsrGaussianRNG` surface
-    the epsilon streams and the snapshots use.  Every block operation is a
-    one-row call into the bank, so a view's values, register and sum
-    register evolve exactly like the scalar generator's.
+    Carries what the epsilon streams and the snapshots use.  Every block
+    operation is a one-row call into the bank, so a view's values, register
+    and sum register evolve exactly like its row of the batched calls.
     """
 
     def __init__(self, bank: GrngBank, row: int) -> None:

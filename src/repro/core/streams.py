@@ -10,7 +10,7 @@ baseline accelerators and Shift-BNN:
   retrievals from that store -- the software analogue of spilling ``eps`` to
   DRAM (the dominant traffic source the paper measures in Fig. 3).
 * :class:`ReversibleGaussianStream` stores nothing but the LFSR state; blocks
-  are regenerated on retrieval by reversing the LFSR, exactly reproducing the
+  are regenerated on retrieval by rewinding the LFSR, exactly reproducing the
   forward values.
 
 Both classes implement the same :class:`EpsilonStream` interface and keep byte
@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grng import LfsrGaussianRNG
-
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .grng_bank import BankedGaussianRNG
-
-    GaussianGenerator = Union[LfsrGaussianRNG, "BankedGaussianRNG"]
 
 __all__ = [
     "EpsilonStream",
@@ -154,12 +150,12 @@ class EpsilonStream(abc.ABC):
     each retrieval, exactly the array that the matching forward call returned.
     """
 
-    def __init__(self, grng: "GaussianGenerator", bytes_per_value: int = 2) -> None:
+    def __init__(self, grng: "BankedGaussianRNG", bytes_per_value: int = 2) -> None:
         self._grng = grng
         self.usage = StreamUsage(bytes_per_value=bytes_per_value)
 
     @property
-    def grng(self) -> "GaussianGenerator":
+    def grng(self) -> "BankedGaussianRNG":
         """The Gaussian generator backing this stream."""
         return self._grng
 
@@ -194,7 +190,7 @@ class StoredGaussianStream(EpsilonStream):
     blocks live in a LIFO because backpropagation walks the layers in reverse.
     """
 
-    def __init__(self, grng: "GaussianGenerator", bytes_per_value: int = 2) -> None:
+    def __init__(self, grng: "BankedGaussianRNG", bytes_per_value: int = 2) -> None:
         super().__init__(grng, bytes_per_value)
         self._blocks: list[np.ndarray] = []
 
@@ -233,19 +229,18 @@ class StoredGaussianStream(EpsilonStream):
 
 
 class ReversibleGaussianStream(EpsilonStream):
-    """Shift-BNN policy: regenerate blocks by reversed LFSR shifting.
+    """Shift-BNN policy: regenerate blocks by rewinding the LFSR.
 
     Nothing but the LFSR register (and, per outstanding layer, a block-size
     counter) is kept between the forward and backward stages.  Retrieval
-    rewinds the register with the generator's ``epsilon_block_reverse`` --
-    the scalar generator by reverse shifting (the hardware's Eq. 3), a bank
-    row by a jump back and a forward replay -- and reproduces the forward
-    values bit exactly because the LFSR recurrence is reversible.  A
+    rewinds the register with the generator's ``epsilon_block_reverse`` (a
+    jump back and a forward replay of the bank row) and reproduces the
+    forward values bit exactly because the LFSR recurrence is reversible.  A
     retrieval must start on the register the stream last left; anything
     else means the register was written outside the stream.
     """
 
-    def __init__(self, grng: "GaussianGenerator", bytes_per_value: int = 2) -> None:
+    def __init__(self, grng: "BankedGaussianRNG", bytes_per_value: int = 2) -> None:
         super().__init__(grng, bytes_per_value)
         self._pending: list[_BlockRecord] = []
         # The farthest pattern the forward stage reached.  After the backward

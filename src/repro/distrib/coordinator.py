@@ -209,7 +209,7 @@ class DistributedBackend:
         self._closed = False
         self._pending_joins = 0
         self._pending_leaves = 0
-        #: Cumulative traffic/recovery accounting (also mirrored to metrics;
+        #: Cumulative traffic/recovery accounting (also published to metrics;
         #: these plain counters stay available under ``REPRO_OBS=0``).
         self.bytes_shipped = 0
         self.bytes_full_equivalent = 0

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .plan import ShardPlan, StepPlan
+from .plan import StepPlan
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..bnn.model import BayesianNetwork
@@ -36,18 +36,6 @@ __all__ = ["DistributedReductionError", "reduce_step_outputs"]
 
 class DistributedReductionError(RuntimeError):
     """A task result does not fit the step's plan or the model's parameters."""
-
-
-def _as_step_plan(
-    plan: "ShardPlan | StepPlan", task_results: Sequence[dict]
-) -> StepPlan:
-    """Promote a legacy sample-axis plan to a single-row-block step plan."""
-    if isinstance(plan, StepPlan):
-        return plan
-    if not task_results:
-        raise DistributedReductionError("no task results to reduce")
-    n_rows = task_results[0]["probabilities"].shape[1]
-    return StepPlan(samples=plan, n_rows=n_rows, row_blocks=((0, n_rows),))
 
 
 def _validate(
@@ -98,14 +86,12 @@ def _validate(
 
 def reduce_step_outputs(
     model: "BayesianNetwork",
-    plan: "ShardPlan | StepPlan",
+    plan: StepPlan,
     task_results: Sequence[dict],
 ) -> tuple[float, np.ndarray]:
     """Reduce one step's task results into the coordinator's model.
 
-    ``task_results`` follow ``plan.tasks`` order (shard-major); a legacy
-    sample-axis :class:`~repro.distrib.plan.ShardPlan` is accepted as a
-    single-row-block step plan.  Zeroes the model's gradients, then
+    ``task_results`` follow ``plan.tasks`` order (shard-major).  Zeroes the model's gradients, then
     accumulates every parameter's per-sample contributions and the
     per-sample loss terms in canonical ``(sample, row-block)`` order, and
     the predictive probabilities per row.  Returns ``(total_nll,
@@ -113,7 +99,6 @@ def reduce_step_outputs(
     (for any plan with one row block; for blocked plans, exactly as the
     canonical blocked trajectory defines them).
     """
-    plan = _as_step_plan(plan, task_results)
     _validate(model, plan, task_results)
     owners = [
         [plan.task_of(s, b) for b in range(plan.n_row_blocks)]

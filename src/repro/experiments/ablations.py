@@ -20,7 +20,10 @@ experiment.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+import numpy as np
 
 from ..accel import (
     DramChannel,
@@ -29,7 +32,7 @@ from ..accel import (
     simulate_training_iteration,
 )
 from ..analysis import energy_reduction_percent
-from ..core import LfsrGaussianRNG
+from ..core import GrngBank
 from ..models import paper_models
 from .base import ExperimentResult
 
@@ -54,17 +57,12 @@ def run_grng_quality_ablation(
     for width in widths:
         for stride in strides:
             stride_effective = min(stride, width)
-            grng = LfsrGaussianRNG(n_bits=width, seed_index=7, stride=stride_effective)
-            summary = grng.distribution_summary(count=sample_count)
+            bank = GrngBank(seed_indices=[7], n_bits=width, stride=stride_effective)
+            samples = bank.epsilon_blocks(sample_count)[0]
+            mean, std = float(np.mean(samples)), float(np.std(samples))
+            skew = float(np.mean((samples - samples.mean()) ** 3) / std**3) if std else 0.0
             result.rows.append(
-                [
-                    width,
-                    stride_effective,
-                    summary["mean"],
-                    summary["std"],
-                    summary["skew"],
-                    grng.resolution,
-                ]
+                [width, stride_effective, mean, std, skew, 1.0 / math.sqrt(width / 4.0)]
             )
     result.notes.append(
         "wider registers shrink the quantisation step (resolution = 2/sqrt(n)); "

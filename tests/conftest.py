@@ -11,9 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.bnn import BayesConv2D, BayesDense, BayesianNetwork
+from repro.bnn import BayesConv2D, BayesDense, BayesianNetwork, PredictiveResult
+from repro.core import StreamBank
 from repro.models import ActivationSpec, ConvSpec, DenseSpec, FlattenSpec, ModelSpec, PoolSpec
 from repro.nn import Flatten, MaxPool2D, ReLU
+from repro.nn.functional import softmax
 
 
 def central_difference_gradient(
@@ -36,6 +38,40 @@ def central_difference_gradient(
         flat[index] = original
         grad_flat[index] = (upper - lower) / (2.0 * epsilon)
     return grad
+
+
+def sequential_mc_predict(
+    model: BayesianNetwork,
+    x: np.ndarray,
+    n_samples: int = 8,
+    seed: int = 0,
+    grng_stride: int = 256,
+    lfsr_bits: int = 256,
+) -> PredictiveResult:
+    """``mc_predict``'s reference: one sample at a time, in eval mode.
+
+    Each sample runs ``model.forward_sample`` on its own row of the same
+    reversible stream bank ``mc_predict`` builds, then a softmax; the batched
+    engine must reproduce these probabilities byte for byte.  Each layer's
+    mode is restored afterwards.
+    """
+    bank = StreamBank(
+        n_samples=n_samples,
+        policy="reversible",
+        seed=seed,
+        lfsr_bits=lfsr_bits,
+        grng_stride=grng_stride,
+    )
+    modes = [layer.training for layer in model.layers]
+    model.eval()
+    try:
+        probabilities = np.stack(
+            [softmax(model.forward_sample(x, bank.sampler(i))) for i in range(n_samples)]
+        )
+    finally:
+        for layer, training in zip(model.layers, modes):
+            layer.train() if training else layer.eval()
+    return PredictiveResult(sample_probabilities=probabilities)
 
 
 def process_running(pid: int) -> bool:

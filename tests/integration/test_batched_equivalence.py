@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import sequential_mc_predict
 from repro.bnn import BNNTrainer, TrainerConfig, mc_predict
 from repro.bnn.serialization import state_fingerprint, tensor_fingerprint
 from repro.datasets import BatchLoader, synthetic_cifar10, synthetic_mnist
@@ -152,10 +153,8 @@ class TestPredictEquivalence:
         spec, _, test = mlp_setup
         model = spec.build_bayesian(seed=42)
         x = test.flatten_images()
-        sequential = mc_predict(
-            model, x, n_samples=5, grng_stride=stride, batched=False
-        )
-        batched = mc_predict(model, x, n_samples=5, grng_stride=stride, batched=True)
+        sequential = sequential_mc_predict(model, x, n_samples=5, grng_stride=stride)
+        batched = mc_predict(model, x, n_samples=5, grng_stride=stride)
         assert np.array_equal(
             sequential.sample_probabilities, batched.sample_probabilities
         )
@@ -170,12 +169,8 @@ class TestPredictEquivalence:
     def test_conv_probabilities_bit_identical(self, lenet_setup):
         spec, _, test = lenet_setup
         model = spec.build_bayesian(seed=42)
-        sequential = mc_predict(
-            model, test.images, n_samples=4, grng_stride=32, batched=False
-        )
-        batched = mc_predict(
-            model, test.images, n_samples=4, grng_stride=32, batched=True
-        )
+        sequential = sequential_mc_predict(model, test.images, n_samples=4, grng_stride=32)
+        batched = mc_predict(model, test.images, n_samples=4, grng_stride=32)
         assert np.array_equal(
             sequential.sample_probabilities, batched.sample_probabilities
         )
@@ -184,10 +179,10 @@ class TestPredictEquivalence:
         spec, _, test = mlp_setup
         model = spec.build_bayesian(seed=42)
         model.train()
-        mc_predict(model, test.flatten_images()[:4], n_samples=2, batched=True)
+        mc_predict(model, test.flatten_images()[:4], n_samples=2)
         assert model.training
         model.eval()
-        mc_predict(model, test.flatten_images()[:4], n_samples=2, batched=True)
+        mc_predict(model, test.flatten_images()[:4], n_samples=2)
         assert not model.training
 
 
@@ -414,11 +409,8 @@ ENGINE_SHAPES = [
 def test_mc_predict_engines_agree_at_bench_shapes(arch, n_samples, stride):
     spec, x, _ = _engine_setup(arch)
     model = spec.build_bayesian(seed=42)
-    results = [
-        mc_predict(model, x, n_samples=n_samples, grng_stride=stride, batched=batched)
-        for batched in (False, True)
-    ]
-    sequential, batched = results
+    sequential = sequential_mc_predict(model, x, n_samples=n_samples, grng_stride=stride)
+    batched = mc_predict(model, x, n_samples=n_samples, grng_stride=stride)
     assert batched.sample_probabilities.shape[:2] == (n_samples, len(x))
     assert np.all(np.isfinite(batched.mean_probabilities))
     assert (

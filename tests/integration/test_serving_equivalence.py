@@ -21,6 +21,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import sequential_mc_predict
 from repro.bnn import ShiftBNNTrainer, TrainerConfig, mc_predict
 from repro.datasets import BatchLoader, synthetic_mnist
 from repro.models import ReplicaSpec, get_model
@@ -165,11 +166,8 @@ def test_mc_predict_out_buffer_is_bit_identical():
     reused = mc_predict(model, x, n_samples=4, seed=2, grng_stride=64, out=buffer)
     assert reused.sample_probabilities is buffer
     assert np.array_equal(buffer, plain.sample_probabilities)
-    # the per-sample escape hatch honours out= identically
-    sequential = mc_predict(
-        model, x, n_samples=4, seed=2, grng_stride=64, batched=False,
-        out=np.empty_like(buffer),
-    )
+    # and the samples one at a time agree
+    sequential = sequential_mc_predict(model, x, n_samples=4, seed=2, grng_stride=64)
     assert np.array_equal(sequential.sample_probabilities, buffer)
 
 

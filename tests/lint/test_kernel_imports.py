@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 import repro.core.backend as backend
-from repro.core import FibonacciLFSR, GrngBank
+from repro.core import GrngBank
 from repro.nn import functional as F
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -177,8 +177,11 @@ def test_public_wrappers_route_through_dispatch():
     routed = (EXPECTED_KERNELS - {"fused_sample_matmul"}) | COUNTED_FUNCTIONS
     before = {kernel: _total_calls(kernel) for kernel in routed}
 
-    FibonacciLFSR(16, seed=1).window_popcounts(32)  # drives lfsr_step_block too
-    GrngBank(2, n_bits=16).epsilon_blocks(8)  # grng_block
+    # grng_block: at 16 bits on its NumPy chain, lfsr_step_block >
+    # window_popcounts > clt_standardise; a retrieval standardises its sums
+    bank = GrngBank(2, n_bits=16)
+    bank.epsilon_blocks(8)
+    bank.epsilon_blocks_reverse(8)
 
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3, 6, 6))
@@ -189,10 +192,6 @@ def test_public_wrappers_route_through_dispatch():
     a = rng.standard_normal((2, 4, 5))
     b = rng.standard_normal((2, 5, 3))
     F.sample_matmul(a, b)
-
-    from repro.core import LfsrGaussianRNG
-
-    LfsrGaussianRNG(16, seed_index=3).epsilon_block(8)  # clt_standardise
 
     from repro.bnn.posteriors import GaussianPosterior
 

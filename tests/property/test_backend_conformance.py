@@ -213,7 +213,7 @@ def test_window_popcounts_matches_oracle(name, seed, width, rows, stride, window
     states = [int(rng.integers(1, 1 << 63)) for _ in range(rows)]
     words = pack_int_rows(states, width)
     taps = normalise_taps(width, MAXIMAL_TAPS[width])
-    seq_words, _ = backend.lfsr_step_block(words, width, count, taps, False)
+    seq_words, _ = backend.lfsr_step_block(words, width, count, taps)
     got = _forced("window_popcounts", name, seq_words, width, count, stride)
     want = _oracle("window_popcounts", seq_words, width, count, stride)
     # dtype may differ between backends; the counted values may not
@@ -297,10 +297,10 @@ def _hot_workload(kernel: str) -> tuple:
     """Fresh arguments for one call at the size the training and serving steps run."""
     rng = np.random.default_rng(11)
     if kernel == "lfsr_step_block":
-        return _hot_state_words(), HOT_BITS, HOT_STEPS, _HOT_OFFSETS, False
+        return _hot_state_words(), HOT_BITS, HOT_STEPS, _HOT_OFFSETS
     if kernel == "window_popcounts":
         seq_words, _ = backend.lfsr_step_block(
-            _hot_state_words(), HOT_BITS, HOT_POPCOUNT_BITS, _HOT_OFFSETS, False
+            _hot_state_words(), HOT_BITS, HOT_POPCOUNT_BITS, _HOT_OFFSETS
         )
         return seq_words, HOT_BITS, HOT_POPCOUNT_BITS, HOT_BITS
     if kernel == "clt_standardise":
@@ -412,10 +412,9 @@ def _bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
 
 
-def _lfsr_oracle(state_words, n_bits, count, offsets, reverse):
+def _lfsr_oracle(state_words, n_bits, count, offsets):
     # the sequence starts with the register oldest bit first (Rn .. R1); each
     # later bit is the XOR of the bits `p` back, `min(offsets)` bits at a time
-    assert not reverse
     seq = np.zeros((state_words.shape[0], n_bits + count), dtype=np.uint8)
     seq[:, :n_bits] = _bits(state_words)[:, n_bits - 1 :: -1]
     step = min(offsets)

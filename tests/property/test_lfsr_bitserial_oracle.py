@@ -1,28 +1,27 @@
-"""An independent bit-serial oracle for the packed leapfrog kernel.
+"""The packed kernels and GrngBank against the independent bit-serial oracle.
 
-Every other LFSR proof in the suite compares fast code to the repo's *own*
-step-wise reference, and stops at a few hundred shifts -- far short of squaring
-level 6 (position ``256 << 6 = 16,384`` at 256 bits), where the packed fill
-switches from shifted extracts to whole-word slice XORs.  This file closes
-both gaps with a Fibonacci LFSR written from scratch from the tap table, in
-the style of a hardware description (PyRTL ``rtllib/lfsr.py``): a register of
-single bits, one feedback XOR over the tapped cells, one shift per tick.  It
-shares no code with ``repro.core.bitops`` -- words are packed and unpacked
-with the helpers below -- so a bug common to the kernel and the repo's
-reference can no longer cancel out.
+Every other LFSR proof in the suite stops at a few hundred shifts -- far
+short of squaring level 6 (position ``256 << 6 = 16,384`` at 256 bits), where
+the packed fill switches from shifted extracts to whole-word slice XORs.  This
+file closes that gap with the Fibonacci LFSR of ``tests/oracle``, written from
+scratch from the tap table in the style of a hardware description (PyRTL
+``rtllib/lfsr.py``): a register of single bits, one feedback XOR over the
+tapped cells, one shift per tick, forward or in reverse.  It shares no code
+with ``repro`` -- it packs and unpacks words itself -- so a bug common to the
+kernel and the repo's reference can no longer cancel out.
 
-Checked against it, forward and reverse: the ``lfsr_step_block`` function
-(history, produced bits, end state, zero padding), ``window_popcounts``
-on its output, the fused ``grng_block`` point on its compiled ``native``
-backend (values, popcounts, end states, split calls, every width and row
-count its ``supports`` predicate accepts -- across the vector lane body's
-groups of eight rows at 256 bits when the CPU runs it), ``GrngBank``'s
-reversed retrieval and its forward -> replay -> reversed retrieval round
-trip, and the jump under that retrieval (``grng_block``'s ``rewind``: the
-register ``N`` shifts back as a fixed linear function of the current one) on
-both backends, at every table width and at random widths, taps and ``N``.
-The kernel's ``grng_forward`` is also held byte-equal to its row body alone
-over the whole domain, jump included.
+Checked against it: the ``lfsr_step_block`` function (history, produced bits,
+end state, zero padding), ``window_popcounts`` on its output, the fused
+``grng_block`` point on its compiled ``native`` backend (values, popcounts,
+end states, split calls, every width and row count its ``supports``
+predicate accepts -- across the vector lane body's groups of eight rows at
+256 bits when the CPU runs it), ``GrngBank``'s reversed retrieval (the
+oracle ticking in reverse) and its forward -> replay -> reversed retrieval
+round trip, and the jump under that retrieval (``grng_block``'s ``rewind``:
+the register ``N`` shifts back as a fixed linear function of the current
+one) on both backends, at every table width and at random widths, taps and
+``N``.  The kernel's ``grng_forward`` is also held byte-equal to its row body
+alone over the whole domain, jump included.
 
 A second from-scratch construction brackets the kernels from the other side:
 the **Galois** (internal-XOR) form of the same polynomial -- shift the whole
@@ -37,9 +36,7 @@ be built here.
 from __future__ import annotations
 
 import math
-from collections import deque
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -48,17 +45,24 @@ from hypothesis import strategies as st
 
 import repro.core.backend as backend
 import repro.core.native as native
+from oracle import (
+    TAP_TABLE,
+    BitSerialLFSR,
+    OracleGRNG,
+    clt,
+    from_words,
+    galois_stream,
+    history_bits,
+    mirrored_offsets,
+    oracle_prefix,
+    oracle_run,
+    oracle_state_after,
+    retrieval_sums,
+    stream_popcounts,
+    to_words,
+    word_bits,
+)
 from repro.core import GrngBank
-
-#: 1-based tap positions, tail tap ``n`` included (Xilinx XAPP 052 table).
-TAP_TABLE = {
-    8: (8, 6, 5, 4),
-    16: (16, 15, 13, 4),
-    64: (64, 63, 61, 60),
-    128: (128, 126, 101, 99),
-    192: (192, 190, 178, 177),
-    256: (256, 254, 251, 246),
-}
 
 #: Squaring level 6 starts at position ``256 << 6``; 2**17 shifts climb three
 #: levels past it.  The +1 / +63 variants end on a sub-word tail.
@@ -66,152 +70,59 @@ LONG_COUNTS = (1 << 17, (1 << 17) + 1, (1 << 17) + 63)
 SEEDS_256 = tuple(
     (0x9E3779B97F4A7C15 * (row + 1)) ** 4 % (1 << 256) | 1 for row in range(16)
 )
+#: The widths of the first oracle tables, where the long runs below stay.
+WIDTHS = (8, 16, 64, 128, 192, 256)
 
 
-# ----------------------------------------------------------------------
-# the oracle: a register of bits, a tap XOR, one shift per tick
-# ----------------------------------------------------------------------
-class BitSerialLFSR:
-    """Cells ``R1..Rn`` (``cells[0]`` is the head ``R1``), one bit each."""
-
-    def __init__(self, n_bits: int, seed: int, taps=None) -> None:
-        assert 0 < seed < (1 << n_bits)
-        self.n = n_bits
-        self.taps = TAP_TABLE[n_bits] if taps is None else tuple(taps)
-        self.cells = deque((seed >> j) & 1 for j in range(n_bits))
-
-    def tick_forward(self) -> int:
-        """Feed the XOR of the tapped cells into the head; the tail drops out."""
-        feedback = 0
-        for tap in self.taps:
-            feedback ^= self.cells[tap - 1]
-        self.cells.pop()
-        self.cells.appendleft(feedback)
-        return feedback
-
-    def tick_reverse(self) -> int:
-        """Undo one forward tick; return the tail bit it had dropped.
-
-        The head holds the old feedback ``Rn ^ XOR R_p``; every old ``R_p``
-        now sits one cell further along, so XORing them back out leaves Rn.
-        """
-        tail = self.cells[0]
-        for tap in self.taps:
-            if tap != self.n:
-                tail ^= self.cells[tap]
-        self.cells.popleft()
-        self.cells.append(tail)
-        return tail
-
-    def popcount(self) -> int:
-        return sum(self.cells)
-
-    def state(self) -> int:
-        return sum(bit << j for j, bit in enumerate(self.cells))
+def kernel_offsets(n_bits: int) -> tuple[int, ...]:
+    return tuple(sorted(TAP_TABLE[n_bits]))
 
 
-@lru_cache(maxsize=None)
-def oracle_run(n_bits: int, seed: int, count: int, reverse: bool):
-    """``(bits, popcounts, end_state)`` of ``count`` ticks from ``seed``.
-
-    ``popcounts[k]`` is the pattern popcount after tick ``k + 1``.  Shorter
-    runs from the same seed are prefixes, so callers slice one long run.
-    """
-    lfsr = BitSerialLFSR(n_bits, seed)
-    tick = lfsr.tick_reverse if reverse else lfsr.tick_forward
-    bits = np.empty(count, dtype=np.uint8)
-    popcounts = np.empty(count, dtype=np.int64)
-    for k in range(count):
-        bits[k] = tick()
-        popcounts[k] = lfsr.popcount()
-    return bits, popcounts, lfsr.state()
-
-
-def oracle_prefix(n_bits: int, seed: int, count: int, reverse: bool, longest: int):
-    bits, popcounts, _ = oracle_run(n_bits, seed, longest, reverse)
-    return bits[:count], popcounts[:count]
-
-
-def oracle_state_after(n_bits: int, seed: int, bits: np.ndarray, reverse: bool) -> int:
-    """End state from the start state and the produced bits alone.
-
-    Forward ticks push head bits in at R1; reverse ticks push tail bits in at
-    Rn -- the register is simply the last ``n`` bits of history + output.
-    """
-    history = [(seed >> j) & 1 for j in range(n_bits)]
-    newest = [int(b) for b in bits[-n_bits:]]
-    if reverse:
-        window = (history + newest)[-n_bits:]
-    else:
-        window = (newest[::-1] + history)[:n_bits]
-    return sum(bit << j for j, bit in enumerate(window))
-
-
-# ----------------------------------------------------------------------
-# word packing, written here so nothing is shared with repro.core.bitops
-# ----------------------------------------------------------------------
-def to_words(states, n_bits: int) -> np.ndarray:
-    n_words = -(-n_bits // 64)
-    raw = b"".join(int(s).to_bytes(n_words * 8, "little") for s in states)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(states), n_words).astype(np.uint64)
-
-
-def from_words(words: np.ndarray) -> list[int]:
-    return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in words]
-
-
-def word_bits(words: np.ndarray) -> np.ndarray:
-    raw = np.ascontiguousarray(words.astype("<u8")).view(np.uint8)
-    return np.unpackbits(raw, axis=1, bitorder="little")
-
-
-def kernel_offsets(n_bits: int, reverse: bool) -> tuple[int, ...]:
-    taps = TAP_TABLE[n_bits]
-    if reverse:
-        return tuple(sorted({n_bits - p for p in taps if p != n_bits} | {n_bits}))
-    return tuple(sorted(taps))
-
-
-def check_step_block(n_bits, seeds, count, reverse, longest):
+def check_step_block(n_bits, seeds, count, longest):
     """Run the packed kernel and compare every output with the oracle."""
     seq_words, new_words = backend.lfsr_step_block(
-        to_words(seeds, n_bits),
-        n_bits,
-        count,
-        kernel_offsets(n_bits, reverse),
-        reverse,
+        to_words(seeds, n_bits), n_bits, count, kernel_offsets(n_bits)
     )
     seq = word_bits(seq_words)
     assert not seq[:, n_bits + count :].any(), "bits past n_bits + count must be 0"
     for row, seed in enumerate(seeds):
-        want_bits, _ = oracle_prefix(n_bits, seed, count, reverse, longest)
-        history = [(seed >> j) & 1 for j in range(n_bits)]
-        if not reverse:
-            history.reverse()  # forward time order is oldest first: Rn..R1
-        assert seq[row, :n_bits].tolist() == history
+        want_bits, _ = oracle_prefix(n_bits, seed, count, False, longest)
+        # forward time order is oldest first: Rn..R1
+        assert seq[row, :n_bits].tolist() == history_bits(n_bits, seed, False)
         assert np.array_equal(seq[row, n_bits : n_bits + count], want_bits)
         assert from_words(new_words[row : row + 1])[0] == oracle_state_after(
-            n_bits, seed, want_bits, reverse
+            n_bits, seed, want_bits, False
         )
     return seq_words
+
+
+def reverse_bank(seeds, n_bits, stride, taps=None):
+    bank = GrngBank(n_rows=len(seeds), n_bits=n_bits, taps=taps, stride=stride)
+    bank.set_states(seeds)
+    return bank
+
+
+def reversed_values(state: int, earlier: np.ndarray, n_bits: int) -> bytes:
+    """Retrieval from register ``state`` (sum register in step) emits the
+    current pattern first, then the earlier ones."""
+    return clt(retrieval_sums(bin(state).count("1"), state, earlier), n_bits).tobytes()
 
 
 # ----------------------------------------------------------------------
 # 256-bit registers, far past the level-6 alignment boundary
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 @pytest.mark.parametrize("count", LONG_COUNTS)
 @pytest.mark.parametrize("rows", [1, 3, 8])
-def test_step_block_and_popcounts_match_bit_serial_oracle(rows, count, reverse):
+def test_step_block_and_popcounts_match_bit_serial_oracle(rows, count):
     seeds = SEEDS_256[:rows]
     longest = max(LONG_COUNTS)
-    seq_words = check_step_block(256, seeds, count, reverse, longest)
+    seq_words = check_step_block(256, seeds, count, longest)
     for stride in (1, 3, 64, 256):
         if count % stride:
             continue
         got = backend.registry.call("window_popcounts", seq_words, 256, count, stride)
         for row, seed in enumerate(seeds):
-            _, popcounts = oracle_prefix(256, seed, count, reverse, longest)
+            _, popcounts = oracle_prefix(256, seed, count, False, longest)
             assert np.array_equal(
                 np.asarray(got[row], dtype=np.int64), popcounts[stride - 1 :: stride]
             ), f"stride {stride}, row {row}"
@@ -235,7 +146,14 @@ def test_small_registers_over_a_full_period(n_bits, reverse):
     for seed in seeds:
         _, _, state = oracle_run(n_bits, seed, period, reverse)
         assert state == seed, "a maximal-length register returns to its seed"
-    seq_words = check_step_block(n_bits, seeds, period, reverse, period)
+    if reverse:
+        # the bank's retrieval walks the whole cycle back, pattern by pattern
+        out = reverse_bank(seeds, n_bits, 1).epsilon_blocks_reverse(period)
+        for row, seed in enumerate(seeds):
+            _, popcounts, _ = oracle_run(n_bits, seed, period, True)
+            assert out[row].tobytes() == reversed_values(seed, popcounts, n_bits)
+        return
+    seq_words = check_step_block(n_bits, seeds, period, period)
     for stride in (1, 3, 5):
         assert period % stride == 0
         got = backend.registry.call(
@@ -259,66 +177,33 @@ def test_small_registers_over_a_full_period(n_bits, reverse):
 def test_random_blocks_match_bit_serial_oracle(n_bits, seed_bits, rows, count, reverse):
     mask = (1 << n_bits) - 1
     seeds = tuple(((seed_bits * (2 * row + 1)) & mask) or 1 for row in range(rows))
-    check_step_block(n_bits, seeds, count, reverse, count)
+    if not reverse:
+        check_step_block(n_bits, seeds, count, count)
+        return
+    bank = reverse_bank(seeds, n_bits, 1)
+    out = bank.epsilon_blocks_reverse(count)
+    for row, seed in enumerate(seeds):
+        bits, popcounts = oracle_prefix(n_bits, seed, count, True, count)
+        assert out[row].tobytes() == reversed_values(seed, popcounts, n_bits)
+        assert bank.states()[row] == oracle_state_after(n_bits, seed, bits, True)
 
 
 # ----------------------------------------------------------------------
 # the second oracle: the Galois form (shift, conditional mask XOR)
 # ----------------------------------------------------------------------
-def galois_stream(n_bits: int, offsets, history, count: int) -> np.ndarray:
-    """The ``count`` bits that follow ``history`` under ``b(t) = XOR_p b(t-p)``.
-
-    One integer register: shift left, and when a bit falls out of the top
-    XOR the feedback mask ``x^n + SUM_p x^(n-p)`` back in; the bits that fall
-    out obey the recurrence.  The register is seeded so that its first ``n``
-    carry-outs replay ``history`` (bit ``n-1-k`` of the seed is ``history[k]``
-    corrected by the mask XORs the earlier carry-outs will have caused) --
-    asserted below, so a wrong seeding cannot pass silently.
-    """
-    top = 1 << n_bits
-    mask = top | sum(1 << (n_bits - p) for p in offsets)
-    state = 0
-    for k, bit in enumerate(history):
-        for p in offsets:
-            if p <= k:
-                bit ^= history[k - p]
-        state |= int(bit) << (n_bits - 1 - k)
-    out = np.empty(n_bits + count, dtype=np.uint8)
-    for k in range(n_bits + count):
-        state <<= 1
-        out[k] = state >> n_bits
-        if state & top:
-            state ^= mask
-    assert out[:n_bits].tolist() == [int(b) for b in history]
-    return out[n_bits:]
-
-
-def history_bits(n_bits: int, seed: int, reverse: bool) -> list[int]:
-    """The register in the kernel's time order: R1..Rn reversed, Rn..R1 forward."""
-    cells = [(seed >> j) & 1 for j in range(n_bits)]
-    return cells if reverse else cells[::-1]
-
-
-def stream_popcounts(history, bits, n_bits: int, stride: int) -> np.ndarray:
-    """Window popcounts after every ``stride``-th bit, from the bits alone."""
-    sums = np.concatenate(([0], np.cumsum(np.concatenate((history, bits)), dtype=np.int64)))
-    ends = np.arange(stride, len(bits) + 1, stride) + n_bits
-    return sums[ends] - sums[ends - n_bits]
-
-
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-@pytest.mark.parametrize("n_bits", [8, 16, 64, 128, 192, 256])
+@pytest.mark.parametrize("n_bits", WIDTHS)
 def test_galois_form_agrees_with_bit_serial_oracle_and_step_block(n_bits, reverse):
     count = max(LONG_COUNTS) if n_bits == 256 else 4096
     seed = SEEDS_256[1] % (1 << n_bits) | 1
-    offsets = kernel_offsets(n_bits, reverse)
+    taps = TAP_TABLE[n_bits]
+    offsets = mirrored_offsets(n_bits, taps) if reverse else kernel_offsets(n_bits)
     galois = galois_stream(n_bits, offsets, history_bits(n_bits, seed, reverse), count)
     serial, _ = oracle_prefix(n_bits, seed, count, reverse, count)
     assert np.array_equal(galois, serial)
-    seq_words, _ = backend.lfsr_step_block(
-        to_words([seed], n_bits), n_bits, count, offsets, reverse
-    )
-    assert np.array_equal(word_bits(seq_words)[0, n_bits : n_bits + count], galois)
+    if not reverse:
+        seq_words, _ = backend.lfsr_step_block(to_words([seed], n_bits), n_bits, count, offsets)
+        assert np.array_equal(word_bits(seq_words)[0, n_bits : n_bits + count], galois)
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +234,7 @@ def grng_block(seeds, n_bits, stride, count, mean=None, std=None):
     std = math.sqrt(n_bits / 4.0) if std is None else std
     out = np.empty((len(seeds), count), dtype=np.float64)
     _, new_words, last, _, _ = backend.registry.call(
-        "grng_block", to_words(seeds, n_bits), n_bits, kernel_offsets(n_bits, False),
+        "grng_block", to_words(seeds, n_bits), n_bits, kernel_offsets(n_bits),
         stride, count, mean, std, out,
     )
     return out, from_words(new_words), [int(v) for v in last]
@@ -362,7 +247,7 @@ def native_domain():
         n_bits
         for n_bits in sorted(TAP_TABLE)
         if backend._grng_block_native_supports(
-            to_words([1], n_bits), n_bits, kernel_offsets(n_bits, False),
+            to_words([1], n_bits), n_bits, kernel_offsets(n_bits),
             64, 1, 0.0, 1.0, probe,
         )
     ]
@@ -415,7 +300,7 @@ def test_native_grng_block_matches_galois_form(native_grng, n_bits):
     seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[2:5]]
     stride, count = n_bits, 4096 // n_bits * 8
     out, _, _ = grng_block(seeds, n_bits, stride, count)
-    offsets = kernel_offsets(n_bits, False)
+    offsets = kernel_offsets(n_bits)
     for row, seed in enumerate(seeds):
         history = history_bits(n_bits, seed, False)
         bits = galois_stream(n_bits, offsets, history, count * stride)
@@ -427,18 +312,6 @@ def test_native_grng_block_matches_galois_form(native_grng, n_bits):
 # ----------------------------------------------------------------------
 # reversed retrieval: GrngBank.epsilon_blocks_reverse (jump, then forward)
 # ----------------------------------------------------------------------
-def reverse_bank(seeds, n_bits, stride, taps=None):
-    bank = GrngBank(n_rows=len(seeds), n_bits=n_bits, taps=taps, stride=stride)
-    bank.set_states(seeds)
-    return bank
-
-
-def reversed_values(current: int, earlier: np.ndarray, n_bits: int) -> bytes:
-    """Retrieval emits the current pattern first, then the earlier ones."""
-    sums = np.concatenate(([current], earlier[:-1])).astype(np.int64)
-    return ((sums - n_bits / 2.0) / math.sqrt(n_bits / 4.0)).tobytes()
-
-
 @pytest.mark.parametrize(
     ("n_bits", "rows"),
     [(n_bits, rows) for n_bits in (64, 128, 192, 256) for rows in row_counts(n_bits)],
@@ -463,8 +336,7 @@ def test_bank_reverse_matches_bit_serial_oracle(n_bits, rows):
         for row, seed in enumerate(seeds):
             bits, popcounts = oracle_prefix(n_bits, seed, count * stride, True, longest)
             emitted = popcounts[stride - 1 :: stride]
-            current = bin(seed).count("1")
-            assert out[row].tobytes() == reversed_values(current, emitted, n_bits), (stride, row)
+            assert out[row].tobytes() == reversed_values(seed, emitted, n_bits), (stride, row)
             assert sums[row] == emitted[-1]
             assert end[row] == oracle_state_after(n_bits, seed, bits, True)
 
@@ -474,12 +346,12 @@ def test_bank_reverse_matches_galois_form(n_bits):
     seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[2:5]]
     stride, count = n_bits, 4096 // n_bits * 8
     out = reverse_bank(seeds, n_bits, stride).epsilon_blocks_reverse(count)
-    offsets = kernel_offsets(n_bits, True)
+    offsets = mirrored_offsets(n_bits, TAP_TABLE[n_bits])
     for row, seed in enumerate(seeds):
         history = history_bits(n_bits, seed, True)
         bits = galois_stream(n_bits, offsets, history, count * stride)
         emitted = stream_popcounts(history, bits, n_bits, stride)
-        assert out[row].tobytes() == reversed_values(sum(history), emitted, n_bits)
+        assert out[row].tobytes() == reversed_values(seed, emitted, n_bits)
 
 
 # ----------------------------------------------------------------------
@@ -514,9 +386,9 @@ def test_bank_reverse_at_random_taps_matches_bit_serial_oracle(register, stride,
             for _ in range(stride):
                 lfsr.tick_reverse()
             earlier.append(lfsr.popcount())
-        want = reversed_values(bin(seed).count("1"), np.array(earlier), n_bits)
+        want = reversed_values(seed, np.array(earlier), n_bits)
         assert out[row].tobytes() == want
-        assert bank.states()[row] == lfsr.state()
+        assert bank.states()[row] == lfsr.state
         assert bank.row_view(row).sum_register == earlier[-1]
 
 
@@ -547,12 +419,12 @@ def test_rewind_matches_bit_serial_oracle(which, n_bits):
     with grng_backend(which):
         before = native_calls()
         for shifts in (1, n_bits - 1, n_bits, 5 * n_bits + 3):
-            start = rewound(words, n_bits, kernel_offsets(n_bits, False), shifts)
+            start = rewound(words, n_bits, kernel_offsets(n_bits), shifts)
             for row, seed in enumerate(seeds):
                 lfsr = BitSerialLFSR(n_bits, seed)
                 for _ in range(shifts):
                     lfsr.tick_reverse()
-                assert from_words(start[row : row + 1])[0] == lfsr.state(), shifts
+                assert from_words(start[row : row + 1])[0] == lfsr.state, shifts
         if which == "native" and n_bits in native_domain():
             assert native_calls() == before + 4, "a rewind fell through to NumPy"
 
@@ -570,9 +442,9 @@ def test_jump_back_then_forward_is_the_identity(which, register, shifts):
             lfsr = BitSerialLFSR(n_bits, seed, taps)
             for _ in range(shifts):
                 lfsr.tick_reverse()
-            assert from_words(earlier[row : row + 1])[0] == lfsr.state()
+            assert from_words(earlier[row : row + 1])[0] == lfsr.state
     if shifts:
-        _, landed = backend.lfsr_step_block(earlier, n_bits, shifts, taps, False)
+        _, landed = backend.lfsr_step_block(earlier, n_bits, shifts, taps)
         earlier = landed
     assert from_words(earlier) == list(seeds)
 
@@ -597,7 +469,7 @@ def test_native_replay_lands_where_its_rewind_started(n_bits, rows, count, seed)
         with backend.using("grng_block", which):
             out, w_out = np.empty((rows, count)), np.empty((rows, count))
             results[which] = backend.registry.call(
-                "grng_block", words, n_bits, kernel_offsets(n_bits, False), n_bits,
+                "grng_block", words, n_bits, kernel_offsets(n_bits), n_bits,
                 count, 0.0, 1.0, out, mu=mu, sigma=sigma, w_out=w_out,
                 rewind=count * n_bits,
             )
@@ -786,3 +658,38 @@ def check_bank_round_trip(n_bits, stride):
     retrieved = bank.epsilon_blocks_reverse(count)
     assert retrieved.tobytes() == np.ascontiguousarray(want[:, ::-1]).tobytes()
     assert bank.states() == start
+
+
+# ----------------------------------------------------------------------
+# GrngBank against the oracle generator at every table width
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("which", ["native", "reference"])
+@pytest.mark.parametrize("n_bits", sorted(TAP_TABLE))
+def test_bank_matches_oracle_generator_at_every_width(which, n_bits):
+    """Forward values, the forward -> replay -> reversed retrieval round trip
+    and a drifted sum register riding a retrieval past the start, against
+    :class:`oracle.OracleGRNG`, on both ``grng_block`` backends."""
+    seeds, count = (3, 11), 24
+    with grng_backend(which):
+        before = native_calls()
+        bank = GrngBank(seed_indices=seeds, n_bits=n_bits, stride=n_bits)
+        oracles = [OracleGRNG(n_bits, seed, n_bits) for seed in seeds]
+        start = bank.register_words()
+        forward = bank.epsilon_blocks(count)
+        for row, oracle in enumerate(oracles):
+            assert forward[row].tobytes() == oracle.epsilon_block(count).tobytes()
+        assert bank.states() == [oracle.state for oracle in oracles]
+        _, replayed, _, landed = bank.replay_weight_blocks(
+            start, np.zeros(count), np.ones(count)
+        )
+        assert replayed.tobytes() == forward.tobytes()
+        assert np.array_equal(landed, bank.register_words())
+        bank.row_view(1).sum_register += 5
+        oracles[1].sum_register += 5
+        back = bank.epsilon_blocks_reverse(count + 3)
+        for row, oracle in enumerate(oracles):
+            assert back[row].tobytes() == oracle.epsilon_block_reverse(count + 3).tobytes()
+            assert bank.row_view(row).sum_register == oracle.sum_register
+        assert bank.states() == [oracle.state for oracle in oracles]
+        if which == "native" and n_bits in native_domain():
+            assert native_calls() == before + 3, "a call fell through to NumPy"

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.bnn import BayesConv2D, BayesDense, GaussianPrior
-from repro.core import LfsrGaussianRNG, ReversibleGaussianStream, StoredGaussianStream, WeightSampler
+from repro.core import GrngBank, ReversibleGaussianStream, StoredGaussianStream, WeightSampler
 from repro.nn import QuantizationConfig
 
 
 def make_sampler(seed_index: int = 0, policy: str = "reversible") -> WeightSampler:
-    grng = LfsrGaussianRNG(n_bits=64, seed_index=seed_index, stride=8)
+    grng = GrngBank(n_bits=64, seed_indices=[seed_index], stride=8).row_view(0)
     if policy == "stored":
         return WeightSampler(StoredGaussianStream(grng))
     return WeightSampler(ReversibleGaussianStream(grng))

@@ -417,7 +417,7 @@ class TestSampleGradientTape:
 
 class TestReducerValidation:
     def _plan_and_result(self):
-        plan = plan_shards(2, 2)
+        plan = plan_step(n_samples=2, n_shards=2, n_rows=2)
         result = {
             "shard": (0,),
             "contributions": {},
@@ -436,7 +436,7 @@ class TestReducerValidation:
     def test_contribution_names_validated(self):
         spec = get_model("B-MLP", reduced=True)
         model = spec.build_bayesian(seed=1)
-        plan = plan_shards(1, 1)
+        plan = plan_step(n_samples=1, n_shards=1, n_rows=2)
         result = {
             "shard": (0,),
             "contributions": {"nope": np.zeros((1, 2))},
@@ -460,10 +460,11 @@ class TestReducerValidation:
             "nlls": [0.0],
             "probabilities": np.zeros((1, 2, 10)),
         }
-        reduce_step_outputs(model, plan_shards(1, 1), [result])
+        plan = plan_step(n_samples=1, n_shards=1, n_rows=2)
+        reduce_step_outputs(model, plan, [result])
         result["contributions"]["fc1.bias"] = np.zeros((1, 1))  # would broadcast
         with pytest.raises(DistributedReductionError, match="fc1.bias"):
-            reduce_step_outputs(model, plan_shards(1, 1), [result])
+            reduce_step_outputs(model, plan, [result])
 
 
 PARAMETERS = [("w", np.dtype(np.float64), (3, 2)), ("b", np.dtype(np.float64), (2,))]

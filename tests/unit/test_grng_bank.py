@@ -1,23 +1,21 @@
-"""Unit tests for the batched GRNG bank and its scalar-compatible row views."""
+"""Unit tests for the batched GRNG bank and its row views.
+
+Every value, register and sum register is compared with
+:class:`oracle.OracleGRNG`: the same seed ticked through a from-scratch
+bit-serial register, one oracle per row.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    FibonacciLFSR,
-    GrngBank,
-    LFSRStateError,
-    LfsrGaussianRNG,
-)
+from oracle import TAP_TABLE, BitSerialLFSR, OracleGRNG, clt, seed_for_index
+from repro.core import GrngBank, LFSRStateError
 
 
 def make_scalars(n_rows: int, n_bits: int = 64, stride: int = 4):
-    return [
-        LfsrGaussianRNG(n_bits=n_bits, seed_index=i, stride=stride)
-        for i in range(n_rows)
-    ]
+    return [OracleGRNG(n_bits, seed_index=i, stride=stride) for i in range(n_rows)]
 
 
 class TestConstruction:
@@ -44,16 +42,16 @@ class TestConstruction:
     @pytest.mark.parametrize("n_bits", [16, 64, 256])
     def test_seeds_match_scalar_seeding(self, n_bits):
         bank = GrngBank(seed_indices=[0, 3, 7, 500], n_bits=n_bits)
-        scalars = [FibonacciLFSR.from_seed_index(n_bits, i) for i in (0, 3, 7, 500)]
-        assert bank.states() == [lfsr.state for lfsr in scalars]
-        for row, lfsr in enumerate(scalars):
-            assert bank.row_view(row).sum_register == lfsr.popcount
+        seeds = [seed_for_index(n_bits, i) for i in (0, 3, 7, 500)]
+        assert bank.states() == seeds
+        for row, seed in enumerate(seeds):
+            assert bank.row_view(row).sum_register == bin(seed).count("1")
 
     def test_properties(self):
         bank = GrngBank(2, n_bits=64, stride=8)
         assert bank.n_bits == 64
         assert bank.stride == 8
-        assert bank.taps == FibonacciLFSR(64, seed=1).taps
+        assert bank.taps == tuple(sorted(TAP_TABLE[64]))
 
 
 class TestStates:
@@ -94,20 +92,19 @@ class TestBatchedInterface:
         scalars = make_scalars(3, n_bits=n_bits, stride=stride)
         block = bank.epsilon_blocks(200)
         reference = np.stack([g.epsilon_block(200) for g in scalars])
-        assert np.array_equal(block, reference)
-        assert bank.states() == [g.lfsr.state for g in scalars]
+        assert block.tobytes() == reference.tobytes()
+        assert bank.states() == [g.state for g in scalars]
 
     def test_long_block_matches_the_stepwise_register(self):
         # A block much longer than the register crosses many squared-
         # polynomial levels; compare against single hardware shifts.
         bank = GrngBank(seed_indices=[5], n_bits=16)
-        reference = FibonacciLFSR.from_seed_index(16, 5)
+        reference = BitSerialLFSR(16, seed_for_index(16, 5))
         popcounts = []
         for _ in range(5000):
-            reference.shift_forward()
-            popcounts.append(reference.popcount)
-        expected = (np.array(popcounts) - 8.0) / 2.0
-        assert np.array_equal(bank.epsilon_blocks(5000)[0], expected)
+            reference.tick_forward()
+            popcounts.append(reference.popcount())
+        assert bank.epsilon_blocks(5000)[0].tobytes() == clt(popcounts, 16).tobytes()
         assert bank.states() == [reference.state]
 
     @pytest.mark.parametrize("n_bits", [8, 16, 64, 256])
@@ -120,8 +117,8 @@ class TestBatchedInterface:
             g.epsilon_block(150)
         block = bank.epsilon_blocks_reverse(150)
         reference = np.stack([g.epsilon_block_reverse(150) for g in scalars])
-        assert np.array_equal(block, reference)
-        assert bank.states() == [g.lfsr.state for g in scalars]
+        assert block.tobytes() == reference.tobytes()
+        assert bank.states() == [g.state for g in scalars]
 
     @pytest.mark.parametrize("stride", [1, 3, 64, 256])
     def test_reverse_carries_a_drifted_sum_register_like_the_scalar(self, stride):
@@ -139,7 +136,7 @@ class TestBatchedInterface:
         assert block.tobytes() == reference.tobytes()
         for row, g in enumerate(scalars):
             assert bank.row_view(row).sum_register == g.sum_register
-            assert bank.row_view(row).lfsr.state == g.lfsr.state
+            assert bank.row_view(row).lfsr.state == g.state
 
     def test_empty_blocks(self):
         bank = GrngBank(2, n_bits=64)
@@ -159,8 +156,8 @@ class TestBatchedInterface:
         block = bank.epsilon_blocks(50_000)
         assert block.shape == (16, 50_000)
         for row in (0, 15):
-            scalar = LfsrGaussianRNG(n_bits=256, seed_index=row, stride=1)
-            assert np.array_equal(block[row], scalar.epsilon_block(50_000))
+            scalar = OracleGRNG(256, seed_index=row, stride=1)
+            assert block[row].tobytes() == scalar.epsilon_block(50_000).tobytes()
 
     def test_sixteen_long_rows_rewind_and_replay(self):
         bank = GrngBank(16, n_bits=256, stride=1)
@@ -179,7 +176,7 @@ class TestRowViews:
         for row in range(2):
             view = bank.row_view(row)
             assert np.array_equal(view.epsilon_block(50), scalars[row].epsilon_block(50))
-            assert view.lfsr.state == scalars[row].lfsr.state
+            assert view.lfsr.state == scalars[row].state
             assert view.sum_register == scalars[row].sum_register
             assert view.n_bits == 64
             assert view.stride == 4
@@ -190,22 +187,17 @@ class TestRowViews:
             bank.row_view(2)
 
     def test_stream_replay_round_trip_matches_scalar(self):
-        # A checkpoint replay is net-zero register movement on both engines.
+        # Forward, retrieve, and the next epoch resumes at the forward frontier.
         from repro.core import ReversibleGaussianStream
 
-        scalar_stream = ReversibleGaussianStream(make_scalars(1)[0])
-        banked_stream = ReversibleGaussianStream(
-            GrngBank(1, n_bits=64, stride=4).row_view(0)
-        )
-        for stream in (scalar_stream, banked_stream):
-            stream.forward_block((4,))
-            stream.retrieve_block((4,))
-            stream.reset_epoch()
-        assert banked_stream.grng.lfsr.state == scalar_stream.grng.lfsr.state
-        assert banked_stream.grng.sum_register == scalar_stream.grng.sum_register
-        assert np.array_equal(
-            banked_stream.forward_block((6,)), scalar_stream.forward_block((6,))
-        )
+        scalar = make_scalars(1)[0]
+        stream = ReversibleGaussianStream(GrngBank(1, n_bits=64, stride=4).row_view(0))
+        assert stream.forward_block((4,)).tobytes() == scalar.epsilon_block(4).tobytes()
+        stream.retrieve_block((4,))
+        stream.reset_epoch()
+        assert stream.grng.lfsr.state == scalar.state
+        assert stream.grng.sum_register == scalar.sum_register
+        assert stream.forward_block((6,)).tobytes() == scalar.epsilon_block(6).tobytes()
 
 
 class TestRowViewsOutOfPhase:
@@ -242,7 +234,7 @@ class TestRowViewsOutOfPhase:
         scalars = make_scalars(2)
         bank.row_view(0).epsilon_block(25)
         scalars[0].epsilon_block(25)
-        assert bank.row_view(1).lfsr.state == scalars[1].lfsr.state
+        assert bank.row_view(1).lfsr.state == scalars[1].state
         assert bank.row_view(1).sum_register == scalars[1].sum_register
 
     def test_external_state_write_matches_scalar(self):
@@ -252,7 +244,7 @@ class TestRowViewsOutOfPhase:
         scalars[0].epsilon_block(10)
         new_state = 0x123456789
         bank.row_view(1).lfsr.state = new_state
-        scalars[1].lfsr.state = new_state
+        scalars[1].state = new_state
         bank.row_view(1).resync_sum_register()
         scalars[1].resync_sum_register()
         for row in range(2):
@@ -295,12 +287,12 @@ class TestRowViewsOutOfPhase:
             bank.row_view(row).epsilon_block(count)
             scalars[row].epsilon_block(count)
         assert bank.states() == [bank.row_view(row).lfsr.state for row in range(3)]
-        assert bank.states() == [scalar.lfsr.state for scalar in scalars]
+        assert bank.states() == [scalar.state for scalar in scalars]
         # a whole-bank write is what every view reads next, sums resynced
         new_states = [0x1F, 0xABCDEF, 0x123456789]
         bank.set_states(new_states)
         for row, (scalar, state) in enumerate(zip(scalars, new_states)):
-            scalar.lfsr.state = state
+            scalar.state = state
             scalar.resync_sum_register()
             view = bank.row_view(row)
             assert view.lfsr.state == state

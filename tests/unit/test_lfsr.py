@@ -1,4 +1,9 @@
-"""Unit tests for the Fibonacci LFSR and its reversed shifting."""
+"""Unit tests for the LFSR parameters and the bank's registers.
+
+Taps, seeds and register validation come from :mod:`repro.core.lfsr`; every
+shift runs in :class:`~repro.core.GrngBank`, held here to the from-scratch
+bit-serial register of ``tests/oracle``.
+"""
 
 from __future__ import annotations
 
@@ -6,258 +11,203 @@ import numpy as np
 import pytest
 
 import repro.core.backend as backend
-from repro.core import MAXIMAL_TAPS, FibonacciLFSR, LFSRStateError, mirrored_taps, parity
+from oracle import TAP_TABLE, BitSerialLFSR, clt, is_primitive, seed_for_index, to_words
+from repro.core import GrngBank, LFSRStateError, MAXIMAL_TAPS, normalise_taps, seed_from_index
 from repro.core.backend import lfsr_step_block
 from repro.core.bitops import pack_int_rows, unpack_int_rows
 
 
+def one_row(n_bits: int, state: int) -> GrngBank:
+    """A one-row stride-1 bank whose register holds ``state``."""
+    bank = GrngBank(1, n_bits=n_bits)
+    bank.set_states([state])
+    return bank
+
+
+def assert_rejected(state: int) -> None:
+    """An 8-bit register refuses ``state``, through the bank and a row view."""
+    bank = GrngBank(1, n_bits=8)
+    with pytest.raises(LFSRStateError):
+        bank.set_states([state])
+    with pytest.raises(LFSRStateError):
+        bank.row_view(0).lfsr.state = state
+
+
+def shifted(bank: GrngBank, shifts: int) -> None:
+    """Advance a stride-1 bank ``shifts`` patterns."""
+    if shifts:
+        bank.epsilon_blocks(shifts)
+
+
+class TestTapTable:
+    def test_table_is_the_oracles(self):
+        assert {n: tuple(sorted(t)) for n, t in MAXIMAL_TAPS.items()} == {
+            n: tuple(sorted(t)) for n, t in TAP_TABLE.items()
+        }
+
+    @pytest.mark.parametrize("n_bits", sorted(MAXIMAL_TAPS))
+    def test_every_width_has_maximal_period(self, n_bits):
+        # the feedback polynomial has order 2**n - 1: one cycle through
+        # every non-zero register
+        assert is_primitive(n_bits, MAXIMAL_TAPS[n_bits])
+
+    @pytest.mark.parametrize(("n_bits", "taps"), [(8, (8, 4)), (4, (4, 2)), (16, (16, 8))])
+    def test_the_period_check_rejects_short_cycles(self, n_bits, taps):
+        assert not is_primitive(n_bits, taps)
+
+
 class TestConstruction:
     def test_default_taps_from_table(self):
-        lfsr = FibonacciLFSR(8, seed=0b1011)
-        assert lfsr.taps == tuple(sorted(MAXIMAL_TAPS[8]))
+        assert GrngBank(1, n_bits=8).taps == tuple(sorted(MAXIMAL_TAPS[8]))
 
     def test_explicit_taps(self):
-        lfsr = FibonacciLFSR(6, seed=1, taps=(6, 5))
-        assert lfsr.taps == (5, 6)
+        assert normalise_taps(6, (6, 5)) == (5, 6)
+        assert GrngBank(1, n_bits=6, taps=(6, 5)).taps == (5, 6)
 
     def test_unknown_width_without_taps_rejected(self):
         with pytest.raises(LFSRStateError):
-            FibonacciLFSR(7, seed=1)
+            normalise_taps(7, None)
 
     def test_zero_seed_rejected(self):
-        with pytest.raises(LFSRStateError):
-            FibonacciLFSR(8, seed=0)
+        assert_rejected(0)
 
     def test_oversized_seed_rejected(self):
-        with pytest.raises(LFSRStateError):
-            FibonacciLFSR(8, seed=1 << 9)
+        assert_rejected(1 << 9)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(LFSRStateError):
-            FibonacciLFSR(8, seed=-3)
+        assert_rejected(-3)
 
     def test_taps_must_include_tail(self):
         with pytest.raises(LFSRStateError):
-            FibonacciLFSR(8, seed=1, taps=(3, 5))
+            normalise_taps(8, (3, 5))
 
     def test_taps_must_have_two_entries(self):
         with pytest.raises(LFSRStateError):
-            FibonacciLFSR(8, seed=1, taps=(8,))
+            normalise_taps(8, (8,))
 
     def test_tap_positions_one_based(self):
         with pytest.raises(LFSRStateError):
-            FibonacciLFSR(8, seed=1, taps=(0, 8))
+            normalise_taps(8, (0, 8))
 
     def test_minimum_width(self):
         with pytest.raises(LFSRStateError):
-            FibonacciLFSR(1, seed=1, taps=(1,))
+            normalise_taps(1, (1,))
 
     def test_state_setter_validates_type(self):
-        lfsr = FibonacciLFSR(8, seed=3)
         with pytest.raises(LFSRStateError):
-            lfsr.state = "nope"  # type: ignore[assignment]
+            GrngBank(1, n_bits=8).row_view(0).lfsr.state = "nope"  # type: ignore[assignment]
+
+    @pytest.mark.parametrize("n_bits", sorted(MAXIMAL_TAPS))
+    def test_seeds_are_the_oracles_splitmix(self, n_bits):
+        for index in (0, 1, 2, 7, 1023, 1 << 40):
+            assert seed_from_index(n_bits, index) == seed_for_index(n_bits, index)
 
     def test_from_seed_index_is_deterministic_and_distinct(self):
-        a = FibonacciLFSR.from_seed_index(256, 5)
-        b = FibonacciLFSR.from_seed_index(256, 5)
-        c = FibonacciLFSR.from_seed_index(256, 6)
-        assert a.state == b.state
-        assert a.state != c.state
+        assert seed_from_index(256, 5) == seed_from_index(256, 5)
+        assert seed_from_index(256, 5) != seed_from_index(256, 6)
 
     def test_from_seed_index_never_zero(self):
         for index in range(64):
-            assert FibonacciLFSR.from_seed_index(16, index).state != 0
+            assert seed_from_index(16, index) != 0
 
     def test_from_seed_index_negative_rejected(self):
         with pytest.raises(LFSRStateError):
-            FibonacciLFSR.from_seed_index(16, -1)
+            seed_from_index(16, -1)
 
 
 class TestShifting:
     def test_forward_matches_paper_example_structure(self):
         # Fig. 4(a): the new head bit is the XOR of the taps of the old state.
-        lfsr = FibonacciLFSR(8, seed=0b11110000)
-        old_bits = lfsr.state_bits()
-        expected = int(old_bits[3] ^ old_bits[4] ^ old_bits[5] ^ old_bits[7])
-        head = lfsr.shift_forward()
-        assert head == expected
-        new_bits = lfsr.state_bits()
-        assert new_bits[0] == expected
-        assert np.array_equal(new_bits[1:], old_bits[:-1])
+        seed = 0b11110000
+        bank = one_row(8, seed)
+        old = [(seed >> j) & 1 for j in range(8)]
+        expected = old[3] ^ old[4] ^ old[5] ^ old[7]
+        shifted(bank, 1)
+        (state,) = bank.states()
+        assert state & 1 == expected
+        assert [(state >> j) & 1 for j in range(1, 8)] == old[:-1]
 
     def test_reverse_recovers_previous_pattern(self):
-        lfsr = FibonacciLFSR(8, seed=0b10110101)
-        before = lfsr.state
-        lfsr.shift_forward()
-        lfsr.shift_reverse()
-        assert lfsr.state == before
+        bank = one_row(8, 0b10110101)
+        shifted(bank, 1)
+        bank.epsilon_blocks_reverse(1)
+        assert bank.states() == [0b10110101]
 
     def test_many_forward_then_reverse_restores_state(self):
-        lfsr = FibonacciLFSR(16, seed=0xBEEF)
-        start = lfsr.state
-        for _ in range(500):
-            lfsr.shift_forward()
-        for _ in range(500):
-            lfsr.shift_reverse()
-        assert lfsr.state == start
-        assert lfsr.shift_count == 0
+        bank = one_row(16, 0xBEEF)
+        shifted(bank, 500)
+        bank.epsilon_blocks_reverse(500)
+        assert bank.states() == [0xBEEF]
 
-    def test_shift_count_tracks_direction(self):
-        lfsr = FibonacciLFSR(8, seed=7)
-        lfsr.shift_forward()
-        lfsr.shift_forward()
-        lfsr.shift_reverse()
-        assert lfsr.shift_count == 1
-
-    def test_maximal_length_period_8bit(self):
-        lfsr = FibonacciLFSR(8, seed=1)
-        seen = {lfsr.state}
-        for _ in range(2**8 - 2):
-            lfsr.shift_forward()
-            seen.add(lfsr.state)
-        assert len(seen) == 2**8 - 1  # all non-zero patterns
-        lfsr.shift_forward()
-        assert lfsr.state == 1  # back to the seed after the full period
+    @pytest.mark.parametrize("n_bits", [4, 8, 16])
+    def test_maximal_length_period(self, n_bits):
+        # back to the seed after 2**n - 1 shifts, and after no proper divisor
+        # of it (3, 5, 17 and 257 are all the primes dividing these periods)
+        period = (1 << n_bits) - 1
+        for prime in (3, 5, 17, 257):
+            if period % prime == 0:
+                bank = one_row(n_bits, 1)
+                shifted(bank, period // prime)
+                assert bank.states() != [1], prime
+        bank = one_row(n_bits, 1)
+        shifted(bank, period)
+        assert bank.states() == [1]
 
     def test_never_reaches_zero_state(self):
-        lfsr = FibonacciLFSR(8, seed=0b1000_0000)
+        bank = one_row(8, 0b1000_0000)
         for _ in range(300):
-            lfsr.shift_forward()
-            assert lfsr.state != 0
+            shifted(bank, 1)
+            assert bank.states() != [0]
 
 
 class TestVectorisedGeneration:
-    @pytest.mark.parametrize("n_bits", [8, 16, 32, 256])
-    def test_generate_bits_matches_stepwise(self, n_bits):
-        seed = 0xACE1 % (1 << n_bits) or 1
-        fast = FibonacciLFSR(n_bits, seed=seed)
-        slow = fast.copy()
-        block = fast.generate_bits(300)
-        stepwise = np.array([slow.shift_forward() for _ in range(300)], dtype=np.uint8)
-        assert np.array_equal(block, stepwise)
-        assert fast.state == slow.state
-
-    @pytest.mark.parametrize("n_bits", [8, 16, 256])
-    def test_generate_bits_reverse_matches_stepwise(self, n_bits):
-        seed = 0x1D872 % (1 << n_bits) or 1
-        lfsr = FibonacciLFSR(n_bits, seed=seed)
-        lfsr.generate_bits(400)
-        fast = lfsr.copy()
-        slow = lfsr.copy()
-        block = fast.generate_bits_reverse(350)
-        stepwise = np.array([slow.shift_reverse() for _ in range(350)], dtype=np.uint8)
-        assert np.array_equal(block, stepwise)
-        assert fast.state == slow.state
-
-    def test_generate_zero_bits(self):
-        lfsr = FibonacciLFSR(8, seed=5)
-        state = lfsr.state
-        assert lfsr.generate_bits(0).size == 0
-        assert lfsr.generate_bits_reverse(0).size == 0
-        assert lfsr.state == state
-
-    def test_generate_negative_rejected(self):
-        lfsr = FibonacciLFSR(8, seed=5)
-        with pytest.raises(ValueError):
-            lfsr.generate_bits(-1)
-        with pytest.raises(ValueError):
-            lfsr.generate_bits_reverse(-1)
-
-    def test_shift_by_helpers(self):
-        lfsr = FibonacciLFSR(16, seed=77)
-        reference = lfsr.copy()
-        lfsr.shift_forward_by(123)
-        for _ in range(123):
-            reference.shift_forward()
-        assert lfsr.state == reference.state
-        lfsr.shift_reverse_by(123)
-        for _ in range(123):
-            reference.shift_reverse()
-        assert lfsr.state == reference.state
-
     def test_window_popcounts_match_stepwise_popcount(self):
-        lfsr = FibonacciLFSR(16, seed=0x5A5A)
-        reference = lfsr.copy()
-        counts = lfsr.window_popcounts(64)
+        bank = one_row(16, 0x5A5A)
+        reference = BitSerialLFSR(16, 0x5A5A)
         expected = []
         for _ in range(64):
-            reference.shift_forward()
-            expected.append(reference.popcount)
-        assert np.array_equal(counts, np.array(expected))
-        assert lfsr.state == reference.state
+            reference.tick_forward()
+            expected.append(reference.popcount())
+        assert bank.epsilon_blocks(64)[0].tobytes() == clt(expected, 16).tobytes()
+        assert bank.states() == [reference.state]
 
     def test_window_popcounts_beyond_register_width(self):
-        lfsr = FibonacciLFSR(8, seed=0x35)
-        reference = lfsr.copy()
-        counts = lfsr.window_popcounts(40)
+        bank = one_row(8, 0x35)
+        reference = BitSerialLFSR(8, 0x35)
         expected = []
         for _ in range(40):
-            reference.shift_forward()
-            expected.append(reference.popcount)
-        assert np.array_equal(counts, np.array(expected))
-
+            reference.tick_forward()
+            expected.append(reference.popcount())
+        assert bank.epsilon_blocks(40)[0].tobytes() == clt(expected, 8).tobytes()
 
     def test_long_block_equals_chunked_generation(self):
-        whole = FibonacciLFSR(256, seed=0xDEADBEEF)
-        chunked = whole.copy()
-        block = whole.generate_bits(50_000)
-        pieces = [chunked.generate_bits(n) for n in (1, 20_000, 29_999)]
-        assert np.array_equal(block, np.concatenate(pieces))
-        assert whole.state == chunked.state
+        whole = one_row(256, 0xDEADBEEF)
+        chunked = one_row(256, 0xDEADBEEF)
+        block = whole.epsilon_blocks(50_000)
+        pieces = [chunked.epsilon_blocks(n) for n in (1, 20_000, 29_999)]
+        assert np.array_equal(block, np.concatenate(pieces, axis=1))
+        assert whole.states() == chunked.states()
 
     def test_long_reverse_block_rewinds_the_register(self):
-        lfsr = FibonacciLFSR(256, seed=0xDEADBEEF)
-        start = lfsr.state
-        block = lfsr.generate_bits(50_000)
-        lfsr.generate_bits_reverse(50_000)
-        assert lfsr.state == start
-        assert np.array_equal(lfsr.generate_bits(50_000), block)
+        bank = one_row(256, 0xDEADBEEF)
+        block = bank.epsilon_blocks(50_000)
+        bank.epsilon_blocks_reverse(50_000)
+        assert bank.states() == [0xDEADBEEF]
+        assert np.array_equal(bank.epsilon_blocks(50_000), block)
 
 
 class TestHelpers:
-    def test_parity(self):
-        assert parity(0) == 0
-        assert parity(0b1011) == 1
-        assert parity(0b1111) == 0
-
-    def test_parity_rejects_negative(self):
-        with pytest.raises(ValueError):
-            parity(-1)
-
-    def test_mirrored_taps_256(self):
-        assert mirrored_taps(256, (246, 251, 254, 256)) == (2, 5, 10, 256)
-
-    def test_mirrored_taps_requires_tail(self):
-        with pytest.raises(LFSRStateError):
-            mirrored_taps(8, (4, 5))
-
     def test_state_bits_roundtrip(self):
-        lfsr = FibonacciLFSR(8, seed=0b1010_0110)
-        bits = lfsr.state_bits()
-        reconstructed = sum(int(bit) << index for index, bit in enumerate(bits))
-        assert reconstructed == lfsr.state
-
-    def test_copy_is_independent(self):
-        lfsr = FibonacciLFSR(8, seed=9)
-        clone = lfsr.copy()
-        lfsr.shift_forward()
-        assert clone.state != lfsr.state or clone.shift_count != lfsr.shift_count
-
-    def test_equality_and_hash(self):
-        a = FibonacciLFSR(8, seed=9)
-        b = FibonacciLFSR(8, seed=9)
-        assert a == b
-        with pytest.raises(TypeError):
-            hash(a)
-
-    def test_repr_mentions_state(self):
-        lfsr = FibonacciLFSR(8, seed=9)
-        assert "FibonacciLFSR" in repr(lfsr)
-        assert "0x9" in repr(lfsr)
+        # bit j of a register is R(j+1), packed little-endian into words
+        states = [0b1010_0110, 0x8001, 0xFFFF]
+        bank = GrngBank(3, n_bits=16)
+        bank.set_states(states)
+        assert np.array_equal(bank.register_words(), to_words(states, 16))
+        assert [bank.row_view(i).lfsr.state for i in range(3)] == states
 
     def test_popcount_property(self):
-        lfsr = FibonacciLFSR(8, seed=0b1110_0001)
-        assert lfsr.popcount == 4
+        bank = one_row(8, 0b1110_0001)
+        assert bank.row_view(0).sum_register == 4
 
 
 def _rewind(states: list[int], n_bits: int, shifts: int, taps=None, count: int = 1):
@@ -278,8 +228,9 @@ def _jump(states: list[int], n_bits: int, shifts: int, taps=None) -> list[int]:
 
 
 def _walked_back(state: int, n_bits: int, shifts: int) -> int:
-    lfsr = FibonacciLFSR(n_bits, seed=state)
-    lfsr.shift_reverse_by(shifts)
+    lfsr = BitSerialLFSR(n_bits, state)
+    for _ in range(shifts):
+        lfsr.tick_reverse()
     return lfsr.state
 
 
@@ -297,9 +248,7 @@ class TestRegisterJump:
 
     @pytest.mark.parametrize("n_bits", sorted(MAXIMAL_TAPS))
     def test_jump_equals_walking_back(self, grng, n_bits):
-        states = [
-            FibonacciLFSR.from_seed_index(n_bits, index).state for index in range(3)
-        ]
+        states = [seed_from_index(n_bits, index) for index in range(3)]
         for shifts in (1, n_bits - 1, n_bits, 3 * n_bits + 5):
             assert _jump(states, n_bits, shifts) == [
                 _walked_back(state, n_bits, shifts) for state in states
@@ -314,12 +263,12 @@ class TestRegisterJump:
             assert unpack_int_rows(earlier) == [
                 _walked_back(state, 64, shifts) for state in states
             ]
-        _, earlier = lfsr_step_block(earlier, 64, shifts, taps, False)
+        _, earlier = lfsr_step_block(earlier, 64, shifts, taps)
         assert unpack_int_rows(earlier) == states
 
     @pytest.mark.parametrize("n_bits", [128, 256])
     def test_the_replay_lands_on_the_registers_it_jumped_from(self, grng, n_bits):
-        states = [FibonacciLFSR.from_seed_index(n_bits, index).state for index in range(9)]
+        states = [seed_from_index(n_bits, index) for index in range(9)]
         start, end = _rewind(states, n_bits, 40 * 64, count=40)
         assert end == states
         assert start == _jump(states, n_bits, 40 * 64)
@@ -341,7 +290,7 @@ class TestRegisterJump:
         assert _jump([full], 256, 10_000) == [_walked_back(full, 256, 10_000)]
 
     def test_rows_jump_independently(self, grng):
-        states = [FibonacciLFSR.from_seed_index(256, index).state for index in range(8)]
+        states = [seed_from_index(256, index) for index in range(8)]
         together = _jump(states, 256, 2048)
         assert together == [_jump([state], 256, 2048)[0] for state in states]
         states[3] ^= 1 << 100
@@ -355,7 +304,7 @@ class TestRegisterJump:
 
     def test_native_rewinds_in_the_call_it_replays_in(self, grng):
         backend.reset_counters()
-        _rewind([FibonacciLFSR.from_seed_index(256, 5).state], 256, 4321, count=3)
+        _rewind([seed_from_index(256, 5)], 256, 4321, count=3)
         counters = backend.counters_snapshot()
         assert counters["grng_block"] == {grng: {"calls": 1, "rows": 1}}
         # the compiled jump runs no NumPy register; the reference's is one

@@ -47,8 +47,8 @@ class TestPackageSurface:
         from repro import core
 
         for name in (
-            "FibonacciLFSR",
-            "LfsrGaussianRNG",
+            "GrngBank",
+            "BankedGaussianRNG",
             "ReversibleGaussianStream",
             "StoredGaussianStream",
             "WeightSampler",
@@ -101,7 +101,7 @@ class TestExperimentsCLI:
 
     def test_docstrings_exist_on_public_callables(self):
         from repro.bnn import ShiftBNNTrainer
-        from repro.core import FibonacciLFSR, LfsrGaussianRNG
+        from repro.core import BankedGaussianRNG, GrngBank
 
-        for obj in (FibonacciLFSR, LfsrGaussianRNG, ShiftBNNTrainer):
+        for obj in (GrngBank, BankedGaussianRNG, ShiftBNNTrainer):
             assert obj.__doc__ and len(obj.__doc__.strip()) > 20

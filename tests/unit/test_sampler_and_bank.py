@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracle import OracleGRNG
 from repro.core import (
-    LfsrGaussianRNG,
+    GrngBank,
     LfsrSnapshot,
     ReversibleGaussianStream,
     SampledWeights,
@@ -15,9 +16,13 @@ from repro.core import (
 )
 
 
+def row(n_bits: int = 64, seed_index: int = 0, stride: int = 1):
+    """The row view of a one-row bank."""
+    return GrngBank(n_bits=n_bits, seed_indices=[seed_index], stride=stride).row_view(0)
+
+
 def make_sampler(seed_index: int = 0) -> WeightSampler:
-    grng = LfsrGaussianRNG(n_bits=64, seed_index=seed_index, stride=4)
-    return WeightSampler(ReversibleGaussianStream(grng))
+    return WeightSampler(ReversibleGaussianStream(row(seed_index=seed_index, stride=4)))
 
 
 class TestSampledWeights:
@@ -88,48 +93,49 @@ class TestWeightSampler:
 
 class TestLfsrSnapshot:
     def test_capture_and_restore(self):
-        grng = LfsrGaussianRNG(n_bits=64, seed_index=3)
+        grng = row(seed_index=3)
         snapshot = LfsrSnapshot.capture(grng)
         before = grng.epsilon_block(20)
+        assert before.tobytes() == OracleGRNG(64, seed_index=3).epsilon_block(20).tobytes()
         snapshot.restore(grng)
         after = grng.epsilon_block(20)
-        assert np.allclose(before, after)
+        assert np.array_equal(before, after)
 
     def test_restore_to_incompatible_generator_rejected(self):
-        snapshot = LfsrSnapshot.capture(LfsrGaussianRNG(n_bits=64, seed_index=3))
-        other = LfsrGaussianRNG(n_bits=128, seed_index=3)
+        snapshot = LfsrSnapshot.capture(row(seed_index=3))
+        other = row(n_bits=128, seed_index=3)
         with pytest.raises(ValueError):
             snapshot.restore(other)
 
     def test_snapshot_is_immutable(self):
-        snapshot = LfsrSnapshot.capture(LfsrGaussianRNG(n_bits=64, seed_index=3))
+        snapshot = LfsrSnapshot.capture(row(seed_index=3))
         with pytest.raises(AttributeError):
             snapshot.state = 5  # type: ignore[misc]
 
     def test_snapshot_roundtrips_mid_block(self):
         # Regression: capture() read the pattern popcount instead of the
         # GRNG's actual sum register, and restore() ignored the captured sum
-        # entirely.  A snapshot taken mid-block (between scalar shifts) must
+        # entirely.  A snapshot taken mid-block (between one-value draws) must
         # reproduce the exact continuation, sum register included.
-        grng = LfsrGaussianRNG(n_bits=64, seed_index=5, stride=4)
+        grng = row(seed_index=5, stride=4)
         for _ in range(3):  # park the generator mid-way through a block
-            grng.next_epsilon()
+            grng.epsilon_block(1)
         snapshot = LfsrSnapshot.capture(grng)
         assert snapshot.sum_register == grng.sum_register
-        continuation = [grng.next_epsilon() for _ in range(5)]
+        continuation = [grng.epsilon_block(1)[0] for _ in range(5)]
         snapshot.restore(grng)
         assert grng.sum_register == snapshot.sum_register
-        assert [grng.next_epsilon() for _ in range(5)] == continuation
+        assert [grng.epsilon_block(1)[0] for _ in range(5)] == continuation
 
     def test_snapshot_preserves_desynced_sum_register(self):
         # The sum register is captured as-is: a generator whose accumulator
         # has drifted from the register (externally overwritten state, no
         # resync) must round-trip its actual value, not a recomputed one.
-        grng = LfsrGaussianRNG(n_bits=64, seed_index=7)
+        grng = row(seed_index=7)
         grng.sum_register = grng.sum_register + 9  # deliberately desynced
         snapshot = LfsrSnapshot.capture(grng)
-        assert snapshot.sum_register == grng.lfsr.popcount + 9
-        other = LfsrGaussianRNG(n_bits=64, seed_index=8)
+        assert snapshot.sum_register == bin(grng.lfsr.state).count("1") + 9
+        other = row(seed_index=8)
         snapshot.restore(other)
         assert other.sum_register == snapshot.sum_register
         assert other.lfsr.state == snapshot.state
