@@ -9,8 +9,8 @@ The script walks through Section 4 of the paper at machine level:
    back and replays it forward, so no pattern is ever stored;
 3. a 256-bit GRNG turns patterns into Gaussian variables, and one reversed
    retrieval returns the same variables in reverse order;
-4. two epsilon-stream policies (store vs regenerate) serve identical values to
-   a per-sample weight sampler while moving very different amounts of data.
+4. two epsilon policies (store vs regenerate) serve identical values to a
+   one-sample weight sampler while moving very different amounts of data.
 
 Run with::
 
@@ -64,7 +64,7 @@ def show_stream_policies() -> None:
         forward = sampler.sample(mu, sigma)          # FW stage
         reconstructed = sampler.resample(mu, sigma)  # BW stage
         assert np.array_equal(forward.weights, reconstructed.weights)
-        usage = sampler.stream.usage
+        usage = bank.usages[0]
         results[name] = usage
         moved = usage.offchip_write_bytes + usage.offchip_read_bytes
         print(

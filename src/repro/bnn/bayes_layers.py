@@ -4,8 +4,8 @@ A Bayesian layer owns a :class:`~repro.bnn.posteriors.GaussianPosterior` per
 weight tensor and performs the three stages of Fig. 1(a):
 
 * **FW** -- ``forward_sample`` draws ``w = mu + eps * sigma`` through a
-  :class:`~repro.core.sampler.WeightSampler` and runs the ordinary layer
-  arithmetic;
+  one-row :class:`~repro.core.sampler.BatchedWeightSampler` (slice ``[0]``
+  of its one-sample batch) and runs the ordinary layer arithmetic;
 * **BW** -- ``backward_sample`` asks the sampler to *re-sample* the identical
   weights (process 2 in the paper: weight reconstruction), propagates the
   error to the previous layer, and
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.sampler import BatchedWeightSampler, WeightSampler
+from ..core.sampler import BatchedWeightSampler
 from ..nn import functional as F
 from ..nn.initializers import HeNormal, Initializer
 from ..nn.layers import Layer, Parameter
@@ -92,17 +92,17 @@ class BayesianLayer(Layer):
         """Number of weights that consume one Gaussian random variable each."""
         return self.weight_posterior.n_weights
 
-    def sample_weights(self, sampler: WeightSampler) -> np.ndarray:
-        """FW-stage weight sampling (also caches epsilon-free bookkeeping)."""
-        sampled = sampler.sample(self.weight_posterior.mu.value, self.weight_posterior.sigma)
-        return self.quantization.quantize_weights(sampled.weights)
+    def sample_weights(self, sampler: BatchedWeightSampler) -> np.ndarray:
+        """FW-stage weight sampling through a one-row sampler."""
+        return self.sample_weights_batch(sampler)[0]
 
-    def resample_weights(self, sampler: WeightSampler) -> tuple[np.ndarray, np.ndarray]:
-        """BW-stage weight reconstruction; returns (weights, epsilon)."""
-        sampled = sampler.resample(
-            self.weight_posterior.mu.value, self.weight_posterior.sigma
-        )
-        return self.quantization.quantize_weights(sampled.weights), sampled.epsilon
+    def resample_weights(
+        self, sampler: BatchedWeightSampler
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """BW-stage reconstruction through a one-row sampler; returns
+        (weights, epsilon)."""
+        weights, epsilon = self.resample_weights_batch(sampler)
+        return weights[0], epsilon[0]
 
     def sample_weights_batch(self, sampler: BatchedWeightSampler) -> np.ndarray:
         """FW-stage weight sampling for all ``S`` samples: ``(S, *shape)``."""
@@ -182,13 +182,13 @@ class BayesianLayer(Layer):
         )
 
     # subclasses implement these
-    def forward_sample(self, x: np.ndarray, sampler: WeightSampler) -> np.ndarray:
+    def forward_sample(self, x: np.ndarray, sampler: BatchedWeightSampler) -> np.ndarray:
         raise NotImplementedError
 
     def backward_sample(
         self,
         grad_out: np.ndarray,
-        sampler: WeightSampler,
+        sampler: BatchedWeightSampler,
         kl_weight: float,
         prior: Prior,
         include_entropy_term: bool = True,
@@ -257,7 +257,7 @@ class BayesDense(BayesianLayer):
             rng=rng,
         )
 
-    def forward_sample(self, x: np.ndarray, sampler: WeightSampler) -> np.ndarray:
+    def forward_sample(self, x: np.ndarray, sampler: BatchedWeightSampler) -> np.ndarray:
         check_2d(x)
         if x.shape[1] != self.in_features:
             raise ValueError(
@@ -273,7 +273,7 @@ class BayesDense(BayesianLayer):
     def backward_sample(
         self,
         grad_out: np.ndarray,
-        sampler: WeightSampler,
+        sampler: BatchedWeightSampler,
         kl_weight: float,
         prior: Prior,
         include_entropy_term: bool = True,
@@ -399,7 +399,7 @@ class BayesConv2D(BayesianLayer):
         out_w = conv_output_size(width, self.kernel_size, self.stride, self.padding)
         return (self.out_channels, out_h, out_w)
 
-    def forward_sample(self, x: np.ndarray, sampler: WeightSampler) -> np.ndarray:
+    def forward_sample(self, x: np.ndarray, sampler: BatchedWeightSampler) -> np.ndarray:
         check_4d(x)
         weights = self.sample_weights(sampler)
         bias_value = self.bias.value if self.bias is not None else None
@@ -410,7 +410,7 @@ class BayesConv2D(BayesianLayer):
     def backward_sample(
         self,
         grad_out: np.ndarray,
-        sampler: WeightSampler,
+        sampler: BatchedWeightSampler,
         kl_weight: float,
         prior: Prior,
         include_entropy_term: bool = True,

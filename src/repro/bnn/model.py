@@ -3,8 +3,8 @@
 Two execution modes are offered:
 
 * the per-sample mode (``forward_sample`` / ``backward_sample``) runs one
-  Monte-Carlo sample at a time through a per-sample
-  :class:`~repro.core.sampler.WeightSampler`;
+  Monte-Carlo sample at a time through a one-row
+  :class:`~repro.core.sampler.BatchedWeightSampler`;
 * the batched mode (``forward_samples`` / ``backward_samples``) runs all
   ``S`` samples in one pass through a
   :class:`~repro.core.sampler.BatchedWeightSampler`.  Activations travel
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.sampler import BatchedWeightSampler, WeightSampler
+from ..core.sampler import BatchedWeightSampler
 from ..nn.layers import Layer, Parameter
 from ..nn.quantization import QuantizationConfig
 from ..nn.tensor_utils import Workspace
@@ -48,9 +48,9 @@ class BayesianNetwork:
 
     The network exposes per-sample forward/backward passes: a single
     Monte-Carlo sample's forward pass draws one weight sample per Bayesian
-    layer from the provided :class:`WeightSampler`, and the matching backward
-    pass re-samples the identical weights through the same sampler (whose
-    stream either stored the epsilons or regenerates them by LFSR reversal).
+    layer from the provided one-row sampler, and the matching backward pass
+    re-samples the identical weights through the same sampler (which either
+    stored the epsilons or regenerates them by LFSR reversal).
     """
 
     def __init__(
@@ -139,7 +139,7 @@ class BayesianNetwork:
     # ------------------------------------------------------------------
     # per-sample execution
     # ------------------------------------------------------------------
-    def forward_sample(self, x: np.ndarray, sampler: WeightSampler) -> np.ndarray:
+    def forward_sample(self, x: np.ndarray, sampler: BatchedWeightSampler) -> np.ndarray:
         """Forward stage for one Monte-Carlo sample."""
         out = x
         for layer in self.layers:
@@ -152,7 +152,7 @@ class BayesianNetwork:
     def backward_sample(
         self,
         grad_out: np.ndarray,
-        sampler: WeightSampler,
+        sampler: BatchedWeightSampler,
         kl_weight: float,
         include_entropy_term: bool = True,
     ) -> np.ndarray:

@@ -213,7 +213,7 @@ def save_checkpoint(trainer: "BNNTrainer", path: str | Path) -> Path:
     """Write a full training checkpoint of ``trainer`` to ``path`` (.npz).
 
     Must be called at a step boundary (which is the only time a trainer is
-    observable from outside anyway): between steps every epsilon stream has
+    observable from outside anyway): between steps every sampler has
     consumed its blocks, so the GRNG registers plus the traffic counters are
     the bank's *complete* state.  The archive carries the parameters, the
     optimiser slots and step counter, one

@@ -6,7 +6,9 @@ sampling from the generating LFSR itself, so that nothing has to be stored
 between the forward and backward training stages.  :class:`GrngBank` is the
 one generator: a packed bank of LFSRs, one per Monte-Carlo sample, that
 recovers earlier patterns by jumping its registers back and replaying them
-forward.  :class:`BankedGaussianRNG` row views serve the per-sample streams.
+forward.  :class:`BatchedWeightSampler` is the one weight sampler: over the
+whole bank for the batched pipeline, over a one-row bank
+(:meth:`GrngBank.row_bank`) for one sample, under either stream policy.
 """
 
 from .backend import (
@@ -16,21 +18,10 @@ from .backend import (
     UnknownBackendError,
 )
 from .checkpoint import LfsrSnapshot, StreamBank, StreamPolicy
-from .grng_bank import BankedGaussianRNG, GrngBank, LfsrRowView
+from .grng_bank import GrngBank
 from .lfsr import MAXIMAL_TAPS, LFSRStateError, normalise_taps, seed_from_index
-from .sampler import (
-    BatchedWeightSampler,
-    SampledWeights,
-    SampledWeightsBatch,
-    WeightSampler,
-)
-from .streams import (
-    EpsilonStream,
-    ReversibleGaussianStream,
-    StoredGaussianStream,
-    StreamOrderError,
-    StreamUsage,
-)
+from .sampler import BatchedWeightSampler, SampledWeightsBatch
+from .streams import StreamOrderError, StreamUsage
 
 __all__ = [
     "BackendConformanceError",
@@ -41,17 +32,10 @@ __all__ = [
     "LFSRStateError",
     "normalise_taps",
     "seed_from_index",
-    "BankedGaussianRNG",
     "GrngBank",
-    "LfsrRowView",
-    "EpsilonStream",
-    "ReversibleGaussianStream",
-    "StoredGaussianStream",
     "StreamOrderError",
     "StreamUsage",
-    "SampledWeights",
     "SampledWeightsBatch",
-    "WeightSampler",
     "BatchedWeightSampler",
     "LfsrSnapshot",
     "StreamBank",

@@ -3,32 +3,35 @@
 The Shift-BNN accelerator trains the ``S`` Monte-Carlo samples of a BNN on
 ``S`` Sample Processing Units that run in parallel, each with its own set of
 GRNGs.  The software trainer mirrors that organisation with a
-:class:`StreamBank`: one epsilon stream per sample, seeded deterministically so
-that runs are reproducible and so that the baseline (stored) and Shift-BNN
-(reversible) trainers see *exactly the same* random variables when given the
-same bank seed.
+:class:`StreamBank`: one GRNG row and one traffic record per sample, seeded
+deterministically so that runs are reproducible and so that the baseline
+(stored) and Shift-BNN (reversible) trainers see *exactly the same* random
+variables when given the same bank seed.
 
-:class:`LfsrSnapshot` captures and restores the full state of a stream's
-generator, which is how the trainer realigns streams between iterations and
-how tests assert bit-exact equivalence.
+:class:`LfsrSnapshot` captures and restores bank rows' registers and sum
+registers, which is how the distributed coordinator realigns shard banks
+between steps, how training checkpoints save the generators, and how tests
+assert bit-exact equivalence.
 
-Besides the per-sample :class:`~repro.core.sampler.WeightSampler` objects, a
-bank exposes :meth:`StreamBank.batched_sampler`: one
-:class:`~repro.core.sampler.BatchedWeightSampler` that serves ``(S, *shape)``
-weight/epsilon tensors for *all* samples per call straight from the shared
-bank's batched kernels -- the epsilon source of the batched FW/BW/GC
-pipeline.  Both interfaces draw from the same registers and produce the same
-bits; within one training iteration a caller should use one or the other.
+A bank serves its samples through one sampler class,
+:class:`~repro.core.sampler.BatchedWeightSampler`, in two shapes:
+:meth:`StreamBank.batched_sampler` draws ``(S, *shape)`` tensors for *all*
+samples per call -- the epsilon source of the batched FW/BW/GC pipeline --
+and :meth:`StreamBank.sampler` draws for sample ``i`` alone, over the one-row
+bank :meth:`~repro.core.grng_bank.GrngBank.row_bank`.  Both draw from the same
+registers and produce the same bits; within one training iteration a caller
+should use one or the other.  A per-sample sampler is built on first use, so
+a bank only ever driven batched builds none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
-from .grng_bank import BankedGaussianRNG, GrngBank
-from .sampler import BatchedWeightSampler, WeightSampler
-from .streams import EpsilonStream, ReversibleGaussianStream, StoredGaussianStream
+from .grng_bank import GrngBank
+from .sampler import BatchedWeightSampler
+from .streams import StreamUsage
 
 __all__ = ["LfsrSnapshot", "StreamBank", "StreamPolicy"]
 
@@ -37,7 +40,7 @@ StreamPolicy = Literal["stored", "reversible"]
 
 @dataclass(frozen=True)
 class LfsrSnapshot:
-    """Immutable snapshot of a GRNG's register and bit-sum."""
+    """Immutable snapshot of one GRNG row's register and bit-sum."""
 
     n_bits: int
     taps: tuple[int, ...]
@@ -45,36 +48,38 @@ class LfsrSnapshot:
     sum_register: int
 
     @classmethod
-    def capture(cls, grng: BankedGaussianRNG) -> "LfsrSnapshot":
-        """Snapshot the generator's register and its *actual* running sum.
+    def capture(cls, bank: GrngBank) -> list["LfsrSnapshot"]:
+        """Snapshot every row of ``bank``: its register and *actual* running sum.
 
-        The sum register is read from the generator rather than recomputed
-        from the pattern, so a generator whose accumulator has drifted from
-        the register (e.g. after an external state write without a resync)
-        round-trips exactly instead of being silently healed.
+        The sum register is read from the bank rather than recomputed from
+        the pattern, so a row whose accumulator has drifted from the register
+        (e.g. after an external state write without a resync) round-trips
+        exactly instead of being silently healed.  One row of a bank is
+        ``capture(bank.row_bank(row))[0]``.
         """
-        return cls(
-            n_bits=grng.n_bits,
-            taps=grng.lfsr.taps,
-            state=grng.lfsr.state,
-            sum_register=grng.sum_register,
-        )
+        return [
+            cls(bank.n_bits, bank.taps, state, int(total))
+            for state, total in zip(bank.states(), bank.sum_registers())
+        ]
 
-    def restore(self, grng: BankedGaussianRNG) -> None:
-        """Write this snapshot back into ``grng``, sum register included."""
-        if grng.n_bits != self.n_bits or grng.lfsr.taps != self.taps:
+    @staticmethod
+    def restore(snapshots: Sequence["LfsrSnapshot"], bank: GrngBank) -> None:
+        """Write ``snapshots`` back into ``bank``'s rows in place, sum
+        registers included."""
+        if any(s.n_bits != bank.n_bits or s.taps != bank.taps for s in snapshots):
             raise ValueError("snapshot was captured from an incompatible generator")
-        grng.lfsr.state = self.state
-        grng.sum_register = self.sum_register
+        bank.set_states(
+            [s.state for s in snapshots], [s.sum_register for s in snapshots]
+        )
 
 
 class StreamBank:
-    """A bank of per-sample epsilon streams with deterministic seeding.
+    """Per-sample GRNG rows and traffic records with deterministic seeding.
 
     Parameters
     ----------
     n_samples:
-        Number of Monte-Carlo samples ``S`` (one stream / SPU each).
+        Number of Monte-Carlo samples ``S`` (one GRNG row / SPU each).
     policy:
         ``"stored"`` for the baseline store-and-fetch behaviour, or
         ``"reversible"`` for Shift-BNN's regeneration: nothing is kept
@@ -144,29 +149,21 @@ class StreamBank:
             ],
             stride=grng_stride,
         )
-        self._streams: list[EpsilonStream] = [
-            self._build_stream(self._grng_bank.row_view(sample_index), bytes_per_value)
-            for sample_index in range(n_samples)
+        self._usages = [
+            StreamUsage(bytes_per_value=bytes_per_value) for _ in range(n_samples)
         ]
-        self._samplers = [WeightSampler(stream) for stream in self._streams]
+        self._samplers: list[BatchedWeightSampler | None] = [None] * n_samples
         self._batched_sampler: BatchedWeightSampler | None = None
-
-    def _build_stream(
-        self, grng: BankedGaussianRNG, bytes_per_value: int
-    ) -> EpsilonStream:
-        if self._policy == "stored":
-            return StoredGaussianStream(grng, bytes_per_value=bytes_per_value)
-        return ReversibleGaussianStream(grng, bytes_per_value=bytes_per_value)
 
     # ------------------------------------------------------------------
     @property
     def n_samples(self) -> int:
-        """Number of Monte-Carlo samples (streams) in the bank."""
+        """Number of Monte-Carlo samples in the bank."""
         return self._n_samples
 
     @property
     def policy(self) -> StreamPolicy:
-        """The epsilon-management policy used by every stream in the bank."""
+        """The epsilon-management policy of every sampler in the bank."""
         return self._policy
 
     @property
@@ -175,18 +172,29 @@ class StreamBank:
         return self._sample_indices
 
     @property
-    def streams(self) -> Sequence[EpsilonStream]:
-        """The per-sample streams, indexable by sample number."""
-        return tuple(self._streams)
+    def usages(self) -> Sequence[StreamUsage]:
+        """Per-sample traffic accounting, indexable by sample number."""
+        return tuple(self._usages)
 
     @property
-    def samplers(self) -> Sequence[WeightSampler]:
-        """The per-sample weight samplers, indexable by sample number."""
-        return tuple(self._samplers)
+    def streams(self) -> Sequence[BatchedWeightSampler]:
+        """Every sample's one-row sampler, indexable by sample number."""
+        return tuple(self.sampler(index) for index in range(self._n_samples))
 
-    def sampler(self, sample_index: int) -> WeightSampler:
-        """Return the weight sampler of Monte-Carlo sample ``sample_index``."""
-        return self._samplers[sample_index]
+    def sampler(self, sample_index: int) -> BatchedWeightSampler:
+        """The one-row sampler of Monte-Carlo sample ``sample_index``.
+
+        It draws row ``sample_index`` of the shared bank alone and books its
+        traffic on that sample's :class:`~repro.core.streams.StreamUsage`;
+        callers take slice ``[0]`` of what it returns.  Built on first use.
+        """
+        row = range(self._n_samples)[sample_index]
+        sampler = self._samplers[row]
+        if sampler is None:
+            sampler = self._samplers[row] = BatchedWeightSampler(
+                self._grng_bank.row_bank(row), [self._usages[row]], self._policy
+            )
+        return sampler
 
     def batched_sampler(self) -> BatchedWeightSampler:
         """A sampler serving all ``S`` samples per call from the shared bank.
@@ -194,47 +202,43 @@ class StreamBank:
         The batched sampler draws ``(S, *weight_shape)`` tensors straight from
         the shared :class:`~repro.core.grng_bank.GrngBank` kernels while
         updating the same per-sample :class:`~repro.core.streams.StreamUsage`
-        records as the per-sample samplers would, so traffic totals stay
+        records as the per-sample samplers do, so traffic totals stay
         policy-comparable.  It shares the bank's register state with the
         per-sample samplers; within one iteration use either interface, not
         both.
         """
         if self._batched_sampler is None:
             self._batched_sampler = BatchedWeightSampler(
-                self._grng_bank,
-                [stream.usage for stream in self._streams],
-                policy=self._policy,
+                self._grng_bank, self._usages, policy=self._policy
             )
         return self._batched_sampler
-
-    def __iter__(self) -> Iterator[WeightSampler]:
-        return iter(self._samplers)
 
     def __len__(self) -> int:
         return self._n_samples
 
     # ------------------------------------------------------------------
     def snapshots(self) -> list[LfsrSnapshot]:
-        """Capture a snapshot of every stream's generator."""
-        return [LfsrSnapshot.capture(stream.grng) for stream in self._streams]
+        """Capture a snapshot of every sample's generator row."""
+        return LfsrSnapshot.capture(self._grng_bank)
 
     def restore(self, snapshots: Sequence[LfsrSnapshot]) -> None:
-        """Restore every stream's generator from ``snapshots``.
+        """Restore every sample's generator row from ``snapshots``.
 
         This is how a distributed shard worker adopts the coordinator's
         canonical generator states before executing a step, and how
-        checkpoint loading rewinds a bank onto the saved trajectory.
+        checkpoint loading rewinds a bank onto the saved trajectory.  The
+        rows are written in place, so samplers built earlier continue from
+        the restored registers.
         """
         if len(snapshots) != self._n_samples:
             raise ValueError(
                 f"expected {self._n_samples} snapshots, got {len(snapshots)}"
             )
-        for snapshot, stream in zip(snapshots, self._streams):
-            snapshot.restore(stream.grng)
+        LfsrSnapshot.restore(snapshots, self._grng_bank)
 
     def usage_state_dicts(self) -> list[dict[str, int]]:
         """Per-sample traffic counters, in row order (checkpoint / wire format)."""
-        return [stream.usage.state_dict() for stream in self._streams]
+        return [usage.state_dict() for usage in self._usages]
 
     def load_usage_state_dicts(self, states: Sequence[dict[str, int]]) -> None:
         """Restore the per-sample traffic counters captured by
@@ -243,33 +247,32 @@ class StreamBank:
             raise ValueError(
                 f"expected {self._n_samples} usage records, got {len(states)}"
             )
-        for stream, state in zip(self._streams, states):
-            stream.usage.load_state_dict(state)
+        for usage, state in zip(self._usages, states):
+            usage.load_state_dict(state)
 
     def reset_usage(self) -> None:
-        """Zero every stream's traffic counters (shard workers, step start)."""
-        for stream in self._streams:
-            stream.usage.reset()
+        """Zero every sample's traffic counters (shard workers, step start)."""
+        for usage in self._usages:
+            usage.reset()
 
     @property
     def grng_bank(self) -> GrngBank:
-        """The shared batched generator bank backing every stream."""
+        """The shared generator bank backing every sampler."""
         return self._grng_bank
 
     def finish_iteration(self) -> None:
-        """Check that every stream consumed all its blocks this iteration."""
-        if self._batched_sampler is not None:
-            self._batched_sampler.finish_iteration()
-        for sampler in self._samplers:
-            sampler.finish_iteration()
+        """Check that every sampler consumed all its blocks this iteration."""
+        for sampler in [self._batched_sampler, *self._samplers]:
+            if sampler is not None:
+                sampler.finish_iteration()
 
     def total_offchip_epsilon_bytes(self) -> int:
         """Off-chip bytes moved for epsilons across all samples (read + write)."""
         return sum(
-            stream.usage.offchip_write_bytes + stream.usage.offchip_read_bytes
-            for stream in self._streams
+            usage.offchip_write_bytes + usage.offchip_read_bytes
+            for usage in self._usages
         )
 
     def total_epsilon_footprint_bytes(self) -> int:
         """Peak epsilon memory footprint across all samples."""
-        return sum(stream.usage.footprint_bytes for stream in self._streams)
+        return sum(usage.footprint_bytes for usage in self._usages)

@@ -15,23 +15,21 @@ every value, register and sum register to a from-scratch bit-serial oracle
 (a register of single bits, one tap XOR and one shift per tick, run forward
 and in reverse) that shares no code with this module.
 
-Two interfaces are exposed:
-
-* the batched array interface (:meth:`GrngBank.epsilon_blocks`,
-  :meth:`GrngBank.epsilon_blocks_reverse`, and the fused
-  :meth:`GrngBank.weight_blocks` / :meth:`GrngBank.replay_weight_blocks`
-  that return ``mu + eps * sigma``)
-  for callers that operate on every sample at once;
-* per-row :class:`BankedGaussianRNG` views carrying what
-  :class:`~repro.core.streams.EpsilonStream` policies and
-  :class:`~repro.core.checkpoint.LfsrSnapshot` use.  A view is
-  a plain accessor onto its row: every block request is a one-row kernel
-  call that never touches the other rows.
+The bank is driven through whole-bank array calls
+(:meth:`GrngBank.epsilon_blocks`, :meth:`GrngBank.epsilon_blocks_reverse`,
+and the fused :meth:`GrngBank.weight_blocks` /
+:meth:`GrngBank.replay_weight_blocks` that return ``mu + eps * sigma``).  A
+caller that serves one Monte-Carlo sample takes :meth:`GrngBank.row_bank`: a
+one-row bank whose registers and sum register are views into this bank's, so
+its calls move that row alone.  Every write to the registers and sums happens
+in place, so a one-row bank taken earlier never goes stale.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -40,13 +38,9 @@ from .backend import clt_standardise, dispatch
 from .bitops import pack_int_rows, unpack_bits, unpack_int_rows
 from .lfsr import LFSRStateError, normalise_taps, seed_from_index
 
-__all__ = ["BankedGaussianRNG", "GrngBank", "LfsrRowView"]
+__all__ = ["GrngBank"]
 
 _grng_block = dispatch("grng_block")
-
-
-def _selection(rows: Sequence[int] | None):
-    return slice(None) if rows is None else np.asarray(rows)
 
 
 class GrngBank:
@@ -95,7 +89,7 @@ class GrngBank:
         self._mean = n_bits / 2.0
         self._std = math.sqrt(n_bits / 4.0)
         self._words = pack_int_rows(states, n_bits)
-        self._sums = self._popcounts(slice(None))
+        self._sums = self._popcounts()
 
     # ------------------------------------------------------------------
     # properties
@@ -123,9 +117,13 @@ class GrngBank:
     # ------------------------------------------------------------------
     # registers
     # ------------------------------------------------------------------
-    def _checked(self, value: int) -> int:
-        if not isinstance(value, int):
-            raise LFSRStateError("LFSR state must be an integer")
+    def _checked(self, state) -> int:
+        try:
+            value = operator.index(state)
+        except TypeError:
+            raise LFSRStateError(
+                f"LFSR state must be an integer, got {state!r}"
+            ) from None
         if value <= 0 or value >> self._n:
             raise LFSRStateError(
                 f"LFSR state must be a non-zero {self._n}-bit integer, "
@@ -133,72 +131,49 @@ class GrngBank:
             )
         return value
 
-    def _popcounts(self, selection) -> np.ndarray:
-        return unpack_bits(self._words[selection], self._n).sum(axis=1, dtype=np.int64)
+    def _popcounts(self) -> np.ndarray:
+        return unpack_bits(self._words, self._n).sum(axis=1, dtype=np.int64)
 
     def _load(self, states: Sequence[int]) -> None:
         if len(states) != self.n_rows:
             raise ValueError(f"expected {self.n_rows} states, got {len(states)}")
-        checked = [self._checked(int(state)) for state in states]
+        checked = [self._checked(state) for state in states]
         self._words[:] = pack_int_rows(checked, self._n)
 
     def states(self) -> list[int]:
         """Register values of every row, as Python integers."""
         return unpack_int_rows(self._words)
 
-    def set_states(self, states: Sequence[int]) -> None:
-        """Overwrite every row's register and resynchronise the bit sums."""
+    def sum_registers(self) -> np.ndarray:
+        """A copy of every row's running bit-sum register."""
+        return self._sums.copy()
+
+    def set_states(
+        self, states: Sequence[int], sums: Sequence[int] | None = None
+    ) -> None:
+        """Overwrite every row's register, in place.
+
+        The sum registers are set to ``sums`` when given (a drifted sum
+        round-trips exactly), else resynchronised to the new patterns.
+        """
+        if sums is not None and len(sums) != self.n_rows:
+            raise ValueError(f"expected {self.n_rows} sums, got {len(sums)}")
         self._load(states)
-        self._sums = self._popcounts(slice(None))
+        self._sums[...] = self._popcounts() if sums is None else sums
 
-    # ------------------------------------------------------------------
-    # generation (physical register states)
-    # ------------------------------------------------------------------
-    def _generate_forward(
-        self, rows: Sequence[int] | None, count: int
-    ) -> np.ndarray:
-        # One fused dispatch: shift, popcount only the positions the GRNG
-        # emits (one per ``stride`` shifts) and standardise.  Integer
-        # popcounts are exact, so the values are bit-identical for any stride
-        # and any backend.
-        selection = _selection(rows)
-        values = np.empty((len(self._sums[selection]), count), dtype=np.float64)
-        _, words, last, _, _ = _grng_block(
-            self._words[selection], self._n, self._taps, self._stride, count,
-            self._mean, self._std, values,
-        )
-        self._words[selection] = words
-        self._sums[selection] = last
-        return values
+    def row_bank(self, row: int) -> "GrngBank":
+        """A one-row bank over row ``row`` of this one.
 
-    def _generate_reverse(
-        self, rows: Sequence[int] | None, count: int
-    ) -> np.ndarray:
-        # One call jumps the registers back count * stride shifts and runs
-        # forward to where they were; the patterns go out newest first.
-        selection = _selection(rows)
-        current_sums = self._sums[selection]
-        # The hardware steps the sum register by (recovered tail - dropped
-        # head) per reverse shift, so whatever offset it carries from the
-        # true pattern popcount (zero unless someone wrote the register)
-        # rides along unchanged: emit the current sum, then the exact
-        # popcounts of the earlier patterns plus that drift.
-        drift = current_sums - self._popcounts(selection)
-        # at mean 0 and std 1 the standardised values are the popcounts
-        popcounts = np.empty((len(current_sums), count), dtype=np.float64)
-        _, _, _, _, start = _grng_block(
-            self._words[selection], self._n, self._taps, self._stride, count,
-            0.0, 1.0, popcounts, rewind=count * self._stride,
-        )
-        # built before the register update: current_sums may view self._sums
-        sums = np.empty_like(popcounts)
-        sums[:, 0] = current_sums
-        np.add(popcounts[:, -2::-1], drift[:, None], out=sums[:, 1:])
-        self._words[selection] = start
-        self._sums[selection] = self._popcounts(selection) + drift
-        # Popcounts are exact in float64, so every grng_block backend
-        # produces byte-identical values.
-        return clt_standardise(sums, self._mean, self._std)
+        Its register words and sum register are basic-slice views into this
+        bank's arrays, so a call on it moves that row alone, and every write
+        to either bank shows in the other.
+        """
+        if not 0 <= row < self.n_rows:
+            raise IndexError(f"row {row} out of range for {self.n_rows} rows")
+        view = copy.copy(self)
+        view._words = self._words[row : row + 1]
+        view._sums = self._sums[row : row + 1]
+        return view
 
     def _fused(self, words, mu, sigma, epsilon: bool, rewind: int = 0):
         # One dispatch from ``words`` (jumped back ``rewind`` shifts first)
@@ -265,7 +240,18 @@ class GrngBank:
             raise ValueError("count must be non-negative")
         if count == 0:
             return np.zeros((self.n_rows, 0), dtype=np.float64)
-        return self._generate_forward(None, count)
+        # One fused dispatch: shift, popcount only the positions the GRNG
+        # emits (one per ``stride`` shifts) and standardise.  Integer
+        # popcounts are exact, so the values are bit-identical for any stride
+        # and any backend.
+        values = np.empty((self.n_rows, count), dtype=np.float64)
+        _, words, last, _, _ = _grng_block(
+            self._words, self._n, self._taps, self._stride, count,
+            self._mean, self._std, values,
+        )
+        self._words[...] = words
+        self._sums[...] = last
+        return values
 
     def epsilon_blocks_reverse(self, count: int) -> np.ndarray:
         """Retrieve the previous ``count`` variables per row (newest first).
@@ -279,104 +265,25 @@ class GrngBank:
             raise ValueError("count must be non-negative")
         if count == 0:
             return np.zeros((self.n_rows, 0), dtype=np.float64)
-        return self._generate_reverse(None, count)
-
-    # ------------------------------------------------------------------
-    # per-row interface
-    # ------------------------------------------------------------------
-    def row_view(self, row: int) -> "BankedGaussianRNG":
-        """A one-row generator view of row ``row``."""
-        if not 0 <= row < self.n_rows:
-            raise IndexError(f"row {row} out of range for {self.n_rows} rows")
-        return BankedGaussianRNG(self, row)
-
-
-class LfsrRowView:
-    """The register of one :class:`GrngBank` row.
-
-    ``state`` reads and writes go straight to the row's packed words; the
-    width and taps are the bank's.
-    """
-
-    def __init__(self, bank: GrngBank, row: int) -> None:
-        self._bank = bank
-        self._row = row
-
-    @property
-    def n_bits(self) -> int:
-        """Register length in bits."""
-        return self._bank.n_bits
-
-    @property
-    def taps(self) -> tuple[int, ...]:
-        """1-based tap positions (tail tap included)."""
-        return self._bank.taps
-
-    @property
-    def state(self) -> int:
-        """Current register contents as an integer."""
-        row = self._row
-        return unpack_int_rows(self._bank._words[row : row + 1])[0]
-
-    @state.setter
-    def state(self, value: int) -> None:
-        bank = self._bank
-        bank._words[self._row] = pack_int_rows([bank._checked(value)], bank.n_bits)[0]
-
-
-class BankedGaussianRNG:
-    """A Gaussian generator view over one :class:`GrngBank` row.
-
-    Carries what the epsilon streams and the snapshots use.  Every block
-    operation is a one-row call into the bank, so a view's values, register
-    and sum register evolve exactly like its row of the batched calls.
-    """
-
-    def __init__(self, bank: GrngBank, row: int) -> None:
-        self._bank = bank
-        self._row = row
-        self._lfsr_view = LfsrRowView(bank, row)
-
-    @property
-    def lfsr(self) -> LfsrRowView:
-        """The underlying register row (read and written by snapshots)."""
-        return self._lfsr_view
-
-    @property
-    def n_bits(self) -> int:
-        """Width of the LFSR pattern used per Gaussian variable."""
-        return self._bank.n_bits
-
-    @property
-    def stride(self) -> int:
-        """Register shifts performed per emitted variable."""
-        return self._bank.stride
-
-    @property
-    def sum_register(self) -> int:
-        """The running pattern bit-sum register of this row."""
-        return int(self._bank._sums[self._row])
-
-    @sum_register.setter
-    def sum_register(self, value: int) -> None:
-        self._bank._sums[self._row] = int(value)
-
-    def epsilon_block(self, count: int) -> np.ndarray:
-        """Generate ``count`` variables with one single-row kernel call."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._bank._generate_forward([self._row], count)[0]
-
-    def epsilon_block_reverse(self, count: int) -> np.ndarray:
-        """Retrieve the previous ``count`` variables (newest first)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._bank._generate_reverse([self._row], count)[0]
-
-    def resync_sum_register(self) -> None:
-        """Reload the running bit-sum from the current pattern."""
-        self._bank._sums[self._row] = self._bank._popcounts([self._row])[0]
+        # One call jumps the registers back count * stride shifts and runs
+        # forward to where they were; the patterns go out newest first.
+        # The hardware steps the sum register by (recovered tail - dropped
+        # head) per reverse shift, so whatever offset it carries from the
+        # true pattern popcount (zero unless someone wrote the register)
+        # rides along unchanged: emit the current sum, then the exact
+        # popcounts of the earlier patterns plus that drift.
+        drift = self._sums - self._popcounts()
+        # at mean 0 and std 1 the standardised values are the popcounts
+        popcounts = np.empty((self.n_rows, count), dtype=np.float64)
+        _, _, _, _, start = _grng_block(
+            self._words, self._n, self._taps, self._stride, count,
+            0.0, 1.0, popcounts, rewind=count * self._stride,
+        )
+        sums = np.empty_like(popcounts)
+        sums[:, 0] = self._sums
+        np.add(popcounts[:, -2::-1], drift[:, None], out=sums[:, 1:])
+        self._words[...] = start
+        self._sums[...] = self._popcounts() + drift
+        # Popcounts are exact in float64, so every grng_block backend
+        # produces byte-identical values.
+        return clt_standardise(sums, self._mean, self._std)

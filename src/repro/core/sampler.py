@@ -1,31 +1,25 @@
-"""Weight sampling on top of an epsilon stream.
+"""Weight sampling: ``w = mu + eps * sigma`` for a bank of Monte-Carlo samples.
 
 ``w = mu + eps * sigma`` (Section 2.1 of the paper) is the only place the
-Gaussian random variables enter the computation.  :class:`WeightSampler` wraps
-an :class:`~repro.core.streams.EpsilonStream` and exposes the two operations
-the training stages need:
+Gaussian random variables enter the computation.
+:class:`BatchedWeightSampler` exposes the two operations the training stages
+need, for every row of a :class:`~repro.core.grng_bank.GrngBank` per call:
 
 * ``sample(mu, sigma)`` -- forward stage: draw a fresh epsilon block shaped
-  like the parameters and return the sampled weights;
+  like the parameters and return the ``(S, *shape)`` sampled weights, written
+  by one fused kernel call;
 * ``resample(mu, sigma)`` -- backward / gradient stage: retrieve the *same*
   epsilon block (from storage or by LFSR reversal, depending on the stream
   policy) and reconstruct the identical weights, also returning the epsilons
   themselves because the gradient of ``sigma`` needs them.
 
-When samplers are built by a :class:`~repro.core.checkpoint.StreamBank`, each
-per-sample stream draws from its own row of one shared
-:class:`~repro.core.grng_bank.GrngBank`; a per-sample sampler's request is a
-one-row kernel call, independent of the other rows.
-
-:class:`BatchedWeightSampler` goes one step further for callers that execute
-the whole Monte-Carlo batch at once (the batched FW/BW/GC pipeline of
-``BayesianNetwork.forward_samples``): its :meth:`~BatchedWeightSampler.sample`
-and :meth:`~BatchedWeightSampler.resample` return ``(S, *weight_shape)``
-weight (and epsilon) tensors written by one fused kernel call per layer --
-no per-row views, no per-sample Python -- while still attributing traffic
-(:class:`~repro.core.streams.StreamUsage`) to each Monte-Carlo sample
-exactly like the per-sample streams would.  Both stream policies are
-supported and produce bit-identical values and byte accounting.
+The batched FW/BW/GC pipeline of ``BayesianNetwork.forward_samples`` draws
+all ``S`` samples through one sampler over the whole bank.  The per-sample
+pipeline draws sample ``i`` through a sampler over the one-row bank
+``bank.row_bank(i)`` (see :meth:`~repro.core.checkpoint.StreamBank.sampler`)
+and takes slice ``[0]``: the same code, the same kernel, the same bytes.
+Each sample's traffic is attributed to its own
+:class:`~repro.core.streams.StreamUsage`.
 """
 
 from __future__ import annotations
@@ -35,93 +29,20 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .streams import EpsilonStream, StreamOrderError, StreamUsage
+from .streams import StreamOrderError, StreamUsage
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .grng_bank import GrngBank
 
-__all__ = [
-    "SampledWeights",
-    "SampledWeightsBatch",
-    "WeightSampler",
-    "BatchedWeightSampler",
-]
-
-
-@dataclass(frozen=True)
-class SampledWeights:
-    """A sampled weight tensor together with the epsilons that produced it."""
-
-    weights: np.ndarray
-    epsilon: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.weights.shape != self.epsilon.shape:
-            raise ValueError(
-                "weights and epsilon must have the same shape, got "
-                f"{self.weights.shape} vs {self.epsilon.shape}"
-            )
-
-
-class WeightSampler:
-    """Sample and re-sample Gaussian weights through an epsilon stream."""
-
-    def __init__(self, stream: EpsilonStream) -> None:
-        self._stream = stream
-
-    @property
-    def stream(self) -> EpsilonStream:
-        """The epsilon stream this sampler draws from."""
-        return self._stream
-
-    @property
-    def usage(self) -> StreamUsage:
-        """Traffic accounting of the underlying stream."""
-        return self._stream.usage
-
-    @staticmethod
-    def _validate(mu: np.ndarray, sigma: np.ndarray) -> None:
-        if mu.shape != sigma.shape:
-            raise ValueError(
-                f"mu and sigma must have the same shape, got {mu.shape} vs {sigma.shape}"
-            )
-        if np.any(sigma < 0):
-            raise ValueError("sigma must be non-negative")
-
-    def sample(self, mu: np.ndarray, sigma: np.ndarray) -> SampledWeights:
-        """Forward-stage sampling: draw fresh epsilons and build the weights."""
-        self._validate(mu, sigma)
-        epsilon = self._stream.forward_block(mu.shape)
-        weights = mu + epsilon * sigma
-        return SampledWeights(weights=weights, epsilon=epsilon)
-
-    def resample(self, mu: np.ndarray, sigma: np.ndarray) -> SampledWeights:
-        """Backward-stage reconstruction with the original epsilons.
-
-        The returned weights are bit-identical to the forward-stage sample
-        (given unchanged ``mu`` and ``sigma``), which is the property that lets
-        Shift-BNN discard the epsilons after the forward pass.
-        """
-        self._validate(mu, sigma)
-        epsilon = self._stream.retrieve_block(mu.shape)
-        weights = mu + epsilon * sigma
-        return SampledWeights(weights=weights, epsilon=epsilon)
-
-    def finish_iteration(self) -> None:
-        """Assert all sampled blocks were consumed and reset per-iteration state."""
-        self._stream.reset_epoch()
-
-    def __repr__(self) -> str:
-        return f"WeightSampler(stream={type(self._stream).__name__})"
+__all__ = ["SampledWeightsBatch", "BatchedWeightSampler"]
 
 
 @dataclass(frozen=True)
 class SampledWeightsBatch:
     """Sampled weights (and their epsilons) for all ``S`` Monte-Carlo samples.
 
-    Both tensors have shape ``(S, *weight_shape)``; slice ``[i]`` is exactly
-    what :class:`SampledWeights` of sample ``i``'s scalar sampler would hold.
-    ``epsilon`` is ``None`` where no epsilon was materialised: a forward
+    Both tensors have shape ``(S, *weight_shape)``, slice ``[i]`` holding
+    sample ``i``'s weights and epsilons.  ``epsilon`` is ``None`` where no epsilon was materialised: a forward
     sample under the ``"reversible"`` policy.
     """
 
@@ -155,10 +76,9 @@ class _BatchBlockRecord:
 class BatchedWeightSampler:
     """Weight sampler for the whole Monte-Carlo batch at once.
 
-    The per-sample :class:`WeightSampler` objects of a
-    :class:`~repro.core.checkpoint.StreamBank` serve one sample each; this
-    class serves all ``S`` samples per call by driving the bank's batched
-    kernels directly:
+    Serves all ``S`` rows of ``bank`` per call by driving its batched
+    kernels directly (``S`` is 1 for a per-sample sampler over a one-row
+    bank):
 
     * ``sample(mu, sigma)`` draws the layer's block for every sample with one
       fused kernel call that writes the ``(S, *shape)`` weights
@@ -176,8 +96,8 @@ class BatchedWeightSampler:
     ``prefetch_forward``) followed by a full backward pass (``resample`` in
     reverse layer order), then :meth:`finish_iteration`.  Values, register
     trajectories and per-sample :class:`~repro.core.streams.StreamUsage`
-    accounting are bit-identical to running the per-sample samplers
-    sequentially -- the batched engine changes speed, never results.
+    accounting are the same for a bank of ``S`` rows as for ``S`` one-row
+    samplers run in turn -- batching changes speed, never results.
     """
 
     def __init__(
@@ -220,8 +140,18 @@ class BatchedWeightSampler:
 
     @property
     def usages(self) -> Sequence[StreamUsage]:
-        """Per-sample traffic accounting (shared with the bank's streams)."""
+        """Per-sample traffic accounting (shared with the stream bank)."""
         return tuple(self._usages)
+
+    @property
+    def usage(self) -> StreamUsage:
+        """The traffic accounting of a one-row sampler's sample."""
+        if len(self._usages) != 1:
+            raise ValueError(
+                f"a sampler of {len(self._usages)} samples has one usage "
+                "record per sample; read usages"
+            )
+        return self._usages[0]
 
     @property
     def pending_blocks(self) -> int:
@@ -315,7 +245,7 @@ class BatchedWeightSampler:
         """``mu + epsilon * sigma`` with one less temporary.
 
         IEEE-754 addition is commutative, so adding ``mu`` into the product
-        in place is bit-identical to the scalar sampler's expression.  ``out``
+        in place is bit-identical to ``mu + epsilon * sigma``.  ``out``
         may be ``epsilon`` itself (an element-wise product reads each element
         before it writes it), for a caller that no longer needs the epsilons.
         """
@@ -409,8 +339,7 @@ class BatchedWeightSampler:
         """Drop outstanding blocks without retrieving them.
 
         Prediction-style forward-only workloads never consume their blocks;
-        this makes the discard explicit (the per-sample equivalent is simply
-        dropping the bank).
+        this makes the discard explicit.
         """
         self._records.clear()
         self._schedule.clear()

@@ -609,7 +609,7 @@ class DistributedBackend:
                 )
             for local_index, sample_index in enumerate(samples):
                 new_snapshots[sample_index] = result["snapshots"][local_index]
-                trainer.bank.streams[sample_index].usage.merge_delta(
+                trainer.bank.usages[sample_index].merge_delta(
                     result["usage"][local_index]
                 )
         trainer.bank.restore(new_snapshots)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bnn import BayesConv2D, BayesDense, BayesianNetwork, PredictiveResult
-from repro.core import StreamBank
+from repro.core import BatchedWeightSampler, GrngBank, StreamBank, StreamUsage
 from repro.models import ActivationSpec, ConvSpec, DenseSpec, FlattenSpec, ModelSpec, PoolSpec
 from repro.nn import Flatten, MaxPool2D, ReLU
 from repro.nn.functional import softmax
@@ -72,6 +72,25 @@ def sequential_mc_predict(
         for layer, training in zip(model.layers, modes):
             layer.train() if training else layer.eval()
     return PredictiveResult(sample_probabilities=probabilities)
+
+
+def one_row_sampler(
+    policy: str, n_bits: int = 64, seed_index: int = 0, stride: int = 4
+) -> BatchedWeightSampler:
+    """A per-sample sampler: one row seeded as ``seed_index``, its own usage."""
+    bank = GrngBank(n_bits=n_bits, seed_indices=[seed_index], stride=stride)
+    return BatchedWeightSampler(bank, [StreamUsage()], policy)
+
+
+def draw(sampler: BatchedWeightSampler, shape) -> np.ndarray:
+    """A one-row sampler's forward epsilons of ``shape``: its weights at
+    ``mu = 0``, ``sigma = 1`` (``0 + eps * 1`` is ``eps`` bit for bit)."""
+    return sampler.sample(np.zeros(shape), np.ones(shape)).weights[0]
+
+
+def retrieve(sampler: BatchedWeightSampler, shape) -> np.ndarray:
+    """The epsilons a one-row sampler's backward pass retrieves for ``shape``."""
+    return sampler.resample(np.zeros(shape), np.ones(shape)).epsilon[0]
 
 
 def process_running(pid: int) -> bool:

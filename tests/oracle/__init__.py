@@ -10,7 +10,8 @@ cannot cancel out here.  Two modules:
   a primitivity proof, the seed hash and word packing of its own;
 * :mod:`oracle.grng` -- the Gaussian generator on top: the straight-line CLT
   step and the sum register's drift arithmetic, as a one-row generator with
-  the same block interface as a ``GrngBank`` row view.
+  a per-row block interface (a one-row ``GrngBank``'s ``epsilon_blocks(n)[0]``
+  and ``epsilon_blocks_reverse(n)[0]`` are compared with it).
 """
 
 from .grng import OracleGRNG, clt, retrieval_sums

@@ -38,7 +38,7 @@ def retrieval_sums(sum_register: int, state: int, earlier_popcounts) -> np.ndarr
 class OracleGRNG:
     """One generator: a :class:`BitSerialLFSR`, a sum register and a stride.
 
-    The block interface of a ``GrngBank`` row view, computed tick by tick:
+    One row's block interface, computed tick by tick:
     :meth:`epsilon_block` emits one value per ``stride`` forward ticks,
     :meth:`epsilon_block_reverse` emits the sum register, then steps it
     through ``stride`` reverse ticks per value exactly as the hardware does.

@@ -65,7 +65,7 @@ def _parameters(rng, count: int, specials: bool):
 
 
 def _bank_state(bank: GrngBank):
-    return bank.states(), [bank.row_view(r).sum_register for r in range(bank.n_rows)]
+    return bank.states(), bank.sum_registers().tolist()
 
 
 GEOMETRIES = st.sampled_from(
@@ -171,14 +171,14 @@ def _refuse_negative_sigma(policy, stage):
     if stage == "resample":
         sampler.sample(mu, sigma)
     state = _bank_state(bank.grng_bank), bank.grng_bank.register_words()
-    usage = [dict(vars(stream.usage)) for stream in bank.streams]
+    usage = [dict(vars(usage)) for usage in bank.usages]
     pending = sampler.pending_blocks
     call = sampler.sample if stage == "sample" else sampler.resample
     with pytest.raises(ValueError, match="sigma must be non-negative"):
         call(mu, bad)
     assert _bank_state(bank.grng_bank) == state[0]
     assert np.array_equal(bank.grng_bank.register_words(), state[1])
-    assert [vars(stream.usage) for stream in bank.streams] == usage
+    assert [vars(usage) for usage in bank.usages] == usage
     assert sampler.pending_blocks == pending
     # and the sampler carries on as if the refused call never happened
     for _ in range(sampler.pending_blocks):

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import draw, retrieve
 from oracle import OracleGRNG
 from repro.core import GrngBank, StreamBank
 
@@ -35,7 +36,7 @@ class TestGrngBankRegisterProperties:
             scalar = OracleGRNG(n_bits, seed_index=seed, stride=stride)
             assert block[row].tobytes() == scalar.epsilon_block(count).tobytes()
             assert bank.states()[row] == scalar.state
-            assert bank.row_view(row).sum_register == scalar.sum_register
+            assert bank.sum_registers()[row] == scalar.sum_register
 
     @given(
         seeds=st.lists(st.integers(0, 500), min_size=1, max_size=4),
@@ -108,9 +109,9 @@ class TestRowViewStreamProperties:
         self, shapes, seed, n_samples, policy
     ):
         # Trainer-style interleaving (per sample: forward all layers, then
-        # retrieve them LIFO) across two iterations: every row view sits out
-        # of phase with its siblings between requests, and each must still
-        # reproduce its oracle bit for bit.
+        # retrieve them LIFO) across two iterations: every one-row sampler
+        # sits out of phase with its siblings between requests, and each must
+        # still reproduce its oracle bit for bit.
         bank = StreamBank(
             n_samples, policy=policy, seed=seed, lfsr_bits=64, grng_stride=4
         )
@@ -119,12 +120,12 @@ class TestRowViewStreamProperties:
         ]
         for _ in range(2):
             for i in range(n_samples):
-                stream = bank.sampler(i).stream
+                sampler = bank.sampler(i)
                 expected = [scalars[i].epsilon_block(int(np.prod(s))) for s in shapes]
                 for shape, reference in zip(shapes, expected):
-                    block = stream.forward_block(shape)
+                    block = draw(sampler, shape)
                     assert np.array_equal(block, reference.reshape(shape))
                 for shape, reference in zip(reversed(shapes), reversed(expected)):
-                    block = stream.retrieve_block(shape)
+                    block = retrieve(sampler, shape)
                     assert np.array_equal(block, reference.reshape(shape))
             bank.finish_iteration()

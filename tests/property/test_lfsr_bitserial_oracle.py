@@ -325,7 +325,7 @@ def test_bank_reverse_matches_bit_serial_oracle(n_bits, rows):
         bank = reverse_bank(seeds, n_bits, stride)
         out = bank.epsilon_blocks_reverse(count)
         end = bank.states()
-        sums = [bank.row_view(row).sum_register for row in range(rows)]
+        sums = bank.sum_registers()
         for parts in (2, 7):
             pieces, split = [], reverse_bank(seeds, n_bits, stride)
             edges = np.linspace(0, count, parts + 1).astype(int)
@@ -389,7 +389,7 @@ def test_bank_reverse_at_random_taps_matches_bit_serial_oracle(register, stride,
         want = reversed_values(seed, np.array(earlier), n_bits)
         assert out[row].tobytes() == want
         assert bank.states()[row] == lfsr.state
-        assert bank.row_view(row).sum_register == earlier[-1]
+        assert bank.sum_registers()[row] == earlier[-1]
 
 
 def rewound(words, n_bits, taps, shifts):
@@ -666,9 +666,10 @@ def check_bank_round_trip(n_bits, stride):
 @pytest.mark.parametrize("which", ["native", "reference"])
 @pytest.mark.parametrize("n_bits", sorted(TAP_TABLE))
 def test_bank_matches_oracle_generator_at_every_width(which, n_bits):
-    """Forward values, the forward -> replay -> reversed retrieval round trip
-    and a drifted sum register riding a retrieval past the start, against
-    :class:`oracle.OracleGRNG`, on both ``grng_block`` backends."""
+    """Forward values, the forward -> replay -> reversed retrieval round trip,
+    a drifted sum register riding a retrieval past the start and a one-row
+    call that leaves the other row alone, against :class:`oracle.OracleGRNG`,
+    on both ``grng_block`` backends."""
     seeds, count = (3, 11), 24
     with grng_backend(which):
         before = native_calls()
@@ -684,12 +685,19 @@ def test_bank_matches_oracle_generator_at_every_width(which, n_bits):
         )
         assert replayed.tobytes() == forward.tobytes()
         assert np.array_equal(landed, bank.register_words())
-        bank.row_view(1).sum_register += 5
+        drifted = bank.row_bank(1)
+        drifted.set_states(drifted.states(), drifted.sum_registers() + 5)
         oracles[1].sum_register += 5
         back = bank.epsilon_blocks_reverse(count + 3)
         for row, oracle in enumerate(oracles):
             assert back[row].tobytes() == oracle.epsilon_block_reverse(count + 3).tobytes()
-            assert bank.row_view(row).sum_register == oracle.sum_register
+        assert bank.sum_registers().tolist() == [oracle.sum_register for oracle in oracles]
         assert bank.states() == [oracle.state for oracle in oracles]
+        # a one-row call moves its row alone
+        other = bank.states()[1], bank.sum_registers()[1]
+        alone = bank.row_bank(0).epsilon_blocks(count)
+        assert alone[0].tobytes() == oracles[0].epsilon_block(count).tobytes()
+        assert bank.states()[0] == oracles[0].state
+        assert (bank.states()[1], bank.sum_registers()[1]) == other
         if which == "native" and n_bits in native_domain():
-            assert native_calls() == before + 3, "a call fell through to NumPy"
+            assert native_calls() == before + 4, "a call fell through to NumPy"

@@ -1,10 +1,14 @@
-"""Unit tests for the batched Monte-Carlo sampling engine.
+"""Unit tests for the Monte-Carlo weight sampler.
 
 The contract under test: :class:`~repro.core.sampler.BatchedWeightSampler`
-serves all ``S`` samples per call and is *bit-identical* -- values, register
-trajectories, traffic accounting -- to running the per-sample
-:class:`~repro.core.sampler.WeightSampler` objects sequentially, for every
-stream policy and stride, with and without an announced forward schedule.
+serves all ``S`` rows of its bank per call, and its values, register
+trajectories and traffic accounting equal an independent reference -- the
+bit-serial :class:`oracle.OracleGRNG` per row, a NumPy ``mu + eps * sigma``
+and hand-computed :class:`~repro.core.StreamUsage` counts -- for every stream
+policy and stride, with and without an announced forward schedule, whether
+one sampler serves the whole bank or one sampler per one-row bank serves each
+sample in turn.  ``TestOneRowPolicies`` holds both policies' behaviours on a
+single sample.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import draw, one_row_sampler, retrieve
+from oracle import OracleGRNG
 from repro.core import GrngBank, StreamBank, StreamOrderError
 from repro.core.sampler import BatchedWeightSampler, SampledWeightsBatch
 
@@ -49,6 +55,11 @@ def _step_peak(policy: str) -> int:
         tracemalloc.stop()
 
 
+def _flip_register_bit(bank: GrngBank) -> None:
+    """Write a one-row bank's register with its lowest bit flipped."""
+    bank.set_states([bank.states()[0] ^ 1], bank.sum_registers())
+
+
 def _run_sequential(bank: StreamBank, mus, sigmas):
     forward = [
         [bank.sampler(s).sample(mu, sg) for mu, sg in zip(mus, sigmas)]
@@ -77,66 +88,84 @@ def _run_batched(bank: StreamBank, mus, sigmas, prefetch: bool):
     return forward, backward
 
 
-class TestBitEquivalence:
+def _oracle_layers(oracles, mus, sigmas):
+    """Per layer, the ``(S, *shape)`` oracle epsilons and ``mu + eps * sigma``."""
+    epsilons = [
+        np.stack([oracle.epsilon_block(mu.size).reshape(mu.shape) for oracle in oracles])
+        for mu in mus
+    ]
+    return epsilons, [mu + eps * sg for eps, mu, sg in zip(epsilons, mus, sigmas)]
+
+
+def _oracles(seed: int, n_samples: int, stride: int) -> list[OracleGRNG]:
+    """The bit-serial twin of every 64-bit row of a ``StreamBank(seed=seed)``."""
+    return [OracleGRNG(64, seed * 1024 + s, stride) for s in range(n_samples)]
+
+
+class TestAgainstTheOracle:
     @pytest.mark.parametrize("policy", ["stored", "reversible"])
     @pytest.mark.parametrize("stride", [1, 8, 64])
     @pytest.mark.parametrize("prefetch", [False, True])
-    def test_matches_per_sample_samplers(self, policy, stride, prefetch):
+    def test_matches_the_oracle_per_sample_and_batched(self, policy, stride, prefetch):
         mus, sigmas = _layer_params()
         kwargs = dict(policy=policy, seed=3, lfsr_bits=64, grng_stride=stride)
         seq_bank = StreamBank(4, **kwargs)
         bat_bank = StreamBank(4, **kwargs)
+        oracles = _oracles(3, 4, stride)
         for _ in range(2):  # two iterations: registers must continue identically
+            epsilons, weights = _oracle_layers(oracles, mus, sigmas)
             seq_fwd, seq_bwd = _run_sequential(seq_bank, mus, sigmas)
             bat_fwd, bat_bwd = _run_batched(bat_bank, mus, sigmas, prefetch)
             for layer in range(len(mus)):
-                # only "stored" materialises forward epsilons; the others are
-                # held to the retrieved block of the same layer instead
+                # only "stored" materialises forward epsilons
                 if policy != "stored":
                     assert bat_fwd[layer].epsilon is None
-                retrieved = bat_bwd[len(mus) - 1 - layer]
-                for s in range(4):
-                    assert np.array_equal(
-                        seq_fwd[s][layer].weights, bat_fwd[layer].weights[s]
-                    )
-                    forward_eps = (bat_fwd[layer] if policy == "stored" else retrieved)
-                    assert np.array_equal(
-                        seq_fwd[s][layer].epsilon, forward_eps.epsilon[s]
-                    )
-                    assert np.array_equal(
-                        seq_bwd[s][layer].weights, bat_bwd[layer].weights[s]
-                    )
-                    assert np.array_equal(
-                        seq_bwd[s][layer].epsilon, bat_bwd[layer].epsilon[s]
-                    )
-            seq_states = [snap.state for snap in seq_bank.snapshots()]
-            bat_states = [snap.state for snap in bat_bank.snapshots()]
-            assert seq_states == bat_states
-            seq_sums = [snap.sum_register for snap in seq_bank.snapshots()]
-            bat_sums = [snap.sum_register for snap in bat_bank.snapshots()]
-            assert seq_sums == bat_sums
+                    assert all(f[layer].epsilon is None for f in seq_fwd)
+                back = len(mus) - 1 - layer
+                want_w, want_eps = weights[layer].tobytes(), epsilons[layer].tobytes()
+                assert bat_fwd[layer].weights.tobytes() == want_w
+                assert bat_bwd[back].weights.tobytes() == want_w
+                assert bat_bwd[back].epsilon.tobytes() == want_eps
+                seq = [np.concatenate([f[layer].weights for f in seq_fwd])]
+                seq += [np.concatenate([b[back].weights for b in seq_bwd])]
+                assert [a.tobytes() for a in seq] == [want_w, want_w]
+                eps = np.concatenate([b[back].epsilon for b in seq_bwd])
+                assert eps.tobytes() == want_eps
+                if policy == "stored":
+                    assert bat_fwd[layer].epsilon.tobytes() == want_eps
+            for bank in (seq_bank, bat_bank):
+                assert [snap.state for snap in bank.snapshots()] == [o.state for o in oracles]
+                assert [snap.sum_register for snap in bank.snapshots()] == [
+                    o.sum_register for o in oracles
+                ]
 
     @pytest.mark.parametrize("policy", ["stored", "reversible"])
-    def test_traffic_accounting_matches_per_sample_streams(self, policy):
+    def test_traffic_accounting_is_hand_computed(self, policy):
+        # SHAPES hold 35 + 24 + 11 = 70 values per sample and iteration at
+        # 2 bytes each; "stored" keeps all three blocks at once before the
+        # backward pass releases them, "reversible" keeps nothing.
         mus, sigmas = _layer_params()
+        stored = policy == "stored"
+        want = {
+            "bytes_per_value": 2,
+            "generated_values": 70,
+            "retrieved_values": 70,
+            "stored_values_peak": 70 if stored else 0,
+            "stored_values_current": 0,
+        }
         seq_bank = StreamBank(3, policy=policy, seed=1, lfsr_bits=64, grng_stride=4)
         bat_bank = StreamBank(3, policy=policy, seed=1, lfsr_bits=64, grng_stride=4)
         _run_sequential(seq_bank, mus, sigmas)
         _run_batched(bat_bank, mus, sigmas, prefetch=True)
-        for seq_stream, bat_stream in zip(seq_bank.streams, bat_bank.streams):
-            assert vars(seq_stream.usage) == vars(bat_stream.usage)
-        assert (
-            seq_bank.total_offchip_epsilon_bytes()
-            == bat_bank.total_offchip_epsilon_bytes()
-        )
-        assert (
-            seq_bank.total_epsilon_footprint_bytes()
-            == bat_bank.total_epsilon_footprint_bytes()
-        )
+        for bank in (seq_bank, bat_bank):
+            assert [vars(usage) for usage in bank.usages] == [want] * 3
+            # written once and read once per sample
+            assert bank.total_offchip_epsilon_bytes() == (3 * 2 * 140 if stored else 0)
+            assert bank.total_epsilon_footprint_bytes() == (3 * 140 if stored else 0)
 
     @pytest.mark.parametrize("policy", ["stored", "reversible"])
     def test_forward_epsilons_continue_the_row_streams(self, policy):
-        """The batched blocks consume the same stream the row views do."""
+        """The batched blocks consume the same stream as the bare bank."""
         bank = StreamBank(2, policy=policy, seed=5, lfsr_bits=64, grng_stride=2)
         reference = GrngBank(
             n_bits=64,
@@ -237,11 +266,7 @@ class TestContracts:
     def test_unknown_policy_rejected(self):
         bank = self._bank()
         with pytest.raises(ValueError):
-            BatchedWeightSampler(
-                bank.grng_bank,
-                [stream.usage for stream in bank.streams],
-                policy="nope",
-            )
+            BatchedWeightSampler(bank.grng_bank, bank.usages, policy="nope")
 
 
 class TestStridedKernel:
@@ -325,13 +350,13 @@ class TestStridedKernel:
         start = bank.register_words()
         bank.epsilon_blocks(7)
         end = bank.states()
-        sums = [bank.row_view(row).sum_register for row in range(3)]
+        sums = bank.sum_registers()
         stale = start.copy()
         stale[1, 0] ^= np.uint64(2)  # only row 1 "tampered"
         _, _, _, landed = bank.replay_weight_blocks(stale, np.zeros(7), np.ones(7))
         assert not np.array_equal(landed, bank.register_words())
         assert bank.states() == end
-        assert [bank.row_view(row).sum_register for row in range(3)] == sums
+        assert np.array_equal(bank.sum_registers(), sums)
 
     def test_discard_leaves_the_registers_at_the_forward_frontier(self):
         """A partial backward pass moves no register, so a discard keeps them
@@ -380,15 +405,15 @@ class TestRetrievalGuards:
         layers = [(np.zeros(shape), np.full(shape, 0.1)) for shape in SHAPES]
         for mu, sigma in layers:
             sampler.sample(mu, sigma)
-        bank.streams[row].grng.lfsr.state ^= 1
+        _flip_register_bit(bank.grng_bank.row_bank(row))
         states = bank.grng_bank.states()
-        sums = [bank.grng_bank.row_view(r).sum_register for r in range(3)]
-        usage = [dict(vars(stream.usage)) for stream in bank.streams]
+        sums = bank.grng_bank.sum_registers()
+        usage = [dict(vars(usage)) for usage in bank.usages]
         with pytest.raises(StreamOrderError, match="did not land"):
             sampler.resample(*layers[-1])
         assert bank.grng_bank.states() == states
-        assert [bank.grng_bank.row_view(r).sum_register for r in range(3)] == sums
-        assert [vars(stream.usage) for stream in bank.streams] == usage
+        assert np.array_equal(bank.grng_bank.sum_registers(), sums)
+        assert [vars(usage) for usage in bank.usages] == usage
         assert sampler.pending_blocks == len(layers)
 
     def test_reversible_step_peaks_no_higher_than_stored(self):
@@ -407,3 +432,155 @@ class TestRetrievalGuards:
         noise = 4096
         reversible, stored = _step_peak("reversible"), _step_peak("stored")
         assert reversible <= stored + noise, (reversible, stored)
+
+
+ALL_POLICIES = ["stored", "reversible"]
+
+
+class TestOneRowPolicies:
+    """Both policies on one sample: a sampler over a one-row bank."""
+
+    def test_identical_seeds_give_identical_blocks_across_policies(self):
+        blocks = [
+            draw(one_row_sampler(policy, seed_index=5), (2, 5)) for policy in ALL_POLICIES
+        ]
+        assert blocks[0].tobytes() == blocks[1].tobytes()
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_forward_block_shape(self, policy):
+        sampled = one_row_sampler(policy).sample(np.zeros((3, 4)), np.ones((3, 4)))
+        assert sampled.weights.shape == (1, 3, 4)
+        assert sampled.n_samples == 1
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_single_block_roundtrip(self, policy):
+        sampler = one_row_sampler(policy)
+        forward = draw(sampler, (4, 4))
+        assert retrieve(sampler, (4, 4)).tobytes() == forward.tobytes()
+
+    def test_reversible_policy_matches_stored_values(self):
+        shapes = [(3, 3), (7,), (2, 4), (10,)]
+        stored = one_row_sampler("stored", seed_index=9)
+        reversible = one_row_sampler("reversible", seed_index=9)
+        expected = [draw(stored, shape) for shape in shapes]
+        for shape in shapes:
+            draw(reversible, shape)
+        for shape, value in zip(reversed(shapes), reversed(expected)):
+            assert np.array_equal(retrieve(stored, shape), value)
+            assert np.array_equal(retrieve(reversible, shape), value)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_pending_blocks_property(self, policy):
+        sampler = one_row_sampler(policy)
+        assert sampler.pending_blocks == 0
+        draw(sampler, (2,))
+        draw(sampler, (2,))
+        assert sampler.pending_blocks == 2
+        retrieve(sampler, (2,))
+        assert sampler.pending_blocks == 1
+
+    def test_stored_peak_tracks_outstanding_blocks(self):
+        sampler = one_row_sampler("stored")
+        draw(sampler, (4,))
+        draw(sampler, (4,))
+        assert sampler.usage.stored_values_peak == 8
+        retrieve(sampler, (4,))
+        retrieve(sampler, (4,))
+        assert sampler.usage.stored_values_current == 0
+        assert sampler.usage.stored_values_peak == 8
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_multiple_blocks_lifo_order(self, policy):
+        sampler = one_row_sampler(policy)
+        first = draw(sampler, (3,))
+        second = draw(sampler, (2, 2))
+        third = draw(sampler, (5,))
+        assert np.array_equal(retrieve(sampler, (5,)), third)
+        assert np.array_equal(retrieve(sampler, (2, 2)), second)
+        assert np.array_equal(retrieve(sampler, (3,)), first)
+        sampler.finish_iteration()
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_refused_shape_keeps_the_block(self, policy):
+        """A retrieval refused for its shape consumes nothing: the block is
+        still pending, the usage counters did not move, and the right shape
+        then retrieves exactly the forward values."""
+        sampler = one_row_sampler(policy)
+        forward = draw(sampler, (3, 3))
+        usage = sampler.usage.state_dict()
+        with pytest.raises(StreamOrderError, match="does not match"):
+            retrieve(sampler, (9,))
+        assert sampler.pending_blocks == 1
+        assert sampler.usage.state_dict() == usage
+        assert np.array_equal(retrieve(sampler, (3, 3)), forward)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_retrieve_without_forward_raises(self, policy):
+        with pytest.raises(StreamOrderError):
+            retrieve(one_row_sampler(policy), (1,))
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_finish_with_pending_blocks_raises(self, policy):
+        sampler = one_row_sampler(policy)
+        draw(sampler, (2,))
+        with pytest.raises(StreamOrderError, match="never retrieved"):
+            sampler.finish_iteration()
+        retrieve(sampler, (2,))
+        sampler.finish_iteration()  # must not raise
+
+    def test_next_iteration_draws_fresh_values(self):
+        stored = one_row_sampler("stored", seed_index=4)
+        reversible = one_row_sampler("reversible", seed_index=4)
+        iterations = []
+        for _ in range(3):  # three "training iterations"
+            blocks = []
+            for sampler in (stored, reversible):
+                blocks.append(draw(sampler, (6,)))
+                retrieve(sampler, (6,))
+                sampler.finish_iteration()
+            assert blocks[0].tobytes() == blocks[1].tobytes()
+            iterations.append(blocks[1])
+        assert not np.allclose(iterations[0], iterations[1])
+        assert not np.allclose(iterations[1], iterations[2])
+
+    def test_tampered_register_is_detected_and_consumes_nothing(self):
+        """A retrieval from a register written between the passes is refused
+        with nothing consumed; putting the register back lets it through."""
+        sampler = one_row_sampler("reversible", seed_index=2)
+        draw(sampler, (4,))
+        forward = draw(sampler, (3,))
+        usage = sampler.usage.state_dict()
+        _flip_register_bit(sampler.bank)
+        with pytest.raises(StreamOrderError, match="did not land"):
+            retrieve(sampler, (3,))
+        assert sampler.pending_blocks == 2
+        assert sampler.usage.state_dict() == usage
+        _flip_register_bit(sampler.bank)
+        assert np.array_equal(retrieve(sampler, (3,)), forward)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_traffic_accounting_trace_hand_computed(self, policy):
+        # Hand-computed trace over one training iteration with three layers of
+        # 6, 4 and 2 values (bytes_per_value=2): "stored" keeps all 12 values
+        # until the backward pass releases them newest first; "reversible"
+        # never stores a value, so every byte count and the footprint stay 0.
+        stored = policy == "stored"
+        sampler = one_row_sampler(policy)
+        usage = sampler.usage
+        for shape in [(6,), (4,), (2,)]:
+            draw(sampler, shape)
+        assert sampler.pending_blocks == 3
+        assert usage.generated_values == 12
+        assert usage.stored_values_current == (12 if stored else 0)
+        retrieve(sampler, (2,))
+        assert usage.retrieved_values == 2
+        assert usage.stored_values_current == (10 if stored else 0)
+        retrieve(sampler, (4,))
+        retrieve(sampler, (6,))
+        sampler.finish_iteration()
+        assert (usage.generated_values, usage.retrieved_values) == (12, 12)
+        assert usage.stored_values_current == 0
+        assert usage.stored_values_peak == (12 if stored else 0)
+        assert usage.offchip_write_bytes == (24 if stored else 0)
+        assert usage.offchip_read_bytes == (24 if stored else 0)
+        assert usage.footprint_bytes == (24 if stored else 0)

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from repro.bnn import BayesConv2D, BayesDense, GaussianPrior
-from repro.core import GrngBank, ReversibleGaussianStream, StoredGaussianStream, WeightSampler
+from conftest import one_row_sampler
+from repro.core import BatchedWeightSampler
 from repro.nn import QuantizationConfig
 
 
-def make_sampler(seed_index: int = 0, policy: str = "reversible") -> WeightSampler:
-    grng = GrngBank(n_bits=64, seed_indices=[seed_index], stride=8).row_view(0)
-    if policy == "stored":
-        return WeightSampler(StoredGaussianStream(grng))
-    return WeightSampler(ReversibleGaussianStream(grng))
+def make_sampler(seed_index: int = 0, policy: str = "reversible") -> BatchedWeightSampler:
+    return one_row_sampler(policy, n_bits=64, seed_index=seed_index, stride=8)
 
 
 class TestBayesDense:
@@ -51,7 +49,7 @@ class TestBayesDense:
         reference = make_sampler(seed_index=5)
         expected_weights = reference.sample(
             layer.weight_posterior.mu.value, layer.weight_posterior.sigma
-        ).weights
+        ).weights[0]
         assert np.allclose(out, x @ expected_weights + layer.bias.value)
         layer.backward_sample(np.zeros((3, 4)), sampler, 0.0, GaussianPrior())
 
@@ -61,10 +59,10 @@ class TestBayesDense:
         x = rng.normal(size=(4, 5))
         seed = rng.normal(size=(4, 3))
         beta = 0.3
-        probe = make_sampler(seed_index=9)
+        probe = make_sampler(seed_index=9, policy="stored")
         epsilon = probe.sample(
             layer.weight_posterior.mu.value, layer.weight_posterior.sigma
-        ).epsilon
+        ).epsilon[0]
 
         def objective():
             sigma = layer.weight_posterior.sigma
@@ -142,10 +140,10 @@ class TestBayesConv2D:
         x = rng.normal(size=(2, 2, 4, 4))
         seed = rng.normal(size=(2, 2, 4, 4))
         beta = 0.2
-        probe = make_sampler(seed_index=11)
+        probe = make_sampler(seed_index=11, policy="stored")
         epsilon = probe.sample(
             layer.weight_posterior.mu.value, layer.weight_posterior.sigma
-        ).epsilon
+        ).epsilon[0]
 
         def objective():
             from repro.nn import functional as F

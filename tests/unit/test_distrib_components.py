@@ -611,12 +611,8 @@ class TestShardedStreamBank:
         shard = StreamBank(
             n_samples=2, seed=3, grng_stride=8, sample_indices=(1, 3)
         )
-        full_blocks = [
-            stream.forward_block((5,)) for stream in full.streams
-        ]
-        shard_blocks = [
-            stream.forward_block((5,)) for stream in shard.streams
-        ]
+        full_blocks = full.batched_sampler().sample(np.zeros(5), np.ones(5)).weights
+        shard_blocks = shard.batched_sampler().sample(np.zeros(5), np.ones(5)).weights
         assert np.array_equal(shard_blocks[0], full_blocks[1])
         assert np.array_equal(shard_blocks[1], full_blocks[3])
 

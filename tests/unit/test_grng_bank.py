@@ -1,4 +1,4 @@
-"""Unit tests for the batched GRNG bank and its row views.
+"""Unit tests for the batched GRNG bank and its one-row banks.
 
 Every value, register and sum register is compared with
 :class:`oracle.OracleGRNG`: the same seed ticked through a from-scratch
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import draw, one_row_sampler, retrieve
 from oracle import TAP_TABLE, BitSerialLFSR, OracleGRNG, clt, seed_for_index
 from repro.core import GrngBank, LFSRStateError
 
@@ -44,8 +45,7 @@ class TestConstruction:
         bank = GrngBank(seed_indices=[0, 3, 7, 500], n_bits=n_bits)
         seeds = [seed_for_index(n_bits, i) for i in (0, 3, 7, 500)]
         assert bank.states() == seeds
-        for row, seed in enumerate(seeds):
-            assert bank.row_view(row).sum_register == bin(seed).count("1")
+        assert bank.sum_registers().tolist() == [bin(seed).count("1") for seed in seeds]
 
     def test_properties(self):
         bank = GrngBank(2, n_bits=64, stride=8)
@@ -63,23 +63,28 @@ class TestStates:
         for bad in ([5, 0], [5, 1 << 8], [5, -3]):
             with pytest.raises(LFSRStateError):
                 bank.set_states(bad)
-        with pytest.raises(ValueError):
-            bank.set_states([5, "nope"])  # type: ignore[list-item]
+        for bad in ("nope", 37.9):
+            with pytest.raises(LFSRStateError, match="must be an integer"):
+                bank.set_states([5, bad])  # type: ignore[list-item]
         assert bank.states() == before
 
-    def test_view_state_write_validates(self):
-        view = GrngBank(1, n_bits=8).row_view(0)
-        for bad in (0, 1 << 8, "nope"):
+    def test_row_bank_state_write_validates(self):
+        bank = GrngBank(2, n_bits=8)
+        before = bank.states()
+        for bad in (0, 1 << 8, "nope", 37.9):
             with pytest.raises(LFSRStateError):
-                view.lfsr.state = bad  # type: ignore[assignment]
-        view.lfsr.state = 0xA5
-        assert view.lfsr.state == 0xA5
+                bank.row_bank(1).set_states([bad])  # type: ignore[list-item]
+        assert bank.states() == before
+        bank.row_bank(1).set_states([0xA5])
+        assert bank.states() == [before[0], 0xA5]
 
-    def test_view_state_write_touches_one_row(self):
+    def test_row_bank_state_write_touches_one_row(self):
         bank = GrngBank(3, n_bits=64)
         before = bank.states()
-        bank.row_view(1).lfsr.state = 0xDEADBEEF
+        sums = bank.sum_registers()
+        bank.row_bank(1).set_states([0xDEADBEEF])
         assert bank.states() == [before[0], 0xDEADBEEF, before[2]]
+        assert bank.sum_registers().tolist() == [sums[0], 24, sums[2]]
 
 
 class TestBatchedInterface:
@@ -129,14 +134,13 @@ class TestBatchedInterface:
         bank.epsilon_blocks(40)
         for g in scalars:
             g.epsilon_block(40)
-        bank.row_view(1).sum_register += 9
+        bank.set_states(bank.states(), bank.sum_registers() + [0, 9])
         scalars[1].sum_register += 9
         block = bank.epsilon_blocks_reverse(40)
         reference = np.stack([g.epsilon_block_reverse(40) for g in scalars])
         assert block.tobytes() == reference.tobytes()
-        for row, g in enumerate(scalars):
-            assert bank.row_view(row).sum_register == g.sum_register
-            assert bank.row_view(row).lfsr.state == g.state
+        assert bank.sum_registers().tolist() == [g.sum_register for g in scalars]
+        assert bank.states() == [g.state for g in scalars]
 
     def test_empty_blocks(self):
         bank = GrngBank(2, n_bits=64)
@@ -169,38 +173,37 @@ class TestBatchedInterface:
         assert np.array_equal(bank.epsilon_blocks(50_000), forward)
 
 
-class TestRowViews:
-    def test_row_view_matches_scalar(self):
+class TestRowBanks:
+    def test_row_bank_matches_scalar(self):
         bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
         for row in range(2):
-            view = bank.row_view(row)
-            assert np.array_equal(view.epsilon_block(50), scalars[row].epsilon_block(50))
-            assert view.lfsr.state == scalars[row].state
-            assert view.sum_register == scalars[row].sum_register
-            assert view.n_bits == 64
-            assert view.stride == 4
+            view = bank.row_bank(row)
+            block = view.epsilon_blocks(50)[0]
+            assert block.tobytes() == scalars[row].epsilon_block(50).tobytes()
+            assert view.states() == [scalars[row].state]
+            assert view.sum_registers().tolist() == [scalars[row].sum_register]
+            assert (view.n_rows, view.n_bits, view.stride) == (1, 64, 4)
 
-    def test_row_view_bounds_checked(self):
+    def test_row_bank_bounds_checked(self):
         bank = GrngBank(2, n_bits=64)
-        with pytest.raises(IndexError):
-            bank.row_view(2)
+        for row in (2, -1):
+            with pytest.raises(IndexError):
+                bank.row_bank(row)
 
-    def test_stream_replay_round_trip_matches_scalar(self):
+    def test_sampler_round_trip_matches_scalar(self):
         # Forward, retrieve, and the next epoch resumes at the forward frontier.
-        from repro.core import ReversibleGaussianStream
-
         scalar = make_scalars(1)[0]
-        stream = ReversibleGaussianStream(GrngBank(1, n_bits=64, stride=4).row_view(0))
-        assert stream.forward_block((4,)).tobytes() == scalar.epsilon_block(4).tobytes()
-        stream.retrieve_block((4,))
-        stream.reset_epoch()
-        assert stream.grng.lfsr.state == scalar.state
-        assert stream.grng.sum_register == scalar.sum_register
-        assert stream.forward_block((6,)).tobytes() == scalar.epsilon_block(6).tobytes()
+        sampler = one_row_sampler("reversible", n_bits=64, seed_index=0, stride=4)
+        assert draw(sampler, (4,)).tobytes() == scalar.epsilon_block(4).tobytes()
+        retrieve(sampler, (4,))
+        sampler.finish_iteration()
+        assert sampler.bank.states() == [scalar.state]
+        assert sampler.bank.sum_registers().tolist() == [scalar.sum_register]
+        assert draw(sampler, (6,)).tobytes() == scalar.epsilon_block(6).tobytes()
 
 
-class TestRowViewsOutOfPhase:
+class TestRowBanksOutOfPhase:
     """Per-row requests in any order, size or interleaving equal the scalar."""
 
     def test_trainer_order_matches_scalar(self):
@@ -209,7 +212,7 @@ class TestRowViewsOutOfPhase:
         bank = GrngBank(3, n_bits=64, stride=4)
         scalars = make_scalars(3)
         counts = [12, 30, 7]
-        got = [[bank.row_view(row).epsilon_block(c) for c in counts] for row in range(3)]
+        got = [[bank.row_bank(row).epsilon_blocks(c)[0] for c in counts] for row in range(3)]
         for row, scalar in enumerate(scalars):
             for block, count in zip(got[row], counts):
                 assert np.array_equal(block, scalar.epsilon_block(count))
@@ -217,48 +220,47 @@ class TestRowViewsOutOfPhase:
     def test_mismatched_sizes_across_rows_match_scalar(self):
         bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
-        a0 = bank.row_view(0).epsilon_block(20)
-        a1 = bank.row_view(1).epsilon_block(8)
+        a0 = bank.row_bank(0).epsilon_blocks(20)[0]
+        a1 = bank.row_bank(1).epsilon_blocks(8)[0]
         assert np.array_equal(a0, scalars[0].epsilon_block(20))
         assert np.array_equal(a1, scalars[1].epsilon_block(8))
         # further draws stay correct for both rows
         assert np.array_equal(
-            bank.row_view(1).epsilon_block(5), scalars[1].epsilon_block(5)
+            bank.row_bank(1).epsilon_blocks(5)[0], scalars[1].epsilon_block(5)
         )
         assert np.array_equal(
-            bank.row_view(0).epsilon_block(5), scalars[0].epsilon_block(5)
+            bank.row_bank(0).epsilon_blocks(5)[0], scalars[0].epsilon_block(5)
         )
 
     def test_one_row_request_leaves_other_rows_untouched(self):
         bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
-        bank.row_view(0).epsilon_block(25)
+        bank.row_bank(0).epsilon_blocks(25)
         scalars[0].epsilon_block(25)
-        assert bank.row_view(1).lfsr.state == scalars[1].state
-        assert bank.row_view(1).sum_register == scalars[1].sum_register
+        assert bank.states() == [g.state for g in scalars]
+        assert bank.sum_registers().tolist() == [g.sum_register for g in scalars]
 
     def test_external_state_write_matches_scalar(self):
         bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
-        bank.row_view(0).epsilon_block(10)
+        bank.row_bank(0).epsilon_blocks(10)[0]
         scalars[0].epsilon_block(10)
         new_state = 0x123456789
-        bank.row_view(1).lfsr.state = new_state
+        bank.row_bank(1).set_states([new_state])  # resyncs the sum register
         scalars[1].state = new_state
-        bank.row_view(1).resync_sum_register()
         scalars[1].resync_sum_register()
         for row in range(2):
             assert np.array_equal(
-                bank.row_view(row).epsilon_block(15), scalars[row].epsilon_block(15)
+                bank.row_bank(row).epsilon_blocks(15)[0], scalars[row].epsilon_block(15)
             )
 
     def test_reverse_matches_scalar(self):
         bank = GrngBank(2, n_bits=64, stride=4)
         scalars = make_scalars(2)
         for row in range(2):
-            bank.row_view(row).epsilon_block(40)
+            bank.row_bank(row).epsilon_blocks(40)[0]
             scalars[row].epsilon_block(40)
-        got = [bank.row_view(row).epsilon_block_reverse(40) for row in range(2)]
+        got = [bank.row_bank(row).epsilon_blocks_reverse(40)[0] for row in range(2)]
         for row, scalar in enumerate(scalars):
             assert np.array_equal(got[row], scalar.epsilon_block_reverse(40))
 
@@ -268,7 +270,7 @@ class TestRowViewsOutOfPhase:
         bank = GrngBank(3, n_bits=64, stride=4)
         scalars = make_scalars(3)
         for row, count in enumerate([5, 0, 17]):
-            bank.row_view(row).epsilon_block(count)
+            bank.row_bank(row).epsilon_blocks(count)[0]
             scalars[row].epsilon_block(count)
         forward = bank.epsilon_blocks(11)
         for row, scalar in enumerate(scalars):
@@ -277,27 +279,27 @@ class TestRowViewsOutOfPhase:
         for row, scalar in enumerate(scalars):
             assert np.array_equal(back[row], scalar.epsilon_block_reverse(6))
         assert np.array_equal(
-            bank.row_view(2).epsilon_block(4), scalars[2].epsilon_block(4)
+            bank.row_bank(2).epsilon_blocks(4)[0], scalars[2].epsilon_block(4)
         )
 
     def test_bank_states_are_the_row_registers(self):
         bank = GrngBank(3, n_bits=64, stride=4)
         scalars = make_scalars(3)
         for row, count in enumerate([9, 3, 21]):
-            bank.row_view(row).epsilon_block(count)
+            bank.row_bank(row).epsilon_blocks(count)[0]
             scalars[row].epsilon_block(count)
-        assert bank.states() == [bank.row_view(row).lfsr.state for row in range(3)]
+        assert bank.states() == [bank.row_bank(row).states()[0] for row in range(3)]
         assert bank.states() == [scalar.state for scalar in scalars]
-        # a whole-bank write is what every view reads next, sums resynced
+        # a whole-bank write is what every row bank reads next, sums resynced
         new_states = [0x1F, 0xABCDEF, 0x123456789]
         bank.set_states(new_states)
         for row, (scalar, state) in enumerate(zip(scalars, new_states)):
             scalar.state = state
             scalar.resync_sum_register()
-            view = bank.row_view(row)
-            assert view.lfsr.state == state
-            assert view.sum_register == scalar.sum_register
-            assert np.array_equal(view.epsilon_block(7), scalar.epsilon_block(7))
+            view = bank.row_bank(row)
+            assert view.states() == [state]
+            assert view.sum_registers().tolist() == [scalar.sum_register]
+            assert np.array_equal(view.epsilon_blocks(7)[0], scalar.epsilon_block(7))
 
 
 class TestReplay:
@@ -307,7 +309,7 @@ class TestReplay:
         bank = GrngBank(3, n_bits=64, stride=4)
         scalars = make_scalars(3)
         starts = bank.register_words()
-        blocks = [bank.row_view(row).epsilon_block(13) for row in range(3)]
+        blocks = [bank.row_bank(row).epsilon_blocks(13)[0] for row in range(3)]
         ends = bank.register_words()
         _, replayed, _, landed = bank.replay_weight_blocks(
             starts, np.zeros(13), np.ones(13)
@@ -317,4 +319,4 @@ class TestReplay:
         for row, scalar in enumerate(scalars):
             assert np.array_equal(replayed[row], blocks[row])
             assert np.array_equal(replayed[row], scalar.epsilon_block(13))
-            assert bank.row_view(row).sum_register == scalar.sum_register
+            assert bank.sum_registers()[row] == scalar.sum_register

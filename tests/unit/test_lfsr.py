@@ -25,12 +25,12 @@ def one_row(n_bits: int, state: int) -> GrngBank:
 
 
 def assert_rejected(state: int) -> None:
-    """An 8-bit register refuses ``state``, through the bank and a row view."""
+    """An 8-bit register refuses ``state``, through the bank and its one-row bank."""
     bank = GrngBank(1, n_bits=8)
     with pytest.raises(LFSRStateError):
         bank.set_states([state])
     with pytest.raises(LFSRStateError):
-        bank.row_view(0).lfsr.state = state
+        bank.row_bank(0).set_states([state])
 
 
 def shifted(bank: GrngBank, shifts: int) -> None:
@@ -93,9 +93,18 @@ class TestConstruction:
         with pytest.raises(LFSRStateError):
             normalise_taps(1, (1,))
 
-    def test_state_setter_validates_type(self):
-        with pytest.raises(LFSRStateError):
-            GrngBank(1, n_bits=8).row_view(0).lfsr.state = "nope"  # type: ignore[assignment]
+    @pytest.mark.parametrize("bad", ["nope", 37.9, 37.0, None])
+    def test_state_setter_validates_type(self, bad):
+        bank = GrngBank(1, n_bits=8)
+        before = bank.states()
+        with pytest.raises(LFSRStateError, match="must be an integer"):
+            bank.row_bank(0).set_states([bad])  # type: ignore[list-item]
+        assert bank.states() == before
+
+    def test_state_setter_takes_numpy_integers(self):
+        bank = GrngBank(1, n_bits=8)
+        bank.set_states([np.uint64(0xA5)])
+        assert bank.states() == [0xA5]
 
     @pytest.mark.parametrize("n_bits", sorted(MAXIMAL_TAPS))
     def test_seeds_are_the_oracles_splitmix(self, n_bits):
@@ -203,11 +212,11 @@ class TestHelpers:
         bank = GrngBank(3, n_bits=16)
         bank.set_states(states)
         assert np.array_equal(bank.register_words(), to_words(states, 16))
-        assert [bank.row_view(i).lfsr.state for i in range(3)] == states
+        assert [bank.row_bank(i).states()[0] for i in range(3)] == states
 
     def test_popcount_property(self):
         bank = one_row(8, 0b1110_0001)
-        assert bank.row_view(0).sum_register == 4
+        assert bank.sum_registers().tolist() == [4]
 
 
 def _rewind(states: list[int], n_bits: int, shifts: int, taps=None, count: int = 1):

@@ -48,11 +48,9 @@ class TestPackageSurface:
 
         for name in (
             "GrngBank",
-            "BankedGaussianRNG",
-            "ReversibleGaussianStream",
-            "StoredGaussianStream",
-            "WeightSampler",
+            "BatchedWeightSampler",
             "StreamBank",
+            "StreamUsage",
         ):
             assert name in core.__all__
 
@@ -101,7 +99,7 @@ class TestExperimentsCLI:
 
     def test_docstrings_exist_on_public_callables(self):
         from repro.bnn import ShiftBNNTrainer
-        from repro.core import BankedGaussianRNG, GrngBank
+        from repro.core import BatchedWeightSampler, GrngBank
 
-        for obj in (GrngBank, BankedGaussianRNG, ShiftBNNTrainer):
+        for obj in (GrngBank, BatchedWeightSampler, ShiftBNNTrainer):
             assert obj.__doc__ and len(obj.__doc__.strip()) > 20

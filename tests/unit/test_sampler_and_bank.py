@@ -1,47 +1,27 @@
-"""Unit tests for weight sampling, LFSR snapshots and the per-sample stream bank."""
+"""Unit tests for one-row weight sampling, LFSR snapshots and the stream bank."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from conftest import build_tiny_bayes_network, draw, one_row_sampler, retrieve
 from oracle import OracleGRNG
-from repro.core import (
-    GrngBank,
-    LfsrSnapshot,
-    ReversibleGaussianStream,
-    SampledWeights,
-    StreamBank,
-    WeightSampler,
-)
+from repro.core import BatchedWeightSampler, GrngBank, LFSRStateError, LfsrSnapshot, StreamBank
 
 
-def row(n_bits: int = 64, seed_index: int = 0, stride: int = 1):
-    """The row view of a one-row bank."""
-    return GrngBank(n_bits=n_bits, seed_indices=[seed_index], stride=stride).row_view(0)
+def make_sampler(seed_index: int = 0) -> BatchedWeightSampler:
+    return one_row_sampler("reversible", n_bits=64, seed_index=seed_index, stride=4)
 
 
-def make_sampler(seed_index: int = 0) -> WeightSampler:
-    return WeightSampler(ReversibleGaussianStream(row(seed_index=seed_index, stride=4)))
-
-
-class TestSampledWeights:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SampledWeights(weights=np.zeros((2, 2)), epsilon=np.zeros(3))
-
-    def test_fields(self):
-        bundle = SampledWeights(weights=np.ones(3), epsilon=np.zeros(3))
-        assert bundle.weights.shape == bundle.epsilon.shape
-
-
-class TestWeightSampler:
+class TestOneRowSampler:
     def test_sample_formula(self):
-        sampler = make_sampler()
+        sampler = one_row_sampler("stored")
         mu = np.full((3, 3), 2.0)
         sigma = np.full((3, 3), 0.5)
         sampled = sampler.sample(mu, sigma)
-        assert np.allclose(sampled.weights, mu + sampled.epsilon * sigma)
+        assert sampled.weights.shape == (1, 3, 3)
+        assert sampled.weights.tobytes() == (mu + sampled.epsilon * sigma).tobytes()
 
     def test_resample_reproduces_weights(self):
         sampler = make_sampler()
@@ -50,7 +30,7 @@ class TestWeightSampler:
         first = sampler.sample(mu, sigma)
         second = sampler.resample(mu, sigma)
         assert np.array_equal(first.weights, second.weights)
-        assert np.array_equal(first.epsilon, second.epsilon)
+        assert first.weights.tobytes() == (mu + second.epsilon * sigma).tobytes()
 
     def test_mismatched_mu_sigma_rejected(self):
         sampler = make_sampler()
@@ -66,7 +46,7 @@ class TestWeightSampler:
         sampler = make_sampler()
         mu = np.arange(6, dtype=np.float64)
         sampled = sampler.sample(mu, np.zeros(6))
-        assert np.array_equal(sampled.weights, mu)
+        assert np.array_equal(sampled.weights[0], mu)
 
     def test_finish_iteration_requires_balanced_blocks(self):
         sampler = make_sampler()
@@ -74,10 +54,12 @@ class TestWeightSampler:
         with pytest.raises(Exception):
             sampler.finish_iteration()
 
-    def test_stream_property(self):
-        sampler = make_sampler()
-        assert sampler.stream.grng.n_bits == 64
-
+    def test_usage_is_the_one_rows_record(self):
+        bank = StreamBank(2, seed=1)
+        assert bank.sampler(1).usage is bank.usages[1]
+        assert bank.sampler(1).bank.n_rows == 1
+        with pytest.raises(ValueError, match="usages"):
+            bank.batched_sampler().usage
 
     def test_resample_reproduces_layer_sized_weights(self):
         sampler = StreamBank(1, policy="reversible", seed=0, grng_stride=16).sampler(0)
@@ -86,29 +68,44 @@ class TestWeightSampler:
         for _ in range(2):
             first = sampler.sample(mu, sigma)
             second = sampler.resample(mu, sigma)
-            assert second.weights.shape == (256, 64)
+            assert second.weights.shape == (1, 256, 64)
             assert first.weights.tobytes() == second.weights.tobytes()
             sampler.finish_iteration()
 
 
+def one_row(n_bits: int = 64, seed_index: int = 0, stride: int = 1) -> GrngBank:
+    return GrngBank(n_bits=n_bits, seed_indices=[seed_index], stride=stride)
+
+
 class TestLfsrSnapshot:
     def test_capture_and_restore(self):
-        grng = row(seed_index=3)
-        snapshot = LfsrSnapshot.capture(grng)
-        before = grng.epsilon_block(20)
+        bank = one_row(seed_index=3)
+        snapshots = LfsrSnapshot.capture(bank)
+        before = bank.epsilon_blocks(20)[0]
         assert before.tobytes() == OracleGRNG(64, seed_index=3).epsilon_block(20).tobytes()
-        snapshot.restore(grng)
-        after = grng.epsilon_block(20)
+        LfsrSnapshot.restore(snapshots, bank)
+        after = bank.epsilon_blocks(20)[0]
         assert np.array_equal(before, after)
 
     def test_restore_to_incompatible_generator_rejected(self):
-        snapshot = LfsrSnapshot.capture(row(seed_index=3))
-        other = row(n_bits=128, seed_index=3)
+        snapshots = LfsrSnapshot.capture(one_row(seed_index=3))
+        other = one_row(n_bits=128, seed_index=3)
         with pytest.raises(ValueError):
-            snapshot.restore(other)
+            LfsrSnapshot.restore(snapshots, other)
+
+    @pytest.mark.parametrize("bad", [37.9, "nope"])
+    def test_restore_refuses_a_non_integer_state(self, bad):
+        bank = one_row(seed_index=3)
+        (snapshot,) = LfsrSnapshot.capture(bank)
+        forged = LfsrSnapshot(snapshot.n_bits, snapshot.taps, bad, snapshot.sum_register)
+        before = (bank.states(), bank.sum_registers())
+        with pytest.raises(LFSRStateError, match="must be an integer"):
+            LfsrSnapshot.restore([forged], bank)
+        assert bank.states() == before[0]
+        assert np.array_equal(bank.sum_registers(), before[1])
 
     def test_snapshot_is_immutable(self):
-        snapshot = LfsrSnapshot.capture(row(seed_index=3))
+        (snapshot,) = LfsrSnapshot.capture(one_row(seed_index=3))
         with pytest.raises(AttributeError):
             snapshot.state = 5  # type: ignore[misc]
 
@@ -117,39 +114,40 @@ class TestLfsrSnapshot:
         # GRNG's actual sum register, and restore() ignored the captured sum
         # entirely.  A snapshot taken mid-block (between one-value draws) must
         # reproduce the exact continuation, sum register included.
-        grng = row(seed_index=5, stride=4)
+        bank = one_row(seed_index=5, stride=4)
         for _ in range(3):  # park the generator mid-way through a block
-            grng.epsilon_block(1)
-        snapshot = LfsrSnapshot.capture(grng)
-        assert snapshot.sum_register == grng.sum_register
-        continuation = [grng.epsilon_block(1)[0] for _ in range(5)]
-        snapshot.restore(grng)
-        assert grng.sum_register == snapshot.sum_register
-        assert [grng.epsilon_block(1)[0] for _ in range(5)] == continuation
+            bank.epsilon_blocks(1)
+        snapshots = LfsrSnapshot.capture(bank)
+        assert snapshots[0].sum_register == bank.sum_registers()[0]
+        continuation = [bank.epsilon_blocks(1)[0, 0] for _ in range(5)]
+        LfsrSnapshot.restore(snapshots, bank)
+        assert bank.sum_registers()[0] == snapshots[0].sum_register
+        assert [bank.epsilon_blocks(1)[0, 0] for _ in range(5)] == continuation
 
     def test_snapshot_preserves_desynced_sum_register(self):
-        # The sum register is captured as-is: a generator whose accumulator
-        # has drifted from the register (externally overwritten state, no
+        # The sum register is captured as-is: a row whose accumulator has
+        # drifted from the register (externally overwritten state, no
         # resync) must round-trip its actual value, not a recomputed one.
-        grng = row(seed_index=7)
-        grng.sum_register = grng.sum_register + 9  # deliberately desynced
-        snapshot = LfsrSnapshot.capture(grng)
-        assert snapshot.sum_register == bin(grng.lfsr.state).count("1") + 9
-        other = row(seed_index=8)
-        snapshot.restore(other)
-        assert other.sum_register == snapshot.sum_register
-        assert other.lfsr.state == snapshot.state
+        bank = one_row(seed_index=7)
+        state = bank.states()[0]
+        bank.set_states([state], bank.sum_registers() + 9)  # deliberately desynced
+        snapshots = LfsrSnapshot.capture(bank)
+        assert snapshots[0].sum_register == bin(state).count("1") + 9
+        other = one_row(seed_index=8)
+        LfsrSnapshot.restore(snapshots, other)
+        assert other.sum_registers()[0] == snapshots[0].sum_register
+        assert other.states() == [snapshots[0].state]
 
-    def test_snapshot_roundtrips_banked_row_view(self):
-        from repro.core import GrngBank
-
+    def test_snapshot_roundtrips_one_row_of_a_bank(self):
         bank = GrngBank(2, n_bits=64, stride=4)
-        view = bank.row_view(1)
-        view.epsilon_block(6)
-        snapshot = LfsrSnapshot.capture(view)
-        before = view.epsilon_block(12)
-        snapshot.restore(view)
-        assert np.array_equal(view.epsilon_block(12), before)
+        bank.epsilon_blocks(6)
+        snapshots = LfsrSnapshot.capture(bank.row_bank(1))
+        assert snapshots == LfsrSnapshot.capture(bank)[1:]
+        before = bank.epsilon_blocks(12)
+        other_row = bank.states()[0]
+        LfsrSnapshot.restore(snapshots, bank.row_bank(1))
+        assert bank.states()[0] == other_row  # row 0 is not touched
+        assert np.array_equal(bank.row_bank(1).epsilon_blocks(12)[0], before[1])
 
 
 class TestStreamBank:
@@ -161,46 +159,50 @@ class TestStreamBank:
         with pytest.raises(ValueError):
             StreamBank(2, policy="magic")  # type: ignore[arg-type]
 
-    def test_len_and_iteration(self):
+    def test_len_and_streams(self):
         bank = StreamBank(3, seed=1)
         assert len(bank) == 3
-        assert len(list(bank)) == 3
         assert len(bank.streams) == 3
-        assert len(bank.samplers) == 3
+        assert len(bank.usages) == 3
+        assert bank.streams[2] is bank.sampler(2) is bank.sampler(-1)
+        with pytest.raises(IndexError):
+            bank.sampler(3)
 
     def test_per_sample_streams_are_distinct(self):
         bank = StreamBank(4, seed=1)
-        blocks = [sampler.stream.forward_block((8,)) for sampler in bank]
+        blocks = [draw(sampler, (8,)) for sampler in bank.streams]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.allclose(blocks[i], blocks[j])
 
     def test_same_seed_same_policy_reproducible(self):
-        a = StreamBank(2, seed=5).sampler(0).stream.forward_block((6,))
-        b = StreamBank(2, seed=5).sampler(0).stream.forward_block((6,))
+        a = draw(StreamBank(2, seed=5).sampler(0), (6,))
+        b = draw(StreamBank(2, seed=5).sampler(0), (6,))
         assert np.array_equal(a, b)
 
     def test_policies_share_epsilon_values(self):
         stored = StreamBank(2, policy="stored", seed=7)
         reversible = StreamBank(2, policy="reversible", seed=7)
         for index in range(2):
-            a = stored.sampler(index).stream.forward_block((5,))
-            b = reversible.sampler(index).stream.forward_block((5,))
+            a = draw(stored.sampler(index), (5,))
+            b = draw(reversible.sampler(index), (5,))
             assert np.array_equal(a, b)
 
     def test_different_bank_seeds_differ(self):
-        a = StreamBank(1, seed=1).sampler(0).stream.forward_block((6,))
-        b = StreamBank(1, seed=2).sampler(0).stream.forward_block((6,))
+        a = draw(StreamBank(1, seed=1).sampler(0), (6,))
+        b = draw(StreamBank(1, seed=2).sampler(0), (6,))
         assert not np.allclose(a, b)
 
     def test_snapshot_restore_roundtrip(self):
         bank = StreamBank(2, seed=3)
         snapshots = bank.snapshots()
-        first = [sampler.stream.forward_block((4,)) for sampler in bank]
+        first = [draw(sampler, (4,)) for sampler in bank.streams]
+        for sampler in bank.streams:
+            sampler.discard_pending()
         bank.restore(snapshots)
-        second = [sampler.stream.forward_block((4,)) for sampler in bank]
+        second = [draw(sampler, (4,)) for sampler in bank.streams]
         for a, b in zip(first, second):
-            assert np.allclose(a, b)
+            assert np.array_equal(a, b)
 
     def test_restore_length_mismatch_rejected(self):
         bank = StreamBank(2, seed=3)
@@ -212,7 +214,7 @@ class TestStreamBank:
         stored = StreamBank(2, policy="stored", seed=1)
         reversible = StreamBank(2, policy="reversible", seed=1)
         for bank in (stored, reversible):
-            for sampler in bank:
+            for sampler in bank.streams:
                 sampler.sample(mu, sigma)
                 sampler.resample(mu, sigma)
             bank.finish_iteration()
@@ -222,7 +224,7 @@ class TestStreamBank:
 
     def test_grng_stride_is_forwarded(self):
         bank = StreamBank(1, seed=1, grng_stride=16)
-        assert bank.sampler(0).stream.grng.stride == 16
+        assert bank.sampler(0).bank.stride == 16
 
     def test_policy_property(self):
         assert StreamBank(1, policy="stored").policy == "stored"
@@ -233,12 +235,125 @@ class TestStreamBank:
         shape = (64, 64)
         previous = None
         for _ in range(2):
-            blocks = [sampler.stream.forward_block(shape) for sampler in bank]
-            for sampler, block in zip(bank, blocks):
-                assert sampler.stream.retrieve_block(shape).tobytes() == block.tobytes()
+            blocks = [draw(sampler, shape) for sampler in bank.streams]
+            for sampler, block in zip(bank.streams, blocks):
+                assert retrieve(sampler, shape).tobytes() == block.tobytes()
             bank.finish_iteration()
             assert len({block.tobytes() for block in blocks}) == len(bank)
             # the next iteration draws fresh epsilons, never a replay
             if previous is not None:
                 assert not np.array_equal(blocks[0], previous)
             previous = blocks[0]
+
+    def test_one_row_draw_leaves_the_other_rows_untouched(self):
+        bank = StreamBank(3, seed=2, lfsr_bits=64, grng_stride=4)
+        states = bank.grng_bank.states()
+        sums = bank.grng_bank.sum_registers()
+        draw(bank.sampler(1), (9,))
+        moved = bank.grng_bank.states()
+        assert [moved[0], moved[2]] == [states[0], states[2]]
+        assert moved[1] != states[1]
+        after = bank.grng_bank.sum_registers()
+        assert [after[0], after[2]] == [sums[0], sums[2]]
+
+
+class TestLazySamplers:
+    """A bank builds a per-sample sampler only when one is asked for."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        built = []
+        init = BatchedWeightSampler.__init__
+
+        def counting_init(self, bank, usages, policy):
+            built.append(bank.n_rows)
+            init(self, bank, usages, policy)
+
+        monkeypatch.setattr(BatchedWeightSampler, "__init__", counting_init)
+        return built
+
+    def test_mc_predict_builds_one_sampler(self, constructions):
+        from repro.bnn import mc_predict
+
+        x = np.random.default_rng(0).standard_normal((2, 1, 4, 4))
+        mc_predict(build_tiny_bayes_network(), x, n_samples=4, grng_stride=16)
+        assert constructions == [4]
+
+    def test_epsilon_sweep_builds_one_sampler(self, constructions):
+        from repro.serve import SamplingConfig
+        from repro.serve.executor import materialize_epsilon_sweep
+
+        materialize_epsilon_sweep([(3, 2), (5,)], SamplingConfig(n_samples=4))
+        assert constructions == [4]
+
+    def test_per_sample_samplers_are_built_on_first_use(self, constructions):
+        bank = StreamBank(3, seed=1)
+        assert constructions == []
+        assert bank.sampler(1) is bank.sampler(1)
+        assert constructions == [1]
+        bank.streams
+        assert constructions == [1, 1, 1]
+
+
+def _tweaked_snapshots(bank: StreamBank) -> list[LfsrSnapshot]:
+    """Every row's snapshot moved to another register and a drifted sum."""
+    return [
+        LfsrSnapshot(s.n_bits, s.taps, s.state ^ 0b101, s.sum_register + 3)
+        for s in bank.snapshots()
+    ]
+
+
+class TestInPlaceRegisterWrites:
+    """A per-sample sampler built before a register write draws what one
+    built after it draws: every write lands in the bank's own arrays."""
+
+    @staticmethod
+    def _draws(bank: StreamBank) -> list:
+        draws = []
+        for sampler in bank.streams:
+            draws.append(draw(sampler, (7,)).tobytes())
+            draws.append(retrieve(sampler, (7,)).tobytes())
+        bank.finish_iteration()
+        grng = bank.grng_bank
+        return draws + [repr((grng.states(), grng.sum_registers().tolist()))]
+
+    @pytest.mark.parametrize("policy", ["stored", "reversible"])
+    @pytest.mark.parametrize("write", ["set_states", "set_states_with_sums", "restore"])
+    def test_sampler_built_before_a_write_sees_it(self, policy, write):
+        def apply(bank: StreamBank) -> None:
+            grng = bank.grng_bank
+            states = [state ^ 0b11 for state in grng.states()]
+            if write == "set_states":
+                grng.set_states(states)
+            elif write == "set_states_with_sums":
+                grng.set_states(states, grng.sum_registers() - 2)
+            else:
+                bank.restore(_tweaked_snapshots(bank))
+
+        kwargs = dict(policy=policy, seed=4, lfsr_bits=64, grng_stride=4)
+        early, late = StreamBank(3, **kwargs), StreamBank(3, **kwargs)
+        early.streams  # build the samplers before the write
+        apply(early)
+        apply(late)
+        assert self._draws(early) == self._draws(late)
+
+    @pytest.mark.parametrize("policy", ["stored", "reversible"])
+    def test_sampler_built_before_a_checkpoint_load_sees_it(self, policy, tmp_path):
+        from repro.bnn import BNNTrainer, TrainerConfig, load_checkpoint, save_checkpoint
+
+        config = TrainerConfig(n_samples=2, seed=3, grng_stride=16, batched=False)
+        x = np.random.default_rng(0).standard_normal((2, 1, 4, 4))
+        y = np.array([0, 2])
+
+        def trainer() -> BNNTrainer:
+            return BNNTrainer(build_tiny_bayes_network(), config, policy=policy)
+
+        saved = trainer()
+        saved.train_step(x, y)
+        path = save_checkpoint(saved, tmp_path / "state")
+        early, late = trainer(), trainer()
+        early.bank.streams  # build the samplers before the load
+        load_checkpoint(early, path)
+        load_checkpoint(late, path)
+        assert early.bank.grng_bank.states() == saved.bank.grng_bank.states()
+        assert self._draws(early.bank) == self._draws(late.bank)
