@@ -10,10 +10,10 @@ Two execution modes are offered:
   :class:`~repro.core.sampler.BatchedWeightSampler`.  Activations travel
   folded as ``(S * batch, ...)`` -- deterministic layers simply broadcast
   over the folded axis -- while Bayesian layers draw ``(S, *shape)`` weight
-  tensors.  The batched pipeline prefetches the whole forward pass's epsilon
-  blocks in a single generator-bank kernel call (the per-layer block sizes
-  are the network's static schedule) and is bit-identical to the per-sample
-  mode: same values, same parameter trajectory, same stream state.
+  tensors.  Each Bayesian layer draws its own block, for every sample at
+  once, in one fused generator-bank kernel call when it runs, and the
+  batched pipeline is bit-identical to the per-sample mode: same values,
+  same parameter trajectory, same stream state.
 
 A batched *training* pass (``forward_samples`` on a network in training mode,
 which ``backward_samples`` follows) lends the layers a
@@ -198,9 +198,6 @@ class BayesianNetwork:
         if self.training:
             workspace = self._workspace = self._workspace or Workspace()
         self._lend(workspace)
-        sampler.prefetch_forward(
-            [layer.n_bayesian_weights for layer in self.bayesian_layers()]
-        )
         shared_first = isinstance(self.layers[0], BayesConv2D)
         if shared_first:
             out = x

@@ -102,8 +102,8 @@ def mc_forward(
     This is the batched core of :func:`mc_predict` with the weight source
     injected: any object honouring the forward half of the
     :class:`~repro.core.sampler.BatchedWeightSampler` protocol
-    (``n_samples``, ``prefetch_forward``, ``sample`` returning an object with
-    ``.weights``) works.  The serving tile executor passes a sampler that
+    (``n_samples`` and ``sample`` returning an object with ``.weights``)
+    works.  The serving tile executor passes a sampler that
     replays a frozen replica's cached sampled weights, which is what lets
     pooled requests skip the generation kernel and the weight build while
     staying bit-identical to a per-request :func:`mc_predict`.

@@ -13,8 +13,8 @@ Three formats live here:
 * **Training checkpoints** (:func:`save_checkpoint` / :func:`load_checkpoint`)
   capture everything a run's trajectory depends on: the parameters, the
   optimiser's slot tensors and step counter, every Monte-Carlo sample's GRNG
-  register/sum-register state, the per-sample epsilon-traffic counters, and
-  the trainer's step counter and history.  Restoring a checkpoint and
+  register, the per-sample epsilon-traffic counters, and the trainer's step
+  counter and history.  Restoring a checkpoint and
   continuing (``trainer.fit(..., resume=True)``) follows **bit for bit** the
   trajectory the uninterrupted run would have followed -- for the local
   pipelines and for the distributed sample/row-sharded backend alike, because
@@ -24,7 +24,11 @@ Three formats live here:
 Epsilon *values* are never stored -- they are regenerated from the saved
 register states, which is the whole point of the paper.  Both loaders verify
 a manifest against the target and raise :class:`CheckpointMismatchError`
-early on any structural mismatch.
+early on any structural mismatch.  A register is a generator's whole state:
+checkpoints written while the bank kept a bit-sum register also carry that
+sum per generator, which loads only when it equals the popcount of its
+register (the one value the bank could ever derive) and is refused as
+corrupt otherwise.
 
 This module also hosts the **content fingerprints**
 (:func:`tensor_fingerprint` / :func:`state_fingerprint`) that the
@@ -62,6 +66,8 @@ __all__ = [
 _MANIFEST_KEY = "__manifest__"
 _FORMAT_VERSION = 1
 _CHECKPOINT_VERSION = 2
+#: What a checkpoint's generator record holds: the LFSR geometry and register.
+_GRNG_FIELDS = {"n_bits", "taps", "state"}
 _REPLICA_VERSION = 1
 _HISTORY_FIELDS = (
     "losses",
@@ -218,7 +224,7 @@ def save_checkpoint(trainer: "BNNTrainer", path: str | Path) -> Path:
     the bank's *complete* state.  The archive carries the parameters, the
     optimiser slots and step counter, one
     :class:`~repro.core.checkpoint.LfsrSnapshot` per Monte-Carlo sample
-    (register state and sum register, hex-encoded in the manifest), the
+    (the register state, hex-encoded in the manifest), the
     per-sample :class:`~repro.core.streams.StreamUsage` counters, and the
     per-step history records.
     """
@@ -263,7 +269,6 @@ def save_checkpoint(trainer: "BNNTrainer", path: str | Path) -> Path:
                 "n_bits": snapshot.n_bits,
                 "taps": list(snapshot.taps),
                 "state": hex(snapshot.state),
-                "sum_register": snapshot.sum_register,
             }
             for snapshot in trainer.bank.snapshots()
         ],
@@ -301,7 +306,9 @@ def load_checkpoint(trainer: "BNNTrainer", path: str | Path) -> dict:
     The trainer must be *structurally* compatible with the run that saved
     the checkpoint: same model parameters, same ``n_samples`` / stream
     policy / LFSR geometry, same optimiser type.  Any mismatch raises
-    :class:`CheckpointMismatchError` before anything is modified.  On
+    :class:`CheckpointMismatchError` before anything is modified, as does a
+    generator record whose legacy bit-sum register is not the popcount of
+    its register.  On
     success the trainer's parameters, optimiser state, generator registers,
     traffic counters and history are exactly the saved run's, so continuing
     (e.g. ``fit(..., resume=True)`` with the same schedule) reproduces the
@@ -358,6 +365,25 @@ def load_checkpoint(trainer: "BNNTrainer", path: str | Path) -> dict:
         f"checkpoint carries {len(grng_records)} generator states for "
         f"{config.n_samples} samples",
     )
+    snapshots = [
+        LfsrSnapshot(
+            n_bits=record["n_bits"],
+            taps=tuple(record["taps"]),
+            state=int(record["state"], 16),
+        )
+        for record in grng_records
+    ]
+    for row, (record, snapshot) in enumerate(zip(grng_records, snapshots)):
+        # Checkpoints written while the bank kept a bit-sum register beside
+        # each LFSR carry it as one more field.  The popcount of the register
+        # is all it could hold; any other value is corruption.
+        popcount = snapshot.state.bit_count()
+        for key in record.keys() - _GRNG_FIELDS:
+            _check(
+                record[key] == popcount,
+                f"generator {row}'s {key} {record[key]!r} is not the popcount "
+                f"{popcount} of its register: corrupt checkpoint",
+            )
     # ---- all checks passed; restore ----
     for name, parameter in parameters.items():
         parameter.assign(stored[f"param/{name}"])
@@ -372,15 +398,6 @@ def load_checkpoint(trainer: "BNNTrainer", path: str | Path) -> dict:
             "step_count": saved_optimizer.get("step_count", 0),
         }
     )
-    snapshots = [
-        LfsrSnapshot(
-            n_bits=record["n_bits"],
-            taps=tuple(record["taps"]),
-            state=int(record["state"], 16),
-            sum_register=int(record["sum_register"]),
-        )
-        for record in grng_records
-    ]
     trainer.bank.restore(snapshots)
     trainer.bank.load_usage_state_dicts(manifest.get("stream_usage", []))
     history = trainer.history

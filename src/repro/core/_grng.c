@@ -102,10 +102,10 @@ static void rewind_rows(const uint64_t *state, uint64_t *start, size_t rows,
  * i.e. the register read Rn..R1, hence the bit reversal on the way in and
  * out.  Emits ((double)popcount - mean) / std, and the weights when w is
  * given.  This is the row body; grng_forward runs it or the lane body. */
-static int forward_rows(const uint64_t *state, uint64_t *new_state,
-                        int64_t *last_pc, size_t rows, size_t n_words,
-                        const int32_t *shifts, size_t stride_words, size_t count,
-                        double mean, double std, double *out, const double *mu,
+static int forward_rows(const uint64_t *state, uint64_t *new_state, size_t rows,
+                        size_t n_words, const int32_t *shifts,
+                        size_t stride_words, size_t count, double mean,
+                        double std, double *out, const double *mu,
                         const double *sigma, double *w)
 {
     const int s0 = shifts[0], s1 = shifts[1], s2 = shifts[2];
@@ -142,7 +142,6 @@ static int forward_rows(const uint64_t *state, uint64_t *new_state,
         }
         for (size_t j = 0; j < n_words; j++)
             new_state[n_words - 1 - j] = reverse64(h[j]);
-        last_pc[r] = pc;
     }
     return 0;
 }
@@ -225,13 +224,12 @@ static inline void transpose8(__m512d *e)
  * stored, where the row body stops at the column. */
 GRNG_LANE_TARGET
 static int forward_lanes(const uint64_t *state, uint64_t *new_state,
-                         int64_t *last_pc, size_t lanes, const int32_t *shifts,
+                         size_t lanes, const int32_t *shifts,
                          size_t stride_words, size_t count, double mean,
                          double std, double *out, const double *mu,
                          const double *sigma, double *w)
 {
     uint64_t words[4][GRNG_LANES] __attribute__((aligned(64)));
-    int64_t lane_pc[GRNG_LANES] __attribute__((aligned(64)));
     __m512i shift[3], h[4];
     for (int t = 0; t < 3; t++)
         shift[t] = _mm512_set1_epi64(shifts[t]);
@@ -264,14 +262,11 @@ static int forward_lanes(const uint64_t *state, uint64_t *new_state,
                                       _mm512_add_pd(_mm512_mul_pd(e[r], vsigma), vmu));
         }
     }
-    _mm512_store_si512(lane_pc, lane_popcount(h));
     for (size_t j = 0; j < 4; j++)
         _mm512_store_si512(words[j], h[j]);
-    for (size_t r = 0; r < lanes; r++) {
+    for (size_t r = 0; r < lanes; r++)
         for (size_t j = 0; j < 4; j++)
             new_state[r * 4 + 3 - j] = reverse64(words[j][r]);
-        last_pc[r] = lane_pc[r];
-    }
     return 0;
 }
 #endif
@@ -294,10 +289,10 @@ int grng_lane_width(void)
  * row first jumps back into start and the forward run starts there, so a
  * reversed retrieval -- start and end registers, values and weights -- is
  * one call.  jump == NULL runs forward from state and leaves start alone. */
-int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
-                      int64_t *last_pc, size_t rows, size_t n_words,
-                      const int32_t *shifts, size_t stride_words, size_t count,
-                      double mean, double std, double *out, const double *mu,
+int grng_forward_rows(const uint64_t *state, uint64_t *new_state, size_t rows,
+                      size_t n_words, const int32_t *shifts,
+                      size_t stride_words, size_t count, double mean,
+                      double std, double *out, const double *mu,
                       const double *sigma, double *w, const uint64_t *jump,
                       uint64_t *start)
 {
@@ -307,14 +302,14 @@ int grng_forward_rows(const uint64_t *state, uint64_t *new_state,
         rewind_rows(state, start, rows, n_words, shifts, jump);
         state = start;
     }
-    return forward_rows(state, new_state, last_pc, rows, n_words, shifts,
-                        stride_words, count, mean, std, out, mu, sigma, w);
+    return forward_rows(state, new_state, rows, n_words, shifts, stride_words,
+                        count, mean, std, out, mu, sigma, w);
 }
 
-int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
-                 size_t rows, size_t n_words, const int32_t *shifts,
-                 size_t stride_words, size_t count, double mean, double std,
-                 double *out, const double *mu, const double *sigma, double *w,
+int grng_forward(const uint64_t *state, uint64_t *new_state, size_t rows,
+                 size_t n_words, const int32_t *shifts, size_t stride_words,
+                 size_t count, double mean, double std, double *out,
+                 const double *mu, const double *sigma, double *w,
                  const uint64_t *jump, uint64_t *start)
 {
     if (n_words < 2 || n_words > GRNG_MAX_WORDS || stride_words < 1)
@@ -332,18 +327,18 @@ int grng_forward(const uint64_t *state, uint64_t *new_state, int64_t *last_pc,
             double *out_r = out ? out + r * count : NULL;
             double *w_r = w ? w + r * count : NULL;
             int status = lanes == 1
-                ? forward_rows(state + r * 4, new_state + r * 4, last_pc + r,
-                               1, 4, shifts, stride_words, count, mean, std,
-                               out_r, mu, sigma, w_r)
-                : forward_lanes(state + r * 4, new_state + r * 4, last_pc + r,
-                                lanes, shifts, stride_words, count, mean, std,
-                                out_r, mu, sigma, w_r);
+                ? forward_rows(state + r * 4, new_state + r * 4, 1, 4, shifts,
+                               stride_words, count, mean, std, out_r, mu,
+                               sigma, w_r)
+                : forward_lanes(state + r * 4, new_state + r * 4, lanes,
+                                shifts, stride_words, count, mean, std, out_r,
+                                mu, sigma, w_r);
             if (status)
                 return status;
         }
         return 0;
     }
 #endif
-    return forward_rows(state, new_state, last_pc, rows, n_words, shifts,
-                        stride_words, count, mean, std, out, mu, sigma, w);
+    return forward_rows(state, new_state, rows, n_words, shifts, stride_words,
+                        count, mean, std, out, mu, sigma, w);
 }

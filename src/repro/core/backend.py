@@ -859,9 +859,8 @@ def _grng_block_reference(
             np.multiply(values, sigma[span], out=w_out[:, span])
             w_out[:, span] += mu[span]
         done += size
-        last = popcounts[:, -1].copy()
         del popcounts, values  # nor does a chunk's output live into the next
-    return out, words, last, w_out, start
+    return out, words, w_out, start
 
 
 @lru_cache(maxsize=64)
@@ -945,28 +944,25 @@ def _grng_block_native(
     shifts = _native_geometry(n_bits, offsets, stride)
     jump = _native_jump(n_bits, offsets, rewind) if rewind else (None, None)
     rows, n_words = state_words.shape
-    # the end registers, the start registers and the last popcounts, in one
-    # block: one allocation and one address per call
-    block = np.empty(rows * (2 * n_words + 1), dtype=np.uint64)
-    registers = rows * n_words
-    new_state = block[:registers].reshape(rows, n_words)
-    start = block[registers : 2 * registers].reshape(rows, n_words) if rewind else None
-    last = block[2 * registers :].view(np.int64)
+    # the end registers and the start registers in one block: one allocation
+    # and one address per call
+    block = np.empty((2, rows, n_words), dtype=np.uint64)
+    new_state = block[0]
+    start = block[1] if rewind else None
     address = block.ctypes.data
     fused = (None,) * 3 if w_out is None else (
         mu.ctypes.data, sigma.ctypes.data, w_out.ctypes.data
     )
     status = native.library.load().grng_forward(
-        state_words.ctypes.data, address, address + 16 * registers, rows, n_words,
-        shifts[1], stride // 64, count, float(mean), float(std),
-        None if out is None else out.ctypes.data, *fused,
-        jump[1], address + 8 * registers,
+        state_words.ctypes.data, address, rows, n_words, shifts[1], stride // 64,
+        count, float(mean), float(std), None if out is None else out.ctypes.data,
+        *fused, jump[1], address + 8 * rows * n_words,
     )
     if status == -2:
         raise ValueError("sigma must be non-negative")
     if status:
         raise KernelBackendError(f"native grng_block rejected its arguments ({status})")
-    return out, new_state, last, w_out, start
+    return out, new_state, w_out, start
 
 
 def _random_state_words(rng, rows: int, n_bits: int) -> np.ndarray:
@@ -1032,13 +1028,11 @@ def _grng_block_cases() -> list[dict[str, Any]]:
 
 
 def _check_grng_block(case, expected, got) -> None:
-    # The last popcounts compare free of dtype, as window_popcounts' values
-    # do.  The weights compare by NaN-ness, not NaN payload bits: the compiler
-    # may swap the operands of a commutative vector op, and x86 propagates
-    # the first NaN.
-    def canonical(out, state, last, w_out, start):
-        w_out = None if w_out is None else _nan_canonical(w_out)
-        return out, state, np.asarray(last, np.int64), w_out, start
+    # The weights compare by NaN-ness, not NaN payload bits: the compiler may
+    # swap the operands of a commutative vector op, and x86 propagates the
+    # first NaN.
+    def canonical(out, state, w_out, start):
+        return out, state, None if w_out is None else _nan_canonical(w_out), start
 
     _check_same(case, canonical(*expected), canonical(*got))
 
@@ -1868,8 +1862,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
         "mu + eps * sigma into `w_out` (then `out` may be None); given "
         "`rewind`, the pass starts that many shifts before `state_words` "
         "(a jump back, then forward); returns (out, new_state_words, "
-        "last_popcounts, w_out, start_words), start_words None without a "
-        "rewind.",
+        "w_out, start_words), start_words None without a rewind.",
         rows_of=lambda state_words, *args, **kwargs: state_words.shape[0],
         cases=_grng_block_cases,
         check=_check_grng_block,

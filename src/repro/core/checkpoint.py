@@ -8,10 +8,10 @@ deterministically so that runs are reproducible and so that the baseline
 (stored) and Shift-BNN (reversible) trainers see *exactly the same* random
 variables when given the same bank seed.
 
-:class:`LfsrSnapshot` captures and restores bank rows' registers and sum
-registers, which is how the distributed coordinator realigns shard banks
-between steps, how training checkpoints save the generators, and how tests
-assert bit-exact equivalence.
+:class:`LfsrSnapshot` captures and restores bank rows' registers -- a
+generator's whole state -- which is how the distributed coordinator realigns
+shard banks between steps, how training checkpoints save the generators, and
+how tests assert bit-exact equivalence.
 
 A bank serves its samples through one sampler class,
 :class:`~repro.core.sampler.BatchedWeightSampler`, in two shapes:
@@ -40,37 +40,24 @@ StreamPolicy = Literal["stored", "reversible"]
 
 @dataclass(frozen=True)
 class LfsrSnapshot:
-    """Immutable snapshot of one GRNG row's register and bit-sum."""
+    """Immutable snapshot of one GRNG row's register."""
 
     n_bits: int
     taps: tuple[int, ...]
     state: int
-    sum_register: int
 
     @classmethod
     def capture(cls, bank: GrngBank) -> list["LfsrSnapshot"]:
-        """Snapshot every row of ``bank``: its register and *actual* running sum.
-
-        The sum register is read from the bank rather than recomputed from
-        the pattern, so a row whose accumulator has drifted from the register
-        (e.g. after an external state write without a resync) round-trips
-        exactly instead of being silently healed.  One row of a bank is
-        ``capture(bank.row_bank(row))[0]``.
-        """
-        return [
-            cls(bank.n_bits, bank.taps, state, int(total))
-            for state, total in zip(bank.states(), bank.sum_registers())
-        ]
+        """Snapshot every row of ``bank``.  One row of a bank is
+        ``capture(bank.row_bank(row))[0]``."""
+        return [cls(bank.n_bits, bank.taps, state) for state in bank.states()]
 
     @staticmethod
     def restore(snapshots: Sequence["LfsrSnapshot"], bank: GrngBank) -> None:
-        """Write ``snapshots`` back into ``bank``'s rows in place, sum
-        registers included."""
+        """Write ``snapshots`` back into ``bank``'s rows in place."""
         if any(s.n_bits != bank.n_bits or s.taps != bank.taps for s in snapshots):
             raise ValueError("snapshot was captured from an incompatible generator")
-        bank.set_states(
-            [s.state for s in snapshots], [s.sum_register for s in snapshots]
-        )
+        bank.set_states([s.state for s in snapshots])
 
 
 class StreamBank:

@@ -1,9 +1,12 @@
 """Batched Gaussian random number generation over a packed LFSR bank.
 
 :class:`GrngBank` is the software image of the accelerator's GRNGs: one
-Fibonacci LFSR plus one bit-sum register per Monte-Carlo sample.  The
-registers live packed in a ``(rows, ceil(n_bits / 64))`` ``uint64`` matrix
-(bit ``j`` of row ``i`` is bit ``j % 64`` of ``words[i, j // 64]``), and
+Fibonacci LFSR per Monte-Carlo sample.  The hardware keeps a bit-sum register
+beside each LFSR because it updates the popcount one shift at a time; here
+the kernel counts the bits of the register it holds, so the register is the
+generator's whole state.  The registers live packed in a
+``(rows, ceil(n_bits / 64))`` ``uint64`` matrix (bit ``j`` of row ``i`` is
+bit ``j % 64`` of ``words[i, j // 64]``), and
 every shift goes through the ``grng_block`` dispatch point, which shifts,
 popcounts the emitted patterns and standardises them in one pass.  Shifts only
 ever run forward: a reversed retrieval is one ``grng_block`` call with a
@@ -11,18 +14,18 @@ ever run forward: a reversed retrieval is one ``grng_block`` call with a
 a fixed linear function of the current one, see
 :func:`~repro.core.bitops.jump_terms`) and regenerates forward to where they
 were; the values are then handed out newest first.  The test suite holds
-every value, register and sum register to a from-scratch bit-serial oracle
-(a register of single bits, one tap XOR and one shift per tick, run forward
-and in reverse) that shares no code with this module.
+every value and register to a from-scratch bit-serial oracle (a register of
+single bits, one tap XOR and one shift per tick, run forward and in reverse)
+that shares no code with this module.
 
 The bank is driven through whole-bank array calls
 (:meth:`GrngBank.epsilon_blocks`, :meth:`GrngBank.epsilon_blocks_reverse`,
 and the fused :meth:`GrngBank.weight_blocks` /
 :meth:`GrngBank.replay_weight_blocks` that return ``mu + eps * sigma``).  A
 caller that serves one Monte-Carlo sample takes :meth:`GrngBank.row_bank`: a
-one-row bank whose registers and sum register are views into this bank's, so
-its calls move that row alone.  Every write to the registers and sums happens
-in place, so a one-row bank taken earlier never goes stale.
+one-row bank whose register words are a view into this bank's, so its calls
+move that row alone.  Every write to the registers happens in place, so a
+one-row bank taken earlier never goes stale.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import clt_standardise, dispatch
-from .bitops import pack_int_rows, unpack_bits, unpack_int_rows
+from .backend import dispatch
+from .bitops import pack_int_rows, unpack_int_rows
 from .lfsr import LFSRStateError, normalise_taps, seed_from_index
 
 __all__ = ["GrngBank"]
@@ -89,7 +92,6 @@ class GrngBank:
         self._mean = n_bits / 2.0
         self._std = math.sqrt(n_bits / 4.0)
         self._words = pack_int_rows(states, n_bits)
-        self._sums = self._popcounts()
 
     # ------------------------------------------------------------------
     # properties
@@ -131,66 +133,46 @@ class GrngBank:
             )
         return value
 
-    def _popcounts(self) -> np.ndarray:
-        return unpack_bits(self._words, self._n).sum(axis=1, dtype=np.int64)
+    def states(self) -> list[int]:
+        """Register values of every row, as Python integers."""
+        return unpack_int_rows(self._words)
 
-    def _load(self, states: Sequence[int]) -> None:
+    def set_states(self, states: Sequence[int]) -> None:
+        """Overwrite every row's register, in place."""
         if len(states) != self.n_rows:
             raise ValueError(f"expected {self.n_rows} states, got {len(states)}")
         checked = [self._checked(state) for state in states]
         self._words[:] = pack_int_rows(checked, self._n)
 
-    def states(self) -> list[int]:
-        """Register values of every row, as Python integers."""
-        return unpack_int_rows(self._words)
-
-    def sum_registers(self) -> np.ndarray:
-        """A copy of every row's running bit-sum register."""
-        return self._sums.copy()
-
-    def set_states(
-        self, states: Sequence[int], sums: Sequence[int] | None = None
-    ) -> None:
-        """Overwrite every row's register, in place.
-
-        The sum registers are set to ``sums`` when given (a drifted sum
-        round-trips exactly), else resynchronised to the new patterns.
-        """
-        if sums is not None and len(sums) != self.n_rows:
-            raise ValueError(f"expected {self.n_rows} sums, got {len(sums)}")
-        self._load(states)
-        self._sums[...] = self._popcounts() if sums is None else sums
-
     def row_bank(self, row: int) -> "GrngBank":
         """A one-row bank over row ``row`` of this one.
 
-        Its register words and sum register are basic-slice views into this
-        bank's arrays, so a call on it moves that row alone, and every write
-        to either bank shows in the other.
+        Its register words are a basic-slice view into this bank's, so a
+        call on it moves that row alone, and every write to either bank shows
+        in the other.
         """
         if not 0 <= row < self.n_rows:
             raise IndexError(f"row {row} out of range for {self.n_rows} rows")
         view = copy.copy(self)
         view._words = self._words[row : row + 1]
-        view._sums = self._sums[row : row + 1]
         return view
 
     def _fused(self, words, mu, sigma, epsilon: bool, rewind: int = 0):
         # One dispatch from ``words`` (jumped back ``rewind`` shifts first)
         # that writes the sampled weights (and, if asked, the epsilons);
         # nothing of the bank moves here.  Returns (weights, epsilons, end,
-        # last popcounts, start), start None without a rewind.
+        # start), start None without a rewind.
         count = int(mu.size)
         weights = np.empty((self.n_rows, count), dtype=np.float64)
         values = np.empty_like(weights) if epsilon else None
         if count == 0:
-            return weights, values, words.copy(), self._sums.copy(), None
-        _, end, last, _, start = _grng_block(
+            return weights, values, words.copy(), None
+        _, end, _, start = _grng_block(
             words, self._n, self._taps, self._stride, count,
             self._mean, self._std, values,
             mu=mu.reshape(-1), sigma=sigma.reshape(-1), w_out=weights, rewind=rewind,
         )
-        return weights, values, end, last, start
+        return weights, values, end, start
 
     # ------------------------------------------------------------------
     # batched array interface
@@ -208,11 +190,10 @@ class GrngBank:
         ``sigma`` flattened, shared by every row) are bit-identical to
         building them from :meth:`epsilon_blocks`, and the epsilons are
         returned as well only when ``epsilon`` is set.  A negative ``sigma``
-        raises :class:`ValueError` with every register and sum unmoved.
+        raises :class:`ValueError` with every register unmoved.
         """
-        weights, values, end, last, _ = self._fused(self._words, mu, sigma, epsilon)
+        weights, values, end, _ = self._fused(self._words, mu, sigma, epsilon)
         self._words[...] = end
-        self._sums[...] = last
         return weights, values
 
     def replay_weight_blocks(
@@ -223,10 +204,10 @@ class GrngBank:
 
         Returns ``(weights, epsilons, start_words, end_words)``: the registers
         the replay started from (``words`` without a rewind) and the ones it
-        landed on, which the caller verifies.  The bank's own registers and
-        sums are not touched.
+        landed on, which the caller verifies.  The bank's own registers are
+        not touched.
         """
-        weights, values, end, _, start = self._fused(words, mu, sigma, True, rewind)
+        weights, values, end, start = self._fused(words, mu, sigma, True, rewind)
         return weights, values, words if start is None else start, end
 
     def epsilon_blocks(self, count: int) -> np.ndarray:
@@ -245,21 +226,20 @@ class GrngBank:
         # popcounts are exact, so the values are bit-identical for any stride
         # and any backend.
         values = np.empty((self.n_rows, count), dtype=np.float64)
-        _, words, last, _, _ = _grng_block(
+        _, words, _, _ = _grng_block(
             self._words, self._n, self._taps, self._stride, count,
             self._mean, self._std, values,
         )
         self._words[...] = words
-        self._sums[...] = last
         return values
 
     def epsilon_blocks_reverse(self, count: int) -> np.ndarray:
         """Retrieve the previous ``count`` variables per row (newest first).
 
-        The first value is the current sum register's, the rest those of the
+        The first value is the current pattern's, the rest those of the
         ``count - 1`` patterns before it (each ``stride`` shifts apart), so a
         retrieval right after :meth:`epsilon_blocks` returns that block
-        reversed.  Registers are left ``count * stride`` patterns earlier.
+        reversed.  Registers are left ``count * stride`` shifts earlier.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -267,23 +247,10 @@ class GrngBank:
             return np.zeros((self.n_rows, 0), dtype=np.float64)
         # One call jumps the registers back count * stride shifts and runs
         # forward to where they were; the patterns go out newest first.
-        # The hardware steps the sum register by (recovered tail - dropped
-        # head) per reverse shift, so whatever offset it carries from the
-        # true pattern popcount (zero unless someone wrote the register)
-        # rides along unchanged: emit the current sum, then the exact
-        # popcounts of the earlier patterns plus that drift.
-        drift = self._sums - self._popcounts()
-        # at mean 0 and std 1 the standardised values are the popcounts
-        popcounts = np.empty((self.n_rows, count), dtype=np.float64)
-        _, _, _, _, start = _grng_block(
+        values = np.empty((self.n_rows, count), dtype=np.float64)
+        _, _, _, start = _grng_block(
             self._words, self._n, self._taps, self._stride, count,
-            0.0, 1.0, popcounts, rewind=count * self._stride,
+            self._mean, self._std, values, rewind=count * self._stride,
         )
-        sums = np.empty_like(popcounts)
-        sums[:, 0] = self._sums
-        np.add(popcounts[:, -2::-1], drift[:, None], out=sums[:, 1:])
         self._words[...] = start
-        self._sums[...] = self._popcounts() + drift
-        # Popcounts are exact in float64, so every grng_block backend
-        # produces byte-identical values.
-        return clt_standardise(sums, self._mean, self._std)
+        return values[:, ::-1]

@@ -52,9 +52,9 @@ SOURCES = tuple(
 _CPU_FLAGS = (("popcnt", "-mpopcnt"), ("bmi2", "-mbmi2"))
 
 _SIZE, _PTR, _DOUBLE = ctypes.c_size_t, ctypes.c_void_p, ctypes.c_double
-# state, new_state, last_pc, rows, n_words, shifts, stride_words, count,
-# mean, std, out, mu, sigma, w, jump, start
-_FORWARD = [_PTR, _PTR, _PTR, _SIZE, _SIZE, _PTR, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
+# state, new_state, rows, n_words, shifts, stride_words, count, mean, std,
+# out, mu, sigma, w, jump, start
+_FORWARD = [_PTR, _PTR, _SIZE, _SIZE, _PTR, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
             _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]
 _SIGNATURES = {
     # the _conv.c kernels: data pointer(s) around one int64 geometry vector

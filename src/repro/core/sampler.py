@@ -92,12 +92,12 @@ class BatchedWeightSampler:
       (``"stored"``).
 
     The call contract mirrors the trainers' pipeline: a full forward pass
-    (``sample`` per Bayesian layer, optionally announced by
-    ``prefetch_forward``) followed by a full backward pass (``resample`` in
-    reverse layer order), then :meth:`finish_iteration`.  Values, register
-    trajectories and per-sample :class:`~repro.core.streams.StreamUsage`
-    accounting are the same for a bank of ``S`` rows as for ``S`` one-row
-    samplers run in turn -- batching changes speed, never results.
+    (``sample`` per Bayesian layer) followed by a full backward pass
+    (``resample`` in reverse layer order), then :meth:`finish_iteration`.
+    Values, register trajectories and per-sample
+    :class:`~repro.core.streams.StreamUsage` accounting are the same for a
+    bank of ``S`` rows as for ``S`` one-row samplers run in turn -- batching
+    changes speed, never results.
     """
 
     def __init__(
@@ -116,7 +116,6 @@ class BatchedWeightSampler:
         self._usages = list(usages)
         self._policy = policy
         self._records: list[_BatchBlockRecord] = []
-        self._schedule: list[int] = []
         self._retrieving = False
         #: the registers the next replay jumps back from: the ones the
         #: forward pass left, then each replayed layer's start
@@ -177,27 +176,6 @@ class BatchedWeightSampler:
     # ------------------------------------------------------------------
     # forward stage
     # ------------------------------------------------------------------
-    def prefetch_forward(self, counts: Sequence[int]) -> None:
-        """Announce a whole forward pass's block sizes, in forward order.
-
-        ``counts`` is the static layer schedule of the network; every
-        subsequent :meth:`sample` must request the next block of it.  Blocks
-        are still drawn layer by layer, each just in time.
-        """
-        if self._retrieving:
-            raise StreamOrderError(
-                "cannot prefetch forward blocks while a backward retrieval "
-                "is in progress"
-            )
-        if self._schedule:
-            raise StreamOrderError(
-                "previous prefetched blocks were never consumed"
-            )
-        counts = [int(count) for count in counts]
-        if any(count <= 0 for count in counts):
-            raise ValueError(f"block counts must be positive, got {counts}")
-        self._schedule = counts
-
     def sample(self, mu: np.ndarray, sigma: np.ndarray) -> SampledWeightsBatch:
         """Forward-stage sampling for every Monte-Carlo sample at once."""
         self._validate(mu, sigma)
@@ -207,19 +185,9 @@ class BatchedWeightSampler:
                 "progress"
             )
         count = int(mu.size)
-        if self._schedule and self._schedule[0] != count:
-            # an out-of-schedule request must leave the schedule aligned for
-            # a caller that recovers
-            raise StreamOrderError(
-                f"prefetched block of {self._schedule[0]} values does not "
-                f"match the requested {count}; the sample() sequence must "
-                "follow the prefetch_forward() schedule"
-            )
         weights, epsilon = self._bank.weight_blocks(
             mu, sigma, epsilon=self._policy == "stored"
         )
-        if self._schedule:
-            self._schedule.pop(0)
         if epsilon is not None:
             # the stored block is what resample() hands back: nobody may
             # write it in between
@@ -275,11 +243,6 @@ class BatchedWeightSampler:
                 f"block shape {record.shape}; backward order must mirror "
                 "forward order"
             )
-        if self._schedule:
-            raise StreamOrderError(
-                "cannot start the backward pass with unconsumed prefetched "
-                "forward blocks"
-            )
         if self._policy == "stored":
             if np.any(sigma < 0):
                 raise ValueError("sigma must be non-negative")
@@ -330,10 +293,6 @@ class BatchedWeightSampler:
             raise StreamOrderError(
                 f"{len(self._records)} epsilon block(s) were never retrieved"
             )
-        if self._schedule:
-            raise StreamOrderError(
-                f"{len(self._schedule)} prefetched block(s) were never sampled"
-            )
 
     def discard_pending(self) -> None:
         """Drop outstanding blocks without retrieving them.
@@ -342,7 +301,6 @@ class BatchedWeightSampler:
         this makes the discard explicit.
         """
         self._records.clear()
-        self._schedule.clear()
         self._retrieving = False
         self._landing = None
 

@@ -225,10 +225,6 @@ class _RowBlockReplay:
     def begin_block(self, block_index: int) -> None:
         self._block = block_index
 
-    def prefetch_forward(self, counts: Sequence[int]) -> None:
-        if self._block == 0:
-            self._sampler.prefetch_forward(counts)
-
     def _serve(self, records: deque, draw, mu, sigma) -> "SampledWeightsBatch":
         if self._block == 0:
             sampled = draw(mu, sigma)

@@ -116,8 +116,8 @@ def materialize_epsilon_sweep(
 
     Epsilons are a pure function of the sampling configuration and the
     per-layer weight *shapes* -- never of the posterior values, nor of the
-    stream policy -- so this runs the genuine bank construction, forward
-    schedule and per-layer ``sample`` walk against zero-valued placeholders,
+    stream policy -- so this runs the genuine bank construction and
+    per-layer ``sample`` walk against zero-valued placeholders,
     on a ``"stored"`` bank: the one policy whose forward pass materialises
     the epsilons.  The returned tensors are private to the caller (fresh
     contiguous copies).
@@ -133,7 +133,6 @@ def materialize_epsilon_sweep(
         grng_stride=config.grng_stride,
     )
     sampler = bank.batched_sampler()
-    sampler.prefetch_forward([int(np.prod(shape)) for shape in shapes])
     epsilons: list[np.ndarray] = []
     for shape in shapes:
         placeholder = np.zeros(shape, dtype=np.float64)
@@ -214,11 +213,11 @@ class PrecomputedWeightSampler:
     """Forward-only ``BatchedWeightSampler`` stand-in replaying cached weights.
 
     Implements exactly the protocol :meth:`BayesianNetwork.forward_samples`
-    exercises (``n_samples``, ``prefetch_forward``, ``sample``).  The tensors
-    come from :func:`materialize_weight_sweep`, so every byte matches what
-    the real sampler would have produced for the same frozen posterior; this
-    class only checks that the network walks them in the schedule they were
-    built for.
+    exercises (``n_samples``, ``sample``).  The tensors come from
+    :func:`materialize_weight_sweep`, so every byte matches what the real
+    sampler would have produced for the same frozen posterior; this class
+    only checks that the network walks them in the order and shapes they
+    were built for, and :meth:`finish_iteration` that it walked them all.
     """
 
     def __init__(self, weights: Sequence[np.ndarray]) -> None:
@@ -231,16 +230,6 @@ class PrecomputedWeightSampler:
     def n_samples(self) -> int:
         """Number of Monte-Carlo samples along the leading axis."""
         return self._weights[0].shape[0]
-
-    def prefetch_forward(self, counts: Sequence[int]) -> None:
-        """Validate that the network's schedule matches the cached tensors."""
-        cached = [block[0].size for block in self._weights[self._cursor :]]
-        requested = [int(count) for count in counts]
-        if requested != cached:
-            raise StreamOrderError(
-                f"cached sweep schedule {cached} does not match the "
-                f"network's forward schedule {requested}"
-            )
 
     def sample(self, mu: np.ndarray, sigma: np.ndarray) -> ReplayedWeights:
         """Serve the next layer's cached sampled weights."""
@@ -257,6 +246,14 @@ class PrecomputedWeightSampler:
             )
         self._cursor += 1
         return ReplayedWeights(weights)
+
+    def finish_iteration(self) -> None:
+        """Assert the forward pass consumed the whole cached sweep."""
+        if self._cursor != len(self._weights):
+            raise StreamOrderError(
+                f"forward pass consumed {self._cursor} of the cached sweep's "
+                f"{len(self._weights)} blocks"
+            )
 
 
 class EpsilonCache:
@@ -393,6 +390,7 @@ class TileExecutor:
         sampler = self._sampler_for(config)
         out = self._output_buffer(config.n_samples, x.shape[0])
         result = mc_forward(self._model, x, sampler, out=out)
+        sampler.finish_iteration()
         probabilities = result.sample_probabilities
         if self._n_classes is None:
             self._n_classes = probabilities.shape[-1]
@@ -533,6 +531,7 @@ class TileExecutor:
         out = self._output_buffer(config.n_samples, folded.shape[0])
         with stability.folded_splits(splits):
             result = mc_forward(self._model, folded, sampler, out=out)
+        sampler.finish_iteration()
         probabilities = result.sample_probabilities
         if self._n_classes is None:
             self._n_classes = probabilities.shape[-1]

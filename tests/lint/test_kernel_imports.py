@@ -21,6 +21,12 @@ when engine code:
   but ``core/backend.py`` -- the C kernels are backends behind the
   conformance gate, not a library engine code may call.
 
+A text ratchet keeps retired state out of ``src/``: the generator's register
+is its whole state (no bit-sum register beside it, no last popcount out of
+the kernel) and a forward pass announces no block schedule, so no source
+file may name ``sum_register(s)``, ``_sums``, ``last_pc`` or
+``prefetch_forward`` again.
+
 A final runtime check asserts that the public wrappers really do route
 through the registry or the counted functions (the per-kernel call counters
 move when they run), so a future refactor cannot silently reintroduce an
@@ -30,9 +36,11 @@ inline implementation while keeping the imports clean.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro.core.backend as backend
 from repro.core import GrngBank
@@ -158,6 +166,29 @@ def test_no_direct_raw_kernel_calls_in_engine_code():
     assert not violations, "\n".join(violations)
 
 
+RETIRED_NAMES = re.compile(r"\b(sum_registers?|_sums|last_pc|prefetch_forward)\b")
+
+
+def test_src_names_no_retired_generator_state():
+    hits = [
+        f"{path.relative_to(SRC_ROOT)}:{lineno}: {line.strip()}"
+        for path in sorted(SRC_ROOT.rglob("*"))
+        if path.suffix in (".py", ".c")
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if RETIRED_NAMES.search(line)
+    ]
+    assert not hits, "\n".join(hits)
+
+
+
+@pytest.mark.parametrize(
+    "name", ["sum_register", "sum_registers", "_sums", "last_pc", "prefetch_forward"]
+)
+def test_the_ratchet_flags_each_retired_name(name):
+    assert RETIRED_NAMES.search(f"bank.{name}(rows)")  # a Python use
+    assert RETIRED_NAMES.search(f"    uint32_t *{name},")  # a C parameter
+    assert not RETIRED_NAMES.search(f"{name}_total = {name}x")  # longer names pass
+
 def test_registry_covers_all_hot_kernels():
     assert set(backend.kernel_names()) == EXPECTED_KERNELS
     for kernel in EXPECTED_KERNELS:
@@ -178,7 +209,7 @@ def test_public_wrappers_route_through_dispatch():
     before = {kernel: _total_calls(kernel) for kernel in routed}
 
     # grng_block: at 16 bits on its NumPy chain, lfsr_step_block >
-    # window_popcounts > clt_standardise; a retrieval standardises its sums
+    # window_popcounts > clt_standardise, a retrieval after a jump back
     bank = GrngBank(2, n_bits=16)
     bank.epsilon_blocks(8)
     bank.epsilon_blocks_reverse(8)

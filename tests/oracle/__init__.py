@@ -9,12 +9,12 @@ cannot cancel out here.  Two modules:
   form of the same polynomial (QAMpy ``lfsr_int`` style), the tap table with
   a primitivity proof, the seed hash and word packing of its own;
 * :mod:`oracle.grng` -- the Gaussian generator on top: the straight-line CLT
-  step and the sum register's drift arithmetic, as a one-row generator with
-  a per-row block interface (a one-row ``GrngBank``'s ``epsilon_blocks(n)[0]``
-  and ``epsilon_blocks_reverse(n)[0]`` are compared with it).
+  step, as a one-row generator with a per-row block interface (a one-row
+  ``GrngBank``'s ``epsilon_blocks(n)[0]`` and ``epsilon_blocks_reverse(n)[0]``
+  are compared with it).
 """
 
-from .grng import OracleGRNG, clt, retrieval_sums
+from .grng import OracleGRNG, clt
 from .lfsr import (
     TAP_TABLE,
     BitSerialLFSR,
@@ -45,7 +45,6 @@ __all__ = [
     "oracle_prefix",
     "oracle_run",
     "oracle_state_after",
-    "retrieval_sums",
     "seed_for_index",
     "stream_popcounts",
     "to_words",

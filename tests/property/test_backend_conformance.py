@@ -357,7 +357,7 @@ def _hot_workload(kernel: str) -> tuple:
 
 #: integer dtype kinds whose arrays are popcounts: exact in any width, so a
 #: backend picks its own and the values compare as int64
-POPCOUNT_KINDS = {"window_popcounts": "iu", "grng_block": "i"}
+POPCOUNT_KINDS = {"window_popcounts": "iu"}
 
 
 def _canonical(kernel: str, value):

@@ -12,8 +12,8 @@ kernel and the repo's reference can no longer cancel out.
 
 Checked against it: the ``lfsr_step_block`` function (history, produced bits,
 end state, zero padding), ``window_popcounts`` on its output, the fused
-``grng_block`` point on its compiled ``native`` backend (values, popcounts,
-end states, split calls, every width and row count its ``supports``
+``grng_block`` point on its compiled ``native`` backend (values, end
+states, split calls, every width and row count its ``supports``
 predicate accepts -- across the vector lane body's groups of eight rows at
 256 bits when the CPU runs it), ``GrngBank``'s reversed retrieval (the
 oracle ticking in reverse) and its forward -> replay -> reversed retrieval
@@ -57,7 +57,6 @@ from oracle import (
     oracle_prefix,
     oracle_run,
     oracle_state_after,
-    retrieval_sums,
     stream_popcounts,
     to_words,
     word_bits,
@@ -103,9 +102,10 @@ def reverse_bank(seeds, n_bits, stride, taps=None):
 
 
 def reversed_values(state: int, earlier: np.ndarray, n_bits: int) -> bytes:
-    """Retrieval from register ``state`` (sum register in step) emits the
-    current pattern first, then the earlier ones."""
-    return clt(retrieval_sums(bin(state).count("1"), state, earlier), n_bits).tobytes()
+    """Retrieval from register ``state`` emits the current pattern first,
+    then the earlier ones but the last."""
+    earlier = np.asarray(earlier, dtype=np.int64)
+    return clt(np.append(bin(state).count("1"), earlier[:-1]), n_bits).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -229,15 +229,15 @@ def native_grng():
 
 
 def grng_block(seeds, n_bits, stride, count, mean=None, std=None):
-    """One dispatch: ``(out, end_states, last_popcounts)``."""
+    """One dispatch: ``(out, end_states)``."""
     mean = n_bits / 2.0 if mean is None else mean
     std = math.sqrt(n_bits / 4.0) if std is None else std
     out = np.empty((len(seeds), count), dtype=np.float64)
-    _, new_words, last, _, _ = backend.registry.call(
+    _, new_words, _, _ = backend.registry.call(
         "grng_block", to_words(seeds, n_bits), n_bits, kernel_offsets(n_bits),
         stride, count, mean, std, out,
     )
-    return out, from_words(new_words), [int(v) for v in last]
+    return out, from_words(new_words)
 
 
 def native_domain():
@@ -277,21 +277,20 @@ def test_native_grng_block_matches_bit_serial_oracle(native_grng, n_bits, rows):
     for stride in (64, n_bits, 2 * n_bits):
         count = min(LONG_COUNTS) // stride - 1
         before = native_calls()
-        out, end, last = grng_block(seeds, n_bits, stride, count)
+        out, end = grng_block(seeds, n_bits, stride, count)
         assert native_calls() == before + 1, "the call fell through to NumPy"
         for parts in (2, 7):
             states, pieces = seeds, []
             edges = np.linspace(0, count, parts + 1).astype(int)
             for lo, hi in zip(edges[:-1], edges[1:]):
-                piece, states, piece_last = grng_block(states, n_bits, stride, int(hi - lo))
+                piece, states = grng_block(states, n_bits, stride, int(hi - lo))
                 pieces.append(piece)
             assert np.concatenate(pieces, axis=1).tobytes() == out.tobytes()
-            assert (states, piece_last) == (end, last)
+            assert states == end
         for row, seed in enumerate(seeds):
             bits, popcounts = oracle_prefix(n_bits, seed, count * stride, False, longest)
             emitted = popcounts[stride - 1 :: stride]
             assert out[row].tobytes() == ((emitted - mean) / std).tobytes(), (stride, row)
-            assert last[row] == emitted[-1]
             assert end[row] == oracle_state_after(n_bits, seed, bits, False)
 
 
@@ -299,7 +298,7 @@ def test_native_grng_block_matches_bit_serial_oracle(native_grng, n_bits, rows):
 def test_native_grng_block_matches_galois_form(native_grng, n_bits):
     seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[2:5]]
     stride, count = n_bits, 4096 // n_bits * 8
-    out, _, _ = grng_block(seeds, n_bits, stride, count)
+    out, _ = grng_block(seeds, n_bits, stride, count)
     offsets = kernel_offsets(n_bits)
     for row, seed in enumerate(seeds):
         history = history_bits(n_bits, seed, False)
@@ -317,7 +316,7 @@ def test_native_grng_block_matches_galois_form(native_grng, n_bits):
     [(n_bits, rows) for n_bits in (64, 128, 192, 256) for rows in row_counts(n_bits)],
 )
 def test_bank_reverse_matches_bit_serial_oracle(n_bits, rows):
-    """The long reversed runs: values, end registers, sum registers, splits."""
+    """The long reversed runs: values, end registers, splits."""
     seeds = [seed % (1 << n_bits) | 1 for seed in SEEDS_256[:rows]]
     longest = max(LONG_COUNTS)
     for stride in (64, n_bits, 2 * n_bits):
@@ -325,7 +324,6 @@ def test_bank_reverse_matches_bit_serial_oracle(n_bits, rows):
         bank = reverse_bank(seeds, n_bits, stride)
         out = bank.epsilon_blocks_reverse(count)
         end = bank.states()
-        sums = bank.sum_registers()
         for parts in (2, 7):
             pieces, split = [], reverse_bank(seeds, n_bits, stride)
             edges = np.linspace(0, count, parts + 1).astype(int)
@@ -337,7 +335,6 @@ def test_bank_reverse_matches_bit_serial_oracle(n_bits, rows):
             bits, popcounts = oracle_prefix(n_bits, seed, count * stride, True, longest)
             emitted = popcounts[stride - 1 :: stride]
             assert out[row].tobytes() == reversed_values(seed, emitted, n_bits), (stride, row)
-            assert sums[row] == emitted[-1]
             assert end[row] == oracle_state_after(n_bits, seed, bits, True)
 
 
@@ -389,13 +386,12 @@ def test_bank_reverse_at_random_taps_matches_bit_serial_oracle(register, stride,
         want = reversed_values(seed, np.array(earlier), n_bits)
         assert out[row].tobytes() == want
         assert bank.states()[row] == lfsr.state
-        assert bank.sum_registers()[row] == earlier[-1]
 
 
 def rewound(words, n_bits, taps, shifts):
     """The start registers of one ``grng_block`` call rewinding ``shifts``."""
     out = np.empty((len(words), 1), dtype=np.float64)
-    _, _, _, _, start = backend.registry.call(
+    _, _, _, start = backend.registry.call(
         "grng_block", words, n_bits, taps, 64, 1, 0.0, 1.0, out, rewind=shifts
     )
     return words if start is None else start
@@ -473,12 +469,11 @@ def test_native_replay_lands_where_its_rewind_started(n_bits, rows, count, seed)
                 count, 0.0, 1.0, out, mu=mu, sigma=sigma, w_out=w_out,
                 rewind=count * n_bits,
             )
-    n_out, n_end, n_last, n_w, n_start = results["native"]
-    r_out, r_end, r_last, r_w, r_start = results["reference"]
+    n_out, n_end, n_w, n_start = results["native"]
+    r_out, r_end, r_w, r_start = results["reference"]
     assert np.array_equal(n_end, words) and np.array_equal(r_end, words)
     assert np.array_equal(n_start, r_start)
     assert n_out.tobytes() == r_out.tobytes() and n_w.tobytes() == r_w.tobytes()
-    assert np.array_equal(np.asarray(n_last, np.int64), np.asarray(r_last, np.int64))
 
 
 @given(
@@ -496,10 +491,10 @@ def test_native_standardise_is_numpy_division(states, count, stride, mean, std):
     """``((double)pc - mean) / std`` in C == ``(pc - mean) / std`` in NumPy, bytewise."""
     require_native()
     with backend.using("grng_block", "native"):
-        values, _, _ = grng_block(states, 128, stride, count, mean, std)
+        values, _ = grng_block(states, 128, stride, count, mean, std)
     with backend.using("grng_block", "reference"):
         # popcounts from the NumPy chain at mean 0 / std 1, then NumPy's own divide
-        raw, _, _ = grng_block(states, 128, stride, count, 0.0, 1.0)
+        raw, _ = grng_block(states, 128, stride, count, 0.0, 1.0)
     assert values.tobytes() == ((raw.astype(np.int64) - mean) / std).tobytes()
 
 
@@ -510,8 +505,7 @@ def forward_body(
     function, state, shifts, stride_words, count, mean, std, mu=None, sigma=None,
     epsilons=True, jump=None,
 ):
-    """One body's (status, epsilons, end state, last popcounts, weights,
-    start state) bytes.
+    """One body's (status, epsilons, end state, weights, start state) bytes.
 
     ``epsilons=False`` passes ``out=NULL`` (the weights-only mode of every
     reversible forward call); ``jump`` (packed ``x^-N mod P``) rewinds
@@ -519,7 +513,6 @@ def forward_body(
     """
     rows, n_words = state.shape
     new_state = np.empty_like(state)
-    last = np.empty(rows, dtype=np.int64)
     out = np.empty((rows, count), dtype=np.float64) if epsilons else None
     weights = None if mu is None else np.empty((rows, count), dtype=np.float64)
     start = None if jump is None else np.empty_like(state)
@@ -529,13 +522,13 @@ def forward_body(
         return None if array is None else array.ctypes.data
 
     status = function(
-        state.ctypes.data, new_state.ctypes.data, last.ctypes.data, rows, n_words,
-        table.ctypes.data, stride_words, count, mean, std, address(out),
-        address(mu), address(sigma), address(weights), address(jump), address(start),
+        state.ctypes.data, new_state.ctypes.data, rows, n_words, table.ctypes.data,
+        stride_words, count, mean, std, address(out), address(mu), address(sigma),
+        address(weights), address(jump), address(start),
     )
     return status, *(
         None if array is None else array.tobytes()
-        for array in (out, new_state, last, weights, start)
+        for array in (out, new_state, weights, start)
     )
 
 
@@ -556,7 +549,7 @@ def forward_body(
 def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
     """``grng_forward`` on the vector lanes == ``grng_forward_rows``, bytewise.
 
-    Output, end state and last popcount, at every row count -- multiples of
+    Output and end state, at every row count -- multiples of
     eight, the part-filled groups whose spare lanes run a dropped duplicate,
     and the lone last row the lanes leave to the row body -- every width and
     stride, any three in-word taps, column counts on and off the lanes'
@@ -583,9 +576,9 @@ def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
     values = np.random.default_rng(seed + 1)
     mu, sigma = values.standard_normal(count), values.random(count)
     fused = forward_body(lib.grng_forward, *args, mu, sigma)
-    assert fused[:4] == lanes[:4]
+    assert fused[:3] == lanes[:3]
     assert fused == forward_body(lib.grng_forward_rows, *args, mu, sigma)
-    # weights alone (out=NULL): the same weights, state and popcounts
+    # weights alone (out=NULL): the same weights and state
     alone = forward_body(lib.grng_forward, *args, mu, sigma, epsilons=False)
     assert alone == (0, None, *fused[2:])
     assert alone == forward_body(lib.grng_forward_rows, *args, mu, sigma, epsilons=False)
@@ -595,8 +588,8 @@ def test_lane_body_matches_row_body(rows, count, geometry, shifts, seed):
     rewound = forward_body(lib.grng_forward, *args, mu, sigma, jump=jump)
     assert rewound[0] == 0
     assert rewound == forward_body(lib.grng_forward_rows, *args, mu, sigma, jump=jump)
-    start = np.frombuffer(rewound[5], dtype=np.uint64).reshape(state.shape)
-    assert rewound[:5] == forward_body(lib.grng_forward, start, *args[1:], mu, sigma)[:5]
+    start = np.frombuffer(rewound[4], dtype=np.uint64).reshape(state.shape)
+    assert rewound[:4] == forward_body(lib.grng_forward, start, *args[1:], mu, sigma)[:4]
     # a negative sigma -- mid-tile in the last full tile, or anywhere in a
     # call too short for one -- refuses the whole call
     sigma[count // 8 * 8 - 5 if count >= 8 else values.integers(count)] = -0.5
@@ -667,9 +660,9 @@ def check_bank_round_trip(n_bits, stride):
 @pytest.mark.parametrize("n_bits", sorted(TAP_TABLE))
 def test_bank_matches_oracle_generator_at_every_width(which, n_bits):
     """Forward values, the forward -> replay -> reversed retrieval round trip,
-    a drifted sum register riding a retrieval past the start and a one-row
-    call that leaves the other row alone, against :class:`oracle.OracleGRNG`,
-    on both ``grng_block`` backends."""
+    a retrieval past the start and a one-row call that leaves the other row
+    alone, against :class:`oracle.OracleGRNG`, on both ``grng_block``
+    backends."""
     seeds, count = (3, 11), 24
     with grng_backend(which):
         before = native_calls()
@@ -685,19 +678,14 @@ def test_bank_matches_oracle_generator_at_every_width(which, n_bits):
         )
         assert replayed.tobytes() == forward.tobytes()
         assert np.array_equal(landed, bank.register_words())
-        drifted = bank.row_bank(1)
-        drifted.set_states(drifted.states(), drifted.sum_registers() + 5)
-        oracles[1].sum_register += 5
         back = bank.epsilon_blocks_reverse(count + 3)
         for row, oracle in enumerate(oracles):
             assert back[row].tobytes() == oracle.epsilon_block_reverse(count + 3).tobytes()
-        assert bank.sum_registers().tolist() == [oracle.sum_register for oracle in oracles]
         assert bank.states() == [oracle.state for oracle in oracles]
         # a one-row call moves its row alone
-        other = bank.states()[1], bank.sum_registers()[1]
+        other = bank.states()[1]
         alone = bank.row_bank(0).epsilon_blocks(count)
         assert alone[0].tobytes() == oracles[0].epsilon_block(count).tobytes()
-        assert bank.states()[0] == oracles[0].state
-        assert (bank.states()[1], bank.sum_registers()[1]) == other
+        assert bank.states() == [oracles[0].state, other]
         if which == "native" and n_bits in native_domain():
             assert native_calls() == before + 4, "a call fell through to NumPy"

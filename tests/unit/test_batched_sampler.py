@@ -5,10 +5,9 @@ serves all ``S`` rows of its bank per call, and its values, register
 trajectories and traffic accounting equal an independent reference -- the
 bit-serial :class:`oracle.OracleGRNG` per row, a NumPy ``mu + eps * sigma``
 and hand-computed :class:`~repro.core.StreamUsage` counts -- for every stream
-policy and stride, with and without an announced forward schedule, whether
-one sampler serves the whole bank or one sampler per one-row bank serves each
-sample in turn.  ``TestOneRowPolicies`` holds both policies' behaviours on a
-single sample.
+policy and stride, whether one sampler serves the whole bank or one sampler
+per one-row bank serves each sample in turn.  ``TestOneRowPolicies`` holds
+both policies' behaviours on a single sample.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def _step_peak(policy: str) -> int:
 
 def _flip_register_bit(bank: GrngBank) -> None:
     """Write a one-row bank's register with its lowest bit flipped."""
-    bank.set_states([bank.states()[0] ^ 1], bank.sum_registers())
+    bank.set_states([bank.states()[0] ^ 1])
 
 
 def _run_sequential(bank: StreamBank, mus, sigmas):
@@ -76,10 +75,8 @@ def _run_sequential(bank: StreamBank, mus, sigmas):
     return forward, backward
 
 
-def _run_batched(bank: StreamBank, mus, sigmas, prefetch: bool):
+def _run_batched(bank: StreamBank, mus, sigmas):
     sampler = bank.batched_sampler()
-    if prefetch:
-        sampler.prefetch_forward([mu.size for mu in mus])
     forward = [sampler.sample(mu, sg) for mu, sg in zip(mus, sigmas)]
     backward = [
         sampler.resample(mu, sg) for mu, sg in zip(reversed(mus), reversed(sigmas))
@@ -105,8 +102,7 @@ def _oracles(seed: int, n_samples: int, stride: int) -> list[OracleGRNG]:
 class TestAgainstTheOracle:
     @pytest.mark.parametrize("policy", ["stored", "reversible"])
     @pytest.mark.parametrize("stride", [1, 8, 64])
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_matches_the_oracle_per_sample_and_batched(self, policy, stride, prefetch):
+    def test_matches_the_oracle_per_sample_and_batched(self, policy, stride):
         mus, sigmas = _layer_params()
         kwargs = dict(policy=policy, seed=3, lfsr_bits=64, grng_stride=stride)
         seq_bank = StreamBank(4, **kwargs)
@@ -115,7 +111,7 @@ class TestAgainstTheOracle:
         for _ in range(2):  # two iterations: registers must continue identically
             epsilons, weights = _oracle_layers(oracles, mus, sigmas)
             seq_fwd, seq_bwd = _run_sequential(seq_bank, mus, sigmas)
-            bat_fwd, bat_bwd = _run_batched(bat_bank, mus, sigmas, prefetch)
+            bat_fwd, bat_bwd = _run_batched(bat_bank, mus, sigmas)
             for layer in range(len(mus)):
                 # only "stored" materialises forward epsilons
                 if policy != "stored":
@@ -135,9 +131,6 @@ class TestAgainstTheOracle:
                     assert bat_fwd[layer].epsilon.tobytes() == want_eps
             for bank in (seq_bank, bat_bank):
                 assert [snap.state for snap in bank.snapshots()] == [o.state for o in oracles]
-                assert [snap.sum_register for snap in bank.snapshots()] == [
-                    o.sum_register for o in oracles
-                ]
 
     @pytest.mark.parametrize("policy", ["stored", "reversible"])
     def test_traffic_accounting_is_hand_computed(self, policy):
@@ -156,7 +149,7 @@ class TestAgainstTheOracle:
         seq_bank = StreamBank(3, policy=policy, seed=1, lfsr_bits=64, grng_stride=4)
         bat_bank = StreamBank(3, policy=policy, seed=1, lfsr_bits=64, grng_stride=4)
         _run_sequential(seq_bank, mus, sigmas)
-        _run_batched(bat_bank, mus, sigmas, prefetch=True)
+        _run_batched(bat_bank, mus, sigmas)
         for bank in (seq_bank, bat_bank):
             assert [vars(usage) for usage in bank.usages] == [want] * 3
             # written once and read once per sample
@@ -199,40 +192,6 @@ class TestContracts:
         with pytest.raises(StreamOrderError):
             sampler.resample(np.zeros(6), np.ones(6))
 
-    def test_prefetch_count_mismatch_raises(self):
-        sampler = self._bank().batched_sampler()
-        sampler.prefetch_forward([4])
-        with pytest.raises(StreamOrderError):
-            sampler.sample(np.zeros(5), np.ones(5))
-
-    def test_prefetch_mismatch_preserves_the_schedule(self):
-        """An out-of-schedule request must not consume the peeked block."""
-        reference_bank = self._bank()
-        probed_bank = self._bank()
-        reference = reference_bank.batched_sampler()
-        probed = probed_bank.batched_sampler()
-        reference.prefetch_forward([4, 6])
-        probed.prefetch_forward([4, 6])
-        with pytest.raises(StreamOrderError):
-            probed.sample(np.zeros(5), np.ones(5))
-        for count in (4, 6):
-            expected = reference.sample(np.zeros(count), np.ones(count))
-            recovered = probed.sample(np.zeros(count), np.ones(count))
-            assert np.array_equal(expected.weights, recovered.weights)
-
-    def test_double_prefetch_raises(self):
-        sampler = self._bank().batched_sampler()
-        sampler.prefetch_forward([4])
-        with pytest.raises(StreamOrderError):
-            sampler.prefetch_forward([4])
-
-    def test_backward_with_unconsumed_prefetch_raises(self):
-        sampler = self._bank().batched_sampler()
-        sampler.prefetch_forward([3, 3])
-        sampler.sample(np.zeros(3), np.ones(3))
-        with pytest.raises(StreamOrderError):
-            sampler.resample(np.zeros(3), np.ones(3))
-
     def test_sample_during_retrieval_raises(self):
         sampler = self._bank().batched_sampler()
         sampler.sample(np.zeros(3), np.ones(3))
@@ -256,6 +215,30 @@ class TestContracts:
             sampler.sample(np.zeros(3), np.ones(4))
         with pytest.raises(ValueError):
             sampler.sample(np.zeros(3), -np.ones(3))
+
+    def test_a_refused_request_draws_nothing(self):
+        bank, twin = self._bank(), self._bank()
+        sampler = bank.batched_sampler()
+        states = bank.grng_bank.states()
+        with pytest.raises(ValueError):
+            sampler.sample(np.zeros(4), np.ones(5))
+        assert bank.grng_bank.states() == states
+        assert sampler.pending_blocks == 0
+        got = sampler.sample(np.zeros(4), np.ones(4))
+        want = twin.batched_sampler().sample(np.zeros(4), np.ones(4))
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+    def test_each_layer_draws_just_in_time(self):
+        """A forward pass draws each layer's block when the layer asks, and
+        that block only: the registers never run ahead of the layers."""
+        bank = self._bank()
+        twin = GrngBank(n_bits=64, seed_indices=[0, 1], stride=2)
+        sampler = bank.batched_sampler()
+        for shape in SHAPES:
+            batch = sampler.sample(np.zeros(shape), np.ones(shape))
+            want = twin.epsilon_blocks(int(np.prod(shape)))
+            assert batch.weights.reshape(2, -1).tobytes() == want.tobytes()
+            assert bank.grng_bank.states() == twin.states()
 
     def test_batch_container_validates_shapes(self):
         with pytest.raises(ValueError):
@@ -345,18 +328,16 @@ class TestStridedKernel:
         assert np.array_equal(again[2], start) and np.array_equal(again[3], end)
 
     def test_replay_weight_blocks_leaves_the_bank_alone(self):
-        """A replay from any start words moves no register and no sum."""
+        """A replay from any start words moves no register."""
         bank = GrngBank(n_rows=3, n_bits=64, stride=2)
         start = bank.register_words()
         bank.epsilon_blocks(7)
         end = bank.states()
-        sums = bank.sum_registers()
         stale = start.copy()
         stale[1, 0] ^= np.uint64(2)  # only row 1 "tampered"
         _, _, _, landed = bank.replay_weight_blocks(stale, np.zeros(7), np.ones(7))
         assert not np.array_equal(landed, bank.register_words())
         assert bank.states() == end
-        assert np.array_equal(bank.sum_registers(), sums)
 
     def test_discard_leaves_the_registers_at_the_forward_frontier(self):
         """A partial backward pass moves no register, so a discard keeps them
@@ -407,12 +388,10 @@ class TestRetrievalGuards:
             sampler.sample(mu, sigma)
         _flip_register_bit(bank.grng_bank.row_bank(row))
         states = bank.grng_bank.states()
-        sums = bank.grng_bank.sum_registers()
         usage = [dict(vars(usage)) for usage in bank.usages]
         with pytest.raises(StreamOrderError, match="did not land"):
             sampler.resample(*layers[-1])
         assert bank.grng_bank.states() == states
-        assert np.array_equal(bank.grng_bank.sum_registers(), sums)
         assert [vars(usage) for usage in bank.usages] == usage
         assert sampler.pending_blocks == len(layers)
 

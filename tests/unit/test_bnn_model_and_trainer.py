@@ -44,6 +44,26 @@ def toy_batches(rng, n=96, in_features=6, classes=3, batch_size=32):
     ]
 
 
+class ThreeCallSampler:
+    """A sampler with nothing but ``n_samples``, ``sample`` and ``resample``
+    (the whole protocol model code may use), logging each call."""
+
+    __slots__ = ("_sampler", "n_samples", "calls")
+
+    def __init__(self, sampler) -> None:
+        self._sampler = sampler
+        self.n_samples = sampler.n_samples
+        self.calls: list[tuple[str, tuple[int, ...]]] = []
+
+    def sample(self, mu, sigma):
+        self.calls.append(("sample", mu.shape))
+        return self._sampler.sample(mu, sigma)
+
+    def resample(self, mu, sigma):
+        self.calls.append(("resample", mu.shape))
+        return self._sampler.resample(mu, sigma)
+
+
 class TestBayesianNetwork:
     def test_requires_layers(self):
         with pytest.raises(ValueError):
@@ -71,6 +91,29 @@ class TestBayesianNetwork:
         grad = model.backward_sample(np.ones_like(out), bank.sampler(0), kl_weight=0.1)
         assert grad.shape == x.shape
         bank.finish_iteration()
+
+    @pytest.mark.parametrize("policy", ["stored", "reversible"])
+    def test_a_training_pass_needs_only_sample_and_resample(self, rng, policy):
+        x = rng.normal(size=(3, 1, 4, 4))
+        passes = []
+        for wrap in (False, True):
+            model = build_tiny_bayes_network()
+            model.train()
+            bank = StreamBank(2, policy=policy, seed=1, grng_stride=8)
+            sampler = bank.batched_sampler()
+            if wrap:
+                sampler = ThreeCallSampler(sampler)
+            logits = model.forward_samples(x, sampler)
+            model.backward_samples(np.ones_like(logits), sampler, kl_weight=0.1)
+            bank.finish_iteration()
+            grads = [param.grad.tobytes() for param in model.parameters()]
+            passes.append((logits.tobytes(), grads, bank.grng_bank.states()))
+        assert passes[0] == passes[1]
+        layers = model.bayesian_layers()
+        shapes = [layer.weight_posterior.mu.value.shape for layer in layers]
+        assert sampler.calls == [("sample", shape) for shape in shapes] + [
+            ("resample", shape) for shape in reversed(shapes)
+        ]
 
     def test_zero_grad(self, rng):
         model = make_mlp()

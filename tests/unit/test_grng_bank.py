@@ -1,6 +1,6 @@
 """Unit tests for the batched GRNG bank and its one-row banks.
 
-Every value, register and sum register is compared with
+Every value and register is compared with
 :class:`oracle.OracleGRNG`: the same seed ticked through a from-scratch
 bit-serial register, one oracle per row.
 """
@@ -45,7 +45,6 @@ class TestConstruction:
         bank = GrngBank(seed_indices=[0, 3, 7, 500], n_bits=n_bits)
         seeds = [seed_for_index(n_bits, i) for i in (0, 3, 7, 500)]
         assert bank.states() == seeds
-        assert bank.sum_registers().tolist() == [bin(seed).count("1") for seed in seeds]
 
     def test_properties(self):
         bank = GrngBank(2, n_bits=64, stride=8)
@@ -81,10 +80,8 @@ class TestStates:
     def test_row_bank_state_write_touches_one_row(self):
         bank = GrngBank(3, n_bits=64)
         before = bank.states()
-        sums = bank.sum_registers()
         bank.row_bank(1).set_states([0xDEADBEEF])
         assert bank.states() == [before[0], 0xDEADBEEF, before[2]]
-        assert bank.sum_registers().tolist() == [sums[0], 24, sums[2]]
 
 
 class TestBatchedInterface:
@@ -125,22 +122,23 @@ class TestBatchedInterface:
         assert block.tobytes() == reference.tobytes()
         assert bank.states() == [g.state for g in scalars]
 
-    @pytest.mark.parametrize("stride", [1, 3, 64, 256])
-    def test_reverse_carries_a_drifted_sum_register_like_the_scalar(self, stride):
-        # The sum register steps by (recovered tail - dropped head), so an
-        # offset written into it rides along a retrieval unchanged.
-        bank = GrngBank(2, n_bits=256, stride=stride)
-        scalars = make_scalars(2, n_bits=256, stride=stride)
-        bank.epsilon_blocks(40)
+    @pytest.mark.parametrize(
+        ("n_rows", "stride", "count"), [(8, 256, 256), (3, 64, 256), (1, 1, 128), (2, 192, 192)]
+    )
+    def test_reverse_is_one_jump_back_at_the_training_geometries(self, n_rows, stride, count):
+        # A retrieval jumps count * stride shifts back in one call; the
+        # oracle ticks the mirrored taps back one shift at a time.
+        bank = GrngBank(n_rows, n_bits=64, stride=stride)
+        scalars = make_scalars(n_rows, n_bits=64, stride=stride)
+        start = bank.states()
+        forward = bank.epsilon_blocks(count)
         for g in scalars:
-            g.epsilon_block(40)
-        bank.set_states(bank.states(), bank.sum_registers() + [0, 9])
-        scalars[1].sum_register += 9
-        block = bank.epsilon_blocks_reverse(40)
-        reference = np.stack([g.epsilon_block_reverse(40) for g in scalars])
+            g.epsilon_block(count)
+        block = bank.epsilon_blocks_reverse(count)
+        reference = np.stack([g.epsilon_block_reverse(count) for g in scalars])
         assert block.tobytes() == reference.tobytes()
-        assert bank.sum_registers().tolist() == [g.sum_register for g in scalars]
-        assert bank.states() == [g.state for g in scalars]
+        assert np.array_equal(block, forward[:, ::-1])
+        assert bank.states() == [g.state for g in scalars] == start
 
     def test_empty_blocks(self):
         bank = GrngBank(2, n_bits=64)
@@ -182,7 +180,6 @@ class TestRowBanks:
             block = view.epsilon_blocks(50)[0]
             assert block.tobytes() == scalars[row].epsilon_block(50).tobytes()
             assert view.states() == [scalars[row].state]
-            assert view.sum_registers().tolist() == [scalars[row].sum_register]
             assert (view.n_rows, view.n_bits, view.stride) == (1, 64, 4)
 
     def test_row_bank_bounds_checked(self):
@@ -199,7 +196,6 @@ class TestRowBanks:
         retrieve(sampler, (4,))
         sampler.finish_iteration()
         assert sampler.bank.states() == [scalar.state]
-        assert sampler.bank.sum_registers().tolist() == [scalar.sum_register]
         assert draw(sampler, (6,)).tobytes() == scalar.epsilon_block(6).tobytes()
 
 
@@ -238,7 +234,6 @@ class TestRowBanksOutOfPhase:
         bank.row_bank(0).epsilon_blocks(25)
         scalars[0].epsilon_block(25)
         assert bank.states() == [g.state for g in scalars]
-        assert bank.sum_registers().tolist() == [g.sum_register for g in scalars]
 
     def test_external_state_write_matches_scalar(self):
         bank = GrngBank(2, n_bits=64, stride=4)
@@ -246,9 +241,8 @@ class TestRowBanksOutOfPhase:
         bank.row_bank(0).epsilon_blocks(10)[0]
         scalars[0].epsilon_block(10)
         new_state = 0x123456789
-        bank.row_bank(1).set_states([new_state])  # resyncs the sum register
+        bank.row_bank(1).set_states([new_state])
         scalars[1].state = new_state
-        scalars[1].resync_sum_register()
         for row in range(2):
             assert np.array_equal(
                 bank.row_bank(row).epsilon_blocks(15)[0], scalars[row].epsilon_block(15)
@@ -290,15 +284,13 @@ class TestRowBanksOutOfPhase:
             scalars[row].epsilon_block(count)
         assert bank.states() == [bank.row_bank(row).states()[0] for row in range(3)]
         assert bank.states() == [scalar.state for scalar in scalars]
-        # a whole-bank write is what every row bank reads next, sums resynced
+        # a whole-bank write is what every row bank reads next
         new_states = [0x1F, 0xABCDEF, 0x123456789]
         bank.set_states(new_states)
         for row, (scalar, state) in enumerate(zip(scalars, new_states)):
             scalar.state = state
-            scalar.resync_sum_register()
             view = bank.row_bank(row)
             assert view.states() == [state]
-            assert view.sum_registers().tolist() == [scalar.sum_register]
             assert np.array_equal(view.epsilon_blocks(7)[0], scalar.epsilon_block(7))
 
 
@@ -319,4 +311,4 @@ class TestReplay:
         for row, scalar in enumerate(scalars):
             assert np.array_equal(replayed[row], blocks[row])
             assert np.array_equal(replayed[row], scalar.epsilon_block(13))
-            assert bank.sum_registers()[row] == scalar.sum_register
+        assert bank.states() == [scalar.state for scalar in scalars]

@@ -215,8 +215,9 @@ class TestHelpers:
         assert [bank.row_bank(i).states()[0] for i in range(3)] == states
 
     def test_popcount_property(self):
-        bank = one_row(8, 0b1110_0001)
-        assert bank.sum_registers().tolist() == [4]
+        # a retrieval's first value is the popcount of the register itself
+        bank = one_row(8, 0b1110_0011)
+        assert bank.epsilon_blocks_reverse(1).tobytes() == clt([5], 8).tobytes()
 
 
 def _rewind(states: list[int], n_bits: int, shifts: int, taps=None, count: int = 1):
@@ -225,7 +226,7 @@ def _rewind(states: list[int], n_bits: int, shifts: int, taps=None, count: int =
     taps = tuple(sorted(MAXIMAL_TAPS[n_bits])) if taps is None else taps
     words = pack_int_rows(states, n_bits)
     out = np.empty((len(states), count), dtype=np.float64)
-    _, end, _, _, start = backend.registry.call(
+    _, end, _, start = backend.registry.call(
         "grng_block", words, n_bits, taps, 64, count, 0.0, 1.0, out, rewind=shifts
     )
     return unpack_int_rows(start), unpack_int_rows(end)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -97,12 +99,11 @@ class TestLfsrSnapshot:
     def test_restore_refuses_a_non_integer_state(self, bad):
         bank = one_row(seed_index=3)
         (snapshot,) = LfsrSnapshot.capture(bank)
-        forged = LfsrSnapshot(snapshot.n_bits, snapshot.taps, bad, snapshot.sum_register)
-        before = (bank.states(), bank.sum_registers())
+        forged = LfsrSnapshot(snapshot.n_bits, snapshot.taps, bad)
+        before = bank.states()
         with pytest.raises(LFSRStateError, match="must be an integer"):
             LfsrSnapshot.restore([forged], bank)
-        assert bank.states() == before[0]
-        assert np.array_equal(bank.sum_registers(), before[1])
+        assert bank.states() == before
 
     def test_snapshot_is_immutable(self):
         (snapshot,) = LfsrSnapshot.capture(one_row(seed_index=3))
@@ -110,33 +111,30 @@ class TestLfsrSnapshot:
             snapshot.state = 5  # type: ignore[misc]
 
     def test_snapshot_roundtrips_mid_block(self):
-        # Regression: capture() read the pattern popcount instead of the
-        # GRNG's actual sum register, and restore() ignored the captured sum
-        # entirely.  A snapshot taken mid-block (between one-value draws) must
-        # reproduce the exact continuation, sum register included.
+        # A snapshot taken mid-block (between one-value draws) must reproduce
+        # the exact continuation, forward and reversed.
         bank = one_row(seed_index=5, stride=4)
         for _ in range(3):  # park the generator mid-way through a block
             bank.epsilon_blocks(1)
         snapshots = LfsrSnapshot.capture(bank)
-        assert snapshots[0].sum_register == bank.sum_registers()[0]
         continuation = [bank.epsilon_blocks(1)[0, 0] for _ in range(5)]
         LfsrSnapshot.restore(snapshots, bank)
-        assert bank.sum_registers()[0] == snapshots[0].sum_register
         assert [bank.epsilon_blocks(1)[0, 0] for _ in range(5)] == continuation
+        assert bank.epsilon_blocks_reverse(5)[0].tolist() == continuation[::-1]
+        assert bank.states() == [snapshots[0].state]
 
-    def test_snapshot_preserves_desynced_sum_register(self):
-        # The sum register is captured as-is: a row whose accumulator has
-        # drifted from the register (externally overwritten state, no
-        # resync) must round-trip its actual value, not a recomputed one.
-        bank = one_row(seed_index=7)
-        state = bank.states()[0]
-        bank.set_states([state], bank.sum_registers() + 9)  # deliberately desynced
-        snapshots = LfsrSnapshot.capture(bank)
-        assert snapshots[0].sum_register == bin(state).count("1") + 9
-        other = one_row(seed_index=8)
-        LfsrSnapshot.restore(snapshots, other)
-        assert other.sum_registers()[0] == snapshots[0].sum_register
-        assert other.states() == [snapshots[0].state]
+    def test_snapshot_moves_a_generator_onto_another_row(self):
+        # The register is the whole snapshot: restored into a row with
+        # another seed and history, it continues the captured stream.
+        bank = one_row(seed_index=7, stride=2)
+        bank.epsilon_blocks(9)
+        (snapshot,) = LfsrSnapshot.capture(bank)
+        assert astuple(snapshot) == (64, bank.taps, bank.states()[0])
+        other = one_row(seed_index=8, stride=2)
+        other.epsilon_blocks(4)
+        LfsrSnapshot.restore([snapshot], other)
+        assert other.epsilon_blocks(6).tobytes() == bank.epsilon_blocks(6).tobytes()
+        assert other.states() == bank.states()
 
     def test_snapshot_roundtrips_one_row_of_a_bank(self):
         bank = GrngBank(2, n_bits=64, stride=4)
@@ -248,13 +246,10 @@ class TestStreamBank:
     def test_one_row_draw_leaves_the_other_rows_untouched(self):
         bank = StreamBank(3, seed=2, lfsr_bits=64, grng_stride=4)
         states = bank.grng_bank.states()
-        sums = bank.grng_bank.sum_registers()
         draw(bank.sampler(1), (9,))
         moved = bank.grng_bank.states()
         assert [moved[0], moved[2]] == [states[0], states[2]]
         assert moved[1] != states[1]
-        after = bank.grng_bank.sum_registers()
-        assert [after[0], after[2]] == [sums[0], sums[2]]
 
 
 class TestLazySamplers:
@@ -296,11 +291,8 @@ class TestLazySamplers:
 
 
 def _tweaked_snapshots(bank: StreamBank) -> list[LfsrSnapshot]:
-    """Every row's snapshot moved to another register and a drifted sum."""
-    return [
-        LfsrSnapshot(s.n_bits, s.taps, s.state ^ 0b101, s.sum_register + 3)
-        for s in bank.snapshots()
-    ]
+    """Every row's snapshot moved to another register."""
+    return [LfsrSnapshot(s.n_bits, s.taps, s.state ^ 0b101) for s in bank.snapshots()]
 
 
 class TestInPlaceRegisterWrites:
@@ -314,19 +306,19 @@ class TestInPlaceRegisterWrites:
             draws.append(draw(sampler, (7,)).tobytes())
             draws.append(retrieve(sampler, (7,)).tobytes())
         bank.finish_iteration()
-        grng = bank.grng_bank
-        return draws + [repr((grng.states(), grng.sum_registers().tolist()))]
+        return draws + [repr(bank.grng_bank.states())]
 
     @pytest.mark.parametrize("policy", ["stored", "reversible"])
-    @pytest.mark.parametrize("write", ["set_states", "set_states_with_sums", "restore"])
+    @pytest.mark.parametrize("write", ["set_states", "row_bank", "restore"])
     def test_sampler_built_before_a_write_sees_it(self, policy, write):
         def apply(bank: StreamBank) -> None:
             grng = bank.grng_bank
             states = [state ^ 0b11 for state in grng.states()]
             if write == "set_states":
                 grng.set_states(states)
-            elif write == "set_states_with_sums":
-                grng.set_states(states, grng.sum_registers() - 2)
+            elif write == "row_bank":
+                for row, state in enumerate(states):
+                    grng.row_bank(row).set_states([state])
             else:
                 bank.restore(_tweaked_snapshots(bank))
 

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import build_tiny_bayes_network
 from repro.bnn import (
+    BNNTrainer,
     CheckpointMismatchError,
     ShiftBNNTrainer,
     TrainerConfig,
+    load_checkpoint,
     load_parameters,
     mc_predict,
+    save_checkpoint,
     save_parameters,
 )
+from repro.bnn.serialization import state_fingerprint, tensor_fingerprint
 from repro.experiments import (
     run_bandwidth_sensitivity_ablation,
     run_grng_quality_ablation,
@@ -95,6 +103,89 @@ class TestSerialization:
         load_parameters(clone, path)
         for a, b in zip(trainer.model.parameters(), clone.parameters()):
             assert np.array_equal(a.value, b.value)
+
+
+#: A training checkpoint written by a build whose generator bank still kept a
+#: bit-sum register beside each LFSR, so every generator record carries a
+#: ``sum_register``: ``_legacy_trainer()`` saved after the first two of the
+#: four steps ``_legacy_fit`` runs.
+LEGACY_CHECKPOINT = Path(__file__).parents[1] / "data" / "legacy_sum_register_ckpt.npz"
+
+
+def _legacy_trainer() -> BNNTrainer:
+    config = TrainerConfig(n_samples=2, learning_rate=5e-2, seed=3, grng_stride=16)
+    return BNNTrainer(build_tiny_bayes_network(), config, policy="reversible")
+
+
+def _legacy_fit(trainer: BNNTrainer, resume: bool = False) -> None:
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((4, 1, 4, 4))
+    y = np.array([0, 2, 1, 2])
+    trainer.fit([(x[:2], y[:2]), (x[2:], y[2:])], epochs=2, resume=resume)
+
+
+def _fingerprint(trainer: BNNTrainer) -> tuple:
+    params = state_fingerprint(
+        (param.name, tensor_fingerprint(param.value))
+        for param in trainer.model.parameters()
+    )
+    return params, trainer.bank.grng_bank.states(), trainer.history.losses
+
+
+class TestLegacyCheckpoints:
+    """Checkpoints that carry a bit-sum register per generator still load
+    when the sum is the popcount of its register, and only then."""
+
+    def test_legacy_checkpoint_resumes_onto_the_uninterrupted_run(self):
+        resumed = _legacy_trainer()
+        manifest = load_checkpoint(resumed, LEGACY_CHECKPOINT)
+        assert all("sum_register" in record for record in manifest["grng"])
+        assert resumed.step_count == 2
+        _legacy_fit(resumed, resume=True)
+        uninterrupted = _legacy_trainer()
+        _legacy_fit(uninterrupted)
+        assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+
+    def test_drifted_sum_register_is_refused_before_anything_is_written(self, tmp_path):
+        with np.load(LEGACY_CHECKPOINT) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        manifest = json.loads(arrays["__manifest__"].tobytes())
+        manifest["grng"][1]["sum_register"] += 1
+        arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+        np.savez(tmp_path / "drifted.npz", **arrays)
+        trainer = _legacy_trainer()
+        params = [param.value.copy() for param in trainer.model.parameters()]
+        states = trainer.bank.grng_bank.states()
+        with pytest.raises(CheckpointMismatchError, match="generator 1"):
+            load_checkpoint(trainer, tmp_path / "drifted.npz")
+        for before, param in zip(params, trainer.model.parameters()):
+            assert param.value.tobytes() == before.tobytes()
+        assert trainer.bank.grng_bank.states() == states
+        assert trainer.step_count == 0
+
+    def test_new_checkpoints_write_the_register_alone(self, tmp_path):
+        saved = _legacy_trainer()
+        _legacy_fit(saved)
+        path = save_checkpoint(saved, tmp_path / "fresh")
+        restored = _legacy_trainer()
+        manifest = load_checkpoint(restored, path)
+        assert [set(record) for record in manifest["grng"]] == [
+            {"n_bits", "taps", "state"}
+        ] * 2
+        assert restored.bank.grng_bank.states() == saved.bank.grng_bank.states()
+
+    def test_an_unknown_generator_field_is_refused(self, tmp_path):
+        with np.load(LEGACY_CHECKPOINT) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        manifest = json.loads(arrays["__manifest__"].tobytes())
+        manifest["grng"][0]["phase"] = 5
+        arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+        np.savez(tmp_path / "unknown.npz", **arrays)
+        trainer = _legacy_trainer()
+        states = trainer.bank.grng_bank.states()
+        with pytest.raises(CheckpointMismatchError, match="generator 0's phase 5"):
+            load_checkpoint(trainer, tmp_path / "unknown.npz")
+        assert trainer.bank.grng_bank.states() == states
 
 
 class TestAblations:

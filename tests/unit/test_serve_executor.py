@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bnn import mc_predict
+from repro.core import StreamOrderError
 from repro.models.zoo import ReplicaSpec, get_model
 from repro.obs.trace import StageRecorder
 from repro.serve.executor import (
@@ -134,6 +135,30 @@ def test_second_request_replays_the_cached_sweep_read_only():
     reference = _mc_reference(replica, x)
     assert cold.tobytes() == warm.tobytes() == reference.tobytes()
 
+
+def test_a_sweep_the_forward_pass_does_not_consume_is_refused():
+    executor = TileExecutor(_replica(3).build())
+    sweep = materialize_weight_sweep(executor.model, CONFIG)
+    executor.cache.put(CONFIG, sweep + sweep[-1:])
+    with pytest.raises(StreamOrderError, match="consumed 4 of the cached sweep's 5"):
+        executor.execute_one(_inputs(), CONFIG)
+
+
+
+def test_a_sweep_shorter_than_the_forward_pass_is_refused():
+    executor = TileExecutor(_replica(3).build())
+    sweep = materialize_weight_sweep(executor.model, CONFIG)
+    executor.cache.put(CONFIG, sweep[:-1])
+    with pytest.raises(StreamOrderError, match="more blocks than the cached schedule"):
+        executor.execute_one(_inputs(), CONFIG)
+
+
+def test_a_sweep_block_of_the_wrong_shape_is_refused():
+    executor = TileExecutor(_replica(3).build())
+    sweep = materialize_weight_sweep(executor.model, CONFIG)
+    executor.cache.put(CONFIG, sweep[1:] + sweep[:1])
+    with pytest.raises(StreamOrderError, match="cached weight block has shape"):
+        executor.execute_one(_inputs(), CONFIG)
 
 def test_sweep_cache_holds_one_entry_per_config():
     executor = TileExecutor(_replica(3).build())
