@@ -27,7 +27,7 @@ and never sees it, and :meth:`BayesianNetwork.release_sample_caches` drops it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -40,7 +40,11 @@ from .elbo import gaussian_kl_divergence
 from .grad_tape import active_tape
 from .priors import GaussianPrior, Prior
 
-__all__ = ["BayesianNetwork"]
+__all__ = ["BayesianNetwork", "CheckpointMismatchError"]
+
+
+class CheckpointMismatchError(RuntimeError, ValueError):
+    """Raised when a stored parameter set or archive does not match its target."""
 
 
 class BayesianNetwork:
@@ -100,6 +104,43 @@ class BayesianNetwork:
         for layer in self.layers:
             params.extend(layer.parameters())
         return params
+
+    def named_parameters(self) -> dict[str, Parameter]:
+        """Every parameter by the (unique) name archives, replicas and
+        distributed steps store it under, in :meth:`parameters` order."""
+        params = self.parameters()
+        named = {param.name: param for param in params}
+        if len(named) != len(params):
+            raise ValueError(
+                "parameter names are not unique; give every layer an explicit name"
+            )
+        return named
+
+    def check_parameters(self, values: Mapping[str, np.ndarray]) -> None:
+        """Raise :class:`CheckpointMismatchError` unless a stored ``{name:
+        array}`` set names exactly :meth:`named_parameters`, each in its
+        parameter's shape."""
+        named = self.named_parameters()
+        missing = sorted(named.keys() - values.keys())
+        unexpected = sorted(values.keys() - named.keys())
+        if missing or unexpected:
+            raise CheckpointMismatchError(
+                "stored parameters do not match the model: "
+                f"missing={missing}, unexpected={unexpected}"
+            )
+        for name, param in named.items():
+            if np.shape(values[name]) != param.value.shape:
+                raise CheckpointMismatchError(
+                    f"shape mismatch for {name!r}: stored "
+                    f"{np.shape(values[name])}, model {param.value.shape}"
+                )
+
+    def assign_parameters(self, values: Mapping[str, np.ndarray]) -> None:
+        """Overwrite every parameter from a stored ``{name: array}`` set, all
+        or nothing: :meth:`check_parameters` runs before any is written."""
+        self.check_parameters(values)
+        for name, param in self.named_parameters().items():
+            param.assign(values[name])
 
     def freeze(self) -> None:
         """Make every parameter read-only and memoise each posterior's sigma.

@@ -17,7 +17,7 @@ from .backend import (
     KernelRegistry,
     UnknownBackendError,
 )
-from .checkpoint import LfsrSnapshot, StreamBank, StreamPolicy
+from .checkpoint import StreamBank, StreamPolicy
 from .grng_bank import GrngBank
 from .lfsr import MAXIMAL_TAPS, LFSRStateError, normalise_taps, seed_from_index
 from .sampler import BatchedWeightSampler, SampledWeightsBatch
@@ -37,7 +37,6 @@ __all__ = [
     "StreamUsage",
     "SampledWeightsBatch",
     "BatchedWeightSampler",
-    "LfsrSnapshot",
     "StreamBank",
     "StreamPolicy",
 ]

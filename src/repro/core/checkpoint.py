@@ -1,4 +1,4 @@
-"""Per-sample stream banks and LFSR snapshots.
+"""Per-sample stream banks.
 
 The Shift-BNN accelerator trains the ``S`` Monte-Carlo samples of a BNN on
 ``S`` Sample Processing Units that run in parallel, each with its own set of
@@ -8,10 +8,10 @@ deterministically so that runs are reproducible and so that the baseline
 (stored) and Shift-BNN (reversible) trainers see *exactly the same* random
 variables when given the same bank seed.
 
-:class:`LfsrSnapshot` captures and restores bank rows' registers -- a
-generator's whole state -- which is how the distributed coordinator realigns
-shard banks between steps, how training checkpoints save the generators, and
-how tests assert bit-exact equivalence.
+:meth:`StreamBank.snapshots` / :meth:`StreamBank.restore` read and write
+every sample's LFSR register -- a generator's whole state -- as plain
+integers, which is how the distributed coordinator realigns shard banks
+between steps and how training checkpoints save the generators.
 
 A bank serves its samples through one sampler class,
 :class:`~repro.core.sampler.BatchedWeightSampler`, in two shapes:
@@ -26,38 +26,15 @@ a bank only ever driven batched builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .grng_bank import GrngBank
 from .sampler import BatchedWeightSampler
 from .streams import StreamUsage
 
-__all__ = ["LfsrSnapshot", "StreamBank", "StreamPolicy"]
+__all__ = ["StreamBank", "StreamPolicy"]
 
 StreamPolicy = Literal["stored", "reversible"]
-
-
-@dataclass(frozen=True)
-class LfsrSnapshot:
-    """Immutable snapshot of one GRNG row's register."""
-
-    n_bits: int
-    taps: tuple[int, ...]
-    state: int
-
-    @classmethod
-    def capture(cls, bank: GrngBank) -> list["LfsrSnapshot"]:
-        """Snapshot every row of ``bank``.  One row of a bank is
-        ``capture(bank.row_bank(row))[0]``."""
-        return [cls(bank.n_bits, bank.taps, state) for state in bank.states()]
-
-    @staticmethod
-    def restore(snapshots: Sequence["LfsrSnapshot"], bank: GrngBank) -> None:
-        """Write ``snapshots`` back into ``bank``'s rows in place."""
-        if any(s.n_bits != bank.n_bits or s.taps != bank.taps for s in snapshots):
-            raise ValueError("snapshot was captured from an incompatible generator")
-        bank.set_states([s.state for s in snapshots])
 
 
 class StreamBank:
@@ -204,24 +181,15 @@ class StreamBank:
         return self._n_samples
 
     # ------------------------------------------------------------------
-    def snapshots(self) -> list[LfsrSnapshot]:
-        """Capture a snapshot of every sample's generator row."""
-        return LfsrSnapshot.capture(self._grng_bank)
+    def snapshots(self) -> list[int]:
+        """Every sample's generator register, in row order."""
+        return self._grng_bank.states()
 
-    def restore(self, snapshots: Sequence[LfsrSnapshot]) -> None:
-        """Restore every sample's generator row from ``snapshots``.
-
-        This is how a distributed shard worker adopts the coordinator's
-        canonical generator states before executing a step, and how
-        checkpoint loading rewinds a bank onto the saved trajectory.  The
-        rows are written in place, so samplers built earlier continue from
-        the restored registers.
-        """
-        if len(snapshots) != self._n_samples:
-            raise ValueError(
-                f"expected {self._n_samples} snapshots, got {len(snapshots)}"
-            )
-        LfsrSnapshot.restore(snapshots, self._grng_bank)
+    def restore(self, states: Sequence[int]) -> None:
+        """Write every sample's generator register from ``states``, in place
+        (samplers built earlier continue from them); every state is checked
+        before any is written."""
+        self._grng_bank.set_states(states)
 
     def usage_state_dicts(self) -> list[dict[str, int]]:
         """Per-sample traffic counters, in row order (checkpoint / wire format)."""

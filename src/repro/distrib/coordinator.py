@@ -9,7 +9,7 @@ optimisation step it:
    deterministic replan; crashed workers are respawned within the
    :class:`~repro.distrib.respawn.RespawnPolicy` bounds;
 2. captures the trainer's canonical state -- parameter values and the
-   per-sample generator snapshots of the trainer's own
+   per-sample generator registers of the trainer's own
    :class:`~repro.core.checkpoint.StreamBank` (which in distributed mode is
    the *bookkeeping* bank: it never generates, it just holds the canonical
    register states and traffic counters, which is also exactly what the
@@ -40,7 +40,7 @@ optimisation step it:
    ``(sample, row-block)`` order
    (:func:`~repro.distrib.reduce.reduce_step_outputs`), folds the workers'
    traffic-counter deltas into the canonical bank's usage records, and
-   writes the post-step generator snapshots back into the canonical bank.
+   writes the post-step generator registers back into the canonical bank.
 
 The resulting parameter trajectory is bit-for-bit the single-process
 batched (and therefore also the sequential) trajectory with the default

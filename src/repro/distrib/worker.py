@@ -10,7 +10,7 @@ into units is placement and never moves a bit.  The engine is deliberately
 arrives in the payload -- the current parameter values and minibatch rows
 (resolved through the content-addressed
 :class:`~repro.distrib.delta.DeltaCache`, a pure transport optimisation),
-the samples' canonical generator snapshots and the loss weights.  The
+the samples' canonical generator registers and the loss weights.  The
 engine's model replica, delta cache and cached banks are performance caches
 only; re-executing a payload on a freshly-built engine (e.g. on a respawned
 worker after a crash) produces byte-identical results, which is what makes
@@ -252,7 +252,7 @@ class ShardEngine:
     One engine lives in each worker process (and one serves the inline
     ``n_workers=0`` path on the coordinator).  Banks are cached per
     ``(samples, bank-config)`` key; their generator registers are overwritten
-    from the payload's canonical snapshots at every unit, so the cache can
+    from the payload's canonical registers at every unit, so the cache can
     never leak state into the results.  The delta cache resolves the
     payload's content-addressed state message; on any mismatch it raises
     :class:`~repro.distrib.delta.DeltaResyncRequired`, which the worker
@@ -271,7 +271,7 @@ class ShardEngine:
         self.loss = loss
         self.arena = arena
         self.delta_cache = DeltaCache()
-        self._parameters = {param.name: param for param in model.parameters()}
+        self._parameters = model.named_parameters()
         # loads go through an arena, so the posteriors' sigma pins move on once
         # per unit's parameters, not once per row block or read
         ParameterArena(model.parameters())
@@ -300,23 +300,6 @@ class ShardEngine:
             self._banks[key] = bank
         return bank
 
-    def _load_parameters(self, values: dict[str, np.ndarray]) -> None:
-        if set(values) != set(self._parameters):
-            missing = sorted(set(self._parameters) - set(values))
-            unexpected = sorted(set(values) - set(self._parameters))
-            raise ValueError(
-                f"step parameters do not match the replica: missing={missing}, "
-                f"unexpected={unexpected}"
-            )
-        for name, value in values.items():
-            parameter = self._parameters[name]
-            if parameter.value.shape != value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: step {value.shape}, "
-                    f"replica {parameter.value.shape}"
-                )
-            parameter.assign(value)
-
     def _apply_quantization(self, quantization_bits: int | None) -> None:
         if quantization_bits == self._applied_quantization:
             return
@@ -341,8 +324,9 @@ class ShardEngine:
         the plan's task order): the cell's per-sample loss terms, predictive
         probabilities and gradient contribution stacks in the shard's local
         sample order -- ``None`` for the stacks when they were written into
-        the arena instead -- plus the unit's post-step generator
-        ``snapshots`` and traffic-counter ``usage`` deltas, one per sample.
+        the arena instead -- plus the unit's post-step generator registers
+        (``snapshots``, plain integers) and traffic-counter ``usage`` deltas,
+        one per sample.
         """
         shards = [tuple(shard) for shard in payload["shards"]]
         samples = tuple(index for shard in shards for index in shard)
@@ -350,7 +334,7 @@ class ShardEngine:
         total_rows: int = payload["total_rows"]
         row_normalised = len(row_blocks) > 1
         resolved = self.delta_cache.apply(payload["state"])
-        self._load_parameters(
+        self.model.assign_parameters(
             {
                 slot[len(PARAM_SLOT_PREFIX):]: array
                 for slot, array in resolved.items()

@@ -403,8 +403,9 @@ class ReplicaSpec:
     The serving worker processes each hold a private model replica; a
     ``ReplicaSpec`` is the picklable recipe they rebuild it from: the
     :class:`~repro.models.specs.ModelSpec`, the builder seed, and the trained
-    parameter values captured by name (the same naming contract
-    :mod:`repro.bnn.serialization` uses).  Because :meth:`build` runs the
+    parameter values captured by name
+    (:meth:`~repro.bnn.model.BayesianNetwork.named_parameters`, the naming
+    contract every archive uses).  Because :meth:`build` runs the
     ordinary ``spec.build_bayesian`` path and then overwrites every parameter
     with the captured bytes, every replica is bit-identical to the source
     model -- which is what makes serving results independent of which worker
@@ -452,14 +453,9 @@ class ReplicaSpec:
         cls, spec: ModelSpec, model: "BayesianNetwork", build_seed: int = 0
     ) -> "ReplicaSpec":
         """Snapshot ``model``'s trained parameters against ``spec``."""
-        names = [parameter.name for parameter in model.parameters()]
-        if len(set(names)) != len(names):
-            raise ValueError(
-                "parameter names are not unique; give every layer an explicit "
-                "name before capturing a replica"
-            )
         state = {
-            parameter.name: parameter.value.copy() for parameter in model.parameters()
+            name: parameter.value.copy()
+            for name, parameter in model.named_parameters().items()
         }
         return cls(
             spec=spec,
@@ -505,22 +501,7 @@ class ReplicaSpec:
             kernel_backend.apply_selection(dict(self.backend_selection))
         model = self.spec.build_bayesian(seed=self.build_seed)
         if self.state is not None:
-            parameters = {p.name: p for p in model.parameters()}
-            missing = [name for name in parameters if name not in self.state]
-            unexpected = [name for name in self.state if name not in parameters]
-            if missing or unexpected:
-                raise ValueError(
-                    "replica state does not match the spec's parameters: "
-                    f"missing={missing}, unexpected={unexpected}"
-                )
-            for name, value in self.state.items():
-                parameter = parameters[name]
-                if parameter.value.shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name!r}: captured {value.shape}, "
-                        f"model {parameter.value.shape}"
-                    )
-                parameter.assign(value)
+            model.assign_parameters(self.state)
         if self.quantization is not None:
             model.quantization = self.quantization
         return model

@@ -23,9 +23,9 @@ when engine code:
 
 A text ratchet keeps retired state out of ``src/``: the generator's register
 is its whole state (no bit-sum register beside it, no last popcount out of
-the kernel) and a forward pass announces no block schedule, so no source
-file may name ``sum_register(s)``, ``_sums``, ``last_pc`` or
-``prefetch_forward`` again.
+the kernel, no snapshot record around it) and a forward pass announces no
+block schedule, so no source file may name ``sum_register(s)``, ``_sums``,
+``last_pc``, ``prefetch_forward`` or ``LfsrSnapshot`` again.
 
 A final runtime check asserts that the public wrappers really do route
 through the registry or the counted functions (the per-kernel call counters
@@ -166,7 +166,9 @@ def test_no_direct_raw_kernel_calls_in_engine_code():
     assert not violations, "\n".join(violations)
 
 
-RETIRED_NAMES = re.compile(r"\b(sum_registers?|_sums|last_pc|prefetch_forward)\b")
+RETIRED_NAMES = re.compile(
+    r"\b(sum_registers?|_sums|last_pc|prefetch_forward|LfsrSnapshot)\b"
+)
 
 
 def test_src_names_no_retired_generator_state():
@@ -182,7 +184,8 @@ def test_src_names_no_retired_generator_state():
 
 
 @pytest.mark.parametrize(
-    "name", ["sum_register", "sum_registers", "_sums", "last_pc", "prefetch_forward"]
+    "name",
+    ["sum_register", "sum_registers", "_sums", "last_pc", "prefetch_forward", "LfsrSnapshot"],
 )
 def test_the_ratchet_flags_each_retired_name(name):
     assert RETIRED_NAMES.search(f"bank.{name}(rows)")  # a Python use

@@ -130,7 +130,7 @@ class TestAgainstTheOracle:
                 if policy == "stored":
                     assert bat_fwd[layer].epsilon.tobytes() == want_eps
             for bank in (seq_bank, bat_bank):
-                assert [snap.state for snap in bank.snapshots()] == [o.state for o in oracles]
+                assert bank.snapshots() == [o.state for o in oracles]
 
     @pytest.mark.parametrize("policy", ["stored", "reversible"])
     def test_traffic_accounting_is_hand_computed(self, policy):

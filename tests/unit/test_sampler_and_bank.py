@@ -1,15 +1,13 @@
-"""Unit tests for one-row weight sampling, LFSR snapshots and the stream bank."""
+"""Unit tests for one-row weight sampling, register states and the stream bank."""
 
 from __future__ import annotations
-
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from conftest import build_tiny_bayes_network, draw, one_row_sampler, retrieve
 from oracle import OracleGRNG
-from repro.core import BatchedWeightSampler, GrngBank, LFSRStateError, LfsrSnapshot, StreamBank
+from repro.core import BatchedWeightSampler, GrngBank, StreamBank
 
 
 def make_sampler(seed_index: int = 0) -> BatchedWeightSampler:
@@ -79,71 +77,51 @@ def one_row(n_bits: int = 64, seed_index: int = 0, stride: int = 1) -> GrngBank:
     return GrngBank(n_bits=n_bits, seed_indices=[seed_index], stride=stride)
 
 
-class TestLfsrSnapshot:
+class TestRegisterStates:
+    """A generator's register is its whole state: reading it with
+    ``states()`` and writing it back with ``set_states`` rewinds the stream."""
+
     def test_capture_and_restore(self):
         bank = one_row(seed_index=3)
-        snapshots = LfsrSnapshot.capture(bank)
+        states = bank.states()
         before = bank.epsilon_blocks(20)[0]
         assert before.tobytes() == OracleGRNG(64, seed_index=3).epsilon_block(20).tobytes()
-        LfsrSnapshot.restore(snapshots, bank)
+        bank.set_states(states)
         after = bank.epsilon_blocks(20)[0]
         assert np.array_equal(before, after)
 
-    def test_restore_to_incompatible_generator_rejected(self):
-        snapshots = LfsrSnapshot.capture(one_row(seed_index=3))
-        other = one_row(n_bits=128, seed_index=3)
-        with pytest.raises(ValueError):
-            LfsrSnapshot.restore(snapshots, other)
-
-    @pytest.mark.parametrize("bad", [37.9, "nope"])
-    def test_restore_refuses_a_non_integer_state(self, bad):
-        bank = one_row(seed_index=3)
-        (snapshot,) = LfsrSnapshot.capture(bank)
-        forged = LfsrSnapshot(snapshot.n_bits, snapshot.taps, bad)
-        before = bank.states()
-        with pytest.raises(LFSRStateError, match="must be an integer"):
-            LfsrSnapshot.restore([forged], bank)
-        assert bank.states() == before
-
-    def test_snapshot_is_immutable(self):
-        (snapshot,) = LfsrSnapshot.capture(one_row(seed_index=3))
-        with pytest.raises(AttributeError):
-            snapshot.state = 5  # type: ignore[misc]
-
-    def test_snapshot_roundtrips_mid_block(self):
-        # A snapshot taken mid-block (between one-value draws) must reproduce
+    def test_states_roundtrip_mid_block(self):
+        # A register read mid-block (between one-value draws) must reproduce
         # the exact continuation, forward and reversed.
         bank = one_row(seed_index=5, stride=4)
         for _ in range(3):  # park the generator mid-way through a block
             bank.epsilon_blocks(1)
-        snapshots = LfsrSnapshot.capture(bank)
+        states = bank.states()
         continuation = [bank.epsilon_blocks(1)[0, 0] for _ in range(5)]
-        LfsrSnapshot.restore(snapshots, bank)
+        bank.set_states(states)
         assert [bank.epsilon_blocks(1)[0, 0] for _ in range(5)] == continuation
         assert bank.epsilon_blocks_reverse(5)[0].tolist() == continuation[::-1]
-        assert bank.states() == [snapshots[0].state]
+        assert bank.states() == states
 
-    def test_snapshot_moves_a_generator_onto_another_row(self):
-        # The register is the whole snapshot: restored into a row with
-        # another seed and history, it continues the captured stream.
+    def test_a_register_moves_a_generator_onto_another_row(self):
+        # Written into a row with another seed and history, the register
+        # continues the stream it was read from.
         bank = one_row(seed_index=7, stride=2)
         bank.epsilon_blocks(9)
-        (snapshot,) = LfsrSnapshot.capture(bank)
-        assert astuple(snapshot) == (64, bank.taps, bank.states()[0])
         other = one_row(seed_index=8, stride=2)
         other.epsilon_blocks(4)
-        LfsrSnapshot.restore([snapshot], other)
+        other.set_states(bank.states())
         assert other.epsilon_blocks(6).tobytes() == bank.epsilon_blocks(6).tobytes()
         assert other.states() == bank.states()
 
-    def test_snapshot_roundtrips_one_row_of_a_bank(self):
+    def test_states_roundtrip_one_row_of_a_bank(self):
         bank = GrngBank(2, n_bits=64, stride=4)
         bank.epsilon_blocks(6)
-        snapshots = LfsrSnapshot.capture(bank.row_bank(1))
-        assert snapshots == LfsrSnapshot.capture(bank)[1:]
+        states = bank.row_bank(1).states()
+        assert states == bank.states()[1:]
         before = bank.epsilon_blocks(12)
         other_row = bank.states()[0]
-        LfsrSnapshot.restore(snapshots, bank.row_bank(1))
+        bank.row_bank(1).set_states(states)
         assert bank.states()[0] == other_row  # row 0 is not touched
         assert np.array_equal(bank.row_bank(1).epsilon_blocks(12)[0], before[1])
 
@@ -290,9 +268,9 @@ class TestLazySamplers:
         assert constructions == [1, 1, 1]
 
 
-def _tweaked_snapshots(bank: StreamBank) -> list[LfsrSnapshot]:
-    """Every row's snapshot moved to another register."""
-    return [LfsrSnapshot(s.n_bits, s.taps, s.state ^ 0b101) for s in bank.snapshots()]
+def _tweaked_snapshots(bank: StreamBank) -> list[int]:
+    """Every row moved to another register."""
+    return [state ^ 0b101 for state in bank.snapshots()]
 
 
 class TestInPlaceRegisterWrites:
