@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from ..core.sampler import BatchedWeightSampler
-from ..nn.layers import Layer, Parameter
+from ..nn.layers import Layer, MaxPool2D, Parameter, ReLU
 from ..nn.quantization import QuantizationConfig
 from ..nn.tensor_utils import Workspace
 from .bayes_layers import BayesConv2D, BayesianLayer
@@ -246,11 +246,18 @@ class BayesianNetwork:
             out = np.empty((n_samples * x.shape[0],) + x.shape[1:], dtype=x.dtype)
             out.reshape((n_samples,) + x.shape)[:] = x
         self._det_layer_inputs = {}
+        fused = self._relus_before_pools()
         for index, layer in enumerate(self.layers):
+            if index - 1 in fused:
+                continue  # pooled in its ReLU's pass
             if index == 0 and shared_first:
                 out = layer.forward_samples(out, sampler, n_samples, shared_input=True)
             elif isinstance(layer, BayesianLayer):
                 out = layer.forward_samples(out, sampler, n_samples)
+            elif index in fused:
+                # one pass rectifies and pools; the ReLU keeps the mask
+                layer._cache_input = out
+                out = self.layers[index + 1].forward(out, rectify=True)
             else:
                 if layer.parameters():
                     # Trainable deterministic layer: remember the folded input
@@ -289,8 +296,11 @@ class BayesianNetwork:
         batch = grad_out.shape[1]
         grad = grad_out.reshape((n_samples * batch,) + grad_out.shape[2:])
         det_inputs = self._det_layer_inputs
+        fused = self._relus_before_pools()
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
+            if index in fused:
+                continue  # the pool's pass applied its gradient
             if isinstance(layer, BayesianLayer):
                 grad = layer.backward_samples(
                     grad,
@@ -301,6 +311,8 @@ class BayesianNetwork:
                     include_entropy_term=include_entropy_term,
                     need_input_grad=index > 0,
                 )
+            elif index - 1 in fused:
+                grad = layer.backward(grad, mask=self.layers[index - 1]._cache_input)
             elif index in det_inputs:
                 grad = self._det_backward_per_sample(
                     layer, det_inputs[index], grad, n_samples, batch
@@ -322,6 +334,11 @@ class BayesianNetwork:
         """
         self._end_pass()
         self._workspace = None
+
+    def _relus_before_pools(self) -> set[int]:
+        """The ReLUs a MaxPool2D directly follows: the batched loops fuse each pair."""
+        pairs = enumerate(zip(self.layers, self.layers[1:]))
+        return {i for i, (a, b) in pairs if isinstance(a, ReLU) and isinstance(b, MaxPool2D)}
 
     def _lend(self, workspace: Workspace | None) -> None:
         for layer in self.layers:

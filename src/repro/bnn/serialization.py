@@ -320,16 +320,17 @@ def load_checkpoint(trainer: "BNNTrainer", path: str | Path) -> dict:
             f"trainer {key} mismatch: checkpoint {saved_trainer.get(key)!r}, "
             f"trainer {current!r}",
         )
-    optimizer_state = trainer.optimizer.state_dict()
+    # the type and slot names, without state_dict()'s copy of every slot
+    optimizer_type = type(trainer.optimizer).__name__.lower()
     saved_optimizer = manifest.get("optimizer", {})
     _check(
-        saved_optimizer.get("type") == optimizer_state["type"],
+        saved_optimizer.get("type") == optimizer_type,
         f"optimizer mismatch: checkpoint {saved_optimizer.get('type')!r}, "
-        f"trainer {optimizer_state['type']!r}",
+        f"trainer {optimizer_type!r}",
     )
     slots = saved_optimizer.get("slots", [])
     _check(
-        sorted(slots) == sorted(optimizer_state["slots"])
+        sorted(slots) == sorted(trainer.optimizer.slot_arrays())
         and all(
             getattr(stored.get(f"opt/{slot}/{name}"), "shape", None) == value.shape
             for slot in slots
@@ -482,8 +483,12 @@ def load_replica(path: str | Path):
         _check(not missing, f"replica archive is missing state arrays {missing}")
         state = {name: stored[f"state/{name}"] for name in state_names}
     selection = manifest.get("backend_selection")
+    try:
+        spec = ModelSpec.from_config(manifest["spec"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointMismatchError(f"replica archive has no valid model spec: {exc}")
     return ReplicaSpec(
-        spec=ModelSpec.from_config(manifest["spec"]),
+        spec=spec,
         build_seed=int(manifest["build_seed"]),
         state=state,
         quantization=_quantization_from_config(manifest.get("quantization")),

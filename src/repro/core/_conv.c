@@ -102,9 +102,16 @@ static inline double from_bits(int64_t word)
     return value;
 }
 
-/* g = N C H W | x strides | pool stride | out strides | argmax strides.
- * Strict `>` keeps the first position on ties; a NaN replaces a non-NaN
- * best and is never replaced, which is np.argmax's rule (first NaN wins). */
+/* Two float64 lanes (vector extensions: SSE2 on x86-64); compares give 0 / -1 */
+typedef double f64x2 __attribute__((vector_size(16)));
+typedef int64_t i64x2 __attribute__((vector_size(16)));
+
+/* g = N C H W | x strides | pool stride | out strides | argmax strides |
+ * rectify.  Strict `>` keeps the first position on ties; a NaN replaces a
+ * non-NaN best and is never replaced (np.argmax: first NaN wins).  Windows
+ * start from a floor that no value at or under it replaces: -inf, or +0.0 to
+ * pool np.maximum(x, 0.0), the ReLU before the pool.  Unit-stride channels go
+ * in pairs without the NaN rule; a pixel that saw a NaN is redone exactly. */
 int conv_maxpool_forward(const double *x, const int64_t *g, double *out,
                          int64_t *argmax)
 {
@@ -113,48 +120,98 @@ int conv_maxpool_forward(const double *x, const int64_t *g, double *out,
     const int64_t pool = g[8], s = g[9];
     const int64_t on = g[10], oc = g[11], oh_ = g[12], ow_ = g[13];
     const int64_t an = g[14], ac = g[15], ah = g[16], aw = g[17];
+    const double floor = g[18] ? 0.0 : from_bits(INT64_C(0xfff0000000000000));
+    const int paired = sc == 1 && oc == 1 && ac == 1;
     const int64_t OH = out_size(H, pool, s, 0), OW = out_size(W, pool, s, 0);
     for (int64_t n = 0; n < N; n++)
         for (int64_t oh = 0; oh < OH; oh++)
             for (int64_t ow = 0; ow < OW; ow++) {
                 const double *window = x + n * sn + oh * s * sh + ow * s * sw;
-                double *restrict o = out + n * on + oh * oh_ + ow * ow_;
-                int64_t *restrict a = argmax + n * an + oh * ah + ow * aw;
-                for (int64_t c = 0; c < C; c++) {
-                    o[c * oc] = window[c * sc];
-                    a[c * ac] = 0;
+                double *o = out + n * on + oh * oh_ + ow * ow_;
+                int64_t *a = argmax + n * an + oh * ah + ow * aw;
+                int64_t c = 0;
+                i64x2 nan = {0, 0};
+                for (; paired && c + 2 <= C; c += 2) {
+                    f64x2 best = {floor, floor};
+                    i64x2 arg = {0, 0};
+                    for (int64_t row = 0; row < pool; row++)
+                        for (int64_t col = 0; col < pool; col++) {
+                            const i64x2 k = {row * pool + col, row * pool + col};
+                            f64x2 v;
+                            memcpy(&v, window + c + row * sh + col * sw, sizeof v);
+                            const i64x2 take = v > best;
+                            nan |= v != v;
+                            best = (f64x2)((take & (i64x2)v) | (~take & (i64x2)best));
+                            arg = (take & k) | (~take & arg);
+                        }
+                    memcpy(o + c, &best, sizeof best);
+                    memcpy(a + c, &arg, sizeof arg);
                 }
-                for (int64_t row = 0; row < pool; row++)
-                    for (int64_t col = !row; col < pool; col++) {
-                        const double *xk = window + row * sh + col * sw;
-                        /* mask selects, not branches: on post-ReLU data
-                         * "is it larger" is a coin flip */
-                        for (int64_t c = 0; c < C; c++) {
-                            const double v = xk[c * sc], best = o[c * oc];
+                if (nan[0] | nan[1])
+                    c = 0;
+                /* mask selects, not branches: on post-ReLU data "is it
+                 * larger" is a coin flip */
+                for (; c < C; c++) {
+                    double best = floor;
+                    int64_t arg = 0;
+                    for (int64_t row = 0; row < pool; row++)
+                        for (int64_t col = 0; col < pool; col++) {
+                            const double v = window[c * sc + row * sh + col * sw];
                             const int64_t take =
                                 -(int64_t)((v > best) | ((v != v) & (best == best)));
-                            o[c * oc] = from_bits((bits(v) & take) | (bits(best) & ~take));
-                            a[c * ac] = ((row * pool + col) & take) | (a[c * ac] & ~take);
+                            best = from_bits((bits(v) & take) | (bits(best) & ~take));
+                            arg = ((row * pool + col) & take) | (arg & ~take);
                         }
-                    }
+                    o[c * oc] = best;
+                    a[c * ac] = arg;
+                }
             }
     return 0;
 }
 
-/* g = N C H W | grad strides | pool stride | argmax strides | out strides.
- * `+=` into zeros in (oh, ow) order: a -0.0 gradient lands as +0.0 and
- * overlapping windows accumulate in np.add.at's order.  An argmax outside
- * the window selects nothing, as in the reference's masked writes (nothing
- * out of bounds is ever written). */
+/* g = N C H W | grad strides | pool stride | argmax strides | out strides |
+ * mask strides.  `+=` into zeros in (oh, ow) order: a -0.0 gradient lands as
+ * +0.0 and overlapping windows accumulate in np.add.at's order.  An argmax
+ * outside the window selects nothing, as in the reference's masked writes
+ * (nothing out of bounds is ever written).  A `mask` (the ReLU's input) then
+ * multiplies each sum by (mask > 0.0).  Windows that tile the input, with
+ * unit-stride channel pairs: one pass writes every position once. */
 int conv_maxpool_backward(const double *grad, const int64_t *argmax,
-                          const int64_t *g, double *out)
+                          const int64_t *g, double *out, const double *mask)
 {
     const int64_t N = g[0], C = g[1], H = g[2], W = g[3];
     const int64_t gn = g[4], gc = g[5], gh = g[6], gw = g[7];
     const int64_t pool = g[8], s = g[9];
     const int64_t an = g[10], ac = g[11], ah = g[12], aw = g[13];
     const int64_t on = g[14], oc = g[15], oh_ = g[16], ow_ = g[17];
+    const int64_t mn = g[18], mc = g[19], mh = g[20], mw = g[21];
     const int64_t OH = out_size(H, pool, s, 0), OW = out_size(W, pool, s, 0);
+    const f64x2 zero = {0.0, 0.0}, one = {1.0, 1.0};
+    if (s == pool && OH * s == H && OW * s == W && C % 2 == 0 && oc == 1
+        && (!mask || mc == 1)) {
+        for (int64_t n = 0; n < N; n++)
+            for (int64_t oh = 0; oh < OH; oh++)
+                for (int64_t ow = 0; ow < OW; ow++)
+                    for (int64_t c = 0; c < C; c += 2) {
+                        const double *gr = grad + n * gn + oh * gh + ow * gw + c * gc;
+                        const int64_t *a = argmax + n * an + oh * ah + ow * aw + c * ac;
+                        const int64_t at = n * on + oh * s * oh_ + ow * s * ow_ + c;
+                        const int64_t mat = n * mn + oh * s * mh + ow * s * mw + c;
+                        const f64x2 sum = (f64x2){gr[0], gr[gc]} + zero;
+                        const i64x2 arg = {a[0], a[ac]};
+                        for (int64_t row = 0; row < pool; row++)
+                            for (int64_t col = 0; col < pool; col++) {
+                                const i64x2 k = {row * pool + col, row * pool + col};
+                                f64x2 v = (f64x2)((arg == k) & (i64x2)sum), m;
+                                if (mask) {
+                                    memcpy(&m, mask + mat + row * mh + col * mw, sizeof m);
+                                    v = v * (f64x2)((m > zero) & (i64x2)one);
+                                }
+                                memcpy(out + at + row * oh_ + col * ow_, &v, sizeof v);
+                            }
+                    }
+        return 0;
+    }
     for (int64_t n = 0; n < N; n++)
         for (int64_t h = 0; h < H; h++)
             for (int64_t w = 0; w < W; w++) {
@@ -175,5 +232,11 @@ int conv_maxpool_backward(const double *grad, const int64_t *argmax,
                     o[c * oc + arg / pool * oh_ + arg % pool * ow_] += gr[c * gc];
                 }
             }
+    for (int64_t n = 0; mask && n < N; n++)
+        for (int64_t h = 0; h < H; h++)
+            for (int64_t w = 0; w < W; w++)
+                for (int64_t c = 0; c < C; c++)
+                    out[n * on + h * oh_ + w * ow_ + c * oc] *=
+                        (double)(mask[n * mn + h * mh + w * mw + c * mc] > 0.0);
     return 0;
 }

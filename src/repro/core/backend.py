@@ -1308,7 +1308,9 @@ def _maxpool2d_forward_fresh(x, pool, stride):
     return out, argmax
 
 
-def _maxpool2d_forward_reference(x, pool, stride, out=None):
+def _maxpool2d_forward_reference(x, pool, stride, out=None, rectify=False):
+    if rectify:
+        x = np.maximum(x, 0.0)  # the ReLU the pool follows
     pooled, argmax = _maxpool2d_forward_fresh(x, pool, stride)
     if out is None:
         return pooled, argmax
@@ -1325,7 +1327,7 @@ def _pooled_shape(x_shape, pool: int, stride: int) -> tuple[int, ...]:
     )
 
 
-def _maxpool2d_forward_native_supports(x, pool, stride, out=None):
+def _maxpool2d_forward_native_supports(x, pool, stride, out=None, rectify=False):
     if not (_strided(x, np.float64) and _window_geometry_ok(x.shape, pool, stride, 0)):
         return False
     if out is None:
@@ -1339,7 +1341,7 @@ def _maxpool2d_forward_native_supports(x, pool, stride, out=None):
     )
 
 
-def _maxpool2d_forward_native(x, pool, stride, out=None):
+def _maxpool2d_forward_native(x, pool, stride, out=None, rectify=False):
     if out is None:
         # the results keep x's memory layout, as the NumPy reduce's do
         shape = _pooled_shape(x.shape, pool, stride)
@@ -1347,7 +1349,7 @@ def _maxpool2d_forward_native(x, pool, stride, out=None):
         empty = partial(_channels_last, np.empty) if nhwc else np.empty
         out = (empty(shape, np.float64), empty(shape, np.int64))
     pooled, argmax = out
-    geometry = _geometry(x.shape, x, pool, stride, pooled, argmax)
+    geometry = _geometry(x.shape, x, pool, stride, pooled, argmax, int(rectify))
     native.library.load().conv_maxpool_forward(
         x.ctypes.data, geometry.ctypes.data, pooled.ctypes.data, argmax.ctypes.data
     )
@@ -1361,9 +1363,21 @@ def _post_relu(rng, shape) -> np.ndarray:
     return x
 
 
+def _pre_relu(rng, shape) -> np.ndarray:
+    """A conv output as a fused ReLU meets it: ties, signed zeros, infinities
+    and NaN of several payloads (a signalling one too)."""
+    special = np.array([0x8000000000000000, 0, 0x7FF0000000000000, 0xFFF0000000000000,
+                        0x7FF8000000000000, 0xFFF8000000000123, 0x7FF0000000000005], np.uint64)
+    x = rng.standard_normal(shape).round(1)
+    where = rng.random(shape) < 0.15
+    x[where] = rng.choice(special, int(where.sum())).view(np.float64)
+    return x
+
+
 #: (x_shape, pool, stride) of both max-pool gates.
 _MAXPOOL_GEOMETRIES = (
     ((3, 4, 8, 8), 2, 2),
+    ((2, 5, 6, 4), 2, 2),  # odd channel count: a lone last channel
     ((2, 3, 9, 10), 2, 3),  # stride > pool: gaps no window covers
     ((2, 3, 7, 7), 3, 2),  # overlapping windows
     ((2, 2, 5, 5), 1, 1),  # degenerate 1x1 window
@@ -1375,14 +1389,16 @@ def _maxpool2d_forward_cases() -> list[dict[str, Any]]:
     rng = np.random.default_rng(0x9001)
     cases = []
     for x_shape, pool, stride in _MAXPOOL_GEOMETRIES:
-        x = _post_relu(rng, x_shape)
         shape = _pooled_shape(x_shape, pool, stride)
-        cases.append({"x": x, "pool": pool, "stride": stride})
-        cases.append(
-            {"x": _as_channels_last(x), "pool": pool, "stride": stride,
-             "out": (_channels_last(np.ones, shape, np.float64),
-                     _channels_last(np.ones, shape, np.intp))}
-        )
+        # rectify: the ReLU before the pool, in the same pass
+        for x, rectify in ((_post_relu(rng, x_shape), False), (_pre_relu(rng, x_shape), True)):
+            cases.append({"x": x, "pool": pool, "stride": stride, "rectify": rectify})
+            cases.append(
+                {"x": _as_channels_last(x), "pool": pool, "stride": stride,
+                 "rectify": rectify,
+                 "out": (_channels_last(np.ones, shape, np.float64),
+                         _channels_last(np.ones, shape, np.intp))}
+            )
     # NaN first, in the middle, last, and filling a window
     x = _post_relu(rng, (1, 2, 4, 6))
     x[0, 0, 0, 0] = x[0, 1, 0, 3] = x[0, 0, 3, 5] = np.nan
@@ -1392,7 +1408,9 @@ def _maxpool2d_forward_cases() -> list[dict[str, Any]]:
     return cases
 
 
-def _maxpool2d_backward_reference(grad_out, argmax, x_shape, pool, stride, out=None):
+def _maxpool2d_backward_reference(
+    grad_out, argmax, x_shape, pool, stride, out=None, mask=None
+):
     if out is None:
         grad_input = _channels_last(np.zeros, x_shape, grad_out.dtype)
     else:
@@ -1410,22 +1428,22 @@ def _maxpool2d_backward_reference(grad_out, argmax, x_shape, pool, stride, out=N
             _pool_window(grad_input, k, pool, stride, out_h, out_w)[...] = np.where(
                 argmax == k, grad_out, 0.0
             )
-        return grad_input
-    batch, channels, _, _ = x_shape
-    rows = argmax // pool
-    cols = argmax % pool
-    base_r = np.arange(out_h)[None, None, :, None] * stride
-    base_c = np.arange(out_w)[None, None, None, :] * stride
-    abs_r = base_r + rows
-    abs_c = base_c + cols
-    batch_idx = np.arange(batch)[:, None, None, None]
-    chan_idx = np.arange(channels)[None, :, None, None]
-    np.add.at(grad_input, (batch_idx, chan_idx, abs_r, abs_c), grad_out)
+    else:
+        batch, channels, _, _ = x_shape
+        index = (
+            np.arange(batch)[:, None, None, None],
+            np.arange(channels)[None, :, None, None],
+            np.arange(out_h)[None, None, :, None] * stride + argmax // pool,
+            np.arange(out_w)[None, None, None, :] * stride + argmax % pool,
+        )
+        np.add.at(grad_input, index, grad_out)
+    if mask is not None:  # relu_grad of the ReLU before the pool
+        np.multiply(grad_input, mask > 0.0, out=grad_input)
     return grad_input
 
 
 def _maxpool2d_backward_native_supports(
-    grad_out, argmax, x_shape, pool, stride, out=None
+    grad_out, argmax, x_shape, pool, stride, out=None, mask=None
 ):
     x_shape = tuple(x_shape)
     if not _window_geometry_ok(x_shape, pool, stride, 0):
@@ -1435,16 +1453,22 @@ def _maxpool2d_backward_native_supports(
         _strided(grad_out, np.float64, shape)
         and _strided(argmax, np.int64, shape)
         and (out is None or _writable(out, np.float64, x_shape))
+        and (mask is None or _strided(mask, np.float64, x_shape))
     )
 
 
-def _maxpool2d_backward_native(grad_out, argmax, x_shape, pool, stride, out=None):
+def _maxpool2d_backward_native(
+    grad_out, argmax, x_shape, pool, stride, out=None, mask=None
+):
     if out is None:
         out = _channels_last(np.empty, x_shape, np.float64)
-    geometry = _geometry(tuple(x_shape), grad_out, pool, stride, argmax, out)
+    geometry = _geometry(
+        tuple(x_shape), grad_out, pool, stride, argmax, out,
+        (0,) * 4 if mask is None else mask,
+    )
     native.library.load().conv_maxpool_backward(
         grad_out.ctypes.data, argmax.ctypes.data, geometry.ctypes.data,
-        out.ctypes.data,
+        out.ctypes.data, None if mask is None else mask.ctypes.data,
     )
     return out
 
@@ -1463,6 +1487,12 @@ def _maxpool2d_backward_cases() -> list[dict[str, Any]]:
             if grad_out.flags.c_contiguous:
                 case["out"] = _channels_last(np.ones, x_shape, np.float64)
             cases.append(case)
+            # the ReLU before the pool, in the same pass (inf * 0.0 is NaN)
+            grad_out = grad_out.copy(order="K")
+            grad_out[rng.random(argmax.shape) < 0.1] = rng.choice([np.inf, np.nan])
+            mask = _pre_relu(rng, x_shape)
+            for layout in (mask, _as_channels_last(mask)):
+                cases.append(dict(case, grad_out=grad_out, mask=layout))
     cases.append(
         {"grad_out": np.ones((1, 1, 2, 2), np.float32),
          "argmax": np.zeros((1, 1, 2, 2), np.intp), "x_shape": (1, 1, 4, 4),
@@ -1925,19 +1955,21 @@ def _register_builtin(reg: KernelRegistry) -> None:
         doc="Max pooling over (N, C, H, W); returns (pooled, argmax) with the "
         "first window position winning ties and NaN treated as np.argmax "
         "does.",
-        rows_of=lambda x, pool, stride, out=None: x.shape[0],
+        rows_of=lambda x, pool, stride, out=None, rectify=False: x.shape[0],
         cases=_maxpool2d_forward_cases,
         check=_check_same,
         backends=(
             _native(
                 _maxpool2d_forward_native, _maxpool2d_forward_native_supports,
                 "compiled single pass (core/_conv.c): maximum, argmax "
-                "and the NaN rule inline, no isnan pre-pass",
+                "and the NaN rule inline, no isnan pre-pass; rectify=True "
+                "pools the ReLU of x in the same pass",
             ),
             BackendImpl(
                 "reference", _maxpool2d_forward_reference,
                 "running pairwise `>` over the pool**2 strided window "
-                "views (gathered-window argmax when a NaN is present)",
+                "views (gathered-window argmax when a NaN is present); "
+                "rectify=True pools np.maximum(x, 0.0)",
             ),
         ),
     )
@@ -1945,7 +1977,7 @@ def _register_builtin(reg: KernelRegistry) -> None:
         "maxpool2d_backward",
         doc="Scatter the pooled gradient back to the argmax positions of an "
         "NCHW view of channels-last storage, accumulated into +0.0.",
-        rows_of=lambda grad_out, argmax, x_shape, pool, stride, out=None: (
+        rows_of=lambda grad_out, argmax, x_shape, pool, stride, out=None, mask=None: (
             grad_out.shape[0]
         ),
         cases=_maxpool2d_backward_cases,
@@ -1954,11 +1986,13 @@ def _register_builtin(reg: KernelRegistry) -> None:
             _native(
                 _maxpool2d_backward_native, _maxpool2d_backward_native_supports,
                 "compiled zero fill + `+=` scatter (core/_conv.c), "
-                "overlapping windows included",
+                "overlapping windows included, one write per position when "
+                "windows tile; mask= multiplies by (mask > 0.0) in the pass",
             ),
             BackendImpl(
                 "reference", _maxpool2d_backward_reference,
-                "pool**2 masked writes (np.add.at when windows overlap)",
+                "pool**2 masked writes (np.add.at when windows overlap); "
+                "mask= is relu_grad(mask, scatter)",
             ),
         ),
     )

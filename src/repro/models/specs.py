@@ -101,6 +101,8 @@ _KIND_OF_LAYER = {cls: kind for kind, cls in _LAYER_KINDS.items()}
 def layer_spec_to_config(spec: LayerSpec) -> dict:
     """One layer spec as a JSON-safe ``{"kind": ..., **fields}`` dict."""
     config = asdict(spec)
+    if isinstance(spec, PoolSpec):  # "kind" is the layer tag
+        config["pool"] = config.pop("kind")
     config["kind"] = _KIND_OF_LAYER[type(spec)]
     return config
 
@@ -113,6 +115,10 @@ def layer_spec_from_config(config: dict) -> LayerSpec:
         cls = _LAYER_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown layer kind {kind!r}") from None
+    if cls is PoolSpec:
+        if "pool" not in fields:  # written while the tag overwrote it
+            raise ValueError(f"pool layer {fields.get('name')!r} has no pool kind")
+        fields["kind"] = fields.pop("pool")
     return cls(**fields)
 
 

@@ -260,6 +260,7 @@ def conv2d_forward_samples(
     splits = _stability.scaled_active_splits(batch)
     cols_per_sample: list[np.ndarray] = []
     out: np.ndarray | None = None
+    tiled_bias: np.ndarray | None = None
     for s in range(n_samples):
         if s == 0 or not shared_input:
             x_s = x if shared_input else x[s * batch : (s + 1) * batch]
@@ -282,7 +283,10 @@ def conv2d_forward_samples(
                 col_splits, trans_b=True,
             )
         if bias is not None:
-            out_s += bias
+            # `out_s += bias` as the same adds over long (batch, oh * ow * M) rows
+            if tiled_bias is None:
+                tiled_bias = np.tile(bias, out_h * out_w)
+            out_s.reshape(batch, tiled_bias.size)[...] += tiled_bias
         if out is None:
             # NHWC storage with an NCHW transposed view, exactly like
             # conv2d_forward returns -- the per-sample fill is then a straight
@@ -358,6 +362,7 @@ def maxpool2d_forward(
     pool: int,
     stride: int,
     out: tuple[np.ndarray, np.ndarray] | None = None,
+    rectify: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling.  Returns the output and the argmax mask needed for backward.
 
@@ -366,12 +371,13 @@ def maxpool2d_forward(
     memory layout (the ``maxpool2d_forward`` dispatch point of
     :mod:`repro.core.backend`).  ``out``, when given, is the ``(pooled,
     argmax)`` pair of buffers to fill (``x``'s dtype and ``np.intp``).
+    ``rectify`` pools :func:`relu` ``(x)`` in the same pass.
     """
     check_4d(x)
     _, _, height, width = x.shape
     conv_output_size(height, pool, stride, 0)
     conv_output_size(width, pool, stride, 0)
-    return _maxpool2d_forward_kernel(x, pool, stride, out=out)
+    return _maxpool2d_forward_kernel(x, pool, stride, out=out, rectify=rectify)
 
 
 def maxpool2d_backward(
@@ -381,6 +387,7 @@ def maxpool2d_backward(
     pool: int,
     stride: int,
     out: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scatter the output gradient back to the argmax positions.
 
@@ -389,9 +396,12 @@ def maxpool2d_backward(
     routinely) lands as ``+0.0`` and overlapping windows add up in ``(row,
     col)`` order of the output (the ``maxpool2d_backward`` dispatch point of
     :mod:`repro.core.backend`).  ``out``, when given, is an ``x_shape``
-    buffer to fill; whatever it held is overwritten.
+    buffer to fill; whatever it held is overwritten.  ``mask`` (a ReLU's
+    input) returns ``relu_grad(mask, ...)`` of the scatter, in the same pass.
     """
-    return _maxpool2d_backward_kernel(grad_out, argmax, x_shape, pool, stride, out=out)
+    return _maxpool2d_backward_kernel(
+        grad_out, argmax, x_shape, pool, stride, out=out, mask=mask
+    )
 
 
 def avgpool2d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:

@@ -279,7 +279,8 @@ class Flatten(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling with a square window."""
+    """Max pooling with a square window (``rectify`` / ``mask``: the fused
+    stage of a ReLU before it, see BayesianNetwork.forward_samples)."""
 
     def __init__(self, pool_size: int, stride: int | None = None, name: str | None = None) -> None:
         super().__init__(name)
@@ -289,7 +290,7 @@ class MaxPool2D(Layer):
         self.stride = stride or pool_size
         self._cache: tuple[np.ndarray, tuple[int, int, int, int]] | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, rectify: bool = False) -> np.ndarray:
         buffers = None
         if self._workspace is not None:
             check_4d(x)
@@ -301,11 +302,15 @@ class MaxPool2D(Layer):
                 self._workspace.take(self, "pooled", shape, x.dtype, nhwc=True),
                 self._workspace.take(self, "argmax", shape, np.intp, nhwc=True),
             )
-        out, argmax = F.maxpool2d_forward(x, self.pool_size, self.stride, out=buffers)
+        out, argmax = F.maxpool2d_forward(
+            x, self.pool_size, self.stride, out=buffers, rectify=rectify
+        )
         self._cache = (argmax, x.shape)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, mask: np.ndarray | None = None
+    ) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         argmax, x_shape = self._cache
@@ -315,7 +320,8 @@ class MaxPool2D(Layer):
                 self, "grad_input", x_shape, grad_out.dtype, nhwc=True
             )
         return F.maxpool2d_backward(
-            grad_out, argmax, x_shape, self.pool_size, self.stride, out=buffer
+            grad_out, argmax, x_shape, self.pool_size, self.stride, out=buffer,
+            mask=mask,
         )
 
 

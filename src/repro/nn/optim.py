@@ -146,6 +146,7 @@ class Optimizer:
                 f"optimizer slots do not match: checkpoint {sorted(saved)}, "
                 f"optimizer {sorted(slots)}"
             )
+        # every count and shape is checked before the first write
         for slot, arrays in slots.items():
             stored = saved[slot]
             if len(stored) != len(arrays):
@@ -159,6 +160,8 @@ class Optimizer:
                         f"slot {slot!r} shape mismatch: checkpoint "
                         f"{value.shape}, optimizer {array.shape}"
                     )
+        for slot, arrays in slots.items():
+            for array, value in zip(arrays, saved[slot]):
                 array[...] = value
         if hasattr(self, "_step_count"):
             self._step_count = int(state.get("step_count", 0))

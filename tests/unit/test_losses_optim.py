@@ -151,6 +151,23 @@ class TestAdam:
         optimizer.step()
         assert param.value[0] < 1.0
 
+    def test_load_state_dict_is_all_or_nothing(self):
+        params = [Parameter("a", np.zeros(3)), Parameter("b", np.zeros((2, 2)))]
+        optimizer = Adam(params, learning_rate=0.1)
+        for param in params:
+            param.grad[...] = 0.5
+        optimizer.step()
+        before = {slot: [a.tobytes() for a in arrays]
+                  for slot, arrays in optimizer.slot_arrays().items()}
+        state = optimizer.state_dict()
+        state["slots"] = {slot: [a + 1.0 for a in arrays] for slot, arrays in state["slots"].items()}
+        state["slots"]["m"][-1] = np.zeros(4)  # the last m tensor has the wrong shape
+        with pytest.raises(ValueError, match="shape mismatch"):
+            optimizer.load_state_dict(state)
+        after = {slot: [a.tobytes() for a in arrays]
+                 for slot, arrays in optimizer.slot_arrays().items()}
+        assert after == before
+
     def test_validation(self):
         param = Parameter("w", np.zeros(1))
         with pytest.raises(ValueError):

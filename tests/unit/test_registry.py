@@ -203,6 +203,31 @@ class TestPersistence:
         with pytest.raises(RegistryPersistenceError, match="fingerprint"):
             ModelRegistry.open(store)
 
+    def test_a_pooled_replica_persists(self, tmp_path, tiny_conv_spec):
+        replica = ReplicaSpec.capture(tiny_conv_spec, tiny_conv_spec.build_bayesian(seed=1))
+        store = tmp_path / "registry"
+        ModelRegistry.open(store).register("v1", replica)
+        assert ModelRegistry.open(store).get("v1").fingerprint == replica.fingerprint()
+
+    def test_a_parent_written_pooled_archive_is_refused(
+        self, tmp_path, tiny_conv_spec, monkeypatch
+    ):
+        from dataclasses import asdict
+
+        from repro.models import specs
+        from repro.serve import RegistryPersistenceError
+
+        replica = ReplicaSpec.capture(tiny_conv_spec, tiny_conv_spec.build_bayesian(seed=1))
+        store = tmp_path / "registry"
+        with monkeypatch.context() as patch:  # the parent's layer config
+            patch.setattr(
+                specs, "layer_spec_to_config",
+                lambda spec: dict(asdict(spec), kind=specs._KIND_OF_LAYER[type(spec)]),
+            )
+            ModelRegistry.open(store).register("v1", replica)
+        with pytest.raises(RegistryPersistenceError, match="no pool kind"):
+            ModelRegistry.open(store)
+
     def test_unknown_state_version_is_refused(self, tmp_path):
         from repro.serve import RegistryPersistenceError
 

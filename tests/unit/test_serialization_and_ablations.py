@@ -261,6 +261,30 @@ class TestReplicaArchives:
             assert np.array_equal(restored.state[name], array)
         assert restored.build_seed == replica.build_seed
 
+    def test_a_pooled_replica_round_trips(self, tmp_path, tiny_conv_spec):
+        replica = ReplicaSpec.capture(tiny_conv_spec, tiny_conv_spec.build_bayesian(seed=3))
+        restored = load_replica(save_replica(replica, tmp_path / "replica"))
+        assert restored.spec == tiny_conv_spec
+        assert restored.fingerprint() == replica.fingerprint()
+
+    def test_a_parent_written_pooled_replica_is_refused(
+        self, tmp_path, tiny_conv_spec, monkeypatch
+    ):
+        # the parent wrote the layer tag over the pool's own kind
+        from dataclasses import asdict
+
+        from repro.models import specs
+
+        def parent_config(spec):
+            return dict(asdict(spec), kind=specs._KIND_OF_LAYER[type(spec)])
+
+        replica = ReplicaSpec.capture(tiny_conv_spec, tiny_conv_spec.build_bayesian(seed=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(specs, "layer_spec_to_config", parent_config)
+            path = save_replica(replica, tmp_path / "replica")
+        with pytest.raises(CheckpointMismatchError, match="no pool kind"):
+            load_replica(path)
+
     def test_restored_replica_predicts_bit_identically(self, tmp_path, rng):
         spec = get_model("B-MLP", reduced=True)
         model = spec.build_bayesian(seed=7)
@@ -415,6 +439,21 @@ def _load_by_worker(trainer, spec, values, tmp_path):
     engine.run_step(
         {"shards": [(0,)], "row_blocks": [(0, 1)], "total_rows": 1, "state": state.message}
     )
+
+
+def test_load_checkpoint_does_not_copy_the_optimizer_state(tmp_path, monkeypatch):
+    trainer = _legacy_trainer()
+    _legacy_fit(trainer)
+    path = save_checkpoint(trainer, tmp_path / "ckpt")
+    expected = _fingerprint(trainer)
+
+    def no_copies(self):
+        raise AssertionError("state_dict copies every slot tensor")
+
+    restored = _legacy_trainer()
+    monkeypatch.setattr(type(restored.optimizer), "state_dict", no_copies)
+    load_checkpoint(restored, path)
+    assert _fingerprint(restored) == expected
 
 
 class TestParameterContract:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,13 @@ class TestZoo:
             feature_elements = sum(t.output_size for t in spec.weighted_layers())
             ratios.append(spec.weight_count / feature_elements)
         assert np.mean(ratios) > 20
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("name", PAPER_MODEL_NAMES)
+    def test_every_zoo_spec_round_trips_through_json(self, name, reduced):
+        spec = get_model(name, reduced=reduced)
+        restored = ModelSpec.from_config(json.loads(json.dumps(spec.to_config())))
+        assert restored == spec and repr(restored) == repr(spec)
 
     def test_dataset_labels(self):
         assert paper_models()["B-MLP"].dataset == "MNIST"
