@@ -219,6 +219,17 @@ class BayesianLayer(Layer):
         """
         raise NotImplementedError
 
+    def _fold_bias_grad(self, grad_bias: np.ndarray) -> None:
+        """Take the ``(S, n)`` per-sample bias gradients: recorded on the
+        active tape for a cross-shard reduction, or else added into
+        ``bias.grad`` in sample order (sequential parity)."""
+        tape = active_tape()
+        if tape is not None:
+            tape.record(self.bias.name, grad_bias)
+            return
+        for row in grad_bias:
+            self.bias.grad += row
+
     @staticmethod
     def _samples_per_batch(x: np.ndarray, n_samples: int, name: str) -> int:
         if n_samples < 1:
@@ -333,17 +344,8 @@ class BayesDense(BayesianLayer):
         grad3 = grad_out.reshape(n_samples, batch, self.out_features)
         grad_weight = F.sample_matmul(x3.transpose(0, 2, 1), grad3)
         if self.bias is not None:
-            tape = active_tape()
-            if tape is not None:
-                # per-sample contributions captured for cross-shard reduction
-                tape.record(
-                    self.bias.name,
-                    np.stack([grad3[s].sum(axis=0) for s in range(n_samples)]),
-                )
-            else:
-                # per-sample sums accumulated in sample order (sequential parity)
-                for s in range(n_samples):
-                    self.bias.grad += grad3[s].sum(axis=0)
+            # each sample's grad3[s].sum(axis=0), in one reduce
+            self._fold_bias_grad(grad3.sum(axis=1))
         grad_input = None
         if need_input_grad:
             grad_input = F.sample_matmul(grad3, weights.transpose(0, 2, 1)).reshape(
@@ -487,7 +489,10 @@ class BayesConv2D(BayesianLayer):
         prior: Prior,
         include_entropy_term: bool = True,
         need_input_grad: bool = True,
+        grad_bias: np.ndarray | None = None,
     ) -> np.ndarray | None:
+        """BW + GC stages for all ``S`` samples; ``grad_bias`` is the ``(S, M)``
+        bias gradient when the max-pool backward after this layer summed it."""
         if self._cache.get("n_samples") != n_samples:
             raise RuntimeError(f"{self.name}: backward_samples before forward_samples")
         cols: list[np.ndarray] = self._cache["cols"]  # type: ignore[assignment]
@@ -500,17 +505,10 @@ class BayesConv2D(BayesianLayer):
             )
         grad_input, grad_weight, grad_bias = F.conv2d_backward_samples(
             grad_out, cols, x_shape, weights, self.stride, self.padding, n_samples,
-            need_input_grad, out=buffer,
+            need_input_grad, out=buffer, grad_bias=grad_bias,
         )
         if self.bias is not None:
-            tape = active_tape()
-            if tape is not None:
-                # per-sample contributions captured for cross-shard reduction
-                tape.record(self.bias.name, np.asarray(grad_bias))
-            else:
-                # per-sample sums accumulated in sample order (sequential parity)
-                for s in range(n_samples):
-                    self.bias.grad += grad_bias[s]
+            self._fold_bias_grad(grad_bias)
         self.accumulate_sample_parameter_gradients(
             grad_weight=grad_weight,
             epsilon=epsilon,

@@ -297,11 +297,13 @@ class BayesianNetwork:
         grad = grad_out.reshape((n_samples * batch,) + grad_out.shape[2:])
         det_inputs = self._det_layer_inputs
         fused = self._relus_before_pools()
+        bias_sums: dict[int, np.ndarray] = {}  # conv index -> its (S, M) bias gradient
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
             if index in fused:
                 continue  # the pool's pass applied its gradient
             if isinstance(layer, BayesianLayer):
+                summed = {"grad_bias": bias_sums.pop(index)} if index in bias_sums else {}
                 grad = layer.backward_samples(
                     grad,
                     sampler,
@@ -310,9 +312,17 @@ class BayesianNetwork:
                     prior=self.prior,
                     include_entropy_term=include_entropy_term,
                     need_input_grad=index > 0,
+                    **summed,
                 )
             elif index - 1 in fused:
-                grad = layer.backward(grad, mask=self.layers[index - 1]._cache_input)
+                # the pass also sums the bias gradient of a conv before the ReLU
+                conv = self.layers[index - 2] if index >= 2 else None
+                sums = None
+                if isinstance(conv, BayesConv2D) and conv.bias is not None:
+                    sums = bias_sums[index - 2] = np.empty((n_samples, grad.shape[1]))
+                grad = layer.backward(
+                    grad, mask=self.layers[index - 1]._cache_input, channel_sums=sums
+                )
             elif index in det_inputs:
                 grad = self._det_backward_per_sample(
                     layer, det_inputs[index], grad, n_samples, batch

@@ -71,15 +71,22 @@ int conv_col2im(const double *cols, const int64_t *g, double *out)
                 for (int64_t c = 0; c < C; c++)
                     dst[c * sc] = 0.0;
                 for (int64_t row = 0; row < k; row++) {
+                    /* at stride 1 a range check: no division per tap */
                     const int64_t up = h + p - row;
-                    if (up < 0 || up % s || up / s >= OH)
+                    if (up < 0 || (s > 1 && up % s))
+                        continue;
+                    const int64_t oh = s > 1 ? up / s : up;
+                    if (oh >= OH)
                         continue;
                     for (int64_t col = 0; col < k; col++) {
                         const int64_t left = w + p - col;
-                        if (left < 0 || left % s || left / s >= OW)
+                        if (left < 0 || (s > 1 && left % s))
+                            continue;
+                        const int64_t ow = s > 1 ? left / s : left;
+                        if (ow >= OW)
                             continue;
                         const double *src = cols + row * k + col
-                            + ((n * OH + up / s) * OW + left / s) * width;
+                            + ((n * OH + oh) * OW + ow) * width;
                         for (int64_t c = 0; c < C; c++)
                             dst[c * sc] += src[c * kk];
                     }
@@ -170,14 +177,20 @@ int conv_maxpool_forward(const double *x, const int64_t *g, double *out,
 }
 
 /* g = N C H W | grad strides | pool stride | argmax strides | out strides |
- * mask strides.  `+=` into zeros in (oh, ow) order: a -0.0 gradient lands as
- * +0.0 and overlapping windows accumulate in np.add.at's order.  An argmax
- * outside the window selects nothing, as in the reference's masked writes
- * (nothing out of bounds is ever written).  A `mask` (the ReLU's input) then
- * multiplies each sum by (mask > 0.0).  Windows that tile the input, with
- * unit-stride channel pairs: one pass writes every position once. */
+ * mask strides | S.  `+=` into zeros in (oh, ow) order: a -0.0 gradient
+ * lands as +0.0 and overlapping windows accumulate in np.add.at's order.  An
+ * argmax outside the window selects nothing, as in the reference's masked
+ * writes (nothing out of bounds is ever written).  A `mask` (the ReLU's
+ * input) then multiplies each sum by (mask > 0.0).  Windows that tile the
+ * input, with unit-stride channel pairs: one pass writes every position once.
+ * `sums` (S > 0, C-contiguous (S, C)) gets each of S equal batch slices'
+ * per-channel sum of what is written, added in (n, h, w) order onto +0.0:
+ * np.sum(axis=0) over the slice's (rows, C) view adds row after row onto
+ * add's identity, so an all -0.0 channel sums to +0.0.  Both paths
+ * therefore write in (n, h, w) order. */
 int conv_maxpool_backward(const double *grad, const int64_t *argmax,
-                          const int64_t *g, double *out, const double *mask)
+                          const int64_t *g, double *out, const double *mask,
+                          double *sums)
 {
     const int64_t N = g[0], C = g[1], H = g[2], W = g[3];
     const int64_t gn = g[4], gc = g[5], gh = g[6], gw = g[7];
@@ -185,31 +198,42 @@ int conv_maxpool_backward(const double *grad, const int64_t *argmax,
     const int64_t an = g[10], ac = g[11], ah = g[12], aw = g[13];
     const int64_t on = g[14], oc = g[15], oh_ = g[16], ow_ = g[17];
     const int64_t mn = g[18], mc = g[19], mh = g[20], mw = g[21];
+    const int64_t per = sums && N ? N / g[22] : 1;  /* images per slice */
     const int64_t OH = out_size(H, pool, s, 0), OW = out_size(W, pool, s, 0);
     const f64x2 zero = {0.0, 0.0}, one = {1.0, 1.0};
+    for (int64_t i = 0; sums && i < g[22] * C; i++)
+        sums[i] = 0.0;
     if (s == pool && OH * s == H && OW * s == W && C % 2 == 0 && oc == 1
         && (!mask || mc == 1)) {
-        for (int64_t n = 0; n < N; n++)
+        for (int64_t n = 0; n < N; n++) {
+            double *acc = sums ? sums + n / per * C : NULL;
             for (int64_t oh = 0; oh < OH; oh++)
-                for (int64_t ow = 0; ow < OW; ow++)
-                    for (int64_t c = 0; c < C; c += 2) {
-                        const double *gr = grad + n * gn + oh * gh + ow * gw + c * gc;
-                        const int64_t *a = argmax + n * an + oh * ah + ow * aw + c * ac;
-                        const int64_t at = n * on + oh * s * oh_ + ow * s * ow_ + c;
-                        const int64_t mat = n * mn + oh * s * mh + ow * s * mw + c;
-                        const f64x2 sum = (f64x2){gr[0], gr[gc]} + zero;
-                        const i64x2 arg = {a[0], a[ac]};
-                        for (int64_t row = 0; row < pool; row++)
+                for (int64_t row = 0; row < pool; row++)
+                    for (int64_t ow = 0; ow < OW; ow++)
+                        for (int64_t c = 0; c < C; c += 2) {
+                            const double *gr = grad + n * gn + oh * gh + ow * gw + c * gc;
+                            const int64_t *a = argmax + n * an + oh * ah + ow * aw + c * ac;
+                            const int64_t at = n * on + (oh * s + row) * oh_ + ow * s * ow_ + c;
+                            const int64_t mat = n * mn + (oh * s + row) * mh + ow * s * mw + c;
+                            const f64x2 sum = (f64x2){gr[0], gr[gc]} + zero;
+                            const i64x2 arg = {a[0], a[ac]};
+                            f64x2 total = zero;
+                            if (acc)
+                                memcpy(&total, acc + c, sizeof total);
                             for (int64_t col = 0; col < pool; col++) {
                                 const i64x2 k = {row * pool + col, row * pool + col};
                                 f64x2 v = (f64x2)((arg == k) & (i64x2)sum), m;
                                 if (mask) {
-                                    memcpy(&m, mask + mat + row * mh + col * mw, sizeof m);
+                                    memcpy(&m, mask + mat + col * mw, sizeof m);
                                     v = v * (f64x2)((m > zero) & (i64x2)one);
                                 }
-                                memcpy(out + at + row * oh_ + col * ow_, &v, sizeof v);
+                                memcpy(out + at + col * ow_, &v, sizeof v);
+                                total = total + v;
                             }
-                    }
+                            if (acc)
+                                memcpy(acc + c, &total, sizeof total);
+                        }
+        }
         return 0;
     }
     for (int64_t n = 0; n < N; n++)
@@ -232,11 +256,17 @@ int conv_maxpool_backward(const double *grad, const int64_t *argmax,
                     o[c * oc + arg / pool * oh_ + arg % pool * ow_] += gr[c * gc];
                 }
             }
-    for (int64_t n = 0; mask && n < N; n++)
+    for (int64_t n = 0; (mask || sums) && n < N; n++) {
+        double *acc = sums ? sums + n / per * C : NULL;
         for (int64_t h = 0; h < H; h++)
             for (int64_t w = 0; w < W; w++)
-                for (int64_t c = 0; c < C; c++)
-                    out[n * on + h * oh_ + w * ow_ + c * oc] *=
-                        (double)(mask[n * mn + h * mh + w * mw + c * mc] > 0.0);
+                for (int64_t c = 0; c < C; c++) {
+                    double *o = out + n * on + h * oh_ + w * ow_ + c * oc;
+                    if (mask)
+                        *o *= (double)(mask[n * mn + h * mh + w * mw + c * mc] > 0.0);
+                    if (acc)
+                        acc[c] += *o;
+                }
+    }
     return 0;
 }

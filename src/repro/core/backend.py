@@ -1260,6 +1260,8 @@ def _col2im_cases() -> list[dict[str, Any]]:
         ((2, 3, 8, 8), 3, 1, 1, np.float64, True),
         ((1, 1, 5, 5), 1, 1, 0, np.float64, False),  # pointwise kernel
         ((2, 2, 9, 9), 3, 2, 0, np.float64, True),  # accumulates straight into out
+        ((2, 3, 8, 8), 3, 2, 1, np.float64, True),  # stride 2 over padding
+        ((1, 2, 6, 5), 2, 1, 1, np.float64, False),  # stride 1, even kernel, padded
         ((2, 5, 7, 6), 4, 3, 2, np.float64, False),  # positions no window covers
         ((0, 2, 6, 6), 3, 1, 1, np.float64, False),  # degenerate empty batch
         ((2, 3, 8, 8), 3, 1, 1, np.float32, False),
@@ -1409,7 +1411,7 @@ def _maxpool2d_forward_cases() -> list[dict[str, Any]]:
 
 
 def _maxpool2d_backward_reference(
-    grad_out, argmax, x_shape, pool, stride, out=None, mask=None
+    grad_out, argmax, x_shape, pool, stride, out=None, mask=None, channel_sums=None
 ):
     if out is None:
         grad_input = _channels_last(np.zeros, x_shape, grad_out.dtype)
@@ -1439,11 +1441,21 @@ def _maxpool2d_backward_reference(
         np.add.at(grad_input, index, grad_out)
     if mask is not None:  # relu_grad of the ReLU before the pool
         np.multiply(grad_input, mask > 0.0, out=grad_input)
-    return grad_input
+    if channel_sums is None:
+        return grad_input, None
+    # the conv bias gradient: each sample slice's grad_flat.sum(axis=0)
+    n_samples, channels = channel_sums.shape
+    if x_shape[0] % n_samples or channels != x_shape[1]:
+        raise ValueError(f"channel_sums {channel_sums.shape} does not fit {x_shape}")
+    per = x_shape[0] // n_samples
+    for s in range(n_samples):
+        rows = grad_input[s * per : (s + 1) * per].transpose(0, 2, 3, 1)
+        channel_sums[s] = rows.reshape(-1, channels).sum(axis=0)
+    return grad_input, channel_sums
 
 
 def _maxpool2d_backward_native_supports(
-    grad_out, argmax, x_shape, pool, stride, out=None, mask=None
+    grad_out, argmax, x_shape, pool, stride, out=None, mask=None, channel_sums=None
 ):
     x_shape = tuple(x_shape)
     if not _window_geometry_ok(x_shape, pool, stride, 0):
@@ -1454,23 +1466,38 @@ def _maxpool2d_backward_native_supports(
         and _strided(argmax, np.int64, shape)
         and (out is None or _writable(out, np.float64, x_shape))
         and (mask is None or _strided(mask, np.float64, x_shape))
+        and (channel_sums is None or _channel_sums_ok(channel_sums, x_shape))
+    )
+
+
+def _channel_sums_ok(channel_sums, x_shape) -> bool:
+    # NumPy sums a lone column pairwise, not row by row: C == 1 stays NumPy's
+    return (
+        _writable(channel_sums, np.float64, None)
+        and channel_sums.flags.c_contiguous
+        and channel_sums.ndim == 2
+        and channel_sums.shape[1] == x_shape[1] != 1
+        and channel_sums.shape[0] >= 1
+        and x_shape[0] % channel_sums.shape[0] == 0
     )
 
 
 def _maxpool2d_backward_native(
-    grad_out, argmax, x_shape, pool, stride, out=None, mask=None
+    grad_out, argmax, x_shape, pool, stride, out=None, mask=None, channel_sums=None
 ):
     if out is None:
         out = _channels_last(np.empty, x_shape, np.float64)
     geometry = _geometry(
         tuple(x_shape), grad_out, pool, stride, argmax, out,
         (0,) * 4 if mask is None else mask,
+        0 if channel_sums is None else channel_sums.shape[0],
     )
     native.library.load().conv_maxpool_backward(
         grad_out.ctypes.data, argmax.ctypes.data, geometry.ctypes.data,
         out.ctypes.data, None if mask is None else mask.ctypes.data,
+        None if channel_sums is None else channel_sums.ctypes.data,
     )
-    return out
+    return out, channel_sums
 
 
 def _maxpool2d_backward_cases() -> list[dict[str, Any]]:
@@ -1493,6 +1520,31 @@ def _maxpool2d_backward_cases() -> list[dict[str, Any]]:
             mask = _pre_relu(rng, x_shape)
             for layout in (mask, _as_channels_last(mask)):
                 cases.append(dict(case, grad_out=grad_out, mask=layout))
+    # channel_sums: one slice per image, and the whole batch as one slice,
+    # into garbage-filled buffers
+    for case in list(cases):
+        batch, channels = case["x_shape"][:2]
+        for n_samples in sorted({1, batch or 1}):
+            sums = rng.standard_normal((n_samples, channels))
+            cases.append(dict(case, channel_sums=sums))
+    # 1x1 windows: an all -0.0 channel (a negative gradient the mask zeroes),
+    # which NumPy sums to +0.0, beside NaN payloads and infinities meeting in
+    # one sum; even C tiles, odd C takes the general path, C == 1 is NumPy's
+    # pairwise sum
+    for channels in (4, 3, 1):
+        x_shape = (4, channels, 4, 6)
+        grad_out = _pre_relu(rng, x_shape)
+        mask = np.abs(rng.standard_normal(x_shape))
+        if channels > 1:
+            grad_out[:, 0] = -0.5 - rng.random(x_shape[:1] + x_shape[2:])
+            mask[:, 0] *= -1.0
+        else:
+            grad_out = rng.standard_normal(x_shape)
+        cases.append(
+            {"grad_out": grad_out, "argmax": np.zeros(x_shape, np.intp),
+             "x_shape": x_shape, "pool": 1, "stride": 1, "mask": mask,
+             "channel_sums": rng.standard_normal((2, channels))}
+        )
     cases.append(
         {"grad_out": np.ones((1, 1, 2, 2), np.float32),
          "argmax": np.zeros((1, 1, 2, 2), np.intp), "x_shape": (1, 1, 4, 4),
@@ -1976,10 +2028,10 @@ def _register_builtin(reg: KernelRegistry) -> None:
     reg.register(
         "maxpool2d_backward",
         doc="Scatter the pooled gradient back to the argmax positions of an "
-        "NCHW view of channels-last storage, accumulated into +0.0.",
-        rows_of=lambda grad_out, argmax, x_shape, pool, stride, out=None, mask=None: (
-            grad_out.shape[0]
-        ),
+        "NCHW view of channels-last storage, accumulated into +0.0; returns "
+        "(grad, channel_sums), an (S, C) channel_sums= buffer filled with "
+        "each of S batch slices' per-channel sum of grad (else None).",
+        rows_of=lambda grad_out, argmax, x_shape, pool, stride, **kwargs: grad_out.shape[0],
         cases=_maxpool2d_backward_cases,
         check=_check_same,
         backends=(
@@ -1987,12 +2039,15 @@ def _register_builtin(reg: KernelRegistry) -> None:
                 _maxpool2d_backward_native, _maxpool2d_backward_native_supports,
                 "compiled zero fill + `+=` scatter (core/_conv.c), "
                 "overlapping windows included, one write per position when "
-                "windows tile; mask= multiplies by (mask > 0.0) in the pass",
+                "windows tile; mask= multiplies by (mask > 0.0) and "
+                "channel_sums= adds (n, h, w) rows onto +0.0 in the pass "
+                "(C == 1 declined)",
             ),
             BackendImpl(
                 "reference", _maxpool2d_backward_reference,
                 "pool**2 masked writes (np.add.at when windows overlap); "
-                "mask= is relu_grad(mask, scatter)",
+                "mask= is relu_grad(mask, scatter); channel_sums= is each "
+                "slice's grad_flat.sum(axis=0)",
             ),
         ),
     )

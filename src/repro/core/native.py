@@ -61,7 +61,7 @@ _SIGNATURES = {
     "conv_im2col": [_PTR, _PTR, _PTR],
     "conv_col2im": [_PTR, _PTR, _PTR],
     "conv_maxpool_forward": [_PTR, _PTR, _PTR, _PTR],
-    "conv_maxpool_backward": [_PTR, _PTR, _PTR, _PTR, _PTR],  # ..., out, mask
+    "conv_maxpool_backward": [_PTR, _PTR, _PTR, _PTR, _PTR, _PTR],  # ..., out, mask, sums
     "grng_forward": _FORWARD,
     "grng_forward_rows": _FORWARD,  # the row body alone, whatever the CPU
     "grng_lane_width": [],

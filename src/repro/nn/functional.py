@@ -254,13 +254,20 @@ def conv2d_forward_samples(
             f"folded batch of {x.shape[0]} does not divide into {n_samples} samples"
         )
     batch = x.shape[0] if shared_input else x.shape[0] // n_samples
+    out_h = conv_output_size(x.shape[2], k_h, stride, padding)
+    out_w = conv_output_size(x.shape[3], k_h, stride, padding)
     flat_weights = weights.reshape(n_samples, out_channels, -1)
     # inside a fused tile, each request owns `splits[i]` of the `batch` items
     # per sample; the column matrix scales every span by out_h * out_w
     splits = _stability.scaled_active_splits(batch)
+    # NHWC storage with an NCHW transposed view, exactly like conv2d_forward
+    # returns: each sample's GEMM lands in its (batch * oh * ow, M) rows
+    out = np.empty(
+        (n_samples * batch, out_h, out_w, out_channels),
+        dtype=np.result_type(x.dtype, weights.dtype),
+    )
     cols_per_sample: list[np.ndarray] = []
-    out: np.ndarray | None = None
-    tiled_bias: np.ndarray | None = None
+    tiled_bias = None if bias is None else np.tile(bias, out_h * out_w)
     for s in range(n_samples):
         if s == 0 or not shared_input:
             x_s = x if shared_input else x[s * batch : (s + 1) * batch]
@@ -268,36 +275,20 @@ def conv2d_forward_samples(
             # verdict's folded_im2col_gate proves that equal to stacking the
             # per-request unfolds
             buffer = cols_out[s] if cols_out and splits is None else None
-            cols_s, out_h, out_w = im2col(x_s, k_h, stride, padding, out=buffer)
+            cols_s, _, _ = im2col(x_s, k_h, stride, padding, out=buffer)
         cols_per_sample.append(cols_s)
+        out_s = out[s * batch : (s + 1) * batch]
         if splits is None:
-            out_s = cols_s @ flat_weights[s].T
+            np.matmul(cols_s, flat_weights[s].T, out=out_s.reshape(-1, out_channels))
         else:
             col_splits = tuple(rows * out_h * out_w for rows in splits)
-            out_s = np.empty(
-                (cols_s.shape[0], out_channels),
-                dtype=np.result_type(cols_s.dtype, flat_weights.dtype),
-            )
             _fused_sample_matmul_kernel(
-                cols_s[None], flat_weights[s][None], out_s[None],
-                col_splits, trans_b=True,
+                cols_s[None], flat_weights[s][None],
+                out_s.reshape(1, -1, out_channels), col_splits, trans_b=True,
             )
-        if bias is not None:
+        if tiled_bias is not None:
             # `out_s += bias` as the same adds over long (batch, oh * ow * M) rows
-            if tiled_bias is None:
-                tiled_bias = np.tile(bias, out_h * out_w)
             out_s.reshape(batch, tiled_bias.size)[...] += tiled_bias
-        if out is None:
-            # NHWC storage with an NCHW transposed view, exactly like
-            # conv2d_forward returns -- the per-sample fill is then a straight
-            # contiguous copy instead of a strided scatter.
-            out = np.empty(
-                (n_samples * batch, out_h, out_w, out_channels), dtype=out_s.dtype
-            )
-        out[s * batch : (s + 1) * batch] = out_s.reshape(
-            batch, out_h, out_w, out_channels
-        )
-    assert out is not None
     return out.transpose(0, 3, 1, 2), cols_per_sample
 
 
@@ -311,6 +302,7 @@ def conv2d_backward_samples(
     n_samples: int,
     need_input_grad: bool = True,
     out: np.ndarray | None = None,
+    grad_bias: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Backward pass of :func:`conv2d_forward_samples`.
 
@@ -323,14 +315,18 @@ def conv2d_backward_samples(
     network's first layer: nobody consumes d loss / d data) the
     ``grad_flat @ W`` product and its :func:`col2im` are skipped and
     ``grad_input`` is ``None``.  ``out`` optionally provides the folded
-    ``x_shape`` buffer ``grad_input`` is written into.
+    ``x_shape`` buffer ``grad_input`` is written into.  ``grad_bias``, when
+    given, is the ``(S, M)`` bias gradient already summed (the fused
+    max-pool backward's ``channel_sums``) and is returned as it is.
     """
     out_channels = weights.shape[1]
     kernel = weights.shape[3]
     batch = grad_out.shape[0] // n_samples
     sample_x_shape = (batch,) + tuple(x_shape[1:])
     grad_weights = np.empty(weights.shape, dtype=np.result_type(grad_out, weights))
-    grad_bias = np.empty((n_samples, out_channels), dtype=grad_weights.dtype)
+    summed = grad_bias is not None
+    if not summed:
+        grad_bias = np.empty((n_samples, out_channels), dtype=grad_weights.dtype)
     grad_input: np.ndarray | None = None
     if need_input_grad:
         # every sample's col2im folds straight into its slice of the result
@@ -346,8 +342,9 @@ def conv2d_backward_samples(
             .transpose(0, 2, 3, 1)
             .reshape(-1, out_channels)
         )
-        grad_weights[s] = (grad_flat.T @ cols[s]).reshape(weights.shape[1:])
-        grad_bias[s] = grad_flat.sum(axis=0)
+        np.matmul(grad_flat.T, cols[s], out=grad_weights[s].reshape(out_channels, -1))
+        if not summed:
+            grad_bias[s] = grad_flat.sum(axis=0)
         if not need_input_grad:
             continue
         col2im(
@@ -388,6 +385,7 @@ def maxpool2d_backward(
     stride: int,
     out: np.ndarray | None = None,
     mask: np.ndarray | None = None,
+    channel_sums: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scatter the output gradient back to the argmax positions.
 
@@ -398,10 +396,16 @@ def maxpool2d_backward(
     :mod:`repro.core.backend`).  ``out``, when given, is an ``x_shape``
     buffer to fill; whatever it held is overwritten.  ``mask`` (a ReLU's
     input) returns ``relu_grad(mask, ...)`` of the scatter, in the same pass.
+    ``channel_sums``, an ``(S, C)`` buffer, receives each of the ``S`` equal
+    batch slices' per-channel sum of the result -- what
+    :func:`conv2d_backward_samples` sums as a conv's bias gradient (each
+    slice's ``grad_flat.sum(axis=0)``), byte for byte.
     """
-    return _maxpool2d_backward_kernel(
-        grad_out, argmax, x_shape, pool, stride, out=out, mask=mask
+    grad_input, _ = _maxpool2d_backward_kernel(
+        grad_out, argmax, x_shape, pool, stride, out=out, mask=mask,
+        channel_sums=channel_sums,
     )
+    return grad_input
 
 
 def avgpool2d_forward(x: np.ndarray, pool: int, stride: int) -> np.ndarray:

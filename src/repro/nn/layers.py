@@ -280,7 +280,8 @@ class Flatten(Layer):
 
 class MaxPool2D(Layer):
     """Max pooling with a square window (``rectify`` / ``mask``: the fused
-    stage of a ReLU before it, see BayesianNetwork.forward_samples)."""
+    stage of a ReLU before it, see BayesianNetwork.forward_samples;
+    ``channel_sums``: the bias gradient of the conv before that)."""
 
     def __init__(self, pool_size: int, stride: int | None = None, name: str | None = None) -> None:
         super().__init__(name)
@@ -309,7 +310,8 @@ class MaxPool2D(Layer):
         return out
 
     def backward(
-        self, grad_out: np.ndarray, *, mask: np.ndarray | None = None
+        self, grad_out: np.ndarray, *, mask: np.ndarray | None = None,
+        channel_sums: np.ndarray | None = None,
     ) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
@@ -321,7 +323,7 @@ class MaxPool2D(Layer):
             )
         return F.maxpool2d_backward(
             grad_out, argmax, x_shape, self.pool_size, self.stride, out=buffer,
-            mask=mask,
+            mask=mask, channel_sums=channel_sums,
         )
 
 
